@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mrsim::{
     combine_fn, map_fn, map_fn_ctx, reduce_fn, reduce_fn_ctx, Engine, InputBinding, JobSpec,
-    SortStrategy, TaskContext, TypedMapEmitter, TypedOutEmitter, VarId,
+    TaskContext, TypedMapEmitter, TypedOutEmitter, VarId,
 };
 use rdf_model::atom::atom;
 use rdf_model::Dictionary;
@@ -149,18 +149,8 @@ fn spec_ids(with_combiner: bool, out: &str) -> JobSpec {
     job
 }
 
-/// Default sort strategy for every variant, from `NTGA_SORT`
-/// (`radix`/`comparison`, default radix) — the hook CI uses to smoke the
-/// whole bench under both strategies.
-fn strategy_from_env() -> SortStrategy {
-    match std::env::var("NTGA_SORT").as_deref() {
-        Ok("comparison") => SortStrategy::Comparison,
-        _ => SortStrategy::Radix,
-    }
-}
-
 fn bench_shuffle_path(c: &mut Criterion) {
-    let engine = Engine::unbounded().with_workers(8).with_sort_strategy(strategy_from_env());
+    let engine = Engine::unbounded().with_workers(8);
     put_input(&engine);
     let mut group = c.benchmark_group("shuffle_path");
     group.sample_size(10);
@@ -188,26 +178,6 @@ fn bench_shuffle_path(c: &mut Criterion) {
         b.iter(|| {
             let _ = engine.hdfs().lock().delete("shuffle-out-ids-c");
             black_box(engine.run_job(&spec_ids(true, "shuffle-out-ids-c")).unwrap())
-        })
-    });
-    // Strategy A/B twins of the `_ids` variants: the same jobs forced onto
-    // the comparison sort (the pre-radix shuffle path), interleaved in the
-    // same binary run — `BENCH_PR10.json` pairs each against its radix
-    // sibling above.
-    let engine_cmp =
-        Engine::unbounded().with_workers(8).with_sort_strategy(SortStrategy::Comparison);
-    let dict_cmp = put_input_ids(&engine_cmp);
-    let engine_cmp = engine_cmp.with_dict(Arc::new(dict_cmp));
-    group.bench_function("rekey_fanout4_8workers_ids_cmpsort", |b| {
-        b.iter(|| {
-            let _ = engine_cmp.hdfs().lock().delete("shuffle-out-ids");
-            black_box(engine_cmp.run_job(&spec_ids(false, "shuffle-out-ids")).unwrap())
-        })
-    });
-    group.bench_function("rekey_fanout4_combined_8workers_ids_cmpsort", |b| {
-        b.iter(|| {
-            let _ = engine_cmp.hdfs().lock().delete("shuffle-out-ids-c");
-            black_box(engine_cmp.run_job(&spec_ids(true, "shuffle-out-ids-c")).unwrap())
         })
     });
     group.finish();

@@ -9,14 +9,13 @@
 //! * `lex` — lexical IRI/literal tokens. Nearly every key starts with
 //!   `<http://example.org/…`, so all prefixes collapse into a handful of
 //!   values, the counting passes skip, and the radix sort degenerates to
-//!   the comparison fallback within prefix-equal runs. This mix pins the
-//!   worst case: radix must not *lose* to the comparison sort here.
+//!   the comparison fallback within prefix-equal runs — the worst case.
 //!
-//! Both strategies are benchmarked on both mixes; `BENCH_PR10.json`
-//! records the pairs (radix-vs-comparison per mix).
+//! `BENCH_PR10.json` holds the last radix-vs-comparison pairs, recorded
+//! while the whole-arena comparison sort was still selectable.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mrsim::{Rec, SortStrategy, SpillArena, VarId};
+use mrsim::{Rec, SpillArena, VarId};
 use std::hint::black_box;
 
 /// Entries per arena — the shuffle bench's per-partition volume
@@ -56,24 +55,20 @@ fn bench_sort_only(c: &mut Criterion) {
     // Each iteration clones the unsorted arena before sorting (the
     // harness has no batched setup), so every record carries the same
     // memcpy constant — the `clone_baseline_*` records pin that constant
-    // for anyone subtracting it out of the strategy numbers.
+    // for anyone subtracting it out of the sort numbers.
     let mut group = c.benchmark_group("sort_only");
     group.sample_size(20);
     for (mix, arena) in [("ids", id_arena()), ("lex", lex_arena())] {
         group.bench_function(format!("clone_baseline_{mix}"), |b| {
             b.iter(|| black_box(arena.clone()))
         });
-        for (tag, strategy) in
-            [("radix", SortStrategy::Radix), ("comparison", SortStrategy::Comparison)]
-        {
-            group.bench_function(format!("{tag}_{mix}"), |b| {
-                b.iter(|| {
-                    let mut a = arena.clone();
-                    a.sort_with(strategy);
-                    black_box(a)
-                })
-            });
-        }
+        group.bench_function(format!("radix_{mix}"), |b| {
+            b.iter(|| {
+                let mut a = arena.clone();
+                a.sort_unstable();
+                black_box(a)
+            })
+        });
     }
     group.finish();
 }

@@ -115,10 +115,14 @@ fn main() {
                     // strategies; the planner tests prove that).
                     let extract = strategy == Strategy::Auto(1024);
                     let label = format!("{qid}-{}", strategy.label());
-                    let run = ntga_core::execute_on(
-                        plane, strategy, &engine, &tq.query, input, &label, extract,
-                    )
-                    .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+                    let (run, _) = strategy
+                        .plan(&tq.query)
+                        .and_then(|plan| {
+                            ntga_core::execute_plan(
+                                plane, &plan, &engine, &tq.query, input, &label, extract,
+                            )
+                        })
+                        .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
                     assert!(run.succeeded(), "{label}: hand-picked run failed");
                     if let Some(s) = run.solutions.clone() {
                         reference = Some(s);
@@ -207,9 +211,16 @@ fn broadcast_identity(opts: &BenchOpts, store: &TripleStore) -> Vec<report::Row>
         let engine =
             cluster.with_workers(workers).engine_with(store).with_broadcast_budget(u64::MAX);
         let label = format!("bcast-w{workers}");
-        let run =
-            ntga_core::execute_plan(&plan, &engine, &tq.query, mr_rdf::TRIPLES_FILE, &label, false)
-                .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+        let (run, _) = ntga_core::execute_plan(
+            DataPlane::Lexical,
+            &plan,
+            &engine,
+            &tq.query,
+            mr_rdf::TRIPLES_FILE,
+            &label,
+            false,
+        )
+        .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
         assert!(run.succeeded(), "{label}: broadcast run failed");
         assert!(
             run.stats.jobs.iter().any(|j| j.reduce_tasks == 0),

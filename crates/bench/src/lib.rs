@@ -198,7 +198,7 @@ pub fn profile_queries(
             let config = ntga_core::OptimizerConfig::for_engine(&engine);
             let plan = ntga_core::optimize(query, &stats, &engine.cost, &config)
                 .map_err(|e| format!("{qid}: planning failed: {e}"))?;
-            let (run, stars) = ntga_core::execute_plan_profiled(
+            let (run, stars) = ntga_core::execute_plan(
                 ntga_core::DataPlane::Lexical,
                 &plan,
                 &engine,
@@ -318,7 +318,9 @@ impl Runner {
         ]
     }
 
-    /// Execute one query on a fresh engine built from `cluster`.
+    /// Execute one query on a fresh engine built from `cluster`. A disk too
+    /// small for the input itself is reported like any other `DiskFull`: a
+    /// failed run with no jobs.
     pub fn run(
         &self,
         cluster: &ntga::ClusterConfig,
@@ -326,29 +328,33 @@ impl Runner {
         query: &Query,
         label: &str,
     ) -> QueryRun {
-        let engine = cluster.engine_with(store);
-        let result = match self {
-            Runner::Relational(f) => {
-                relbase::execute(*f, &engine, query, mr_rdf::TRIPLES_FILE, label, false)
+        let engine = match cluster.try_engine_with(store) {
+            Ok(engine) => engine,
+            Err(e) => {
+                let stats = mrsim::WorkflowStats {
+                    label: label.to_string(),
+                    failure: Some(e.to_string()),
+                    ..Default::default()
+                };
+                return QueryRun { stats, solutions: None };
             }
+        };
+        let input = mr_rdf::TRIPLES_FILE;
+        let result = match *self {
+            Runner::Relational(f) => relbase::execute(f, &engine, query, input, label, false),
             Runner::Grouping(g) => {
-                relbase::execute_grouping(*g, &engine, query, mr_rdf::TRIPLES_FILE, label, false)
+                relbase::execute_grouping(g, &engine, query, input, label, false)
             }
-            Runner::Ntga(s) => {
-                ntga_core::execute(*s, &engine, query, mr_rdf::TRIPLES_FILE, label, false)
-            }
-            Runner::NtgaCost => {
-                let stats = store.stats();
-                ntga_core::execute_cost_based(
-                    ntga_core::DataPlane::Lexical,
-                    &engine,
-                    query,
-                    mr_rdf::TRIPLES_FILE,
-                    label,
-                    false,
-                    &stats,
-                )
-            }
+            Runner::Ntga(s) => ntga_core::execute(s, &engine, query, input, label, false),
+            Runner::NtgaCost => ntga_core::execute_cost_based(
+                ntga_core::DataPlane::Lexical,
+                &engine,
+                query,
+                input,
+                label,
+                false,
+                &store.stats(),
+            ),
         };
         result.unwrap_or_else(|e| panic!("{label}: planning failed: {e}"))
     }
@@ -412,6 +418,17 @@ mod tests {
         }
         let json = report::rows_json(&rows);
         mrsim::trace::validate_json(&json).unwrap();
+    }
+
+    #[test]
+    fn input_larger_than_the_disk_is_a_failed_row_not_a_panic() {
+        let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(20));
+        let q = rdf_query::parse_query("SELECT * WHERE { ?p <rdfs:label> ?l . }").unwrap();
+        let cluster = ntga::ClusterConfig::default().tight_disk(&store, 0.5);
+        let run = Runner::Ntga(Strategy::LazyFull).run(&cluster, &store, &q, "tiny");
+        assert!(!run.succeeded());
+        assert!(run.stats.failure.as_deref().is_some_and(|f| f.contains("full")), "{run:?}");
+        assert!(run.stats.jobs.is_empty());
     }
 
     #[test]

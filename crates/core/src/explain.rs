@@ -1,25 +1,26 @@
-//! Plan explanation: render the MR workflow the planner would run,
-//! without executing it.
+//! Plan explanation: render the MR workflow a [`PhysicalPlan`] compiles
+//! to, without executing it.
 //!
 //! Mirrors `EXPLAIN` in SQL engines: one line per MR cycle with the
-//! physical operator, its inputs, the unnest decision the strategy makes
-//! (`TG_UnbJoin` vs `TG_OptUnbJoin` and the φ range), and the paper
-//! vocabulary for each step, so the rewrite from Figure 6 is visible.
+//! physical operator, its inputs, where the plan places the β-unnest
+//! (`TG_UnbJoin` vs `TG_OptUnbJoin` and the φ range, or an eager μ^β in
+//! Job 1), reducer counts, and the paper vocabulary for each step, so the
+//! rewrite from Figure 6 is visible. There is one renderer,
+//! [`explain_plan`]; [`explain`] is [`Strategy::plan`] fed into it, so a
+//! hand-picked strategy and a cost-based plan read the same way.
 
 use crate::optimizer::{JoinAlgo, PhysicalPlan};
-use crate::physical::{role_of, BuildSide, JoinRole, UnnestMode};
+use crate::physical::{BuildSide, JoinRole, UnnestMode};
 use crate::planner::Strategy;
 use mr_rdf::{check_query, PlanError};
-use rdf_query::{ObjPattern, Query};
-use std::collections::HashSet;
-use std::fmt::Write as _;
+use rdf_query::{ObjPattern, PropPattern, Query, StarPattern};
 
 /// A rendered plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanText {
     /// One entry per MR cycle.
     pub cycles: Vec<String>,
-    /// The strategy label.
+    /// The plan's label and one-line summary.
     pub strategy: String,
     /// Operator-counter namespaces this plan records at runtime (see
     /// [`crate::physical::op`]): which of `ntga.group.*`, `ntga.unnest.*`
@@ -47,13 +48,13 @@ impl std::fmt::Display for PlanText {
     }
 }
 
-fn role_text(role: JoinRole, star: &rdf_query::StarPattern) -> String {
+fn role_text(role: JoinRole, star: &StarPattern) -> String {
     match role {
         JoinRole::Subject => format!("?{}(subject)", star.subject_var),
-        JoinRole::BoundObj(i) => {
-            let pat = star.bound_patterns()[i];
-            format!("object of {}", pat.property_token())
-        }
+        JoinRole::BoundObj(i) => match &star.bound_patterns()[i].property {
+            PropPattern::Bound(p) => format!("object of {p}"),
+            PropPattern::Unbound(v) => format!("object of ?{v}"),
+        },
         JoinRole::UnboundObj(i) => {
             let pat = star.unbound_patterns()[i];
             let filtered = matches!(pat.object, ObjPattern::Filtered(_, _));
@@ -65,185 +66,115 @@ fn role_text(role: JoinRole, star: &rdf_query::StarPattern) -> String {
     }
 }
 
-/// Internal helper trait so explain can print a pattern's property token.
-trait PropertyToken {
-    fn property_token(&self) -> String;
-}
-
-impl PropertyToken for rdf_query::TriplePattern {
-    fn property_token(&self) -> String {
-        match &self.property {
-            rdf_query::PropPattern::Bound(p) => p.to_string(),
-            rdf_query::PropPattern::Unbound(v) => format!("?{v}"),
-        }
-    }
-}
-
-/// Render the plan the NTGA planner would compile for `query` under
-/// `strategy`. Fails exactly when [`crate::execute`] would fail to plan.
+/// Render the plan a hand-picked `strategy` compiles `query` to. Fails
+/// exactly when [`crate::execute`] would fail to plan.
 pub fn explain(strategy: Strategy, query: &Query) -> Result<PlanText, PlanError> {
+    explain_plan(&strategy.plan(query)?, query)
+}
+
+/// Render a [`PhysicalPlan`]: Job 1 with each star's equivalence class and
+/// unnest placement, then one line per join cycle with the chosen operator
+/// (reduce-side join with its φ and reducer count, or map-side
+/// `TG_BcastJoin` with the broadcast side), the join variable and how each
+/// side holds it. Optimized plans add the estimated output cardinality the
+/// executed job will be scored against (q-error).
+pub fn explain_plan(plan: &PhysicalPlan, query: &Query) -> Result<PlanText, PlanError> {
     query.validate()?;
     check_query(query)?;
-    let mut cycles = Vec::new();
+    let steps = plan.schedule_for(query)?;
 
     // Job 1.
-    let mut job1 = String::from("TG_GroupByMap(T) + TG_GroupByReduce");
     let ec_desc: Vec<String> = query
         .stars
         .iter()
+        .zip(&plan.eager_stars)
         .enumerate()
-        .map(|(i, s)| {
+        .map(|(i, (s, &eager))| {
             let bound: Vec<String> = s.bound_properties().iter().map(|p| p.to_string()).collect();
             let unb = s.unbound_patterns().len();
             format!(
-                "EC{i}=?{}{{{}{}}}",
+                "EC{i}=?{}{{{}{}}} {}",
                 s.subject_var,
                 bound.join(","),
-                if unb > 0 { format!(",{unb}×unbound") } else { String::new() }
+                if unb > 0 { format!(",{unb}×unbound") } else { String::new() },
+                if eager { "eager μ^β" } else { "lazy" }
             )
         })
         .collect();
-    let filter_op = if query.stars.iter().any(rdf_query::StarPattern::has_unbound) {
+    let filter_op = if query.stars.iter().any(StarPattern::has_unbound) {
         "TG_UnbGrpFilter (σ^βγ)"
     } else {
         "TG_GrpFilter (σ^γ)"
     };
-    write!(job1, " + {filter_op} -> {}", ec_desc.join(", ")).expect("write to string");
-    if strategy == Strategy::Eager {
-        job1.push_str(" + eager μ^β (perfect triplegroups materialized here)");
-    }
-    job1.push_str("   [1 full scan computes ALL star subpatterns]");
-    cycles.push(job1);
+    let mut cycles = vec![format!(
+        "TG_GroupByMap(T) + TG_GroupByReduce + {filter_op} -> {} (r={})   \
+         [1 full scan computes ALL star subpatterns; per-star unnest placement]",
+        ec_desc.join(", "),
+        plan.job1_reduce_tasks
+    )];
 
-    // Join cycles, in the same order execute() picks them. Track which
-    // unnest flavors the plan will exercise for the counter summary.
-    let mut lazy_unnest = false;
+    // Join cycles. Track which unnest flavors the run will record: an exact
+    // or broadcast cycle counts `ntga.unnest.*` for the unbound-object sides
+    // it expands (the probe side only, under broadcast), a φ-partial cycle
+    // counts `ntga.partial.*` for them.
+    let mut unnest = plan.eager_stars.iter().any(|&e| e);
     let mut partial_unnest = false;
-    let edges = query.join_edges();
-    let mut joined: HashSet<usize> = HashSet::from([0]);
-    let mut components: Vec<usize> = vec![0];
-    while joined.len() < query.stars.len() {
-        let edge = edges
-            .iter()
-            .find(|e| joined.contains(&e.left) != joined.contains(&e.right))
-            .ok_or_else(|| PlanError::Internal("join graph not connected".into()))?;
-        let other = if joined.contains(&edge.left) { edge.right } else { edge.left };
-        let (lpos, lrole) = components
-            .iter()
-            .enumerate()
-            .find_map(|(pos, &si)| role_of(&query.stars[si], &edge.var).map(|r| (pos, r)))
-            .ok_or_else(|| PlanError::Internal("join var missing on left".into()))?;
-        let rrole = role_of(&query.stars[other], &edge.var)
-            .ok_or_else(|| PlanError::Internal("join var missing on right".into()))?;
-
-        let mut unbound_flags = Vec::new();
-        for (si, role) in [(components[lpos], lrole), (other, rrole)] {
-            if let JoinRole::UnboundObj(u) = role {
-                let pat = query.stars[si].unbound_patterns()[u].clone();
-                unbound_flags.push(matches!(pat.object, ObjPattern::Filtered(_, _)));
+    for (step, algo) in steps.iter().zip(&plan.cycles) {
+        let unbound_sides = step.unbound_sides(query);
+        let op = match *algo {
+            JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks } => {
+                unnest |= !unbound_sides.is_empty();
+                if unbound_sides.is_empty() {
+                    format!("TG_Join (r={reduce_tasks})")
+                } else if unbound_sides.iter().all(|&(star, _)| plan.eager_stars[star]) {
+                    format!("TG_Join (inputs already β-unnested eagerly, r={reduce_tasks})")
+                } else {
+                    format!(
+                        "TG_UnbJoin (lazy full unnest μ^β at this cycle's map, r={reduce_tasks})"
+                    )
+                }
             }
-        }
-        let op = if unbound_flags.is_empty() {
-            "TG_Join".to_string()
-        } else {
-            match strategy {
-                Strategy::Eager => "TG_Join (inputs already β-unnested eagerly)".to_string(),
-                Strategy::LazyFull => {
-                    lazy_unnest = true;
-                    "TG_UnbJoin (lazy FULL μ^β at this cycle's map)".to_string()
-                }
-                Strategy::LazyPartial(m) => {
-                    partial_unnest = true;
-                    format!("TG_OptUnbJoin (lazy PARTIAL μ^β_φ, φ range {m})")
-                }
-                Strategy::Auto(m) => {
-                    if unbound_flags.iter().all(|&f| f) {
-                        lazy_unnest = true;
-                        "TG_UnbJoin (Auto: partially-bound object -> full unnest)".to_string()
-                    } else {
-                        partial_unnest = true;
-                        format!("TG_OptUnbJoin (Auto: unbound object -> partial unnest, φ {m})")
-                    }
-                }
+            JoinAlgo::Reduce { mode: UnnestMode::Partial(m), reduce_tasks } => {
+                partial_unnest |= !unbound_sides.is_empty();
+                format!("TG_OptUnbJoin (lazy partial unnest μ^β_φ, φ {m}, r={reduce_tasks})")
+            }
+            JoinAlgo::Broadcast { build } => {
+                let (side, probe_role) = match build {
+                    BuildSide::Left => ("left", step.rrole),
+                    BuildSide::Right => ("right", step.lrole),
+                };
+                unnest |= matches!(probe_role, JoinRole::UnboundObj(_));
+                format!("TG_BcastJoin (map-side, {side} side broadcast — reduce cycle collapsed)")
             }
         };
         cycles.push(format!(
             "{op} on ?{}: left {} ⋈ right EC{} {}",
-            edge.var,
-            role_text(lrole, &query.stars[components[lpos]]),
-            other,
-            role_text(rrole, &query.stars[other]),
+            step.var,
+            role_text(step.lrole, &query.stars[step.l_star]),
+            step.other,
+            role_text(step.rrole, &query.stars[step.other]),
         ));
-        joined.insert(other);
-        components.push(other);
     }
+
     let mut counters = vec!["ntga.group.*"];
-    if strategy == Strategy::Eager || lazy_unnest {
+    if unnest {
         counters.push("ntga.unnest.*");
     }
     if partial_unnest {
         counters.push("ntga.partial.*");
     }
-    Ok(PlanText { cycles, strategy: strategy.label(), counters, estimates: Vec::new() })
-}
-
-/// Render a cost-based [`PhysicalPlan`]: one line per MR cycle with the
-/// chosen operator (reduce-side join with its sized reducer count and φ,
-/// or map-side `TG_BcastJoin` with the broadcast side) and the estimated
-/// output cardinality the executed job will be scored against (q-error).
-pub fn explain_plan(plan: &PhysicalPlan, query: &Query) -> Result<PlanText, PlanError> {
-    query.validate()?;
-    check_query(query)?;
-    if plan.eager_stars.len() != query.stars.len() {
-        return Err(PlanError::Internal("plan shape does not match query".into()));
-    }
-    let mut cycles = Vec::new();
-    let mut estimates = Vec::new();
-
-    let placements: Vec<String> = plan
-        .eager_stars
-        .iter()
-        .enumerate()
-        .map(|(i, &e)| format!("EC{i}={}", if e { "eager μ^β" } else { "lazy" }))
-        .collect();
-    cycles.push(format!(
-        "TG_GroupByMap(T) + TG_UnbGrpFilter -> {} (r={})   [per-star unnest placement]",
-        placements.join(", "),
-        plan.job1_reduce_tasks
-    ));
-    estimates.push(plan.estimated_job1_records.round() as u64);
-
-    let mut eager_unnest = plan.eager_stars.iter().any(|&e| e);
-    let mut partial_unnest = false;
-    for cycle in &plan.cycles {
-        let desc = match cycle.algo {
-            JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks } => {
-                format!("TG_UnbJoin (reduce-side, exact keys, r={reduce_tasks})")
-            }
-            JoinAlgo::Reduce { mode: UnnestMode::Partial(m), reduce_tasks } => {
-                partial_unnest = true;
-                format!("TG_OptUnbJoin (reduce-side, partial μ^β_φ, φ {m}, r={reduce_tasks})")
-            }
-            JoinAlgo::Broadcast { build } => {
-                eager_unnest = true; // probe-side unnest records ntga.unnest.*
-                let side = match build {
-                    BuildSide::Left => "left",
-                    BuildSide::Right => "right",
-                };
-                format!("TG_BcastJoin (map-side, {side} side broadcast — reduce cycle collapsed)")
-            }
-        };
-        cycles.push(desc);
-        estimates.push(cycle.estimated_output_records.round() as u64);
-    }
-    let mut counters = vec!["ntga.group.*"];
-    if eager_unnest {
-        counters.push("ntga.unnest.*");
-    }
-    if partial_unnest {
-        counters.push("ntga.partial.*");
-    }
-    Ok(PlanText { cycles, strategy: format!("CostBased: {}", plan.summary()), counters, estimates })
+    let estimates = plan.estimates.as_ref().map_or(Vec::new(), |est| {
+        std::iter::once(est.job1_records)
+            .chain(est.cycles.iter().map(|c| c.output_records))
+            .map(|records| records.round() as u64)
+            .collect()
+    });
+    Ok(PlanText {
+        cycles,
+        strategy: format!("{}: {}", plan.label, plan.summary()),
+        counters,
+        estimates,
+    })
 }
 
 #[cfg(test)]
@@ -291,6 +222,7 @@ mod tests {
         let plan = explain(Strategy::Eager, &q()).unwrap();
         assert!(plan.cycles[0].contains("eager μ^β"));
         assert!(plan.cycles[1].contains("already β-unnested"));
+        assert!(plan.cycles[1].starts_with("TG_Join"));
     }
 
     #[test]
@@ -312,7 +244,7 @@ mod tests {
         let q = parse_query("SELECT * WHERE { ?a <p> ?b . ?b <q> ?c . }").unwrap();
         let plan = explain(Strategy::LazyFull, &q).unwrap();
         assert!(plan.cycles[0].contains("TG_GrpFilter (σ^γ)"));
-        assert!(plan.cycles[1].starts_with("TG_Join on ?b"));
+        assert!(plan.cycles[1].starts_with("TG_Join (r=8) on ?b"), "{}", plan.cycles[1]);
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //! * [`physical`] — the MapReduce operators of Section 4: `TG_GroupBy` +
 //!   `TG_UnbGrpFilter` (Algorithm 2), `TG_Join`, `TG_UnbJoin` (lazy full
 //!   β-unnest), `TG_OptUnbJoin` (lazy partial β-unnest, Algorithm 3);
-//! * [`planner`] — query → MR workflow under a hand-picked [`Strategy`]
-//!   (EagerUnnest / LazyUnnest-full / LazyUnnest-partial / Auto);
-//! * [`optimizer`] — cost-based plan selection: per-star unnest placement,
-//!   per-cycle exact/partial/broadcast join choice and reducer sizing from
-//!   store statistics and the engine's cost model;
+//! * [`optimizer`] — the [`PhysicalPlan`] IR and cost-based plan selection:
+//!   per-star unnest placement, per-cycle exact/partial/broadcast join
+//!   choice and reducer sizing from store statistics and the engine's cost
+//!   model;
+//! * [`planner`] — the hand-picked [`Strategy`] policies (EagerUnnest /
+//!   LazyUnnest-full / LazyUnnest-partial / Auto) as plan constructors, and
+//!   the one driver that runs any plan as an MR workflow;
+//! * [`mod@explain`] — EXPLAIN: the one renderer of a plan's cycles;
 //! * [`metrics`] — redundancy factors;
 //! * [`profile`] — EXPLAIN ANALYZE: join a priced plan against the measured
 //!   run into a per-operator estimated-vs-actual profile tree.
@@ -57,9 +60,8 @@ pub mod tg;
 
 pub use explain::{explain, explain_plan, PlanText};
 pub use optimizer::{
-    execute_cost_based, execute_plan, execute_plan_on, execute_plan_profiled, optimize, DataPlane,
-    JoinAlgo, OptimizerConfig, PhysicalPlan,
+    optimize, CycleEstimate, DataPlane, JoinAlgo, OptimizerConfig, PhysicalPlan, PlanEstimates,
 };
-pub use planner::{execute, execute_on, expand_tuples, Strategy};
+pub use planner::{execute, execute_cost_based, execute_plan, Strategy};
 pub use profile::{explain_analyze, OpProfile, Profile, StarProfile};
 pub use tg::{AnnTg, TgTuple};

@@ -1,14 +1,18 @@
-//! Cost-based plan selection: statistics → [`PhysicalPlan`] → workflow.
+//! The plan IR and cost-based plan selection: statistics → [`PhysicalPlan`].
 //!
-//! The [`crate::planner`] executes whatever [`crate::Strategy`] the caller
-//! hand-picks. This module closes the loop the paper leaves to "the
-//! optimizer": it consumes [`rdf_query::estimate`] cardinalities (star
-//! subject/row/pair counts under the containment assumption) and prices
-//! candidate physical operators through [`mrsim::CostModel`], choosing
+//! A [`PhysicalPlan`] is the one thing the NTGA side executes
+//! ([`crate::planner::execute_plan`]) and explains
+//! ([`crate::explain::explain_plan`]): per-star Job 1 unnest placement, a
+//! [`JoinAlgo`] per join cycle in the query's left-deep order, and reducer
+//! counts. It has two constructors. [`crate::Strategy::plan`] applies one of
+//! the paper's hand-picked policies uniformly and carries no estimates.
+//! [`optimize`] closes the loop the paper leaves to "the optimizer": it
+//! consumes [`rdf_query::estimate`] cardinalities (star subject/row/pair
+//! counts under the containment assumption) and prices candidate physical
+//! operators through [`mrsim::CostModel`], choosing
 //!
 //! * **per star** whether Job 1 β-unnests eagerly (perfect triplegroups,
-//!   full redundancy up front) or stays nested (lazy), via
-//!   [`crate::physical::group_filter_job_stars`];
+//!   full redundancy up front) or stays nested (lazy);
 //! * **per join cycle** the join algorithm — reduce-side [`UnnestMode::Exact`]
 //!   (`TG_Join`/`TG_UnbJoin`), reduce-side [`UnnestMode::Partial`] with a
 //!   priced φ granularity (`TG_OptUnbJoin`), or the map-side broadcast join
@@ -17,26 +21,20 @@
 //!   entire reduce cycle** when the estimate clears the broadcast budget;
 //! * **per job** a reduce-task count sized to the estimated shuffle bytes.
 //!
-//! Every job carries its estimated output cardinality
-//! ([`mrsim::JobSpec::with_estimated_output`]), so executed plans report
-//! per-job q-error through [`mrsim::JobStats::q_error`] and the trace's
-//! `cardinality_estimate` events — the feedback signal that tells you when
-//! the estimator, not the executor, is the problem.
+//! An optimized plan carries [`PlanEstimates`]; the driver attaches them to
+//! its jobs ([`mrsim::JobSpec::with_estimated_output`]), so executed plans
+//! report per-job q-error through [`mrsim::JobStats::q_error`] and the
+//! trace's `cardinality_estimate` events — the feedback signal that tells
+//! you when the estimator, not the executor, is the problem.
 
-use crate::physical::{
-    group_filter_job_ids_stars, group_filter_job_stars, role_of, tg_broadcast_join_job,
-    tg_join_job, BuildSide, JoinRole, JoinSide, UnnestMode,
-};
-use crate::planner::expand_tuples;
-use crate::tg::TgTuple;
-use mr_rdf::{check_query, PlanError, QueryRun};
-use mrsim::{CostModel, Engine, JobStats, Workflow};
+use crate::physical::{role_of, BuildSide, JoinRole, UnnestMode};
+use mr_rdf::{check_query, PlanError};
+use mrsim::{CostModel, Engine, JobStats};
 use rdf_model::StoreStats;
 use rdf_query::estimate::{
     pattern_cardinality, star_pair_cardinality, star_row_cardinality, star_subject_cardinality,
 };
-use rdf_query::{PropPattern, Query, StarPattern};
-use std::collections::HashSet;
+use rdf_query::{ObjPattern, PropPattern, Query, StarPattern};
 
 /// Tunables for plan search. [`OptimizerConfig::for_engine`] copies the
 /// physical limits (broadcast budget, block size) from an engine so plans
@@ -98,60 +96,86 @@ pub enum JoinAlgo {
     },
 }
 
-/// The plan for one join cycle.
+/// What the optimizer expects of one join cycle.
 #[derive(Debug, Clone)]
-pub struct CyclePlan {
-    /// Chosen algorithm.
-    pub algo: JoinAlgo,
+pub struct CycleEstimate {
     /// Estimated join output cardinality (records).
-    pub estimated_output_records: f64,
+    pub output_records: f64,
     /// Estimated join output size in text bytes.
-    pub estimated_output_bytes: f64,
+    pub output_bytes: f64,
     /// Estimated shuffle bytes (0 for broadcast cycles).
-    pub estimated_shuffle_bytes: u64,
+    pub shuffle_bytes: u64,
     /// Estimated cost of this cycle in simulated seconds.
-    pub estimated_seconds: f64,
+    pub seconds: f64,
+}
+
+/// What the optimizer expects of a whole plan — the estimated column that
+/// `explain_analyze` joins against the measured run.
+#[derive(Debug, Clone)]
+pub struct PlanEstimates {
+    /// Estimated total records Job 1 writes across all equivalence classes.
+    pub job1_records: f64,
+    /// Estimated total text bytes Job 1 writes across all equivalence classes.
+    pub job1_bytes: f64,
+    /// Estimated records per equivalence-class file (one entry per star,
+    /// under the chosen eager/lazy placement).
+    pub star_records: Vec<f64>,
+    /// Estimated cost of Job 1 in simulated seconds.
+    pub job1_seconds: f64,
+    /// One entry per join cycle, parallel to [`PhysicalPlan::cycles`].
+    pub cycles: Vec<CycleEstimate>,
+    /// Estimated total plan cost in simulated seconds.
+    pub seconds: f64,
 }
 
 /// A fully-decided physical plan for a query.
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
+    /// Who decided: `CostBased` for [`optimize`], the strategy's label for
+    /// [`crate::Strategy::plan`]. Names the workflow (`NTGA-<label>/…`).
+    pub label: String,
     /// Per-star Job 1 unnest placement (`true` = eager β-unnest in the
     /// grouping reduce, `false` = stay nested).
     pub eager_stars: Vec<bool>,
-    /// Reduce-task count for Job 1, sized to the estimated shuffle.
+    /// Reduce-task count for Job 1.
     pub job1_reduce_tasks: usize,
-    /// Estimated total records Job 1 writes across all equivalence classes.
-    pub estimated_job1_records: f64,
-    /// Estimated total text bytes Job 1 writes across all equivalence classes.
-    pub estimated_job1_bytes: f64,
-    /// Estimated records per equivalence-class file (one entry per star,
-    /// under the chosen eager/lazy placement) — the per-star breakdown of
-    /// [`PhysicalPlan::estimated_job1_records`] that `explain_analyze`
-    /// joins against measured per-star admissions.
-    pub estimated_star_records: Vec<f64>,
-    /// Estimated cost of Job 1 in simulated seconds.
-    pub estimated_job1_seconds: f64,
-    /// One entry per join cycle, in the planner's left-deep order.
-    pub cycles: Vec<CyclePlan>,
-    /// Estimated total plan cost in simulated seconds.
-    pub estimated_seconds: f64,
+    /// The join algorithm of each cycle, in [`Query::left_deep_order`].
+    pub cycles: Vec<JoinAlgo>,
+    /// The optimizer's estimates; `None` for hand-picked plans, which are
+    /// chosen without statistics, attach no estimate to their jobs and
+    /// report no q-error.
+    pub estimates: Option<PlanEstimates>,
 }
 
 impl PhysicalPlan {
     /// Number of reduce cycles the broadcast operator collapsed.
     pub fn broadcast_cycles(&self) -> usize {
-        self.cycles.iter().filter(|c| matches!(c.algo, JoinAlgo::Broadcast { .. })).count()
+        self.cycles.iter().filter(|c| matches!(c, JoinAlgo::Broadcast { .. })).count()
     }
 
-    /// One-line human summary, e.g. `eager=[false,true] j1r=4 [bcast(R), reduce(exact,r=2)]`.
+    /// The query's join schedule, one step per entry of
+    /// [`PhysicalPlan::cycles`] — or an error when this plan was not built
+    /// for a query of that shape.
+    pub(crate) fn schedule_for(&self, query: &Query) -> Result<Vec<CycleStep>, PlanError> {
+        let steps = join_schedule(query)?;
+        if steps.len() != self.cycles.len()
+            || self.eager_stars.len() != query.stars.len()
+            || self.estimates.as_ref().is_some_and(|e| e.cycles.len() != self.cycles.len())
+        {
+            return Err(PlanError::Internal("plan shape does not match query".into()));
+        }
+        Ok(steps)
+    }
+
+    /// One-line human summary, e.g.
+    /// `stars=[lazy,eager] j1r=4 cycles=[bcast(R),reduce(exact,r=2)] est=12.3s`.
     pub fn summary(&self) -> String {
         let eager: Vec<&str> =
             self.eager_stars.iter().map(|&e| if e { "eager" } else { "lazy" }).collect();
         let cycles: Vec<String> = self
             .cycles
             .iter()
-            .map(|c| match c.algo {
+            .map(|algo| match *algo {
                 JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks } => {
                     format!("reduce(exact,r={reduce_tasks})")
                 }
@@ -162,59 +186,74 @@ impl PhysicalPlan {
                 JoinAlgo::Broadcast { build: BuildSide::Right } => "bcast(R)".into(),
             })
             .collect();
+        let est =
+            self.estimates.as_ref().map_or(String::new(), |e| format!(" est={:.1}s", e.seconds));
         format!(
-            "stars=[{}] j1r={} cycles=[{}] est={:.1}s",
+            "stars=[{}] j1r={} cycles=[{}]{est}",
             eager.join(","),
             self.job1_reduce_tasks,
             cycles.join(","),
-            self.estimated_seconds
         )
     }
 }
 
 // ---------------------------------------------------------------------------
-// Left-deep join schedule (shared by optimize and execute_plan)
+// Left-deep join schedule (shared by both plan constructors, the driver and
+// the explainer)
 // ---------------------------------------------------------------------------
 
-/// One step of the planner's left-deep join order: join star `other` into
-/// the accumulated left relation, whose component `lpos` (star `l_star`)
-/// carries the join variable under `lrole`.
-#[derive(Debug, Clone, Copy)]
-struct CycleStep {
-    other: usize,
-    lpos: usize,
-    l_star: usize,
-    lrole: JoinRole,
-    rrole: JoinRole,
+/// One step of [`Query::left_deep_order`] with the NTGA join roles layered
+/// on: join star `other` into the accumulated left relation, whose
+/// component `lpos` (star `l_star`) carries the join variable `var` under
+/// `lrole`.
+#[derive(Debug, Clone)]
+pub(crate) struct CycleStep {
+    pub(crate) other: usize,
+    pub(crate) var: String,
+    pub(crate) lpos: usize,
+    pub(crate) l_star: usize,
+    pub(crate) lrole: JoinRole,
+    pub(crate) rrole: JoinRole,
 }
 
-/// Reproduce [`crate::planner::execute`]'s left-deep traversal symbolically
-/// so plan decisions line up one-to-one with the jobs that will run.
-fn join_schedule(query: &Query) -> Result<Vec<CycleStep>, PlanError> {
-    let edges = query.join_edges();
-    let mut joined: HashSet<usize> = HashSet::from([0]);
-    let mut components: Vec<usize> = vec![0];
-    let mut steps = Vec::new();
-    while joined.len() < query.stars.len() {
-        let edge = edges
-            .iter()
-            .find(|e| joined.contains(&e.left) != joined.contains(&e.right))
-            .ok_or_else(|| PlanError::Internal("join graph not connected".into()))?;
-        let other = if joined.contains(&edge.left) { edge.right } else { edge.left };
-        let (lpos, lrole) = components
-            .iter()
-            .enumerate()
-            .find_map(|(pos, &star_idx)| {
-                role_of(&query.stars[star_idx], &edge.var).map(|r| (pos, r))
+impl CycleStep {
+    /// The sides of this join that hold the join variable as the object of
+    /// an unbound-property pattern — the sides a lazy plan must β-unnest
+    /// here — as `(star, is that pattern's object partially bound)`.
+    pub(crate) fn unbound_sides(&self, query: &Query) -> Vec<(usize, bool)> {
+        [(self.l_star, self.lrole), (self.other, self.rrole)]
+            .into_iter()
+            .filter_map(|(star, role)| match role {
+                JoinRole::UnboundObj(u) => {
+                    let pat = query.stars[star].unbound_patterns()[u];
+                    Some((star, matches!(pat.object, ObjPattern::Filtered(_, _))))
+                }
+                _ => None,
             })
-            .ok_or_else(|| PlanError::Internal("join var missing on left".into()))?;
-        let rrole = role_of(&query.stars[other], &edge.var)
-            .ok_or_else(|| PlanError::Internal("join var missing on right".into()))?;
-        steps.push(CycleStep { other, lpos, l_star: components[lpos], lrole, rrole });
-        joined.insert(other);
-        components.push(other);
+            .collect()
     }
-    Ok(steps)
+}
+
+/// The query's left-deep join order as NTGA join cycles, so plan decisions
+/// line up one-to-one with the jobs that will run.
+pub(crate) fn join_schedule(query: &Query) -> Result<Vec<CycleStep>, PlanError> {
+    let mut components: Vec<usize> = vec![0];
+    query
+        .left_deep_order()?
+        .into_iter()
+        .map(|step| {
+            let (lpos, lrole) = components
+                .iter()
+                .enumerate()
+                .find_map(|(pos, &star)| role_of(&query.stars[star], &step.var).map(|r| (pos, r)))
+                .ok_or_else(|| PlanError::Internal("join var missing on left".into()))?;
+            let rrole = role_of(&query.stars[step.star], &step.var)
+                .ok_or_else(|| PlanError::Internal("join var missing on right".into()))?;
+            let l_star = components[lpos];
+            components.push(step.star);
+            Ok(CycleStep { other: step.star, var: step.var, lpos, l_star, lrole, rrole })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -495,6 +534,7 @@ pub fn optimize(
         let mut total = job1_seconds;
         let mut cur = ecs[0];
         let mut cycles = Vec::with_capacity(steps.len());
+        let mut cycle_estimates = Vec::with_capacity(steps.len());
         for step in &steps {
             let lexp = side_expansion(
                 &query.stars[step.l_star],
@@ -525,13 +565,8 @@ pub fn optimize(
                 bpp,
                 config,
             );
-            let mut best_cycle = CyclePlan {
-                algo: JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks: rt },
-                estimated_output_records: out.records,
-                estimated_output_bytes: out.bytes,
-                estimated_shuffle_bytes: shuffle,
-                estimated_seconds: secs,
-            };
+            let mut best_cycle =
+                (JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks: rt }, shuffle, secs);
             // Candidates: reduce-side φ-partial (only when a lazy unbound
             // side actually expands — otherwise partial is pure overhead).
             let lazy_unbound = (matches!(step.lrole, JoinRole::UnboundObj(_))
@@ -545,14 +580,8 @@ pub fn optimize(
                     let mode = UnnestMode::Partial(m);
                     let (secs, shuffle, rt) =
                         price_reduce_join(cost, cur, lexp, right, rexp, mode, out, bpp, config);
-                    if secs < best_cycle.estimated_seconds {
-                        best_cycle = CyclePlan {
-                            algo: JoinAlgo::Reduce { mode, reduce_tasks: rt },
-                            estimated_output_records: out.records,
-                            estimated_output_bytes: out.bytes,
-                            estimated_shuffle_bytes: shuffle,
-                            estimated_seconds: secs,
-                        };
+                    if secs < best_cycle.2 {
+                        best_cycle = (JoinAlgo::Reduce { mode, reduce_tasks: rt }, shuffle, secs);
                     }
                 }
             }
@@ -560,43 +589,44 @@ pub fn optimize(
             for (build, b, p) in [(BuildSide::Left, cur, right), (BuildSide::Right, right, cur)] {
                 if r64(b.bytes) <= config.broadcast_budget_bytes {
                     let secs = price_broadcast_join(cost, b, p, out, config);
-                    if secs < best_cycle.estimated_seconds {
-                        best_cycle = CyclePlan {
-                            algo: JoinAlgo::Broadcast { build },
-                            estimated_output_records: out.records,
-                            estimated_output_bytes: out.bytes,
-                            estimated_shuffle_bytes: 0,
-                            estimated_seconds: secs,
-                        };
+                    if secs < best_cycle.2 {
+                        best_cycle = (JoinAlgo::Broadcast { build }, 0, secs);
                     }
                 }
             }
 
-            total += best_cycle.estimated_seconds;
-            cycles.push(best_cycle);
+            let (algo, shuffle_bytes, seconds) = best_cycle;
+            total += seconds;
+            cycles.push(algo);
+            cycle_estimates.push(CycleEstimate {
+                output_records: out.records,
+                output_bytes: out.bytes,
+                shuffle_bytes,
+                seconds,
+            });
             cur = out;
         }
 
-        let plan = PhysicalPlan {
-            eager_stars,
-            job1_reduce_tasks,
-            estimated_job1_records: job1_records,
-            estimated_job1_bytes: ecs.iter().map(|e| e.bytes).sum(),
-            estimated_star_records: ecs.iter().map(|e| e.records).collect(),
-            estimated_job1_seconds: job1_seconds,
-            cycles,
-            estimated_seconds: total,
-        };
-        if best.as_ref().is_none_or(|b| plan.estimated_seconds < b.estimated_seconds) {
-            best = Some(plan);
+        let best_seconds = best.as_ref().and_then(|b| b.estimates.as_ref()).map(|e| e.seconds);
+        if best_seconds.is_none_or(|b| total < b) {
+            best = Some(PhysicalPlan {
+                label: "CostBased".into(),
+                eager_stars,
+                job1_reduce_tasks,
+                cycles,
+                estimates: Some(PlanEstimates {
+                    job1_records,
+                    job1_bytes: ecs.iter().map(|e| e.bytes).sum(),
+                    star_records: ecs.iter().map(|e| e.records).collect(),
+                    job1_seconds,
+                    cycles: cycle_estimates,
+                    seconds: total,
+                }),
+            });
         }
     }
     Ok(best.expect("at least one placement enumerated"))
 }
-
-// ---------------------------------------------------------------------------
-// Plan execution
-// ---------------------------------------------------------------------------
 
 /// Which wire representation the workflow's Job 1 consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -608,173 +638,11 @@ pub enum DataPlane {
     Ids,
 }
 
-/// Execute a [`PhysicalPlan`] on `plane`.
-///
-/// Mirrors [`crate::planner::execute`]'s contract and left-deep order;
-/// every job carries its estimated output cardinality so the run's
-/// [`mrsim::WorkflowStats`] reports q-error. If the optimizer chose a
-/// broadcast join but the *actual* build file exceeds the engine's
-/// broadcast budget (an estimation miss), the cycle falls back to the
-/// reduce-side exact join instead of failing the workflow.
-pub fn execute_plan_on(
-    plane: DataPlane,
-    plan: &PhysicalPlan,
-    engine: &Engine,
-    query: &Query,
-    input: &str,
-    label: &str,
-    extract_solutions: bool,
-) -> Result<QueryRun, PlanError> {
-    execute_plan_profiled(plane, plan, engine, query, input, label, extract_solutions)
-        .map(|(run, _)| run)
-}
-
-/// [`execute_plan_on`], additionally returning the per-star Job 1 output
-/// cardinalities — the record counts of the `{label}.ec{i}` equivalence-class
-/// files, read *before* the workflow's finish deletes them. Feed the vector
-/// to [`crate::profile::explain_analyze`] for the per-star q-error breakdown.
-/// The vector is empty when Job 1 itself failed.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_profiled(
-    plane: DataPlane,
-    plan: &PhysicalPlan,
-    engine: &Engine,
-    query: &Query,
-    input: &str,
-    label: &str,
-    extract_solutions: bool,
-) -> Result<(QueryRun, Vec<u64>), PlanError> {
-    query.validate()?;
-    check_query(query)?;
-    let steps = join_schedule(query)?;
-    if steps.len() != plan.cycles.len() || plan.eager_stars.len() != query.stars.len() {
-        return Err(PlanError::Internal("plan shape does not match query".into()));
-    }
-
-    let mut wf = Workflow::new(engine, format!("NTGA-CostBased/{label}"));
-    let fail = |wf: Workflow<'_>, e: &mrsim::MrError, stars: Vec<u64>| {
-        Ok((QueryRun { stats: wf.finish_failed(e), solutions: None }, stars))
-    };
-
-    let ec_files: Vec<String> = (0..query.stars.len()).map(|i| format!("{label}.ec{i}")).collect();
-    let job1 = match plane {
-        DataPlane::Lexical => group_filter_job_stars(
-            format!("{label}.group"),
-            query,
-            input,
-            ec_files.clone(),
-            plan.eager_stars.clone(),
-        ),
-        DataPlane::Ids => {
-            let dict = engine.dict().ok_or_else(|| {
-                PlanError::Internal("ID-native plan needs Engine::with_dict".into())
-            })?;
-            group_filter_job_ids_stars(
-                format!("{label}.group"),
-                query,
-                input,
-                ec_files.clone(),
-                plan.eager_stars.clone(),
-                dict,
-            )
-        }
-    }
-    .with_reducers(plan.job1_reduce_tasks)
-    .with_estimated_output(plan.estimated_job1_records);
-    if let Err(e) = wf.run_job(job1) {
-        return fail(wf, &e, Vec::new());
-    }
-    // Per-star output cardinalities, read now — finish deletes the ec files.
-    let star_records: Vec<u64> = {
-        let hdfs = engine.hdfs().lock();
-        ec_files.iter().map(|f| hdfs.get(f).map(|d| d.len() as u64).unwrap_or(0)).collect()
-    };
-
-    let mut components: Vec<usize> = vec![0];
-    let mut current_file = ec_files[0].clone();
-    for (join_no, (step, cycle)) in steps.iter().zip(&plan.cycles).enumerate() {
-        let left = JoinSide { file: current_file.clone(), component: step.lpos, role: step.lrole };
-        let right = JoinSide { file: ec_files[step.other].clone(), component: 0, role: step.rrole };
-        let out = format!("{label}.tgjoin{join_no}");
-        let name = format!("{label}.tgjoin{join_no}");
-        let job = match cycle.algo {
-            JoinAlgo::Reduce { mode, reduce_tasks } => {
-                tg_join_job(name, left, right, mode, &out).with_reducers(reduce_tasks)
-            }
-            JoinAlgo::Broadcast { build } => {
-                let build_file = match build {
-                    BuildSide::Left => &left.file,
-                    BuildSide::Right => &right.file,
-                };
-                let actual = engine
-                    .hdfs()
-                    .lock()
-                    .get(build_file)
-                    .map_err(|e| PlanError::Internal(format!("broadcast input: {e}")))?
-                    .text_bytes;
-                if actual <= engine.broadcast_budget_bytes {
-                    tg_broadcast_join_job(name, left, right, build, &out)
-                } else {
-                    // Estimation miss: repair to the reduce-side join
-                    // rather than letting the engine refuse the job.
-                    tg_join_job(name, left, right, UnnestMode::Exact, &out)
-                }
-            }
-        }
-        .with_estimated_output(cycle.estimated_output_records);
-        if let Err(e) = wf.run_job(job) {
-            return fail(wf, &e, star_records);
-        }
-        components.push(step.other);
-        current_file = out;
-    }
-
-    let stats = wf.finish(&[&current_file]);
-    let solutions = if extract_solutions {
-        let tuples: Vec<TgTuple> = engine
-            .read_records(&current_file)
-            .map_err(|e| PlanError::Internal(format!("reading final output: {e}")))?;
-        Some(expand_tuples(&tuples, &components, query)?)
-    } else {
-        None
-    };
-    Ok((QueryRun { stats, solutions }, star_records))
-}
-
-/// [`execute_plan_on`] on the lexical plane.
-pub fn execute_plan(
-    plan: &PhysicalPlan,
-    engine: &Engine,
-    query: &Query,
-    input: &str,
-    label: &str,
-    extract_solutions: bool,
-) -> Result<QueryRun, PlanError> {
-    execute_plan_on(DataPlane::Lexical, plan, engine, query, input, label, extract_solutions)
-}
-
-/// Optimize under the engine's own cost model and physical limits, then
-/// execute — the `--strategy auto-cost` entry point.
-pub fn execute_cost_based(
-    plane: DataPlane,
-    engine: &Engine,
-    query: &Query,
-    input: &str,
-    label: &str,
-    extract_solutions: bool,
-    stats: &StoreStats,
-) -> Result<QueryRun, PlanError> {
-    let config = OptimizerConfig::for_engine(engine);
-    let plan = optimize(query, stats, &engine.cost, &config)?;
-    execute_plan_on(plane, &plan, engine, query, input, label, extract_solutions)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{execute, Strategy};
-    use mr_rdf::{load_store, load_store_ids};
-    use mrsim::SimHdfs;
+    use crate::planner::{execute, execute_cost_based, execute_plan, Strategy};
+    use mr_rdf::{load_store, load_store_ids, QueryRun};
     use rdf_model::{STriple, TripleStore};
     use rdf_query::parse_query;
     use std::sync::Arc;
@@ -795,6 +663,10 @@ mod tests {
     }
 
     const UNBOUND_2STAR: &str = "SELECT * WHERE { ?g <label> ?l . ?g ?p ?go . ?go <gl> ?x . }";
+
+    fn run_plan(plan: &PhysicalPlan, engine: &Engine, query: &Query, extract: bool) -> QueryRun {
+        execute_plan(DataPlane::Lexical, plan, engine, query, "t", "q", extract).unwrap().0
+    }
 
     fn plan_for(q: &str, s: &TripleStore) -> PhysicalPlan {
         let query = parse_query(q).unwrap();
@@ -829,13 +701,14 @@ mod tests {
         load_store(&lex, "t", &s).unwrap();
         let stats = s.stats();
         let plan = optimize(&query, &stats, &lex.cost, &OptimizerConfig::for_engine(&lex)).unwrap();
-        let lrun = execute_plan(&plan, &lex, &query, "t", "q", true).unwrap();
+        let lrun = run_plan(&plan, &lex, &query, true);
 
         let ids = Engine::unbounded();
         let mut dict = rdf_model::Dictionary::default();
         load_store_ids(&ids, "tid", &s, &mut dict).unwrap();
         let ids = ids.with_dict(Arc::new(dict));
-        let irun = execute_plan_on(DataPlane::Ids, &plan, &ids, &query, "tid", "q", true).unwrap();
+        let (irun, _) =
+            execute_plan(DataPlane::Ids, &plan, &ids, &query, "tid", "q", true).unwrap();
 
         assert!(lrun.succeeded() && irun.succeeded());
         assert_eq!(lrun.solutions.unwrap(), gold);
@@ -848,7 +721,7 @@ mod tests {
         let plan = plan_for(UNBOUND_2STAR, &store());
         assert_eq!(plan.cycles.len(), 1);
         assert!(plan.broadcast_cycles() == 1, "expected a broadcast cycle in {}", plan.summary());
-        assert_eq!(plan.cycles[0].estimated_shuffle_bytes, 0);
+        assert_eq!(plan.estimates.unwrap().cycles[0].shuffle_bytes, 0);
     }
 
     #[test]
@@ -859,7 +732,7 @@ mod tests {
         let plan =
             optimize(&query, &s.stats(), &CostModel::scaled_to(s.text_bytes()), &config).unwrap();
         assert_eq!(plan.broadcast_cycles(), 0, "{}", plan.summary());
-        match plan.cycles[0].algo {
+        match plan.cycles[0] {
             JoinAlgo::Reduce { reduce_tasks, .. } => assert!(reduce_tasks >= 1),
             JoinAlgo::Broadcast { .. } => panic!("broadcast chosen with zero budget"),
         }
@@ -892,7 +765,7 @@ mod tests {
 
         let engine = Engine::unbounded().with_cost(cost.clone());
         load_store(&engine, "t", &s).unwrap();
-        let run = execute_plan(&plan, &engine, &query, "t", "q", false).unwrap();
+        let run = run_plan(&plan, &engine, &query, false);
         assert!(run.succeeded());
         assert!(
             run.stats.sim_seconds <= best_hand + 1e-9,
@@ -921,7 +794,7 @@ mod tests {
         assert!(plan.broadcast_cycles() > 0);
         let engine = Engine::unbounded().with_broadcast_budget(1);
         load_store(&engine, "t", &s).unwrap();
-        let run = execute_plan(&plan, &engine, &query, "t", "q", true).unwrap();
+        let run = run_plan(&plan, &engine, &query, true);
         assert!(run.succeeded());
         assert_eq!(run.solutions.unwrap(), gold);
         assert_eq!(run.stats.jobs.last().unwrap().broadcast_files, 0);
@@ -936,22 +809,9 @@ mod tests {
         load_store(&engine, "t", &s).unwrap();
         let query = parse_query("SELECT * WHERE { ?g <label> ?l . ?g ?p ?o . }").unwrap();
         let gold = rdf_query::naive::evaluate(&query, &s);
-        let run = execute_plan(&plan, &engine, &query, "t", "q", true).unwrap();
+        let run = run_plan(&plan, &engine, &query, true);
         assert_eq!(run.stats.mr_cycles, 1);
         assert_eq!(run.solutions.unwrap(), gold);
-    }
-
-    #[test]
-    fn disk_full_reported_not_panicked() {
-        let s = store();
-        let engine = Engine::new(SimHdfs::new(s.text_bytes() + 20, 1));
-        load_store(&engine, "t", &s).unwrap();
-        let query = parse_query(UNBOUND_2STAR).unwrap();
-        let run =
-            execute_cost_based(DataPlane::Lexical, &engine, &query, "t", "q", true, &s.stats())
-                .unwrap();
-        assert!(!run.succeeded());
-        assert!(run.solutions.is_none());
     }
 
     #[test]

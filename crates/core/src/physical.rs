@@ -3,9 +3,10 @@
 //! * [`group_filter_job`] — **Job 1**: `TG_GroupBy` (map tags triples by
 //!   subject) + `TG_UnbGrpFilter` (reduce builds subject triplegroups and
 //!   matches them against every star subpattern at once — the single
-//!   grouping cycle that computes ALL star joins). With `eager = true` the
-//!   reduce additionally β-unnests (the paper's **EagerUnnest**); otherwise
-//!   annotated triplegroups stay nested (**LazyUnnest**).
+//!   grouping cycle that computes ALL star joins). Where `eager[i]` is set
+//!   the reduce additionally β-unnests star `i` (all stars: the paper's
+//!   **EagerUnnest**); otherwise annotated triplegroups stay nested
+//!   (**LazyUnnest**).
 //! * [`tg_join_job`] — **Job 2**: join between two triplegroup equivalence
 //!   classes. The map side evaluates the join role of each side:
 //!   subject joins ship the triplegroup as-is; bound-object joins pin the
@@ -83,28 +84,68 @@ pub fn phi(key: &str, m: u64) -> u64 {
 // Job 1: TG_GroupBy + TG_UnbGrpFilter (+ optional eager β-unnest)
 // ---------------------------------------------------------------------------
 
+/// `TG_UnbGrpFilter` over one subject's triplegroup, plus the eager μ^β of
+/// the stars the plan unnests in Job 1 — the reduce-side operator both
+/// Job 1 planes share. Admissions to star `i` go to output `i`.
+fn group_filter(
+    ctx: &TaskContext,
+    tg: &TripleGroup,
+    stars: &[StarPattern],
+    eager: &[bool],
+    out: &mut TypedOutEmitter<'_, TgTuple>,
+) -> Result<(), MrError> {
+    ctx.count(op::GROUPS_IN, 1);
+    ctx.count(op::PAIRS_IN, tg.pairs.len() as u64);
+    let mut admitted = 0u64;
+    for (i, star) in stars.iter().enumerate() {
+        if let Some(ann) = match_star(tg, star, i as u64) {
+            admitted += 1;
+            if eager[i] {
+                ctx.count(op::UNNEST_IN, 1);
+                let perfects = crate::logical::beta_unnest(&ann);
+                ctx.record(op::UNNEST_WIDTH, perfects.len() as u64);
+                for perfect in perfects {
+                    ctx.count(op::UNNEST_OUT, 1);
+                    out.emit_to(i, &TgTuple(vec![perfect]))?;
+                }
+            } else {
+                out.emit_to(i, &TgTuple(vec![ann]))?;
+            }
+        }
+    }
+    ctx.count(op::ADMITTED, admitted);
+    if admitted == 0 {
+        ctx.count(op::DROPPED, 1);
+    }
+    Ok(())
+}
+
+/// Job 1's shape on either plane: one full scan of `input`, one output
+/// per star.
+fn job1_spec(
+    name: impl Into<String>,
+    input: &str,
+    mapper: Arc<dyn mrsim::RawMapOp>,
+    reducer: Arc<dyn mrsim::RawReduceOp>,
+    outputs: Vec<String>,
+) -> JobSpec {
+    let mut outs = outputs.into_iter();
+    let first = outs.next().expect("at least one star");
+    let inputs = vec![InputBinding { file: input.to_string(), mapper }];
+    let spec = JobSpec::map_reduce(name, inputs, reducer, REDUCERS, first).with_full_scan();
+    outs.fold(spec, JobSpec::with_extra_output)
+}
+
 /// Build Job 1 for a query: one full scan computes every star subpattern.
 ///
 /// The job writes one output per star: `outputs[i]` holds the annotated
 /// triplegroups of equivalence class `i` (wrapped as single-component
-/// [`TgTuple`]s).
+/// [`TgTuple`]s). `eager[i]` says whether that class is β-unnested in the
+/// reduce (eager) or left nested (lazy): the hand-picked strategies set
+/// all or none, the cost-based optimizer unnests stars whose triplegroups
+/// carry no redundancy (no multi-valued or unbound candidates) while
+/// keeping expansive stars nested.
 pub fn group_filter_job(
-    name: impl Into<String>,
-    query: &Query,
-    input: &str,
-    outputs: Vec<String>,
-    eager: bool,
-) -> JobSpec {
-    let per_star = vec![eager; query.stars.len()];
-    group_filter_job_stars(name, query, input, outputs, per_star)
-}
-
-/// [`group_filter_job`] with a **per-star** unnest placement: `eager[i]`
-/// says whether equivalence class `i` is β-unnested in the reduce (eager)
-/// or left nested (lazy). The cost-based optimizer uses this to unnest
-/// stars whose triplegroups carry no redundancy (no multi-valued or
-/// unbound candidates) while keeping expansive stars nested.
-pub fn group_filter_job_stars(
     name: impl Into<String>,
     query: &Query,
     input: &str,
@@ -132,51 +173,14 @@ pub fn group_filter_job_stars(
         });
     let stars_red = query.stars.clone();
     let reducer = reduce_fn_ctx(
-        move |ctx: &mrsim::TaskContext,
+        move |ctx: &TaskContext,
               subject: Atom,
               pairs: Vec<(Atom, Atom)>,
               out: &mut TypedOutEmitter<'_, TgTuple>| {
-            ctx.count(op::GROUPS_IN, 1);
-            ctx.count(op::PAIRS_IN, pairs.len() as u64);
-            let tg = TripleGroup { subject, pairs };
-            let mut admitted = 0u64;
-            for (i, star) in stars_red.iter().enumerate() {
-                if let Some(ann) = match_star(&tg, star, i as u64) {
-                    admitted += 1;
-                    if eager[i] {
-                        ctx.count(op::UNNEST_IN, 1);
-                        let perfects = crate::logical::beta_unnest(&ann);
-                        ctx.record(op::UNNEST_WIDTH, perfects.len() as u64);
-                        for perfect in perfects {
-                            ctx.count(op::UNNEST_OUT, 1);
-                            out.emit_to(i, &TgTuple(vec![perfect]))?;
-                        }
-                    } else {
-                        out.emit_to(i, &TgTuple(vec![ann]))?;
-                    }
-                }
-            }
-            ctx.count(op::ADMITTED, admitted);
-            if admitted == 0 {
-                ctx.count(op::DROPPED, 1);
-            }
-            Ok(())
+            group_filter(ctx, &TripleGroup { subject, pairs }, &stars_red, &eager, out)
         },
     );
-    let mut outs = outputs.into_iter();
-    let first = outs.next().expect("at least one star");
-    let mut spec = JobSpec::map_reduce(
-        name,
-        vec![InputBinding { file: input.to_string(), mapper }],
-        reducer,
-        REDUCERS,
-        first,
-    )
-    .with_full_scan();
-    for o in outs {
-        spec = spec.with_extra_output(o);
-    }
-    spec
+    job1_spec(name, input, mapper, reducer, outputs)
 }
 
 // ---------------------------------------------------------------------------
@@ -193,22 +197,9 @@ pub fn group_filter_job_stars(
 /// with `Engine::with_dict`) and re-sorts each group into the lexical
 /// wire order, so the emitted [`TgTuple`]s are byte-identical to the
 /// lexical job's (file order aside — the two paths partition by
-/// different key bytes).
+/// different key bytes). `eager` is the per-star unnest placement, as in
+/// [`group_filter_job`].
 pub fn group_filter_job_ids(
-    name: impl Into<String>,
-    query: &Query,
-    input: &str,
-    outputs: Vec<String>,
-    eager: bool,
-    dict: &Dictionary,
-) -> JobSpec {
-    let per_star = vec![eager; query.stars.len()];
-    group_filter_job_ids_stars(name, query, input, outputs, per_star, dict)
-}
-
-/// [`group_filter_job_ids`] with a **per-star** unnest placement (see
-/// [`group_filter_job_stars`]).
-pub fn group_filter_job_ids_stars(
     name: impl Into<String>,
     query: &Query,
     input: &str,
@@ -237,8 +228,6 @@ pub fn group_filter_job_ids_stars(
               subject: VarId,
               ids: Vec<IdPair>,
               out: &mut TypedOutEmitter<'_, TgTuple>| {
-            ctx.count(op::GROUPS_IN, 1);
-            ctx.count(op::PAIRS_IN, ids.len() as u64);
             let subject = ctx.resolve_atom(subject.0)?;
             let mut pairs = ids
                 .iter()
@@ -248,45 +237,10 @@ pub fn group_filter_job_ids_stars(
             // order (the shuffle sorts by value bytes); restore that
             // order after resolution so outputs are byte-identical.
             pairs.sort_by_cached_key(Rec::to_bytes);
-            let tg = TripleGroup { subject, pairs };
-            let mut admitted = 0u64;
-            for (i, star) in stars_red.iter().enumerate() {
-                if let Some(ann) = match_star(&tg, star, i as u64) {
-                    admitted += 1;
-                    if eager[i] {
-                        ctx.count(op::UNNEST_IN, 1);
-                        let perfects = crate::logical::beta_unnest(&ann);
-                        ctx.record(op::UNNEST_WIDTH, perfects.len() as u64);
-                        for perfect in perfects {
-                            ctx.count(op::UNNEST_OUT, 1);
-                            out.emit_to(i, &TgTuple(vec![perfect]))?;
-                        }
-                    } else {
-                        out.emit_to(i, &TgTuple(vec![ann]))?;
-                    }
-                }
-            }
-            ctx.count(op::ADMITTED, admitted);
-            if admitted == 0 {
-                ctx.count(op::DROPPED, 1);
-            }
-            Ok(())
+            group_filter(ctx, &TripleGroup { subject, pairs }, &stars_red, &eager, out)
         },
     );
-    let mut outs = outputs.into_iter();
-    let first = outs.next().expect("at least one star");
-    let mut spec = JobSpec::map_reduce(
-        name,
-        vec![InputBinding { file: input.to_string(), mapper }],
-        reducer,
-        REDUCERS,
-        first,
-    )
-    .with_full_scan();
-    for o in outs {
-        spec = spec.with_extra_output(o);
-    }
-    spec
+    job1_spec(name, input, mapper, reducer, outputs)
 }
 
 // ---------------------------------------------------------------------------
@@ -722,7 +676,8 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &store()).unwrap();
         let query = unbound_query();
-        let job = group_filter_job("job1", &query, "t", vec!["ec0".into(), "ec1".into()], eager);
+        let job =
+            group_filter_job("job1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![eager; 2]);
         engine.run_job(&job).unwrap();
         (engine, query)
     }
@@ -832,7 +787,8 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
-        let job1 = group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], false);
+        let job1 =
+            group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2]);
         engine.run_job(&job1).unwrap();
         let mk_join = |mode, out: &str| {
             tg_join_job(
@@ -863,7 +819,8 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
-        let job = group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], true);
+        let job =
+            group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], vec![true; 2]);
         let ops = engine.run_job(&job).unwrap().ops;
         assert_eq!(ops.get(op::GROUPS_IN), 5); // g1 g2 go1 go2 x1
         assert_eq!(ops.get(op::PAIRS_IN), 8);
@@ -876,7 +833,8 @@ mod tests {
         // Lazy run admits the same groups but never unnests.
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
-        let job = group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], false);
+        let job =
+            group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], vec![false; 2]);
         let ops = engine.run_job(&job).unwrap().ops;
         assert_eq!(ops.get(op::ADMITTED), 4);
         assert_eq!(ops.get(op::UNNEST_IN), 0);
@@ -899,7 +857,7 @@ mod tests {
             let lex = Engine::unbounded();
             load_store(&lex, "t", &s).unwrap();
             let lex_job =
-                group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], eager);
+                group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], vec![eager; 2]);
             let lex_stats = lex.run_job(&lex_job).unwrap();
 
             let mut dict = Dictionary::new();
@@ -911,7 +869,7 @@ mod tests {
                 &query,
                 mr_rdf::ID_TRIPLES_FILE,
                 vec!["e0".into(), "e1".into()],
-                eager,
+                vec![eager; 2],
                 &dict,
             );
             let id_stats = ids.run_job(&id_job).unwrap();
@@ -963,7 +921,7 @@ mod tests {
             &unbound_query(),
             mr_rdf::ID_TRIPLES_FILE,
             vec!["e0".into(), "e1".into()],
-            false,
+            vec![false; 2],
             &dict,
         );
         let err = engine.run_job(&job).unwrap_err();
@@ -980,7 +938,8 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
-        let job1 = group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], false);
+        let job1 =
+            group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2]);
         engine.run_job(&job1).unwrap();
         let mk_join = |mode, out: &str| {
             tg_join_job(
@@ -1025,7 +984,8 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
-        let job1 = group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], false);
+        let job1 =
+            group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2]);
         engine.run_job(&job1).unwrap();
         let tuples: Vec<TgTuple> = engine.read_records("ec0").unwrap();
         for tuple in &tuples {
@@ -1076,7 +1036,13 @@ mod tests {
                 let engine = Engine::unbounded().with_workers(workers);
                 load_store(&engine, "t", &store()).unwrap();
                 let q = unbound_query();
-                let j1 = group_filter_job("j1", &q, "t", vec!["ec0".into(), "ec1".into()], false);
+                let j1 = group_filter_job(
+                    "j1",
+                    &q,
+                    "t",
+                    vec!["ec0".into(), "ec1".into()],
+                    vec![false; 2],
+                );
                 engine.run_job(&j1).unwrap();
                 let bj = tg_broadcast_join_job("bjoin", left.clone(), right.clone(), build, "out");
                 let stats = engine.run_job(&bj).unwrap();
@@ -1120,7 +1086,13 @@ mod tests {
         load_store(&engine, "t", &store()).unwrap();
         let q = unbound_query();
         engine
-            .run_job(&group_filter_job("j1", &q, "t", vec!["ec0".into(), "ec1".into()], false))
+            .run_job(&group_filter_job(
+                "j1",
+                &q,
+                "t",
+                vec!["ec0".into(), "ec1".into()],
+                vec![false; 2],
+            ))
             .unwrap();
         let stats = engine
             .run_job(&tg_broadcast_join_job("bjoin", left, right, BuildSide::Right, "out"))

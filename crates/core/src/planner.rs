@@ -1,22 +1,28 @@
-//! The NTGA query planner: query → grouping cycle + triplegroup join
-//! cycles, under a hand-picked unnesting [`Strategy`].
+//! The NTGA planner: hand-picked [`Strategy`] → [`PhysicalPlan`], and the
+//! one driver that runs any [`PhysicalPlan`] as a MapReduce workflow.
 //!
-//! A [`Strategy`] applies one policy uniformly: the same unnest placement
-//! for every star, the same unnest mode rule for every join cycle, the
-//! engine's default reduce parallelism everywhere. The statistics-driven
-//! alternative lives in [`crate::optimizer`], which derives those choices
-//! *per star* and *per cycle* from [`rdf_model::StoreStats`] and the
-//! engine's cost model (`--strategy auto-cost` in the figure binaries).
+//! The paper's evaluation strategies (§4) differ only in *where* μ^β sits
+//! inside one fixed workflow — a `TG_GroupBy` cycle followed by left-deep
+//! `TG_Join` cycles — so a [`Strategy`] is nothing but a plan constructor
+//! ([`Strategy::plan`]): the same unnest placement for every star, the same
+//! unnest-mode rule for every join cycle, the default reduce parallelism
+//! everywhere, and no estimates. The statistics-driven constructor is
+//! [`crate::optimizer::optimize`], which makes those choices *per star* and
+//! *per cycle* (`--strategy auto-cost` in the figure binaries). Whatever
+//! built the plan, [`execute_plan`] runs it.
 
-use crate::optimizer::DataPlane;
+use crate::optimizer::{
+    join_schedule, optimize, DataPlane, JoinAlgo, OptimizerConfig, PhysicalPlan,
+};
 use crate::physical::{
-    group_filter_job, group_filter_job_ids, role_of, tg_join_job, JoinRole, JoinSide, UnnestMode,
+    group_filter_job, group_filter_job_ids, tg_broadcast_join_job, tg_join_job, BuildSide,
+    JoinSide, UnnestMode, REDUCERS,
 };
 use crate::tg::TgTuple;
-use mr_rdf::{check_query, PlanError, QueryRun};
-use mrsim::{Engine, Workflow};
-use rdf_query::{Binding, ObjPattern, Query, SolutionSet};
-use std::collections::HashSet;
+use mr_rdf::{check_query, run_query_workflow, PlanError, QueryRun};
+use mrsim::Engine;
+use rdf_model::StoreStats;
+use rdf_query::{Binding, Query, SolutionSet};
 
 /// When and how β-unnesting happens (Section 4).
 ///
@@ -52,54 +58,36 @@ impl Strategy {
             Strategy::Auto(m) => format!("LazyUnnest(auto,phi_{m})"),
         }
     }
-}
 
-/// Expand joined triplegroup tuples into a canonical solution set.
-///
-/// `components` maps each tuple position to its star index in `query`.
-pub fn expand_tuples(
-    tuples: &[TgTuple],
-    components: &[usize],
-    query: &Query,
-) -> Result<SolutionSet, PlanError> {
-    let mut set = SolutionSet::new();
-    for t in tuples {
-        if t.0.len() != components.len() {
-            return Err(PlanError::Internal("tuple arity mismatch".into()));
-        }
-        let mut partials: Vec<Binding> = vec![Binding::new()];
-        for (tg, &star_idx) in t.0.iter().zip(components) {
-            let star = &query.stars[star_idx];
-            let expansions = tg
-                .expand(star)
-                .ok_or_else(|| PlanError::Internal("triplegroup/star shape mismatch".into()))?;
-            let mut next = Vec::with_capacity(partials.len() * expansions.len());
-            for p in &partials {
-                for e in &expansions {
-                    let mut m = p.clone();
-                    if m.merge(e) {
-                        next.push(m);
-                    }
-                }
-            }
-            partials = next;
-        }
-        for b in partials {
-            set.insert(b);
-        }
+    /// The plan this policy picks for `query`: every star eager or none,
+    /// every cycle a reduce-side join at the default parallelism whose
+    /// unnest mode follows the policy, no estimates.
+    pub fn plan(self, query: &Query) -> Result<PhysicalPlan, PlanError> {
+        query.validate()?;
+        check_query(query)?;
+        let cycles = join_schedule(query)?
+            .iter()
+            .map(|step| {
+                let mode = mode_for(self, &step.unbound_sides(query));
+                JoinAlgo::Reduce { mode, reduce_tasks: REDUCERS }
+            })
+            .collect();
+        Ok(PhysicalPlan {
+            label: self.label(),
+            eager_stars: vec![self == Strategy::Eager; query.stars.len()],
+            job1_reduce_tasks: REDUCERS,
+            cycles,
+            estimates: None,
+        })
     }
-    Ok(match &query.projection {
-        Some(vars) => set.project(vars),
-        None => set,
-    })
 }
 
 /// Pick the unnest mode for one join under a strategy.
 ///
-/// `unbound_sides` carries, for each side with an [`JoinRole::UnboundObj`]
-/// role, whether that unbound pattern's object is partially bound
-/// (filtered).
-fn mode_for(strategy: Strategy, unbound_sides: &[bool]) -> UnnestMode {
+/// `unbound_sides` carries, for each side with a
+/// [`crate::physical::JoinRole::UnboundObj`] role, its star and whether
+/// that unbound pattern's object is partially bound (filtered).
+fn mode_for(strategy: Strategy, unbound_sides: &[(usize, bool)]) -> UnnestMode {
     if unbound_sides.is_empty() {
         return UnnestMode::Exact;
     }
@@ -112,7 +100,7 @@ fn mode_for(strategy: Strategy, unbound_sides: &[bool]) -> UnnestMode {
             // Partially-bound objects are selective: full unnest is enough
             // (paper, Figure 11 discussion). Unbound objects benefit from
             // partial unnest.
-            if unbound_sides.iter().all(|&filtered| filtered) {
+            if unbound_sides.iter().all(|&(_, filtered)| filtered) {
                 UnnestMode::Exact
             } else {
                 UnnestMode::Partial(m)
@@ -121,11 +109,149 @@ fn mode_for(strategy: Strategy, unbound_sides: &[bool]) -> UnnestMode {
     }
 }
 
-/// Execute `query` with the NTGA plan over the triple relation in DFS file
-/// `input`.
+/// Expand one joined triplegroup tuple into its solutions.
 ///
-/// Mirrors `relbase::execute`'s contract: planning problems are `Err`,
-/// runtime failures (DiskFull) come back inside the [`QueryRun`].
+/// `components` maps each tuple position to its star index in `query`.
+fn expand_tuple(
+    tuple: &TgTuple,
+    components: &[usize],
+    query: &Query,
+    set: &mut SolutionSet,
+) -> Result<(), PlanError> {
+    if tuple.0.len() != components.len() {
+        return Err(PlanError::Internal("tuple arity mismatch".into()));
+    }
+    let mut partials: Vec<Binding> = vec![Binding::new()];
+    for (tg, &star_idx) in tuple.0.iter().zip(components) {
+        let star = &query.stars[star_idx];
+        let expansions = tg
+            .expand(star)
+            .ok_or_else(|| PlanError::Internal("triplegroup/star shape mismatch".into()))?;
+        let mut next = Vec::with_capacity(partials.len() * expansions.len());
+        for p in &partials {
+            for e in &expansions {
+                let mut m = p.clone();
+                if m.merge(e) {
+                    next.push(m);
+                }
+            }
+        }
+        partials = next;
+    }
+    for b in partials {
+        set.insert(b);
+    }
+    Ok(())
+}
+
+/// Execute `plan` for `query` over the triple relation in DFS file `input`:
+/// the one NTGA workflow driver.
+///
+/// Job 1 (`{label}.group`) computes every star's equivalence class under
+/// the plan's per-star unnest placement; one `{label}.tgjoin{i}` cycle per
+/// [`JoinAlgo`] follows in the query's left-deep order. `DataPlane::Ids`
+/// runs Job 1 over the dictionary-encoded relation ([`mr_rdf::IdTripleRec`]
+/// input, e.g. [`mr_rdf::ID_TRIPLES_FILE`]) and needs the matching
+/// dictionary on the engine (`Engine::with_dict`); the join cycles are the
+/// same on both planes. A plan with estimates tags every job with its
+/// estimated output cardinality, so the run reports q-error. A broadcast
+/// cycle whose *actual* build file exceeds the engine's broadcast budget
+/// (an estimation miss) falls back to the reduce-side exact join.
+///
+/// Same contract as `relbase::execute`: planning problems are `Err`,
+/// runtime failures (DiskFull) come back inside the [`QueryRun`]. The second
+/// value is the record count of each `{label}.ec{i}` file, read before
+/// cleanup deletes them, for [`crate::profile::explain_analyze`]; it is
+/// empty when Job 1 itself failed.
+pub fn execute_plan(
+    plane: DataPlane,
+    plan: &PhysicalPlan,
+    engine: &Engine,
+    query: &Query,
+    input: &str,
+    label: &str,
+    extract_solutions: bool,
+) -> Result<(QueryRun, Vec<u64>), PlanError> {
+    let mut star_records = Vec::new();
+    let name = format!("NTGA-{}/{label}", plan.label);
+    let run = run_query_workflow(engine, name, query, extract_solutions, |wf| {
+        let steps = plan.schedule_for(query)?;
+        let estimates = plan.estimates.as_ref();
+
+        // Job 1: one grouping cycle computes every star subpattern.
+        let ec_files: Vec<String> =
+            (0..query.stars.len()).map(|i| format!("{label}.ec{i}")).collect();
+        let group = format!("{label}.group");
+        let eager = plan.eager_stars.clone();
+        let mut job1 = match plane {
+            DataPlane::Lexical => group_filter_job(group, query, input, ec_files.clone(), eager),
+            DataPlane::Ids => {
+                let dict = engine.dict().ok_or_else(|| {
+                    PlanError::Internal("ID-native execution needs Engine::with_dict".into())
+                })?;
+                group_filter_job_ids(group, query, input, ec_files.clone(), eager, dict)
+            }
+        }
+        .with_reducers(plan.job1_reduce_tasks);
+        if let Some(est) = estimates {
+            job1 = job1.with_estimated_output(est.job1_records);
+        }
+        wf.run_job(job1)?;
+        star_records = {
+            let hdfs = engine.hdfs().lock();
+            ec_files.iter().map(|f| hdfs.get(f).map_or(0, |d| d.len() as u64)).collect()
+        };
+
+        // Join cycles, left-deep over the join graph.
+        let mut components: Vec<usize> = vec![0];
+        let mut current_file = ec_files[0].clone();
+        for (join_no, (step, algo)) in steps.iter().zip(&plan.cycles).enumerate() {
+            let left =
+                JoinSide { file: current_file.clone(), component: step.lpos, role: step.lrole };
+            let right =
+                JoinSide { file: ec_files[step.other].clone(), component: 0, role: step.rrole };
+            let out = format!("{label}.tgjoin{join_no}");
+            let name = out.clone();
+            let mut job = match *algo {
+                JoinAlgo::Reduce { mode, reduce_tasks } => {
+                    tg_join_job(name, left, right, mode, &out).with_reducers(reduce_tasks)
+                }
+                JoinAlgo::Broadcast { build } => {
+                    let build_file = match build {
+                        BuildSide::Left => &left.file,
+                        BuildSide::Right => &right.file,
+                    };
+                    let actual = engine
+                        .hdfs()
+                        .lock()
+                        .get(build_file)
+                        .map_err(|e| PlanError::Internal(format!("broadcast input: {e}")))?
+                        .text_bytes;
+                    if actual <= engine.broadcast_budget_bytes {
+                        tg_broadcast_join_job(name, left, right, build, &out)
+                    } else {
+                        // Estimation miss: repair to the reduce-side join
+                        // rather than letting the engine refuse the job.
+                        tg_join_job(name, left, right, UnnestMode::Exact, &out)
+                    }
+                }
+            };
+            if let Some(est) = estimates {
+                job = job.with_estimated_output(est.cycles[join_no].output_records);
+            }
+            wf.run_job(job)?;
+            components.push(step.other);
+            current_file = out;
+        }
+        Ok((current_file, move |tuple: &TgTuple, set: &mut SolutionSet| {
+            expand_tuple(tuple, &components, query, set)
+        }))
+    })?;
+    Ok((run, star_records))
+}
+
+/// Execute `query` under a hand-picked `strategy` on the lexical plane:
+/// [`Strategy::plan`], then [`execute_plan`].
 pub fn execute(
     strategy: Strategy,
     engine: &Engine,
@@ -134,121 +260,24 @@ pub fn execute(
     label: &str,
     extract_solutions: bool,
 ) -> Result<QueryRun, PlanError> {
-    execute_on(DataPlane::Lexical, strategy, engine, query, input, label, extract_solutions)
+    let plan = strategy.plan(query)?;
+    execute_plan(DataPlane::Lexical, &plan, engine, query, input, label, extract_solutions)
+        .map(|(run, _)| run)
 }
 
-/// [`execute`] on an explicit [`DataPlane`].
-///
-/// `DataPlane::Ids` runs Job 1 over the dictionary-encoded relation
-/// ([`mr_rdf::IdTripleRec`] input, e.g. [`mr_rdf::ID_TRIPLES_FILE`]) and
-/// requires the engine to carry the matching dictionary
-/// (`Engine::with_dict`); the join cycles operate on triplegroup tuples
-/// and are identical on both planes.
-pub fn execute_on(
+/// [`optimize`] under the engine's own cost model and physical limits, then
+/// [`execute_plan`] — the `--strategy auto-cost` entry point.
+pub fn execute_cost_based(
     plane: DataPlane,
-    strategy: Strategy,
     engine: &Engine,
     query: &Query,
     input: &str,
     label: &str,
     extract_solutions: bool,
+    stats: &StoreStats,
 ) -> Result<QueryRun, PlanError> {
-    query.validate()?;
-    check_query(query)?;
-
-    let mut wf = Workflow::new(engine, format!("NTGA-{}/{label}", strategy.label()));
-    let fail = |wf: Workflow<'_>, e: &mrsim::MrError| {
-        Ok(QueryRun { stats: wf.finish_failed(e), solutions: None })
-    };
-
-    // Job 1: one grouping cycle computes every star subpattern.
-    let ec_files: Vec<String> = (0..query.stars.len()).map(|i| format!("{label}.ec{i}")).collect();
-    let job1 = match plane {
-        DataPlane::Lexical => group_filter_job(
-            format!("{label}.group"),
-            query,
-            input,
-            ec_files.clone(),
-            strategy == Strategy::Eager,
-        ),
-        DataPlane::Ids => {
-            let dict = engine.dict().ok_or_else(|| {
-                PlanError::Internal("ID-native execution needs Engine::with_dict".into())
-            })?;
-            group_filter_job_ids(
-                format!("{label}.group"),
-                query,
-                input,
-                ec_files.clone(),
-                strategy == Strategy::Eager,
-                dict,
-            )
-        }
-    };
-    if let Err(e) = wf.run_job(job1) {
-        return fail(wf, &e);
-    }
-
-    // Join cycles, left-deep over the join graph.
-    let edges = query.join_edges();
-    let mut joined: HashSet<usize> = HashSet::from([0]);
-    let mut components: Vec<usize> = vec![0];
-    let mut current_file = ec_files[0].clone();
-    let mut join_no = 0;
-    while joined.len() < query.stars.len() {
-        let edge = edges
-            .iter()
-            .find(|e| joined.contains(&e.left) != joined.contains(&e.right))
-            .ok_or_else(|| PlanError::Internal("join graph not connected".into()))?;
-        let other = if joined.contains(&edge.left) { edge.right } else { edge.left };
-        // Left side: which already-joined component carries the join var?
-        let (lpos, lrole) = components
-            .iter()
-            .enumerate()
-            .find_map(|(pos, &star_idx)| {
-                role_of(&query.stars[star_idx], &edge.var).map(|r| (pos, r))
-            })
-            .ok_or_else(|| PlanError::Internal("join var missing on left".into()))?;
-        let rrole = role_of(&query.stars[other], &edge.var)
-            .ok_or_else(|| PlanError::Internal("join var missing on right".into()))?;
-
-        // Collect the "is the unbound object partially bound?" flags.
-        let mut unbound_flags = Vec::new();
-        for (star_idx, role) in [(components[lpos], lrole), (other, rrole)] {
-            if let JoinRole::UnboundObj(u) = role {
-                let pat = query.stars[star_idx].unbound_patterns()[u].clone();
-                unbound_flags.push(matches!(pat.object, ObjPattern::Filtered(_, _)));
-            }
-        }
-        let mode = mode_for(strategy, &unbound_flags);
-
-        let out = format!("{label}.tgjoin{join_no}");
-        let job = tg_join_job(
-            format!("{label}.tgjoin{join_no}"),
-            JoinSide { file: current_file.clone(), component: lpos, role: lrole },
-            JoinSide { file: ec_files[other].clone(), component: 0, role: rrole },
-            mode,
-            &out,
-        );
-        if let Err(e) = wf.run_job(job) {
-            return fail(wf, &e);
-        }
-        joined.insert(other);
-        components.push(other);
-        current_file = out;
-        join_no += 1;
-    }
-
-    let stats = wf.finish(&[&current_file]);
-    let solutions = if extract_solutions {
-        let tuples: Vec<TgTuple> = engine
-            .read_records(&current_file)
-            .map_err(|e| PlanError::Internal(format!("reading final output: {e}")))?;
-        Some(expand_tuples(&tuples, &components, query)?)
-    } else {
-        None
-    };
-    Ok(QueryRun { stats, solutions })
+    let plan = optimize(query, stats, &engine.cost, &OptimizerConfig::for_engine(engine))?;
+    execute_plan(plane, &plan, engine, query, input, label, extract_solutions).map(|(run, _)| run)
 }
 
 #[cfg(test)]
@@ -390,26 +419,53 @@ mod tests {
             let mut dict = rdf_model::Dictionary::default();
             mr_rdf::load_store_ids(&engine, "tid", &s, &mut dict).unwrap();
             let engine = engine.with_dict(Arc::new(dict));
-            let r =
-                execute_on(DataPlane::Ids, strategy, &engine, &query, "tid", "q", true).unwrap();
+            let plan = strategy.plan(&query).unwrap();
+            let (r, stars) =
+                execute_plan(DataPlane::Ids, &plan, &engine, &query, "tid", "q", true).unwrap();
             assert!(r.succeeded(), "{strategy:?}");
+            assert_eq!(stars.len(), 2, "{strategy:?}");
             assert_eq!(r.solutions.unwrap(), gold, "{strategy:?}");
         }
         // Without a dictionary the ID plane is a planning error, not a crash.
         let engine = Engine::unbounded();
         mr_rdf::load_store(&engine, "t", &s).unwrap();
+        let plan = Strategy::Eager.plan(&query).unwrap();
         assert!(matches!(
-            execute_on(DataPlane::Ids, Strategy::Eager, &engine, &query, "t", "q", true),
+            execute_plan(DataPlane::Ids, &plan, &engine, &query, "t", "q", true),
+            Err(PlanError::Internal(_))
+        ));
+    }
+
+    #[test]
+    fn strategies_construct_uniform_plans_without_estimates() {
+        let query = parse_query(UNBOUND_2STAR).unwrap();
+        let eager = Strategy::Eager.plan(&query).unwrap();
+        assert_eq!(eager.label, "EagerUnnest");
+        assert_eq!(eager.eager_stars, vec![true, true]);
+        assert_eq!(eager.job1_reduce_tasks, REDUCERS);
+        assert!(eager.estimates.is_none());
+        let partial = Strategy::LazyPartial(4).plan(&query).unwrap();
+        assert_eq!(partial.eager_stars, vec![false, false]);
+        assert_eq!(
+            partial.cycles,
+            vec![JoinAlgo::Reduce { mode: UnnestMode::Partial(4), reduce_tasks: REDUCERS }]
+        );
+        // A plan built for another query shape is refused, not mis-run.
+        let single = parse_query("SELECT * WHERE { ?g <label> ?l . }").unwrap();
+        let engine = Engine::unbounded();
+        load_store(&engine, "t", &store()).unwrap();
+        assert!(matches!(
+            execute_plan(DataPlane::Lexical, &partial, &engine, &single, "t", "q", false),
             Err(PlanError::Internal(_))
         ));
     }
 
     #[test]
     fn auto_uses_full_for_partially_bound() {
-        assert_eq!(mode_for(Strategy::Auto(8), &[true]), UnnestMode::Exact);
-        assert_eq!(mode_for(Strategy::Auto(8), &[false]), UnnestMode::Partial(8));
+        assert_eq!(mode_for(Strategy::Auto(8), &[(0, true)]), UnnestMode::Exact);
+        assert_eq!(mode_for(Strategy::Auto(8), &[(0, false)]), UnnestMode::Partial(8));
         assert_eq!(mode_for(Strategy::Auto(8), &[]), UnnestMode::Exact);
-        assert_eq!(mode_for(Strategy::LazyPartial(4), &[true]), UnnestMode::Partial(4));
-        assert_eq!(mode_for(Strategy::LazyFull, &[false]), UnnestMode::Exact);
+        assert_eq!(mode_for(Strategy::LazyPartial(4), &[(0, true)]), UnnestMode::Partial(4));
+        assert_eq!(mode_for(Strategy::LazyFull, &[(0, false)]), UnnestMode::Exact);
     }
 }

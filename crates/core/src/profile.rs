@@ -1,7 +1,7 @@
 //! EXPLAIN ANALYZE: join the optimizer's priced [`PhysicalPlan`] against the
 //! measured [`WorkflowStats`] of the run that executed it.
 //!
-//! [`crate::optimizer::execute_plan_on`] names its jobs deterministically —
+//! [`crate::planner::execute_plan`] names its jobs deterministically —
 //! `{label}.group` for Job 1, then `{label}.tgjoin{i}` for cycle `i` — so the
 //! plan's operators and the run's [`mrsim::JobStats`] line up positionally:
 //! `stats.jobs[0]` is Job 1 and `stats.jobs[i + 1]` is cycle `i`. This module
@@ -20,7 +20,7 @@
 //!   re-sum the rows and verify the document is internally consistent to
 //!   float precision.
 
-use crate::optimizer::{JoinAlgo, PhysicalPlan};
+use crate::optimizer::{CycleEstimate, JoinAlgo, PhysicalPlan};
 use crate::physical::{BuildSide, UnnestMode};
 use mr_rdf::PlanError;
 use mrsim::trace::JsonObject;
@@ -137,29 +137,21 @@ fn cycle_operator(algo: &JoinAlgo) -> String {
     }
 }
 
-/// The plan-side column of one operator row.
-struct Est {
-    records: f64,
-    bytes: f64,
-    shuffle: u64,
-    seconds: f64,
-}
-
 fn op_profile(
     name: &str,
     operator: String,
-    est: Est,
+    est: &CycleEstimate,
     job: &JobStats,
     broadcast_repaired: bool,
 ) -> OpProfile {
     OpProfile {
         name: name.to_string(),
         operator,
-        estimated_records: est.records,
+        estimated_records: est.output_records,
         actual_records: job.output_records,
-        estimated_bytes: est.bytes,
+        estimated_bytes: est.output_bytes,
         actual_bytes: job.output_text_bytes,
-        estimated_shuffle_bytes: est.shuffle,
+        estimated_shuffle_bytes: est.shuffle_bytes,
         actual_shuffle_bytes: job.shuffle_bytes(),
         estimated_seconds: est.seconds,
         actual_seconds: job.sim_seconds,
@@ -176,27 +168,31 @@ fn op_profile(
 ///
 /// `star_actual_records` carries the per-star Job 1 output cardinalities
 /// (one entry per star, as returned by
-/// [`crate::optimizer::execute_plan_profiled`]); pass an empty slice to skip
-/// the per-star breakdown. Fails when the stats do not have the plan's
-/// shape — one job for Job 1 plus one per cycle.
+/// [`crate::planner::execute_plan`]); pass an empty slice to skip the
+/// per-star breakdown. Fails when the plan carries no estimates (a
+/// hand-picked strategy has nothing to compare the run against) or the
+/// stats do not have the plan's shape — one job for Job 1 plus one per
+/// cycle.
 pub fn explain_analyze(
     plan: &PhysicalPlan,
     stats: &WorkflowStats,
     star_actual_records: &[u64],
 ) -> Result<Profile, PlanError> {
-    if stats.jobs.len() != plan.cycles.len() + 1 {
+    let est = plan
+        .estimates
+        .as_ref()
+        .ok_or_else(|| PlanError::Internal("EXPLAIN ANALYZE needs a plan with estimates".into()))?;
+    if stats.jobs.len() != plan.cycles.len() + 1 || est.cycles.len() != plan.cycles.len() {
         return Err(PlanError::Internal(format!(
             "profile shape mismatch: plan has 1 + {} jobs, stats has {}",
             plan.cycles.len(),
             stats.jobs.len()
         )));
     }
-    if !star_actual_records.is_empty()
-        && star_actual_records.len() != plan.estimated_star_records.len()
-    {
+    if !star_actual_records.is_empty() && star_actual_records.len() != est.star_records.len() {
         return Err(PlanError::Internal(format!(
             "profile star mismatch: plan has {} stars, {} actuals given",
-            plan.estimated_star_records.len(),
+            est.star_records.len(),
             star_actual_records.len()
         )));
     }
@@ -205,35 +201,24 @@ pub fn explain_analyze(
     operators.push(op_profile(
         &stats.jobs[0].name,
         job1_operator(plan),
-        Est {
-            records: plan.estimated_job1_records,
-            bytes: plan.estimated_job1_bytes,
+        &CycleEstimate {
+            output_records: est.job1_records,
+            output_bytes: est.job1_bytes,
             // Job 1 always shuffles; the plan prices it inside job1 seconds
             // but does not expose the byte figure, so report the measured
             // value as its own estimate-free column.
-            shuffle: stats.jobs[0].shuffle_bytes(),
-            seconds: plan.estimated_job1_seconds,
+            shuffle_bytes: stats.jobs[0].shuffle_bytes(),
+            seconds: est.job1_seconds,
         },
         &stats.jobs[0],
         false,
     ));
-    for (i, cycle) in plan.cycles.iter().enumerate() {
+    for (i, (algo, cycle)) in plan.cycles.iter().zip(&est.cycles).enumerate() {
         let job = &stats.jobs[i + 1];
         // A planned broadcast that ran with zero broadcast files was
-        // repaired to the reduce-side join by execute_plan_on.
-        let repaired = matches!(cycle.algo, JoinAlgo::Broadcast { .. }) && job.broadcast_files == 0;
-        operators.push(op_profile(
-            &job.name,
-            cycle_operator(&cycle.algo),
-            Est {
-                records: cycle.estimated_output_records,
-                bytes: cycle.estimated_output_bytes,
-                shuffle: cycle.estimated_shuffle_bytes,
-                seconds: cycle.estimated_seconds,
-            },
-            job,
-            repaired,
-        ));
+        // repaired to the reduce-side join by execute_plan.
+        let repaired = matches!(algo, JoinAlgo::Broadcast { .. }) && job.broadcast_files == 0;
+        operators.push(op_profile(&job.name, cycle_operator(algo), cycle, job, repaired));
     }
 
     let stars = star_actual_records
@@ -242,9 +227,9 @@ pub fn explain_analyze(
         .map(|(i, &actual)| StarProfile {
             star: i,
             eager: plan.eager_stars[i],
-            estimated_records: plan.estimated_star_records[i],
+            estimated_records: est.star_records[i],
             actual_records: actual,
-            q_error: q_error(plan.estimated_star_records[i], actual as f64),
+            q_error: q_error(est.star_records[i], actual as f64),
         })
         .collect();
 
@@ -252,7 +237,7 @@ pub fn explain_analyze(
         label: stats.label.clone(),
         operators,
         stars,
-        estimated_total_seconds: plan.estimated_seconds,
+        estimated_total_seconds: est.seconds,
         actual_total_seconds: stats.sim_seconds,
         max_q_error: stats.max_q_error(),
         peak_arena_bytes: stats.peak_arena_bytes(),
@@ -430,9 +415,8 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{
-        execute_plan, execute_plan_profiled, optimize, DataPlane, OptimizerConfig,
-    };
+    use crate::optimizer::{optimize, DataPlane, OptimizerConfig};
+    use crate::planner::{execute_plan, Strategy};
     use mr_rdf::load_store;
     use mrsim::CostModel;
     use rdf_model::{STriple, TripleStore};
@@ -462,8 +446,7 @@ mod tests {
         let engine = mrsim::Engine::unbounded().with_cost(cost).with_profiling(true);
         load_store(&engine, "t", &s).unwrap();
         let (run, stars) =
-            execute_plan_profiled(DataPlane::Lexical, &plan, &engine, &query, "t", "q", false)
-                .unwrap();
+            execute_plan(DataPlane::Lexical, &plan, &engine, &query, "t", "q", false).unwrap();
         assert!(run.succeeded());
         assert_eq!(stars.len(), query.stars.len());
         let profile = explain_analyze(&plan, &run.stats, &stars).unwrap();
@@ -522,7 +505,11 @@ mod tests {
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let engine = mrsim::Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
-        let run = execute_plan(&plan, &engine, &query, "t", "q", false).unwrap();
+        let (run, _) =
+            execute_plan(DataPlane::Lexical, &plan, &engine, &query, "t", "q", false).unwrap();
         assert!(explain_analyze(&plan, &run.stats, &[1]).is_err());
+        // A hand-picked plan has no estimated column to join against.
+        let hand = Strategy::LazyFull.plan(&query).unwrap();
+        assert!(explain_analyze(&hand, &run.stats, &[]).is_err());
     }
 }

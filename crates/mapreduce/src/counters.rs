@@ -183,11 +183,6 @@ pub struct JobStats {
     /// True if this job scanned the base input relation in full
     /// (the paper's "FS" column in Figure 3).
     pub full_input_scan: bool,
-    /// Shuffle sort strategy tag the engine ran this job with
-    /// (`"radix"` or `"comparison"`; see `mrsim::SortStrategy`). Both
-    /// strategies produce byte-identical output; the tag records which
-    /// pipeline did the ordering.
-    pub sort_strategy: &'static str,
     /// Broadcast side files attached to this job (the simulated
     /// distributed cache; 0 for ordinary jobs).
     pub broadcast_files: u64,

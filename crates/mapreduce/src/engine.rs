@@ -20,13 +20,11 @@
 //! output files and identical counters regardless of worker count. Map
 //! output is concatenated in input order, and each reduce partition's
 //! record *index* is brought into the canonical `(key bytes, value bytes)`
-//! order before grouping — under the default [`SortStrategy::Radix`] each
-//! map task radix-sorts its buckets over the cached key prefixes and the
-//! reduce side k-way merges the absorbed sorted runs; under
-//! [`SortStrategy::Comparison`] the reduce side pays one full comparison
-//! sort. Both are observationally deterministic because entries comparing
-//! equal are byte-identical records, and both realize the identical index
-//! array (see the `spill` module docs).
+//! order before grouping: each map task radix-sorts its buckets over the
+//! cached key prefixes and the reduce side k-way merges the absorbed
+//! sorted runs. This is observationally deterministic because entries
+//! comparing equal are byte-identical records (see the `spill` module
+//! docs).
 
 use crate::cost::CostModel;
 use crate::counters::JobStats;
@@ -36,7 +34,7 @@ use crate::hdfs::{DfsFile, SimHdfs};
 use crate::job::{
     JobKind, JobSpec, MapEmitter, OutEmitter, RawCombineOp, RawMapOnlyOp, RawMapOp, TaskContext,
 };
-use crate::spill::{SortStrategy, SpillArena};
+use crate::spill::SpillArena;
 use crate::trace::{TaskPhase, TraceEvent, TraceSink};
 use crate::workflow::RecoveryPolicy;
 use parking_lot::Mutex;
@@ -102,13 +100,6 @@ pub struct Engine {
     /// silently into job output — only useful to demonstrate why the
     /// checksums are load-bearing.
     pub verify_checksums: bool,
-    /// How the shuffle orders record indexes: [`SortStrategy::Radix`]
-    /// (the default) radix-sorts each map-side bucket over the cached
-    /// key prefixes and k-way merges the sorted runs at the reduce side;
-    /// [`SortStrategy::Comparison`] is the legacy single full comparison
-    /// sort per reduce partition, kept for differential testing. Both
-    /// produce byte-identical output.
-    pub sort_strategy: SortStrategy,
     /// Hadoop's skip mode (`mapreduce.map.skip.maxrecords`): when set,
     /// a map task that hits an undecodable input record
     /// ([`MrError::Codec`]) quarantines the raw record into a
@@ -147,7 +138,6 @@ impl Engine {
             dict: None,
             profiling: false,
             verify_checksums: true,
-            sort_strategy: SortStrategy::Radix,
             skip_bad_records: None,
         }
     }
@@ -207,15 +197,6 @@ impl Engine {
     /// meant for controlled demonstrations of silent corruption.
     pub fn with_verification(mut self, on: bool) -> Self {
         self.verify_checksums = on;
-        self
-    }
-
-    /// Select the shuffle sort strategy (see [`Engine::sort_strategy`]).
-    /// [`SortStrategy::Radix`] is the default; [`SortStrategy::Comparison`]
-    /// re-enables the legacy comparison-sort pipeline for differential
-    /// testing and benchmarking.
-    pub fn with_sort_strategy(mut self, strategy: SortStrategy) -> Self {
-        self.sort_strategy = strategy;
         self
     }
 
@@ -416,7 +397,6 @@ impl Engine {
         spec.validate()?;
         let mut stats = JobStats { name: spec.name.clone(), ..JobStats::default() };
         stats.full_input_scan = spec.full_input_scan;
-        stats.sort_strategy = self.sort_strategy.as_str();
         let replication =
             spec.replication.unwrap_or_else(|| self.hdfs.lock().default_replication());
         // Budget for early abort: text bytes this job may write.
@@ -475,14 +455,13 @@ impl Engine {
                     &mut scratch,
                 )?;
                 stats.reduce_tasks = *reduce_tasks as u64;
-                // The shuffle's sort configuration and work: how many
-                // map-side sorted runs reached the reduce side, and how
+                // The shuffle's sort work: how many map-side sorted runs
+                // reached the reduce side, and how
                 // many index entries the reducers order. Both are pure
                 // functions of the input split, so the event stream stays
                 // worker-count-invariant.
                 self.emit(|| TraceEvent::SortPlan {
                     job: spec.name.clone(),
-                    strategy: self.sort_strategy.as_str(),
                     map_sorted_runs: partitions.iter().map(|p| p.sorted_run_count() as u64).sum(),
                     merge_entries: partitions.iter().map(|p| p.len() as u64).sum(),
                 });
@@ -920,13 +899,11 @@ impl Engine {
                 // combined replacement coexist in task memory.
                 live_bytes += out.buckets.iter().map(SpillArena::footprint_bytes).sum::<u64>();
             }
-            if self.sort_strategy == SortStrategy::Radix {
-                // Map-side sort (Hadoop sorts every spill before the
-                // reducers fetch it): each bucket becomes one sorted run
-                // the reduce side can merge instead of re-sorting.
-                for bucket in &mut out.buckets {
-                    bucket.sort_with(SortStrategy::Radix);
-                }
+            // Map-side sort (Hadoop sorts every spill before the
+            // reducers fetch it): each bucket becomes one sorted run
+            // the reduce side can merge instead of re-sorting.
+            for bucket in &mut out.buckets {
+                bucket.sort_unstable();
             }
             if self.verify_checksums {
                 // Seal once the bucket contents are final (post-combiner):
@@ -1002,7 +979,7 @@ impl Engine {
                     for wire in bucket.record_wire_sizes() {
                         stats.metrics.record(crate::metrics::name::RECORD_SHUFFLE_BYTES, wire);
                     }
-                    if !bucket.is_empty() && self.sort_strategy == SortStrategy::Radix {
+                    if !bucket.is_empty() {
                         // Map-side sort work: entries per sorted run. A
                         // pure function of the input split (never of
                         // worker count or fault draws), like every other
@@ -1013,10 +990,7 @@ impl Engine {
                         );
                     }
                 }
-                match self.sort_strategy {
-                    SortStrategy::Radix => partitions[p].absorb_sorted(bucket),
-                    SortStrategy::Comparison => partitions[p].absorb(bucket),
-                }
+                partitions[p].absorb_sorted(bucket);
             }
         }
         self.write_quarantine(&job, quarantined)?;
@@ -1044,7 +1018,7 @@ impl Engine {
         let mut combined = MapEmitter::partitioned(out.buckets.len());
         let mut values: Vec<&[u8]> = Vec::new();
         for bucket in &mut out.buckets {
-            bucket.sort_with(self.sort_strategy);
+            bucket.sort_unstable();
         }
         for bucket in &out.buckets {
             // Same grouping iterator the reduce side streams from.
@@ -1090,13 +1064,10 @@ impl Engine {
             // or fault draws.
             ctx.record(crate::metrics::name::SORT_REDUCE_ENTRIES, guard.len() as u64);
             ctx.record(crate::metrics::name::SORT_MERGE_RUNS, guard.sorted_run_count() as u64);
-            match self.sort_strategy {
-                // The map side already sorted each absorbed bucket:
-                // stream the canonical order out of a k-way run merge
-                // instead of paying a second full sort.
-                SortStrategy::Radix => guard.merge_sorted_runs(),
-                SortStrategy::Comparison => guard.sort_with(SortStrategy::Comparison),
-            }
+            // The map side already sorted each absorbed bucket: stream
+            // the canonical order out of a k-way run merge instead of
+            // paying a second full sort.
+            guard.merge_sorted_runs();
             let part: &SpillArena = &guard;
             // The reduce task's live set is its whole partition arena
             // (payload bytes + sort index).

@@ -78,7 +78,7 @@ pub use job::{
     RawReduceOp, TaskContext, TypedMapEmitter, TypedOutEmitter,
 };
 pub use metrics::{Histogram, MetricsRegistry};
-pub use spill::{SortStrategy, SpillArena};
+pub use spill::SpillArena;
 pub use trace::{
     ChromeTraceSink, JsonlSink, MemorySink, MultiSink, TaskPhase, TraceEvent, TraceSink,
 };

@@ -20,16 +20,16 @@
 //!
 //! ## Sort and merge
 //!
-//! [`SortStrategy::Radix`] (the default) orders the index with an LSD
-//! radix sort over the cached prefixes: one histogram pass over all 8
+//! [`SpillArena::sort_unstable`] orders the index with an LSD radix sort
+//! over the cached prefixes: one histogram pass over all 8
 //! prefix bytes, then a stable counting pass per byte from least to most
 //! significant, **skipping bytes that are constant across the arena**
 //! (varint-id keys zero-pad the low prefix bytes, IRI keys share their
 //! scheme bytes — most passes skip). Entries inside a prefix-equal run
 //! are then finished with a comparison sort over `(key tail, value,
-//! offset)`; small arenas skip radix entirely and comparison-sort.
-//! [`SortStrategy::Comparison`] is the pre-radix `sort_unstable_by`
-//! pipeline, kept for differential testing.
+//! offset)`; small arenas skip radix entirely and comparison-sort. A
+//! whole-arena comparison sort — the pre-radix pipeline — survives only
+//! as the `#[cfg(test)]` reference the differential tests compare against.
 //!
 //! Sorting marks the arena as one **sorted run**. The shuffle driver
 //! absorbs map-side-sorted buckets with [`SpillArena::absorb_sorted`],
@@ -55,9 +55,9 @@
 //!
 //! ## Determinism
 //!
-//! Both strategies realize the same **canonical total order**: `(prefix,
-//! key bytes, value bytes, offset)`. Entries that compare equal under
-//! `(prefix, key, value)` are byte-identical records, so any permutation
+//! Every sort and merge path realizes the same **canonical total order**:
+//! `(prefix, key bytes, value bytes, offset)`. Entries that compare equal
+//! under `(prefix, key, value)` are byte-identical records, so any permutation
 //! of them yields the same record stream — the trailing offset tie-break
 //! adds nothing observable, but it makes the order *total* (offsets are
 //! unique), so radix, comparison, and the k-way merge all produce the
@@ -87,34 +87,6 @@ fn key_prefix(key: &[u8]) -> u64 {
         let mut p = [0u8; 8];
         p[..key.len()].copy_from_slice(key);
         u64::from_be_bytes(p)
-    }
-}
-
-/// Which algorithm orders a [`SpillArena`]'s record index.
-///
-/// Both strategies produce the identical index array (see the module
-/// docs on the canonical total order); `Comparison` exists so the radix
-/// pipeline can be differentially tested and benchmarked against the
-/// path it replaced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SortStrategy {
-    /// LSD radix sort over the cached prefixes, with map-side bucket
-    /// sorting and a k-way sorted-run merge at the reduce side. Default.
-    #[default]
-    Radix,
-    /// The pre-radix comparison sort (`sort_unstable_by` over the
-    /// canonical order), with the reduce side paying a full sort after
-    /// absorb. Kept for differential testing.
-    Comparison,
-}
-
-impl SortStrategy {
-    /// Stable lowercase tag recorded in job stats and trace output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SortStrategy::Radix => "radix",
-            SortStrategy::Comparison => "comparison",
-        }
     }
 }
 
@@ -279,18 +251,19 @@ impl SpillArena {
         GroupRanges { arena: self, start: 0 }
     }
 
-    /// Append every record of `other`, preserving its record order: a
-    /// byte memcpy plus an offset rebase per entry — the whole-bucket
-    /// concatenation the shuffle driver performs. Drops any tracked run
-    /// structure; use [`absorb_sorted`](Self::absorb_sorted) when the
-    /// incoming bucket is known-sorted.
-    pub fn absorb(&mut self, other: &SpillArena) {
+    /// Append every record of `other` without tracking runs — the
+    /// pre-radix shuffle transfer, whose reduce side paid a full sort.
+    /// Reference path for the differential tests.
+    #[cfg(test)]
+    fn absorb(&mut self, other: &SpillArena) {
         self.runs.clear();
         self.absorb_bytes(other);
     }
 
-    /// [`absorb`](Self::absorb), but record the incoming bucket as one
-    /// sorted run so the reduce side can
+    /// Append every record of `other`, preserving its record order: a
+    /// byte memcpy plus an offset rebase per entry — the whole-bucket
+    /// concatenation the shuffle driver performs — and record the
+    /// incoming bucket as one sorted run so the reduce side can
     /// [`merge_sorted_runs`](Self::merge_sorted_runs) instead of paying
     /// a full re-sort. The caller guarantees `other` is sorted (the
     /// driver only routes map-side-sorted, seal-verified buckets here).
@@ -320,8 +293,7 @@ impl SpillArena {
     }
 
     /// Number of tracked sorted runs, or 0 when the arena has no valid
-    /// run structure (freshly pushed records, or a plain
-    /// [`absorb`](Self::absorb)).
+    /// run structure (freshly pushed, unsorted records).
     pub fn sorted_run_count(&self) -> usize {
         if self.runs.last().map_or(0, |&e| e as usize) == self.entries.len() {
             self.runs.len()
@@ -384,26 +356,29 @@ impl SpillArena {
         self.bytes[offset] ^= 0x01;
     }
 
-    /// Sort the record index into the canonical order with the default
-    /// [`SortStrategy::Radix`] pipeline. Unstable, but observationally
-    /// deterministic (see module docs).
+    /// Sort the record index into the canonical `(prefix, key bytes,
+    /// value bytes, offset)` order and mark the arena as a single sorted
+    /// run. Unstable, but observationally deterministic (see module docs).
     pub fn sort_unstable(&mut self) {
-        self.sort_with(SortStrategy::Radix);
+        self.sort_radix();
+        self.mark_one_run();
     }
 
-    /// Sort the record index into the canonical `(prefix, key bytes,
-    /// value bytes, offset)` order with the given strategy, and mark the
-    /// arena as a single sorted run. Both strategies produce the
-    /// identical index array (the order is total).
-    pub fn sort_with(&mut self, strategy: SortStrategy) {
-        match strategy {
-            SortStrategy::Radix => self.sort_radix(),
-            SortStrategy::Comparison => self.sort_comparison(),
-        }
+    fn mark_one_run(&mut self) {
         self.runs.clear();
         if !self.entries.is_empty() {
             self.runs.push(u32::try_from(self.entries.len()).expect("spill arena entry count"));
         }
+    }
+
+    /// The pre-radix pipeline — one comparison sort of the whole index —
+    /// kept as the reference the differential tests pin
+    /// [`sort_unstable`](Self::sort_unstable) and
+    /// [`merge_sorted_runs`](Self::merge_sorted_runs) against.
+    #[cfg(test)]
+    fn sort_reference(&mut self) {
+        self.sort_comparison();
+        self.mark_one_run();
     }
 
     fn sort_comparison(&mut self) {
@@ -471,7 +446,7 @@ impl SpillArena {
     /// its tracked sorted runs — an index-entry merge; record bytes never
     /// move and no payloads are copied. Falls back to a full radix sort
     /// when no valid run structure is tracked. Produces exactly the array
-    /// [`sort_with`](Self::sort_with) would (the canonical order is
+    /// [`sort_unstable`](Self::sort_unstable) would (the canonical order is
     /// total), in `O(n log k)` compares instead of a second full sort.
     ///
     /// The merge is an iterative pairwise ping-pong between two entry
@@ -483,7 +458,7 @@ impl SpillArena {
     pub fn merge_sorted_runs(&mut self) {
         let n = self.entries.len();
         if self.runs.last().map_or(0, |&e| e as usize) != n {
-            self.sort_with(SortStrategy::Radix);
+            self.sort_unstable();
             return;
         }
         if self.runs.len() <= 1 {
@@ -1017,9 +992,9 @@ mod tests {
     fn radix_and_comparison_agree_on_large_mixed_keys() {
         let base = mixed_arena(2000);
         let mut radix = base.clone();
-        radix.sort_with(SortStrategy::Radix);
+        radix.sort_unstable();
         let mut cmp = base.clone();
-        cmp.sort_with(SortStrategy::Comparison);
+        cmp.sort_reference();
         assert_eq!(index_snapshot(&radix), index_snapshot(&cmp));
         assert_eq!(radix.checksum(), cmp.checksum());
         // And both match the owned-pair reference order.
@@ -1047,7 +1022,7 @@ mod tests {
         let mut merged = SpillArena::default();
         for bucket in &buckets {
             let mut sorted = bucket.clone();
-            sorted.sort_with(SortStrategy::Radix);
+            sorted.sort_unstable();
             merged.absorb_sorted(&sorted);
         }
         assert_eq!(merged.sorted_run_count(), 5);
@@ -1057,11 +1032,11 @@ mod tests {
         let mut resorted = SpillArena::default();
         for bucket in &buckets {
             let mut sorted = bucket.clone();
-            sorted.sort_with(SortStrategy::Radix);
+            sorted.sort_unstable();
             resorted.absorb(&sorted);
         }
         assert_eq!(resorted.sorted_run_count(), 0);
-        resorted.sort_with(SortStrategy::Comparison);
+        resorted.sort_reference();
         assert_eq!(index_snapshot(&merged), index_snapshot(&resorted));
         assert_eq!(merged.checksum(), resorted.checksum());
         let groups: Vec<_> = merged.group_ranges().collect();
@@ -1075,7 +1050,7 @@ mod tests {
         assert_eq!(a.sorted_run_count(), 0);
         a.merge_sorted_runs();
         let mut reference = mixed_arena(500);
-        reference.sort_with(SortStrategy::Comparison);
+        reference.sort_reference();
         assert_eq!(index_snapshot(&a), index_snapshot(&reference));
         // A push invalidates the run structure again.
         a.push_pair(b"zzz", b"v", 1);
@@ -1173,9 +1148,9 @@ mod tests {
             fn radix_equals_comparison(keys in any_key_set()) {
                 let base = build(&keys);
                 let mut radix = base.clone();
-                radix.sort_with(SortStrategy::Radix);
+                radix.sort_unstable();
                 let mut cmp = base;
-                cmp.sort_with(SortStrategy::Comparison);
+                cmp.sort_reference();
                 prop_assert_eq!(index_snapshot(&radix), index_snapshot(&cmp));
                 prop_assert_eq!(radix.checksum(), cmp.checksum());
             }
@@ -1189,12 +1164,12 @@ mod tests {
                 let mut resorted = SpillArena::default();
                 for keys in &chunks {
                     let mut bucket = build(keys);
-                    bucket.sort_with(SortStrategy::Radix);
+                    bucket.sort_unstable();
                     merged.absorb_sorted(&bucket);
                     resorted.absorb(&bucket);
                 }
                 merged.merge_sorted_runs();
-                resorted.sort_with(SortStrategy::Comparison);
+                resorted.sort_reference();
                 prop_assert_eq!(index_snapshot(&merged), index_snapshot(&resorted));
                 prop_assert_eq!(merged.checksum(), resorted.checksum());
             }

@@ -255,21 +255,17 @@ pub enum TraceEvent {
         /// Largest recorded value.
         max: u64,
     },
-    /// The shuffle sort configuration and work of one map-reduce job:
-    /// which [`SortStrategy`](crate::SortStrategy) ordered the record
-    /// indexes, how many map-side-sorted runs reached the reduce side,
-    /// and how many index entries the reducers brought into canonical
-    /// order. Work counts, not wall-clock: the event stream must stay
-    /// worker-count- and fault-regime-invariant.
+    /// The shuffle sort work of one map-reduce job: how many
+    /// map-side-sorted runs reached the reduce side, and how many index
+    /// entries the reducers brought into canonical order. Work counts,
+    /// not wall-clock: the event stream must stay worker-count- and
+    /// fault-regime-invariant.
     SortPlan {
         /// Job name.
         job: String,
-        /// Sort strategy tag (`"radix"` or `"comparison"`).
-        strategy: &'static str,
-        /// Map-side sorted runs absorbed across all reduce partitions
-        /// (0 under the comparison strategy: nothing arrives sorted).
+        /// Map-side sorted runs absorbed across all reduce partitions.
         map_sorted_runs: u64,
-        /// Index entries ordered reduce-side (merged or fully sorted).
+        /// Index entries the reduce side merged into canonical order.
         merge_entries: u64,
     },
     /// A job finished; carries its headline counters.
@@ -476,9 +472,8 @@ impl TraceEvent {
                 o.u64("p99", *p99);
                 o.u64("max", *max);
             }
-            TraceEvent::SortPlan { job, strategy, map_sorted_runs, merge_entries } => {
+            TraceEvent::SortPlan { job, map_sorted_runs, merge_entries } => {
                 o.str("job", job);
-                o.str("strategy", strategy);
                 o.u64("map_sorted_runs", *map_sorted_runs);
                 o.u64("merge_entries", *merge_entries);
             }
@@ -1247,12 +1242,7 @@ mod tests {
                 p99: 511,
                 max: 400,
             },
-            TraceEvent::SortPlan {
-                job: "j1".into(),
-                strategy: "radix",
-                map_sorted_runs: 16,
-                merge_entries: 4096,
-            },
+            TraceEvent::SortPlan { job: "j1".into(), map_sorted_runs: 16, merge_entries: 4096 },
             TraceEvent::Broadcast { job: "j1".into(), files: 1, bytes: 640, ship_bytes: 2560 },
             TraceEvent::CardinalityEstimate {
                 job: "j1".into(),

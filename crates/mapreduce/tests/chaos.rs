@@ -21,7 +21,7 @@
 use mrsim::trace::TraceEvent;
 use mrsim::{
     combine_fn, map_fn, reduce_fn, Engine, FaultConfig, InputBinding, JobSpec, MemorySink,
-    SortStrategy, TraceSink, TypedMapEmitter, TypedOutEmitter, Workflow, WorkflowStats,
+    TraceSink, TypedMapEmitter, TypedOutEmitter, Workflow, WorkflowStats,
 };
 use std::sync::Arc;
 
@@ -106,25 +106,11 @@ fn run_chaos_with(
     workers: usize,
     verify: bool,
 ) -> Result<ChaosRun, mrsim::MrError> {
-    run_chaos_full(regime, seed, workers, verify, SortStrategy::default())
-}
-
-/// [`run_chaos_with`] with an explicit [`SortStrategy`] — the hook the
-/// strategy-invariance regime below uses to replay the campaign under the
-/// comparison sort.
-fn run_chaos_full(
-    regime: Regime,
-    seed: u64,
-    workers: usize,
-    verify: bool,
-    strategy: SortStrategy,
-) -> Result<ChaosRun, mrsim::MrError> {
     let sink = MemorySink::new();
     let engine = Engine::unbounded()
         .with_workers(workers)
         .with_faults(faults_for(regime, seed))
         .with_verification(verify)
-        .with_sort_strategy(strategy)
         .with_trace(sink.clone() as Arc<dyn TraceSink>);
     engine.put_records("in", (0..800).map(|i| format!("word{}", i % 17))).unwrap();
     let mut wf = Workflow::new(&engine, format!("chaos-{regime:?}"));
@@ -508,55 +494,20 @@ fn poison_record_quarantine_is_worker_invariant() {
 }
 
 #[test]
-fn fault_recovery_is_sort_strategy_invariant() {
-    // Replay faulted regimes under the comparison sort: recovery decisions,
-    // corruption accounting, and every output byte must match the radix
-    // runs. Only the `sort_plan` trace events may differ (strategy tag and
-    // map-side run counts), so the trace comparison filters them out.
-    let seed = campaign_seed();
-    let sans_sort_plans = |events: &[TraceEvent]| {
-        let kept: Vec<TraceEvent> =
-            events.iter().filter(|e| e.kind() != "sort_plan").cloned().collect();
-        canonical(&kept)
-    };
-    for regime in [Regime::TaskFail, Regime::Corruption, Regime::CorruptionCombined] {
-        let (radix_stats, radix_events, radix_out) = run_chaos(regime, seed, 4).unwrap();
-        for workers in [1usize, 4, 8] {
-            let (stats, events, out) =
-                run_chaos_full(regime, seed, workers, true, SortStrategy::Comparison).unwrap();
-            assert_eq!(out, radix_out, "{regime:?} workers={workers}");
-            assert_eq!(
-                stats.total_task_retries(),
-                radix_stats.total_task_retries(),
-                "{regime:?} workers={workers}"
-            );
-            assert_eq!(
-                stats.total_corruptions_detected(),
-                radix_stats.total_corruptions_detected(),
-                "{regime:?} workers={workers}"
-            );
-            assert_eq!(
-                sans_sort_plans(&events),
-                sans_sort_plans(&radix_events),
-                "{regime:?} workers={workers}"
-            );
-            for e in &events {
-                if let TraceEvent::SortPlan { strategy, map_sorted_runs, .. } = e {
-                    assert_eq!(*strategy, "comparison");
-                    assert_eq!(*map_sorted_runs, 0, "comparison sends nothing pre-sorted");
-                }
-            }
-        }
-    }
-    // And the radix runs really do ship map-side-sorted runs.
-    let (_, radix_events, _) = run_chaos(Regime::TaskFail, seed, 4).unwrap();
-    assert!(
-        radix_events.iter().any(|e| matches!(
-            e,
-            TraceEvent::SortPlan { strategy: "radix", map_sorted_runs, .. } if *map_sorted_runs > 0
-        )),
-        "radix sort_plan events must record sorted runs"
-    );
+fn faulted_shuffles_still_ship_map_sorted_runs() {
+    // Every map-reduce job announces its sort work, and what reaches the
+    // reduce side under faults is map-side-sorted runs to merge, never an
+    // unsorted pile to re-sort.
+    let (_, events, _) = run_chaos(Regime::TaskFail, campaign_seed(), 4).unwrap();
+    let runs: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::SortPlan { map_sorted_runs, .. } => Some(*map_sorted_runs),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(runs.len(), 3, "one sort_plan per job");
+    assert!(runs.iter().all(|&r| r > 0), "sort_plan events must record sorted runs: {runs:?}");
 }
 
 #[test]

@@ -432,122 +432,6 @@ mod arena_shuffle {
         }
     }
 
-    /// Same job, same input, opposite [`mrsim::SortStrategy`]: output
-    /// files and counters must be byte-identical. The only permitted
-    /// divergence is the `sort_strategy` tag itself, which the comparison
-    /// normalizes away before asserting.
-    fn engine_shuffle_with_strategy(
-        words: &[String],
-        workers: usize,
-        reducers: usize,
-        with_combiner: bool,
-        strategy: mrsim::SortStrategy,
-    ) -> (String, Vec<Vec<u8>>, u64) {
-        let engine = Engine::unbounded().with_workers(workers).with_sort_strategy(strategy);
-        engine.put_records("in", words.to_vec()).unwrap();
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
-            for (k, v) in map_pairs(&w) {
-                out.emit(&k, &v);
-            }
-            Ok(())
-        });
-        let reducer =
-            reduce_fn(|w: String, vals: Vec<u64>, out: &mut TypedOutEmitter<'_, (String, u64)>| {
-                for v in vals {
-                    out.emit(&(w.clone(), v))?;
-                }
-                Ok(())
-            });
-        let mut spec = JobSpec::map_reduce(
-            "strategy-diff",
-            vec![InputBinding { file: "in".into(), mapper }],
-            reducer,
-            reducers,
-            "out",
-        );
-        if with_combiner {
-            spec = spec.with_combiner(mrsim::combine_fn(
-                |w: String, vals: Vec<u64>, out: &mut TypedMapEmitter<'_, String, u64>| {
-                    out.emit(&w, &vals.iter().sum::<u64>());
-                    Ok(())
-                },
-            ));
-        }
-        let stats = engine.run_job(&spec).unwrap();
-        let file = engine.hdfs().lock().get("out").unwrap();
-        let normalized = format!("{stats:?}")
-            .replace("sort_strategy: \"radix\"", "sort_strategy: \"<any>\"")
-            .replace("sort_strategy: \"comparison\"", "sort_strategy: \"<any>\"");
-        (normalized, file.records.clone(), file.text_bytes)
-    }
-
-    proptest! {
-        #[test]
-        fn radix_equals_comparison_end_to_end(
-            words in arb_words(),
-            reducers in 1usize..5,
-            with_combiner in 0usize..2,
-        ) {
-            let with_combiner = with_combiner == 1;
-            for workers in [1usize, 4, 8] {
-                let radix = engine_shuffle_with_strategy(
-                    &words, workers, reducers, with_combiner, mrsim::SortStrategy::Radix,
-                );
-                let cmp = engine_shuffle_with_strategy(
-                    &words, workers, reducers, with_combiner, mrsim::SortStrategy::Comparison,
-                );
-                prop_assert_eq!(
-                    &radix.1, &cmp.1,
-                    "output diverged: workers={} reducers={} combiner={}",
-                    workers, reducers, with_combiner
-                );
-                prop_assert_eq!(radix.2, cmp.2);
-                prop_assert_eq!(
-                    &radix.0, &cmp.0,
-                    "counters diverged: workers={} reducers={} combiner={}",
-                    workers, reducers, with_combiner
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn radix_equals_comparison_across_multiple_map_tasks() {
-        // Large enough for several 1 024-record map tasks, so the
-        // sorted-run merge at reduce genuinely sees many runs per
-        // partition rather than one trivially pre-sorted arena.
-        let words: Vec<String> = (0..6000)
-            .map(|i| match i % 5 {
-                0 => format!("sharedprefix-{}", i % 23),
-                1 => "sharedprefix".to_string(),
-                2 => format!("k{}", i % 11),
-                3 => String::new(),
-                _ => format!("sharedprefix-{}#x", i % 7),
-            })
-            .collect();
-        for with_combiner in [false, true] {
-            for workers in [1usize, 4, 8] {
-                let radix = engine_shuffle_with_strategy(
-                    &words,
-                    workers,
-                    4,
-                    with_combiner,
-                    mrsim::SortStrategy::Radix,
-                );
-                let cmp = engine_shuffle_with_strategy(
-                    &words,
-                    workers,
-                    4,
-                    with_combiner,
-                    mrsim::SortStrategy::Comparison,
-                );
-                assert_eq!(radix.1, cmp.1, "workers={workers} combiner={with_combiner}");
-                assert_eq!(radix.2, cmp.2);
-                assert_eq!(radix.0, cmp.0, "workers={workers} combiner={with_combiner}");
-            }
-        }
-    }
-
     #[test]
     fn arena_matches_reference_across_multiple_map_tasks() {
         // 6 000 input records split into six 1 024-record map tasks

@@ -12,7 +12,10 @@
 //! * [`IdTripleRec`] / [`IdRow`] and friends — the dictionary-ID-encoded
 //!   (LEB128 varint) counterparts used by the ID-native data plane;
 //! * [`load_store`] / [`load_store_ids`] — put a [`rdf_model::TripleStore`]
-//!   into the simulated DFS, lexically or ID-encoded.
+//!   into the simulated DFS, lexically or ID-encoded;
+//! * [`run_query_workflow`] — the one driver every planner runs a query's
+//!   jobs through (validation, failure → failed [`QueryRun`], cleanup,
+//!   solution extraction).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -29,6 +32,6 @@ pub use id_rec::{
     load_store_ids, IdPair, IdRow, IdTaggedPo, IdTripleRec, SidedIdRow, ID_TRIPLES_FILE,
 };
 pub use row::{Row, RowSchema};
-pub use run::{PlanError, QueryRun};
+pub use run::{run_query_workflow, PlanError, QueryRun, WorkflowAbort};
 pub use support::{check_query, check_star, UnsupportedReason};
 pub use triple_rec::{load_store, read_store, TripleRec, TRIPLES_FILE};

@@ -13,9 +13,10 @@
 //! schemas; Hadoop text rows don't carry column names), which also converts
 //! rows to [`Binding`]s for result verification.
 
+use crate::run::PlanError;
 use mrsim::Rec;
 use rdf_model::atom::Atom;
-use rdf_query::Binding;
+use rdf_query::{Binding, SolutionSet};
 
 /// A flat n-tuple of interned tokens. `Vec<Atom>` already implements
 /// [`Rec`] (byte-compatible with the historical `Vec<String>` wire
@@ -71,6 +72,19 @@ impl RowSchema {
             }
         }
         Some(b)
+    }
+
+    /// The solution-extraction step of a relational workflow whose final
+    /// relation has this schema (see [`crate::run_query_workflow`]): add
+    /// one output row's binding to the solution set.
+    pub fn into_extractor(self) -> impl Fn(&Row, &mut SolutionSet) -> Result<(), PlanError> {
+        move |row, set| {
+            let binding = self
+                .binding(row)
+                .ok_or_else(|| PlanError::Internal("inconsistent output row".into()))?;
+            set.insert(binding);
+            Ok(())
+        }
     }
 }
 

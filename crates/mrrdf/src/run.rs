@@ -1,8 +1,10 @@
-//! Shared planner error and run-result types.
+//! Shared planner error and run-result types, and the one query-workflow
+//! driver every planner (NTGA, Pig/Hive, the Figure 3 groupings) runs its
+//! jobs through.
 
-use crate::support::UnsupportedReason;
-use mrsim::WorkflowStats;
-use rdf_query::{QueryError, SolutionSet};
+use crate::support::{check_query, UnsupportedReason};
+use mrsim::{Engine, MrError, Rec, Workflow, WorkflowStats};
+use rdf_query::{Query, QueryError, SolutionSet};
 use std::fmt;
 
 /// Errors raised while *planning* a query (before any job runs).
@@ -65,6 +67,84 @@ impl QueryRun {
     pub fn op_counters(&self) -> mrsim::OpCounters {
         self.stats.op_counters()
     }
+}
+
+/// Why a workflow body stopped before producing its final relation.
+///
+/// Both kinds convert with `?`: a [`PlanError`] is the planner's own
+/// problem and becomes the `Err` of [`run_query_workflow`]; an [`MrError`]
+/// is a runtime failure (typically `DiskFull`) and becomes a failed
+/// [`QueryRun`] — the paper's "X" bars are data points, not errors.
+#[derive(Debug)]
+pub enum WorkflowAbort {
+    /// Planning problem discovered while assembling jobs.
+    Plan(PlanError),
+    /// A job failed and the recovery policy gave up.
+    Run(MrError),
+}
+
+impl From<PlanError> for WorkflowAbort {
+    fn from(e: PlanError) -> Self {
+        WorkflowAbort::Plan(e)
+    }
+}
+
+impl From<MrError> for WorkflowAbort {
+    fn from(e: MrError) -> Self {
+        WorkflowAbort::Run(e)
+    }
+}
+
+/// Run one query as one workflow named `name`.
+///
+/// The part every planner shares: validate the query and check planner
+/// support, open the [`Workflow`], let `body` run its jobs (`wf.run_job(job)?`
+/// — the first failing job ends the run as a failed [`QueryRun`]), clean up
+/// every intermediate except the final relation, and, when
+/// `extract_solutions` is set, decode that relation's records of type `R`
+/// into the projected [`SolutionSet`].
+///
+/// `body` returns the DFS file holding the final relation together with
+/// the function that adds one of its records' bindings to the solution set.
+pub fn run_query_workflow<R, X>(
+    engine: &Engine,
+    name: String,
+    query: &Query,
+    extract_solutions: bool,
+    body: impl FnOnce(&mut Workflow<'_>) -> Result<(String, X), WorkflowAbort>,
+) -> Result<QueryRun, PlanError>
+where
+    R: Rec,
+    X: Fn(&R, &mut SolutionSet) -> Result<(), PlanError>,
+{
+    query.validate()?;
+    check_query(query)?;
+
+    let mut wf = Workflow::new(engine, name);
+    let (final_file, add_bindings) = match body(&mut wf) {
+        Ok(done) => done,
+        Err(WorkflowAbort::Plan(e)) => return Err(e),
+        Err(WorkflowAbort::Run(e)) => {
+            return Ok(QueryRun { stats: wf.finish_failed(&e), solutions: None })
+        }
+    };
+    let stats = wf.finish(&[&final_file]);
+    let solutions = if extract_solutions {
+        let records: Vec<R> = engine
+            .read_records(&final_file)
+            .map_err(|e| PlanError::Internal(format!("reading final output: {e}")))?;
+        let mut set = SolutionSet::new();
+        for record in &records {
+            add_bindings(record, &mut set)?;
+        }
+        Some(match &query.projection {
+            Some(vars) => set.project(vars),
+            None => set,
+        })
+    } else {
+        None
+    };
+    Ok(QueryRun { stats, solutions })
 }
 
 #[cfg(test)]

@@ -37,5 +37,5 @@ pub mod star;
 pub use bindings::{Binding, SolutionSet};
 pub use parser::{parse_query, ParseError};
 pub use pattern::{ObjFilter, ObjPattern, PropPattern, SubjPattern, TriplePattern};
-pub use query::{JoinEdge, JoinKind, Query, QueryError};
+pub use query::{JoinEdge, JoinKind, JoinStep, Query, QueryError};
 pub use star::StarPattern;

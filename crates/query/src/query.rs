@@ -30,6 +30,16 @@ pub struct JoinEdge {
     pub kind: JoinKind,
 }
 
+/// One step of [`Query::left_deep_order`]: join star `star` into the
+/// accumulated left relation on the shared variable `var`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JoinStep {
+    /// Index of the star joined in by this step.
+    pub star: usize,
+    /// The variable it shares with an already-joined star.
+    pub var: String,
+}
+
 /// Errors raised by [`Query::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
@@ -153,6 +163,26 @@ impl Query {
         edges
     }
 
+    /// The left-deep join order every planner follows: start from star 0
+    /// and repeatedly take the first edge of [`Query::join_edges`] with
+    /// exactly one end already joined. One step per star after the first;
+    /// [`QueryError::Disconnected`] when the edges do not reach every star.
+    pub fn left_deep_order(&self) -> Result<Vec<JoinStep>, QueryError> {
+        let edges = self.join_edges();
+        let mut joined: HashSet<usize> = HashSet::from([0]);
+        let mut steps = Vec::new();
+        while joined.len() < self.stars.len() {
+            let edge = edges
+                .iter()
+                .find(|e| joined.contains(&e.left) != joined.contains(&e.right))
+                .ok_or(QueryError::Disconnected)?;
+            let star = if joined.contains(&edge.left) { edge.right } else { edge.left };
+            joined.insert(star);
+            steps.push(JoinStep { star, var: edge.var.clone() });
+        }
+        Ok(steps)
+    }
+
     /// Validate structural well-formedness. Planners call this before
     /// compiling.
     pub fn validate(&self) -> Result<(), QueryError> {
@@ -168,26 +198,8 @@ impl Query {
                 return Err(QueryError::DuplicateSubjectVar(s.subject_var.clone()));
             }
         }
-        // Connectivity over join edges.
-        if self.stars.len() > 1 {
-            let edges = self.join_edges();
-            let mut reached = HashSet::from([0usize]);
-            let mut changed = true;
-            while changed {
-                changed = false;
-                for e in &edges {
-                    if reached.contains(&e.left) && reached.insert(e.right) {
-                        changed = true;
-                    }
-                    if reached.contains(&e.right) && reached.insert(e.left) {
-                        changed = true;
-                    }
-                }
-            }
-            if reached.len() != self.stars.len() {
-                return Err(QueryError::Disconnected);
-            }
-        }
+        // Connectivity: the join order reaches every star.
+        self.left_deep_order()?;
         if let Some(proj) = &self.projection {
             let vars = self.variables();
             for v in proj {
@@ -263,6 +275,21 @@ mod tests {
             ),
         ]);
         assert_eq!(q.validate(), Err(QueryError::Disconnected));
+    }
+
+    #[test]
+    fn left_deep_order_waits_for_a_crossing_edge() {
+        // ?a -> ?g -> ?go, listed as [g, go, a]: star 2 (?a) shares no
+        // variable with ?go, so the walk joins ?go first, then ?a.
+        let mut q = two_star_os();
+        q.stars.push(StarPattern::new(
+            "a",
+            vec![TriplePattern::bound("a", "<p>", ObjPattern::Var("g".into()))],
+        ));
+        assert_eq!(
+            q.left_deep_order().unwrap(),
+            vec![JoinStep { star: 1, var: "go".into() }, JoinStep { star: 2, var: "g".into() }]
+        );
     }
 
     #[test]

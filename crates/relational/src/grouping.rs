@@ -11,9 +11,9 @@
 //! * the NTGA grouping (all star joins in one grouping cycle) lives in
 //!   `ntga-core` and is included in the case-study harness for comparison.
 
-use mr_rdf::{check_query, PlanError, QueryRun, Row};
-use mrsim::{Engine, Workflow};
-use rdf_query::{JoinKind, Query, SolutionSet};
+use mr_rdf::{run_query_workflow, PlanError, QueryRun};
+use mrsim::Engine;
+use rdf_query::{JoinKind, Query};
 
 use crate::attach::{pattern_attach_job, star_attach_job};
 use crate::row_join::row_join_job;
@@ -48,171 +48,114 @@ pub fn execute_grouping(
     label: &str,
     extract_solutions: bool,
 ) -> Result<QueryRun, PlanError> {
-    query.validate()?;
-    check_query(query)?;
-    if query.stars.len() != 2 {
-        return Err(PlanError::Internal("groupings are defined for two-star queries".into()));
-    }
-    let edges = query.join_edges();
-    let edge = edges
-        .first()
-        .ok_or_else(|| PlanError::Internal("two-star query without a join edge".into()))?;
-
-    let mut wf = Workflow::new(engine, format!("{}/{label}", grouping.label()));
-    let fail = |wf: Workflow<'_>, e: &mrsim::MrError| {
-        Ok(QueryRun { stats: wf.finish_failed(e), solutions: None })
-    };
-
-    let (final_file, final_schema) = match grouping {
-        Grouping::SjPerCycle => {
-            let (j0, s0) = star_join_job(
-                format!("{label}.star0"),
-                &query.stars[0],
-                input,
-                format!("{label}.star0"),
-                false,
+    let name = format!("{}/{label}", grouping.label());
+    run_query_workflow(engine, name, query, extract_solutions, |wf| {
+        if query.stars.len() != 2 {
+            return Err(
+                PlanError::Internal("groupings are defined for two-star queries".into()).into()
             );
-            let (j1, s1) = star_join_job(
-                format!("{label}.star1"),
-                &query.stars[1],
-                input,
-                format!("{label}.star1"),
-                false,
-            );
-            if let Err(e) = wf.run_job(j0) {
-                return fail(wf, &e);
-            }
-            if let Err(e) = wf.run_job(j1) {
-                return fail(wf, &e);
-            }
-            let out = format!("{label}.join");
-            let (jj, sj) = row_join_job(
-                format!("{label}.join"),
-                (&format!("{label}.star0"), &s0),
-                (&format!("{label}.star1"), &s1),
-                &edge.var,
-                &out,
-            )?;
-            if let Err(e) = wf.run_job(jj) {
-                return fail(wf, &e);
-            }
-            (out, sj)
         }
-        Grouping::SelSjFirst => match edge.kind {
-            JoinKind::ObjectSubject | JoinKind::SubjectObject => {
-                // Start from the star holding the join var as an object;
-                // attach the subject-side star in the same cycle as the
-                // join.
-                let (first, second) = if edge.kind == JoinKind::ObjectSubject {
-                    (edge.left, edge.right)
-                } else {
-                    (edge.right, edge.left)
-                };
-                let (j0, s0) = star_join_job(
-                    format!("{label}.star{first}"),
-                    &query.stars[first],
-                    input,
-                    format!("{label}.star{first}"),
-                    false,
-                );
-                if let Err(e) = wf.run_job(j0) {
-                    return fail(wf, &e);
-                }
-                let out = format!("{label}.attach");
-                let (j1, s1) = star_attach_job(
-                    format!("{label}.attach"),
-                    (&format!("{label}.star{first}"), &s0),
-                    &edge.var,
-                    &query.stars[second],
-                    input,
-                    &out,
-                )?;
-                if let Err(e) = wf.run_job(j1) {
-                    return fail(wf, &e);
-                }
-                (out, s1)
+        let edges = query.join_edges();
+        let edge = edges
+            .first()
+            .ok_or_else(|| PlanError::Internal("two-star query without a join edge".into()))?;
+        // The star-join cycle of star `i`, written to `{label}.star{i}`.
+        let star_job = |i: usize| {
+            let file = format!("{label}.star{i}");
+            let (job, schema) = star_join_job(file.clone(), &query.stars[i], input, &file, false);
+            (job, file, schema)
+        };
+
+        let (final_file, final_schema) = match grouping {
+            Grouping::SjPerCycle => {
+                let (j0, f0, s0) = star_job(0);
+                let (j1, f1, s1) = star_job(1);
+                wf.run_job(j0)?;
+                wf.run_job(j1)?;
+                let out = format!("{label}.join");
+                let (jj, sj) =
+                    row_join_job(format!("{label}.join"), (&f0, &s0), (&f1, &s1), &edge.var, &out)?;
+                wf.run_job(jj)?;
+                (out, sj)
             }
-            JoinKind::ObjectObject => {
-                // Cycle 1: first star. Cycle 2: attach the second star's
-                // join pattern by object. Cycle 3: attach the rest of the
-                // second star by subject.
-                let (first, second) = (edge.left, edge.right);
-                let star2 = &query.stars[second];
-                let join_pat_idx = star2
-                    .patterns
-                    .iter()
-                    .position(|p| p.object.var() == Some(edge.var.as_str()))
-                    .ok_or_else(|| PlanError::Internal("OO join var not in second star".into()))?;
-                let (j0, s0) = star_join_job(
-                    format!("{label}.star{first}"),
-                    &query.stars[first],
-                    input,
-                    format!("{label}.star{first}"),
-                    false,
-                );
-                if let Err(e) = wf.run_job(j0) {
-                    return fail(wf, &e);
-                }
-                let (j1, s1) = pattern_attach_job(
-                    format!("{label}.pattach"),
-                    (&format!("{label}.star{first}"), &s0),
-                    &edge.var,
-                    &star2.patterns[join_pat_idx],
-                    input,
-                    format!("{label}.pattach"),
-                )?;
-                if let Err(e) = wf.run_job(j1) {
-                    return fail(wf, &e);
-                }
-                let rest: Vec<_> = star2
-                    .patterns
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != join_pat_idx)
-                    .map(|(_, p)| p.clone())
-                    .collect();
-                if rest.is_empty() {
-                    (format!("{label}.pattach"), s1)
-                } else {
-                    let rest_star = rdf_query::StarPattern::new(star2.subject_var.clone(), rest);
-                    let out = format!("{label}.sattach");
-                    let (j2, s2) = star_attach_job(
-                        format!("{label}.sattach"),
-                        (&format!("{label}.pattach"), &s1),
-                        &star2.subject_var,
-                        &rest_star,
+            Grouping::SelSjFirst => match edge.kind {
+                JoinKind::ObjectSubject | JoinKind::SubjectObject => {
+                    // Start from the star holding the join var as an object;
+                    // attach the subject-side star in the same cycle as the
+                    // join.
+                    let (first, second) = if edge.kind == JoinKind::ObjectSubject {
+                        (edge.left, edge.right)
+                    } else {
+                        (edge.right, edge.left)
+                    };
+                    let (j0, f0, s0) = star_job(first);
+                    wf.run_job(j0)?;
+                    let out = format!("{label}.attach");
+                    let (j1, s1) = star_attach_job(
+                        format!("{label}.attach"),
+                        (&f0, &s0),
+                        &edge.var,
+                        &query.stars[second],
                         input,
                         &out,
                     )?;
-                    if let Err(e) = wf.run_job(j2) {
-                        return fail(wf, &e);
-                    }
-                    (out, s2)
+                    wf.run_job(j1)?;
+                    (out, s1)
                 }
-            }
-        },
-    };
-
-    let stats = wf.finish(&[&final_file]);
-    let solutions = if extract_solutions {
-        let rows: Vec<Row> = engine
-            .read_records(&final_file)
-            .map_err(|e| PlanError::Internal(format!("reading final output: {e}")))?;
-        let mut set = SolutionSet::new();
-        for row in &rows {
-            let b = final_schema
-                .binding(row)
-                .ok_or_else(|| PlanError::Internal("inconsistent output row".into()))?;
-            set.insert(b);
-        }
-        Some(match &query.projection {
-            Some(vars) => set.project(vars),
-            None => set,
-        })
-    } else {
-        None
-    };
-    Ok(QueryRun { stats, solutions })
+                JoinKind::ObjectObject => {
+                    // Cycle 1: first star. Cycle 2: attach the second star's
+                    // join pattern by object. Cycle 3: attach the rest of the
+                    // second star by subject.
+                    let (first, second) = (edge.left, edge.right);
+                    let star2 = &query.stars[second];
+                    let join_pat_idx = star2
+                        .patterns
+                        .iter()
+                        .position(|p| p.object.var() == Some(edge.var.as_str()))
+                        .ok_or_else(|| {
+                            PlanError::Internal("OO join var not in second star".into())
+                        })?;
+                    let (j0, f0, s0) = star_job(first);
+                    wf.run_job(j0)?;
+                    let pattach = format!("{label}.pattach");
+                    let (j1, s1) = pattern_attach_job(
+                        pattach.clone(),
+                        (&f0, &s0),
+                        &edge.var,
+                        &star2.patterns[join_pat_idx],
+                        input,
+                        &pattach,
+                    )?;
+                    wf.run_job(j1)?;
+                    let rest: Vec<_> = star2
+                        .patterns
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| *i != join_pat_idx)
+                        .map(|(_, p)| p.clone())
+                        .collect();
+                    if rest.is_empty() {
+                        (pattach, s1)
+                    } else {
+                        let rest_star =
+                            rdf_query::StarPattern::new(star2.subject_var.clone(), rest);
+                        let out = format!("{label}.sattach");
+                        let (j2, s2) = star_attach_job(
+                            format!("{label}.sattach"),
+                            (&pattach, &s1),
+                            &star2.subject_var,
+                            &rest_star,
+                            input,
+                            &out,
+                        )?;
+                        wf.run_job(j2)?;
+                        (out, s2)
+                    }
+                }
+            },
+        };
+        Ok((final_file, final_schema.into_extractor()))
+    })
 }
 
 #[cfg(test)]

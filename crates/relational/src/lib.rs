@@ -20,6 +20,6 @@ pub mod row_join;
 pub mod star_join;
 
 pub use grouping::{execute_grouping, Grouping};
-pub use planner::{execute, execute_with, RelFlavor, RelOptions};
-pub use row_join::{row_broadcast_join_job, row_join_job, row_join_job_ids};
+pub use planner::{execute, RelFlavor};
+pub use row_join::{row_join_job, row_join_job_ids};
 pub use star_join::{star_join_job, star_join_job_ids, star_schema, PatternSet};

@@ -16,10 +16,9 @@
 //!   passes the input through (the paper's "initial map-only job to read
 //!   entire input and compress it").
 
-use mr_rdf::{check_query, PlanError, QueryRun, RowSchema, TripleRec};
-use mrsim::{map_only_fn, Engine, JobSpec, TypedOutEmitter, Workflow};
-use rdf_query::{Query, SolutionSet};
-use std::collections::HashSet;
+use mr_rdf::{run_query_workflow, PlanError, QueryRun, RowSchema, TripleRec};
+use mrsim::{map_only_fn, Engine, JobSpec, TypedOutEmitter};
+use rdf_query::Query;
 
 use crate::row_join::row_join_job;
 use crate::star_join::star_join_job;
@@ -43,23 +42,6 @@ impl RelFlavor {
     }
 }
 
-/// Tunables of the relational planners.
-#[derive(Debug, Clone)]
-pub struct RelOptions {
-    /// Compression ratio applied by Pig's initial pass-through job (the
-    /// paper: "map-only job to read entire input and compress it").
-    /// `1.0` = no compression (keeps the pass-through's extra cycle and
-    /// write cost without changing scan volumes, the conservative
-    /// default).
-    pub pig_compression: f64,
-}
-
-impl Default for RelOptions {
-    fn default() -> Self {
-        RelOptions { pig_compression: 1.0 }
-    }
-}
-
 /// Execute `query` over the triple relation stored in DFS file `input`.
 ///
 /// `label` prefixes all intermediate/output file names (use a unique label
@@ -73,122 +55,65 @@ pub fn execute(
     label: &str,
     extract_solutions: bool,
 ) -> Result<QueryRun, PlanError> {
-    execute_with(flavor, RelOptions::default(), engine, query, input, label, extract_solutions)
-}
+    let name = format!("{}/{label}", flavor.label());
+    run_query_workflow(engine, name, query, extract_solutions, |wf| {
+        // Pig's preliminary pass-through job for multi-star queries. It
+        // writes uncompressed: the extra cycle and write cost are kept
+        // without changing downstream scan volumes.
+        let base: String = if flavor == RelFlavor::Pig && query.stars.len() > 1 {
+            let copy = format!("{label}.copy");
+            let mapper =
+                map_only_fn(|t: TripleRec, out: &mut TypedOutEmitter<'_, TripleRec>| out.emit(&t));
+            let job =
+                JobSpec::map_only(format!("{label}.load"), vec![input.to_string()], mapper, &copy)
+                    .with_full_scan();
+            wf.run_job(job)?;
+            copy
+        } else {
+            input.to_string()
+        };
 
-/// [`execute`] with explicit [`RelOptions`].
-pub fn execute_with(
-    flavor: RelFlavor,
-    options: RelOptions,
-    engine: &Engine,
-    query: &Query,
-    input: &str,
-    label: &str,
-    extract_solutions: bool,
-) -> Result<QueryRun, PlanError> {
-    query.validate()?;
-    check_query(query)?;
-
-    let mut wf = Workflow::new(engine, format!("{}/{label}", flavor.label()));
-    let fail = |wf: Workflow<'_>, e: &mrsim::MrError| {
-        Ok(QueryRun { stats: wf.finish_failed(e), solutions: None })
-    };
-
-    // Pig's preliminary pass-through job for multi-star queries.
-    let base: String = if flavor == RelFlavor::Pig && query.stars.len() > 1 {
-        let copy = format!("{label}.copy");
-        let mapper =
-            map_only_fn(|t: TripleRec, out: &mut TypedOutEmitter<'_, TripleRec>| out.emit(&t));
-        let job =
-            JobSpec::map_only(format!("{label}.load"), vec![input.to_string()], mapper, &copy)
-                .with_full_scan()
-                .with_output_compression(options.pig_compression);
-        if let Err(e) = wf.run_job(job) {
-            return fail(wf, &e);
-        }
-        copy
-    } else {
-        input.to_string()
-    };
-
-    // Star-join cycles.
-    let mut star_files: Vec<String> = Vec::new();
-    let mut star_schemas: Vec<RowSchema> = Vec::new();
-    let mut star_jobs: Vec<JobSpec> = Vec::new();
-    for (i, star) in query.stars.iter().enumerate() {
-        let out = format!("{label}.star{i}");
+        // Star-join cycles: per star its job and its (file, schema).
         let pig_loads = flavor == RelFlavor::Pig;
-        let (spec, schema) =
-            star_join_job(format!("{label}.star{i}"), star, &base, &out, pig_loads);
-        star_files.push(out);
-        star_schemas.push(schema);
-        star_jobs.push(spec);
-    }
-    match flavor {
-        RelFlavor::Pig => {
+        let (star_jobs, stars): (Vec<JobSpec>, Vec<(String, RowSchema)>) = query
+            .stars
+            .iter()
+            .enumerate()
+            .map(|(i, star)| {
+                let out = format!("{label}.star{i}");
+                let (spec, schema) = star_join_job(out.clone(), star, &base, &out, pig_loads);
+                (spec, (out, schema))
+            })
+            .unzip();
+        match flavor {
             // Independent star joins run concurrently: one stage.
-            if let Err(e) = wf.run_stage(star_jobs) {
-                return fail(wf, &e);
-            }
-        }
-        RelFlavor::Hive => {
-            for job in star_jobs {
-                if let Err(e) = wf.run_job(job) {
-                    return fail(wf, &e);
+            RelFlavor::Pig => wf.run_stage(star_jobs)?,
+            RelFlavor::Hive => {
+                for job in star_jobs {
+                    wf.run_job(job)?;
                 }
             }
         }
-    }
 
-    // Join cycles: left-deep over the join graph.
-    let edges = query.join_edges();
-    let mut joined: HashSet<usize> = HashSet::from([0]);
-    let mut current_file = star_files[0].clone();
-    let mut current_schema = star_schemas[0].clone();
-    let mut join_no = 0;
-    while joined.len() < query.stars.len() {
-        let edge = edges
-            .iter()
-            .find(|e| joined.contains(&e.left) != joined.contains(&e.right))
-            .ok_or_else(|| PlanError::Internal("join graph not connected".into()))?;
-        let other = if joined.contains(&edge.left) { edge.right } else { edge.left };
-        let out = format!("{label}.join{join_no}");
-        let (spec, schema) = row_join_job(
-            format!("{label}.join{join_no}"),
-            (&current_file, &current_schema),
-            (&star_files[other], &star_schemas[other]),
-            &edge.var,
-            &out,
-        )?;
-        if let Err(e) = wf.run_job(spec) {
-            return fail(wf, &e);
+        // Join cycles: left-deep over the join graph.
+        let (mut current_file, mut current_schema) = stars[0].clone();
+        let order = query.left_deep_order().map_err(PlanError::from)?;
+        for (join_no, step) in order.iter().enumerate() {
+            let out = format!("{label}.join{join_no}");
+            let (other_file, other_schema) = &stars[step.star];
+            let (spec, schema) = row_join_job(
+                out.clone(),
+                (&current_file, &current_schema),
+                (other_file, other_schema),
+                &step.var,
+                &out,
+            )?;
+            wf.run_job(spec)?;
+            current_file = out;
+            current_schema = schema;
         }
-        joined.insert(other);
-        current_file = out;
-        current_schema = schema;
-        join_no += 1;
-    }
-
-    let stats = wf.finish(&[&current_file]);
-    let solutions = if extract_solutions {
-        let rows: Vec<mr_rdf::Row> = engine
-            .read_records(&current_file)
-            .map_err(|e| PlanError::Internal(format!("reading final output: {e}")))?;
-        let mut set = SolutionSet::new();
-        for row in &rows {
-            let b = current_schema
-                .binding(row)
-                .ok_or_else(|| PlanError::Internal("inconsistent output row".into()))?;
-            set.insert(b);
-        }
-        Some(match &query.projection {
-            Some(vars) => set.project(vars),
-            None => set,
-        })
-    } else {
-        None
-    };
-    Ok(QueryRun { stats, solutions })
+        Ok((current_file, current_schema.into_extractor()))
+    })
 }
 
 #[cfg(test)]
@@ -282,30 +207,6 @@ mod tests {
         assert!(!run.succeeded());
         assert!(run.stats.failure.as_deref().unwrap_or("").contains("full"));
         assert!(run.solutions.is_none());
-    }
-
-    #[test]
-    fn pig_compression_halves_downstream_reads() {
-        let engine = Engine::unbounded();
-        load_store(&engine, "t", &store()).unwrap();
-        let query = parse_query(TWO_STAR).unwrap();
-        let plain = execute(RelFlavor::Pig, &engine, &query, "t", "plain", true).unwrap();
-
-        let engine = Engine::unbounded();
-        load_store(&engine, "t", &store()).unwrap();
-        let compressed = execute_with(
-            RelFlavor::Pig,
-            RelOptions { pig_compression: 0.5 },
-            &engine,
-            &query,
-            "t",
-            "comp",
-            true,
-        )
-        .unwrap();
-        assert_eq!(plain.solutions, compressed.solutions);
-        // Star jobs scan the compressed copy: fewer bytes read overall.
-        assert!(compressed.stats.total_read_bytes() < plain.stats.total_read_bytes());
     }
 
     #[test]

@@ -3,11 +3,10 @@
 
 use mr_rdf::{IdRow, PlanError, Row, RowSchema, SidedIdRow};
 use mrsim::{
-    map_fn, map_only_fn_ctx, reduce_fn, reduce_fn_ctx, InputBinding, JobSpec, MrError, Rec,
-    TaskContext, TypedMapEmitter, TypedOutEmitter, VarId,
+    map_fn, reduce_fn, reduce_fn_ctx, InputBinding, JobSpec, MrError, Rec, TypedMapEmitter,
+    TypedOutEmitter, VarId,
 };
 use rdf_model::atom::Atom;
-use rdf_model::hash::DetHashMap;
 use std::sync::Arc;
 
 use crate::star_join::REDUCERS;
@@ -78,81 +77,6 @@ pub fn row_join_job(
         REDUCERS,
         output,
     );
-    Ok((spec, schema))
-}
-
-/// Build a **map-side broadcast** join of `left ⋈_var right`: the smaller
-/// (`broadcast_left`-selected) relation ships to every map task through
-/// the engine's distributed cache and the other streams through a map-only
-/// scan — the relational counterpart of NTGA's `TG_BcastJoin`, collapsing
-/// the join's shuffle and reduce phase entirely.
-///
-/// Output rows are left columns ++ right columns, exactly like
-/// [`row_join_job`]; map-only output is concatenated in input order, so
-/// the result is byte-identical across worker counts.
-///
-/// Returns the job and the output schema.
-pub fn row_broadcast_join_job(
-    name: impl Into<String>,
-    left: (&str, &RowSchema),
-    right: (&str, &RowSchema),
-    var: &str,
-    broadcast_left: bool,
-    output: impl Into<String>,
-) -> Result<(JobSpec, RowSchema), PlanError> {
-    let lcol = left
-        .1
-        .index_of(var)
-        .ok_or_else(|| PlanError::Internal(format!("left relation lacks join var ?{var}")))?;
-    let rcol = right
-        .1
-        .index_of(var)
-        .ok_or_else(|| PlanError::Internal(format!("right relation lacks join var ?{var}")))?;
-    let schema = left.1.concat(right.1);
-    let (build_file, probe_file) = if broadcast_left {
-        (left.0.to_string(), right.0.to_string())
-    } else {
-        (right.0.to_string(), left.0.to_string())
-    };
-    let build_col = if broadcast_left { lcol } else { rcol };
-    let probe_col = if broadcast_left { rcol } else { lcol };
-    let mapper =
-        map_only_fn_ctx(move |ctx: &TaskContext, row: Row, out: &mut TypedOutEmitter<'_, Row>| {
-            let table = ctx.task_state(|| {
-                let file = ctx.broadcast(0)?;
-                let mut map: DetHashMap<Atom, Vec<Row>> = DetHashMap::default();
-                for raw in &file.records {
-                    let r = Row::from_bytes_with(raw, &ctx.atoms)?;
-                    let key = r
-                        .get(build_col)
-                        .ok_or_else(|| {
-                            MrError::Op(format!(
-                                "row arity {} too small for key column {build_col}",
-                                r.len()
-                            ))
-                        })?
-                        .clone();
-                    map.entry(key).or_default().push(r);
-                }
-                Ok(map)
-            })?;
-            let key = row.get(probe_col).ok_or_else(|| {
-                MrError::Op(format!("row arity {} too small for key column {probe_col}", row.len()))
-            })?;
-            if let Some(matches) = table.get(key) {
-                for b in matches {
-                    // Reduce-side joins emit left columns then right columns;
-                    // preserve that regardless of which side was broadcast.
-                    let (l, r) = if broadcast_left { (b, &row) } else { (&row, b) };
-                    let mut joined: Row = Vec::with_capacity(l.len() + r.len());
-                    joined.extend_from_slice(l);
-                    joined.extend_from_slice(r);
-                    out.emit(&joined)?;
-                }
-            }
-            Ok(())
-        });
-    let spec = JobSpec::map_only(name, vec![probe_file], mapper, output).with_broadcast(build_file);
     Ok((spec, schema))
 }
 
@@ -339,58 +263,6 @@ mod tests {
             row_join_job_ids("join-ids", ("L", &lschema), ("R", &rschema), "x", "out").unwrap();
         let err = engine.run_job(&spec).unwrap_err();
         assert!(matches!(err, MrError::Codec(_)), "unexpected error: {err:?}");
-    }
-
-    #[test]
-    fn broadcast_join_matches_reduce_join_across_workers() {
-        let lschema = RowSchema::new(vec![Some("a".into()), Some("x".into())]);
-        let rschema = RowSchema::new(vec![Some("x".into()), Some("b".into())]);
-        let lefts: Vec<Row> = vec![
-            vec!["<a1>".into(), "<k1>".into()],
-            vec!["<a2>".into(), "<k1>".into()],
-            vec!["<a3>".into(), "<k2>".into()],
-        ];
-        let rights: Vec<Row> =
-            vec![vec!["<k1>".into(), "<b1>".into()], vec!["<k2>".into(), "<b2>".into()]];
-
-        let gold_engine = Engine::unbounded();
-        put_rows(&gold_engine, "L", lefts.clone());
-        put_rows(&gold_engine, "R", rights.clone());
-        let (spec, gold_schema) =
-            row_join_job("join", ("L", &lschema), ("R", &rschema), "x", "out").unwrap();
-        gold_engine.run_job(&spec).unwrap();
-        let mut gold: Vec<Row> = gold_engine.read_records("out").unwrap();
-        gold.sort();
-
-        for broadcast_left in [true, false] {
-            let mut raw_outputs = Vec::new();
-            for workers in [1usize, 4, 8] {
-                let engine = Engine::unbounded().with_workers(workers);
-                put_rows(&engine, "L", lefts.clone());
-                put_rows(&engine, "R", rights.clone());
-                let (spec, schema) = row_broadcast_join_job(
-                    "bjoin",
-                    ("L", &lschema),
-                    ("R", &rschema),
-                    "x",
-                    broadcast_left,
-                    "out",
-                )
-                .unwrap();
-                let stats = engine.run_job(&spec).unwrap();
-                assert_eq!(stats.reduce_tasks, 0, "broadcast join must be map-only");
-                assert_eq!(stats.broadcast_files, 1);
-                assert_eq!(schema.cols, gold_schema.cols);
-                let mut rows: Vec<Row> = engine.read_records("out").unwrap();
-                raw_outputs.push(engine.hdfs().lock().get("out").unwrap().records.clone());
-                rows.sort();
-                assert_eq!(rows, gold, "broadcast_left={broadcast_left} workers={workers}");
-            }
-            assert!(
-                raw_outputs.windows(2).all(|w| w[0] == w[1]),
-                "map-only output must be byte-identical across worker counts"
-            );
-        }
     }
 
     #[test]

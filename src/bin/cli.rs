@@ -209,33 +209,34 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
     let query = load_query(opts)?;
     let approach = parse_approach(opts.get("approach").map_or("auto:1024", String::as_str))?;
-    let strategy = match approach {
+    let plan = match approach {
         Approach::Pig | Approach::Hive => {
             return Err("explain currently covers the NTGA strategies".into())
         }
-        Approach::NtgaEager => Strategy::Eager,
-        Approach::NtgaLazyFull => Strategy::LazyFull,
-        Approach::NtgaLazyPartial(m) => Strategy::LazyPartial(m),
-        Approach::NtgaAuto(m) => Strategy::Auto(m),
+        Approach::NtgaEager => Strategy::Eager.plan(&query),
+        Approach::NtgaLazyFull => Strategy::LazyFull.plan(&query),
+        Approach::NtgaLazyPartial(m) => Strategy::LazyPartial(m).plan(&query),
+        Approach::NtgaAuto(m) => Strategy::Auto(m).plan(&query),
         Approach::NtgaAutoCost => {
-            // The cost-based plan depends on the data: derive statistics,
-            // optimize under the same scaled cost model `query` would use,
-            // and render the chosen physical plan with its estimates.
+            // The cost-based plan depends on the data: derive statistics
+            // and optimize under the same scaled cost model `query` would
+            // use.
             let store = load_data(opts)
                 .map_err(|e| format!("--approach auto-cost needs --data to plan from: {e}"))?;
-            let stats = store.stats();
             let cost = CostModel::scaled_to(store.text_bytes());
-            let config = ntga_core::OptimizerConfig::default();
-            let plan =
-                ntga_core::optimize(&query, &stats, &cost, &config).map_err(|e| e.to_string())?;
-            let text = ntga_core::explain_plan(&plan, &query).map_err(|e| e.to_string())?;
-            print!("{text}");
-            return Ok(());
+            ntga_core::optimize(&query, &store.stats(), &cost, &Default::default())
         }
-    };
-    let plan = ntga_core::explain(strategy, &query).map_err(|e| e.to_string())?;
-    print!("{plan}");
+    }
+    .map_err(|e| e.to_string())?;
+    let text = ntga_core::explain_plan(&plan, &query).map_err(|e| e.to_string())?;
+    print!("{text}");
     Ok(())
+}
+
+/// A fresh engine holding `store`; an `--disk-factor` too small for the
+/// input itself is the user's typed `DiskFull`, not a panic.
+fn engine_for(cluster: &ClusterConfig, store: &TripleStore) -> Result<Engine, String> {
+    cluster.try_engine_with(store).map_err(|e| format!("loading the input: {e}"))
 }
 
 fn print_stats(stats: &WorkflowStats) {
@@ -254,7 +255,7 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     let approach = parse_approach(opts.get("approach").map_or("auto:1024", String::as_str))?;
     let want_solutions = !opts.contains_key("no-solutions");
     let cluster = cluster_for(opts, &store)?;
-    let engine = cluster.engine_with(&store);
+    let engine = engine_for(&cluster, &store)?;
     let run =
         run_query(approach, &engine, &query, "cli", want_solutions).map_err(|e| e.to_string())?;
     if !run.succeeded() {
@@ -299,7 +300,7 @@ fn cmd_compare(opts: &HashMap<String, String>) -> Result<(), String> {
         Approach::NtgaAuto(1024),
         Approach::NtgaAutoCost,
     ] {
-        let engine = cluster.engine_with(&store);
+        let engine = engine_for(&cluster, &store)?;
         let run = run_query(approach, &engine, &query, "cmp", true).map_err(|e| e.to_string())?;
         println!(
             "{:<22} {:>6} {:>4} {:>14} {:>14} {:>12} {:>10.1}  {}",

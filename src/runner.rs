@@ -1,7 +1,7 @@
 //! Uniform runner over every execution approach the paper compares.
 
 use mr_rdf::{load_store, PlanError, QueryRun, TRIPLES_FILE};
-use mrsim::{CostModel, Engine, FaultConfig, RecoveryPolicy, SimHdfs, SortStrategy, TraceSink};
+use mrsim::{CostModel, Engine, FaultConfig, MrError, RecoveryPolicy, SimHdfs, TraceSink};
 use ntga_core::Strategy;
 use rdf_model::TripleStore;
 use rdf_query::Query;
@@ -43,11 +43,6 @@ impl Approach {
             Approach::NtgaAutoCost => "CostBased".into(),
         }
     }
-
-    /// The default panel of approaches compared throughout the paper.
-    pub fn paper_panel() -> Vec<Approach> {
-        vec![Approach::Pig, Approach::Hive, Approach::NtgaEager, Approach::NtgaAuto(1024)]
-    }
 }
 
 /// Run one query with one approach against a triple relation already
@@ -60,57 +55,22 @@ pub fn run_query(
     extract_solutions: bool,
 ) -> Result<QueryRun, PlanError> {
     let label = format!("{}-{label}", approach.label());
-    match approach {
-        Approach::Pig => {
-            relbase::execute(RelFlavor::Pig, engine, query, TRIPLES_FILE, &label, extract_solutions)
-        }
-        Approach::Hive => relbase::execute(
-            RelFlavor::Hive,
-            engine,
-            query,
-            TRIPLES_FILE,
-            &label,
-            extract_solutions,
-        ),
-        Approach::NtgaEager => ntga_core::execute(
-            Strategy::Eager,
-            engine,
-            query,
-            TRIPLES_FILE,
-            &label,
-            extract_solutions,
-        ),
-        Approach::NtgaLazyFull => ntga_core::execute(
-            Strategy::LazyFull,
-            engine,
-            query,
-            TRIPLES_FILE,
-            &label,
-            extract_solutions,
-        ),
-        Approach::NtgaLazyPartial(m) => ntga_core::execute(
-            Strategy::LazyPartial(m),
-            engine,
-            query,
-            TRIPLES_FILE,
-            &label,
-            extract_solutions,
-        ),
-        Approach::NtgaAuto(m) => ntga_core::execute(
-            Strategy::Auto(m),
-            engine,
-            query,
-            TRIPLES_FILE,
-            &label,
-            extract_solutions,
-        ),
+    let relational =
+        |flavor| relbase::execute(flavor, engine, query, TRIPLES_FILE, &label, extract_solutions);
+    let strategy = match approach {
+        Approach::Pig => return relational(RelFlavor::Pig),
+        Approach::Hive => return relational(RelFlavor::Hive),
+        Approach::NtgaEager => Strategy::Eager,
+        Approach::NtgaLazyFull => Strategy::LazyFull,
+        Approach::NtgaLazyPartial(m) => Strategy::LazyPartial(m),
+        Approach::NtgaAuto(m) => Strategy::Auto(m),
         Approach::NtgaAutoCost => {
             // ANALYZE step: derive statistics from the relation the engine
             // actually holds, then plan against them.
             let stats = mr_rdf::read_store(engine, TRIPLES_FILE)
                 .map_err(|e| PlanError::Internal(format!("reading {TRIPLES_FILE}: {e}")))?
                 .stats();
-            ntga_core::execute_cost_based(
+            return ntga_core::execute_cost_based(
                 ntga_core::DataPlane::Lexical,
                 engine,
                 query,
@@ -118,9 +78,10 @@ pub fn run_query(
                 &label,
                 extract_solutions,
                 &stats,
-            )
+            );
         }
-    }
+    };
+    ntga_core::execute(strategy, engine, query, TRIPLES_FILE, &label, extract_solutions)
 }
 
 /// Describes the simulated cluster for an experiment.
@@ -128,7 +89,8 @@ pub fn run_query(
 pub struct ClusterConfig {
     /// Number of nodes (the paper uses 5–80).
     pub nodes: u32,
-    /// Disk bytes per node (the paper's VCL nodes had only 20 GB).
+    /// Disk bytes per node (the paper's VCL nodes had only 20 GB);
+    /// `u64::MAX`, the default, is an unbounded disk at any node count.
     pub disk_per_node: u64,
     /// HDFS replication factor (`dfs.replication`; 1 or 2 in the paper).
     pub replication: u32,
@@ -149,10 +111,6 @@ pub struct ClusterConfig {
     /// record sizes, group widths) on every engine this config builds.
     /// Off by default: the map-emit hot path stays allocation-free.
     pub profiling: bool,
-    /// Shuffle sort strategy every engine this config builds uses
-    /// (default: [`SortStrategy::Radix`]; `Comparison` is kept for
-    /// differential testing).
-    pub sort_strategy: SortStrategy,
 }
 
 impl std::fmt::Debug for ClusterConfig {
@@ -167,7 +125,6 @@ impl std::fmt::Debug for ClusterConfig {
             .field("workers", &self.workers)
             .field("trace", &self.trace.as_ref().map(|_| "<sink>"))
             .field("profiling", &self.profiling)
-            .field("sort_strategy", &self.sort_strategy)
             .finish()
     }
 }
@@ -176,7 +133,7 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             nodes: 60,
-            disk_per_node: u64::MAX / 60, // effectively unbounded
+            disk_per_node: u64::MAX,
             replication: 1,
             cost: CostModel::default(),
             faults: FaultConfig::none(),
@@ -184,34 +141,38 @@ impl Default for ClusterConfig {
             workers: None,
             trace: None,
             profiling: false,
-            sort_strategy: SortStrategy::default(),
         }
     }
 }
 
 impl ClusterConfig {
     /// Build a fresh engine with the triple store loaded at
-    /// [`TRIPLES_FILE`].
-    pub fn engine_with(&self, store: &TripleStore) -> Engine {
-        let capacity = if self.disk_per_node == u64::MAX / u64::from(self.nodes.max(1)) {
-            u64::MAX
-        } else {
-            u64::from(self.nodes) * self.disk_per_node
-        };
+    /// [`TRIPLES_FILE`]; `DiskFull` when the input alone does not fit the
+    /// configured disk.
+    pub fn try_engine_with(&self, store: &TripleStore) -> Result<Engine, MrError> {
+        let capacity = u64::from(self.nodes).saturating_mul(self.disk_per_node);
         let mut engine = Engine::new(SimHdfs::new(capacity, self.replication))
             .with_cost(self.cost.clone())
             .with_faults(self.faults.clone())
             .with_recovery(self.recovery)
-            .with_profiling(self.profiling)
-            .with_sort_strategy(self.sort_strategy);
+            .with_profiling(self.profiling);
         if let Some(workers) = self.workers {
             engine = engine.with_workers(workers);
         }
         if let Some(sink) = &self.trace {
             engine = engine.with_trace(sink.clone());
         }
-        load_store(&engine, TRIPLES_FILE, store).expect("input must fit in the cluster");
-        engine
+        load_store(&engine, TRIPLES_FILE, store)?;
+        Ok(engine)
+    }
+
+    /// [`try_engine_with`](Self::try_engine_with) for configurations known
+    /// to hold their input.
+    ///
+    /// # Panics
+    /// Panics when the input does not fit the configured disk.
+    pub fn engine_with(&self, store: &TripleStore) -> Engine {
+        self.try_engine_with(store).expect("input must fit in the cluster")
     }
 
     /// Attach a trace sink to every engine built from this config.
@@ -223,13 +184,6 @@ impl ClusterConfig {
     /// Enable histogram profiling on every engine built from this config.
     pub fn with_profiling(mut self, on: bool) -> Self {
         self.profiling = on;
-        self
-    }
-
-    /// Pick the shuffle sort strategy for every engine built from this
-    /// config (`Radix` by default; `Comparison` for differential runs).
-    pub fn with_sort_strategy(mut self, strategy: SortStrategy) -> Self {
-        self.sort_strategy = strategy;
         self
     }
 
@@ -311,6 +265,33 @@ mod tests {
         let engine = cfg.engine_with(&store);
         let pig = run_query(Approach::Pig, &engine, &q, "t", false).unwrap();
         assert!(!pig.succeeded());
+    }
+
+    #[test]
+    fn default_disk_is_unbounded_at_any_node_count() {
+        // Regression: "unbounded" used to be recognised by comparing
+        // `disk_per_node` with `u64::MAX / nodes`, so overriding `nodes`
+        // alone overflowed `nodes * disk_per_node` (debug: panic; release:
+        // a silently wrapped, bounded cluster).
+        let store = store();
+        for nodes in [1, 5, 60, 80, u32::MAX] {
+            let engine = ClusterConfig { nodes, ..Default::default() }.engine_with(&store);
+            assert_eq!(engine.hdfs().lock().capacity(), u64::MAX, "{nodes} nodes");
+        }
+        // A bounded disk stays the product, whichever way `nodes` moves.
+        for nodes in [5, 80] {
+            let cfg = ClusterConfig { nodes, disk_per_node: 1 << 20, ..Default::default() };
+            let capacity = cfg.engine_with(&store).hdfs().lock().capacity();
+            assert_eq!(capacity, u64::from(nodes) << 20);
+        }
+    }
+
+    #[test]
+    fn input_that_does_not_fit_is_a_typed_error() {
+        let store = store();
+        let cfg = ClusterConfig { nodes: 1, ..Default::default() }.tight_disk(&store, 0.5);
+        let err = cfg.try_engine_with(&store).err().expect("half the input cannot fit");
+        assert!(err.is_disk_full(), "{err}");
     }
 
     #[test]

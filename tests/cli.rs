@@ -140,6 +140,46 @@ fn constrained_disk_reports_failure() {
 }
 
 #[test]
+fn disk_too_small_for_the_input_is_an_error_not_a_panic() {
+    // `--disk-factor 0.5` cannot even hold the input: both commands must
+    // report the typed DiskFull and exit non-zero (this used to abort with
+    // "input must fit in the cluster").
+    let dir = tempdir("tinydisk");
+    let data = dir.join("d.nt");
+    let query = dir.join("q.rq");
+    run_ok(cli().args([
+        "generate",
+        "--dataset",
+        "bsbm",
+        "--scale",
+        "5",
+        "--out",
+        data.to_str().unwrap(),
+    ]));
+    std::fs::write(&query, "SELECT * WHERE { ?s <rdfs:label> ?l . }").unwrap();
+    for command in ["query", "compare"] {
+        let out = cli()
+            .args([
+                command,
+                "--data",
+                data.to_str().unwrap(),
+                "--query",
+                query.to_str().unwrap(),
+                "--disk-factor",
+                "0.5",
+            ])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{command}: {stderr}");
+        assert!(stderr.contains("error: loading the input"), "{command}: {stderr}");
+        assert!(stderr.contains("HDFS full"), "{command}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn bad_usage_fails_cleanly() {
     let out = cli().args(["query", "--data"]).output().expect("spawn");
     assert!(!out.status.success());

@@ -1,6 +1,6 @@
 //! The workspace's headline correctness invariant: every execution path —
-//! Pig-like, Hive-like, NTGA eager, NTGA lazy-full, NTGA lazy-partial —
-//! produces exactly the solution set of the naive reference evaluator, on
+//! Pig-like, Hive-like, NTGA eager, NTGA lazy-full, NTGA lazy-partial,
+//! NTGA cost-based — produces exactly the solution set of the naive reference evaluator, on
 //! randomized data and across the paper's query shapes.
 //!
 //! This is the full-pipeline generalization of the paper's Lemma 1
@@ -58,6 +58,7 @@ fn approaches() -> Vec<Approach> {
         Approach::NtgaLazyPartial(1),
         Approach::NtgaLazyPartial(3),
         Approach::NtgaAuto(8),
+        Approach::NtgaAutoCost,
     ]
 }
 

@@ -3,25 +3,11 @@
 //! with the naive evaluator, and the structural claims of the paper
 //! (cycle counts, full scans, relative write volumes) must hold.
 
+mod common;
+
+use common::{bio, bsbm, dbp};
 use ntga::prelude::*;
 use ntga::testbed::TestQuery;
-
-fn bsbm() -> TripleStore {
-    datagen::bsbm::generate(&datagen::BsbmConfig {
-        products: 30,
-        features: 20,
-        max_features_per_product: 10,
-        ..Default::default()
-    })
-}
-
-fn bio() -> TripleStore {
-    datagen::bio2rdf::generate(&datagen::Bio2RdfConfig::with_genes(35))
-}
-
-fn dbp() -> TripleStore {
-    datagen::dbpedia::generate(&datagen::DbpediaConfig::with_entities(60))
-}
 
 fn check_all(queries: &[TestQuery], store: &TripleStore) {
     for tq in queries {
