@@ -27,7 +27,6 @@ use rdf_model::atom::{atom, fnv1a, Atom};
 use rdf_model::hash::DetHashMap;
 use rdf_model::Dictionary;
 use rdf_query::{Query, StarPattern};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Default reducer count for NTGA jobs.
@@ -370,19 +369,17 @@ fn expanded_bytes_of(tuple: &TgTuple, component: usize, u: usize) -> u64 {
         .sum();
     // Pairs every pinned record carries regardless of the candidate chosen:
     // bound pairs plus the other unbound lists.
-    let mut base: BTreeSet<(&str, &str)> = BTreeSet::new();
+    let mut base: Vec<(&str, &str)> = Vec::new();
     for (p, objs) in &comp.bound {
-        for o in objs {
-            base.insert((&**p, &**o));
-        }
+        base.extend(objs.iter().map(|o| (&**p, &**o)));
     }
     for (j, cands) in comp.unbound.iter().enumerate() {
         if j != u {
-            for (p, o) in cands {
-                base.insert((&**p, &**o));
-            }
+            base.extend(cands.iter().map(|(p, o)| (&**p, &**o)));
         }
     }
+    base.sort_unstable();
+    base.dedup();
     let base_bytes: u64 = comp.subject.len() as u64
         + 1
         + base.iter().map(|(p, o)| p.len() as u64 + o.len() as u64 + 2).sum::<u64>();
@@ -390,11 +387,23 @@ fn expanded_bytes_of(tuple: &TgTuple, component: usize, u: usize) -> u64 {
     for (p, o) in &comp.unbound[u] {
         // A candidate that duplicates a base pair is stored once (set
         // semantics), so it adds no bytes beyond the base record.
-        let extra =
-            if base.contains(&(&**p, &**o)) { 0 } else { p.len() as u64 + o.len() as u64 + 2 };
+        let extra = match base.binary_search(&(&**p, &**o)) {
+            Ok(_) => 0,
+            Err(_) => p.len() as u64 + o.len() as u64 + 2,
+        };
         total += rest + base_bytes + extra;
     }
     total
+}
+
+/// `tuple` with component `component` replaced by `pinned` (moved in):
+/// clones only the components that are kept.
+fn with_component(tuple: &TgTuple, component: usize, pinned: AnnTg) -> TgTuple {
+    let mut comps = Vec::with_capacity(tuple.0.len());
+    comps.extend_from_slice(&tuple.0[..component]);
+    comps.push(pinned);
+    comps.extend_from_slice(&tuple.0[component + 1..]);
+    TgTuple(comps)
 }
 
 fn join_mapper(side: u64, spec: JoinSide, mode: UnnestMode) -> Arc<dyn mrsim::RawMapOp> {
@@ -414,13 +423,13 @@ fn join_mapper(side: u64, spec: JoinSide, mode: UnnestMode) -> Arc<dyn mrsim::Ra
                         ctx.count(op::UNNEST_IN, 1);
                         ctx.record(op::UNNEST_WIDTH, expansions.len() as u64);
                     }
+                    // One count per input tuple. Even a zero delta creates
+                    // the counter, which an empty expansion must not.
+                    if unbound && !expansions.is_empty() {
+                        ctx.count(op::UNNEST_OUT, expansions.len() as u64);
+                    }
                     for (key, pinned) in expansions {
-                        if unbound {
-                            ctx.count(op::UNNEST_OUT, 1);
-                        }
-                        let mut t = tuple.clone();
-                        t.0[spec.component] = pinned;
-                        out.emit(&key, &(side, t));
+                        out.emit(&key, &(side, with_component(&tuple, spec.component, pinned)));
                     }
                 }
                 UnnestMode::Partial(m) => {
@@ -435,13 +444,16 @@ fn join_mapper(side: u64, spec: JoinSide, mode: UnnestMode) -> Arc<dyn mrsim::Ra
                     } else {
                         None
                     };
-                    for (k, pinned) in partial_expansions(comp, spec.role, m) {
-                        if let Some(rest) = unbound_rest {
-                            ctx.count(op::PARTIAL_OUT, 1);
-                            ctx.count(op::PARTIAL_NESTED_BYTES, rest + pinned.text_size());
-                        }
-                        let mut t = tuple.clone();
-                        t.0[spec.component] = pinned;
+                    let expansions = partial_expansions(comp, spec.role, m);
+                    if let Some(rest) = unbound_rest.filter(|_| !expansions.is_empty()) {
+                        let pinned_bytes: u64 =
+                            expansions.iter().map(|(_, pinned)| pinned.text_size()).sum();
+                        let n = expansions.len() as u64;
+                        ctx.count(op::PARTIAL_OUT, n);
+                        ctx.count(op::PARTIAL_NESTED_BYTES, rest * n + pinned_bytes);
+                    }
+                    for (k, pinned) in expansions {
+                        let t = with_component(&tuple, spec.component, pinned);
                         out.emit(&atom(&k.to_string()), &(side, t));
                     }
                 }
@@ -500,9 +512,10 @@ pub fn tg_join_job(
                             continue;
                         }
                         for (key, pinned) in join_expansions(&t.0[rcomp], rrole) {
-                            let mut pt = t.clone();
-                            pt.0[rcomp] = pinned;
-                            right_hash.entry(key).or_default().push(pt);
+                            right_hash
+                                .entry(key)
+                                .or_default()
+                                .push(with_component(t, rcomp, pinned));
                         }
                     }
                     for (side, t) in &values {

@@ -15,7 +15,6 @@
 use mrsim::{MrError, Rec, SliceReader};
 use rdf_model::atom::Atom;
 use rdf_query::{Binding, ObjPattern, PropPattern, StarPattern};
-use std::collections::BTreeSet;
 
 /// An annotated triplegroup: one subject's matches for one star
 /// subpattern. Tokens are interned [`Atom`]s, so cloning a triplegroup
@@ -51,20 +50,36 @@ impl AnnTg {
     }
 
     /// The distinct `(property, object)` pairs stored (a triple playing
-    /// multiple roles counts once — set semantics of triplegroups).
-    pub fn distinct_pairs(&self) -> BTreeSet<(&str, &str)> {
-        let mut set = BTreeSet::new();
+    /// multiple roles counts once — set semantics of triplegroups), in
+    /// sorted order.
+    pub fn distinct_pairs(&self) -> Vec<(&str, &str)> {
+        let mut pairs = Vec::new();
+        self.distinct_pairs_into(&mut pairs);
+        pairs
+    }
+
+    /// [`distinct_pairs`](Self::distinct_pairs) into a caller-owned
+    /// buffer (cleared first), so a hot caller sizing many triplegroups
+    /// allocates once: sort + dedup over borrowed tokens.
+    fn distinct_pairs_into<'a>(&'a self, pairs: &mut Vec<(&'a str, &'a str)>) {
+        pairs.clear();
         for (p, objs) in &self.bound {
-            for o in objs {
-                set.insert((&**p, &**o));
-            }
+            pairs.extend(objs.iter().map(|o| (&**p, &**o)));
         }
         for cands in &self.unbound {
-            for (p, o) in cands {
-                set.insert((&**p, &**o));
-            }
+            pairs.extend(cands.iter().map(|(p, o)| (&**p, &**o)));
         }
-        set
+        pairs.sort_unstable();
+        pairs.dedup();
+    }
+
+    /// [`Rec::text_size`] with the distinct-pair scratch supplied: the
+    /// subject and a separator, then each distinct `(p, o)` pair once with
+    /// two separators — the nested text representation.
+    fn text_size_in<'a>(&'a self, pairs: &mut Vec<(&'a str, &'a str)>) -> u64 {
+        self.distinct_pairs_into(pairs);
+        let pair_bytes: u64 = pairs.iter().map(|(p, o)| p.len() as u64 + o.len() as u64 + 2).sum();
+        self.subject.len() as u64 + 1 + pair_bytes
     }
 
     /// Expand to solution bindings for the star this triplegroup matches.
@@ -153,13 +168,7 @@ impl Rec for AnnTg {
     }
 
     fn text_size(&self) -> u64 {
-        // subject + separator, then each distinct (p, o) pair once with
-        // two separators — the nested text representation.
-        let mut n = self.subject.len() as u64 + 1;
-        for (p, o) in self.distinct_pairs() {
-            n += p.len() as u64 + o.len() as u64 + 2;
-        }
-        n
+        self.text_size_in(&mut Vec::new())
     }
 }
 
@@ -186,7 +195,8 @@ impl Rec for TgTuple {
     }
 
     fn text_size(&self) -> u64 {
-        self.0.iter().map(Rec::text_size).sum()
+        let mut pairs = Vec::new();
+        self.0.iter().map(|tg| tg.text_size_in(&mut pairs)).sum()
     }
 }
 

@@ -7,18 +7,28 @@
 //! [`JobStats`], and the configured [`CostModel`] converts them into
 //! simulated seconds.
 //!
+//! Map tasks are *byte-sized* input splits: a file is cut wherever the
+//! accumulated encoded bytes reach `max(total / 32, 32 KiB)`, so a few
+//! hundred fat nested triplegroups fan out over the worker pool just as
+//! tens of thousands of thin triples do, and the split list depends on
+//! the input file alone — never on the worker count.
+//!
 //! The shuffle mirrors Hadoop's: each map task spills its output into one
 //! `SpillArena` (the `spill` module) per reduce partition as it emits
 //! (FNV-1a on the key
-//! bytes — not Rust's randomly-seeded default hasher), and the driver
-//! merely concatenates per-partition arenas in input order (one byte
-//! memcpy plus an index rebase per bucket). No owned per-record pairs are
-//! ever built: emissions encode straight into the arena, and sorting,
-//! combining and reducing all operate on borrowed `&[u8]` slices of it.
+//! bytes — not Rust's randomly-seeded default hasher), sorts and seals
+//! each bucket, and every reduce partition then *fetches* its column of
+//! buckets as one unit of work on the worker pool: verify the seal,
+//! append the bucket as a sorted run (one byte memcpy plus an index
+//! rebase), free it. The driver copies no shuffle bytes; it only injects
+//! faults and does per-task bookkeeping, in task order. No owned
+//! per-record pairs are ever built: emissions encode straight into the
+//! arena, and sorting, combining and reducing all operate on borrowed
+//! `&[u8]` slices of it.
 //!
 //! Determinism: the same job over the same inputs produces byte-identical
 //! output files and identical counters regardless of worker count. Map
-//! output is concatenated in input order, and each reduce partition's
+//! output is fetched in input (task) order, and each reduce partition's
 //! record *index* is brought into the canonical `(key bytes, value bytes)`
 //! order before grouping: each map task radix-sorts its buckets over the
 //! cached key prefixes and the reduce side k-way merges the absorbed
@@ -53,6 +63,10 @@ pub fn default_partition(key: &[u8], n: usize) -> usize {
     }
     (fnv1a(key) % n as u64) as usize
 }
+
+/// Smallest map split worth a task of its own, in encoded input bytes
+/// (see [`Engine::chunk`]).
+const SPLIT_FLOOR_BYTES: usize = 32 * 1024;
 
 /// The engine: a simulated cluster (DFS + workers + cost model).
 pub struct Engine {
@@ -721,7 +735,7 @@ impl Engine {
         }
         // Map-only output order must be deterministic: process chunks in
         // parallel but concatenate in input order.
-        let chunks: Vec<&[Vec<u8>]> = inputs.iter().flat_map(|f| self.chunk(&f.records)).collect();
+        let chunks: Vec<&[Vec<u8>]> = inputs.iter().flat_map(|f| Self::chunk(&f.records)).collect();
         if scratch.enabled {
             for chunk in &chunks {
                 let bytes: u64 = chunk.iter().map(|r| r.len() as u64).sum();
@@ -846,10 +860,11 @@ impl Engine {
     }
 
     /// Map phase with map-side shuffle partitioning: every map task spills
-    /// into one arena per reduce partition as it emits, and this driver
-    /// only moves whole arenas — concatenating each partition's spill
-    /// arenas in deterministic input (task) order, exactly the
-    /// per-partition sequence the old owned-pair shuffle produced.
+    /// into one arena per reduce partition as it emits, sorts and seals
+    /// them, and each reduce partition then fetches its column of buckets
+    /// ([`Engine::fetch_partition`]) in deterministic input (task) order.
+    /// The driver itself only injects corruption and does the per-task
+    /// bookkeeping; it copies no shuffle bytes.
     #[allow(clippy::too_many_arguments)] // internal: one call site, in run_job
     fn run_map_phase(
         &self,
@@ -870,7 +885,7 @@ impl Engine {
         }
         for (mapper, file) in &files {
             // Safety note: `files` outlives `work` within this function.
-            for chunk in self.chunk(&file.records) {
+            for chunk in Self::chunk(&file.records) {
                 work.push((mapper.as_ref(), chunk));
             }
         }
@@ -882,7 +897,7 @@ impl Engine {
         }
         self.resolve_faults(epoch, TaskPhase::Map, work.len(), true, stats)?;
         let job = stats.name.clone();
-        let results = self.parallel_over(&work, |(mapper, chunk)| {
+        let mut results = self.parallel_over(&work, |(mapper, chunk)| {
             let ctx = TaskContext::with_env(self.dict.clone(), broadcast.to_vec())
                 .profiled(self.profiling);
             let mut out = MapEmitter::partitioned(reduce_tasks);
@@ -914,83 +929,86 @@ impl Engine {
             }
             Ok((out, pre_combine, live_bytes, skipped, ctx.take_counters(), ctx.take_metrics()))
         })?;
-        let mut partitions: Vec<SpillArena> =
-            (0..reduce_tasks).map(|_| SpillArena::default()).collect();
-        stats.shuffle_partition_bytes = vec![0; reduce_tasks];
+        // In-flight corruption: flip one bit somewhere in a map task's
+        // serialized output before the reducers fetch it. The draw and the
+        // offset are pure functions of (seed, job, epoch, task), so every
+        // worker count injects identically. The same walk hands each
+        // sealed bucket to its reduce partition's fetch column (a move of
+        // the arena header, not of its bytes).
         let base = Self::fault_base(&job, epoch, TaskPhase::Map);
+        let mut columns: Vec<Vec<(SpillArena, Option<usize>)>> =
+            (0..reduce_tasks).map(|_| Vec::with_capacity(results.len())).collect();
+        for (task, (out, ..)) in results.iter_mut().enumerate() {
+            let total: usize = out.buckets.iter().map(|b| b.encoded_bytes() as usize).sum();
+            let offset = if self.faults.data_corrupted(base, task as u64) {
+                self.faults.corruption_offset(base, task as u64, total)
+            } else {
+                None
+            };
+            let flipped = offset.map(|mut off| {
+                let mut victim = 0;
+                for (p, bucket) in out.buckets.iter().enumerate() {
+                    victim = p;
+                    let len = bucket.encoded_bytes() as usize;
+                    if off < len {
+                        break;
+                    }
+                    off -= len;
+                }
+                out.buckets[victim].flip_byte(off);
+                (victim, off)
+            });
+            for (p, (column, bucket)) in columns.iter_mut().zip(out.buckets.drain(..)).enumerate() {
+                let flip = flipped.and_then(|(victim, off)| (victim == p).then_some(off));
+                column.push((bucket, flip));
+            }
+        }
+        // Reduce-side fetch: one unit of work per reduce partition on the
+        // worker pool. Each column sits in a Mutex purely so its one
+        // owning task can take it through `parallel_over`'s shared slice.
+        let columns: Vec<Mutex<Vec<_>>> = columns.into_iter().map(Mutex::new).collect();
+        let fetched = self.parallel_over(&columns, |column| {
+            self.fetch_partition(&job, std::mem::take(&mut column.lock()))
+        })?;
+        let mut partitions = Vec::with_capacity(reduce_tasks);
+        let mut refetched = vec![false; results.len()];
+        for (part, tasks, fetch_metrics) in fetched {
+            stats.map_output_records += part.len() as u64;
+            stats.map_output_bytes += part.text_bytes();
+            stats.map_output_encoded_bytes += part.encoded_bytes();
+            stats.shuffle_partition_bytes.push(part.text_bytes());
+            stats.metrics.merge(&fetch_metrics);
+            // At most one bucket per task is ever flipped, so a task is
+            // refetched by at most one partition.
+            for task in tasks {
+                refetched[task] = true;
+            }
+            partitions.push(part);
+        }
+        // Per-task accounting in task order, so counters and the event
+        // stream are what a serial task-by-task fetch would produce.
         let mut quarantined: Vec<Vec<u8>> = Vec::new();
-        for (task, (mut out, pre_combine, live_bytes, skipped, ops, task_metrics)) in
+        for (task, (_, pre_combine, live_bytes, skipped, ops, task_metrics)) in
             results.into_iter().enumerate()
         {
+            let detected = refetched[task];
+            let task = task as u64;
             stats.ops.merge(&ops);
             stats.metrics.merge(&task_metrics);
             stats.pre_combine_records += pre_combine;
             stats.peak_task_live_bytes = stats.peak_task_live_bytes.max(live_bytes);
-            self.account_skipped(task as u64, skipped, &mut quarantined, stats);
-            // In-flight corruption: flip one bit somewhere in this map
-            // task's serialized output before the reducers "fetch" it. The
-            // draw and the offset are pure functions of (seed, job, epoch,
-            // task), so every worker count injects identically.
-            let flipped = if self.faults.data_corrupted(base, task as u64) {
-                let total: usize = out.buckets.iter().map(|b| b.encoded_bytes() as usize).sum();
-                self.faults.corruption_offset(base, task as u64, total).map(|mut off| {
-                    let mut victim = 0;
-                    for (p, bucket) in out.buckets.iter().enumerate() {
-                        victim = p;
-                        let len = bucket.encoded_bytes() as usize;
-                        if off < len {
-                            break;
-                        }
-                        off -= len;
-                    }
-                    out.buckets[victim].flip_byte(off);
-                    (victim, off)
-                })
-            } else {
-                None
-            };
-            for (p, bucket) in out.buckets.iter_mut().enumerate() {
-                // Shuffle-absorb verification (Hadoop checksums every map
-                // output segment a reducer fetches). A mismatch plays out
-                // as a fetch failure: the producing map is re-executed —
-                // priced into `retry_seconds` via the refetch counter —
-                // and its clean output is fetched instead (the flip is
-                // undone; injected corruption is the only way a sealed
-                // bucket can mismatch).
-                if self.verify_checksums && bucket.verify().is_err() {
-                    stats.faults.corruptions_detected += 1;
-                    stats.faults.corrupt_refetches += 1;
-                    let job = job.clone();
-                    let task = task as u64;
-                    self.emit(|| TraceEvent::CorruptionDetected {
-                        job: job.clone(),
-                        site: "shuffle",
-                        task,
-                    });
-                    self.emit(|| TraceEvent::Refetch { job: job.clone(), site: "shuffle", task });
-                    let (_, off) = flipped.expect("only injected corruption fails verification");
-                    bucket.flip_byte(off);
-                }
-                stats.map_output_records += bucket.len() as u64;
-                stats.map_output_bytes += bucket.text_bytes();
-                stats.map_output_encoded_bytes += bucket.encoded_bytes();
-                stats.shuffle_partition_bytes[p] += bucket.text_bytes();
-                if self.profiling {
-                    for wire in bucket.record_wire_sizes() {
-                        stats.metrics.record(crate::metrics::name::RECORD_SHUFFLE_BYTES, wire);
-                    }
-                    if !bucket.is_empty() {
-                        // Map-side sort work: entries per sorted run. A
-                        // pure function of the input split (never of
-                        // worker count or fault draws), like every other
-                        // profiling histogram.
-                        stats.metrics.record(
-                            crate::metrics::name::SORT_MAP_RUN_ENTRIES,
-                            bucket.len() as u64,
-                        );
-                    }
-                }
-                partitions[p].absorb_sorted(bucket);
+            self.account_skipped(task, skipped, &mut quarantined, stats);
+            if detected {
+                // The re-executed map is priced into `retry_seconds` via
+                // the refetch counter.
+                stats.faults.corruptions_detected += 1;
+                stats.faults.corrupt_refetches += 1;
+                self.emit(|| TraceEvent::CorruptionDetected {
+                    job: job.clone(),
+                    site: "shuffle",
+                    task,
+                });
+                self.emit(|| TraceEvent::Refetch { job: job.clone(), site: "shuffle", task });
             }
         }
         self.write_quarantine(&job, quarantined)?;
@@ -1001,6 +1019,57 @@ impl Engine {
             stats.peak_spill_entries = stats.peak_spill_entries.max(part.len() as u64);
         }
         Ok(partitions)
+    }
+
+    /// One reducer's shuffle fetch, as in Hadoop: pull this partition's
+    /// column of sealed map-output buckets in task order, verify each
+    /// against its seal (Hadoop checksums every map output segment a
+    /// reducer fetches) and absorb it as one sorted run, dropping the
+    /// bucket as soon as its bytes are copied into the pre-sized
+    /// partition arena. A mismatch is a fetch failure: the producing map
+    /// is re-executed and its output fetched again — for an injected flip
+    /// (the offset riding with the bucket) that undoes the flip — and the
+    /// refetched copy must verify, so a bucket that mismatches for any
+    /// other reason fails the job with [`MrError::Corruption`]. Returns
+    /// the partition arena, the tasks whose bucket was refetched, and the
+    /// profiling histograms of the absorbed buckets.
+    fn fetch_partition(
+        &self,
+        job: &str,
+        column: Vec<(SpillArena, Option<usize>)>,
+    ) -> Result<(SpillArena, Vec<usize>, crate::metrics::MetricsRegistry), MrError> {
+        use crate::metrics::name;
+        let mut part = SpillArena::with_capacity(
+            column.iter().map(|(b, _)| b.encoded_bytes() as usize).sum(),
+            column.iter().map(|(b, _)| b.len()).sum(),
+        );
+        let mut refetched = Vec::new();
+        let mut metrics = crate::metrics::MetricsRegistry::new();
+        for (task, (mut bucket, flip)) in column.into_iter().enumerate() {
+            if self.verify_checksums && bucket.verify().is_err() {
+                if let Some(off) = flip {
+                    bucket.flip_byte(off);
+                }
+                bucket.verify().map_err(|(expected, actual)| MrError::Corruption {
+                    job: job.to_string(),
+                    site: "shuffle",
+                    expected,
+                    actual,
+                })?;
+                refetched.push(task);
+            }
+            if self.profiling && !bucket.is_empty() {
+                for wire in bucket.record_wire_sizes() {
+                    metrics.record(name::RECORD_SHUFFLE_BYTES, wire);
+                }
+                // Map-side sort work: entries per sorted run. A pure
+                // function of the input split (never of worker count or
+                // fault draws), like every other profiling histogram.
+                metrics.record(name::SORT_MAP_RUN_ENTRIES, bucket.len() as u64);
+            }
+            part.absorb_sorted(&bucket);
+        }
+        Ok((part, refetched, metrics))
     }
 
     /// Run the combiner over one map task's buffered output: sort and
@@ -1111,22 +1180,40 @@ impl Engine {
         Ok(files)
     }
 
-    /// Split a record slice into fixed-size chunks: ~1/32 of the input,
-    /// at least 1024 records. Deliberately independent of the worker
-    /// count — chunks are the engine's "tasks", and everything accounted
-    /// per task (fault draws via `map_tasks_scheduled`, task spans,
-    /// duration histograms, per-task memory high-water marks) must be
-    /// identical whether 1 or 8 threads drain the chunk queue.
-    fn chunk<'a>(&self, records: &'a [Vec<u8>]) -> Vec<&'a [Vec<u8>]> {
-        if records.is_empty() {
-            return Vec::new();
+    /// Cut one input file into map splits by *bytes*: a split ends at the
+    /// first record where its accumulated encoded bytes reach
+    /// `max(total_bytes / 32, SPLIT_FLOOR_BYTES)`, so a file yields at
+    /// most 33 splits and every split but the last carries at least the
+    /// floor — 300 nested 1 KB triplegroups are ten tasks, not one, while
+    /// 300 twelve-byte triples stay one. A pure function of the record
+    /// byte lengths, never of the worker count — splits are the engine's
+    /// "tasks", and everything accounted per task (fault draws via
+    /// `map_tasks_scheduled`, task spans, duration histograms, per-task
+    /// memory high-water marks) must be identical whether 1 or 8 threads
+    /// drain the split queue.
+    fn chunk(records: &[Vec<u8>]) -> Vec<&[Vec<u8>]> {
+        let total: usize = records.iter().map(Vec::len).sum();
+        let target = (total / 32).max(SPLIT_FLOOR_BYTES);
+        let mut splits = Vec::new();
+        let (mut start, mut bytes) = (0, 0);
+        for (i, rec) in records.iter().enumerate() {
+            bytes += rec.len();
+            if bytes >= target {
+                splits.push(&records[start..=i]);
+                (start, bytes) = (i + 1, 0);
+            }
         }
-        let target = (records.len() / 32).max(1024).min(records.len());
-        records.chunks(target).collect()
+        if start < records.len() {
+            splits.push(&records[start..]);
+        }
+        splits
     }
 
     /// Run `f` over every item of `work` on the worker pool, preserving
-    /// item order in the results.
+    /// item order in the results. The calling thread is one of the
+    /// `workers`: a phase spawns one thread fewer, and long-lived task
+    /// output (spill buckets, DFS records) lands in one allocator arena
+    /// fewer, which is worth a fifth of the process's peak RSS.
     fn parallel_over<T: Sync, R: Send>(
         &self,
         work: &[T],
@@ -1141,17 +1228,19 @@ impl Engine {
         let next = std::sync::atomic::AtomicUsize::new(0);
         let results: Vec<Mutex<Option<Result<R, MrError>>>> =
             work.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers.min(work.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= work.len() {
-                        break;
-                    }
-                    let r = f(&work[i]);
-                    *results[i].lock() = Some(r);
-                });
+        let drain = || loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if i >= work.len() {
+                break;
             }
+            let r = f(&work[i]);
+            *results[i].lock() = Some(r);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..self.workers.min(work.len()) {
+                scope.spawn(drain);
+            }
+            drain();
         });
         results.into_iter().map(|m| m.into_inner().expect("worker completed")).collect()
     }
@@ -1829,6 +1918,132 @@ mod tests {
         assert_eq!(out, vec!["ONE", "TWO"]);
         let q = engine.hdfs().lock().get("upper.quarantine").unwrap();
         assert_eq!(q.records, vec![bad]);
+    }
+
+    mod split_rule {
+        use super::*;
+        use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest};
+
+        proptest! {
+            #[test]
+            fn splits_tile_the_input_by_bytes(
+                lens in prop::collection::vec(0usize..8000, 0..400),
+            ) {
+                let records: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0xAB; n]).collect();
+                let splits = Engine::chunk(&records);
+                // In-order tiling: concatenating the splits is the input.
+                let tiled: Vec<&Vec<u8>> = splits.iter().flat_map(|s| s.iter()).collect();
+                prop_assert_eq!(tiled.len(), records.len());
+                prop_assert!(tiled.iter().zip(&records).all(|(a, b)| std::ptr::eq(*a, b)));
+                prop_assert!(splits.iter().all(|s| !s.is_empty()));
+                // Every split but the last reaches the target, which is at
+                // least the floor and at least 1/32 of the file: ≤ 33 splits.
+                let total: usize = lens.iter().sum();
+                let target = (total / 32).max(SPLIT_FLOOR_BYTES);
+                let bytes = |s: &[Vec<u8>]| s.iter().map(Vec::len).sum::<usize>();
+                for split in splits.iter().rev().skip(1) {
+                    prop_assert!(bytes(split) >= target);
+                    // ...and no earlier: dropping its last record falls short.
+                    prop_assert!(bytes(&split[..split.len() - 1]) < target);
+                }
+                prop_assert!(splits.len() <= 33, "{} splits", splits.len());
+                // A function of the record byte lengths alone.
+                let other: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0x11; n]).collect();
+                let shape = |s: Vec<&[Vec<u8>]>| s.iter().map(|c| c.len()).collect::<Vec<_>>();
+                prop_assert_eq!(shape(Engine::chunk(&other)), shape(splits));
+            }
+        }
+
+        #[test]
+        fn empty_and_tiny_inputs() {
+            assert!(Engine::chunk(&[]).is_empty());
+            assert_eq!(Engine::chunk(&[Vec::new(), Vec::new()]).len(), 1);
+            assert_eq!(Engine::chunk(&[vec![0; SPLIT_FLOOR_BYTES], vec![0]]).len(), 2);
+        }
+    }
+
+    #[test]
+    fn kilobyte_records_split_into_several_map_tasks() {
+        // 300 records of ~1 KB — the shape of a lazy tg_join's nested
+        // input — must fan out over the pool: splits are cut by bytes.
+        let lines: Vec<String> =
+            (0..300).map(|i| format!("k{}:{}", i % 7, "x".repeat(1000))).collect();
+        let run = |workers: usize, with_combiner: bool| {
+            let engine = Engine::unbounded().with_workers(workers);
+            engine.put_records("input", lines.clone()).unwrap();
+            let mapper =
+                map_fn(|line: String, out: &mut crate::job::TypedMapEmitter<'_, String, u64>| {
+                    out.emit(&line[..2].to_string(), &(line.len() as u64));
+                    Ok(())
+                });
+            let reducer = reduce_fn(
+                |key: String, vs: Vec<u64>, out: &mut crate::job::TypedOutEmitter<'_, String>| {
+                    out.emit(&format!("{key}:{}", vs.iter().sum::<u64>()))
+                },
+            );
+            let mut spec = JobSpec::map_reduce(
+                "kb",
+                vec![InputBinding { file: "input".into(), mapper }],
+                reducer,
+                3,
+                "out",
+            );
+            if with_combiner {
+                spec = spec.with_combiner(crate::job::combine_fn(
+                    |key: String,
+                     vs: Vec<u64>,
+                     out: &mut crate::job::TypedMapEmitter<'_, String, u64>| {
+                        out.emit(&key, &vs.iter().sum());
+                        Ok(())
+                    },
+                ));
+            }
+            let stats = engine.run_job(&spec).unwrap();
+            let out = engine.hdfs().lock().get("out").unwrap().records.clone();
+            (stats, out)
+        };
+        for combined in [false, true] {
+            let (stats, out) = run(1, combined);
+            // ~302 KB of input at the 32 KiB floor.
+            assert_eq!(stats.faults.map_tasks_scheduled, 10, "combiner={combined}");
+            let baseline = (format!("{stats:?}"), out);
+            for workers in [4, 8] {
+                let (stats, out) = run(workers, combined);
+                assert_eq!((format!("{stats:?}"), out), baseline, "workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn forged_seal_mismatch_is_a_typed_corruption_error() {
+        // A sealed bucket that fails verification with no injected flip to
+        // undo (here: a byte changed behind the seal) must fail the job
+        // with a typed error, never a panic.
+        let forged = || {
+            let mut bucket = SpillArena::default();
+            bucket.push_pair(b"key", b"value", 1);
+            bucket.sort_unstable();
+            bucket.seal();
+            bucket.flip_byte(1);
+            bucket
+        };
+        let engine = Engine::unbounded();
+        // (A recorded flip elsewhere in the bucket does not excuse it.)
+        for flip in [None, Some(2)] {
+            let err = engine.fetch_partition("forged", vec![(forged(), flip)]).unwrap_err();
+            assert!(
+                matches!(&err, MrError::Corruption { job, site: "shuffle", .. } if job == "forged"),
+                "{err:?}"
+            );
+        }
+        // The same mismatch at the injected offset is a recovered refetch.
+        let (part, refetched, _) =
+            engine.fetch_partition("forged", vec![(forged(), Some(1))]).unwrap();
+        assert_eq!(refetched, vec![0]);
+        assert_eq!(part.iter().collect::<Vec<_>>(), vec![(&b"key"[..], &b"value"[..])]);
+        // With verification off nothing is checked.
+        let engine = engine.with_verification(false);
+        assert!(engine.fetch_partition("forged", vec![(forged(), None)]).is_ok());
     }
 
     #[test]

@@ -161,12 +161,15 @@ impl SimHdfs {
             return Err(MrError::OutputExists(name.to_string()));
         }
         file.replication = replication.max(1);
-        file.checksum = file.compute_checksum();
         let needed = file.disk_bytes();
         let available = self.available();
         if needed > available {
             return Err(MrError::DiskFull { file: name.to_string(), needed, available });
         }
+        // Checksummed only once the write is admitted (a refused write
+        // pays no pass over data it discards), and always here, so callers
+        // cannot forge it.
+        file.checksum = file.compute_checksum();
         self.files.insert(name.to_string(), Arc::new(file));
         self.peak_usage = self.peak_usage.max(self.usage());
         Ok(())
@@ -247,6 +250,21 @@ mod tests {
         }
         // The failed write must not consume space.
         assert_eq!(fs.usage(), 200);
+    }
+
+    #[test]
+    fn refused_write_leaves_usage_and_peak_untouched() {
+        let mut fs = SimHdfs::new(250, 2);
+        fs.put("a", file(100)).unwrap();
+        let (usage, peak) = (fs.usage(), fs.peak_usage());
+        assert!(fs.put("b", file(100)).unwrap_err().is_disk_full());
+        assert!(fs.put_with_replication("b", file(60), 1).unwrap_err().is_disk_full());
+        assert_eq!((fs.usage(), fs.peak_usage()), (usage, peak));
+        assert!(!fs.exists("b"));
+        // An admitted write is still checksummed at commit.
+        fs.put_with_replication("b", DfsFile { checksum: 0xBAD, ..file(50) }, 1).unwrap();
+        assert_eq!(fs.get("b").unwrap().verify(), Ok(()));
+        assert_eq!(fs.peak_usage(), 250);
     }
 
     #[test]

@@ -144,6 +144,17 @@ pub struct SpillArena {
 }
 
 impl SpillArena {
+    /// Empty arena with room for `bytes` payload bytes and `entries`
+    /// records — the reduce-side fetch knows both from the sealed buckets
+    /// it is about to absorb, so the partition arena never regrows.
+    pub(crate) fn with_capacity(bytes: usize, entries: usize) -> Self {
+        SpillArena {
+            bytes: Vec::with_capacity(bytes),
+            entries: Vec::with_capacity(entries),
+            ..SpillArena::default()
+        }
+    }
+
     /// Number of records.
     pub fn len(&self) -> usize {
         self.entries.len()

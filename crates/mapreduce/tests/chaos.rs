@@ -494,6 +494,41 @@ fn poison_record_quarantine_is_worker_invariant() {
 }
 
 #[test]
+fn poison_records_in_different_splits_quarantine_in_task_order() {
+    use mrsim::{DfsFile, Rec};
+    // ~1 KB records put a split boundary every ~32 records, so the poison
+    // records at 5 and 90 are skipped by different map tasks; the side
+    // file must still list them in task order on every worker count.
+    let bad1 = vec![2, 0, 0, 0, 0xff, 0xfe];
+    let bad2 = vec![9, 0, 0, 0, 0xff];
+    let run = |workers: usize| {
+        let engine = Engine::unbounded().with_workers(workers).with_skip_bad_records(1);
+        let mut records: Vec<Vec<u8>> =
+            (0..100).map(|i| format!("w{}{}", i % 5, "x".repeat(1000)).to_bytes()).collect();
+        records.insert(5, bad1.clone());
+        records.insert(90, bad2.clone());
+        let file = DfsFile {
+            text_bytes: records.iter().map(|r| r.len() as u64).sum(),
+            records,
+            ..DfsFile::default()
+        };
+        engine.hdfs().lock().put("in", file).unwrap();
+        let stats = engine.run_job(&wc_job("poison2", "in", "out", 4)).unwrap();
+        assert!(stats.faults.map_tasks_scheduled > 2);
+        let out = engine.hdfs().lock().get("out").unwrap().records.clone();
+        let quarantine = engine.hdfs().lock().get("poison2.quarantine").unwrap().records.clone();
+        (stats.records_skipped, out, quarantine)
+    };
+    let base = run(1);
+    // A per-task budget of 1 only suffices if the two land in different tasks.
+    assert_eq!(base.0, 2);
+    assert_eq!(base.2, vec![bad1.clone(), bad2.clone()]);
+    for workers in [4usize, 8] {
+        assert_eq!(run(workers), base, "workers={workers}");
+    }
+}
+
+#[test]
 fn faulted_shuffles_still_ship_map_sorted_runs() {
     // Every map-reduce job announces its sort work, and what reaches the
     // reduce side under faults is map-side-sorted runs to merge, never an
@@ -523,3 +558,75 @@ fn faulted_run_is_slower_but_byte_identical() {
     assert_eq!(clean.final_output_records(), faulted.final_output_records());
     assert_eq!(clean.final_output_text_bytes(), faulted.final_output_text_bytes());
 }
+
+/// What the shuffle fetch decides under a corruption regime: per job the
+/// detection counters and every shuffle-size counter, then the
+/// `corruption_detected`/`refetch` events in emission order.
+fn fetch_fingerprint(stats: &WorkflowStats, events: &[TraceEvent]) -> Vec<String> {
+    let mut lines: Vec<String> = stats
+        .jobs
+        .iter()
+        .map(|j| {
+            format!(
+                "{} detected={} refetches={} arena={} out={}/{}/{} parts={:?}",
+                j.name,
+                j.faults.corruptions_detected,
+                j.faults.corrupt_refetches,
+                j.peak_arena_bytes,
+                j.map_output_records,
+                j.map_output_bytes,
+                j.map_output_encoded_bytes,
+                j.shuffle_partition_bytes
+            )
+        })
+        .collect();
+    lines.extend(
+        events
+            .iter()
+            .filter(|e| matches!(e.kind(), "corruption_detected" | "refetch"))
+            .map(TraceEvent::to_json),
+    );
+    lines
+}
+
+#[test]
+fn parallel_fetch_reports_what_the_serial_driver_loop_reported() {
+    // The campaign inputs are one map split under the byte rule and under
+    // the record rule it replaced, so fault draws are unchanged and these
+    // are the values the serial task × partition driver loop produced for
+    // the campaign seed. The reducer-side fetch must reproduce them, in
+    // the same event order, on every worker count.
+    let seed = campaign_seed();
+    for (regime, expected) in
+        [(Regime::Corruption, PINNED_CORRUPTION), (Regime::CorruptionCombined, PINNED_COMBINED)]
+    {
+        for workers in [1usize, 4, 8] {
+            let (stats, events, _) = run_chaos(regime, seed, workers).unwrap();
+            let got = fetch_fingerprint(&stats, &events);
+            assert_eq!(got, expected, "{regime:?} workers={workers} seed={seed}:\n{got:#?}");
+        }
+    }
+}
+
+const PINNED_CORRUPTION: &[&str] = &[
+    "j-a detected=0 refetches=0 arena=9770 out=800/5929/13929 parts=[1746, 1410, 1410, 1363]",
+    "j-b detected=0 refetches=0 arena=11703 out=800/5929/13929 parts=[1699, 2115, 2115]",
+    "j-merge detected=4 refetches=2 arena=876 out=34/606/844 parts=[288, 318]",
+    r#"{"event":"corruption_detected","job":"j-merge","site":"dfs","task":0}"#,
+    r#"{"event":"refetch","job":"j-merge","site":"dfs","task":0}"#,
+    r#"{"event":"corruption_detected","job":"j-merge","site":"dfs","task":0}"#,
+    r#"{"event":"refetch","job":"j-merge","site":"dfs","task":0}"#,
+    r#"{"event":"corruption_detected","job":"j-merge","site":"shuffle","task":0}"#,
+    r#"{"event":"refetch","job":"j-merge","site":"shuffle","task":0}"#,
+    r#"{"event":"corruption_detected","job":"j-merge","site":"shuffle","task":1}"#,
+    r#"{"event":"refetch","job":"j-merge","site":"shuffle","task":1}"#,
+];
+const PINNED_COMBINED: &[&str] = &[
+    "j-a detected=0 refetches=0 arena=9770 out=800/5929/13929 parts=[1746, 1410, 1410, 1363]",
+    "j-b detected=0 refetches=0 arena=11703 out=800/5929/13929 parts=[1699, 2115, 2115]",
+    "j-merge detected=2 refetches=1 arena=876 out=34/606/844 parts=[288, 318]",
+    r#"{"event":"corruption_detected","job":"j-merge","site":"dfs","task":0}"#,
+    r#"{"event":"refetch","job":"j-merge","site":"dfs","task":0}"#,
+    r#"{"event":"corruption_detected","job":"j-merge","site":"shuffle","task":1}"#,
+    r#"{"event":"refetch","job":"j-merge","site":"shuffle","task":1}"#,
+];

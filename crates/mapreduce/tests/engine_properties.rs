@@ -283,11 +283,31 @@ mod fault_injection {
 /// The arena-backed spill path must be byte-for-byte equivalent to the
 /// owned-pair shuffle it replaced. The reference model below re-implements
 /// map → (combine) → partition → sort → group → reduce over plain owned
-/// `(Vec<u8>, Vec<u8>)` pairs, mirroring the engine's input chunking
-/// (`max(len / 32, 1024)` records per map task, independent of worker
-/// count) so per-task combining sees the same record sets.
+/// `(Vec<u8>, Vec<u8>)` pairs, mirroring the engine's input splits (a
+/// split ends where its encoded bytes reach `max(total / 32, 32 KiB)`,
+/// independent of worker count) so per-task combining sees the same
+/// record sets.
 mod arena_shuffle {
     use super::*;
+
+    /// The engine's map-split rule over the encoded input records.
+    fn reference_splits(words: &[String]) -> Vec<&[String]> {
+        let len = |w: &String| w.to_bytes().len();
+        let target = (words.iter().map(len).sum::<usize>() / 32).max(32 * 1024);
+        let mut splits = Vec::new();
+        let (mut start, mut bytes) = (0, 0);
+        for (i, w) in words.iter().enumerate() {
+            bytes += len(w);
+            if bytes >= target {
+                splits.push(&words[start..=i]);
+                (start, bytes) = (i + 1, 0);
+            }
+        }
+        if start < words.len() {
+            splits.push(&words[start..]);
+        }
+        splits
+    }
 
     /// Mapper fanout used by both the engine job and the reference model:
     /// `w → (w, 1), (w#t, 2)`.
@@ -300,39 +320,36 @@ mod arena_shuffle {
     fn reference_shuffle(words: &[String], reducers: usize, with_combiner: bool) -> Vec<Vec<u8>> {
         type Pair = (Vec<u8>, Vec<u8>);
         let mut partitions: Vec<Vec<Pair>> = vec![Vec::new(); reducers];
-        if !words.is_empty() {
-            let target = (words.len() / 32).max(1024).min(words.len());
-            for chunk in words.chunks(target) {
-                let mut buckets: Vec<Vec<Pair>> = vec![Vec::new(); reducers];
-                for w in chunk {
-                    for (k, v) in map_pairs(w) {
-                        let kb = k.to_bytes();
-                        let p = mrsim::default_partition(&kb, reducers);
-                        buckets[p].push((kb, v.to_bytes()));
-                    }
+        for chunk in reference_splits(words) {
+            let mut buckets: Vec<Vec<Pair>> = vec![Vec::new(); reducers];
+            for w in chunk {
+                for (k, v) in map_pairs(w) {
+                    let kb = k.to_bytes();
+                    let p = mrsim::default_partition(&kb, reducers);
+                    buckets[p].push((kb, v.to_bytes()));
                 }
-                if with_combiner {
-                    let mut combined: Vec<Vec<Pair>> = vec![Vec::new(); reducers];
-                    for bucket in &mut buckets {
-                        bucket.sort();
-                        let mut i = 0;
-                        while i < bucket.len() {
-                            let mut j = i + 1;
-                            while j < bucket.len() && bucket[j].0 == bucket[i].0 {
-                                j += 1;
-                            }
-                            let sum: u64 =
-                                bucket[i..j].iter().map(|(_, v)| u64::from_bytes(v).unwrap()).sum();
-                            let p = mrsim::default_partition(&bucket[i].0, reducers);
-                            combined[p].push((bucket[i].0.clone(), sum.to_bytes()));
-                            i = j;
+            }
+            if with_combiner {
+                let mut combined: Vec<Vec<Pair>> = vec![Vec::new(); reducers];
+                for bucket in &mut buckets {
+                    bucket.sort();
+                    let mut i = 0;
+                    while i < bucket.len() {
+                        let mut j = i + 1;
+                        while j < bucket.len() && bucket[j].0 == bucket[i].0 {
+                            j += 1;
                         }
+                        let sum: u64 =
+                            bucket[i..j].iter().map(|(_, v)| u64::from_bytes(v).unwrap()).sum();
+                        let p = mrsim::default_partition(&bucket[i].0, reducers);
+                        combined[p].push((bucket[i].0.clone(), sum.to_bytes()));
+                        i = j;
                     }
-                    buckets = combined;
                 }
-                for (p, bucket) in buckets.into_iter().enumerate() {
-                    partitions[p].extend(bucket);
-                }
+                buckets = combined;
+            }
+            for (p, bucket) in buckets.into_iter().enumerate() {
+                partitions[p].extend(bucket);
             }
         }
         let mut out = Vec::new();
@@ -434,10 +451,10 @@ mod arena_shuffle {
 
     #[test]
     fn arena_matches_reference_across_multiple_map_tasks() {
-        // 6 000 input records split into six 1 024-record map tasks
-        // (regardless of worker count), so per-task combining and
-        // multi-bucket absorption are genuinely exercised (small proptest
-        // inputs fit in one chunk).
+        // 6 000 input records (~80 KB encoded) split into three map tasks
+        // at the 32 KiB floor (regardless of worker count), so per-task
+        // combining and multi-bucket absorption are genuinely exercised
+        // (small proptest inputs fit in one split).
         let words: Vec<String> = (0..6000)
             .map(|i| match i % 5 {
                 0 => format!("sharedprefix-{}", i % 23),
