@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrsim::Rec;
 use ntga_core::logical::{beta_group_filter, beta_unnest, group_by_subject, partial_beta_unnest};
-use ntga_core::physical::{join_expansions, phi, JoinRole};
+use ntga_core::physical::{phi, JoinMap, JoinRole, JoinSide, UnnestMode};
 use std::hint::black_box;
 
 fn bench_grouping(c: &mut Criterion) {
@@ -53,14 +53,22 @@ fn bench_unnest(c: &mut Criterion) {
     group.finish();
 }
 
+/// One map-side unnest of the join kernel over an encoded tuple: every
+/// shuffle record `TG_UnbJoin`'s map writes for it.
 fn bench_join_expansions(c: &mut Criterion) {
-    let tg = anntg_with_candidates(256);
-    c.bench_function("join_expansions/unbound_256", |b| {
-        b.iter(|| join_expansions(black_box(&tg), JoinRole::UnboundObj(0)))
-    });
-    c.bench_function("join_expansions/subject", |b| {
-        b.iter(|| join_expansions(black_box(&tg), JoinRole::Subject))
-    });
+    let bytes = ntga_core::TgTuple(vec![anntg_with_candidates(256)]).to_bytes();
+    let ctx = mrsim::TaskContext::new();
+    for (name, role) in [("unbound_256", JoinRole::UnboundObj(0)), ("subject", JoinRole::Subject)] {
+        let spec = JoinSide { file: String::new(), component: 0, role };
+        let map = JoinMap { side: 0, spec, mode: UnnestMode::Exact };
+        c.bench_function(&format!("join_expansions/{name}"), |b| {
+            b.iter(|| {
+                map.expand(&ctx, black_box(&bytes), |key, value, text| {
+                    black_box((key, value, text));
+                })
+            })
+        });
+    }
 }
 
 fn bench_codecs(c: &mut Criterion) {

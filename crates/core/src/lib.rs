@@ -5,7 +5,8 @@
 //!
 //! * [`tg`] — the TripleGroup data model: [`AnnTg`] annotated triplegroups
 //!   (nested property→objects representation with per-unbound-pattern
-//!   candidate lists) and [`TgTuple`] joined tuples;
+//!   candidate lists), [`TgTuple`] joined tuples, and the borrowed
+//!   [`tg::TgCursor`] the join cycles read encoded tuples through;
 //! * [`logical`] — the algebra of Section 3: `γ`, `σ^γ`, `σ^βγ`
 //!   (Definition 1), `μ^β` (Definition 2), `μ^β_φ` (Definition 3);
 //! * [`physical`] — the MapReduce operators of Section 4: `TG_GroupBy` +

@@ -14,19 +14,29 @@
 //!   this cycle** — fully (`TG_UnbJoin`, [`UnnestMode::Exact`]) or
 //!   partially to reducer-partition granularity (`TG_OptUnbJoin`,
 //!   [`UnnestMode::Partial`], Algorithm 3) with the reduce side finishing
-//!   the unnest and hash-joining on the real key.
+//!   the unnest and hash-joining on the real key. A join cycle carries
+//!   nested triplegroups and touches one list of one component, so its
+//!   operators ([`JoinMap`], [`JoinReduce`], [`BroadcastJoin`]) work on the
+//!   encoded bytes: a pinned copy is the input's bytes spliced around that
+//!   one list, and nothing is decoded into [`crate::AnnTg`]s.
 
-use crate::logical::{match_star, partial_beta_unnest, TripleGroup};
-use crate::tg::{AnnTg, TgTuple};
-use mr_rdf::{IdPair, IdStarTest, IdTripleRec, TripleRec};
+use crate::logical::{match_star, TripleGroup};
+use crate::tg::{added_text, pair_text, sort_distinct, ListRef, PairRef, TgCursor, TgTuple};
+use mr_rdf::{IdPair, IdStarTest, IdTripleRec, TripleView};
+use mrsim::codec::decimal_digits;
 use mrsim::{
-    map_fn, map_fn_ctx, map_only_fn_ctx, reduce_fn, reduce_fn_ctx, InputBinding, JobSpec, MrError,
-    Rec, TaskContext, TypedMapEmitter, TypedOutEmitter, VarId,
+    map_fn_ctx, reduce_fn_ctx, InputBinding, JobSpec, MapEmitter, MrError, OutEmitter,
+    RawMapOnlyOp, RawMapOp, RawReduceOp, Rec, SliceReader, TaskContext, TypedMapEmitter,
+    TypedOutEmitter, VarId,
 };
-use rdf_model::atom::{atom, fnv1a, Atom};
+use rdf_model::atom::{fnv1a, Atom};
 use rdf_model::hash::DetHashMap;
 use rdf_model::Dictionary;
 use rdf_query::{Query, StarPattern};
+use std::borrow::Borrow;
+use std::hash::Hash;
+use std::io::Write;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Default reducer count for NTGA jobs.
@@ -135,6 +145,32 @@ fn job1_spec(
     outs.fold(spec, JobSpec::with_extra_output)
 }
 
+/// `TG_GroupBy`'s map over the lexical triple relation, reading each
+/// record in place: the shuffle key is the triple's own encoded subject,
+/// the value its encoded property and object.
+struct GroupMap {
+    stars: Vec<StarPattern>,
+}
+
+impl RawMapOp for GroupMap {
+    fn run(&self, _ctx: &TaskContext, record: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
+        let t = TripleView::from_bytes(record)?;
+        // Map-side relevance filter: ship the triple only if it can match
+        // some pattern of some star (this is where partially-bound-object
+        // filters prune, as the paper notes for query B2).
+        let relevant = self.stars.iter().any(|star| {
+            star.subject_accepts(t.s)
+                && star.patterns.iter().any(|p| p.matches_tokens(t.s, t.p, t.o))
+        });
+        if relevant {
+            // The row is `s \t p \t o \n`.
+            let text = (t.s.len() + t.p.len() + t.o.len()) as u64 + 1;
+            out.emit_raw(t.s_bytes, t.po_bytes, text);
+        }
+        Ok(())
+    }
+}
+
 /// Build Job 1 for a query: one full scan computes every star subpattern.
 ///
 /// The job writes one output per star: `outputs[i]` holds the annotated
@@ -153,23 +189,7 @@ pub fn group_filter_job(
 ) -> JobSpec {
     assert_eq!(outputs.len(), query.stars.len(), "one output per star");
     assert_eq!(eager.len(), query.stars.len(), "one placement per star");
-    let stars_map = query.stars.clone();
-    let mapper =
-        map_fn(move |rec: TripleRec, out: &mut TypedMapEmitter<'_, Atom, (Atom, Atom)>| {
-            let t = &rec.0;
-            // Map-side relevance filter: ship the triple only if it can
-            // match some pattern of some star (this is where
-            // partially-bound-object filters prune, as the paper notes for
-            // query B2).
-            let relevant = stars_map.iter().any(|star| {
-                star.subject_accepts(&t.s)
-                    && star.patterns.iter().any(|p| p.matches_structurally(t))
-            });
-            if relevant {
-                out.emit(&t.s, &(t.p.clone(), t.o.clone()));
-            }
-            Ok(())
-        });
+    let mapper = Arc::new(GroupMap { stars: query.stars.clone() });
     let stars_red = query.stars.clone();
     let reducer = reduce_fn_ctx(
         move |ctx: &TaskContext,
@@ -277,56 +297,6 @@ pub fn role_of(star: &StarPattern, var: &str) -> Option<JoinRole> {
     None
 }
 
-/// Enumerate `(join key, pinned triplegroup)` pairs for a triplegroup
-/// under a role. Pinning fixes the joined position to the key's match and
-/// leaves everything else nested (the full β-unnest of `TG_UnbJoin` when
-/// the role is [`JoinRole::UnboundObj`]).
-pub fn join_expansions(tg: &AnnTg, role: JoinRole) -> Vec<(Atom, AnnTg)> {
-    match role {
-        JoinRole::Subject => vec![(tg.subject.clone(), tg.clone())],
-        JoinRole::BoundObj(b) => tg.bound[b]
-            .1
-            .iter()
-            .map(|o| {
-                let mut pinned = tg.clone();
-                pinned.bound[b].1 = vec![o.clone()];
-                (o.clone(), pinned)
-            })
-            .collect(),
-        JoinRole::UnboundObj(u) => tg.unbound[u]
-            .iter()
-            .map(|(p, o)| {
-                let mut pinned = tg.clone();
-                pinned.unbound[u] = vec![(p.clone(), o.clone())];
-                (o.clone(), pinned)
-            })
-            .collect(),
-    }
-}
-
-/// Partition-granular expansions for [`UnnestMode::Partial`]: one pinned
-/// triplegroup per φ-partition, keyed by the partition id.
-pub fn partial_expansions(tg: &AnnTg, role: JoinRole, m: u64) -> Vec<(u64, AnnTg)> {
-    match role {
-        JoinRole::Subject => vec![(phi(&tg.subject, m), tg.clone())],
-        JoinRole::BoundObj(b) => {
-            let mut parts: std::collections::BTreeMap<u64, Vec<Atom>> = Default::default();
-            for o in &tg.bound[b].1 {
-                parts.entry(phi(o, m)).or_default().push(o.clone());
-            }
-            parts
-                .into_iter()
-                .map(|(k, objs)| {
-                    let mut pinned = tg.clone();
-                    pinned.bound[b].1 = objs;
-                    (k, pinned)
-                })
-                .collect()
-        }
-        JoinRole::UnboundObj(u) => partial_beta_unnest(tg, u, |o| phi(o, m)),
-    }
-}
-
 /// One side of a triplegroup join.
 #[derive(Debug, Clone)]
 pub struct JoinSide {
@@ -350,117 +320,436 @@ pub enum UnnestMode {
     Partial(u64),
 }
 
-/// Shuffle value: `(side tag, tuple)`.
-type SidedTuple = (u64, TgTuple);
+// The three join algorithms below never decode a triplegroup. A join
+// touches one list of one component, so each operator walks its encoded
+// input once with a `TgCursor`, and what it writes is input bytes spliced
+// around that one list (DESIGN.md, "Triplegroup joins splice").
 
-/// Text bytes a full β-unnest of `comp`'s unbound list `u` would ship:
-/// one record per candidate, each carrying the rest of the tuple plus the
-/// component with that single candidate pinned. Computed arithmetically
-/// from the distinct-pair semantics of [`AnnTg::text_size`] so the partial
-/// path never has to materialize the expansion it avoided.
-fn expanded_bytes_of(tuple: &TgTuple, component: usize, u: usize) -> u64 {
-    let comp = &tuple.0[component];
-    let rest: u64 = tuple
-        .0
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != component)
-        .map(|(_, tg)| tg.text_size())
-        .sum();
-    // Pairs every pinned record carries regardless of the candidate chosen:
-    // bound pairs plus the other unbound lists.
-    let mut base: Vec<(&str, &str)> = Vec::new();
-    for (p, objs) in &comp.bound {
-        base.extend(objs.iter().map(|o| (&**p, &**o)));
+/// An encoded tuple with at most one list cut down to some of its entries,
+/// as the byte ranges that spell it.
+struct Pinned<'a> {
+    /// Component count.
+    n: u32,
+    /// Components up to the pinned list's count — all of them when nothing
+    /// is pinned.
+    head: &'a [u8],
+    /// The entries the pinned list keeps.
+    entries: Option<&'a [PairRef<'a>]>,
+    /// Components past the pinned list.
+    tail: &'a [u8],
+    /// [`Rec::text_size`] of the tuple so pinned.
+    text: u64,
+}
+
+impl<'a> Pinned<'a> {
+    /// A tuple as it stands.
+    fn whole(n: u32, comps: &'a [u8], text: u64) -> Self {
+        Pinned { n, head: comps, entries: None, tail: &[], text }
     }
-    for (j, cands) in comp.unbound.iter().enumerate() {
-        if j != u {
-            base.extend(cands.iter().map(|(p, o)| (&**p, &**o)));
+
+    /// Append the components: prefix bytes, the one re-encoded list, suffix
+    /// bytes.
+    fn write_comps(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(self.head);
+        if let Some(entries) = self.entries {
+            // No more entries than the `u32` count they were read under.
+            buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            for e in entries {
+                buf.extend_from_slice(e.entry);
+            }
+        }
+        buf.extend_from_slice(self.tail);
+    }
+
+    fn comps_len(&self) -> usize {
+        let list = self.entries.map_or(0, |es| 4 + es.iter().map(|e| e.entry.len()).sum::<usize>());
+        self.head.len() + list + self.tail.len()
+    }
+}
+
+/// Walk the cursor's next component for its nested text size alone.
+fn component_text<'a>(
+    cur: &mut TgCursor<'a>,
+    lists: &mut Vec<ListRef>,
+    pairs: &mut Vec<PairRef<'a>>,
+) -> Result<u64, MrError> {
+    lists.clear();
+    pairs.clear();
+    let comp = cur.component(lists, pairs)?;
+    Ok(comp.subject.len() as u64 + 1 + added_text(pairs, &[]))
+}
+
+/// One encoded tuple as a join sees it through `component` under `role`:
+/// the list the role pins, and the text bytes of everything it leaves
+/// alone. The buffers are reused from tuple to tuple.
+#[derive(Default)]
+struct JoinView<'a> {
+    /// The encoded tuple, and its component count.
+    rec: &'a [u8],
+    n: u32,
+    /// The join component's subject.
+    subject: &'a str,
+    /// The list the role pins; `None` under [`JoinRole::Subject`], which
+    /// pins nothing.
+    pin: Option<ListRef>,
+    /// Entries of the join component, the pinned list's among them.
+    pairs: Vec<PairRef<'a>>,
+    /// Sorted distinct pairs of the join component outside the pinned list.
+    base: Vec<(&'a str, &'a str)>,
+    /// Text bytes every pinned copy carries: the other components, and the
+    /// join component's subject and `base`.
+    fixed_text: u64,
+    /// Scratch: the lists of the component being walked, and the entries of
+    /// the components that are not the join component.
+    lists: Vec<ListRef>,
+    other: Vec<PairRef<'a>>,
+}
+
+impl<'a> JoinView<'a> {
+    /// Walk `rec`, a whole encoded [`TgTuple`], for a join.
+    fn load(&mut self, rec: &'a [u8], component: usize, role: JoinRole) -> Result<(), MrError> {
+        let mut cur = TgCursor::new(rec);
+        (self.rec, self.n) = (rec, cur.count()?);
+        self.fixed_text = 0;
+        let mut join = None;
+        for i in 0..self.n as usize {
+            if i != component {
+                self.fixed_text += component_text(&mut cur, &mut self.lists, &mut self.other)?;
+                continue;
+            }
+            self.lists.clear();
+            self.pairs.clear();
+            let comp = cur.component(&mut self.lists, &mut self.pairs)?;
+            let pin = match role {
+                JoinRole::Subject => Ok(None),
+                JoinRole::BoundObj(b) if b < comp.bound => Ok(Some(self.lists[b].clone())),
+                JoinRole::UnboundObj(u) if u < comp.unbound => {
+                    Ok(Some(self.lists[comp.bound + u].clone()))
+                }
+                _ => Err(MrError::Op("join list out of range".into())),
+            };
+            join = Some((comp, pin));
+        }
+        // A record the codec refuses is refused as such, whatever the plan
+        // asked of it.
+        cur.finish()?;
+        let (comp, pin) = join.ok_or_else(|| MrError::Op("join component out of range".into()))?;
+        (self.subject, self.pin) = (comp.subject, pin?);
+        let pinned_at = self.pin.as_ref().map_or(0..0, |l| l.pairs.clone());
+        self.base.clear();
+        let unpinned = self.pairs.iter().enumerate().filter(|(i, _)| !pinned_at.contains(i));
+        self.base.extend(unpinned.map(|(_, e)| (e.p, e.o)));
+        sort_distinct(&mut self.base);
+        let base_text: u64 = self.base.iter().map(|&(p, o)| pair_text(p, o)).sum();
+        self.fixed_text += comp.subject.len() as u64 + 1 + base_text;
+        Ok(())
+    }
+
+    /// Walk `rec` for a join that pins nothing in it.
+    fn load_whole(&mut self, rec: &'a [u8]) -> Result<Pinned<'a>, MrError> {
+        let mut cur = TgCursor::new(rec);
+        let n = cur.count()?;
+        let comps = cur.rest();
+        let mut text = 0;
+        for _ in 0..n {
+            text += component_text(&mut cur, &mut self.lists, &mut self.other)?;
+        }
+        cur.finish()?;
+        Ok(Pinned::whole(n, comps, text))
+    }
+
+    /// Entries of the pinned list (none under a subject join).
+    fn candidates(&self) -> &[PairRef<'a>] {
+        self.pin.as_ref().map_or(&[], |l| &self.pairs[l.pairs.clone()])
+    }
+
+    /// The tuple with the pinned list cut down to `entries`, which add
+    /// `extra` text bytes to `base`.
+    fn pinned<'v>(&'v self, entries: &'v [PairRef<'a>], extra: u64) -> Pinned<'v> {
+        // `rec` opens with the count `load` read; list offsets are the
+        // cursor's own.
+        let text = self.fixed_text + extra;
+        match &self.pin {
+            None => Pinned::whole(self.n, &self.rec[4..], text),
+            Some(l) => Pinned {
+                n: self.n,
+                head: &self.rec[4..l.count_at],
+                entries: Some(entries),
+                tail: &self.rec[l.end..],
+                text,
+            },
         }
     }
-    base.sort_unstable();
-    base.dedup();
-    let base_bytes: u64 = comp.subject.len() as u64
-        + 1
-        + base.iter().map(|(p, o)| p.len() as u64 + o.len() as u64 + 2).sum::<u64>();
-    let mut total = 0u64;
-    for (p, o) in &comp.unbound[u] {
-        // A candidate that duplicates a base pair is stored once (set
-        // semantics), so it adds no bytes beyond the base record.
-        let extra = match base.binary_search(&(&**p, &**o)) {
-            Ok(_) => 0,
-            Err(_) => p.len() as u64 + o.len() as u64 + 2,
-        };
-        total += rest + base_bytes + extra;
+
+    /// The full unnest of the pinned position, in record order: one copy
+    /// per candidate under its object, or the tuple itself under its
+    /// subject.
+    fn unnest(&self) -> impl Iterator<Item = (&'a str, Pinned<'_>)> {
+        let whole = self.pin.is_none().then(|| (self.subject, self.pinned(&[], 0)));
+        let each = self.candidates().iter().map(|e| {
+            // A candidate that repeats a pair `base` stores already adds
+            // no bytes (set semantics).
+            let extra = match self.base.binary_search(&(e.p, e.o)) {
+                Ok(_) => 0,
+                Err(_) => pair_text(e.p, e.o),
+            };
+            (e.o, self.pinned(std::slice::from_ref(e), extra))
+        });
+        whole.into_iter().chain(each)
     }
-    total
 }
 
-/// `tuple` with component `component` replaced by `pinned` (moved in):
-/// clones only the components that are kept.
-fn with_component(tuple: &TgTuple, component: usize, pinned: AnnTg) -> TgTuple {
-    let mut comps = Vec::with_capacity(tuple.0.len());
-    comps.extend_from_slice(&tuple.0[..component]);
-    comps.push(pinned);
-    comps.extend_from_slice(&tuple.0[component + 1..]);
-    TgTuple(comps)
+/// The joined tuple: count, left components, right components.
+fn joined(left: &Pinned<'_>, right: &Pinned<'_>) -> Result<(Vec<u8>, u64), MrError> {
+    let n =
+        left.n.checked_add(right.n).ok_or_else(|| MrError::Op("joined tuple too long".into()))?;
+    let mut buf = Vec::with_capacity(4 + left.comps_len() + right.comps_len());
+    buf.extend_from_slice(&n.to_le_bytes());
+    left.write_comps(&mut buf);
+    right.write_comps(&mut buf);
+    Ok((buf, left.text + right.text))
 }
 
-fn join_mapper(side: u64, spec: JoinSide, mode: UnnestMode) -> Arc<dyn mrsim::RawMapOp> {
-    map_fn_ctx(
-        move |ctx: &mrsim::TaskContext,
-              tuple: TgTuple,
-              out: &mut TypedMapEmitter<'_, Atom, SidedTuple>| {
-            let comp = tuple
-                .0
-                .get(spec.component)
-                .ok_or_else(|| MrError::Op("join component out of range".into()))?;
-            match mode {
-                UnnestMode::Exact => {
-                    let unbound = matches!(spec.role, JoinRole::UnboundObj(_));
-                    let expansions = join_expansions(comp, spec.role);
-                    if unbound {
-                        ctx.count(op::UNNEST_IN, 1);
-                        ctx.record(op::UNNEST_WIDTH, expansions.len() as u64);
-                    }
-                    // One count per input tuple. Even a zero delta creates
-                    // the counter, which an empty expansion must not.
-                    if unbound && !expansions.is_empty() {
-                        ctx.count(op::UNNEST_OUT, expansions.len() as u64);
-                    }
-                    for (key, pinned) in expansions {
-                        out.emit(&key, &(side, with_component(&tuple, spec.component, pinned)));
-                    }
+/// Overwrite `buf` with `token` as an [`Atom`] encodes.
+fn put_token(buf: &mut Vec<u8>, token: &str) {
+    buf.clear();
+    // Tokens come out of records, where a `u32` already counts them.
+    buf.extend_from_slice(&(token.len() as u32).to_le_bytes());
+    buf.extend_from_slice(token.as_bytes());
+}
+
+/// Overwrite `buf` with the token of `k`'s decimal digits — a `φ_m` key.
+fn put_decimal(buf: &mut Vec<u8>, k: u64) {
+    buf.clear();
+    buf.extend_from_slice(&(decimal_digits(k) as u32).to_le_bytes());
+    write!(buf, "{k}").expect("writing to a Vec");
+}
+
+/// Count one tuple's β-unnest into `width` copies.
+fn count_unnest(ctx: &TaskContext, width: u64) {
+    ctx.count(op::UNNEST_IN, 1);
+    ctx.record(op::UNNEST_WIDTH, width);
+    // One count per input tuple. Even a zero delta creates the counter,
+    // which an empty expansion must not.
+    if width > 0 {
+        ctx.count(op::UNNEST_OUT, width);
+    }
+}
+
+/// Build side of a hash join: pinned tuples by join key, their components
+/// spelled out in one arena.
+pub struct BuildTable<K> {
+    arena: Vec<u8>,
+    by_key: DetHashMap<K, Vec<Built>>,
+}
+
+struct Built {
+    n: u32,
+    comps: Range<usize>,
+    text: u64,
+}
+
+impl<K> Default for BuildTable<K> {
+    fn default() -> Self {
+        BuildTable { arena: Vec::new(), by_key: DetHashMap::default() }
+    }
+}
+
+impl<K: Borrow<str> + Hash + Eq> BuildTable<K> {
+    fn add(&mut self, key: K, pinned: &Pinned<'_>) {
+        let start = self.arena.len();
+        pinned.write_comps(&mut self.arena);
+        let built = Built { n: pinned.n, comps: start..self.arena.len(), text: pinned.text };
+        self.by_key.entry(key).or_default().push(built);
+    }
+
+    /// The tuples added under `key`, in the order they were added. The map
+    /// is only ever probed by key, never iterated, so its deterministic
+    /// FNV hashing leaves output bytes alone — it just keeps SipHash's
+    /// random seeding off the hot join path.
+    fn probe(&self, key: &str) -> impl Iterator<Item = Pinned<'_>> {
+        let built = self.by_key.get(key).into_iter().flatten();
+        built.map(|b| Pinned::whole(b.n, &self.arena[b.comps.clone()], b.text))
+    }
+}
+
+/// Map side of [`tg_join_job`] for one input: tags each tuple with its
+/// side and ships it under its join key — as it stands for a subject
+/// join, once per pinned object for a bound-object join, and for an
+/// unbound-object join β-unnested fully ([`UnnestMode::Exact`]) or to
+/// `φ_m` granularity ([`UnnestMode::Partial`]).
+pub struct JoinMap {
+    /// Side tag: 0 for the left input, 1 for the right.
+    pub side: u64,
+    /// Where the join variable sits in this input's tuples.
+    pub spec: JoinSide,
+    /// Unnest placement.
+    pub mode: UnnestMode,
+}
+
+impl JoinMap {
+    /// Map one encoded [`TgTuple`]: `emit(key, value, text)` once per
+    /// shuffle record, in emission order — the key an encoded token, the
+    /// value an encoded `(side, tuple)`, `text` the row's simulated size.
+    pub fn expand(
+        &self,
+        ctx: &TaskContext,
+        rec: &[u8],
+        mut emit: impl FnMut(&[u8], &[u8], u64),
+    ) -> Result<(), MrError> {
+        let mut view = JoinView::default();
+        view.load(rec, self.spec.component, self.spec.role)?;
+        let unbound = matches!(self.spec.role, JoinRole::UnboundObj(_));
+        let (mut key, mut value) = (Vec::new(), Vec::with_capacity(8 + rec.len()));
+        let mut ship = |key: &[u8], pinned: &Pinned<'_>| {
+            value.clear();
+            value.extend_from_slice(&self.side.to_le_bytes());
+            value.extend_from_slice(&pinned.n.to_le_bytes());
+            pinned.write_comps(&mut value);
+            // The row is `key \t side \t tuple \n`, the side one digit.
+            emit(key, &value, (key.len() - 4) as u64 + 1 + pinned.text);
+        };
+        match self.mode {
+            UnnestMode::Exact => {
+                if unbound {
+                    count_unnest(ctx, view.candidates().len() as u64);
                 }
-                UnnestMode::Partial(m) => {
-                    let unbound_rest = if let JoinRole::UnboundObj(u) = spec.role {
-                        ctx.count(op::PARTIAL_IN, 1);
-                        ctx.count(op::PARTIAL_CANDIDATES, comp.unbound[u].len() as u64);
-                        ctx.count(
-                            op::PARTIAL_EXPANDED_BYTES,
-                            expanded_bytes_of(&tuple, spec.component, u),
-                        );
-                        Some(tuple.text_size() - comp.text_size())
-                    } else {
-                        None
-                    };
-                    let expansions = partial_expansions(comp, spec.role, m);
-                    if let Some(rest) = unbound_rest.filter(|_| !expansions.is_empty()) {
-                        let pinned_bytes: u64 =
-                            expansions.iter().map(|(_, pinned)| pinned.text_size()).sum();
-                        let n = expansions.len() as u64;
-                        ctx.count(op::PARTIAL_OUT, n);
-                        ctx.count(op::PARTIAL_NESTED_BYTES, rest * n + pinned_bytes);
-                    }
-                    for (k, pinned) in expansions {
-                        let t = with_component(&tuple, spec.component, pinned);
-                        out.emit(&atom(&k.to_string()), &(side, t));
+                for (k, pinned) in view.unnest() {
+                    put_token(&mut key, k);
+                    ship(&key, &pinned);
+                }
+            }
+            UnnestMode::Partial(m) => {
+                if unbound {
+                    ctx.count(op::PARTIAL_IN, 1);
+                    ctx.count(op::PARTIAL_CANDIDATES, view.candidates().len() as u64);
+                    // What the full unnest would have shipped, without
+                    // materializing the expansion this path avoids.
+                    let expanded = view.unnest().map(|(_, pinned)| pinned.text).sum();
+                    ctx.count(op::PARTIAL_EXPANDED_BYTES, expanded);
+                }
+                if view.pin.is_none() {
+                    put_decimal(&mut key, phi(view.subject, m));
+                    ship(&key, &view.pinned(&[], 0));
+                    return Ok(());
+                }
+                // One copy per φ-partition, in partition order; a
+                // partition's entries keep their record order.
+                let mut entries = view.candidates().to_vec();
+                entries.sort_by_cached_key(|e| phi(e.o, m));
+                let mut sorted = Vec::new();
+                let (mut shipped, mut nested_bytes) = (0u64, 0u64);
+                for part in entries.chunk_by(|a, b| phi(a.o, m) == phi(b.o, m)) {
+                    sorted.clear();
+                    sorted.extend_from_slice(part);
+                    let pinned = view.pinned(part, added_text(&mut sorted, &view.base));
+                    put_decimal(&mut key, phi(part[0].o, m));
+                    ship(&key, &pinned);
+                    shipped += 1;
+                    nested_bytes += pinned.text;
+                }
+                if unbound && shipped > 0 {
+                    ctx.count(op::PARTIAL_OUT, shipped);
+                    ctx.count(op::PARTIAL_NESTED_BYTES, nested_bytes);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl RawMapOp for JoinMap {
+    fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
+        self.expand(ctx, record, |key, value, text| out.emit_raw(key, value, text))
+    }
+}
+
+/// Reduce side of [`tg_join_job`]: a cross join of the two sides of one
+/// key group ([`UnnestMode::Exact`] — every value shares the join key), or
+/// Algorithm 3's finish of the unnest and hash join on the real key within
+/// a `φ_m` partition ([`UnnestMode::Partial`]).
+pub struct JoinReduce {
+    /// Unnest placement of the map side.
+    pub mode: UnnestMode,
+    /// Where the join variable sits in the left tuples.
+    pub left: JoinSide,
+    /// Where it sits in the right tuples.
+    pub right: JoinSide,
+}
+
+impl JoinReduce {
+    /// Join one key group of encoded `(side, tuple)` values:
+    /// `emit(record, text)` once per joined [`TgTuple`], left components
+    /// then right components with the joined positions pinned.
+    ///
+    /// A group with one side empty joins nothing and returns once the side
+    /// tags are read: the shuffle seal has verified those values' bytes,
+    /// and nothing here would use them.
+    pub fn join(
+        &self,
+        values: &[&[u8]],
+        mut emit: impl FnMut(Vec<u8>, u64) -> Result<(), MrError>,
+    ) -> Result<(), MrError> {
+        let (mut lefts, mut rights) = (Vec::new(), Vec::new());
+        for value in values {
+            let mut r = SliceReader::new(value);
+            let side = r.read_u64()?;
+            let rec = r.read_bytes(r.remaining())?;
+            match (self.mode, side) {
+                (_, 0) => lefts.push(rec),
+                (UnnestMode::Exact, _) | (_, 1) => rights.push(rec),
+                _ => {}
+            }
+        }
+        if lefts.is_empty() || rights.is_empty() {
+            return Ok(());
+        }
+        let mut view = JoinView::default();
+        match self.mode {
+            UnnestMode::Exact => {
+                let rights: Vec<Pinned<'_>> =
+                    rights.iter().map(|rec| view.load_whole(rec)).collect::<Result<_, _>>()?;
+                for rec in lefts {
+                    let left = view.load_whole(rec)?;
+                    for right in &rights {
+                        let (record, text) = joined(&left, right)?;
+                        emit(record, text)?;
                     }
                 }
             }
-            Ok(())
-        },
-    )
+            UnnestMode::Partial(_) => {
+                let mut table: BuildTable<&str> = BuildTable::default();
+                for rec in rights {
+                    view.load(rec, self.right.component, self.right.role)?;
+                    for (key, pinned) in view.unnest() {
+                        table.add(key, &pinned);
+                    }
+                }
+                for rec in lefts {
+                    view.load(rec, self.left.component, self.left.role)?;
+                    for (key, left) in view.unnest() {
+                        for right in table.probe(key) {
+                            let (record, text) = joined(&left, &right)?;
+                            emit(record, text)?;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl RawReduceOp for JoinReduce {
+    fn run(
+        &self,
+        _ctx: &TaskContext,
+        _key: &[u8],
+        values: &[&[u8]],
+        out: &mut OutEmitter,
+    ) -> Result<(), MrError> {
+        self.join(values, |record, text| out.emit_raw(record, text))
+    }
 }
 
 /// Build the join job between two equivalence-class relations.
@@ -474,80 +763,12 @@ pub fn tg_join_job(
     mode: UnnestMode,
     output: impl Into<String>,
 ) -> JobSpec {
-    let (lrole, lcomp) = (left.role, left.component);
-    let (rrole, rcomp) = (right.role, right.component);
-    let reducer = reduce_fn(
-        move |_key: Atom, values: Vec<SidedTuple>, out: &mut TypedOutEmitter<'_, TgTuple>| {
-            match mode {
-                UnnestMode::Exact => {
-                    // All values share the actual join key: cross join.
-                    let mut lefts = Vec::new();
-                    let mut rights = Vec::new();
-                    for (side, t) in &values {
-                        if *side == 0 {
-                            lefts.push(t);
-                        } else {
-                            rights.push(t);
-                        }
-                    }
-                    for l in &lefts {
-                        for r in &rights {
-                            let mut joined = l.0.clone();
-                            joined.extend(r.0.iter().cloned());
-                            out.emit(&TgTuple(joined))?;
-                        }
-                    }
-                }
-                UnnestMode::Partial(_) => {
-                    // Algorithm 3: β-unnest the right side into perfect
-                    // triplegroups hashed by the real join key, then probe
-                    // with each left candidate.
-                    // Deterministic FNV build side: the map is only ever
-                    // probed by key (never iterated), so output bytes are
-                    // unaffected — this removes SipHash's random seeding
-                    // from the hot join path.
-                    let mut right_hash: DetHashMap<Atom, Vec<TgTuple>> = DetHashMap::default();
-                    for (side, t) in &values {
-                        if *side != 1 {
-                            continue;
-                        }
-                        for (key, pinned) in join_expansions(&t.0[rcomp], rrole) {
-                            right_hash
-                                .entry(key)
-                                .or_default()
-                                .push(with_component(t, rcomp, pinned));
-                        }
-                    }
-                    for (side, t) in &values {
-                        if *side != 0 {
-                            continue;
-                        }
-                        for (key, pinned) in join_expansions(&t.0[lcomp], lrole) {
-                            if let Some(matches) = right_hash.get(&key) {
-                                for r in matches {
-                                    let mut joined = t.0.clone();
-                                    joined[lcomp] = pinned.clone();
-                                    joined.extend(r.0.iter().cloned());
-                                    out.emit(&TgTuple(joined))?;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(())
-        },
-    );
-    JobSpec::map_reduce(
-        name,
-        vec![
-            InputBinding { file: left.file.clone(), mapper: join_mapper(0, left, mode) },
-            InputBinding { file: right.file.clone(), mapper: join_mapper(1, right, mode) },
-        ],
-        reducer,
-        REDUCERS,
-        output,
-    )
+    let input = |side, spec: &JoinSide| InputBinding {
+        file: spec.file.clone(),
+        mapper: Arc::new(JoinMap { side, spec: spec.clone(), mode }),
+    };
+    let inputs = vec![input(0, &left), input(1, &right)];
+    JobSpec::map_reduce(name, inputs, Arc::new(JoinReduce { mode, left, right }), REDUCERS, output)
 }
 
 // ---------------------------------------------------------------------------
@@ -563,6 +784,70 @@ pub enum BuildSide {
     Right,
 }
 
+/// The map-only operator of [`tg_broadcast_join_job`]: probes a hash table
+/// of the broadcast relation with each tuple streaming through the map.
+pub struct BroadcastJoin {
+    /// Which of the join's relations is broadcast.
+    pub side: BuildSide,
+    /// Where the join variable sits in the broadcast tuples.
+    pub build: JoinSide,
+    /// Where it sits in the streaming tuples.
+    pub probe: JoinSide,
+}
+
+impl BroadcastJoin {
+    /// The build side's hash table, from the broadcast file's encoded
+    /// [`TgTuple`] records: each one's full unnest of the join position,
+    /// by join key.
+    pub fn build_table(&self, records: &[Vec<u8>]) -> Result<BuildTable<Box<str>>, MrError> {
+        let mut table = BuildTable::default();
+        let mut view = JoinView::default();
+        for rec in records {
+            view.load(rec, self.build.component, self.build.role)?;
+            for (key, pinned) in view.unnest() {
+                table.add(key.into(), &pinned);
+            }
+        }
+        Ok(table)
+    }
+
+    /// Probe `table` with one encoded streaming tuple: `emit(record, text)`
+    /// once per joined [`TgTuple`].
+    pub fn probe(
+        &self,
+        ctx: &TaskContext,
+        table: &BuildTable<Box<str>>,
+        rec: &[u8],
+        mut emit: impl FnMut(Vec<u8>, u64) -> Result<(), MrError>,
+    ) -> Result<(), MrError> {
+        let mut view = JoinView::default();
+        view.load(rec, self.probe.component, self.probe.role)?;
+        if let JoinRole::UnboundObj(_) = self.probe.role {
+            count_unnest(ctx, view.candidates().len() as u64);
+        }
+        for (key, probe) in view.unnest() {
+            for built in table.probe(key) {
+                // Reduce-side joins emit left components then right
+                // components; preserve that regardless of which side was
+                // broadcast.
+                let (record, text) = match self.side {
+                    BuildSide::Left => joined(&built, &probe)?,
+                    BuildSide::Right => joined(&probe, &built)?,
+                };
+                emit(record, text)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl RawMapOnlyOp for BroadcastJoin {
+    fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut OutEmitter) -> Result<(), MrError> {
+        let table = ctx.task_state(|| self.build_table(&ctx.broadcast(0)?.records))?;
+        self.probe(ctx, &table, record, |record, text| out.emit_raw(record, text))
+    }
+}
+
 /// Build a **map-side** join job: the build relation ships to every map
 /// task through the engine's distributed cache ([`JobSpec::with_broadcast`])
 /// and the probe relation streams through a map-only scan — no shuffle, no
@@ -570,9 +855,9 @@ pub enum BuildSide {
 ///
 /// Each map task lazily materializes the build side's hash table once (via
 /// [`TaskContext::task_state`], the simulated `Mapper.setup()`), keyed by
-/// the same [`join_expansions`] the reduce-side join uses, so output
-/// records are exactly the [`tg_join_job`]-`Exact` records: left
-/// components then right components with the joined positions pinned.
+/// the same unnest the reduce-side join uses, so output records are
+/// exactly the [`tg_join_job`]-`Exact` records: left components then right
+/// components with the joined positions pinned.
 /// Map-only output is concatenated in input order, so the result is
 /// byte-identical across worker counts; only record *order* may differ
 /// from the reduce-side plan (which orders by shuffle key).
@@ -590,74 +875,15 @@ pub fn tg_broadcast_join_job(
     name: impl Into<String>,
     left: JoinSide,
     right: JoinSide,
-    build: BuildSide,
+    side: BuildSide,
     output: impl Into<String>,
 ) -> JobSpec {
-    let (build_spec, probe_spec) = match build {
+    let (build, probe) = match side {
         BuildSide::Left => (left, right),
         BuildSide::Right => (right, left),
     };
-    let build_file = build_spec.file.clone();
-    let probe_file = probe_spec.file.clone();
-    let mapper = map_only_fn_ctx(
-        move |ctx: &TaskContext, tuple: TgTuple, out: &mut TypedOutEmitter<'_, TgTuple>| {
-            let table = ctx.task_state(|| {
-                let file = ctx.broadcast(0)?;
-                let mut map: DetHashMap<Atom, Vec<TgTuple>> = DetHashMap::default();
-                for raw in &file.records {
-                    let t = TgTuple::from_bytes_with(raw, &ctx.atoms)?;
-                    let comp =
-                        t.0.get(build_spec.component)
-                            .ok_or_else(|| MrError::Op("join component out of range".into()))?;
-                    for (key, pinned) in join_expansions(comp, build_spec.role) {
-                        let mut pt = t.clone();
-                        pt.0[build_spec.component] = pinned;
-                        map.entry(key).or_default().push(pt);
-                    }
-                }
-                Ok(map)
-            })?;
-            let comp = tuple
-                .0
-                .get(probe_spec.component)
-                .ok_or_else(|| MrError::Op("join component out of range".into()))?;
-            let unbound = matches!(probe_spec.role, JoinRole::UnboundObj(_));
-            let expansions = join_expansions(comp, probe_spec.role);
-            if unbound {
-                ctx.count(op::UNNEST_IN, 1);
-                ctx.record(op::UNNEST_WIDTH, expansions.len() as u64);
-            }
-            for (key, pinned) in expansions {
-                if unbound {
-                    ctx.count(op::UNNEST_OUT, 1);
-                }
-                if let Some(matches) = table.get(&key) {
-                    for b in matches {
-                        // Reduce-side joins emit left components then right
-                        // components; preserve that regardless of which side
-                        // was broadcast.
-                        let joined = match build {
-                            BuildSide::Left => {
-                                let mut j = b.0.clone();
-                                let mut probe = tuple.0.clone();
-                                probe[probe_spec.component] = pinned.clone();
-                                j.extend(probe);
-                                j
-                            }
-                            BuildSide::Right => {
-                                let mut j = tuple.0.clone();
-                                j[probe_spec.component] = pinned.clone();
-                                j.extend(b.0.iter().cloned());
-                                j
-                            }
-                        };
-                        out.emit(&TgTuple(joined))?;
-                    }
-                }
-            }
-            Ok(())
-        },
-    );
+    let (build_file, probe_file) = (build.file.clone(), probe.file.clone());
+    let mapper = Arc::new(BroadcastJoin { side, build, probe });
     JobSpec::map_only(name, vec![probe_file], mapper, output).with_broadcast(build_file)
 }
 
@@ -1000,17 +1226,21 @@ mod tests {
         let job1 =
             group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2]);
         engine.run_job(&job1).unwrap();
+        let (left, _) = ec_sides();
+        let map = JoinMap { side: 0, spec: left, mode: UnnestMode::Partial(2) };
         let tuples: Vec<TgTuple> = engine.read_records("ec0").unwrap();
         for tuple in &tuples {
-            let materialized: u64 = join_expansions(&tuple.0[0], JoinRole::UnboundObj(0))
-                .into_iter()
-                .map(|(_, pinned)| {
+            let materialized: u64 = tuple.0[0].unbound[0]
+                .iter()
+                .map(|cand| {
                     let mut t = tuple.clone();
-                    t.0[0] = pinned;
+                    t.0[0].unbound[0] = vec![cand.clone()];
                     t.text_size()
                 })
                 .sum();
-            assert_eq!(expanded_bytes_of(tuple, 0, 0), materialized);
+            let ctx = TaskContext::new();
+            map.expand(&ctx, &tuple.to_bytes(), |_, _, _| {}).unwrap();
+            assert_eq!(ctx.take_counters().get(op::PARTIAL_EXPANDED_BYTES), materialized);
         }
     }
 

@@ -15,6 +15,7 @@
 use mrsim::{MrError, Rec, SliceReader};
 use rdf_model::atom::Atom;
 use rdf_query::{Binding, ObjPattern, PropPattern, StarPattern};
+use std::ops::Range;
 
 /// An annotated triplegroup: one subject's matches for one star
 /// subpattern. Tokens are interned [`Atom`]s, so cloning a triplegroup
@@ -69,8 +70,7 @@ impl AnnTg {
         for cands in &self.unbound {
             pairs.extend(cands.iter().map(|(p, o)| (&**p, &**o)));
         }
-        pairs.sort_unstable();
-        pairs.dedup();
+        sort_distinct(pairs);
     }
 
     /// [`Rec::text_size`] with the distinct-pair scratch supplied: the
@@ -78,8 +78,7 @@ impl AnnTg {
     /// two separators — the nested text representation.
     fn text_size_in<'a>(&'a self, pairs: &mut Vec<(&'a str, &'a str)>) -> u64 {
         self.distinct_pairs_into(pairs);
-        let pair_bytes: u64 = pairs.iter().map(|(p, o)| p.len() as u64 + o.len() as u64 + 2).sum();
-        self.subject.len() as u64 + 1 + pair_bytes
+        self.subject.len() as u64 + 1 + pairs.iter().map(|&(p, o)| pair_text(p, o)).sum::<u64>()
     }
 
     /// Expand to solution bindings for the star this triplegroup matches.
@@ -197,6 +196,172 @@ impl Rec for TgTuple {
     fn text_size(&self) -> u64 {
         let mut pairs = Vec::new();
         self.0.iter().map(|tg| tg.text_size_in(&mut pairs)).sum()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Borrowed cursor over the encoded form
+// ---------------------------------------------------------------------------
+
+/// Text bytes one `(property, object)` pair adds to a nested triplegroup
+/// row: both tokens and two separators.
+pub(crate) fn pair_text(p: &str, o: &str) -> u64 {
+    p.len() as u64 + o.len() as u64 + 2
+}
+
+/// Sort `pairs` and drop repeats: the set a triplegroup stores, whatever
+/// number of lists a pair appears in.
+pub(crate) fn sort_distinct(pairs: &mut Vec<(&str, &str)>) {
+    pairs.sort_unstable();
+    pairs.dedup();
+}
+
+/// Text bytes of the distinct pairs among `entries` (sorted in place) that
+/// are not already in `stored`, a [`sort_distinct`] set: what the entries
+/// add to a row that stores `stored`.
+pub(crate) fn added_text(entries: &mut [PairRef<'_>], stored: &[(&str, &str)]) -> u64 {
+    entries.sort_unstable_by_key(|e| (e.p, e.o));
+    let mut bytes = 0;
+    let mut prev = None;
+    for e in entries.iter() {
+        let pair = (e.p, e.o);
+        if prev != Some(pair) && stored.binary_search(&pair).is_err() {
+            bytes += pair_text(e.p, e.o);
+        }
+        prev = Some(pair);
+    }
+    bytes
+}
+
+/// One entry of an encoded list, borrowed from the record: an object of a
+/// bound list (`p` is the list's property) or a candidate of an unbound
+/// one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairRef<'a> {
+    /// Property token.
+    pub p: &'a str,
+    /// Object token.
+    pub o: &'a str,
+    /// The entry's own bytes: the encoded object in a bound list (whose
+    /// property is written once, ahead of the count), the encoded
+    /// `(property, object)` in an unbound one.
+    pub entry: &'a [u8],
+}
+
+/// Where one list of a component sits in its record, and which entries it
+/// holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ListRef {
+    /// Offset of the list's `u32` entry count — for a bound list, just
+    /// past its property token.
+    pub count_at: usize,
+    /// Offset one past the list's last entry.
+    pub end: usize,
+    /// The list's entries, as a range of the `pairs` buffer handed to
+    /// [`TgCursor::component`].
+    pub pairs: Range<usize>,
+}
+
+/// One component of an encoded tuple.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompRef<'a> {
+    /// Subject token.
+    pub subject: &'a str,
+    /// Equivalence class.
+    pub ec: u64,
+    /// The component's byte range in the record.
+    pub span: Range<usize>,
+    /// How many of the lists pushed for this component are bound lists;
+    /// they come first, the unbound lists after them.
+    pub bound: usize,
+    /// Number of unbound lists.
+    pub unbound: usize,
+}
+
+/// A borrowed walk over an encoded [`TgTuple`] (or a single [`AnnTg`]):
+/// byte ranges and `&str` tokens, no [`Atom`] built and nothing allocated
+/// per token. Every length prefix and count is checked against the bytes
+/// that remain, every token is validated as UTF-8, and the errors are the
+/// ones [`Rec::decode`] gives — a count is a loop bound, never a
+/// reservation. See DESIGN.md, "Triplegroup joins splice", for the layout.
+pub struct TgCursor<'a> {
+    rec: &'a [u8],
+    r: SliceReader<'a>,
+}
+
+impl<'a> TgCursor<'a> {
+    /// Start at the first byte of `rec`.
+    pub fn new(rec: &'a [u8]) -> Self {
+        TgCursor { rec, r: SliceReader::new(rec) }
+    }
+
+    /// Offset of the next unread byte.
+    pub fn pos(&self) -> usize {
+        self.rec.len() - self.r.remaining()
+    }
+
+    /// The bytes not read yet.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.rec[self.pos()..]
+    }
+
+    /// The bytes read since offset `from` (an earlier [`pos`](Self::pos)).
+    fn since(&self, from: usize) -> &'a [u8] {
+        &self.rec[from..self.pos()]
+    }
+
+    /// Read a `u32` count: the component count that opens a tuple.
+    pub fn count(&mut self) -> Result<u32, MrError> {
+        self.r.read_u32()
+    }
+
+    /// Walk one component, appending its lists to `lists` (bound lists
+    /// first) and their entries, in record order, to `pairs`.
+    pub fn component(
+        &mut self,
+        lists: &mut Vec<ListRef>,
+        pairs: &mut Vec<PairRef<'a>>,
+    ) -> Result<CompRef<'a>, MrError> {
+        let start = self.pos();
+        let subject = self.r.read_str()?;
+        let ec = self.r.read_u64()?;
+        let bound = self.r.read_u32()?;
+        for _ in 0..bound {
+            let p = self.r.read_str()?;
+            let count_at = self.pos();
+            let first = pairs.len();
+            for _ in 0..self.r.read_u32()? {
+                let at = self.pos();
+                let o = self.r.read_str()?;
+                pairs.push(PairRef { p, o, entry: self.since(at) });
+            }
+            lists.push(ListRef { count_at, end: self.pos(), pairs: first..pairs.len() });
+        }
+        let unbound = self.r.read_u32()?;
+        for _ in 0..unbound {
+            let count_at = self.pos();
+            let first = pairs.len();
+            for _ in 0..self.r.read_u32()? {
+                let at = self.pos();
+                let p = self.r.read_str()?;
+                let o = self.r.read_str()?;
+                pairs.push(PairRef { p, o, entry: self.since(at) });
+            }
+            lists.push(ListRef { count_at, end: self.pos(), pairs: first..pairs.len() });
+        }
+        Ok(CompRef {
+            subject,
+            ec,
+            span: start..self.pos(),
+            bound: bound as usize,
+            unbound: unbound as usize,
+        })
+    }
+
+    /// End the walk: bytes left over are the error [`Rec::from_bytes`]
+    /// reports.
+    pub fn finish(self) -> Result<(), MrError> {
+        self.r.finish()
     }
 }
 

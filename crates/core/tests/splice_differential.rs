@@ -1,0 +1,422 @@
+//! The join kernel splices encoded bytes; this file keeps the operators it
+//! replaced — decode every triplegroup, clone, pin, re-encode, size the
+//! text by sorting string pairs — as the reference, and checks on random
+//! tuples that both write the same records (bytes and order), the same
+//! per-record text sizes, the same `op::*` counters and the same
+//! `UNNEST_WIDTH` histogram: through every `JoinRole` on both sides,
+//! `Exact` and `Partial(m)`, and the broadcast join with either side built.
+
+use mrsim::hash::DetHashMap;
+use mrsim::{MetricsRegistry, MrError, OpCounters, Rec, TaskContext};
+use ntga_core::physical::{
+    op, phi, BroadcastJoin, BuildSide, JoinMap, JoinReduce, JoinRole, JoinSide, UnnestMode,
+};
+use ntga_core::tg::{AnnTg, TgTuple};
+use proptest::prelude::{prop, prop_assert_eq, proptest, ProptestConfig};
+use proptest::strategy::Strategy;
+use rdf_model::atom::{atom, Atom};
+use std::collections::BTreeMap;
+
+// ---------------------------------------------------------------------------
+// The typed reference
+// ---------------------------------------------------------------------------
+
+mod reference {
+    use super::*;
+
+    type SidedTuple = (u64, TgTuple);
+
+    pub fn join_expansions(tg: &AnnTg, role: JoinRole) -> Vec<(Atom, AnnTg)> {
+        match role {
+            JoinRole::Subject => vec![(tg.subject.clone(), tg.clone())],
+            JoinRole::BoundObj(b) => tg.bound[b]
+                .1
+                .iter()
+                .map(|o| {
+                    let mut pinned = tg.clone();
+                    pinned.bound[b].1 = vec![o.clone()];
+                    (o.clone(), pinned)
+                })
+                .collect(),
+            JoinRole::UnboundObj(u) => tg.unbound[u]
+                .iter()
+                .map(|(p, o)| {
+                    let mut pinned = tg.clone();
+                    pinned.unbound[u] = vec![(p.clone(), o.clone())];
+                    (o.clone(), pinned)
+                })
+                .collect(),
+        }
+    }
+
+    fn partial_expansions(tg: &AnnTg, role: JoinRole, m: u64) -> Vec<(u64, AnnTg)> {
+        match role {
+            JoinRole::Subject => vec![(phi(&tg.subject, m), tg.clone())],
+            JoinRole::BoundObj(b) => {
+                let mut parts: BTreeMap<u64, Vec<Atom>> = BTreeMap::new();
+                for o in &tg.bound[b].1 {
+                    parts.entry(phi(o, m)).or_default().push(o.clone());
+                }
+                parts
+                    .into_iter()
+                    .map(|(k, objs)| {
+                        let mut pinned = tg.clone();
+                        pinned.bound[b].1 = objs;
+                        (k, pinned)
+                    })
+                    .collect()
+            }
+            JoinRole::UnboundObj(u) => {
+                ntga_core::logical::partial_beta_unnest(tg, u, |o| phi(o, m))
+            }
+        }
+    }
+
+    fn with_component(tuple: &TgTuple, component: usize, pinned: AnnTg) -> TgTuple {
+        let mut comps = tuple.0.clone();
+        comps[component] = pinned;
+        TgTuple(comps)
+    }
+
+    /// Every pinned record a full unnest would ship, materialized and sized.
+    fn expanded_bytes_of(tuple: &TgTuple, component: usize, u: usize) -> u64 {
+        join_expansions(&tuple.0[component], JoinRole::UnboundObj(u))
+            .into_iter()
+            .map(|(_, pinned)| with_component(tuple, component, pinned).text_size())
+            .sum()
+    }
+
+    /// One shuffle record: key bytes, value bytes, row text size.
+    pub type Shipped = (Vec<u8>, Vec<u8>, u64);
+
+    pub fn map(ctx: &TaskContext, map: &JoinMap, tuple: &TgTuple) -> Vec<Shipped> {
+        let (side, spec) = (map.side, &map.spec);
+        let mut out = Vec::new();
+        let mut emit = |key: Atom, value: SidedTuple| {
+            let text = key.text_size() + value.text_size() - 1;
+            out.push((key.to_bytes(), value.to_bytes(), text));
+        };
+        let comp = &tuple.0[spec.component];
+        match map.mode {
+            UnnestMode::Exact => {
+                let unbound = matches!(spec.role, JoinRole::UnboundObj(_));
+                let expansions = join_expansions(comp, spec.role);
+                if unbound {
+                    ctx.count(op::UNNEST_IN, 1);
+                    ctx.record(op::UNNEST_WIDTH, expansions.len() as u64);
+                }
+                if unbound && !expansions.is_empty() {
+                    ctx.count(op::UNNEST_OUT, expansions.len() as u64);
+                }
+                for (key, pinned) in expansions {
+                    emit(key, (side, with_component(tuple, spec.component, pinned)));
+                }
+            }
+            UnnestMode::Partial(m) => {
+                let unbound_rest = if let JoinRole::UnboundObj(u) = spec.role {
+                    ctx.count(op::PARTIAL_IN, 1);
+                    ctx.count(op::PARTIAL_CANDIDATES, comp.unbound[u].len() as u64);
+                    ctx.count(
+                        op::PARTIAL_EXPANDED_BYTES,
+                        expanded_bytes_of(tuple, spec.component, u),
+                    );
+                    Some(tuple.text_size() - comp.text_size())
+                } else {
+                    None
+                };
+                let expansions = partial_expansions(comp, spec.role, m);
+                if let Some(rest) = unbound_rest.filter(|_| !expansions.is_empty()) {
+                    let pinned_bytes: u64 =
+                        expansions.iter().map(|(_, pinned)| pinned.text_size()).sum();
+                    let n = expansions.len() as u64;
+                    ctx.count(op::PARTIAL_OUT, n);
+                    ctx.count(op::PARTIAL_NESTED_BYTES, rest * n + pinned_bytes);
+                }
+                for (k, pinned) in expansions {
+                    let t = with_component(tuple, spec.component, pinned);
+                    emit(atom(&k.to_string()), (side, t));
+                }
+            }
+        }
+        out
+    }
+
+    /// One output record: bytes and text size.
+    pub type Written = (Vec<u8>, u64);
+
+    fn written(comps: Vec<AnnTg>) -> Written {
+        let t = TgTuple(comps);
+        (t.to_bytes(), t.text_size())
+    }
+
+    pub fn reduce(reduce: &JoinReduce, values: &[&[u8]]) -> Result<Vec<Written>, MrError> {
+        let values: Vec<SidedTuple> =
+            values.iter().map(|v| SidedTuple::from_bytes(v)).collect::<Result<_, _>>()?;
+        let mut out = Vec::new();
+        match reduce.mode {
+            UnnestMode::Exact => {
+                let (lefts, rights): (Vec<_>, Vec<_>) = values.iter().partition(|(s, _)| *s == 0);
+                for (_, l) in &lefts {
+                    for (_, r) in &rights {
+                        out.push(written([&l.0[..], &r.0[..]].concat()));
+                    }
+                }
+            }
+            UnnestMode::Partial(_) => {
+                let (lcomp, rcomp) = (reduce.left.component, reduce.right.component);
+                let mut right_hash: DetHashMap<Atom, Vec<TgTuple>> = DetHashMap::default();
+                for (_, t) in values.iter().filter(|(s, _)| *s == 1) {
+                    for (key, pinned) in join_expansions(&t.0[rcomp], reduce.right.role) {
+                        right_hash.entry(key).or_default().push(with_component(t, rcomp, pinned));
+                    }
+                }
+                for (_, t) in values.iter().filter(|(s, _)| *s == 0) {
+                    for (key, pinned) in join_expansions(&t.0[lcomp], reduce.left.role) {
+                        for r in right_hash.get(&key).into_iter().flatten() {
+                            let l = with_component(t, lcomp, pinned.clone());
+                            out.push(written([&l.0[..], &r.0[..]].concat()));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    pub fn broadcast(
+        ctx: &TaskContext,
+        join: &BroadcastJoin,
+        build: &[TgTuple],
+        tuple: &TgTuple,
+    ) -> Vec<Written> {
+        let mut table: DetHashMap<Atom, Vec<TgTuple>> = DetHashMap::default();
+        for t in build {
+            for (key, pinned) in join_expansions(&t.0[join.build.component], join.build.role) {
+                table.entry(key).or_default().push(with_component(t, join.build.component, pinned));
+            }
+        }
+        let unbound = matches!(join.probe.role, JoinRole::UnboundObj(_));
+        let expansions = join_expansions(&tuple.0[join.probe.component], join.probe.role);
+        if unbound {
+            ctx.count(op::UNNEST_IN, 1);
+            ctx.record(op::UNNEST_WIDTH, expansions.len() as u64);
+        }
+        let mut out = Vec::new();
+        for (key, pinned) in expansions {
+            if unbound {
+                ctx.count(op::UNNEST_OUT, 1);
+            }
+            let probe = with_component(tuple, join.probe.component, pinned);
+            for b in table.get(&key).into_iter().flatten() {
+                out.push(written(match join.side {
+                    BuildSide::Left => [&b.0[..], &probe.0[..]].concat(),
+                    BuildSide::Right => [&probe.0[..], &b.0[..]].concat(),
+                }));
+            }
+        }
+        out
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Random relations
+// ---------------------------------------------------------------------------
+
+/// A relation's tuples share one shape: `(bound lists, unbound lists)` per
+/// component.
+type Shape = Vec<(usize, usize)>;
+
+/// Subjects and objects come from one small vocabulary (one of them not
+/// ASCII), so every role meets matching keys on the other side; with three
+/// properties over it, pairs repeat across lists — and within one.
+fn arb_token() -> impl Strategy<Value = Atom> {
+    prop::sample::select(vec!["<a>", "<b>", "<c>", "\"lit\"", "<caf\u{e9}>", ""]).prop_map(atom)
+}
+
+fn arb_prop() -> impl Strategy<Value = Atom> {
+    prop::sample::select(vec!["<p1>", "<p2>", "<p3>"]).prop_map(atom)
+}
+
+/// The widest triplegroup a shape can ask for: two bound lists of 0–3
+/// objects, two unbound lists of 0–4 candidates.
+fn arb_anntg() -> impl Strategy<Value = AnnTg> {
+    let bound = prop::collection::vec((arb_prop(), prop::collection::vec(arb_token(), 0..=3)), 2);
+    let unbound = prop::collection::vec(prop::collection::vec((arb_prop(), arb_token()), 0..=4), 2);
+    (arb_token(), 0..3u64, bound, unbound).prop_map(|(subject, ec, bound, unbound)| AnnTg {
+        subject,
+        ec,
+        bound,
+        unbound,
+    })
+}
+
+/// 0–3 tuples of 1–3 components, cut down to one random shape.
+fn arb_relation() -> impl Strategy<Value = (Shape, Vec<TgTuple>)> {
+    let shape = prop::collection::vec((1..=2usize, 0..=2usize), 1..=3);
+    let tuples = prop::collection::vec(prop::collection::vec(arb_anntg(), 3), 0..=3);
+    (shape, tuples).prop_map(|(shape, tuples): (Shape, Vec<Vec<AnnTg>>)| {
+        let cut = |mut comps: Vec<AnnTg>| {
+            comps.truncate(shape.len());
+            for (tg, &(bound, unbound)) in comps.iter_mut().zip(&shape) {
+                tg.bound.truncate(bound);
+                tg.unbound.truncate(unbound);
+            }
+            TgTuple(comps)
+        };
+        let tuples = tuples.into_iter().map(cut).collect();
+        (shape, tuples)
+    })
+}
+
+/// Every way a relation of this shape can hold the join variable.
+fn specs(shape: &Shape) -> Vec<JoinSide> {
+    let mut out = Vec::new();
+    for (component, &(bound, unbound)) in shape.iter().enumerate() {
+        let roles = std::iter::once(JoinRole::Subject)
+            .chain((0..bound).map(JoinRole::BoundObj))
+            .chain((0..unbound).map(JoinRole::UnboundObj));
+        out.extend(roles.map(|role| JoinSide { file: String::new(), component, role }));
+    }
+    out
+}
+
+fn profiled() -> TaskContext {
+    TaskContext::new().profiled(true)
+}
+
+fn counted(ctx: &TaskContext) -> (OpCounters, MetricsRegistry) {
+    (ctx.take_counters(), ctx.take_metrics())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn reduce_side_join_matches_typed_reference(
+        left in arb_relation(),
+        right in arb_relation(),
+    ) {
+        let modes = [
+            UnnestMode::Exact,
+            UnnestMode::Partial(1),
+            UnnestMode::Partial(2),
+            UnnestMode::Partial(1024),
+        ];
+        for mode in modes {
+            for lspec in specs(&left.0) {
+                for rspec in specs(&right.0) {
+                    let what = format!("{mode:?} {lspec:?} {rspec:?}");
+                    // Map: each side, tuple by tuple.
+                    let mut shuffle: BTreeMap<Vec<u8>, Vec<Vec<u8>>> = BTreeMap::new();
+                    let sides = [(0, &lspec, &left.1), (1, &rspec, &right.1)];
+                    for (side, spec, tuples) in sides {
+                        let map = JoinMap { side, spec: spec.clone(), mode };
+                        for tuple in tuples {
+                            let ctx = profiled();
+                            let want = reference::map(&ctx, &map, tuple);
+                            let want_counted = counted(&ctx);
+                            let mut got: Vec<reference::Shipped> = Vec::new();
+                            map.expand(&ctx, &tuple.to_bytes(), |k, v, text| {
+                                got.push((k.to_vec(), v.to_vec(), text));
+                            })
+                            .unwrap();
+                            prop_assert_eq!(&got, &want, "map side {} of {}", side, what);
+                            prop_assert_eq!(counted(&ctx), want_counted, "map side {} of {}", side, what);
+                            for (key, value, _) in got {
+                                shuffle.entry(key).or_default().push(value);
+                            }
+                        }
+                    }
+                    // Reduce: each key group, values in shuffle (byte) order.
+                    let reduce = JoinReduce { mode, left: lspec.clone(), right: rspec.clone() };
+                    for values in shuffle.values_mut() {
+                        values.sort();
+                        let values: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
+                        let want = reference::reduce(&reduce, &values).unwrap();
+                        let mut got: Vec<reference::Written> = Vec::new();
+                        reduce
+                            .join(&values, |record, text| {
+                                got.push((record, text));
+                                Ok(())
+                            })
+                            .unwrap();
+                        prop_assert_eq!(got, want, "reduce of {}", what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn broadcast_join_matches_typed_reference(
+        left in arb_relation(),
+        right in arb_relation(),
+    ) {
+        for lspec in specs(&left.0) {
+            for rspec in specs(&right.0) {
+                for side in [BuildSide::Left, BuildSide::Right] {
+                    let ((build, built), (probe, probing)) = match side {
+                        BuildSide::Left => ((&lspec, &left.1), (&rspec, &right.1)),
+                        BuildSide::Right => ((&rspec, &right.1), (&lspec, &left.1)),
+                    };
+                    let join = BroadcastJoin { side, build: build.clone(), probe: probe.clone() };
+                    let what = format!("{side:?} {lspec:?} {rspec:?}");
+                    let file: Vec<Vec<u8>> = built.iter().map(Rec::to_bytes).collect();
+                    let table = join.build_table(&file).unwrap();
+                    for tuple in probing {
+                        let ctx = profiled();
+                        let want = reference::broadcast(&ctx, &join, built, tuple);
+                        let want_counted = counted(&ctx);
+                        let mut got: Vec<reference::Written> = Vec::new();
+                        join.probe(&ctx, &table, &tuple.to_bytes(), |record, text| {
+                            got.push((record, text));
+                            Ok(())
+                        })
+                        .unwrap();
+                        prop_assert_eq!(got, want, "probe of {}", what);
+                        prop_assert_eq!(counted(&ctx), want_counted, "probe of {}", what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// What the splice does not do that decoding did: a group with one side
+/// empty is left unread past its side tags, and a role the tuple has no
+/// list for is an error, not an index panic.
+#[test]
+fn one_sided_groups_and_missing_lists() {
+    let tg = AnnTg { subject: atom("<a>"), ec: 0, bound: vec![], unbound: vec![] };
+    let spec = |role| JoinSide { file: String::new(), component: 0, role };
+    let reduce = JoinReduce {
+        mode: UnnestMode::Exact,
+        left: spec(JoinRole::Subject),
+        right: spec(JoinRole::Subject),
+    };
+    let mut garbage = 1u64.to_bytes();
+    garbage.extend_from_slice(&[0xff; 7]);
+    let mut joined = 0;
+    let mut count = |_, _| {
+        joined += 1;
+        Ok(())
+    };
+    reduce.join(&[&garbage], &mut count).unwrap();
+    // With a left value in the group the right one is read, and refused.
+    let left = (0u64, TgTuple(vec![tg.clone()])).to_bytes();
+    let err = reduce.join(&[&left, &garbage], &mut count).unwrap_err();
+    assert!(matches!(err, MrError::Codec(_)), "{err:?}");
+    // A value too short for its side tag is refused either way.
+    assert!(matches!(reduce.join(&[&[1, 2, 3]], &mut count), Err(MrError::Codec(_))));
+    assert_eq!(joined, 0);
+
+    let bytes = TgTuple(vec![tg]).to_bytes();
+    for (component, role) in
+        [(0, JoinRole::BoundObj(0)), (0, JoinRole::UnboundObj(0)), (1, JoinRole::Subject)]
+    {
+        let spec = JoinSide { file: String::new(), component, role };
+        let map = JoinMap { side: 0, spec, mode: UnnestMode::Exact };
+        let err = map.expand(&TaskContext::new(), &bytes, |_, _, _| {}).unwrap_err();
+        assert!(matches!(err, MrError::Op(_)), "{err:?}");
+    }
+}

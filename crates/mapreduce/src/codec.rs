@@ -54,6 +54,14 @@ impl<'a> SliceReader<'a> {
         self.buf.len()
     }
 
+    /// End a read that must have consumed the whole slice.
+    pub fn finish(&self) -> Result<(), MrError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(MrError::Codec(format!("{n} trailing bytes after record"))),
+        }
+    }
+
     /// Read a little-endian u32 length / tag.
     pub fn read_u32(&mut self) -> Result<u32, MrError> {
         if self.buf.remaining() < 4 {
@@ -184,9 +192,7 @@ pub trait Rec: Sized + Send + Sync + Clone + 'static {
     fn from_bytes(buf: &[u8]) -> Result<Self, MrError> {
         let mut r = SliceReader::new(buf);
         let v = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(MrError::Codec(format!("{} trailing bytes after record", r.remaining())));
-        }
+        r.finish()?;
         Ok(v)
     }
 
@@ -196,9 +202,7 @@ pub trait Rec: Sized + Send + Sync + Clone + 'static {
     fn from_bytes_with(buf: &[u8], atoms: &AtomTable) -> Result<Self, MrError> {
         let mut r = SliceReader::with_interner(buf, atoms);
         let v = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(MrError::Codec(format!("{} trailing bytes after record", r.remaining())));
-        }
+        r.finish()?;
         Ok(v)
     }
 }
@@ -272,7 +276,9 @@ impl<T: Rec> Rec for Vec<T> {
 
     fn decode(r: &mut SliceReader<'_>) -> Result<Self, MrError> {
         let n = r.read_u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
+        // A hint only: no element but `()` encodes to zero bytes, so a
+        // count past the bytes that remain is one `decode` will refuse.
+        let mut out = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             out.push(T::decode(r)?);
         }

@@ -34,4 +34,4 @@ pub use id_rec::{
 pub use row::{Row, RowSchema};
 pub use run::{run_query_workflow, PlanError, QueryRun, WorkflowAbort};
 pub use support::{check_query, check_star, UnsupportedReason};
-pub use triple_rec::{load_store, read_store, TripleRec, TRIPLES_FILE};
+pub use triple_rec::{load_store, read_store, TripleRec, TripleView, TRIPLES_FILE};

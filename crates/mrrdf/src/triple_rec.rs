@@ -33,6 +33,38 @@ impl Rec for TripleRec {
     }
 }
 
+/// An encoded [`TripleRec`] read in place: the three tokens as `&str` and
+/// the two byte ranges Job 1's map re-emits unchanged. Same length-prefix,
+/// UTF-8 and trailing-byte errors as [`TripleRec::from_bytes`]; no
+/// [`rdf_model::Atom`] is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TripleView<'a> {
+    /// Subject token.
+    pub s: &'a str,
+    /// Property token.
+    pub p: &'a str,
+    /// Object token.
+    pub o: &'a str,
+    /// The encoded subject (length prefix and bytes): an `Atom` key.
+    pub s_bytes: &'a [u8],
+    /// The encoded property and object: an `(Atom, Atom)` value.
+    pub po_bytes: &'a [u8],
+}
+
+impl<'a> TripleView<'a> {
+    /// Read one whole encoded [`TripleRec`].
+    pub fn from_bytes(buf: &'a [u8]) -> Result<Self, MrError> {
+        let mut r = SliceReader::new(buf);
+        let s = r.read_str()?;
+        let s_len = buf.len() - r.remaining();
+        let p = r.read_str()?;
+        let o = r.read_str()?;
+        r.finish()?;
+        let (s_bytes, po_bytes) = buf.split_at(s_len);
+        Ok(TripleView { s, p, o, s_bytes, po_bytes })
+    }
+}
+
 /// Load a triple store into the engine's DFS under `name`.
 pub fn load_store(engine: &Engine, name: &str, store: &TripleStore) -> Result<(), MrError> {
     let mut file = DfsFile::default();
@@ -66,6 +98,27 @@ mod tests {
         let rec = TripleRec(STriple::new("<s>", "<p>", "\"o value\""));
         let back = TripleRec::from_bytes(&rec.to_bytes()).unwrap();
         assert_eq!(rec, back);
+    }
+
+    #[test]
+    fn view_reads_what_decode_reads() {
+        let rec = TripleRec(STriple::new("<s>", "<p\u{e9}>", "\"o value\""));
+        let bytes = rec.to_bytes();
+        let v = TripleView::from_bytes(&bytes).unwrap();
+        assert_eq!((v.s, v.p, v.o), (&*rec.0.s, &*rec.0.p, &*rec.0.o));
+        assert_eq!(v.s_bytes, rec.0.s.to_bytes());
+        assert_eq!(v.po_bytes, (rec.0.p.clone(), rec.0.o.clone()).to_bytes());
+        // Every truncation, a trailing byte and a broken token fail on
+        // both readers alike.
+        let mut bad: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+        bad.push([&bytes[..], &[0]].concat());
+        let mut broken = bytes.clone();
+        broken[8] = 0xff;
+        bad.push(broken);
+        for b in &bad {
+            let want = TripleRec::from_bytes(b).unwrap_err();
+            assert_eq!(TripleView::from_bytes(b).unwrap_err().to_string(), want.to_string());
+        }
     }
 
     #[test]

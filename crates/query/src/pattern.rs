@@ -145,15 +145,21 @@ impl TriplePattern {
     /// cross-pattern variable consistency: checks constants and filters
     /// only.
     pub fn matches_structurally(&self, t: &STriple) -> bool {
+        self.matches_tokens(&t.s, &t.p, &t.o)
+    }
+
+    /// [`matches_structurally`](Self::matches_structurally) over borrowed
+    /// tokens, for callers that read a triple without building one.
+    pub fn matches_tokens(&self, s: &str, p: &str, o: &str) -> bool {
         let s_ok = match &self.subject {
             SubjPattern::Var(_) => true,
-            SubjPattern::Const(c) => *c == t.s,
+            SubjPattern::Const(c) => &**c == s,
         };
         let p_ok = match &self.property {
             PropPattern::Unbound(_) => true,
-            PropPattern::Bound(c) => *c == t.p,
+            PropPattern::Bound(c) => &**c == p,
         };
-        s_ok && p_ok && self.object.accepts(&t.o)
+        s_ok && p_ok && self.object.accepts(o)
     }
 }
 

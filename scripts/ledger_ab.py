@@ -14,17 +14,20 @@ pair i uses seed `seeds[i % len(seeds)]` on both sides. It then
   * calls `<change> --check DIR/base.jsonl DIR/change.jsonl` (bounds and
     exact-metric agreement, read from ./BENCHMARK.json — run this from
     the repository root), and
-  * prints, per workload and end-to-end metric, each side's median and
-    quartiles and the pair wins, and applies the rule for claiming a gain:
-    the change wins at least nine tenths of the pairs (ties count for
-    neither) and the medians differ by more than the base's own
-    interquartile distance. The `spread` column is each side's q3 - q1
-    (`statistics.quantiles(v, n=4)`, as the perf README measures spread) as
-    a share of the *base's* median, marked `WIDE` when either passes the
-    metric's bound: beyond that the runs vary too much to tell the sides
-    apart. A side's spread scales with its level, so a change that raises
-    `triples_per_s` by 40 % reads 1.4x the base's spread at equal noise;
-    cycle ten seeds (`--seeds 1,2,...,10`) to see what ten-seed sets see.
+  * prints, per workload and metric — the end-to-end metrics with
+    `--trace 0`, the `ms` entries of `per_layer` with `--trace 1` (which
+    layer a saving lands in; layers a workload never enters are left out)
+    — each side's median and quartiles and the pair wins, and applies the
+    rule for claiming a gain: the change wins at least nine tenths of the
+    pairs (ties count for neither) and the medians differ by more than the
+    base's own interquartile distance. The `spread` column is each side's
+    q3 - q1 (`statistics.quantiles(v, n=4)`, as the perf README measures
+    spread) as a share of the *base's* median, marked `WIDE` when either
+    passes the metric's bound (end-to-end metrics only; layers have none):
+    beyond that the runs vary too much to tell the sides apart. A side's
+    spread scales with its level, so a change that raises `triples_per_s`
+    by 40 % reads 1.4x the base's spread at equal noise; cycle ten seeds
+    (`--seeds 1,2,...,10`) to see what ten-seed sets see.
 
 Exit status is that of `--check`. Timings on shared runners are noise:
 this is a tool for a quiet box, not a CI gate. Standard library only.
@@ -58,25 +61,28 @@ def spread(values):
     return q3 - q1
 
 
-def report(spec, base_runs, change_runs):
+def report(metrics, base_runs, change_runs):
     """Per-side medians/quartiles and pair wins for runs paired by position."""
     fmt = lambda q1, m, q3: f"{q1:.4g}/{m:.4g}/{q3:.4g}"
-    print(f"{'workload':<16} {'metric':<16} {'base q1/med/q3':>30} {'change q1/med/q3':>30} "
+    print(f"{'workload':<16} {'metric':<26} {'base q1/med/q3':>30} {'change q1/med/q3':>30} "
           f"{'change':>8} {'wins':>7}  {'spread b/c':>12}  gain?")
     for workload in dict.fromkeys(r["workload"] for r in base_runs):
         pairs = [(a, b) for a, b in zip(base_runs, change_runs) if a["workload"] == workload]
-        for metric in spec["end_to_end"]:
+        for metric in metrics:
             name, lower = metric["name"], metric["better"] == "lower"
             a = [p[0]["metrics"][name]["value"] for p in pairs]
             b = [p[1]["metrics"][name]["value"] for p in pairs]
+            if not any(a) and not any(b):
+                continue
             wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
             (a1, am, a3), (b1, bm, b3) = quartiles(a), quartiles(b)
             better = (bm < am) if lower else (bm > am)
             gain = better and wins * 10 >= len(pairs) * 9 and abs(bm - am) > a3 - a1
             change = (bm - am) / am * 100 if am else 0.0
             spread_a, spread_b = (spread(v) / am * 100 if am else 0.0 for v in (a, b))
-            wide = " WIDE" if max(spread_a, spread_b) > metric["bound"] * 100 else ""
-            print(f"{workload:<16} {name:<16} {fmt(a1, am, a3):>30} {fmt(b1, bm, b3):>30} "
+            bound = metric.get("bound", float("inf")) * 100
+            wide = " WIDE" if max(spread_a, spread_b) > bound else ""
+            print(f"{workload:<16} {name:<26} {fmt(a1, am, a3):>30} {fmt(b1, bm, b3):>30} "
                   f"{change:>+7.1f}% {wins:>3}/{len(pairs):<3}  {spread_a:>4.1f}/{spread_b:>4.1f}%{wide}"
                   f"  {'GAIN' if gain else '-'}")
 
@@ -110,11 +116,12 @@ def main():
 
     check = subprocess.run([args.change, "--check", files["base"], files["change"]])
     print()
-    if args.trace == 0:
-        with open("BENCHMARK.json") as f:
-            spec = json.load(f)
-        load = lambda path: [json.loads(line) for line in open(path) if line.strip()]
-        report(spec, load(files["base"]), load(files["change"]))
+    with open("BENCHMARK.json") as f:
+        spec = json.load(f)
+    metrics = spec["end_to_end"] if args.trace == 0 else [
+        m for m in spec["per_layer"] if m["unit"] == "ms"]
+    load = lambda path: [json.loads(line) for line in open(path) if line.strip()]
+    report(metrics, load(files["base"]), load(files["change"]))
     sys.exit(check.returncode)
 
 
