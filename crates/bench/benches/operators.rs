@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the NTGA core operators: grouping,
-//! group-filtering, β-unnest (full and partial), join expansions, record
-//! codecs, the query parser, and the engine's map→reduce shuffle.
+//! group-filtering, β-unnest (full and partial), join expansions, the
+//! relational joins' reduce groups, record codecs, the query parser, and
+//! the engine's map→reduce shuffle.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrsim::Rec;
@@ -61,14 +62,65 @@ fn bench_join_expansions(c: &mut Criterion) {
     for (name, role) in [("unbound_256", JoinRole::UnboundObj(0)), ("subject", JoinRole::Subject)] {
         let spec = JoinSide { file: String::new(), component: 0, role };
         let map = JoinMap { side: 0, spec, mode: UnnestMode::Exact };
+        let mut value = Vec::new();
         c.bench_function(&format!("join_expansions/{name}"), |b| {
             b.iter(|| {
-                map.expand(&ctx, black_box(&bytes), |key, value, text| {
-                    black_box((key, value, text));
+                map.expand(&ctx, black_box(&bytes), |key, text, write| {
+                    value.clear();
+                    write(&mut value);
+                    black_box((key, &value, text));
                 })
             })
         });
     }
+}
+
+/// One reduce group of each relational join kernel, no engine around it.
+fn bench_relational_reduce(c: &mut Criterion) {
+    use mr_rdf::Row;
+    use rdf_model::atom::atom;
+    use relbase::row_join::RowJoinReduce;
+    use relbase::star_join::StarReduce;
+
+    // One key group of 32 left and 32 right 6-column rows: 1024 joined.
+    let sided = |side: u64, i: usize| {
+        let s = format!("<gene{i}>");
+        let row: Row =
+            [&s[..], "<rdfs:label>", "\"retinoid receptor\"", &s[..], "<bio:xGO>", "<go:0042>"]
+                .map(atom)
+                .to_vec();
+        (side, row).to_bytes()
+    };
+    let values: Vec<Vec<u8>> = (0..64).map(|i| sided((i / 32) as u64, i)).collect();
+    let values: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
+    c.bench_function("row_join/reduce_32x32", |b| {
+        b.iter(|| {
+            RowJoinReduce::join(black_box(&values), |record, text| {
+                black_box((record, text));
+                Ok(())
+            })
+        })
+    });
+
+    // One subject of a 3-pattern star: one match each for the two bound
+    // patterns, 8 for the unbound one.
+    let key = atom("<gene9>").to_bytes();
+    let tagged = |idx: u64, p: &str, o: String| (idx, (atom(p), atom(&o))).to_bytes();
+    let mut values = vec![
+        tagged(0, "<rdfs:label>", "\"retinoid receptor\"".into()),
+        tagged(1, "<bio:xGO>", "<go:0042>".into()),
+    ];
+    values.extend((0..8).map(|i| tagged(2, "<bio:xRef>", format!("<ref{i}>"))));
+    let values: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
+    let reduce = StarReduce { patterns: 3 };
+    c.bench_function("star_join/reduce_k3", |b| {
+        b.iter(|| {
+            reduce.join(black_box(&key), black_box(&values), |record, text| {
+                black_box((record, text));
+                Ok(())
+            })
+        })
+    });
 }
 
 fn bench_codecs(c: &mut Criterion) {
@@ -214,6 +266,7 @@ criterion_group!(
     bench_group_filter,
     bench_unnest,
     bench_join_expansions,
+    bench_relational_reduce,
     bench_codecs,
     bench_parser,
     bench_shuffle

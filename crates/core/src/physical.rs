@@ -588,26 +588,27 @@ pub struct JoinMap {
 }
 
 impl JoinMap {
-    /// Map one encoded [`TgTuple`]: `emit(key, value, text)` once per
-    /// shuffle record, in emission order — the key an encoded token, the
-    /// value an encoded `(side, tuple)`, `text` the row's simulated size.
+    /// Map one encoded [`TgTuple`]: `emit(key, text, write_value)` once per
+    /// shuffle record, in emission order — the key an encoded token, `text`
+    /// the row's simulated size, `write_value` appending the encoded
+    /// `(side, tuple)` value to the buffer it is given.
     pub fn expand(
         &self,
         ctx: &TaskContext,
         rec: &[u8],
-        mut emit: impl FnMut(&[u8], &[u8], u64),
+        mut emit: impl FnMut(&[u8], u64, &dyn Fn(&mut Vec<u8>)),
     ) -> Result<(), MrError> {
         let mut view = JoinView::default();
         view.load(rec, self.spec.component, self.spec.role)?;
         let unbound = matches!(self.spec.role, JoinRole::UnboundObj(_));
-        let (mut key, mut value) = (Vec::new(), Vec::with_capacity(8 + rec.len()));
+        let mut key = Vec::new();
         let mut ship = |key: &[u8], pinned: &Pinned<'_>| {
-            value.clear();
-            value.extend_from_slice(&self.side.to_le_bytes());
-            value.extend_from_slice(&pinned.n.to_le_bytes());
-            pinned.write_comps(&mut value);
             // The row is `key \t side \t tuple \n`, the side one digit.
-            emit(key, &value, (key.len() - 4) as u64 + 1 + pinned.text);
+            emit(key, (key.len() - 4) as u64 + 1 + pinned.text, &|value| {
+                value.extend_from_slice(&self.side.to_le_bytes());
+                value.extend_from_slice(&pinned.n.to_le_bytes());
+                pinned.write_comps(value);
+            });
         };
         match self.mode {
             UnnestMode::Exact => {
@@ -660,7 +661,7 @@ impl JoinMap {
 
 impl RawMapOp for JoinMap {
     fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
-        self.expand(ctx, record, |key, value, text| out.emit_raw(key, value, text))
+        self.expand(ctx, record, |key, text, write| out.emit_raw_with(key, text, write))
     }
 }
 

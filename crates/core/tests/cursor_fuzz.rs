@@ -129,7 +129,11 @@ fn check(rec: &[u8], what: &str) {
             let map = JoinMap { side: 1, spec: spec.clone(), mode };
             let sided = |side: u64| [&side.to_le_bytes()[..], rec].concat();
             let mut values = vec![sided(0), sided(1)];
-            let mapped = map.expand(&ctx, rec, |_, value, _| values.push(value.to_vec()));
+            let mapped = map.expand(&ctx, rec, |_, _, write| {
+                let mut value = Vec::new();
+                write(&mut value);
+                values.push(value);
+            });
             match (&typed, &mapped) {
                 (Err(MrError::Codec(a)), Err(MrError::Codec(b))) => assert_eq!(a, b, "{what}"),
                 (Ok(_), Ok(()) | Err(MrError::Op(_))) => {}

@@ -316,8 +316,10 @@ proptest! {
                             let want = reference::map(&ctx, &map, tuple);
                             let want_counted = counted(&ctx);
                             let mut got: Vec<reference::Shipped> = Vec::new();
-                            map.expand(&ctx, &tuple.to_bytes(), |k, v, text| {
-                                got.push((k.to_vec(), v.to_vec(), text));
+                            map.expand(&ctx, &tuple.to_bytes(), |k, text, write| {
+                                let mut v = Vec::new();
+                                write(&mut v);
+                                got.push((k.to_vec(), v, text));
                             })
                             .unwrap();
                             prop_assert_eq!(&got, &want, "map side {} of {}", side, what);

@@ -243,8 +243,20 @@ impl MapEmitter {
 
     /// Emit an already-encoded key/value pair (copied into the arena).
     pub fn emit_raw(&mut self, key: &[u8], value: &[u8], text_size: u64) {
+        self.emit_raw_with(key, text_size, |buf| buf.extend_from_slice(value));
+    }
+
+    /// Emit an already-encoded key whose value `write_value` appends
+    /// straight to the partition arena (append only, as
+    /// [`Rec::encode_into`]) — for values spliced from several pieces.
+    pub fn emit_raw_with(
+        &mut self,
+        key: &[u8],
+        text_size: u64,
+        write_value: impl FnOnce(&mut Vec<u8>),
+    ) {
         let p = crate::engine::default_partition(key, self.buckets.len());
-        self.buckets[p].push_pair(key, value, text_size);
+        self.buckets[p].push(key, text_size, write_value);
     }
 
     /// Total emissions across all partition arenas.

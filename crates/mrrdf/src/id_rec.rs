@@ -62,87 +62,6 @@ impl Rec for IdPair {
     }
 }
 
-/// The ID-native star-join shuffle value:
-/// `(pattern index, (property id, object id))`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct IdTaggedPo {
-    /// Pattern index within the star.
-    pub tag: u32,
-    /// Property id.
-    pub p: u32,
-    /// Object id.
-    pub o: u32,
-}
-
-impl Rec for IdTaggedPo {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        write_uvarint(buf, self.tag);
-        write_uvarint(buf, self.p);
-        write_uvarint(buf, self.o);
-    }
-
-    fn decode(r: &mut SliceReader<'_>) -> Result<Self, MrError> {
-        Ok(IdTaggedPo { tag: r.read_uvarint()?, p: r.read_uvarint()?, o: r.read_uvarint()? })
-    }
-
-    fn text_size(&self) -> u64 {
-        uvarint_len(self.tag) + uvarint_len(self.p) + uvarint_len(self.o)
-    }
-}
-
-/// A flat id tuple (the ID-native [`crate::Row`]): varint count followed
-/// by one varint per column.
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct IdRow(pub Vec<u32>);
-
-impl Rec for IdRow {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        write_uvarint(buf, u32::try_from(self.0.len()).expect("id row arity exceeds u32"));
-        for &c in &self.0 {
-            write_uvarint(buf, c);
-        }
-    }
-
-    fn decode(r: &mut SliceReader<'_>) -> Result<Self, MrError> {
-        let n = r.read_uvarint()? as usize;
-        let mut cols = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            cols.push(r.read_uvarint()?);
-        }
-        Ok(IdRow(cols))
-    }
-
-    fn text_size(&self) -> u64 {
-        uvarint_len(u32::try_from(self.0.len()).expect("id row arity exceeds u32"))
-            + self.0.iter().map(|&c| uvarint_len(c)).sum::<u64>()
-    }
-}
-
-/// An [`IdRow`] tagged with its join side (0 = left, 1 = right) — the
-/// ID-native shuffle value of row joins.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SidedIdRow {
-    /// Join side: 0 = left, 1 = right.
-    pub side: u32,
-    /// The row.
-    pub row: IdRow,
-}
-
-impl Rec for SidedIdRow {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        write_uvarint(buf, self.side);
-        self.row.encode_into(buf);
-    }
-
-    fn decode(r: &mut SliceReader<'_>) -> Result<Self, MrError> {
-        Ok(SidedIdRow { side: r.read_uvarint()?, row: IdRow::decode(r)? })
-    }
-
-    fn text_size(&self) -> u64 {
-        uvarint_len(self.side) + self.row.text_size()
-    }
-}
-
 /// Encode a triple store into the engine's DFS under `name` as
 /// [`IdTripleRec`]s, interning every term into `dict`. Attach a snapshot
 /// of the final dictionary to the engine with `Engine::with_dict` before
@@ -173,14 +92,6 @@ mod tests {
         assert_eq!(IdTripleRec::from_bytes(&t.to_bytes()).unwrap(), t);
         let p = IdPair(0x3fff, 0x4000);
         assert_eq!(IdPair::from_bytes(&p.to_bytes()).unwrap(), p);
-        let tp = IdTaggedPo { tag: 2, p: 7, o: 0x1f_ffff };
-        assert_eq!(IdTaggedPo::from_bytes(&tp.to_bytes()).unwrap(), tp);
-        let row = IdRow(vec![1, 0, u32::MAX, 0x80]);
-        assert_eq!(IdRow::from_bytes(&row.to_bytes()).unwrap(), row);
-        let sided = SidedIdRow { side: 1, row };
-        assert_eq!(SidedIdRow::from_bytes(&sided.to_bytes()).unwrap(), sided);
-        let empty = IdRow(vec![]);
-        assert_eq!(IdRow::from_bytes(&empty.to_bytes()).unwrap(), empty);
     }
 
     #[test]
@@ -191,10 +102,8 @@ mod tests {
         ] {
             assert_eq!(rec.text_size(), rec.to_bytes().len() as u64);
         }
-        let row = IdRow(vec![0, 0x80, 0x4000, u32::MAX]);
-        assert_eq!(row.text_size(), row.to_bytes().len() as u64);
-        let sided = SidedIdRow { side: 0, row };
-        assert_eq!(sided.text_size(), sided.to_bytes().len() as u64);
+        let pair = IdPair(0x3fff, u32::MAX);
+        assert_eq!(pair.text_size(), pair.to_bytes().len() as u64);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`Row`] / [`RowSchema`] — schema'd n-tuples, the materialization of
 //!   relational star-join results (3k-arity: subject/property/object per
 //!   pattern, exactly the redundant representation the paper measures);
-//! * [`IdTripleRec`] / [`IdRow`] and friends — the dictionary-ID-encoded
-//!   (LEB128 varint) counterparts used by the ID-native data plane;
+//! * [`IdTripleRec`] / [`IdPair`] — the dictionary-ID-encoded (LEB128
+//!   varint) counterparts NTGA Job 1's ID-native data plane moves;
 //! * [`load_store`] / [`load_store_ids`] — put a [`rdf_model::TripleStore`]
 //!   into the simulated DFS, lexically or ID-encoded;
 //! * [`run_query_workflow`] — the one driver every planner runs a query's
@@ -28,10 +28,8 @@ pub mod support;
 pub mod triple_rec;
 
 pub use id_match::{IdPatternTest, IdStarTest, IdTest};
-pub use id_rec::{
-    load_store_ids, IdPair, IdRow, IdTaggedPo, IdTripleRec, SidedIdRow, ID_TRIPLES_FILE,
-};
-pub use row::{Row, RowSchema};
+pub use id_rec::{load_store_ids, IdPair, IdTripleRec, ID_TRIPLES_FILE};
+pub use row::{Row, RowSchema, RowView};
 pub use run::{run_query_workflow, PlanError, QueryRun, WorkflowAbort};
 pub use support::{check_query, check_star, UnsupportedReason};
 pub use triple_rec::{load_store, read_store, TripleRec, TripleView, TRIPLES_FILE};

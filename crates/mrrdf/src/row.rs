@@ -14,14 +14,56 @@
 //! rows to [`Binding`]s for result verification.
 
 use crate::run::PlanError;
-use mrsim::Rec;
+use mrsim::{MrError, SliceReader};
 use rdf_model::atom::Atom;
 use rdf_query::{Binding, SolutionSet};
 
 /// A flat n-tuple of interned tokens. `Vec<Atom>` already implements
-/// [`Rec`] (byte-compatible with the historical `Vec<String>` wire
+/// [`mrsim::Rec`] (byte-compatible with the historical `Vec<String>` wire
 /// form); this alias names its role.
 pub type Row = Vec<Atom>;
+
+/// An encoded [`Row`] — `u32 n · (u32 len · bytes)ⁿ` — read in place: what
+/// a join needs to key and splice it. Same length-prefix, UTF-8 and
+/// trailing-byte errors as `Row::from_bytes`; no [`Atom`] is built and the
+/// count reserves nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowView<'a> {
+    /// Number of columns.
+    pub arity: u32,
+    /// `Σ(len + 1)` over the tokens: the row as tab-separated text, less
+    /// the lone newline of an empty row (see [`RowView::text_size`]).
+    pub token_text: u64,
+    /// The encoded tokens (`rec[4..]`), ready to follow a new count.
+    pub tokens: &'a [u8],
+    /// The encoded column asked for (length prefix and bytes, an `Atom`
+    /// key); `None` if none was asked for or the row is narrower.
+    pub column: Option<&'a [u8]>,
+}
+
+impl<'a> RowView<'a> {
+    /// Read one whole encoded [`Row`], noting where column `col` lies.
+    pub fn from_bytes(buf: &'a [u8], col: Option<usize>) -> Result<Self, MrError> {
+        let mut r = SliceReader::new(buf);
+        let arity = r.read_u32()?;
+        let tokens = &buf[buf.len() - r.remaining()..];
+        let (mut token_text, mut column) = (0u64, None);
+        for i in 0..arity as usize {
+            let start = tokens.len() - r.remaining();
+            token_text += r.read_str()?.len() as u64 + 1;
+            if col == Some(i) {
+                column = Some(&tokens[start..tokens.len() - r.remaining()]);
+            }
+        }
+        r.finish()?;
+        Ok(RowView { arity, token_text, tokens, column })
+    }
+
+    /// The row's simulated text size, as `Row::text_size` counts it.
+    pub fn text_size(&self) -> u64 {
+        self.token_text.max(1)
+    }
+}
 
 /// Column meanings for a row relation: for each column, the variable it
 /// binds (or `None` for columns bound to constants / unnamed positions).
@@ -88,16 +130,10 @@ impl RowSchema {
     }
 }
 
-/// Text size of a row record (used in tests; `Vec<Atom>`'s [`Rec`]
-/// impl is what the engine uses — one byte separator per token, one
-/// newline).
-pub fn row_text_size(row: &Row) -> u64 {
-    row.text_size()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrsim::Rec;
 
     fn schema() -> RowSchema {
         // Star of 2 patterns: (?g <label> ?l) (?g <xGO> ?go) -> 6 columns.
@@ -161,6 +197,35 @@ mod tests {
         // The redundancy must show in bytes: subject repeated twice costs
         // twice.
         let row: Row = vec!["<g1>".into(), "<p>".into(), "<g1>".into()];
-        assert_eq!(row_text_size(&row), (5 + 4 + 5) as u64);
+        assert_eq!(row.text_size(), (5 + 4 + 5) as u64);
+    }
+
+    #[test]
+    fn view_reads_what_decode_reads() {
+        let row: Row = vec!["<g1>".into(), "".into(), "\"caf\u{e9}\"".into()];
+        let bytes = row.to_bytes();
+        for col in 0..row.len() {
+            let v = RowView::from_bytes(&bytes, Some(col)).unwrap();
+            assert_eq!((v.arity, v.text_size(), v.tokens), (3, row.text_size(), &bytes[4..]));
+            assert_eq!(v.column.unwrap(), row[col].to_bytes());
+        }
+        assert_eq!(RowView::from_bytes(&bytes, Some(3)).unwrap().column, None);
+        assert_eq!(RowView::from_bytes(&bytes, None).unwrap().column, None);
+        let empty = RowView::from_bytes(&[0; 4], Some(0)).unwrap();
+        assert_eq!((empty.arity, empty.token_text, empty.text_size()), (0, 0, 1));
+        // Every truncation, a trailing byte, a broken token and a count
+        // past the tokens fail on both readers alike.
+        let mut bad: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+        bad.push([&bytes[..], &[0]].concat());
+        let mut broken = bytes.clone();
+        *broken.last_mut().unwrap() = 0xff;
+        bad.push(broken);
+        let mut overcount = bytes.clone();
+        overcount[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        bad.push(overcount);
+        for b in &bad {
+            let want = Row::from_bytes(b).unwrap_err();
+            assert_eq!(RowView::from_bytes(b, Some(1)).unwrap_err().to_string(), want.to_string());
+        }
     }
 }

@@ -68,10 +68,15 @@ impl<'a> TripleView<'a> {
 /// Load a triple store into the engine's DFS under `name`.
 pub fn load_store(engine: &Engine, name: &str, store: &TripleStore) -> Result<(), MrError> {
     let mut file = DfsFile::default();
+    file.records.reserve(store.len());
     for t in store.iter() {
-        let rec = TripleRec(t.clone());
-        file.text_bytes += rec.text_size();
-        file.records.push(rec.to_bytes());
+        // A `TripleRec`'s bytes, written once at their exact length.
+        let mut rec = Vec::with_capacity(12 + t.s.len() + t.p.len() + t.o.len());
+        for token in [&t.s, &t.p, &t.o] {
+            token.encode_into(&mut rec);
+        }
+        file.text_bytes += t.text_size();
+        file.records.push(rec);
     }
     engine.hdfs().lock().put(name, file)
 }
@@ -133,11 +138,15 @@ mod tests {
         let store = TripleStore::from_triples(vec![
             STriple::new("<a>", "<p>", "<b>"),
             STriple::new("<a>", "<q>", "\"x\""),
+            STriple::new("", "<caf\u{e9}>", "\"a much longer literal than sixteen bytes\""),
         ]);
         load_store(&engine, TRIPLES_FILE, &store).unwrap();
         let file = engine.hdfs().lock().get(TRIPLES_FILE).unwrap();
-        assert_eq!(file.records.len(), 2);
         assert_eq!(file.text_bytes, store.text_bytes());
+        // Record for record what the codec writes, each allocated once.
+        let want: Vec<Vec<u8>> = store.iter().map(|t| TripleRec(t.clone()).to_bytes()).collect();
+        assert_eq!(file.records, want);
+        assert!(file.records.iter().all(|rec| rec.capacity() == rec.len()));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! spec instead of calling back into `mrsim`, so a codec regression
 //! cannot hide by changing both sides at once.
 
-use mr_rdf::{IdPair, IdRow, IdTaggedPo, IdTripleRec, SidedIdRow};
+use mr_rdf::{IdPair, IdTripleRec};
 use mrsim::Rec;
 use proptest::prelude::{prop_assert_eq, proptest};
 
@@ -53,22 +53,6 @@ fn id_pair_golden_bytes() {
 }
 
 #[test]
-fn id_tagged_po_golden_bytes() {
-    let v = IdTaggedPo { tag: 2, p: 300, o: 0x0fff_ffff };
-    // 300 = 0b10_0101100 -> [0xac, 0x02]; 2^28-1 -> four 0xff-style groups.
-    assert_eq!(v.to_bytes(), [0x02, 0xac, 0x02, 0xff, 0xff, 0xff, 0x7f]);
-}
-
-#[test]
-fn id_row_golden_bytes() {
-    let row = IdRow(vec![0, 0x80, u32::MAX]);
-    assert_eq!(row.to_bytes(), [0x03, 0x00, 0x80, 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f]);
-    assert_eq!(IdRow(vec![]).to_bytes(), [0x00]);
-    let sided = SidedIdRow { side: 1, row: IdRow(vec![5]) };
-    assert_eq!(sided.to_bytes(), [0x01, 0x01, 0x05]);
-}
-
-#[test]
 fn boundary_ids_match_reference_encoder_and_roundtrip() {
     for &id in &BOUNDARY_IDS {
         let rec = IdTripleRec { s: id, p: id, o: id };
@@ -90,28 +74,22 @@ fn boundary_ids_match_reference_encoder_and_roundtrip() {
 proptest! {
     #[test]
     fn id_records_match_reference_encoder(
-        s in 0u32..=u32::MAX, p in 0u32..=u32::MAX, o in 0u32..=u32::MAX, tag in 0u32..16
+        s in 0u32..=u32::MAX, p in 0u32..=u32::MAX, o in 0u32..=u32::MAX
     ) {
         let triple = IdTripleRec { s, p, o };
         prop_assert_eq!(triple.to_bytes(), ref_concat(&[s, p, o]));
         let pair = IdPair(p, o);
         prop_assert_eq!(pair.to_bytes(), ref_concat(&[p, o]));
-        let tagged = IdTaggedPo { tag, p, o };
-        prop_assert_eq!(tagged.to_bytes(), ref_concat(&[tag, p, o]));
-        let row = IdRow(vec![s, p, o]);
-        prop_assert_eq!(row.to_bytes(), ref_concat(&[3, s, p, o]));
-        let sided = SidedIdRow { side: 1, row: row.clone() };
-        prop_assert_eq!(sided.to_bytes(), ref_concat(&[1, 3, s, p, o]));
         // text_size is the binary wire size for every ID record.
         prop_assert_eq!(triple.text_size(), triple.to_bytes().len() as u64);
-        prop_assert_eq!(sided.text_size(), sided.to_bytes().len() as u64);
+        prop_assert_eq!(pair.text_size(), pair.to_bytes().len() as u64);
     }
 
     #[test]
     fn id_records_roundtrip(s in 0u32..=u32::MAX, p in 0u32..=u32::MAX, o in 0u32..=u32::MAX) {
         let rec = IdTripleRec { s, p, o };
         prop_assert_eq!(IdTripleRec::from_bytes(&rec.to_bytes()).unwrap(), rec);
-        let row = IdRow(vec![s, p, o, s]);
-        prop_assert_eq!(IdRow::from_bytes(&row.to_bytes()).unwrap(), row);
+        let pair = IdPair(p, o);
+        prop_assert_eq!(IdPair::from_bytes(&pair.to_bytes()).unwrap(), pair);
     }
 }

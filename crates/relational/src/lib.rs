@@ -21,5 +21,5 @@ pub mod star_join;
 
 pub use grouping::{execute_grouping, Grouping};
 pub use planner::{execute, RelFlavor};
-pub use row_join::{row_join_job, row_join_job_ids};
-pub use star_join::{star_join_job, star_join_job_ids, star_schema, PatternSet};
+pub use row_join::row_join_job;
+pub use star_join::{star_join_job, star_schema, PatternSet};

@@ -16,9 +16,10 @@
 //!   passes the input through (the paper's "initial map-only job to read
 //!   entire input and compress it").
 
-use mr_rdf::{run_query_workflow, PlanError, QueryRun, RowSchema, TripleRec};
-use mrsim::{map_only_fn, Engine, JobSpec, TypedOutEmitter};
+use mr_rdf::{run_query_workflow, PlanError, QueryRun, RowSchema, TripleView};
+use mrsim::{Engine, JobSpec, MrError, OutEmitter, RawMapOnlyOp, TaskContext};
 use rdf_query::Query;
+use std::sync::Arc;
 
 use crate::row_join::row_join_job;
 use crate::star_join::star_join_job;
@@ -42,6 +43,28 @@ impl RelFlavor {
     }
 }
 
+/// The map of Pig's pass-through `.load` job: each triple copied as it
+/// stands.
+pub struct LoadCopy;
+
+impl LoadCopy {
+    /// Check that `rec` is one encoded [`mr_rdf::TripleRec`] and
+    /// `emit(record, text)` its own bytes with its N-Triples row size.
+    pub fn copy(
+        rec: &[u8],
+        emit: impl FnOnce(Vec<u8>, u64) -> Result<(), MrError>,
+    ) -> Result<(), MrError> {
+        let t = TripleView::from_bytes(rec)?;
+        emit(rec.to_vec(), (t.s.len() + t.p.len() + t.o.len()) as u64 + 5)
+    }
+}
+
+impl RawMapOnlyOp for LoadCopy {
+    fn run(&self, _ctx: &TaskContext, record: &[u8], out: &mut OutEmitter) -> Result<(), MrError> {
+        Self::copy(record, |record, text| out.emit_raw(record, text))
+    }
+}
+
 /// Execute `query` over the triple relation stored in DFS file `input`.
 ///
 /// `label` prefixes all intermediate/output file names (use a unique label
@@ -62,11 +85,13 @@ pub fn execute(
         // without changing downstream scan volumes.
         let base: String = if flavor == RelFlavor::Pig && query.stars.len() > 1 {
             let copy = format!("{label}.copy");
-            let mapper =
-                map_only_fn(|t: TripleRec, out: &mut TypedOutEmitter<'_, TripleRec>| out.emit(&t));
-            let job =
-                JobSpec::map_only(format!("{label}.load"), vec![input.to_string()], mapper, &copy)
-                    .with_full_scan();
+            let job = JobSpec::map_only(
+                format!("{label}.load"),
+                vec![input.to_string()],
+                Arc::new(LoadCopy),
+                &copy,
+            )
+            .with_full_scan();
             wf.run_job(job)?;
             copy
         } else {

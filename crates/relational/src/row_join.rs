@@ -1,30 +1,115 @@
 //! Join of two materialized row relations on one shared variable — the
-//! "join between stars" MR cycle of the relational plans.
+//! "join between stars" MR cycle of the relational plans. Rows are read in
+//! place and spliced: the shuffle key is the key column's own bytes, a
+//! joined row is a new count before the two sides' token bytes.
 
-use mr_rdf::{IdRow, PlanError, Row, RowSchema, SidedIdRow};
+use mr_rdf::{PlanError, RowSchema, RowView};
+use mrsim::codec::decimal_digits;
 use mrsim::{
-    map_fn, reduce_fn, reduce_fn_ctx, InputBinding, JobSpec, MrError, Rec, TypedMapEmitter,
-    TypedOutEmitter, VarId,
+    InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOp, RawReduceOp, SliceReader,
+    TaskContext,
 };
-use rdf_model::atom::Atom;
 use std::sync::Arc;
 
-use crate::star_join::REDUCERS;
+use crate::star_join::{read_token, REDUCERS};
 
-/// Shuffle value: `(side, row)` with side 0 = left, 1 = right.
-type SidedRow = (u64, Row);
+/// Map side of [`row_join_job`] for one input: ships each row under its
+/// join column, tagged with its side.
+pub struct SideMap {
+    /// Side tag: 0 for the left input, 1 for the right.
+    pub side: u64,
+    /// The join variable's column in this input's rows.
+    pub key_col: usize,
+}
 
-fn side_mapper(side: u64, key_col: usize) -> Arc<dyn mrsim::RawMapOp> {
-    map_fn(move |row: Row, out: &mut TypedMapEmitter<'_, Atom, SidedRow>| {
-        let key = row
-            .get(key_col)
-            .ok_or_else(|| {
-                MrError::Op(format!("row arity {} too small for key column {key_col}", row.len()))
-            })?
-            .clone();
-        out.emit(&key, &(side, row));
+impl SideMap {
+    /// Map one encoded [`mr_rdf::Row`]: `emit(key, text, write_value)` —
+    /// the key the join column as the row encodes it, `text` the shuffle
+    /// row's simulated size, `write_value` appending `u64 side · record`.
+    pub fn tag(
+        &self,
+        rec: &[u8],
+        emit: impl FnOnce(&[u8], u64, &dyn Fn(&mut Vec<u8>)),
+    ) -> Result<(), MrError> {
+        let row = RowView::from_bytes(rec, Some(self.key_col))?;
+        let key = row.column.ok_or_else(|| {
+            MrError::Op(format!(
+                "row arity {} too small for key column {}",
+                row.arity, self.key_col
+            ))
+        })?;
+        // The shuffle row is `key \t side \t row \n`.
+        let text = (key.len() - 4) as u64 + decimal_digits(self.side) + row.text_size();
+        emit(key, text, &|value| {
+            value.extend_from_slice(&self.side.to_le_bytes());
+            value.extend_from_slice(rec);
+        });
         Ok(())
-    })
+    }
+}
+
+impl RawMapOp for SideMap {
+    fn run(&self, _ctx: &TaskContext, record: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
+        self.tag(record, |key, text, write| out.emit_raw_with(key, text, write))
+    }
+}
+
+/// Reduce side of [`row_join_job`]: the cross product of one key group's
+/// left rows with its right rows.
+pub struct RowJoinReduce;
+
+impl RowJoinReduce {
+    /// Join one key group of encoded `(side, row)` values: `emit(record,
+    /// text)` once per joined row, left columns then right columns.
+    ///
+    /// Every value is walked, those of a one-sided group too: a broken
+    /// value fails the task whatever its group joins, and such a
+    /// [`MrError::Codec`] is reported before a bad side tag.
+    pub fn join(
+        values: &[&[u8]],
+        mut emit: impl FnMut(Vec<u8>, u64) -> Result<(), MrError>,
+    ) -> Result<(), MrError> {
+        let (mut lefts, mut rights, mut bad_side) = (Vec::new(), Vec::new(), false);
+        for value in values {
+            let side = SliceReader::new(value).read_u64()?;
+            let row = RowView::from_bytes(&value[8..], None)?;
+            match side {
+                0 => lefts.push(row),
+                1 => rights.push(row),
+                _ => bad_side = true,
+            }
+        }
+        if bad_side {
+            return Err(MrError::Op("bad join side tag".into()));
+        }
+        for l in &lefts {
+            for r in &rights {
+                let arity = l
+                    .arity
+                    .checked_add(r.arity)
+                    .ok_or_else(|| MrError::Op("joined row arity exceeds u32".into()))?;
+                let mut rec = Vec::with_capacity(4 + l.tokens.len() + r.tokens.len());
+                rec.extend_from_slice(&arity.to_le_bytes());
+                rec.extend_from_slice(l.tokens);
+                rec.extend_from_slice(r.tokens);
+                emit(rec, (l.token_text + r.token_text).max(1))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl RawReduceOp for RowJoinReduce {
+    fn run(
+        &self,
+        _ctx: &TaskContext,
+        key: &[u8],
+        values: &[&[u8]],
+        out: &mut OutEmitter,
+    ) -> Result<(), MrError> {
+        read_token(key)?; // refused first, as the typed reducer's key decode did
+        Self::join(values, |record, text| out.emit_raw(record, text))
+    }
 }
 
 /// Build a join job of `left ⋈_var right`.
@@ -37,131 +122,22 @@ pub fn row_join_job(
     var: &str,
     output: impl Into<String>,
 ) -> Result<(JobSpec, RowSchema), PlanError> {
-    let lcol = left
-        .1
-        .index_of(var)
-        .ok_or_else(|| PlanError::Internal(format!("left relation lacks join var ?{var}")))?;
-    let rcol = right
-        .1
-        .index_of(var)
-        .ok_or_else(|| PlanError::Internal(format!("right relation lacks join var ?{var}")))?;
-    let schema = left.1.concat(right.1);
-    let reducer =
-        reduce_fn(move |_key: Atom, values: Vec<SidedRow>, out: &mut TypedOutEmitter<'_, Row>| {
-            let mut lefts: Vec<&Row> = Vec::new();
-            let mut rights: Vec<&Row> = Vec::new();
-            for (side, row) in &values {
-                match side {
-                    0 => lefts.push(row),
-                    1 => rights.push(row),
-                    _ => return Err(MrError::Op("bad join side tag".into())),
-                }
-            }
-            for l in &lefts {
-                for r in &rights {
-                    let mut joined: Row = Vec::with_capacity(l.len() + r.len());
-                    joined.extend_from_slice(l);
-                    joined.extend_from_slice(r);
-                    out.emit(&joined)?;
-                }
-            }
-            Ok(())
-        });
-    let spec = JobSpec::map_reduce(
-        name,
-        vec![
-            InputBinding { file: left.0.to_string(), mapper: side_mapper(0, lcol) },
-            InputBinding { file: right.0.to_string(), mapper: side_mapper(1, rcol) },
-        ],
-        reducer,
-        REDUCERS,
-        output,
-    );
-    Ok((spec, schema))
-}
-
-fn side_mapper_ids(side: u32, key_col: usize) -> Arc<dyn mrsim::RawMapOp> {
-    map_fn(move |row: IdRow, out: &mut TypedMapEmitter<'_, VarId, SidedIdRow>| {
-        let key = *row.0.get(key_col).ok_or_else(|| {
-            MrError::Op(format!("row arity {} too small for key column {key_col}", row.0.len()))
+    let input = |side: u64, which: &str, (file, schema): (&str, &RowSchema)| {
+        let key_col = schema.index_of(var).ok_or_else(|| {
+            PlanError::Internal(format!("{which} relation lacks join var ?{var}"))
         })?;
-        out.emit(&VarId(key), &SidedIdRow { side, row });
-        Ok(())
-    })
-}
-
-/// ID-native [`row_join_job`]: joins two [`IdRow`] relations, shipping
-/// varint ids through the shuffle and resolving to lexical [`Row`]s at
-/// the output boundary via the engine's dictionary snapshot
-/// (`Engine::with_dict`).
-pub fn row_join_job_ids(
-    name: impl Into<String>,
-    left: (&str, &RowSchema),
-    right: (&str, &RowSchema),
-    var: &str,
-    output: impl Into<String>,
-) -> Result<(JobSpec, RowSchema), PlanError> {
-    let lcol = left
-        .1
-        .index_of(var)
-        .ok_or_else(|| PlanError::Internal(format!("left relation lacks join var ?{var}")))?;
-    let rcol = right
-        .1
-        .index_of(var)
-        .ok_or_else(|| PlanError::Internal(format!("right relation lacks join var ?{var}")))?;
-    let schema = left.1.concat(right.1);
-    let reducer = reduce_fn_ctx(
-        move |ctx: &mrsim::TaskContext,
-              _key: VarId,
-              values: Vec<SidedIdRow>,
-              out: &mut TypedOutEmitter<'_, Row>| {
-            let mut lefts: Vec<Row> = Vec::new();
-            let mut rights: Vec<Row> = Vec::new();
-            for v in &values {
-                let row = v
-                    .row
-                    .0
-                    .iter()
-                    .map(|&id| ctx.resolve_atom(id))
-                    .collect::<Result<Row, MrError>>()?;
-                match v.side {
-                    0 => lefts.push(row),
-                    1 => rights.push(row),
-                    _ => return Err(MrError::Op("bad join side tag".into())),
-                }
-            }
-            // The lexical reducer sees each side's rows in encoded token
-            // order; restore it after resolution so the cross product
-            // emits in the same order.
-            lefts.sort_by_cached_key(Rec::to_bytes);
-            rights.sort_by_cached_key(Rec::to_bytes);
-            for l in &lefts {
-                for r in &rights {
-                    let mut joined: Row = Vec::with_capacity(l.len() + r.len());
-                    joined.extend_from_slice(l);
-                    joined.extend_from_slice(r);
-                    out.emit(&joined)?;
-                }
-            }
-            Ok(())
-        },
-    );
-    let spec = JobSpec::map_reduce(
-        name,
-        vec![
-            InputBinding { file: left.0.to_string(), mapper: side_mapper_ids(0, lcol) },
-            InputBinding { file: right.0.to_string(), mapper: side_mapper_ids(1, rcol) },
-        ],
-        reducer,
-        REDUCERS,
-        output,
-    );
-    Ok((spec, schema))
+        let mapper: Arc<dyn RawMapOp> = Arc::new(SideMap { side, key_col });
+        Ok::<_, PlanError>(InputBinding { file: file.to_string(), mapper })
+    };
+    let inputs = vec![input(0, "left", left)?, input(1, "right", right)?];
+    let spec = JobSpec::map_reduce(name, inputs, Arc::new(RowJoinReduce), REDUCERS, output);
+    Ok((spec, left.1.concat(right.1)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mr_rdf::Row;
     use mrsim::Engine;
 
     fn put_rows(engine: &Engine, name: &str, rows: Vec<Row>) {
@@ -200,69 +176,6 @@ mod tests {
             assert_eq!(&**b.get("x").unwrap(), "<k1>");
             assert_eq!(&**b.get("b").unwrap(), "<b1>");
         }
-    }
-
-    #[test]
-    fn id_row_join_matches_lexical_and_ships_fewer_bytes() {
-        let lschema = RowSchema::new(vec![Some("a".into()), Some("x".into())]);
-        let rschema = RowSchema::new(vec![Some("x".into()), Some("b".into())]);
-        let lefts: Vec<Row> = vec![
-            vec!["<a1>".into(), "<k1>".into()],
-            vec!["<a2>".into(), "<k1>".into()],
-            vec!["<a3>".into(), "<k2>".into()],
-        ];
-        let rights: Vec<Row> =
-            vec![vec!["<k1>".into(), "<b1>".into()], vec!["<k3>".into(), "<b3>".into()]];
-
-        let lex = Engine::unbounded();
-        put_rows(&lex, "L", lefts.clone());
-        put_rows(&lex, "R", rights.clone());
-        let (spec, schema) =
-            row_join_job("join", ("L", &lschema), ("R", &rschema), "x", "out").unwrap();
-        let lex_stats = lex.run_job(&spec).unwrap();
-        let mut lex_rows: Vec<Row> = lex.read_records("out").unwrap();
-        lex_rows.sort();
-
-        let mut dict = rdf_model::Dictionary::new();
-        let encode_rows = |rows: &[Row], dict: &mut rdf_model::Dictionary| -> Vec<IdRow> {
-            rows.iter().map(|r| IdRow(r.iter().map(|a| dict.encode(a)).collect())).collect()
-        };
-        let id_lefts = encode_rows(&lefts, &mut dict);
-        let id_rights = encode_rows(&rights, &mut dict);
-        let ids = Engine::unbounded().with_dict(Arc::new(dict.clone()));
-        ids.put_records("L", id_lefts).unwrap();
-        ids.put_records("R", id_rights).unwrap();
-        let (spec, id_schema) =
-            row_join_job_ids("join-ids", ("L", &lschema), ("R", &rschema), "x", "out").unwrap();
-        let id_stats = ids.run_job(&spec).unwrap();
-        let mut id_rows: Vec<Row> = ids.read_records("out").unwrap();
-        id_rows.sort();
-
-        assert_eq!(lex_rows, id_rows);
-        assert_eq!(schema.cols, id_schema.cols);
-        assert!(
-            id_stats.shuffle_wire_bytes() < lex_stats.shuffle_wire_bytes(),
-            "id wire {} >= lexical wire {}",
-            id_stats.shuffle_wire_bytes(),
-            lex_stats.shuffle_wire_bytes()
-        );
-    }
-
-    #[test]
-    fn id_row_join_rejects_foreign_ids() {
-        // A row mentioning an id outside the snapshot fails the task
-        // instead of fabricating output.
-        let lschema = RowSchema::new(vec![Some("x".into())]);
-        let rschema = RowSchema::new(vec![Some("x".into())]);
-        let mut dict = rdf_model::Dictionary::new();
-        let k = dict.encode(&rdf_model::atom::atom("<k>"));
-        let engine = Engine::unbounded().with_dict(Arc::new(dict));
-        engine.put_records("L", vec![IdRow(vec![k])]).unwrap();
-        engine.put_records("R", vec![IdRow(vec![k + 1])]).unwrap();
-        let (spec, _) =
-            row_join_job_ids("join-ids", ("L", &lschema), ("R", &rschema), "x", "out").unwrap();
-        let err = engine.run_job(&spec).unwrap_err();
-        assert!(matches!(err, MrError::Codec(_)), "unexpected error: {err:?}");
     }
 
     #[test]

@@ -4,17 +4,17 @@
 //! phase routes triples matching any of the star's patterns by subject
 //! (performing vertical partitioning in-map, plus the full union scan for
 //! unbound-property patterns); the reduce phase materializes the star's
-//! matches as **flat 3k-arity n-tuples** ([`Row`]s) — every combination of
-//! bound matches with every unbound match, the redundant representation
-//! whose cost the paper quantifies.
+//! matches as **flat 3k-arity n-tuples** ([`mr_rdf::Row`]s) — every
+//! combination of bound matches with every unbound match, the redundant
+//! representation whose cost the paper quantifies. Both phases read their
+//! records in place and splice the triples' own encoded tokens.
 
-use mr_rdf::{IdStarTest, IdTaggedPo, IdTripleRec, Row, RowSchema, TripleRec};
+use mr_rdf::{RowSchema, TripleView};
+use mrsim::codec::decimal_digits;
 use mrsim::{
-    map_fn, map_fn_ctx, reduce_fn, reduce_fn_ctx, InputBinding, JobSpec, MrError, Rec,
-    TypedMapEmitter, TypedOutEmitter, VarId,
+    InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOp, RawReduceOp, SliceReader,
+    TaskContext,
 };
-use rdf_model::atom::Atom;
-use rdf_model::Dictionary;
 use rdf_query::{ObjPattern, PropPattern, StarPattern, SubjPattern};
 use std::sync::Arc;
 
@@ -35,42 +35,106 @@ pub enum PatternSet {
     UnboundOnly,
 }
 
-/// Shuffle value of star-join jobs: `(pattern index, (property, object))`.
-pub type TaggedPo = (u64, (Atom, Atom));
+/// Read a whole buffer as one encoded token — a shuffle key of the
+/// relational jobs — with the errors `Atom::from_bytes` gives.
+pub(crate) fn read_token(buf: &[u8]) -> Result<&str, MrError> {
+    let mut r = SliceReader::new(buf);
+    let token = r.read_str()?;
+    r.finish()?;
+    Ok(token)
+}
 
-/// Build the map operator for a star over a triple input.
-pub fn star_mapper(star: StarPattern, which: PatternSet) -> Arc<dyn mrsim::RawMapOp> {
-    map_fn(move |rec: TripleRec, out: &mut TypedMapEmitter<'_, Atom, TaggedPo>| {
-        let t = &rec.0;
-        if !star.subject_accepts(&t.s) {
+/// Map side of [`star_join_job`]: routes each triple, by subject, to every
+/// selected pattern of the star it matches.
+pub struct StarMap {
+    /// The star subpattern.
+    pub star: StarPattern,
+    /// The patterns this scan serves.
+    pub which: PatternSet,
+}
+
+impl StarMap {
+    /// Map one encoded [`mr_rdf::TripleRec`]: `emit(key, text,
+    /// write_value)` once per matched pattern, in pattern order — the key
+    /// the triple's own encoded subject, `text` the shuffle row's
+    /// simulated size, `write_value` appending `u64 pattern index ·
+    /// (property, object)` as the triple encodes them.
+    pub fn route(
+        &self,
+        rec: &[u8],
+        mut emit: impl FnMut(&[u8], u64, &dyn Fn(&mut Vec<u8>)),
+    ) -> Result<(), MrError> {
+        let t = TripleView::from_bytes(rec)?;
+        if !self.star.subject_accepts(t.s) {
             return Ok(());
         }
-        for (idx, pat) in star.patterns.iter().enumerate() {
-            let selected = match which {
+        // The shuffle row is `s \t idx \t p \t o \n`.
+        let tokens_text = (t.s.len() + t.p.len() + t.o.len()) as u64 + 1;
+        for (idx, pat) in self.star.patterns.iter().enumerate() {
+            let selected = match self.which {
                 PatternSet::All => true,
                 PatternSet::BoundOnly => !pat.is_unbound_property(),
                 PatternSet::UnboundOnly => pat.is_unbound_property(),
             };
-            if selected && pat.matches_structurally(t) {
-                out.emit(&t.s, &(idx as u64, (t.p.clone(), t.o.clone())));
+            if selected && pat.matches_tokens(t.s, t.p, t.o) {
+                let idx = idx as u64;
+                emit(t.s_bytes, tokens_text + decimal_digits(idx), &|value| {
+                    value.extend_from_slice(&idx.to_le_bytes());
+                    value.extend_from_slice(t.po_bytes);
+                });
             }
         }
         Ok(())
-    })
+    }
 }
 
-/// Build the reduce operator: per subject, cross product of per-pattern
-/// matches into flat rows.
-pub fn star_reducer(star: StarPattern) -> Arc<dyn mrsim::RawReduceOp> {
-    reduce_fn(move |subject: Atom, values: Vec<TaggedPo>, out: &mut TypedOutEmitter<'_, Row>| {
-        let k = star.patterns.len();
-        let mut matches: Vec<Vec<(Atom, Atom)>> = vec![Vec::new(); k];
-        for (idx, po) in values {
-            let idx = idx as usize;
-            if idx >= k {
-                return Err(MrError::Op(format!("pattern index {idx} out of range")));
+impl RawMapOp for StarMap {
+    fn run(&self, _ctx: &TaskContext, record: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
+        self.route(record, |key, text, write| out.emit_raw_with(key, text, write))
+    }
+}
+
+/// Reduce side of [`star_join_job`]: per subject, the cross product of the
+/// per-pattern matches as flat rows.
+pub struct StarReduce {
+    /// Number of patterns in the star.
+    pub patterns: usize,
+}
+
+impl StarReduce {
+    /// Join one subject's encoded `(pattern index, (property, object))`
+    /// values: `emit(record, text)` once per combination of one match per
+    /// pattern, the last pattern's match varying fastest; nothing if some
+    /// pattern has no match. A row is `u32 3k` and then, per pattern, the
+    /// key's bytes and the match's.
+    ///
+    /// Every value is walked before anything is emitted, so a broken value
+    /// fails the task, and such a [`MrError::Codec`] is reported before an
+    /// out-of-range index.
+    pub fn join(
+        &self,
+        key: &[u8],
+        values: &[&[u8]],
+        mut emit: impl FnMut(Vec<u8>, u64) -> Result<(), MrError>,
+    ) -> Result<(), MrError> {
+        let k = self.patterns;
+        let arity = u32::try_from(3 * k).map_err(|_| MrError::Op("star row too wide".into()))?;
+        let s_text = read_token(key)?.len() as u64 + 1;
+        // Per pattern, each match's encoded `(p, o)` and its `p \t o \t`.
+        let mut matches: Vec<Vec<(&[u8], u64)>> = vec![Vec::new(); k];
+        let mut bad_idx = None;
+        for value in values {
+            let mut r = SliceReader::new(value);
+            let idx = r.read_u64()?;
+            let po_text = (r.read_str()?.len() + r.read_str()?.len()) as u64 + 2;
+            r.finish()?;
+            match usize::try_from(idx).ok().and_then(|i| matches.get_mut(i)) {
+                Some(bucket) => bucket.push((&value[8..], po_text)),
+                None => bad_idx = bad_idx.or(Some(idx)),
             }
-            matches[idx].push(po);
+        }
+        if let Some(idx) = bad_idx {
+            return Err(MrError::Op(format!("pattern index {idx} out of range")));
         }
         if matches.iter().any(Vec::is_empty) {
             return Ok(()); // star structure violated for this subject
@@ -79,14 +143,16 @@ pub fn star_reducer(star: StarPattern) -> Arc<dyn mrsim::RawReduceOp> {
         // explosion aborts the job like a disk-full Hadoop task.
         let mut cursor = vec![0usize; k];
         loop {
-            let mut row: Row = Vec::with_capacity(3 * k);
-            for (i, c) in cursor.iter().enumerate() {
-                let (p, o) = &matches[i][*c];
-                row.push(subject.clone());
-                row.push(p.clone());
-                row.push(o.clone());
+            let picked = || cursor.iter().zip(&matches).map(|(&c, bucket)| bucket[c]);
+            let len = 4 + picked().map(|(po, _)| key.len() + po.len()).sum::<usize>();
+            let (mut rec, mut text) = (Vec::with_capacity(len), 0);
+            rec.extend_from_slice(&arity.to_le_bytes());
+            for (po, po_text) in picked() {
+                rec.extend_from_slice(key);
+                rec.extend_from_slice(po);
+                text += s_text + po_text;
             }
-            out.emit(&row)?;
+            emit(rec, text.max(1))?;
             // increment odometer
             let mut pos = k;
             loop {
@@ -101,7 +167,19 @@ pub fn star_reducer(star: StarPattern) -> Arc<dyn mrsim::RawReduceOp> {
                 cursor[pos] = 0;
             }
         }
-    })
+    }
+}
+
+impl RawReduceOp for StarReduce {
+    fn run(
+        &self,
+        _ctx: &TaskContext,
+        key: &[u8],
+        values: &[&[u8]],
+        out: &mut OutEmitter,
+    ) -> Result<(), MrError> {
+        self.join(key, values, |record, text| out.emit_raw(record, text))
+    }
 }
 
 /// The schema of a star-join output: 3 columns per pattern.
@@ -135,162 +213,30 @@ pub fn star_join_job(
     output: impl Into<String>,
     pig_loads: bool,
 ) -> (JobSpec, RowSchema) {
-    let schema = star_schema(star);
+    let scan = |which| {
+        let mapper: Arc<dyn RawMapOp> = Arc::new(StarMap { star: star.clone(), which });
+        InputBinding { file: input.to_string(), mapper }
+    };
     let mut inputs = Vec::new();
     if pig_loads {
         if !star.bound_patterns().is_empty() {
-            inputs.push(InputBinding {
-                file: input.to_string(),
-                mapper: star_mapper(star.clone(), PatternSet::BoundOnly),
-            });
+            inputs.push(scan(PatternSet::BoundOnly));
         }
         if !star.unbound_patterns().is_empty() {
-            inputs.push(InputBinding {
-                file: input.to_string(),
-                mapper: star_mapper(star.clone(), PatternSet::UnboundOnly),
-            });
+            inputs.push(scan(PatternSet::UnboundOnly));
         }
     } else {
-        inputs.push(InputBinding {
-            file: input.to_string(),
-            mapper: star_mapper(star.clone(), PatternSet::All),
-        });
+        inputs.push(scan(PatternSet::All));
     }
-    let spec = JobSpec::map_reduce(name, inputs, star_reducer(star.clone()), REDUCERS, output)
-        .with_full_scan();
-    (spec, schema)
-}
-
-/// ID-native map operator: integer-compare pattern matching over
-/// [`IdTripleRec`]s, shipping varint `(tag, p, o)` values keyed by the
-/// subject id.
-pub fn star_mapper_ids(
-    star: &StarPattern,
-    which: PatternSet,
-    dict: &Dictionary,
-) -> Arc<dyn mrsim::RawMapOp> {
-    let compiled = IdStarTest::compile(star, dict);
-    map_fn_ctx(
-        move |ctx: &mrsim::TaskContext,
-              rec: IdTripleRec,
-              out: &mut TypedMapEmitter<'_, VarId, IdTaggedPo>| {
-            if !compiled.subject.accepts(rec.s, ctx)? {
-                return Ok(());
-            }
-            for (idx, pat) in compiled.patterns.iter().enumerate() {
-                let selected = match which {
-                    PatternSet::All => true,
-                    PatternSet::BoundOnly => !pat.unbound_property,
-                    PatternSet::UnboundOnly => pat.unbound_property,
-                };
-                if selected && pat.matches(&rec, ctx)? {
-                    out.emit(&VarId(rec.s), &IdTaggedPo { tag: idx as u32, p: rec.p, o: rec.o });
-                }
-            }
-            Ok(())
-        },
-    )
-}
-
-/// ID-native reduce operator: ids resolve to [`Atom`]s at the output
-/// boundary (via the engine's dictionary snapshot), then the same
-/// odometer cross product as [`star_reducer`] emits lexical [`Row`]s.
-pub fn star_reducer_ids(star: StarPattern) -> Arc<dyn mrsim::RawReduceOp> {
-    reduce_fn_ctx(
-        move |ctx: &mrsim::TaskContext,
-              subject: VarId,
-              values: Vec<IdTaggedPo>,
-              out: &mut TypedOutEmitter<'_, Row>| {
-            let k = star.patterns.len();
-            let subject = ctx.resolve_atom(subject.0)?;
-            let mut matches: Vec<Vec<(Atom, Atom)>> = vec![Vec::new(); k];
-            for v in values {
-                let idx = v.tag as usize;
-                if idx >= k {
-                    return Err(MrError::Op(format!("pattern index {idx} out of range")));
-                }
-                matches[idx].push((ctx.resolve_atom(v.p)?, ctx.resolve_atom(v.o)?));
-            }
-            if matches.iter().any(Vec::is_empty) {
-                return Ok(()); // star structure violated for this subject
-            }
-            // The lexical reducer sees each pattern's matches in encoded
-            // token order (the shuffle sorts by value bytes); restore it
-            // after resolution so row order within a group is identical.
-            for bucket in &mut matches {
-                bucket.sort_by_cached_key(Rec::to_bytes);
-            }
-            let mut cursor = vec![0usize; k];
-            loop {
-                let mut row: Row = Vec::with_capacity(3 * k);
-                for (i, c) in cursor.iter().enumerate() {
-                    let (p, o) = &matches[i][*c];
-                    row.push(subject.clone());
-                    row.push(p.clone());
-                    row.push(o.clone());
-                }
-                out.emit(&row)?;
-                let mut pos = k;
-                loop {
-                    if pos == 0 {
-                        return Ok(());
-                    }
-                    pos -= 1;
-                    cursor[pos] += 1;
-                    if cursor[pos] < matches[pos].len() {
-                        break;
-                    }
-                    cursor[pos] = 0;
-                }
-            }
-        },
-    )
-}
-
-/// ID-native [`star_join_job`]: the shuffle carries LEB128-varint
-/// dictionary ids; star constants are compiled to ids against `dict` at
-/// plan time. The input must be an [`IdTripleRec`] relation (see
-/// [`mr_rdf::load_store_ids`]) and the engine must carry a dictionary
-/// snapshot (`Engine::with_dict`). Emits the same lexical [`Row`]s as the
-/// lexical job.
-pub fn star_join_job_ids(
-    name: impl Into<String>,
-    star: &StarPattern,
-    input: &str,
-    output: impl Into<String>,
-    pig_loads: bool,
-    dict: &Dictionary,
-) -> (JobSpec, RowSchema) {
-    let schema = star_schema(star);
-    let mut inputs = Vec::new();
-    if pig_loads {
-        if !star.bound_patterns().is_empty() {
-            inputs.push(InputBinding {
-                file: input.to_string(),
-                mapper: star_mapper_ids(star, PatternSet::BoundOnly, dict),
-            });
-        }
-        if !star.unbound_patterns().is_empty() {
-            inputs.push(InputBinding {
-                file: input.to_string(),
-                mapper: star_mapper_ids(star, PatternSet::UnboundOnly, dict),
-            });
-        }
-    } else {
-        inputs.push(InputBinding {
-            file: input.to_string(),
-            mapper: star_mapper_ids(star, PatternSet::All, dict),
-        });
-    }
-    let spec = JobSpec::map_reduce(name, inputs, star_reducer_ids(star.clone()), REDUCERS, output)
-        .with_full_scan();
-    (spec, schema)
+    let reducer = Arc::new(StarReduce { patterns: star.patterns.len() });
+    let spec = JobSpec::map_reduce(name, inputs, reducer, REDUCERS, output).with_full_scan();
+    (spec, star_schema(star))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mr_rdf::load_store;
+    use mr_rdf::{load_store, Row};
     use mrsim::Engine;
     use rdf_model::{STriple, TripleStore};
     use rdf_query::TriplePattern;
@@ -394,54 +340,6 @@ mod tests {
         for r in &rows {
             assert_eq!(&**schema.binding(r).unwrap().get("g").unwrap(), "<g2>");
         }
-    }
-
-    fn run_ids(star: StarPattern, pig: bool) -> (Vec<Row>, RowSchema, mrsim::JobStats) {
-        let mut dict = Dictionary::new();
-        let engine = Engine::unbounded();
-        mr_rdf::load_store_ids(&engine, "t_ids", &store(), &mut dict).unwrap();
-        let engine = engine.with_dict(std::sync::Arc::new(dict.clone()));
-        let (spec, schema) = star_join_job_ids("sj-ids", &star, "t_ids", "out", pig, &dict);
-        let stats = engine.run_job(&spec).unwrap();
-        let mut rows: Vec<Row> = engine.read_records("out").unwrap();
-        rows.sort();
-        (rows, schema, stats)
-    }
-
-    #[test]
-    fn id_star_join_matches_lexical_and_ships_fewer_bytes() {
-        for (star, pig) in [
-            (bound_star(), false),
-            (unbound_star(), false),
-            (unbound_star(), true),
-            (
-                unbound_star().with_subject_filter(rdf_query::ObjFilter::Equals(
-                    rdf_model::atom::atom("<g2>"),
-                )),
-                false,
-            ),
-        ] {
-            let (lex_rows, lex_schema, lex_stats) = run(star.clone(), pig);
-            let (id_rows, id_schema, id_stats) = run_ids(star, pig);
-            assert_eq!(lex_rows, id_rows, "pig {pig}");
-            assert_eq!(lex_schema.cols, id_schema.cols);
-            assert!(
-                id_stats.shuffle_wire_bytes() < lex_stats.shuffle_wire_bytes(),
-                "id wire {} >= lexical wire {} (pig {pig})",
-                id_stats.shuffle_wire_bytes(),
-                lex_stats.shuffle_wire_bytes()
-            );
-        }
-    }
-
-    #[test]
-    fn id_star_join_without_snapshot_fails_with_codec_error() {
-        let mut dict = Dictionary::new();
-        let engine = Engine::unbounded();
-        mr_rdf::load_store_ids(&engine, "t_ids", &store(), &mut dict).unwrap();
-        let (spec, _) = star_join_job_ids("sj-ids", &bound_star(), "t_ids", "out", false, &dict);
-        let err = engine.run_job(&spec).unwrap_err();
-        assert!(matches!(err, MrError::Codec(_)), "unexpected error: {err:?}");
     }
 
     #[test]
