@@ -1,28 +1,26 @@
 //! Optimizer exhibit — cost-based plan selection versus every hand-picked
-//! strategy, on every fig workload, on both data planes.
+//! strategy, on every fig workload.
 //!
 //! Not a figure of the paper: the acceptance exhibit for `--strategy
 //! auto-cost`. For each testbed workload (case study, B-series, B1 with
 //! varying bound arity, A-series, C-series) and each query, it runs all
-//! hand-picked strategies plus the cost-based optimizer on the lexical
-//! and ID-native data planes, and asserts in-process that
+//! hand-picked strategies plus the cost-based optimizer, and asserts
+//! in-process that
 //!
 //! * the cost-based plan returns the same solutions as the hand-picked
 //!   strategies;
 //! * its simulated time matches or beats the best hand-picked strategy on
-//!   every (query, plane) cell;
+//!   every query (one cell each);
 //! * a broadcast-join plan produces bit-identical output across worker
 //!   counts {1, 4, 8} (rows with query id `bcast/w{N}`).
 //!
-//! Row query ids carry the plane (`B3[lex]`, `B3[id]`); the `CostBased`
-//! rows carry `max_q_error` — the worst per-job cardinality estimation
-//! error behind the plan choice.
+//! The `CostBased` rows carry `max_q_error` — the worst per-job
+//! cardinality estimation error behind the plan choice.
 
 use ntga_bench::{report, BenchOpts, Scale};
-use ntga_core::{DataPlane, Strategy};
+use ntga_core::Strategy;
 use rdf_model::TripleStore;
 use rdf_query::SolutionSet;
-use std::sync::Arc;
 
 const HAND_PICKED: [Strategy; 5] = [
     Strategy::Eager,
@@ -31,26 +29,6 @@ const HAND_PICKED: [Strategy; 5] = [
     Strategy::LazyPartial(1024),
     Strategy::Auto(1024),
 ];
-
-/// Fresh engine for one run: the lexical relation is always loaded; the
-/// ID plane additionally loads the dictionary-encoded relation and
-/// attaches the dictionary snapshot.
-fn engine_for(
-    cluster: &ntga::ClusterConfig,
-    store: &TripleStore,
-    plane: DataPlane,
-) -> (mrsim::Engine, &'static str) {
-    let engine = cluster.engine_with(store);
-    match plane {
-        DataPlane::Lexical => (engine, mr_rdf::TRIPLES_FILE),
-        DataPlane::Ids => {
-            let mut dict = rdf_model::Dictionary::default();
-            mr_rdf::load_store_ids(&engine, mr_rdf::ID_TRIPLES_FILE, store, &mut dict)
-                .expect("id relation must fit");
-            (engine.with_dict(Arc::new(dict)), mr_rdf::ID_TRIPLES_FILE)
-        }
-    }
-}
 
 fn main() {
     let opts = BenchOpts::from_env();
@@ -98,69 +76,77 @@ fn main() {
             ..Default::default()
         });
         println!(
-            "\nworkload: {wl} — {} triples ({}), {} queries × 2 planes",
+            "\nworkload: {wl} — {} triples ({}), {} queries",
             store.len(),
             report::human_bytes(store.text_bytes()),
             queries.len(),
         );
         let mut wl_rows = Vec::new();
         for tq in &queries {
-            for (plane, tag) in [(DataPlane::Lexical, "lex"), (DataPlane::Ids, "id")] {
-                let qid = format!("{}[{tag}]", tq.id);
-                let mut best: Option<(f64, String)> = None;
-                let mut reference: Option<SolutionSet> = None;
-                for strategy in HAND_PICKED {
-                    let (engine, input) = engine_for(&cluster, store, plane);
-                    // Extract solutions once per cell (they agree across
-                    // strategies; the planner tests prove that).
-                    let extract = strategy == Strategy::Auto(1024);
-                    let label = format!("{qid}-{}", strategy.label());
-                    let (run, _) = strategy
-                        .plan(&tq.query)
-                        .and_then(|plan| {
-                            ntga_core::execute_plan(
-                                plane, &plan, &engine, &tq.query, input, &label, extract,
-                            )
-                        })
-                        .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
-                    assert!(run.succeeded(), "{label}: hand-picked run failed");
-                    if let Some(s) = run.solutions.clone() {
-                        reference = Some(s);
-                    }
-                    let t = run.stats.sim_seconds;
-                    if best.as_ref().is_none_or(|(b, _)| t < *b) {
-                        best = Some((t, strategy.label()));
-                    }
-                    wl_rows.push(report::Row::from_run(&qid, &strategy.label(), &run));
+            let qid = &tq.id;
+            let mut best: Option<(f64, String)> = None;
+            let mut reference: Option<SolutionSet> = None;
+            for strategy in HAND_PICKED {
+                let engine = cluster.engine_with(store);
+                // Extract solutions once per cell (they agree across
+                // strategies; the planner tests prove that).
+                let extract = strategy == Strategy::Auto(1024);
+                let label = format!("{qid}-{}", strategy.label());
+                let (run, _) = strategy
+                    .plan(&tq.query)
+                    .and_then(|plan| {
+                        ntga_core::execute_plan(
+                            &plan,
+                            &engine,
+                            &tq.query,
+                            mr_rdf::TRIPLES_FILE,
+                            &label,
+                            extract,
+                        )
+                    })
+                    .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+                assert!(run.succeeded(), "{label}: hand-picked run failed");
+                if let Some(s) = run.solutions.clone() {
+                    reference = Some(s);
                 }
-                let (best_t, best_label) = best.expect("hand-picked panel is non-empty");
-
-                let (engine, input) = engine_for(&cluster, store, plane);
-                let label = format!("{qid}-CostBased");
-                let run = ntga_core::execute_cost_based(
-                    plane, &engine, &tq.query, input, &label, true, &stats,
-                )
-                .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
-                assert!(run.succeeded(), "{label}: cost-based run failed");
-                assert_eq!(
-                    run.solutions.as_ref(),
-                    reference.as_ref(),
-                    "{label}: cost-based plan must return the hand-picked answers"
-                );
-                assert!(
-                    run.stats.sim_seconds <= best_t + 1e-9,
-                    "{label}: cost plan took {:.3}s but {best_label} took {best_t:.3}s",
-                    run.stats.sim_seconds,
-                );
-                cells += 1;
-                if run.stats.sim_seconds < best_t - 1e-9 {
-                    wins += 1;
+                let t = run.stats.sim_seconds;
+                if best.as_ref().is_none_or(|(b, _)| t < *b) {
+                    best = Some((t, strategy.label()));
                 }
-                if let Some(q) = run.stats.max_q_error() {
-                    worst_q_error = worst_q_error.max(q);
-                }
-                wl_rows.push(report::Row::from_run(&qid, "CostBased", &run));
+                wl_rows.push(report::Row::from_run(qid, &strategy.label(), &run));
             }
+            let (best_t, best_label) = best.expect("hand-picked panel is non-empty");
+
+            let engine = cluster.engine_with(store);
+            let label = format!("{qid}-CostBased");
+            let run = ntga_core::execute_cost_based(
+                &engine,
+                &tq.query,
+                mr_rdf::TRIPLES_FILE,
+                &label,
+                true,
+                &stats,
+            )
+            .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+            assert!(run.succeeded(), "{label}: cost-based run failed");
+            assert_eq!(
+                run.solutions.as_ref(),
+                reference.as_ref(),
+                "{label}: cost-based plan must return the hand-picked answers"
+            );
+            assert!(
+                run.stats.sim_seconds <= best_t + 1e-9,
+                "{label}: cost plan took {:.3}s but {best_label} took {best_t:.3}s",
+                run.stats.sim_seconds,
+            );
+            cells += 1;
+            if run.stats.sim_seconds < best_t - 1e-9 {
+                wins += 1;
+            }
+            if let Some(q) = run.stats.max_q_error() {
+                worst_q_error = worst_q_error.max(q);
+            }
+            wl_rows.push(report::Row::from_run(qid, "CostBased", &run));
         }
         report::print_table(
             &format!("Optimizer exhibit: {wl}"),
@@ -211,16 +197,9 @@ fn broadcast_identity(opts: &BenchOpts, store: &TripleStore) -> Vec<report::Row>
         let engine =
             cluster.with_workers(workers).engine_with(store).with_broadcast_budget(u64::MAX);
         let label = format!("bcast-w{workers}");
-        let (run, _) = ntga_core::execute_plan(
-            DataPlane::Lexical,
-            &plan,
-            &engine,
-            &tq.query,
-            mr_rdf::TRIPLES_FILE,
-            &label,
-            false,
-        )
-        .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+        let (run, _) =
+            ntga_core::execute_plan(&plan, &engine, &tq.query, mr_rdf::TRIPLES_FILE, &label, false)
+                .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
         assert!(run.succeeded(), "{label}: broadcast run failed");
         assert!(
             run.stats.jobs.iter().any(|j| j.reduce_tasks == 0),

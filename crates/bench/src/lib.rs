@@ -198,16 +198,9 @@ pub fn profile_queries(
             let config = ntga_core::OptimizerConfig::for_engine(&engine);
             let plan = ntga_core::optimize(query, &stats, &engine.cost, &config)
                 .map_err(|e| format!("{qid}: planning failed: {e}"))?;
-            let (run, stars) = ntga_core::execute_plan(
-                ntga_core::DataPlane::Lexical,
-                &plan,
-                &engine,
-                query,
-                mr_rdf::TRIPLES_FILE,
-                qid,
-                false,
-            )
-            .map_err(|e| format!("{qid}: execution failed: {e}"))?;
+            let (run, stars) =
+                ntga_core::execute_plan(&plan, &engine, query, mr_rdf::TRIPLES_FILE, qid, false)
+                    .map_err(|e| format!("{qid}: execution failed: {e}"))?;
             if !run.succeeded() {
                 return Err(format!(
                     "{qid}: profiled run failed: {}",
@@ -346,15 +339,9 @@ impl Runner {
                 relbase::execute_grouping(g, &engine, query, input, label, false)
             }
             Runner::Ntga(s) => ntga_core::execute(s, &engine, query, input, label, false),
-            Runner::NtgaCost => ntga_core::execute_cost_based(
-                ntga_core::DataPlane::Lexical,
-                &engine,
-                query,
-                input,
-                label,
-                false,
-                &store.stats(),
-            ),
+            Runner::NtgaCost => {
+                ntga_core::execute_cost_based(&engine, query, input, label, false, &store.stats())
+            }
         };
         result.unwrap_or_else(|e| panic!("{label}: planning failed: {e}"))
     }

@@ -143,7 +143,6 @@ fn executed_plans_report_bounded_q_error() {
         for tq in queries {
             let engine = cluster.engine_with(&store);
             let run = ntga_core::execute_cost_based(
-                ntga_core::DataPlane::Lexical,
                 &engine,
                 &tq.query,
                 mr_rdf::TRIPLES_FILE,

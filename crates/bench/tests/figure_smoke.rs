@@ -76,6 +76,23 @@ fn fig11_shows_partial_unnest_dichotomy() {
 }
 
 #[test]
+fn fig_optimizer_asserts_every_cell_in_process() {
+    // Not a paper figure; run here so the binary's own assertions (cost
+    // plan ≤ best hand-picked per query, same solutions, broadcast output
+    // identical across worker counts) hold under `cargo test`.
+    let text = run_fig(env!("CARGO_BIN_EXE_fig_optimizer"));
+    assert!(
+        text.contains("matched-or-beat the best hand-picked strategy in 27/27 cells"),
+        "{text}"
+    );
+    let bcast = text.lines().find(|l| l.starts_with("broadcast join:")).expect("broadcast line");
+    assert!(bcast.ends_with("bit-identical"), "{bcast}");
+    // One plane: a row's query id is the catalog id, with no plane tag.
+    let tagged: Vec<&str> = text.lines().filter(|l| l.contains('[')).collect();
+    assert!(tagged.is_empty(), "{tagged:?}");
+}
+
+#[test]
 fn fig3_trace_and_json_flags_emit_valid_json() {
     let dir = std::env::temp_dir();
     let trace = dir.join(format!("fig3-smoke-{}.trace.json", std::process::id()));

@@ -61,7 +61,7 @@ pub mod tg;
 
 pub use explain::{explain, explain_plan, PlanText};
 pub use optimizer::{
-    optimize, CycleEstimate, DataPlane, JoinAlgo, OptimizerConfig, PhysicalPlan, PlanEstimates,
+    optimize, CycleEstimate, JoinAlgo, OptimizerConfig, PhysicalPlan, PlanEstimates,
 };
 pub use planner::{execute, execute_cost_based, execute_plan, Strategy};
 pub use profile::{explain_analyze, OpProfile, Profile, StarProfile};

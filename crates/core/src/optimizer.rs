@@ -28,7 +28,7 @@
 //! you when the estimator, not the executor, is the problem.
 
 use crate::physical::{role_of, BuildSide, JoinRole, UnnestMode};
-use mr_rdf::{check_query, PlanError};
+use mr_rdf::{check_query, PlanError, UnsupportedReason};
 use mrsim::{CostModel, Engine, JobStats};
 use rdf_model::StoreStats;
 use rdf_query::estimate::{
@@ -498,11 +498,15 @@ fn price_job1(
 // Plan search
 // ---------------------------------------------------------------------------
 
+/// Most stars [`optimize`] enumerates placements for (2^16 plans).
+const MAX_STARS: usize = 16;
+
 /// Derive a [`PhysicalPlan`] for `query` over a store described by `stats`,
 /// priced under `cost`.
 ///
 /// The search enumerates per-star eager/lazy placements (2^n for the
-/// query's n stars — star counts are small) and, for each placement,
+/// query's n stars; more than 16 stars is
+/// [`UnsupportedReason::TooManyStars`]) and, for each placement,
 /// independently picks the cheapest algorithm per join cycle from
 /// {reduce-exact, reduce-partial(φ) for each configured φ, broadcast with
 /// either side as build when it fits the budget}. The cheapest total wins.
@@ -519,7 +523,9 @@ pub fn optimize(
     let star_ests: Vec<StarEst> = query.stars.iter().map(|s| star_estimates(s, stats)).collect();
 
     let n = query.stars.len();
-    assert!(n <= 16, "plan search enumerates 2^stars placements");
+    if n > MAX_STARS {
+        return Err(UnsupportedReason::TooManyStars { stars: n, limit: MAX_STARS }.into());
+    }
     let mut best: Option<PhysicalPlan> = None;
     for mask in 0u32..(1u32 << n) {
         let eager_stars: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
@@ -628,24 +634,13 @@ pub fn optimize(
     Ok(best.expect("at least one placement enumerated"))
 }
 
-/// Which wire representation the workflow's Job 1 consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataPlane {
-    /// Lexical tokens end-to-end ([`mr_rdf::TripleRec`] input).
-    Lexical,
-    /// LEB128-varint dictionary ids through Job 1's shuffle
-    /// ([`mr_rdf::IdTripleRec`] input; requires `Engine::with_dict`).
-    Ids,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::planner::{execute, execute_cost_based, execute_plan, Strategy};
-    use mr_rdf::{load_store, load_store_ids, QueryRun};
+    use mr_rdf::{load_store, QueryRun};
     use rdf_model::{STriple, TripleStore};
     use rdf_query::parse_query;
-    use std::sync::Arc;
 
     fn store() -> TripleStore {
         let mut triples = vec![
@@ -665,7 +660,7 @@ mod tests {
     const UNBOUND_2STAR: &str = "SELECT * WHERE { ?g <label> ?l . ?g ?p ?go . ?go <gl> ?x . }";
 
     fn run_plan(plan: &PhysicalPlan, engine: &Engine, query: &Query, extract: bool) -> QueryRun {
-        execute_plan(DataPlane::Lexical, plan, engine, query, "t", "q", extract).unwrap().0
+        execute_plan(plan, engine, query, "t", "q", extract).unwrap().0
     }
 
     fn plan_for(q: &str, s: &TripleStore) -> PhysicalPlan {
@@ -682,9 +677,7 @@ mod tests {
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let gold = rdf_query::naive::evaluate(&query, &s);
         assert!(!gold.is_empty());
-        let run =
-            execute_cost_based(DataPlane::Lexical, &engine, &query, "t", "q", true, &s.stats())
-                .unwrap();
+        let run = execute_cost_based(&engine, &query, "t", "q", true, &s.stats()).unwrap();
         assert!(run.succeeded());
         assert_eq!(run.solutions.unwrap(), gold);
         // Every job carried an estimate, so the run reports a q-error.
@@ -692,27 +685,23 @@ mod tests {
     }
 
     #[test]
-    fn id_plane_matches_lexical_plane() {
+    fn more_stars_than_the_search_enumerates_is_a_typed_error() {
+        let chain = |stars: usize| {
+            let body: String = (0..stars)
+                .map(|i| format!("?s{i} <next> ?s{} . ?s{i} ?p{i} ?o{i} . ", i + 1))
+                .collect();
+            parse_query(&format!("SELECT * WHERE {{ {body}}}")).unwrap()
+        };
         let s = store();
-        let query = parse_query(UNBOUND_2STAR).unwrap();
-        let gold = rdf_query::naive::evaluate(&query, &s);
-
-        let lex = Engine::unbounded();
-        load_store(&lex, "t", &s).unwrap();
-        let stats = s.stats();
-        let plan = optimize(&query, &stats, &lex.cost, &OptimizerConfig::for_engine(&lex)).unwrap();
-        let lrun = run_plan(&plan, &lex, &query, true);
-
-        let ids = Engine::unbounded();
-        let mut dict = rdf_model::Dictionary::default();
-        load_store_ids(&ids, "tid", &s, &mut dict).unwrap();
-        let ids = ids.with_dict(Arc::new(dict));
-        let (irun, _) =
-            execute_plan(DataPlane::Ids, &plan, &ids, &query, "tid", "q", true).unwrap();
-
-        assert!(lrun.succeeded() && irun.succeeded());
-        assert_eq!(lrun.solutions.unwrap(), gold);
-        assert_eq!(irun.solutions.unwrap(), gold);
+        let plan = |q: &Query| optimize(q, &s.stats(), &CostModel::default(), &Default::default());
+        assert_eq!(plan(&chain(MAX_STARS)).unwrap().eager_stars.len(), MAX_STARS);
+        assert_eq!(
+            plan(&chain(MAX_STARS + 1)).unwrap_err(),
+            PlanError::Unsupported(UnsupportedReason::TooManyStars {
+                stars: MAX_STARS + 1,
+                limit: MAX_STARS
+            })
+        );
     }
 
     #[test]

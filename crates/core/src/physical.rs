@@ -22,16 +22,14 @@
 
 use crate::logical::{match_star, TripleGroup};
 use crate::tg::{added_text, pair_text, sort_distinct, ListRef, PairRef, TgCursor, TgTuple};
-use mr_rdf::{IdPair, IdStarTest, IdTripleRec, TripleView};
+use mr_rdf::TripleView;
 use mrsim::codec::decimal_digits;
 use mrsim::{
-    map_fn_ctx, reduce_fn_ctx, InputBinding, JobSpec, MapEmitter, MrError, OutEmitter,
-    RawMapOnlyOp, RawMapOp, RawReduceOp, Rec, SliceReader, TaskContext, TypedMapEmitter,
-    TypedOutEmitter, VarId,
+    reduce_fn_ctx, InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOnlyOp, RawMapOp,
+    RawReduceOp, SliceReader, TaskContext, TypedOutEmitter,
 };
 use rdf_model::atom::{fnv1a, Atom};
 use rdf_model::hash::DetHashMap;
-use rdf_model::Dictionary;
 use rdf_query::{Query, StarPattern};
 use std::borrow::Borrow;
 use std::hash::Hash;
@@ -94,8 +92,8 @@ pub fn phi(key: &str, m: u64) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// `TG_UnbGrpFilter` over one subject's triplegroup, plus the eager μ^β of
-/// the stars the plan unnests in Job 1 — the reduce-side operator both
-/// Job 1 planes share. Admissions to star `i` go to output `i`.
+/// the stars the plan unnests in Job 1 — Job 1's reduce-side operator.
+/// Admissions to star `i` go to output `i`.
 fn group_filter(
     ctx: &TaskContext,
     tg: &TripleGroup,
@@ -129,25 +127,9 @@ fn group_filter(
     Ok(())
 }
 
-/// Job 1's shape on either plane: one full scan of `input`, one output
-/// per star.
-fn job1_spec(
-    name: impl Into<String>,
-    input: &str,
-    mapper: Arc<dyn mrsim::RawMapOp>,
-    reducer: Arc<dyn mrsim::RawReduceOp>,
-    outputs: Vec<String>,
-) -> JobSpec {
-    let mut outs = outputs.into_iter();
-    let first = outs.next().expect("at least one star");
-    let inputs = vec![InputBinding { file: input.to_string(), mapper }];
-    let spec = JobSpec::map_reduce(name, inputs, reducer, REDUCERS, first).with_full_scan();
-    outs.fold(spec, JobSpec::with_extra_output)
-}
-
-/// `TG_GroupBy`'s map over the lexical triple relation, reading each
-/// record in place: the shuffle key is the triple's own encoded subject,
-/// the value its encoded property and object.
+/// `TG_GroupBy`'s map over the triple relation, reading each record in
+/// place: the shuffle key is the triple's own encoded subject, the value
+/// its encoded property and object.
 struct GroupMap {
     stars: Vec<StarPattern>,
 }
@@ -199,67 +181,11 @@ pub fn group_filter_job(
             group_filter(ctx, &TripleGroup { subject, pairs }, &stars_red, &eager, out)
         },
     );
-    job1_spec(name, input, mapper, reducer, outputs)
-}
-
-// ---------------------------------------------------------------------------
-// Job 1, ID-native: varint dictionary ids through the shuffle
-// ---------------------------------------------------------------------------
-
-/// ID-native Job 1: same operators as [`group_filter_job`], but the
-/// shuffle carries LEB128-varint dictionary ids (`VarId` subject keys,
-/// [`IdPair`] property/object values) instead of lexical tokens.
-///
-/// Star constants are compiled to ids against `dict` at plan time, so the
-/// map side matches with integer compares; the reduce side resolves ids
-/// back to [`Atom`]s through the engine's dictionary snapshot (attach it
-/// with `Engine::with_dict`) and re-sorts each group into the lexical
-/// wire order, so the emitted [`TgTuple`]s are byte-identical to the
-/// lexical job's (file order aside — the two paths partition by
-/// different key bytes). `eager` is the per-star unnest placement, as in
-/// [`group_filter_job`].
-pub fn group_filter_job_ids(
-    name: impl Into<String>,
-    query: &Query,
-    input: &str,
-    outputs: Vec<String>,
-    eager: Vec<bool>,
-    dict: &Dictionary,
-) -> JobSpec {
-    assert_eq!(outputs.len(), query.stars.len(), "one output per star");
-    assert_eq!(eager.len(), query.stars.len(), "one placement per star");
-    let stars_map: Vec<IdStarTest> =
-        query.stars.iter().map(|s| IdStarTest::compile(s, dict)).collect();
-    let mapper = map_fn_ctx(
-        move |ctx: &TaskContext, rec: IdTripleRec, out: &mut TypedMapEmitter<'_, VarId, IdPair>| {
-            for star in &stars_map {
-                if star.relevant(&rec, ctx)? {
-                    out.emit(&VarId(rec.s), &IdPair(rec.p, rec.o));
-                    return Ok(());
-                }
-            }
-            Ok(())
-        },
-    );
-    let stars_red = query.stars.clone();
-    let reducer = reduce_fn_ctx(
-        move |ctx: &TaskContext,
-              subject: VarId,
-              ids: Vec<IdPair>,
-              out: &mut TypedOutEmitter<'_, TgTuple>| {
-            let subject = ctx.resolve_atom(subject.0)?;
-            let mut pairs = ids
-                .iter()
-                .map(|&IdPair(p, o)| Ok((ctx.resolve_atom(p)?, ctx.resolve_atom(o)?)))
-                .collect::<Result<Vec<(Atom, Atom)>, MrError>>()?;
-            // The lexical job's reducer sees values in encoded-token
-            // order (the shuffle sorts by value bytes); restore that
-            // order after resolution so outputs are byte-identical.
-            pairs.sort_by_cached_key(Rec::to_bytes);
-            group_filter(ctx, &TripleGroup { subject, pairs }, &stars_red, &eager, out)
-        },
-    );
-    job1_spec(name, input, mapper, reducer, outputs)
+    let mut outs = outputs.into_iter();
+    let first = outs.next().expect("at least one star");
+    let inputs = vec![InputBinding { file: input.to_string(), mapper }];
+    let spec = JobSpec::map_reduce(name, inputs, reducer, REDUCERS, first).with_full_scan();
+    outs.fold(spec, JobSpec::with_extra_output)
 }
 
 // ---------------------------------------------------------------------------
@@ -337,7 +263,7 @@ struct Pinned<'a> {
     entries: Option<&'a [PairRef<'a>]>,
     /// Components past the pinned list.
     tail: &'a [u8],
-    /// [`Rec::text_size`] of the tuple so pinned.
+    /// [`mrsim::Rec::text_size`] of the tuple so pinned.
     text: u64,
 }
 
@@ -892,7 +818,7 @@ pub fn tg_broadcast_join_job(
 mod tests {
     use super::*;
     use mr_rdf::load_store;
-    use mrsim::Engine;
+    use mrsim::{Engine, Rec};
     use rdf_model::{STriple, TripleStore};
 
     fn store() -> TripleStore {
@@ -1079,93 +1005,6 @@ mod tests {
         assert_eq!(ops.get(op::ADMITTED), 4);
         assert_eq!(ops.get(op::UNNEST_IN), 0);
         assert_eq!(ops.get(op::UNNEST_OUT), 0);
-    }
-
-    #[test]
-    fn id_native_job1_matches_lexical_and_ships_fewer_bytes() {
-        // A filter star exercises every IdTest arm: Eq on the bound
-        // property, Str on a Contains object filter, Any on the unbound
-        // pattern.
-        let mut s = store();
-        s.insert(STriple::new("<x1>", "<syn>", "\"t\""));
-        let query = rdf_query::parse_query(
-            "SELECT * WHERE { ?g <label> ?l . ?g ?p ?go . ?go <gl> ?x . \
-             FILTER contains(?x, \"u\") }",
-        )
-        .unwrap();
-        for eager in [false, true] {
-            let lex = Engine::unbounded();
-            load_store(&lex, "t", &s).unwrap();
-            let lex_job =
-                group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], vec![eager; 2]);
-            let lex_stats = lex.run_job(&lex_job).unwrap();
-
-            let mut dict = Dictionary::new();
-            let ids = Engine::unbounded();
-            mr_rdf::load_store_ids(&ids, mr_rdf::ID_TRIPLES_FILE, &s, &mut dict).unwrap();
-            let ids = ids.with_dict(Arc::new(dict.clone()));
-            let id_job = group_filter_job_ids(
-                "j1-ids",
-                &query,
-                mr_rdf::ID_TRIPLES_FILE,
-                vec!["e0".into(), "e1".into()],
-                vec![eager; 2],
-                &dict,
-            );
-            let id_stats = ids.run_job(&id_job).unwrap();
-
-            // Same operator counters on both planes.
-            for c in [
-                op::GROUPS_IN,
-                op::PAIRS_IN,
-                op::ADMITTED,
-                op::DROPPED,
-                op::UNNEST_IN,
-                op::UNNEST_OUT,
-            ] {
-                assert_eq!(
-                    lex_stats.ops.get(c),
-                    id_stats.ops.get(c),
-                    "counter {c} (eager {eager})"
-                );
-            }
-            // Byte-identical outputs once sorted (the two paths partition
-            // by different key bytes, so file order may differ).
-            for out in ["e0", "e1"] {
-                let mut a: Vec<TgTuple> = lex.read_records(out).unwrap();
-                let mut b: Vec<TgTuple> = ids.read_records(out).unwrap();
-                a.sort_by_cached_key(Rec::to_bytes);
-                b.sort_by_cached_key(Rec::to_bytes);
-                assert_eq!(a, b, "output {out} (eager {eager})");
-            }
-            // The ID plane ships varints where the lexical plane ships
-            // tokens: strictly fewer wire bytes through the shuffle.
-            assert!(
-                id_stats.shuffle_wire_bytes() < lex_stats.shuffle_wire_bytes(),
-                "id wire {} >= lexical wire {} (eager {eager})",
-                id_stats.shuffle_wire_bytes(),
-                lex_stats.shuffle_wire_bytes()
-            );
-        }
-    }
-
-    #[test]
-    fn id_native_job1_fails_on_missing_dictionary() {
-        let s = store();
-        let mut dict = Dictionary::new();
-        let engine = Engine::unbounded();
-        mr_rdf::load_store_ids(&engine, mr_rdf::ID_TRIPLES_FILE, &s, &mut dict).unwrap();
-        // No `with_dict`: the reduce boundary cannot resolve ids.
-        let job = group_filter_job_ids(
-            "j1-ids",
-            &unbound_query(),
-            mr_rdf::ID_TRIPLES_FILE,
-            vec!["e0".into(), "e1".into()],
-            vec![false; 2],
-            &dict,
-        );
-        let err = engine.run_job(&job).unwrap_err();
-        assert!(matches!(err, MrError::Codec(_)), "unexpected error: {err:?}");
     }
 
     #[test]

@@ -11,12 +11,9 @@
 //! *per cycle* (`--strategy auto-cost` in the figure binaries). Whatever
 //! built the plan, [`execute_plan`] runs it.
 
-use crate::optimizer::{
-    join_schedule, optimize, DataPlane, JoinAlgo, OptimizerConfig, PhysicalPlan,
-};
+use crate::optimizer::{join_schedule, optimize, JoinAlgo, OptimizerConfig, PhysicalPlan};
 use crate::physical::{
-    group_filter_job, group_filter_job_ids, tg_broadcast_join_job, tg_join_job, BuildSide,
-    JoinSide, UnnestMode, REDUCERS,
+    group_filter_job, tg_broadcast_join_job, tg_join_job, BuildSide, JoinSide, UnnestMode, REDUCERS,
 };
 use crate::tg::TgTuple;
 use mr_rdf::{check_query, run_query_workflow, PlanError, QueryRun};
@@ -149,14 +146,11 @@ fn expand_tuple(
 ///
 /// Job 1 (`{label}.group`) computes every star's equivalence class under
 /// the plan's per-star unnest placement; one `{label}.tgjoin{i}` cycle per
-/// [`JoinAlgo`] follows in the query's left-deep order. `DataPlane::Ids`
-/// runs Job 1 over the dictionary-encoded relation ([`mr_rdf::IdTripleRec`]
-/// input, e.g. [`mr_rdf::ID_TRIPLES_FILE`]) and needs the matching
-/// dictionary on the engine (`Engine::with_dict`); the join cycles are the
-/// same on both planes. A plan with estimates tags every job with its
-/// estimated output cardinality, so the run reports q-error. A broadcast
-/// cycle whose *actual* build file exceeds the engine's broadcast budget
-/// (an estimation miss) falls back to the reduce-side exact join.
+/// [`JoinAlgo`] follows in the query's left-deep order. A plan with
+/// estimates tags every job with its estimated output cardinality, so the
+/// run reports q-error. A broadcast cycle whose *actual* build file exceeds
+/// the engine's broadcast budget (an estimation miss) falls back to the
+/// reduce-side exact join.
 ///
 /// Same contract as `relbase::execute`: planning problems are `Err`,
 /// runtime failures (DiskFull) come back inside the [`QueryRun`]. The second
@@ -164,7 +158,6 @@ fn expand_tuple(
 /// cleanup deletes them, for [`crate::profile::explain_analyze`]; it is
 /// empty when Job 1 itself failed.
 pub fn execute_plan(
-    plane: DataPlane,
     plan: &PhysicalPlan,
     engine: &Engine,
     query: &Query,
@@ -183,16 +176,8 @@ pub fn execute_plan(
             (0..query.stars.len()).map(|i| format!("{label}.ec{i}")).collect();
         let group = format!("{label}.group");
         let eager = plan.eager_stars.clone();
-        let mut job1 = match plane {
-            DataPlane::Lexical => group_filter_job(group, query, input, ec_files.clone(), eager),
-            DataPlane::Ids => {
-                let dict = engine.dict().ok_or_else(|| {
-                    PlanError::Internal("ID-native execution needs Engine::with_dict".into())
-                })?;
-                group_filter_job_ids(group, query, input, ec_files.clone(), eager, dict)
-            }
-        }
-        .with_reducers(plan.job1_reduce_tasks);
+        let mut job1 = group_filter_job(group, query, input, ec_files.clone(), eager)
+            .with_reducers(plan.job1_reduce_tasks);
         if let Some(est) = estimates {
             job1 = job1.with_estimated_output(est.job1_records);
         }
@@ -250,7 +235,7 @@ pub fn execute_plan(
     Ok((run, star_records))
 }
 
-/// Execute `query` under a hand-picked `strategy` on the lexical plane:
+/// Execute `query` under a hand-picked `strategy`:
 /// [`Strategy::plan`], then [`execute_plan`].
 pub fn execute(
     strategy: Strategy,
@@ -261,14 +246,12 @@ pub fn execute(
     extract_solutions: bool,
 ) -> Result<QueryRun, PlanError> {
     let plan = strategy.plan(query)?;
-    execute_plan(DataPlane::Lexical, &plan, engine, query, input, label, extract_solutions)
-        .map(|(run, _)| run)
+    execute_plan(&plan, engine, query, input, label, extract_solutions).map(|(run, _)| run)
 }
 
 /// [`optimize`] under the engine's own cost model and physical limits, then
 /// [`execute_plan`] — the `--strategy auto-cost` entry point.
 pub fn execute_cost_based(
-    plane: DataPlane,
     engine: &Engine,
     query: &Query,
     input: &str,
@@ -277,7 +260,7 @@ pub fn execute_cost_based(
     stats: &StoreStats,
 ) -> Result<QueryRun, PlanError> {
     let plan = optimize(query, stats, &engine.cost, &OptimizerConfig::for_engine(engine))?;
-    execute_plan(plane, &plan, engine, query, input, label, extract_solutions).map(|(run, _)| run)
+    execute_plan(&plan, engine, query, input, label, extract_solutions).map(|(run, _)| run)
 }
 
 #[cfg(test)]
@@ -409,34 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn id_plane_matches_lexical_for_every_strategy() {
-        use std::sync::Arc;
-        let s = store();
-        let query = parse_query(UNBOUND_2STAR).unwrap();
-        let gold = rdf_query::naive::evaluate(&query, &s);
-        for strategy in ALL {
-            let engine = Engine::unbounded();
-            let mut dict = rdf_model::Dictionary::default();
-            mr_rdf::load_store_ids(&engine, "tid", &s, &mut dict).unwrap();
-            let engine = engine.with_dict(Arc::new(dict));
-            let plan = strategy.plan(&query).unwrap();
-            let (r, stars) =
-                execute_plan(DataPlane::Ids, &plan, &engine, &query, "tid", "q", true).unwrap();
-            assert!(r.succeeded(), "{strategy:?}");
-            assert_eq!(stars.len(), 2, "{strategy:?}");
-            assert_eq!(r.solutions.unwrap(), gold, "{strategy:?}");
-        }
-        // Without a dictionary the ID plane is a planning error, not a crash.
-        let engine = Engine::unbounded();
-        mr_rdf::load_store(&engine, "t", &s).unwrap();
-        let plan = Strategy::Eager.plan(&query).unwrap();
-        assert!(matches!(
-            execute_plan(DataPlane::Ids, &plan, &engine, &query, "t", "q", true),
-            Err(PlanError::Internal(_))
-        ));
-    }
-
-    #[test]
     fn strategies_construct_uniform_plans_without_estimates() {
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let eager = Strategy::Eager.plan(&query).unwrap();
@@ -455,7 +410,7 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &store()).unwrap();
         assert!(matches!(
-            execute_plan(DataPlane::Lexical, &partial, &engine, &single, "t", "q", false),
+            execute_plan(&partial, &engine, &single, "t", "q", false),
             Err(PlanError::Internal(_))
         ));
     }

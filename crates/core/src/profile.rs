@@ -415,7 +415,7 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{optimize, DataPlane, OptimizerConfig};
+    use crate::optimizer::{optimize, OptimizerConfig};
     use crate::planner::{execute_plan, Strategy};
     use mr_rdf::load_store;
     use mrsim::CostModel;
@@ -445,8 +445,7 @@ mod tests {
         let plan = optimize(&query, &s.stats(), &cost, &OptimizerConfig::default()).unwrap();
         let engine = mrsim::Engine::unbounded().with_cost(cost).with_profiling(true);
         load_store(&engine, "t", &s).unwrap();
-        let (run, stars) =
-            execute_plan(DataPlane::Lexical, &plan, &engine, &query, "t", "q", false).unwrap();
+        let (run, stars) = execute_plan(&plan, &engine, &query, "t", "q", false).unwrap();
         assert!(run.succeeded());
         assert_eq!(stars.len(), query.stars.len());
         let profile = explain_analyze(&plan, &run.stats, &stars).unwrap();
@@ -505,8 +504,7 @@ mod tests {
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let engine = mrsim::Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
-        let (run, _) =
-            execute_plan(DataPlane::Lexical, &plan, &engine, &query, "t", "q", false).unwrap();
+        let (run, _) = execute_plan(&plan, &engine, &query, "t", "q", false).unwrap();
         assert!(explain_analyze(&plan, &run.stats, &[1]).is_err());
         // A hand-picked plan has no estimated column to join against.
         let hand = Strategy::LazyFull.plan(&query).unwrap();

@@ -91,11 +91,6 @@ pub struct Engine {
     /// [`MrError::BroadcastTooLarge`]; the optimizer uses the same bound
     /// as its broadcast-join threshold.
     pub broadcast_budget_bytes: u64,
-    /// Shared dictionary snapshot for ID-native jobs: every task's
-    /// [`TaskContext`] carries a handle so reducers can resolve varint
-    /// dictionary ids back to tokens at output boundaries (the simulated
-    /// analogue of shipping the dictionary via the distributed cache).
-    dict: Option<Arc<rdf_model::Dictionary>>,
     /// When true, jobs record distribution metrics (per-task durations,
     /// per-partition shuffle bytes, record wire sizes, reduce group widths)
     /// into [`JobStats::metrics`]. Off by default: the map-emit hot path is
@@ -110,10 +105,10 @@ pub struct Engine {
     /// handled like Hadoop's fetch failure: the clean copy is recovered
     /// (re-executed map / replica re-read), the incident is counted in
     /// [`crate::FaultStats`] and priced into `retry_seconds`, and the job
-    /// proceeds. Turning this off lets injected corruption propagate
-    /// silently into job output — only useful to demonstrate why the
-    /// checksums are load-bearing.
-    pub verify_checksums: bool,
+    /// proceeds. Only this crate's tests turn it off, to show that
+    /// injected corruption then reaches job output: the checksums are
+    /// load-bearing.
+    verify_checksums: bool,
     /// Hadoop's skip mode (`mapreduce.map.skip.maxrecords`): when set,
     /// a map task that hits an undecodable input record
     /// ([`MrError::Codec`]) quarantines the raw record into a
@@ -149,7 +144,6 @@ impl Engine {
             recovery: RecoveryPolicy::FailFast,
             trace: None,
             broadcast_budget_bytes: 64 * 1024 * 1024, // ~a task heap's worth
-            dict: None,
             profiling: false,
             verify_checksums: true,
             skip_bad_records: None,
@@ -206,10 +200,9 @@ impl Engine {
         self
     }
 
-    /// Enable or disable data-plane checksum verification (see
-    /// [`Engine::verify_checksums`]). On by default; disabling is only
-    /// meant for controlled demonstrations of silent corruption.
-    pub fn with_verification(mut self, on: bool) -> Self {
+    /// Switch data-plane checksum verification off (or back on).
+    #[cfg(test)]
+    pub(crate) fn with_verification(mut self, on: bool) -> Self {
         self.verify_checksums = on;
         self
     }
@@ -221,20 +214,6 @@ impl Engine {
     pub fn with_skip_bad_records(mut self, budget: u64) -> Self {
         self.skip_bad_records = Some(budget);
         self
-    }
-
-    /// Attach a shared dictionary snapshot, made available to every task
-    /// through [`TaskContext::resolve_atom`]. ID-native jobs require this;
-    /// lexical jobs ignore it.
-    pub fn with_dict(mut self, dict: Arc<rdf_model::Dictionary>) -> Self {
-        self.dict = Some(dict);
-        self
-    }
-
-    /// The dictionary snapshot attached with [`Engine::with_dict`], if any.
-    /// Planners compiling constants to ids at plan time read it here.
-    pub fn dict(&self) -> Option<&Arc<rdf_model::Dictionary>> {
-        self.dict.as_ref()
     }
 
     /// Emit a trace event. The closure only runs when a sink is attached,
@@ -745,8 +724,7 @@ impl Engine {
         self.resolve_faults(epoch, TaskPhase::Map, chunks.len(), false, stats)?;
         let job = stats.name.clone();
         let results = self.parallel_over(&chunks, |chunk| {
-            let ctx = TaskContext::with_env(self.dict.clone(), broadcast.to_vec())
-                .profiled(self.profiling);
+            let ctx = TaskContext::with_env(broadcast.to_vec()).profiled(self.profiling);
             let mut out = OutEmitter::with_outputs(budget, n_outputs);
             let mut skipped: Vec<Vec<u8>> = Vec::new();
             for rec in *chunk {
@@ -898,8 +876,7 @@ impl Engine {
         self.resolve_faults(epoch, TaskPhase::Map, work.len(), true, stats)?;
         let job = stats.name.clone();
         let mut results = self.parallel_over(&work, |(mapper, chunk)| {
-            let ctx = TaskContext::with_env(self.dict.clone(), broadcast.to_vec())
-                .profiled(self.profiling);
+            let ctx = TaskContext::with_env(broadcast.to_vec()).profiled(self.profiling);
             let mut out = MapEmitter::partitioned(reduce_tasks);
             let mut skipped: Vec<Vec<u8>> = Vec::new();
             for rec in *chunk {
@@ -1124,8 +1101,7 @@ impl Engine {
         let shared_budget = budget;
         let partitions: Vec<Mutex<SpillArena>> = partitions.into_iter().map(Mutex::new).collect();
         let results = self.parallel_over(&partitions, |cell| {
-            let ctx = TaskContext::with_env(self.dict.clone(), broadcast.to_vec())
-                .profiled(self.profiling);
+            let ctx = TaskContext::with_env(broadcast.to_vec()).profiled(self.profiling);
             let mut guard = cell.lock();
             // Reduce-side ordering work, recorded before it happens:
             // entries to order and sorted runs available to merge — both

@@ -11,8 +11,7 @@ use crate::counters::OpCounters;
 use crate::error::MrError;
 use crate::hdfs::DfsFile;
 use crate::metrics::MetricsRegistry;
-use rdf_model::atom::{Atom, AtomTable};
-use rdf_model::Dictionary;
+use rdf_model::atom::AtomTable;
 use std::any::Any;
 use std::cell::{Ref, RefCell};
 use std::marker::PhantomData;
@@ -34,11 +33,6 @@ use std::sync::Arc;
 /// user-defined `Counter`s), and the engine merges every task's counters
 /// into [`crate::JobStats::ops`] when the job completes.
 ///
-/// ID-native jobs additionally read the engine's shared [`Dictionary`]
-/// snapshot (attached with [`crate::Engine::with_dict`]) through
-/// [`TaskContext::resolve_atom`] — the distributed-cache side file a real
-/// Hadoop deployment would ship to every task.
-///
 /// Jobs that declare broadcast side files ([`JobSpec::with_broadcast`])
 /// additionally see those files through [`TaskContext::broadcast`], and
 /// can cache a once-per-task derived structure (e.g. a broadcast-join hash
@@ -50,7 +44,6 @@ pub struct TaskContext {
     counters: RefCell<OpCounters>,
     metrics: RefCell<MetricsRegistry>,
     profiling: bool,
-    dict: Option<Arc<Dictionary>>,
     broadcast: Vec<Arc<DfsFile>>,
     state: RefCell<Option<Box<dyn Any + Send>>>,
 }
@@ -61,7 +54,6 @@ impl std::fmt::Debug for TaskContext {
             .field("atoms", &self.atoms)
             .field("counters", &self.counters)
             .field("profiling", &self.profiling)
-            .field("dict", &self.dict)
             .field("broadcast_files", &self.broadcast.len())
             .field("has_state", &self.state.borrow().is_some())
             .finish()
@@ -71,24 +63,17 @@ impl std::fmt::Debug for TaskContext {
 impl TaskContext {
     /// Fresh context with an empty atom table.
     pub fn new() -> Self {
-        Self::with_dict(None)
+        Self::with_env(Vec::new())
     }
 
-    /// Fresh context carrying the engine's dictionary snapshot (if any).
-    pub fn with_dict(dict: Option<Arc<Dictionary>>) -> Self {
-        Self::with_env(dict, Vec::new())
-    }
-
-    /// Fresh context carrying the engine's dictionary snapshot and the
-    /// job's loaded broadcast side files (the engine builds every task's
-    /// context through this).
-    pub fn with_env(dict: Option<Arc<Dictionary>>, broadcast: Vec<Arc<DfsFile>>) -> Self {
+    /// Fresh context carrying the job's loaded broadcast side files (the
+    /// engine builds every task's context through this).
+    pub fn with_env(broadcast: Vec<Arc<DfsFile>>) -> Self {
         TaskContext {
             atoms: AtomTable::new(),
             counters: RefCell::new(OpCounters::new()),
             metrics: RefCell::new(MetricsRegistry::new()),
             profiling: false,
-            dict,
             broadcast,
             state: RefCell::new(None),
         }
@@ -141,25 +126,6 @@ impl TaskContext {
             slot.as_deref().and_then(|any| any.downcast_ref::<T>())
         })
         .map_err(|_| MrError::Op("task state already initialized with a different type".into()))
-    }
-
-    /// The dictionary snapshot this task decodes ids against, if the
-    /// engine has one attached.
-    pub fn dict(&self) -> Option<&Arc<Dictionary>> {
-        self.dict.as_ref()
-    }
-
-    /// Resolve a dictionary id to its shared [`Atom`]. An unknown id — a
-    /// corrupt or foreign id reaching this task — or a missing dictionary
-    /// is a [`MrError::Codec`] task failure, which the engine's recovery
-    /// policy handles like any other failed task (no process abort).
-    pub fn resolve_atom(&self, id: u32) -> Result<Atom, MrError> {
-        let dict = self.dict.as_ref().ok_or_else(|| {
-            MrError::Codec(
-                "no dictionary snapshot attached to the engine (Engine::with_dict)".into(),
-            )
-        })?;
-        dict.resolve_atom(id).map_err(|e| MrError::Codec(e.to_string()))
     }
 
     /// Add `delta` to the named operator counter. Names should be

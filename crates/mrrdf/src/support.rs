@@ -38,6 +38,14 @@ pub enum UnsupportedReason {
         /// Subject variable of the right star.
         right: String,
     },
+    /// The cost-based plan search enumerates 2^stars unnest placements and
+    /// refuses queries with more stars than it will enumerate.
+    TooManyStars {
+        /// Stars in the query.
+        stars: usize,
+        /// Most stars the plan search accepts.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for UnsupportedReason {
@@ -51,6 +59,9 @@ impl fmt::Display for UnsupportedReason {
             }
             UnsupportedReason::MultiVarJoin { left, right } => {
                 write!(f, "stars ?{left} and ?{right} share more than one variable")
+            }
+            UnsupportedReason::TooManyStars { stars, limit } => {
+                write!(f, "{stars} stars; the cost-based plan search takes at most {limit}")
             }
         }
     }

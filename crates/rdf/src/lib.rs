@@ -12,42 +12,29 @@
 //! * [`ntriples`] — a streaming N-Triples parser and serializer;
 //! * [`TripleStore`] — an in-memory triple collection with property
 //!   statistics (multiplicity distributions drive the redundancy phenomenon
-//!   studied by the paper);
-//! * [`vp`] — vertical partitioning (the storage model of the relational
-//!   baselines), in both lexical ([`VerticalPartitions`]) and columnar
-//!   ID-encoded ([`IdVerticalPartitions`]) layouts;
-//! * [`Dictionary`] — a numeric string dictionary for compact encodings,
-//!   with typed [`UnknownId`] errors on the production decode paths.
+//!   studied by the paper).
 //!
 //! The paper operates on lexical triples (Pig/Hive move text through HDFS),
 //! and the text-cost model keeps that framing: an [`STriple`] holds the
 //! canonical N-Triples token for each position, and [`STriple::text_size`]
 //! is the number of bytes the triple occupies in a text row — the quantity
-//! the text-model HDFS/shuffle counters in `mrsim` are built from. The
-//! ID-native data plane layered on top of this crate's [`Dictionary`]
-//! instead moves LEB128-varint dictionary ids through the shuffle and
-//! resolves them back to [`Atom`]s only at output boundaries; its wire
-//! bytes are counted post-encoding, not via the text model.
+//! the text-model HDFS/shuffle counters in `mrsim` are built from.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod atom;
-pub mod dict;
 pub mod hash;
 pub mod io;
 pub mod ntriples;
 pub mod store;
 pub mod term;
 pub mod triple;
-pub mod vp;
 
 pub use atom::{Atom, AtomTable};
-pub use dict::{Dictionary, UnknownId};
 pub use hash::{fnv1a, DetHashMap, FnvBuildHasher, FnvHasher};
 pub use io::{read_ntriples, read_ntriples_file, write_ntriples, write_ntriples_file, NtIoError};
 pub use ntriples::{parse_line, parse_str, write_triple, NtParseError};
 pub use store::{PropertyStats, StoreStats, TripleStore};
 pub use term::Term;
 pub use triple::STriple;
-pub use vp::{IdVerticalPartitions, VerticalPartitions};

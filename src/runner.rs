@@ -71,7 +71,6 @@ pub fn run_query(
                 .map_err(|e| PlanError::Internal(format!("reading {TRIPLES_FILE}: {e}")))?
                 .stats();
             return ntga_core::execute_cost_based(
-                ntga_core::DataPlane::Lexical,
                 engine,
                 query,
                 TRIPLES_FILE,

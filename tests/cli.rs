@@ -180,6 +180,50 @@ fn disk_too_small_for_the_input_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn more_stars_than_the_cost_search_takes_is_an_error_not_a_panic() {
+    let dir = tempdir("manystars");
+    let data = dir.join("d.nt");
+    let query = dir.join("q.rq");
+    run_ok(cli().args([
+        "generate",
+        "--dataset",
+        "bsbm",
+        "--scale",
+        "5",
+        "--out",
+        data.to_str().unwrap(),
+    ]));
+    let chain: String = (0..17)
+        .map(|i| format!("?s{i} <bsbm:producer> ?s{} . ?s{i} ?p{i} ?o{i} . ", i + 1))
+        .collect();
+    std::fs::write(&query, format!("SELECT * WHERE {{ {chain}}}")).unwrap();
+    let run = |command: &str, approach: &str| {
+        cli()
+            .args([
+                command,
+                "--data",
+                data.to_str().unwrap(),
+                "--query",
+                query.to_str().unwrap(),
+                "--approach",
+                approach,
+            ])
+            .output()
+            .expect("spawn")
+    };
+    for command in ["query", "explain"] {
+        let out = run(command, "auto-cost");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{command}: {stderr}");
+        assert!(stderr.contains("unsupported by MR planners: 17 stars"), "{command}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{command}: {stderr}");
+    }
+    // The hand-picked strategies enumerate nothing and still run it.
+    assert!(run("query", "auto:1024").status.success());
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn bad_usage_fails_cleanly() {
     let out = cli().args(["query", "--data"]).output().expect("spawn");
     assert!(!out.status.success());
