@@ -49,7 +49,8 @@ fn bench_grouping_cycle(c: &mut Criterion) {
                     TRIPLES_FILE,
                     vec!["e0".into(), "e1".into()],
                     vec![eager; 2],
-                );
+                )
+                .unwrap();
                 black_box(engine.run_job(&job).unwrap())
             })
         });

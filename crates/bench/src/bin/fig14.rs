@@ -81,7 +81,8 @@ fn main() {
         mr_rdf::TRIPLES_FILE,
         vec!["rf.ec0".into(), "rf.ec1".into()],
         vec![false; 2],
-    );
+    )
+    .expect("one output and one placement per star");
     engine.run_job(&job1).expect("group cycle");
     let mut tgs = Vec::new();
     for file in ["rf.ec0", "rf.ec1"] {

@@ -20,6 +20,7 @@
 pub mod report;
 
 use mr_rdf::QueryRun;
+use mrsim::trace::JsonObject;
 use mrsim::{ChromeTraceSink, JsonlSink, MultiSink, TraceSink};
 use ntga_core::Strategy;
 use rdf_model::TripleStore;
@@ -171,8 +172,7 @@ impl BenchOpts {
         for profile in &profiles {
             print!("{}", profile.render());
         }
-        let payload =
-            format!("[{}]", profiles.iter().map(|p| p.to_json()).collect::<Vec<_>>().join(","));
+        let payload = JsonObject::array(profiles.iter().map(ntga_core::Profile::to_json));
         if let Err(e) = std::fs::write(path, payload) {
             eprintln!("error: writing {}: {e}", path.display());
             std::process::exit(1);

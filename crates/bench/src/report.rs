@@ -2,6 +2,7 @@
 //! machine-readable JSON rendering behind the shared `--json` flag.
 
 use mr_rdf::QueryRun;
+use mrsim::trace::JsonObject;
 use mrsim::OpCounters;
 use ntga_core::physical::op;
 
@@ -24,9 +25,9 @@ pub struct Row {
     pub intermediate_write_bytes: u64,
     /// Total shuffle bytes under the text-row cost model.
     pub shuffle_bytes: u64,
-    /// Total post-encoding shuffle bytes (the varint wire format actually
-    /// buffered by the spill arenas). Diverges from `shuffle_bytes` on
-    /// ID-encoded jobs, whose text model charges per-pair separators.
+    /// Total post-encoding shuffle bytes: the binary framing of lexical
+    /// tokens the spill arenas actually buffer. Larger than `shuffle_bytes`
+    /// today — a length prefix costs more than the separator it stands for.
     pub shuffle_wire_bytes: u64,
     /// Simulated seconds.
     pub sim_seconds: f64,
@@ -191,85 +192,42 @@ pub fn print_table(title: &str, note: &str, rows: &[Row]) {
     println!();
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Render rows as a JSON array — the payload of the figure binaries'
-/// `--json <path>` flag. Hand-rolled (no serde in this workspace); kept
-/// valid by `mrsim::trace::validate_json` in the tests and the CI smoke.
+/// `--json <path>` flag — through the workspace's one JSON writer.
 pub fn rows_json(rows: &[Row]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"query\":");
-        push_json_str(&mut out, &r.query);
-        out.push_str(",\"approach\":");
-        push_json_str(&mut out, &r.approach);
-        out.push_str(&format!(",\"mr_cycles\":{}", r.mr_cycles));
-        out.push_str(&format!(",\"full_scans\":{}", r.full_scans));
-        out.push_str(&format!(",\"read_bytes\":{}", r.read_bytes));
-        out.push_str(&format!(",\"write_bytes\":{}", r.write_bytes));
-        out.push_str(&format!(",\"intermediate_write_bytes\":{}", r.intermediate_write_bytes));
-        out.push_str(&format!(",\"shuffle_bytes\":{}", r.shuffle_bytes));
-        out.push_str(&format!(",\"shuffle_wire_bytes\":{}", r.shuffle_wire_bytes));
-        out.push_str(",\"sim_seconds\":");
-        push_json_f64(&mut out, r.sim_seconds);
-        out.push_str(",\"max_q_error\":");
-        match r.max_q_error {
-            Some(q) => push_json_f64(&mut out, q),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"reduce_skew\":");
-        push_json_f64(&mut out, r.reduce_skew);
-        out.push_str(&format!(
-            ",\"max_partition_shuffle_bytes\":{}",
-            r.max_partition_shuffle_bytes
-        ));
-        out.push_str(&format!(",\"peak_arena_bytes\":{}", r.peak_arena_bytes));
-        out.push_str(&format!(",\"peak_task_live_bytes\":{}", r.peak_task_live_bytes));
-        out.push_str(",\"beta_expansion\":");
-        push_json_f64(&mut out, r.beta_expansion);
-        out.push_str(&format!(",\"result_records\":{}", r.result_records));
-        out.push_str(&format!(",\"result_bytes\":{}", r.result_bytes));
-        out.push_str(&format!(",\"task_retries\":{}", r.task_retries));
-        out.push_str(&format!(",\"node_losses\":{}", r.node_losses));
-        out.push_str(&format!(",\"speculative_tasks\":{}", r.speculative_tasks));
-        out.push_str(&format!(",\"corruptions_detected\":{}", r.corruptions_detected));
-        out.push_str(&format!(",\"records_skipped\":{}", r.records_skipped));
-        out.push_str(",\"retry_seconds\":");
-        push_json_f64(&mut out, r.retry_seconds);
-        out.push_str(&format!(",\"stage_retries\":{}", r.stage_retries));
-        out.push_str(&format!(",\"stages_skipped\":{}", r.stages_skipped));
-        out.push_str(&format!(",\"degraded\":{}", r.degraded));
-        out.push_str(",\"ops\":");
-        out.push_str(&r.ops.to_json());
-        out.push_str(&format!(",\"ok\":{}}}", r.ok));
-    }
-    out.push(']');
-    out
+    JsonObject::array(rows.iter().map(|r| {
+        let mut o = JsonObject::new();
+        o.str("query", &r.query);
+        o.str("approach", &r.approach);
+        o.u64("mr_cycles", r.mr_cycles);
+        o.u64("full_scans", r.full_scans);
+        o.u64("read_bytes", r.read_bytes);
+        o.u64("write_bytes", r.write_bytes);
+        o.u64("intermediate_write_bytes", r.intermediate_write_bytes);
+        o.u64("shuffle_bytes", r.shuffle_bytes);
+        o.u64("shuffle_wire_bytes", r.shuffle_wire_bytes);
+        o.f64("sim_seconds", r.sim_seconds);
+        o.opt_f64("max_q_error", r.max_q_error);
+        o.f64("reduce_skew", r.reduce_skew);
+        o.u64("max_partition_shuffle_bytes", r.max_partition_shuffle_bytes);
+        o.u64("peak_arena_bytes", r.peak_arena_bytes);
+        o.u64("peak_task_live_bytes", r.peak_task_live_bytes);
+        o.f64("beta_expansion", r.beta_expansion);
+        o.u64("result_records", r.result_records);
+        o.u64("result_bytes", r.result_bytes);
+        o.u64("task_retries", r.task_retries);
+        o.u64("node_losses", r.node_losses);
+        o.u64("speculative_tasks", r.speculative_tasks);
+        o.u64("corruptions_detected", r.corruptions_detected);
+        o.u64("records_skipped", r.records_skipped);
+        o.f64("retry_seconds", r.retry_seconds);
+        o.u64("stage_retries", r.stage_retries);
+        o.u64("stages_skipped", r.stages_skipped);
+        o.bool("degraded", r.degraded);
+        o.raw("ops", &r.ops.to_json());
+        o.bool("ok", r.ok);
+        o.finish()
+    }))
 }
 
 /// Percentage reduction of `ours` versus `theirs` (positive = we wrote

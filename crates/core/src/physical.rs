@@ -22,18 +22,19 @@
 
 use crate::logical::{match_star, TripleGroup};
 use crate::tg::{added_text, pair_text, sort_distinct, ListRef, PairRef, TgCursor, TgTuple};
-use mr_rdf::TripleView;
-use mrsim::codec::decimal_digits;
+use mr_rdf::{PlanError, TripleView};
+use mrsim::codec::{
+    counted_len, put_count, put_decimal_token, put_tag, put_token, split_tag, token_key_text,
+};
 use mrsim::{
     reduce_fn_ctx, InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOnlyOp, RawMapOp,
-    RawReduceOp, SliceReader, TaskContext, TypedOutEmitter,
+    RawReduceOp, TaskContext, TypedOutEmitter,
 };
 use rdf_model::atom::{fnv1a, Atom};
 use rdf_model::hash::DetHashMap;
 use rdf_query::{Query, StarPattern};
 use std::borrow::Borrow;
 use std::hash::Hash;
-use std::io::Write;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -161,16 +162,23 @@ impl RawMapOp for GroupMap {
 /// reduce (eager) or left nested (lazy): the hand-picked strategies set
 /// all or none, the cost-based optimizer unnests stars whose triplegroups
 /// carry no redundancy (no multi-valued or unbound candidates) while
-/// keeping expansive stars nested.
+/// keeping expansive stars nested. A query without stars, or `outputs` or
+/// `eager` of another length than its stars, is a [`PlanError::Internal`].
 pub fn group_filter_job(
     name: impl Into<String>,
     query: &Query,
     input: &str,
     outputs: Vec<String>,
     eager: Vec<bool>,
-) -> JobSpec {
-    assert_eq!(outputs.len(), query.stars.len(), "one output per star");
-    assert_eq!(eager.len(), query.stars.len(), "one placement per star");
+) -> Result<JobSpec, PlanError> {
+    let stars = query.stars.len();
+    if outputs.len() != stars || eager.len() != stars {
+        return Err(PlanError::Internal(format!(
+            "Job 1 of a {stars}-star query got {} outputs and {} unnest placements",
+            outputs.len(),
+            eager.len()
+        )));
+    }
     let mapper = Arc::new(GroupMap { stars: query.stars.clone() });
     let stars_red = query.stars.clone();
     let reducer = reduce_fn_ctx(
@@ -182,10 +190,11 @@ pub fn group_filter_job(
         },
     );
     let mut outs = outputs.into_iter();
-    let first = outs.next().expect("at least one star");
+    let first =
+        outs.next().ok_or_else(|| PlanError::Internal("Job 1 of a query without stars".into()))?;
     let inputs = vec![InputBinding { file: input.to_string(), mapper }];
     let spec = JobSpec::map_reduce(name, inputs, reducer, REDUCERS, first).with_full_scan();
-    outs.fold(spec, JobSpec::with_extra_output)
+    Ok(outs.fold(spec, JobSpec::with_extra_output))
 }
 
 // ---------------------------------------------------------------------------
@@ -278,8 +287,8 @@ impl<'a> Pinned<'a> {
     fn write_comps(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(self.head);
         if let Some(entries) = self.entries {
-            // No more entries than the `u32` count they were read under.
-            buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            // No more entries than the count they were read under.
+            put_count(buf, entries.len() as u32);
             for e in entries {
                 buf.extend_from_slice(e.entry);
             }
@@ -288,7 +297,7 @@ impl<'a> Pinned<'a> {
     }
 
     fn comps_len(&self) -> usize {
-        let list = self.entries.map_or(0, |es| 4 + es.iter().map(|e| e.entry.len()).sum::<usize>());
+        let list = self.entries.map_or(0, |es| counted_len(es.iter().map(|e| e.entry.len()).sum()));
         self.head.len() + list + self.tail.len()
     }
 }
@@ -310,9 +319,10 @@ fn component_text<'a>(
 /// alone. The buffers are reused from tuple to tuple.
 #[derive(Default)]
 struct JoinView<'a> {
-    /// The encoded tuple, and its component count.
+    /// The encoded tuple, its component count, and where the count ends.
     rec: &'a [u8],
     n: u32,
+    comps_at: usize,
     /// The join component's subject.
     subject: &'a str,
     /// The list the role pins; `None` under [`JoinRole::Subject`], which
@@ -336,6 +346,7 @@ impl<'a> JoinView<'a> {
     fn load(&mut self, rec: &'a [u8], component: usize, role: JoinRole) -> Result<(), MrError> {
         let mut cur = TgCursor::new(rec);
         (self.rec, self.n) = (rec, cur.count()?);
+        self.comps_at = cur.pos();
         self.fixed_text = 0;
         let mut join = None;
         for i in 0..self.n as usize {
@@ -392,14 +403,13 @@ impl<'a> JoinView<'a> {
     /// The tuple with the pinned list cut down to `entries`, which add
     /// `extra` text bytes to `base`.
     fn pinned<'v>(&'v self, entries: &'v [PairRef<'a>], extra: u64) -> Pinned<'v> {
-        // `rec` opens with the count `load` read; list offsets are the
-        // cursor's own.
+        // Every offset is the cursor's own.
         let text = self.fixed_text + extra;
         match &self.pin {
-            None => Pinned::whole(self.n, &self.rec[4..], text),
+            None => Pinned::whole(self.n, &self.rec[self.comps_at..], text),
             Some(l) => Pinned {
                 n: self.n,
-                head: &self.rec[4..l.count_at],
+                head: &self.rec[self.comps_at..l.count_at],
                 entries: Some(entries),
                 tail: &self.rec[l.end..],
                 text,
@@ -429,26 +439,11 @@ impl<'a> JoinView<'a> {
 fn joined(left: &Pinned<'_>, right: &Pinned<'_>) -> Result<(Vec<u8>, u64), MrError> {
     let n =
         left.n.checked_add(right.n).ok_or_else(|| MrError::Op("joined tuple too long".into()))?;
-    let mut buf = Vec::with_capacity(4 + left.comps_len() + right.comps_len());
-    buf.extend_from_slice(&n.to_le_bytes());
+    let mut buf = Vec::with_capacity(counted_len(left.comps_len() + right.comps_len()));
+    put_count(&mut buf, n);
     left.write_comps(&mut buf);
     right.write_comps(&mut buf);
     Ok((buf, left.text + right.text))
-}
-
-/// Overwrite `buf` with `token` as an [`Atom`] encodes.
-fn put_token(buf: &mut Vec<u8>, token: &str) {
-    buf.clear();
-    // Tokens come out of records, where a `u32` already counts them.
-    buf.extend_from_slice(&(token.len() as u32).to_le_bytes());
-    buf.extend_from_slice(token.as_bytes());
-}
-
-/// Overwrite `buf` with the token of `k`'s decimal digits — a `φ_m` key.
-fn put_decimal(buf: &mut Vec<u8>, k: u64) {
-    buf.clear();
-    buf.extend_from_slice(&(decimal_digits(k) as u32).to_le_bytes());
-    write!(buf, "{k}").expect("writing to a Vec");
 }
 
 /// Count one tuple's β-unnest into `width` copies.
@@ -530,9 +525,9 @@ impl JoinMap {
         let mut key = Vec::new();
         let mut ship = |key: &[u8], pinned: &Pinned<'_>| {
             // The row is `key \t side \t tuple \n`, the side one digit.
-            emit(key, (key.len() - 4) as u64 + 1 + pinned.text, &|value| {
-                value.extend_from_slice(&self.side.to_le_bytes());
-                value.extend_from_slice(&pinned.n.to_le_bytes());
+            emit(key, token_key_text(key) + 1 + pinned.text, &|value| {
+                put_tag(value, self.side);
+                put_count(value, pinned.n);
                 pinned.write_comps(value);
             });
         };
@@ -542,6 +537,7 @@ impl JoinMap {
                     count_unnest(ctx, view.candidates().len() as u64);
                 }
                 for (k, pinned) in view.unnest() {
+                    key.clear();
                     put_token(&mut key, k);
                     ship(&key, &pinned);
                 }
@@ -556,7 +552,7 @@ impl JoinMap {
                     ctx.count(op::PARTIAL_EXPANDED_BYTES, expanded);
                 }
                 if view.pin.is_none() {
-                    put_decimal(&mut key, phi(view.subject, m));
+                    put_decimal_token(&mut key, phi(view.subject, m));
                     ship(&key, &view.pinned(&[], 0));
                     return Ok(());
                 }
@@ -570,7 +566,8 @@ impl JoinMap {
                     sorted.clear();
                     sorted.extend_from_slice(part);
                     let pinned = view.pinned(part, added_text(&mut sorted, &view.base));
-                    put_decimal(&mut key, phi(part[0].o, m));
+                    key.clear();
+                    put_decimal_token(&mut key, phi(part[0].o, m));
                     ship(&key, &pinned);
                     shipped += 1;
                     nested_bytes += pinned.text;
@@ -619,9 +616,7 @@ impl JoinReduce {
     ) -> Result<(), MrError> {
         let (mut lefts, mut rights) = (Vec::new(), Vec::new());
         for value in values {
-            let mut r = SliceReader::new(value);
-            let side = r.read_u64()?;
-            let rec = r.read_bytes(r.remaining())?;
+            let (side, rec) = split_tag(value)?;
             match (self.mode, side) {
                 (_, 0) => lefts.push(rec),
                 (UnnestMode::Exact, _) | (_, 1) => rights.push(rec),
@@ -843,7 +838,8 @@ mod tests {
         load_store(&engine, "t", &store()).unwrap();
         let query = unbound_query();
         let job =
-            group_filter_job("job1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![eager; 2]);
+            group_filter_job("job1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![eager; 2])
+                .unwrap();
         engine.run_job(&job).unwrap();
         (engine, query)
     }
@@ -870,6 +866,17 @@ mod tests {
         assert_eq!(ec0.len(), 5);
         for t in &ec0 {
             assert_eq!(t.0[0].unbound[0].len(), 1);
+        }
+    }
+
+    #[test]
+    fn job1_refuses_outputs_or_placements_that_do_not_match_the_stars() {
+        let query = unbound_query();
+        let starless = Query::new(Vec::new());
+        let outs = |n: usize| (0..n).map(|i| format!("ec{i}")).collect::<Vec<_>>();
+        for (query, outputs, eager) in [(&query, 1, 2), (&query, 2, 1), (&starless, 0, 0)] {
+            let job = group_filter_job("job1", query, "t", outs(outputs), vec![false; eager]);
+            assert!(matches!(job, Err(PlanError::Internal(_))), "{outputs} outputs, {eager} eager");
         }
     }
 
@@ -954,7 +961,8 @@ mod tests {
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
         let job1 =
-            group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2]);
+            group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2])
+                .unwrap();
         engine.run_job(&job1).unwrap();
         let mk_join = |mode, out: &str| {
             tg_join_job(
@@ -986,7 +994,8 @@ mod tests {
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
         let job =
-            group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], vec![true; 2]);
+            group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], vec![true; 2])
+                .unwrap();
         let ops = engine.run_job(&job).unwrap().ops;
         assert_eq!(ops.get(op::GROUPS_IN), 5); // g1 g2 go1 go2 x1
         assert_eq!(ops.get(op::PAIRS_IN), 8);
@@ -1000,7 +1009,8 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let job =
-            group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], vec![false; 2]);
+            group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], vec![false; 2])
+                .unwrap();
         let ops = engine.run_job(&job).unwrap().ops;
         assert_eq!(ops.get(op::ADMITTED), 4);
         assert_eq!(ops.get(op::UNNEST_IN), 0);
@@ -1018,7 +1028,8 @@ mod tests {
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
         let job1 =
-            group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2]);
+            group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2])
+                .unwrap();
         engine.run_job(&job1).unwrap();
         let mk_join = |mode, out: &str| {
             tg_join_job(
@@ -1064,7 +1075,8 @@ mod tests {
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
         let job1 =
-            group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2]);
+            group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2])
+                .unwrap();
         engine.run_job(&job1).unwrap();
         let (left, _) = ec_sides();
         let map = JoinMap { side: 0, spec: left, mode: UnnestMode::Partial(2) };
@@ -1125,7 +1137,8 @@ mod tests {
                     "t",
                     vec!["ec0".into(), "ec1".into()],
                     vec![false; 2],
-                );
+                )
+                .unwrap();
                 engine.run_job(&j1).unwrap();
                 let bj = tg_broadcast_join_job("bjoin", left.clone(), right.clone(), build, "out");
                 let stats = engine.run_job(&bj).unwrap();
@@ -1168,15 +1181,8 @@ mod tests {
             .with_faults(mrsim::FaultConfig::with_probability(0.3, 42));
         load_store(&engine, "t", &store()).unwrap();
         let q = unbound_query();
-        engine
-            .run_job(&group_filter_job(
-                "j1",
-                &q,
-                "t",
-                vec!["ec0".into(), "ec1".into()],
-                vec![false; 2],
-            ))
-            .unwrap();
+        let j1 = group_filter_job("j1", &q, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2]);
+        engine.run_job(&j1.unwrap()).unwrap();
         let stats = engine
             .run_job(&tg_broadcast_join_job("bjoin", left, right, BuildSide::Right, "out"))
             .unwrap();

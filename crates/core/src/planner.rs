@@ -176,7 +176,7 @@ pub fn execute_plan(
             (0..query.stars.len()).map(|i| format!("{label}.ec{i}")).collect();
         let group = format!("{label}.group");
         let eager = plan.eager_stars.clone();
-        let mut job1 = group_filter_job(group, query, input, ec_files.clone(), eager)
+        let mut job1 = group_filter_job(group, query, input, ec_files.clone(), eager)?
             .with_reducers(plan.job1_reduce_tasks);
         if let Some(est) = estimates {
             job1 = job1.with_estimated_output(est.job1_records);
@@ -389,6 +389,17 @@ mod tests {
         let r = execute(Strategy::Eager, &engine, &query, "t", "q", true).unwrap();
         assert!(!r.succeeded());
         assert!(r.solutions.is_none());
+    }
+
+    #[test]
+    fn plan_with_too_few_unnest_placements_is_an_error_not_a_panic() {
+        let engine = Engine::unbounded();
+        load_store(&engine, "t", &store()).unwrap();
+        let query = parse_query(UNBOUND_2STAR).unwrap();
+        let mut plan = Strategy::LazyFull.plan(&query).unwrap();
+        plan.eager_stars.pop();
+        let run = execute_plan(&plan, &engine, &query, "t", "q", false);
+        assert!(matches!(run, Err(PlanError::Internal(_))));
     }
 
     #[test]

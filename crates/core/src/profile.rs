@@ -340,49 +340,35 @@ impl Profile {
     /// repeats the per-column totals summed over the `operators` rows —
     /// consumers re-sum the rows and compare to validate the document.
     pub fn to_json(&self) -> String {
-        let ops: Vec<String> = self
-            .operators
-            .iter()
-            .map(|op| {
-                let mut o = JsonObject::new();
-                o.str("name", &op.name);
-                o.str("operator", &op.operator);
-                o.f64("estimated_records", op.estimated_records);
-                o.u64("actual_records", op.actual_records);
-                o.f64("estimated_bytes", op.estimated_bytes);
-                o.u64("actual_bytes", op.actual_bytes);
-                o.u64("estimated_shuffle_bytes", op.estimated_shuffle_bytes);
-                o.u64("actual_shuffle_bytes", op.actual_shuffle_bytes);
-                o.f64("estimated_seconds", op.estimated_seconds);
-                o.f64("actual_seconds", op.actual_seconds);
-                match op.q_error {
-                    Some(q) => o.f64("q_error", q),
-                    None => o.raw("q_error", "null"),
-                }
-                o.f64("reduce_skew", op.reduce_skew);
-                o.u64("max_partition_shuffle_bytes", op.max_partition_shuffle_bytes);
-                o.u64("peak_arena_bytes", op.peak_arena_bytes);
-                o.u64("peak_task_live_bytes", op.peak_task_live_bytes);
-                o.bool("broadcast_repaired", op.broadcast_repaired);
-                o.finish()
-            })
-            .collect();
-        let stars: Vec<String> = self
-            .stars
-            .iter()
-            .map(|s| {
-                let mut o = JsonObject::new();
-                o.u64("star", s.star as u64);
-                o.bool("eager", s.eager);
-                o.f64("estimated_records", s.estimated_records);
-                o.u64("actual_records", s.actual_records);
-                match s.q_error {
-                    Some(q) => o.f64("q_error", q),
-                    None => o.raw("q_error", "null"),
-                }
-                o.finish()
-            })
-            .collect();
+        let ops = self.operators.iter().map(|op| {
+            let mut o = JsonObject::new();
+            o.str("name", &op.name);
+            o.str("operator", &op.operator);
+            o.f64("estimated_records", op.estimated_records);
+            o.u64("actual_records", op.actual_records);
+            o.f64("estimated_bytes", op.estimated_bytes);
+            o.u64("actual_bytes", op.actual_bytes);
+            o.u64("estimated_shuffle_bytes", op.estimated_shuffle_bytes);
+            o.u64("actual_shuffle_bytes", op.actual_shuffle_bytes);
+            o.f64("estimated_seconds", op.estimated_seconds);
+            o.f64("actual_seconds", op.actual_seconds);
+            o.opt_f64("q_error", op.q_error);
+            o.f64("reduce_skew", op.reduce_skew);
+            o.u64("max_partition_shuffle_bytes", op.max_partition_shuffle_bytes);
+            o.u64("peak_arena_bytes", op.peak_arena_bytes);
+            o.u64("peak_task_live_bytes", op.peak_task_live_bytes);
+            o.bool("broadcast_repaired", op.broadcast_repaired);
+            o.finish()
+        });
+        let stars = self.stars.iter().map(|s| {
+            let mut o = JsonObject::new();
+            o.u64("star", s.star as u64);
+            o.bool("eager", s.eager);
+            o.f64("estimated_records", s.estimated_records);
+            o.u64("actual_records", s.actual_records);
+            o.opt_f64("q_error", s.q_error);
+            o.finish()
+        });
 
         let mut recon = JsonObject::new();
         recon.u64("actual_records", self.operators.iter().map(|o| o.actual_records).sum());
@@ -398,15 +384,12 @@ impl Profile {
         root.str("label", &self.label);
         root.f64("estimated_total_seconds", self.estimated_total_seconds);
         root.f64("actual_total_seconds", self.actual_total_seconds);
-        match self.max_q_error {
-            Some(q) => root.f64("max_q_error", q),
-            None => root.raw("max_q_error", "null"),
-        }
+        root.opt_f64("max_q_error", self.max_q_error);
         root.u64("peak_arena_bytes", self.peak_arena_bytes);
         root.u64("peak_task_live_bytes", self.peak_task_live_bytes);
         root.u64("peak_spill_entries", self.peak_spill_entries);
-        root.raw("operators", &format!("[{}]", ops.join(",")));
-        root.raw("stars", &format!("[{}]", stars.join(",")));
+        root.raw("operators", &JsonObject::array(ops));
+        root.raw("stars", &JsonObject::array(stars));
         root.raw("reconciliation", &recon.finish());
         root.finish()
     }

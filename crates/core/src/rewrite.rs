@@ -24,7 +24,7 @@
 
 use crate::logical::{beta_group_filter, beta_unnest, group_by_subject};
 use rdf_model::{Atom, STriple, TripleStore};
-use rdf_query::{Binding, PropPattern, Query, SolutionSet, StarPattern, TriplePattern};
+use rdf_query::{PropPattern, Query, SolutionSet, StarPattern, TriplePattern};
 
 /// Enumerate the concrete pattern combinations of the naive rewrite: for
 /// each unbound pattern, substitute every property of the database.
@@ -163,12 +163,6 @@ pub fn check_rewrites(star: &StarPattern, store: &TripleStore) -> Result<Solutio
         return Err("σ^γ enumeration disagrees with the relational interpretation".into());
     }
     Ok(relational)
-}
-
-/// Expansion helper mirroring the naive evaluator's treatment of
-/// solutions (exported for doc completeness; bindings are canonical).
-pub fn binding_of_pairs(pairs: &[(&str, &str)]) -> Binding {
-    pairs.iter().map(|(k, v)| (k.to_string(), rdf_model::atom::atom(v))).collect()
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! once even when it plays multiple roles (bound match and unbound
 //! candidate), which is exactly the conciseness the paper exploits.
 
+use mrsim::codec::put_count;
 use mrsim::{MrError, Rec, SliceReader};
 use rdf_model::atom::Atom;
 use rdf_query::{Binding, ObjPattern, PropPattern, StarPattern};
@@ -178,7 +179,7 @@ pub struct TgTuple(pub Vec<AnnTg>);
 
 impl Rec for TgTuple {
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        bytes::BufMut::put_u32_le(buf, u32::try_from(self.0.len()).expect("tuple too long"));
+        put_count(buf, u32::try_from(self.0.len()).expect("tuple too long"));
         for tg in &self.0 {
             tg.encode_into(buf);
         }
@@ -252,8 +253,8 @@ pub struct PairRef<'a> {
 /// holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ListRef {
-    /// Offset of the list's `u32` entry count — for a bound list, just
-    /// past its property token.
+    /// Offset of the list's entry count — for a bound list, just past its
+    /// property token.
     pub count_at: usize,
     /// Offset one past the list's last entry.
     pub end: usize,
@@ -310,7 +311,7 @@ impl<'a> TgCursor<'a> {
         &self.rec[from..self.pos()]
     }
 
-    /// Read a `u32` count: the component count that opens a tuple.
+    /// Read a count: the component count that opens a tuple.
     pub fn count(&mut self) -> Result<u32, MrError> {
         self.r.read_u32()
     }

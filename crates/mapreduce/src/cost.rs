@@ -11,10 +11,9 @@
 //! 1 GbE) at cluster aggregate level.
 
 use crate::counters::JobStats;
-use serde::{Deserialize, Serialize};
 
 /// Cost-model parameters. All rates are cluster-aggregate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     /// Fixed per-job startup overhead in seconds (JVM spawn, scheduling;
     /// the dominant term for small inputs).
@@ -180,35 +179,6 @@ impl CostModel {
     pub fn job_seconds(&self, s: &JobStats) -> f64 {
         self.job_startup_s + self.charged_work_seconds(s)
     }
-
-    /// Extra seconds the reduce phase's critical path spends on shuffle
-    /// skew, from the per-partition attribution in
-    /// [`JobStats::shuffle_partition_bytes`].
-    ///
-    /// [`CostModel::work_seconds`] charges the shuffle as if every one of
-    /// the `r` reduce tasks pulled an equal share concurrently
-    /// (`total / shuffle_bps`). In reality the phase is gated by the
-    /// heaviest partition: at a fair per-task share of `shuffle_bps / r`,
-    /// that task needs `max_p bytes_p × r / shuffle_bps` seconds. This
-    /// returns the non-negative difference — 0 for balanced shuffles,
-    /// map-only jobs, or when no per-partition data was recorded.
-    pub fn shuffle_tail_seconds(&self, s: &JobStats) -> f64 {
-        if s.reduce_tasks == 0 || s.shuffle_partition_bytes.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = s.shuffle_partition_bytes.iter().sum();
-        let max = s.shuffle_partition_bytes.iter().copied().max().unwrap_or(0);
-        let r = s.shuffle_partition_bytes.len() as f64;
-        let tail = (max as f64 * r - total as f64) / self.shuffle_bps;
-        tail.max(0.0)
-    }
-
-    /// [`CostModel::job_seconds`] plus the skew tail — the cost of the job
-    /// when the reduce phase waits for its most-loaded partition instead
-    /// of an idealized balanced shuffle.
-    pub fn skew_adjusted_job_seconds(&self, s: &JobStats) -> f64 {
-        self.job_seconds(s) + self.shuffle_tail_seconds(s)
-    }
 }
 
 #[cfg(test)]
@@ -273,32 +243,6 @@ mod tests {
         m.job_startup_s = 7.0;
         let s = stats();
         assert!((m.job_seconds(&s) - (m.work_seconds(&s) + 7.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn balanced_shuffle_has_no_tail() {
-        let m = CostModel::zero_overhead();
-        let mut s = stats();
-        s.shuffle_partition_bytes = vec![25, 25];
-        assert!((m.shuffle_tail_seconds(&s) - 0.0).abs() < 1e-9);
-        assert!((m.skew_adjusted_job_seconds(&s) - m.job_seconds(&s)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn skewed_shuffle_pays_for_its_heaviest_partition() {
-        let m = CostModel::zero_overhead();
-        let mut s = stats();
-        // All 50 shuffle bytes land on one of the two partitions: the
-        // critical path is 50 B at a half-rate share = 100 s, versus the
-        // balanced estimate of 50 s — a 50 s tail.
-        s.shuffle_partition_bytes = vec![50, 0];
-        assert!((m.shuffle_tail_seconds(&s) - 50.0).abs() < 1e-9);
-        assert!((m.skew_adjusted_job_seconds(&s) - (m.job_seconds(&s) + 50.0)).abs() < 1e-9);
-        // Map-only jobs and jobs without per-partition data have no tail.
-        s.reduce_tasks = 0;
-        assert!((m.shuffle_tail_seconds(&s) - 0.0).abs() < 1e-9);
-        let bare = stats();
-        assert!((m.shuffle_tail_seconds(&bare) - 0.0).abs() < 1e-9);
     }
 
     #[test]

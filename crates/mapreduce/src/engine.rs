@@ -130,6 +130,52 @@ struct TraceScratch {
     reduce_tasks: Vec<(u64, u64)>,
 }
 
+/// Each task's share of its phase's cost-model seconds, from the tasks'
+/// `(records, bytes)`: by bytes, by records when no task has bytes, equal
+/// when neither.
+fn share_seconds(tasks: &[(u64, u64)], phase_seconds: f64) -> impl Iterator<Item = f64> + '_ {
+    let total_bytes: u64 = tasks.iter().map(|&(_, b)| b).sum();
+    let total_records: u64 = tasks.iter().map(|&(r, _)| r).sum();
+    tasks.iter().map(move |&(records, bytes)| {
+        let share = if total_bytes > 0 {
+            bytes as f64 / total_bytes as f64
+        } else if total_records > 0 {
+            records as f64 / total_records as f64
+        } else {
+            1.0 / tasks.len() as f64
+        };
+        phase_seconds * share
+    })
+}
+
+/// Fold the tasks' outputs, in task order, into the job's output files.
+/// A task bounds only its own output against the disk budget, so the
+/// aggregate is re-checked as each task is folded in: the job aborts at the
+/// first task that takes it over.
+fn collect_outputs(
+    tasks: impl Iterator<Item = OutEmitter>,
+    budget: Option<u64>,
+    n_outputs: usize,
+) -> Result<Vec<DfsFile>, MrError> {
+    let mut files: Vec<DfsFile> = (0..n_outputs).map(|_| DfsFile::default()).collect();
+    let mut total_text = 0u64;
+    for out in tasks {
+        total_text += out.emitted_text;
+        if let Some(available) = budget.filter(|&b| total_text > b) {
+            return Err(MrError::DiskFull {
+                file: "<job output>".into(),
+                needed: total_text,
+                available,
+            });
+        }
+        for (idx, rec, text) in out.records {
+            files[idx].text_bytes += text;
+            files[idx].records.push(rec);
+        }
+    }
+    Ok(files)
+}
+
 impl Engine {
     /// Create an engine over the given DFS with default cost model and one
     /// worker per available core.
@@ -503,7 +549,9 @@ impl Engine {
         }
         let mut written: Vec<&String> = Vec::new();
         for (name, output) in spec.outputs.iter().zip(outputs) {
-            if let Err(e) = self.hdfs.lock().put_with_replication(name, output, replication) {
+            // Its own statement: the cleanup below takes the lock again.
+            let put = self.hdfs.lock().put_with_replication(name, output, replication);
+            if let Err(e) = put {
                 // A failed job must not leave partial outputs behind.
                 let mut fs = self.hdfs.lock();
                 for w in written {
@@ -538,30 +586,13 @@ impl Engine {
 
     /// Fill the job's duration and shuffle-distribution histograms from
     /// driver-side accounting, after the cost model has priced the job.
-    /// Per-task durations apportion each phase's cost-model seconds by the
-    /// task's byte share — the same layout [`Engine::emit_job_trace`] uses
-    /// for task spans — so they are pure functions of worker-invariant
-    /// counters. Fault losses are priced separately (`retry_seconds`), so
-    /// the histograms are also fault-regime-invariant.
+    /// Per-task durations are [`share_seconds`] of each phase — the layout
+    /// [`Engine::emit_job_trace`] uses for task spans — so they are pure
+    /// functions of worker-invariant counters. Fault losses are priced
+    /// separately (`retry_seconds`), so the histograms are also
+    /// fault-regime-invariant.
     fn record_profile(&self, stats: &mut JobStats, scratch: &TraceScratch) {
         use crate::metrics::name;
-        fn share_seconds(tasks: &[(u64, u64)], phase_seconds: f64) -> Vec<f64> {
-            let total_bytes: u64 = tasks.iter().map(|&(_, b)| b).sum();
-            let total_records: u64 = tasks.iter().map(|&(r, _)| r).sum();
-            tasks
-                .iter()
-                .map(|&(records, bytes)| {
-                    let share = if total_bytes > 0 {
-                        bytes as f64 / total_bytes as f64
-                    } else if total_records > 0 {
-                        records as f64 / total_records as f64
-                    } else {
-                        1.0 / tasks.len() as f64
-                    };
-                    phase_seconds * share
-                })
-                .collect()
-        }
         let map_seconds = self.cost.map_phase_seconds(stats);
         let reduce_seconds = self.cost.reduce_phase_seconds(stats);
         for dur in share_seconds(&scratch.map_tasks, map_seconds) {
@@ -579,22 +610,12 @@ impl Engine {
     /// Emit the per-task spans, per-partition shuffle records, and closing
     /// `JobEnd` for a completed job. Task spans are laid end-to-end inside
     /// each phase (the cost model charges aggregate cluster bandwidth, so a
-    /// phase's tasks share one lane), apportioning the phase's cost-model
-    /// seconds by each task's byte share (record share when no bytes, equal
-    /// share when neither).
+    /// phase's tasks share one lane), each as long as its [`share_seconds`]
+    /// of the phase.
     fn emit_job_trace(&self, stats: &JobStats, scratch: &TraceScratch) {
         let lay = |tasks: &[(u64, u64)], phase: TaskPhase, phase_seconds: f64, mut cursor: f64| {
-            let total_bytes: u64 = tasks.iter().map(|&(_, b)| b).sum();
-            let total_records: u64 = tasks.iter().map(|&(r, _)| r).sum();
-            for (i, &(records, bytes)) in tasks.iter().enumerate() {
-                let share = if total_bytes > 0 {
-                    bytes as f64 / total_bytes as f64
-                } else if total_records > 0 {
-                    records as f64 / total_records as f64
-                } else {
-                    1.0 / tasks.len() as f64
-                };
-                let dur = phase_seconds * share;
+            let durs = share_seconds(tasks, phase_seconds);
+            for (i, (&(records, bytes), dur)) in tasks.iter().zip(durs).enumerate() {
                 self.emit(|| TraceEvent::TaskSpan {
                     job: stats.name.clone(),
                     phase,
@@ -735,33 +756,17 @@ impl Engine {
             let live_bytes: u64 = out.records.iter().map(|(_, r, _)| r.len() as u64).sum();
             Ok((out, live_bytes, skipped, ctx.take_counters(), ctx.take_metrics()))
         })?;
-        let mut files: Vec<DfsFile> = (0..n_outputs).map(|_| DfsFile::default()).collect();
-        let mut total_text = 0u64;
         let mut quarantined: Vec<Vec<u8>> = Vec::new();
-        for (task, (out, live_bytes, skipped, ops, task_metrics)) in results.into_iter().enumerate()
-        {
-            stats.ops.merge(&ops);
-            stats.metrics.merge(&task_metrics);
-            stats.peak_task_live_bytes = stats.peak_task_live_bytes.max(live_bytes);
-            self.account_skipped(task as u64, skipped, &mut quarantined, stats);
-            total_text += out.emitted_text;
-            if let Some(b) = budget {
-                // Each task only bounds its own output against the budget;
-                // re-check the aggregate across tasks here, mirroring
-                // `run_reduce_phase`'s cross-partition early abort.
-                if total_text > b {
-                    return Err(MrError::DiskFull {
-                        file: "<job output>".into(),
-                        needed: total_text,
-                        available: b,
-                    });
-                }
-            }
-            for (idx, rec, text) in out.records {
-                files[idx].text_bytes += text;
-                files[idx].records.push(rec);
-            }
-        }
+        let outs = results.into_iter().enumerate().map(
+            |(task, (out, live_bytes, skipped, ops, task_metrics))| {
+                stats.ops.merge(&ops);
+                stats.metrics.merge(&task_metrics);
+                stats.peak_task_live_bytes = stats.peak_task_live_bytes.max(live_bytes);
+                self.account_skipped(task as u64, skipped, &mut quarantined, stats);
+                out
+            },
+        );
+        let files = collect_outputs(outs, budget, n_outputs)?;
         // `stats.map_output_*` double as "records produced by map" even for
         // map-only jobs, but they are NOT shuffle bytes (reduce_tasks == 0).
         stats.map_output_records = files.iter().map(|f| f.records.len() as u64).sum();
@@ -1129,31 +1134,14 @@ impl Engine {
             }
             Ok((out, groups, live_bytes, ctx.take_counters(), ctx.take_metrics()))
         })?;
-        let mut files: Vec<DfsFile> = (0..n_outputs).map(|_| DfsFile::default()).collect();
-        let mut total_text = 0u64;
-        for (out, groups, live_bytes, ops, task_metrics) in results {
+        let outs = results.into_iter().map(|(out, groups, live_bytes, ops, task_metrics)| {
             stats.ops.merge(&ops);
             stats.metrics.merge(&task_metrics);
             stats.reduce_groups += groups;
             stats.peak_task_live_bytes = stats.peak_task_live_bytes.max(live_bytes);
-            total_text += out.emitted_text;
-            if let Some(b) = budget {
-                // Early-abort check across partitions: each partition only
-                // bounds itself, so re-check the aggregate here.
-                if total_text > b {
-                    return Err(MrError::DiskFull {
-                        file: "<job output>".into(),
-                        needed: total_text,
-                        available: b,
-                    });
-                }
-            }
-            for (idx, rec, text) in out.records {
-                files[idx].text_bytes += text;
-                files[idx].records.push(rec);
-            }
-        }
-        Ok(files)
+            out
+        });
+        collect_outputs(outs, budget, n_outputs)
     }
 
     /// Cut one input file into map splits by *bytes*: a split ends at the
@@ -1351,6 +1339,14 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_commit_is_an_error_not_a_deadlock() {
+        let engine = word_count_engine(&["a", "b"]);
+        engine.run_job(&word_count_spec()).unwrap();
+        let err = engine.run_job(&word_count_spec()).unwrap_err();
+        assert!(matches!(err, MrError::OutputExists(_)), "{err:?}");
+    }
+
+    #[test]
     fn counters_conserve_shuffle() {
         let engine = word_count_engine(&["a"; 100]);
         let stats = engine.run_job(&word_count_spec()).unwrap();
@@ -1359,11 +1355,11 @@ mod tests {
     }
 
     #[test]
-    fn wire_bytes_diverge_from_text_model_on_id_jobs() {
+    fn wire_bytes_are_counted_apart_from_the_text_model() {
         use crate::codec::{uvarint_len, VarId};
-        // ID-encoded job: LEB128 varints cross the wire, and the
-        // post-encoding counter must report exactly those bytes — not the
-        // text-row model's figure.
+        // A job of varint records: the post-encoding counter must report
+        // exactly the bytes that cross the wire — not the text-row model's
+        // figure.
         let engine = Engine::unbounded().with_workers(4);
         engine.put_records("ids", (0..500u32).map(VarId)).unwrap();
         let mapper =
@@ -1388,12 +1384,13 @@ mod tests {
         assert_eq!(stats.map_output_encoded_bytes, expected_wire);
         assert_eq!(stats.shuffle_wire_bytes(), expected_wire);
         // The text model charges one shared row separator per pair, so the
-        // two counters must diverge on an ID-encoded job.
+        // two counters must diverge on varint records.
         assert_eq!(stats.map_output_bytes, expected_wire - 500);
         assert_ne!(stats.shuffle_bytes(), stats.shuffle_wire_bytes());
 
-        // Lexical jobs diverge the other way: length-prefix framing makes
-        // the wire bigger than the text rows.
+        // Token records — what every operator ships — diverge the other
+        // way: length-prefix framing makes the wire bigger than the text
+        // rows.
         let engine = word_count_engine(&["alpha", "beta", "alpha"]);
         let lex = engine.run_job(&word_count_spec()).unwrap();
         assert!(lex.shuffle_wire_bytes() > lex.shuffle_bytes());
@@ -1542,6 +1539,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_every_task_and_is_charged() {
+        use crate::codec::Rec;
         use crate::trace::MemorySink;
         // Map-only "join": each input word is annotated with the size of
         // the broadcast side file, read per task via the distributed cache.
@@ -1549,13 +1547,20 @@ mod tests {
         engine.put_records("side", (0..4u64).collect::<Vec<_>>()).unwrap();
         let sink = MemorySink::new();
         let engine = engine.with_trace(sink.clone());
-        let mapper = crate::job::map_only_fn_ctx(
-            |ctx: &TaskContext, w: String, out: &mut crate::job::TypedOutEmitter<'_, String>| {
+        struct SideCount;
+        impl RawMapOnlyOp for SideCount {
+            fn run(
+                &self,
+                ctx: &TaskContext,
+                rec: &[u8],
+                out: &mut OutEmitter,
+            ) -> Result<(), MrError> {
                 let n = ctx.task_state(|| Ok(ctx.broadcast(0)?.records.len()))?;
-                out.emit(&format!("{w}:{}", *n))
-            },
-        );
-        let spec = JobSpec::map_only("bjoin", vec!["input".into()], mapper, "out")
+                let row = format!("{}:{}", String::from_bytes(rec)?, *n);
+                out.emit_raw(row.to_bytes(), row.text_size())
+            }
+        }
+        let spec = JobSpec::map_only("bjoin", vec!["input".into()], Arc::new(SideCount), "out")
             .with_broadcast("side")
             .with_estimated_output(6.0);
         let stats = engine.run_job(&spec).unwrap();

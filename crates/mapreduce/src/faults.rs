@@ -28,8 +28,6 @@
 //! engine's worker-thread count), so fault statistics are independent of
 //! the host's parallelism.
 
-use serde::{Deserialize, Serialize};
-
 /// Hash-stream tag for task-attempt failures (implicit: stream 0 keeps
 /// the original attempt-failure hash stable).
 const STREAM_NODE_LOSS: u64 = 0x4E4F_4445; // "NODE"
@@ -40,7 +38,7 @@ const STREAM_STRAGGLER: u64 = 0x534C_4F57; // "SLOW"
 const STREAM_CORRUPTION: u64 = 0x4352_5054; // "CRPT"
 
 /// Failure-injection configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Probability in `[0, 1)` that any single task attempt fails.
     pub task_failure_probability: f64,

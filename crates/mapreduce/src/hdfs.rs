@@ -114,12 +114,6 @@ impl SimHdfs {
         SimHdfs { files: BTreeMap::new(), capacity, default_replication, peak_usage: 0 }
     }
 
-    /// Convenience: capacity expressed as `nodes × bytes-per-node`, the way
-    /// the paper describes its clusters (e.g. 60 nodes × 20 GB).
-    pub fn with_cluster(nodes: u32, bytes_per_node: u64, replication: u32) -> Self {
-        SimHdfs::new(u64::from(nodes) * bytes_per_node, replication)
-    }
-
     /// Default replication factor.
     pub fn default_replication(&self) -> u32 {
         self.default_replication
@@ -285,13 +279,6 @@ mod tests {
         fs.delete("a").unwrap();
         assert_eq!(fs.usage(), 200);
         assert_eq!(fs.peak_usage(), 500);
-    }
-
-    #[test]
-    fn cluster_constructor() {
-        let fs = SimHdfs::with_cluster(60, 20 * 1024, 2);
-        assert_eq!(fs.capacity(), 60 * 20 * 1024);
-        assert_eq!(fs.default_replication(), 2);
     }
 
     #[test]

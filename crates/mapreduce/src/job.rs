@@ -413,33 +413,6 @@ where
     }
 }
 
-struct ReduceFnOp<K, V, O, F> {
-    f: F,
-    _pd: PhantomData<fn(K, V) -> O>,
-}
-
-impl<K, V, O, F> RawReduceOp for ReduceFnOp<K, V, O, F>
-where
-    K: Rec,
-    V: Rec,
-    O: Rec,
-    F: Fn(K, Vec<V>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync,
-{
-    fn run(
-        &self,
-        ctx: &TaskContext,
-        key: &[u8],
-        values: &[&[u8]],
-        out: &mut OutEmitter,
-    ) -> Result<(), MrError> {
-        let key = K::from_bytes_with(key, &ctx.atoms)?;
-        let values: Result<Vec<V>, MrError> =
-            values.iter().map(|v| V::from_bytes_with(v, &ctx.atoms)).collect();
-        let mut emitter = TypedOutEmitter { raw: out, _pd: PhantomData };
-        (self.f)(key, values?, &mut emitter)
-    }
-}
-
 /// Wrap a typed closure as a shuffle-producing map operator.
 pub fn map_fn<I, K, V, F>(f: F) -> Arc<dyn RawMapOp>
 where
@@ -498,7 +471,8 @@ where
     Arc::new(CombineFnOp { f, _pd: PhantomData })
 }
 
-/// Wrap a typed closure as a reduce operator.
+/// Wrap a typed closure as a reduce operator: [`reduce_fn_ctx`] for a
+/// closure that has no use for the [`TaskContext`].
 pub fn reduce_fn<K, V, O, F>(f: F) -> Arc<dyn RawReduceOp>
 where
     K: Rec,
@@ -506,26 +480,9 @@ where
     O: Rec,
     F: Fn(K, Vec<V>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync + 'static,
 {
-    Arc::new(ReduceFnOp { f, _pd: PhantomData })
-}
-
-struct CtxMapFnOp<I, K, V, F> {
-    f: F,
-    _pd: PhantomData<fn(I) -> (K, V)>,
-}
-
-impl<I, K, V, F> RawMapOp for CtxMapFnOp<I, K, V, F>
-where
-    I: Rec,
-    K: Rec,
-    V: Rec,
-    F: Fn(&TaskContext, I, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync,
-{
-    fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
-        let input = I::from_bytes_with(record, &ctx.atoms)?;
-        let mut emitter = TypedMapEmitter { raw: out, _pd: PhantomData };
-        (self.f)(ctx, input, &mut emitter)
-    }
+    reduce_fn_ctx(move |_: &TaskContext, key, values, out: &mut TypedOutEmitter<'_, O>| {
+        f(key, values, out)
+    })
 }
 
 struct CtxReduceFnOp<K, V, O, F> {
@@ -557,22 +514,8 @@ where
     }
 }
 
-/// Like [`map_fn`], but the closure also receives the [`TaskContext`]
-/// (for operator counters via [`TaskContext::count`] or direct interning).
-pub fn map_fn_ctx<I, K, V, F>(f: F) -> Arc<dyn RawMapOp>
-where
-    I: Rec,
-    K: Rec,
-    V: Rec,
-    F: Fn(&TaskContext, I, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError>
-        + Send
-        + Sync
-        + 'static,
-{
-    Arc::new(CtxMapFnOp { f, _pd: PhantomData })
-}
-
-/// Like [`reduce_fn`], but the closure also receives the [`TaskContext`].
+/// Wrap a typed closure as a reduce operator that also receives the
+/// [`TaskContext`] (for operator counters via [`TaskContext::count`]).
 pub fn reduce_fn_ctx<K, V, O, F>(f: F) -> Arc<dyn RawReduceOp>
 where
     K: Rec,
@@ -584,40 +527,6 @@ where
         + 'static,
 {
     Arc::new(CtxReduceFnOp { f, _pd: PhantomData })
-}
-
-struct CtxMapOnlyFnOp<I, O, F> {
-    f: F,
-    _pd: PhantomData<fn(I) -> O>,
-}
-
-impl<I, O, F> RawMapOnlyOp for CtxMapOnlyFnOp<I, O, F>
-where
-    I: Rec,
-    O: Rec,
-    F: Fn(&TaskContext, I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync,
-{
-    fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut OutEmitter) -> Result<(), MrError> {
-        let input = I::from_bytes_with(record, &ctx.atoms)?;
-        let mut emitter = TypedOutEmitter { raw: out, _pd: PhantomData };
-        (self.f)(ctx, input, &mut emitter)
-    }
-}
-
-/// Like [`map_only_fn`], but the closure also receives the
-/// [`TaskContext`] — required by broadcast-join mappers, which read their
-/// build side via [`TaskContext::broadcast`] and cache the built hash
-/// table via [`TaskContext::task_state`].
-pub fn map_only_fn_ctx<I, O, F>(f: F) -> Arc<dyn RawMapOnlyOp>
-where
-    I: Rec,
-    O: Rec,
-    F: Fn(&TaskContext, I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError>
-        + Send
-        + Sync
-        + 'static,
-{
-    Arc::new(CtxMapOnlyFnOp { f, _pd: PhantomData })
 }
 
 // ---------------------------------------------------------------------------
@@ -800,12 +709,6 @@ impl JobSpec {
         self
     }
 
-    /// Override the output replication factor.
-    pub fn with_replication(mut self, r: u32) -> Self {
-        self.replication = Some(r);
-        self
-    }
-
     /// Check cross-field invariants before execution. The builders assert
     /// these eagerly, but [`JobKind`]'s fields are public, so a hand-built
     /// spec can bypass them; the engine re-validates here rather than
@@ -936,19 +839,8 @@ mod tests {
     }
 
     #[test]
-    fn ctx_adapters_record_counters() {
+    fn ctx_adapter_records_counters() {
         let ctx = TaskContext::new();
-        let map_op = map_fn_ctx(
-            |ctx: &TaskContext, rec: String, out: &mut TypedMapEmitter<'_, String, u64>| {
-                ctx.count("map.seen", 1);
-                out.emit(&rec, &1);
-                Ok(())
-            },
-        );
-        let mut mout = MapEmitter::new();
-        map_op.run(&ctx, &"a".to_string().to_bytes(), &mut mout).unwrap();
-        map_op.run(&ctx, &"b".to_string().to_bytes(), &mut mout).unwrap();
-
         let reduce_op = reduce_fn_ctx(
             |ctx: &TaskContext,
              key: String,
@@ -964,7 +856,6 @@ mod tests {
         reduce_op.run(&ctx, &"a".to_string().to_bytes(), &values, &mut rout).unwrap();
 
         let counters = ctx.take_counters();
-        assert_eq!(counters.get("map.seen"), 2);
         assert_eq!(counters.get("reduce.groups_seen"), 1);
         // take_counters drains.
         assert!(ctx.take_counters().is_empty());

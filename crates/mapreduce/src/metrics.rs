@@ -26,7 +26,7 @@
 //! A [`MetricsRegistry`] keys histograms by `&'static str` metric names
 //! (the [`name`] module), mirroring how [`crate::OpCounters`] keys sums.
 
-use crate::trace::{escape_json_into, JsonObject};
+use crate::trace::JsonObject;
 use std::collections::BTreeMap;
 
 /// Metric-name constants recorded by the engine. Operator layers (e.g.
@@ -251,15 +251,8 @@ impl Histogram {
         o.u64("p50", self.p50());
         o.u64("p95", self.p95());
         o.u64("p99", self.p99());
-        let mut b = String::from("[");
-        for (i, (upper, n)) in self.buckets().enumerate() {
-            if i > 0 {
-                b.push(',');
-            }
-            b.push_str(&format!("[{upper},{n}]"));
-        }
-        b.push(']');
-        o.raw("buckets", &b);
+        let pair = |(upper, n): (u64, u64)| JsonObject::array([upper.to_string(), n.to_string()]);
+        o.raw("buckets", &JsonObject::array(self.buckets().map(pair)));
         o.finish()
     }
 }
@@ -315,18 +308,11 @@ impl MetricsRegistry {
     /// Render as one JSON object mapping metric names to
     /// [`Histogram::to_json`] objects.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, h)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_json_into(name, &mut out);
-            out.push_str("\":");
-            out.push_str(&h.to_json());
+        let mut o = JsonObject::new();
+        for (name, h) in self.iter() {
+            o.raw(name, &h.to_json());
         }
-        out.push('}');
-        out
+        o.finish()
     }
 }
 

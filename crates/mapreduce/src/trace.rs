@@ -542,12 +542,12 @@ pub trait TraceSink: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// JSON plumbing (the workspace's serde is a no-op stub, so the sinks write
-// JSON by hand).
+// JSON plumbing: the workspace's one JSON writer, and the validator that
+// checks what it wrote.
 // ---------------------------------------------------------------------------
 
 /// Append `s` to `out` with JSON string escaping (quotes not included).
-pub(crate) fn escape_json_into(s: &str, out: &mut String) {
+fn escape_json_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -563,20 +563,10 @@ pub(crate) fn escape_json_into(s: &str, out: &mut String) {
     }
 }
 
-/// Format an `f64` as a JSON number. `NaN`/infinities (which JSON cannot
-/// represent) degrade to `null`.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-/// Minimal incremental JSON-object writer. Used by the sinks, and public
-/// because every hand-rolled JSON producer in the workspace (the serde
-/// stand-in is a no-op) wants exactly this: ordered keys, correct escaping,
-/// `null` for non-finite floats.
+/// Minimal incremental JSON-object writer: ordered keys, correct escaping,
+/// `null` for non-finite floats. Every JSON document the workspace writes
+/// — trace sinks, counters, histograms, profiles, report rows — is built
+/// from it and [`JsonObject::array`].
 #[derive(Default)]
 pub struct JsonObject {
     buf: String,
@@ -611,10 +601,19 @@ impl JsonObject {
         self.buf.push_str(&v.to_string());
     }
 
-    /// Append a float field (`null` when non-finite).
+    /// Append a float field (`null` when non-finite, which JSON cannot
+    /// represent).
     pub fn f64(&mut self, k: &str, v: f64) {
+        self.opt_f64(k, Some(v));
+    }
+
+    /// Append a float field that may be absent (`null` then, too).
+    pub fn opt_f64(&mut self, k: &str, v: Option<f64>) {
         self.key(k);
-        self.buf.push_str(&json_f64(v));
+        match v.filter(|v| v.is_finite()) {
+            Some(v) => self.buf.push_str(&v.to_string()),
+            None => self.buf.push_str("null"),
+        }
     }
 
     /// Append a boolean field.
@@ -633,6 +632,20 @@ impl JsonObject {
     pub fn finish(mut self) -> String {
         self.buf.push('}');
         self.buf
+    }
+
+    /// Render pre-rendered JSON values as an array, for [`raw`](Self::raw)
+    /// or as a document of its own.
+    pub fn array(values: impl IntoIterator<Item = String>) -> String {
+        let mut out = String::from("[");
+        for (i, v) in values.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&v);
+        }
+        out.push(']');
+        out
     }
 }
 
@@ -1284,8 +1297,23 @@ mod tests {
         escape_json_into("a\"b\\c\nd\te\u{1}", &mut s);
         assert_eq!(s, "a\\\"b\\\\c\\nd\\te\\u0001");
         validate_json(&format!("\"{s}\"")).unwrap();
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.5");
+    }
+
+    #[test]
+    fn optional_numbers_and_arrays() {
+        let mut o = JsonObject::new();
+        o.opt_f64("some", Some(1.5));
+        o.opt_f64("none", None);
+        o.f64("inf", f64::INFINITY);
+        o.f64("nan", f64::NAN);
+        o.raw("list", &JsonObject::array(["1".to_string(), "{}".to_string()]));
+        o.raw("empty", &JsonObject::array([]));
+        let json = o.finish();
+        assert_eq!(
+            json,
+            r#"{"some":1.5,"none":null,"inf":null,"nan":null,"list":[1,{}],"empty":[]}"#
+        );
+        validate_json(&json).unwrap();
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub struct RowView<'a> {
     /// `Σ(len + 1)` over the tokens: the row as tab-separated text, less
     /// the lone newline of an empty row (see [`RowView::text_size`]).
     pub token_text: u64,
-    /// The encoded tokens (`rec[4..]`), ready to follow a new count.
+    /// The encoded tokens (the record past its count), ready to follow a
+    /// new count.
     pub tokens: &'a [u8],
     /// The encoded column asked for (length prefix and bytes, an `Atom`
     /// key); `None` if none was asked for or the row is narrower.

@@ -86,16 +86,7 @@ fn star_non_subject_vars(star: &StarPattern) -> Vec<String> {
 
 /// Check one star for planner support.
 pub fn check_star(star: &StarPattern) -> Result<(), UnsupportedReason> {
-    let mut bound_seen = HashSet::new();
-    for prop in star.bound_properties() {
-        if !bound_seen.insert(prop.clone()) {
-            return Err(UnsupportedReason::DuplicateBoundProperty {
-                star: star.subject_var.clone(),
-                property: prop.to_string(),
-            });
-        }
-    }
-    // bound_properties() dedups, so re-count from raw patterns.
+    // Counted from the raw patterns: `bound_properties()` de-duplicates.
     let mut by_prop: HashMap<&str, usize> = HashMap::new();
     for p in star.bound_patterns() {
         if let rdf_query::PropPattern::Bound(prop) = &p.property {

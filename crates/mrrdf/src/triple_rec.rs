@@ -1,5 +1,6 @@
 //! Triples as engine records.
 
+use mrsim::codec::{put_token, token_len};
 use mrsim::{DfsFile, Engine, MrError, Rec, SliceReader};
 use rdf_model::{STriple, TripleStore};
 
@@ -71,9 +72,9 @@ pub fn load_store(engine: &Engine, name: &str, store: &TripleStore) -> Result<()
     file.records.reserve(store.len());
     for t in store.iter() {
         // A `TripleRec`'s bytes, written once at their exact length.
-        let mut rec = Vec::with_capacity(12 + t.s.len() + t.p.len() + t.o.len());
+        let mut rec = Vec::with_capacity(token_len(&t.s) + token_len(&t.p) + token_len(&t.o));
         for token in [&t.s, &t.p, &t.o] {
-            token.encode_into(&mut rec);
+            put_token(&mut rec, token);
         }
         file.text_bytes += t.text_size();
         file.records.push(rec);

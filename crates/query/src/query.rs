@@ -1,6 +1,5 @@
 //! Whole graph-pattern queries: stars plus the join structure between them.
 
-use crate::pattern::TriplePattern;
 use crate::star::StarPattern;
 use std::collections::HashSet;
 use std::fmt;
@@ -96,11 +95,6 @@ impl Query {
     pub fn with_projection(mut self, vars: Vec<String>) -> Self {
         self.projection = Some(vars);
         self
-    }
-
-    /// All triple patterns across all stars.
-    pub fn all_patterns(&self) -> Vec<&TriplePattern> {
-        self.stars.iter().flat_map(|s| s.patterns.iter()).collect()
     }
 
     /// All variables across all stars, in first-occurrence order.
@@ -215,7 +209,7 @@ impl Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::ObjPattern;
+    use crate::pattern::{ObjPattern, TriplePattern};
 
     fn two_star_os() -> Query {
         // ?g <xGO> ?go ; ?g <label> ?l . ?go <go_label> ?gl

@@ -25,7 +25,6 @@
 
 pub mod atom;
 pub mod hash;
-pub mod io;
 pub mod ntriples;
 pub mod store;
 pub mod term;
@@ -33,7 +32,6 @@ pub mod triple;
 
 pub use atom::{Atom, AtomTable};
 pub use hash::{fnv1a, DetHashMap, FnvBuildHasher, FnvHasher};
-pub use io::{read_ntriples, read_ntriples_file, write_ntriples, write_ntriples_file, NtIoError};
 pub use ntriples::{parse_line, parse_str, write_triple, NtParseError};
 pub use store::{PropertyStats, StoreStats, TripleStore};
 pub use term::Term;

@@ -102,11 +102,6 @@ impl TripleStore {
         &self.triples
     }
 
-    /// Consume the store, returning its triples.
-    pub fn into_triples(self) -> Vec<STriple> {
-        self.triples
-    }
-
     /// Iterate over triples.
     pub fn iter(&self) -> std::slice::Iter<'_, STriple> {
         self.triples.iter()

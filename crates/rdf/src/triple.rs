@@ -27,11 +27,6 @@ impl STriple {
         STriple { s: atom(s.as_ref()), p: atom(p.as_ref()), o: atom(o.as_ref()) }
     }
 
-    /// Build a triple from already-interned atoms.
-    pub fn from_atoms(s: Atom, p: Atom, o: Atom) -> Self {
-        STriple { s, p, o }
-    }
-
     /// Build the lexical triple for three parsed [`Term`]s.
     pub fn from_terms(s: &Term, p: &Term, o: &Term) -> Self {
         STriple::new(s.to_token(), p.to_token(), o.to_token())

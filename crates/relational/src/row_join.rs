@@ -4,14 +4,15 @@
 //! joined row is a new count before the two sides' token bytes.
 
 use mr_rdf::{PlanError, RowSchema, RowView};
-use mrsim::codec::decimal_digits;
+use mrsim::codec::{
+    counted_len, decimal_digits, put_count, put_tag, split_tag, token_key, token_key_text,
+};
 use mrsim::{
-    InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOp, RawReduceOp, SliceReader,
-    TaskContext,
+    InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOp, RawReduceOp, TaskContext,
 };
 use std::sync::Arc;
 
-use crate::star_join::{read_token, REDUCERS};
+use crate::star_join::REDUCERS;
 
 /// Map side of [`row_join_job`] for one input: ships each row under its
 /// join column, tagged with its side.
@@ -25,7 +26,8 @@ pub struct SideMap {
 impl SideMap {
     /// Map one encoded [`mr_rdf::Row`]: `emit(key, text, write_value)` —
     /// the key the join column as the row encodes it, `text` the shuffle
-    /// row's simulated size, `write_value` appending `u64 side · record`.
+    /// row's simulated size, `write_value` appending the side tag and the
+    /// record.
     pub fn tag(
         &self,
         rec: &[u8],
@@ -39,9 +41,9 @@ impl SideMap {
             ))
         })?;
         // The shuffle row is `key \t side \t row \n`.
-        let text = (key.len() - 4) as u64 + decimal_digits(self.side) + row.text_size();
+        let text = token_key_text(key) + decimal_digits(self.side) + row.text_size();
         emit(key, text, &|value| {
-            value.extend_from_slice(&self.side.to_le_bytes());
+            put_tag(value, self.side);
             value.extend_from_slice(rec);
         });
         Ok(())
@@ -71,8 +73,8 @@ impl RowJoinReduce {
     ) -> Result<(), MrError> {
         let (mut lefts, mut rights, mut bad_side) = (Vec::new(), Vec::new(), false);
         for value in values {
-            let side = SliceReader::new(value).read_u64()?;
-            let row = RowView::from_bytes(&value[8..], None)?;
+            let (side, row) = split_tag(value)?;
+            let row = RowView::from_bytes(row, None)?;
             match side {
                 0 => lefts.push(row),
                 1 => rights.push(row),
@@ -88,8 +90,8 @@ impl RowJoinReduce {
                     .arity
                     .checked_add(r.arity)
                     .ok_or_else(|| MrError::Op("joined row arity exceeds u32".into()))?;
-                let mut rec = Vec::with_capacity(4 + l.tokens.len() + r.tokens.len());
-                rec.extend_from_slice(&arity.to_le_bytes());
+                let mut rec = Vec::with_capacity(counted_len(l.tokens.len() + r.tokens.len()));
+                put_count(&mut rec, arity);
                 rec.extend_from_slice(l.tokens);
                 rec.extend_from_slice(r.tokens);
                 emit(rec, (l.token_text + r.token_text).max(1))?;
@@ -107,7 +109,7 @@ impl RawReduceOp for RowJoinReduce {
         values: &[&[u8]],
         out: &mut OutEmitter,
     ) -> Result<(), MrError> {
-        read_token(key)?; // refused first, as the typed reducer's key decode did
+        token_key(key)?; // refused first, as the typed reducer's key decode did
         Self::join(values, |record, text| out.emit_raw(record, text))
     }
 }

@@ -10,7 +10,7 @@
 //! records in place and splice the triples' own encoded tokens.
 
 use mr_rdf::{RowSchema, TripleView};
-use mrsim::codec::decimal_digits;
+use mrsim::codec::{counted_len, decimal_digits, put_count, put_tag, split_tag, token_key};
 use mrsim::{
     InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOp, RawReduceOp, SliceReader,
     TaskContext,
@@ -35,15 +35,6 @@ pub enum PatternSet {
     UnboundOnly,
 }
 
-/// Read a whole buffer as one encoded token — a shuffle key of the
-/// relational jobs — with the errors `Atom::from_bytes` gives.
-pub(crate) fn read_token(buf: &[u8]) -> Result<&str, MrError> {
-    let mut r = SliceReader::new(buf);
-    let token = r.read_str()?;
-    r.finish()?;
-    Ok(token)
-}
-
 /// Map side of [`star_join_job`]: routes each triple, by subject, to every
 /// selected pattern of the star it matches.
 pub struct StarMap {
@@ -57,8 +48,8 @@ impl StarMap {
     /// Map one encoded [`mr_rdf::TripleRec`]: `emit(key, text,
     /// write_value)` once per matched pattern, in pattern order — the key
     /// the triple's own encoded subject, `text` the shuffle row's
-    /// simulated size, `write_value` appending `u64 pattern index ·
-    /// (property, object)` as the triple encodes them.
+    /// simulated size, `write_value` appending the pattern index as a tag
+    /// and `(property, object)` as the triple encodes them.
     pub fn route(
         &self,
         rec: &[u8],
@@ -79,7 +70,7 @@ impl StarMap {
             if selected && pat.matches_tokens(t.s, t.p, t.o) {
                 let idx = idx as u64;
                 emit(t.s_bytes, tokens_text + decimal_digits(idx), &|value| {
-                    value.extend_from_slice(&idx.to_le_bytes());
+                    put_tag(value, idx);
                     value.extend_from_slice(t.po_bytes);
                 });
             }
@@ -105,8 +96,8 @@ impl StarReduce {
     /// Join one subject's encoded `(pattern index, (property, object))`
     /// values: `emit(record, text)` once per combination of one match per
     /// pattern, the last pattern's match varying fastest; nothing if some
-    /// pattern has no match. A row is `u32 3k` and then, per pattern, the
-    /// key's bytes and the match's.
+    /// pattern has no match. A row is the count `3k` and then, per pattern,
+    /// the key's bytes and the match's.
     ///
     /// Every value is walked before anything is emitted, so a broken value
     /// fails the task, and such a [`MrError::Codec`] is reported before an
@@ -119,17 +110,17 @@ impl StarReduce {
     ) -> Result<(), MrError> {
         let k = self.patterns;
         let arity = u32::try_from(3 * k).map_err(|_| MrError::Op("star row too wide".into()))?;
-        let s_text = read_token(key)?.len() as u64 + 1;
+        let s_text = token_key(key)?.len() as u64 + 1;
         // Per pattern, each match's encoded `(p, o)` and its `p \t o \t`.
         let mut matches: Vec<Vec<(&[u8], u64)>> = vec![Vec::new(); k];
         let mut bad_idx = None;
         for value in values {
-            let mut r = SliceReader::new(value);
-            let idx = r.read_u64()?;
+            let (idx, po) = split_tag(value)?;
+            let mut r = SliceReader::new(po);
             let po_text = (r.read_str()?.len() + r.read_str()?.len()) as u64 + 2;
             r.finish()?;
             match usize::try_from(idx).ok().and_then(|i| matches.get_mut(i)) {
-                Some(bucket) => bucket.push((&value[8..], po_text)),
+                Some(bucket) => bucket.push((po, po_text)),
                 None => bad_idx = bad_idx.or(Some(idx)),
             }
         }
@@ -144,9 +135,9 @@ impl StarReduce {
         let mut cursor = vec![0usize; k];
         loop {
             let picked = || cursor.iter().zip(&matches).map(|(&c, bucket)| bucket[c]);
-            let len = 4 + picked().map(|(po, _)| key.len() + po.len()).sum::<usize>();
+            let len = counted_len(picked().map(|(po, _)| key.len() + po.len()).sum());
             let (mut rec, mut text) = (Vec::with_capacity(len), 0);
-            rec.extend_from_slice(&arity.to_le_bytes());
+            put_count(&mut rec, arity);
             for (po, po_text) in picked() {
                 rec.extend_from_slice(key);
                 rec.extend_from_slice(po);

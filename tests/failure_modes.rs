@@ -104,21 +104,29 @@ fn map_only_jobs_respect_the_aggregate_disk_budget() {
     // budget; the engine must also re-check the aggregate across tasks
     // (as the reduce phase does), otherwise N tasks can each stay under
     // budget while together exceeding it.
-    use mrsim::{map_only_fn, Engine, JobSpec, SimHdfs, TypedOutEmitter};
+    use mrsim::{map_only_fn, Engine, JobSpec, MrError, SimHdfs, TypedOutEmitter};
 
-    // 3000 × 6-byte rows = 18 000 B of input; at 4 workers the engine
-    // splits this into 1024-record tasks, each emitting ~6 kB — every
-    // task fits the 10 000 B budget alone, but the 18 000 B aggregate
-    // does not. Output compression (0.4 → 7 200 B stored) would let the
-    // final write squeak through, so only the aggregate early-abort can
-    // fail this job.
-    let engine = Engine::new(SimHdfs::new(28_000, 1)).with_workers(4);
-    engine.put_records("input", (0..3000).map(|_| "wwwww".to_string())).unwrap();
-    let mapper = map_only_fn(|w: String, out: &mut TypedOutEmitter<'_, String>| out.emit(&w));
-    let spec = JobSpec::map_only("identity", vec!["input".into()], mapper, "out")
-        .with_output_compression(0.4);
-    let err = engine.run_job(&spec).unwrap_err();
-    assert!(err.is_disk_full(), "{err:?}");
+    // 3000 rows of 40 bytes: 44 encoded bytes each, so the 32 KiB split
+    // floor cuts the file into four tasks of 745 rows and one of 20. A full
+    // task emits 745 × 41 = 30 545 B of text.
+    let rows = || (0..3000).map(|_| "w".repeat(40));
+    let spec = || {
+        let mapper = map_only_fn(|w: String, out: &mut TypedOutEmitter<'_, String>| out.emit(&w));
+        JobSpec::map_only("identity", vec!["input".into()], mapper, "out")
+            .with_output_compression(0.4)
+    };
+    let unbounded = Engine::unbounded().with_workers(4);
+    unbounded.put_records("input", rows()).unwrap();
+    assert_eq!(unbounded.run_job(&spec()).unwrap().faults.map_tasks_scheduled, 5);
+
+    // 123 000 B of input leave a 60 000 B budget: every task fits it alone,
+    // the second one takes the aggregate over it. Output compression (0.4
+    // → 49 200 B stored) would let the final write through, so only the
+    // aggregate early-abort can fail this job.
+    let engine = Engine::new(SimHdfs::new(183_000, 1)).with_workers(4);
+    engine.put_records("input", rows()).unwrap();
+    let err = engine.run_job(&spec()).unwrap_err();
+    assert!(matches!(err, MrError::DiskFull { needed: 61_090, available: 60_000, .. }), "{err:?}");
     assert!(!engine.hdfs().lock().exists("out"));
 }
 
