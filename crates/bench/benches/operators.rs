@@ -151,86 +151,10 @@ fn bench_parser(c: &mut Criterion) {
     });
 }
 
-/// An encoded shuffle pair, as the engine moves them.
-type Pair = (Vec<u8>, Vec<u8>);
-
-/// Synthetic map output: `n_tasks` map tasks' worth of encoded key/value
-/// pairs over a realistic key population.
-fn synthetic_map_output(n_tasks: usize, pairs_per_task: usize) -> Vec<Vec<Pair>> {
-    (0..n_tasks)
-        .map(|t| {
-            (0..pairs_per_task)
-                .map(|i| {
-                    let key = format!("<subject{}>", (t * 31 + i * 7) % 4096).into_bytes();
-                    let value = format!("<p{}>\t<o{}>", i % 17, i).into_bytes();
-                    (key, value)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Shuffle handoff throughput, isolated from map/reduce user code.
-///
-/// Old driver-side scheme: map tasks hand the driver one flat vector
-/// each; the driver concatenates them into a global pair vector, then
-/// hashes and scatters every pair into its partition — two moves plus a
-/// hash per pair, all on the single-threaded driver.
-///
-/// New map-side scheme: each map task spills into per-partition buckets
-/// as it emits (routing replaces a plain push inside the task, where it
-/// runs in parallel with map CPU across workers), so by handoff time the
-/// buckets already exist and the driver only concatenates whole buckets
-/// per partition — one move per pair, no hashing, no global vector.
-///
-/// Both sides clone the same pairs from the same pre-built task outputs,
-/// so the measured difference is exactly the driver's critical path.
-fn bench_shuffle(c: &mut Criterion) {
-    const TASKS: usize = 8;
+/// The engine end to end: an 8-worker wordcount whose cost is dominated by
+/// the map→reduce shuffle (spill, sort, seal, fetch, merge).
+fn bench_engine_wordcount(c: &mut Criterion) {
     const PARTITIONS: usize = 8;
-    let flat_tasks = synthetic_map_output(TASKS, 20_000);
-    // What the engine's map tasks now hand over: pre-bucketed spills.
-    let bucketed_tasks: Vec<Vec<Vec<Pair>>> = flat_tasks
-        .iter()
-        .map(|task| {
-            let mut buckets: Vec<Vec<Pair>> = vec![Vec::new(); PARTITIONS];
-            for (k, v) in task {
-                buckets[mrsim::default_partition(k, PARTITIONS)].push((k.clone(), v.clone()));
-            }
-            buckets
-        })
-        .collect();
-
-    let mut group = c.benchmark_group("shuffle");
-    group.bench_function("driver_side_partition", |b| {
-        b.iter(|| {
-            let mut all: Vec<Pair> = Vec::new();
-            for task in black_box(&flat_tasks) {
-                all.extend(task.iter().cloned());
-            }
-            let mut parts: Vec<Vec<Pair>> = vec![Vec::new(); PARTITIONS];
-            for (k, v) in all {
-                let p = mrsim::default_partition(&k, PARTITIONS);
-                parts[p].push((k, v));
-            }
-            parts
-        })
-    });
-    group.bench_function("map_side_partition", |b| {
-        b.iter(|| {
-            let mut parts: Vec<Vec<Pair>> = vec![Vec::new(); PARTITIONS];
-            for task in black_box(&bucketed_tasks) {
-                for (p, bucket) in task.iter().enumerate() {
-                    parts[p].extend(bucket.iter().cloned());
-                }
-            }
-            parts
-        })
-    });
-    group.finish();
-
-    // End-to-end: the simulated engine running an 8-worker wordcount whose
-    // cost is dominated by the shuffle path exercised above.
     let engine = mrsim::Engine::unbounded().with_workers(8);
     engine
         .put_records("bench-shuffle-in", (0..40_000).map(|i| format!("<subject{}>", i % 4096)))
@@ -269,6 +193,6 @@ criterion_group!(
     bench_relational_reduce,
     bench_codecs,
     bench_parser,
-    bench_shuffle
+    bench_engine_wordcount
 );
 criterion_main!(benches);

@@ -43,14 +43,14 @@ fn main() {
         let mut lazy_writes = Vec::new();
         for k in 3..=6 {
             let q = format!("B1-{k}bnd");
-            let hive = rows.iter().find(|r| r.query == q && r.approach == "Hive").unwrap();
-            let lazy = rows.iter().find(|r| r.query == q && r.approach.contains("Lazy")).unwrap();
-            lazy_writes.push(lazy.write_bytes);
+            let hive = report::stats_of(&rows, &q, "Hive").total_write_bytes();
+            let lazy = report::stats_of(&rows, &q, "Lazy").total_write_bytes();
+            lazy_writes.push(lazy);
             println!(
                 "{q}: LazyUnnest writes {:.0}% less than Hive ({} vs {})",
-                report::pct_less(hive.write_bytes, lazy.write_bytes),
-                report::human_bytes(lazy.write_bytes),
-                report::human_bytes(hive.write_bytes),
+                report::pct_less(hive, lazy),
+                report::human_bytes(lazy),
+                report::human_bytes(hive),
             );
         }
         let growth = *lazy_writes.last().unwrap() as f64 / lazy_writes[0] as f64;

@@ -37,14 +37,14 @@ fn main() {
         &rows,
     );
     if opts.strategy.is_none() {
-        let b1_hive = rows.iter().find(|r| r.query == "B1" && r.approach == "Hive").unwrap();
-        let b1_lazy = rows.iter().find(|r| r.query == "B1" && r.approach.contains("Lazy")).unwrap();
-        if b1_hive.ok {
+        let b1_hive = report::stats_of(&rows, "B1", "Hive");
+        let b1_lazy = report::stats_of(&rows, "B1", "Lazy");
+        if b1_hive.succeeded {
             println!(
                 "B1: LazyUnnest intermediate writes {:.0}% less than Hive (paper: ~80%)",
                 report::pct_less(
-                    b1_hive.intermediate_write_bytes,
-                    b1_lazy.intermediate_write_bytes
+                    b1_hive.intermediate_write_bytes(),
+                    b1_lazy.intermediate_write_bytes()
                 )
             );
         }

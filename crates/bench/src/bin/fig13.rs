@@ -45,15 +45,22 @@ fn main() {
     );
     if opts.strategy.is_none() {
         for q in ["A1", "A3", "A4"] {
-            let hive = rows.iter().find(|r| r.query == q && r.approach == "Hive").unwrap();
-            let eager = rows.iter().find(|r| r.query == q && r.approach == "EagerUnnest").unwrap();
-            let lazy = rows.iter().find(|r| r.query == q && r.approach.contains("Lazy")).unwrap();
+            let hive = report::stats_of(&rows, q, "Hive");
+            let eager = report::stats_of(&rows, q, "EagerUnnest");
+            let lazy = report::stats_of(&rows, q, "Lazy").total_write_bytes();
+            let writes = |s: &mrsim::WorkflowStats| {
+                if s.succeeded {
+                    report::human_bytes(s.total_write_bytes())
+                } else {
+                    "FAILED".into()
+                }
+            };
             println!(
                 "{q}: writes Hive={} Eager={} Lazy={}  (lazy {:.0}% less than Hive)",
-                if hive.ok { report::human_bytes(hive.write_bytes) } else { "FAILED".into() },
-                if eager.ok { report::human_bytes(eager.write_bytes) } else { "FAILED".into() },
-                report::human_bytes(lazy.write_bytes),
-                report::pct_less(hive.write_bytes, lazy.write_bytes),
+                writes(hive),
+                writes(eager),
+                report::human_bytes(lazy),
+                report::pct_less(hive.total_write_bytes(), lazy),
             );
         }
     }

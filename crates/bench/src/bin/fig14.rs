@@ -35,12 +35,12 @@ fn run_dataset(
     report::print_table(&format!("Figure 14 ({name}): C1-C4"), note, &rows);
     if opts.strategy.is_none() {
         for q in ["C3", "C4"] {
-            let hive = rows.iter().find(|r| r.query == q && r.approach == "Hive").unwrap();
-            let pig = rows.iter().find(|r| r.query == q && r.approach == "Pig").unwrap();
-            let lazy = rows.iter().find(|r| r.query == q && r.approach.contains("Lazy")).unwrap();
+            let hive = report::stats_of(&rows, q, "Hive");
+            let pig = report::stats_of(&rows, q, "Pig");
+            let lazy = report::stats_of(&rows, q, "Lazy");
             println!(
                 "{q}: lazy writes {:.0}% less than Hive; sim time {:.0}s vs Hive {:.0}s / Pig {:.0}s",
-                report::pct_less(hive.write_bytes, lazy.write_bytes),
+                report::pct_less(hive.total_write_bytes(), lazy.total_write_bytes()),
                 lazy.sim_seconds,
                 hive.sim_seconds,
                 pig.sim_seconds,

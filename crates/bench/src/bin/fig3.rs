@@ -39,15 +39,14 @@ fn main() {
 
     // Shape assertions printed for EXPERIMENTS.md.
     for &q in if opts.strategy.is_none() { ["Q1a", "Q2a", "Q3a"].as_slice() } else { &[] } {
-        let get = |a: &str| rows.iter().find(|r| r.query == q && r.approach == a).unwrap();
-        let sj = get("SJ-per-cycle");
-        let sel = get("Sel-SJ-first");
-        let ntga = rows.iter().find(|r| r.query == q && r.approach.contains("Lazy")).unwrap();
+        let sj = report::stats_of(&rows, q, "SJ-per-cycle");
+        let sel = report::stats_of(&rows, q, "Sel-SJ-first");
+        let ntga = report::stats_of(&rows, q, "Lazy");
         println!(
             "{q}: MR/FS  SJ-per-cycle={}/{}  Sel-SJ-first={}/{}  NTGA={}/{}   NTGA reads {:.0}% less than SJ-per-cycle",
             sj.mr_cycles, sj.full_scans, sel.mr_cycles, sel.full_scans,
             ntga.mr_cycles, ntga.full_scans,
-            report::pct_less(sj.read_bytes, ntga.read_bytes)
+            report::pct_less(sj.total_read_bytes(), ntga.total_read_bytes())
         );
     }
     opts.write_profile(&cluster, &store, &queries);

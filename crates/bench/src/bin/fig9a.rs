@@ -42,10 +42,10 @@ fn main() {
         &rows,
     );
     let failures: Vec<String> =
-        rows.iter().filter(|r| !r.ok).map(|r| format!("{}/{}", r.query, r.approach)).collect();
+        rows.iter().filter(|r| !r.ok()).map(|r| format!("{}/{}", r.query, r.approach)).collect();
     println!("failed executions: {}", failures.join(", "));
     if opts.strategy.is_none() {
-        let lazy_ok = rows.iter().filter(|r| r.approach.contains("Lazy")).all(|r| r.ok);
+        let lazy_ok = rows.iter().filter(|r| r.approach.contains("Lazy")).all(|r| r.ok());
         println!("LazyUnnest completed all queries: {lazy_ok}");
     }
     opts.write_profile(&cluster, &store, &queries);

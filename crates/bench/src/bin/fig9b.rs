@@ -43,12 +43,12 @@ fn main() {
     );
     if opts.strategy.is_none() {
         for q in ["B1", "B3", "B4"] {
-            let lazy = rows.iter().find(|r| r.query == q && r.approach.contains("Lazy")).unwrap();
-            let eager = rows.iter().find(|r| r.query == q && r.approach == "EagerUnnest").unwrap();
-            if eager.ok && lazy.ok {
+            let lazy = report::stats_of(&rows, q, "Lazy");
+            let eager = report::stats_of(&rows, q, "EagerUnnest");
+            if eager.succeeded && lazy.succeeded {
                 println!(
                     "{q}: LazyUnnest writes {:.0}% less HDFS than EagerUnnest (paper: 80% on B3, 61% on B4), sim time {:.0}s vs {:.0}s",
-                    report::pct_less(eager.write_bytes, lazy.write_bytes),
+                    report::pct_less(eager.total_write_bytes(), lazy.total_write_bytes()),
                     lazy.sim_seconds,
                     eager.sim_seconds,
                 );

@@ -42,9 +42,9 @@ fn main() {
     if opts.strategy.is_none() {
         for k in 3..=6 {
             let q = format!("B1-{k}bnd");
-            let hive = rows.iter().find(|r| r.query == q && r.approach == "Hive").unwrap();
-            let lazy = rows.iter().find(|r| r.query == q && r.approach.contains("Lazy")).unwrap();
-            if hive.ok && lazy.ok {
+            let hive = report::stats_of(&rows, &q, "Hive");
+            let lazy = report::stats_of(&rows, &q, "Lazy");
+            if hive.succeeded && lazy.succeeded {
                 println!(
                     "{q}: LazyUnnest {:.0}s vs Hive {:.0}s ({:.0}% faster)",
                     lazy.sim_seconds,

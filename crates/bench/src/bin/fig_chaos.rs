@@ -91,15 +91,17 @@ fn main() {
     let seed = (0..100)
         .find(|&seed| {
             regimes(seed).into_iter().skip(1).all(|(name, faults)| {
-                let row = run_cell(faults, 4, name, name);
-                row.ok
+                let s = run_cell(faults, 4, name, name).stats;
+                s.succeeded
                     && match name {
-                        "taskfail" => row.task_retries > 0,
-                        "nodeloss" => row.node_losses > 0,
-                        "straggler" => row.speculative_tasks > 0,
-                        "corrupt" => row.corruptions_detected > 0,
-                        "corrupt+faults" => row.corruptions_detected > 0 && row.task_retries > 0,
-                        _ => row.task_retries > 0 && row.node_losses > 0,
+                        "taskfail" => s.total_task_retries() > 0,
+                        "nodeloss" => s.total_node_losses() > 0,
+                        "straggler" => s.total_speculative_tasks() > 0,
+                        "corrupt" => s.total_corruptions_detected() > 0,
+                        "corrupt+faults" => {
+                            s.total_corruptions_detected() > 0 && s.total_task_retries() > 0
+                        }
+                        _ => s.total_task_retries() > 0 && s.total_node_losses() > 0,
                     }
             })
         })
@@ -112,8 +114,9 @@ fn main() {
         for workers in [1usize, 4, 8] {
             let label = format!("{name}/w{workers}");
             let row = run_cell(faults.clone(), workers, name, &label);
-            assert!(row.ok, "{label}: chaos sweep cells must complete");
-            let key = (row.result_records, row.result_bytes);
+            let s = &row.stats;
+            assert!(s.succeeded, "{label}: chaos sweep cells must complete");
+            let key = (s.final_output_records(), s.final_output_text_bytes());
             match baseline {
                 None => baseline = Some(key),
                 Some(expected) => assert_eq!(
@@ -123,12 +126,12 @@ fn main() {
             }
             if name != "none" {
                 assert!(
-                    row.retry_seconds > 0.0 || row.speculative_tasks > 0,
+                    s.total_retry_seconds() > 0.0 || s.total_speculative_tasks() > 0,
                     "{label}: injected faults must be visible in the counters"
                 );
-                let clean = rows.iter().find(|r: &&report::Row| r.approach == "none/w1").unwrap();
+                let clean = report::stats_of(&rows, &query.id, "none/w1");
                 assert!(
-                    row.sim_seconds > clean.sim_seconds,
+                    s.sim_seconds > clean.sim_seconds,
                     "{label}: faults must slow the simulated clock"
                 );
             }
@@ -191,19 +194,19 @@ fn policy_demo(
     };
     let seed = (0..500)
         .find(|&s| {
-            !exhaust_cell(s, RecoveryPolicy::FailFast, "probe").ok && {
-                let rs = exhaust_cell(s, retry, "probe");
-                rs.ok && rs.stage_retries > 0
+            !exhaust_cell(s, RecoveryPolicy::FailFast, "probe").ok() && {
+                let rs = exhaust_cell(s, retry, "probe").stats;
+                rs.succeeded && rs.stage_retries > 0
             }
         })
         .expect("some seed under 500 must kill FailFast and be survivable by RetryStage");
     let ff = exhaust_cell(seed, RecoveryPolicy::FailFast, "exhaust/failfast");
     let rs = exhaust_cell(seed, retry, "exhaust/retrystage");
-    assert!(!ff.ok && rs.ok && rs.stage_retries > 0);
+    assert!(!ff.ok() && rs.ok() && rs.stats.stage_retries > 0);
     println!(
         "exhaustion seed {seed}: FailFast X, RetryStage recovered after {} stage retries \
          (+{:.0}s backoff)",
-        rs.stage_retries, rs.sim_seconds
+        rs.stats.stage_retries, rs.stats.sim_seconds
     );
     rows.push(ff);
     rows.push(rs);
@@ -237,7 +240,7 @@ fn policy_demo(
     let capacity = Some(peak - 1);
     let ff = disk_cell(capacity, RecoveryPolicy::FailFast, "diskfull/failfast");
     let deg = disk_cell(capacity, RecoveryPolicy::DegradeOnDiskFull, "diskfull/degrade");
-    assert!(!ff.ok && deg.ok && deg.degraded);
+    assert!(!ff.ok() && deg.ok() && deg.stats.degraded_replication);
     println!(
         "disk budget {} (peak − 1): FailFast X (DiskFull), DegradeOnDiskFull completed at \
          replication 1",

@@ -181,8 +181,7 @@ fn broadcast_identity(opts: &BenchOpts, store: &TripleStore) -> Vec<report::Row>
         .expect("B2 is part of the B series");
     let stats = store.stats();
     let cost = mrsim::CostModel::scaled_to(store.text_bytes());
-    let config =
-        ntga_core::OptimizerConfig { broadcast_budget_bytes: u64::MAX, ..Default::default() };
+    let config = ntga_core::OptimizerConfig { broadcast_budget_bytes: u64::MAX };
     let plan = ntga_core::optimize(&tq.query, &stats, &cost, &config).expect("plan B2");
     assert!(
         plan.broadcast_cycles() > 0,
@@ -205,8 +204,7 @@ fn broadcast_identity(opts: &BenchOpts, store: &TripleStore) -> Vec<report::Row>
             run.stats.jobs.iter().any(|j| j.reduce_tasks == 0),
             "{label}: the broadcast cycle must run map-only"
         );
-        let row = report::Row::from_run(&format!("bcast/w{workers}"), "CostBased", &run);
-        let key = (row.result_records, row.result_bytes);
+        let key = (run.stats.final_output_records(), run.stats.final_output_text_bytes());
         match baseline {
             None => baseline = Some(key),
             Some(expected) => assert_eq!(
@@ -214,7 +212,7 @@ fn broadcast_identity(opts: &BenchOpts, store: &TripleStore) -> Vec<report::Row>
                 "bcast/w{workers}: broadcast output must be bit-identical across worker counts"
             ),
         }
-        rows.push(row);
+        rows.push(report::Row::from_run(&format!("bcast/w{workers}"), "CostBased", &run));
     }
     let (records, bytes) = baseline.unwrap();
     println!(

@@ -6,10 +6,9 @@
 //! measured run with `explain_analyze`, prints the annotated plan-vs-actual
 //! tree, and asserts in-process that
 //!
-//! * the per-operator q-errors of the profile agree with
-//!   `WorkflowStats::max_q_error` on the same run;
-//! * the profile's actual seconds reconcile with the per-job `JobStats`
-//!   totals to 1e-6;
+//! * the workflow's simulated seconds reconcile with the per-job `JobStats`
+//!   totals to 1e-6 (operator rows and `max_q_error` read the same
+//!   `WorkflowStats`, so they agree by construction);
 //! * the optimizer's chosen plan matches or beats the best hand-picked
 //!   strategy (columns `est(s)`/`actual(s)` make the comparison visible);
 //! * two profiled runs of the same plan serialize byte-identically.
@@ -80,21 +79,12 @@ fn main() {
     });
     for ((profile, rerun), (qid, best_t, best_label)) in profiles.iter().zip(&again).zip(&best) {
         print!("\n{}", profile.render());
-        // Per-operator q-errors agree with the workflow-level figure.
-        let op_max =
-            profile.operators.iter().filter_map(|o| o.q_error).fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(
-            Some(op_max),
-            profile.max_q_error,
-            "{qid}: per-operator q-errors must be consistent with max_q_error"
-        );
+        let actual = profile.stats.sim_seconds;
         // Actual seconds reconcile with the per-job JobStats totals.
-        let op_seconds: f64 = profile.operators.iter().map(|o| o.actual_seconds).sum();
+        let op_seconds: f64 = profile.stats.jobs.iter().map(|j| j.sim_seconds).sum();
         assert!(
-            (op_seconds - profile.actual_total_seconds).abs()
-                <= 1e-6 * profile.actual_total_seconds.max(1.0),
-            "{qid}: per-operator seconds {op_seconds} must reconcile with the workflow total {}",
-            profile.actual_total_seconds
+            (op_seconds - actual).abs() <= 1e-6 * actual.max(1.0),
+            "{qid}: per-operator seconds {op_seconds} must reconcile with the workflow total {actual}"
         );
         // Deterministic: a second profiled run serializes byte-identically.
         assert_eq!(
@@ -104,16 +94,14 @@ fn main() {
         );
         // The chosen plan matches or beats the best hand-picked strategy.
         assert!(
-            profile.actual_total_seconds <= best_t + 1e-9,
-            "{qid}: cost plan took {:.3}s but {best_label} took {best_t:.3}s",
-            profile.actual_total_seconds,
+            actual <= best_t + 1e-9,
+            "{qid}: cost plan took {actual:.3}s but {best_label} took {best_t:.3}s",
         );
         println!(
-            "{qid}: CostBased {:.1}s (estimated {:.1}s, q-error {}) vs best hand-picked \
+            "{qid}: CostBased {actual:.1}s (estimated {:.1}s, q-error {}) vs best hand-picked \
              {best_label} {best_t:.1}s",
-            profile.actual_total_seconds,
             profile.estimated_total_seconds,
-            profile.max_q_error.map_or("-".into(), |q| format!("{q:.2}")),
+            profile.stats.max_q_error().map_or("-".into(), |q| format!("{q:.2}")),
         );
     }
     println!(

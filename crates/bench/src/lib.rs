@@ -36,8 +36,9 @@ use std::sync::Arc;
 ///   simulated timeline;
 /// * `--json <path>` — write the report rows as a JSON array;
 /// * `--strategy <name>` — replace the figure's approach panel with a
-///   single named approach: `auto-cost` (the statistics-driven optimizer),
-///   `eager`, `lazy-full`, `lazy-partial:<m>`, or `auto:<m>`;
+///   single named approach, in `ntga-cli --approach`'s grammar
+///   ([`ntga::Approach::GRAMMAR`]): `auto-cost` (the statistics-driven
+///   optimizer), `eager`, `lazy-full`, `lazy-partial:<m>`, `auto:<m>`, …;
 /// * `--profile <path>` — run EXPLAIN ANALYZE for the figure's queries
 ///   (cost-based plan executed on a profiling engine, joined against the
 ///   measured run) and write the profile documents as a JSON array at
@@ -65,26 +66,12 @@ impl BenchOpts {
         let mut strategy = None;
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
+            let mut value = |what| it.next().ok_or_else(|| format!("{arg} requires a {what}"));
             match arg.as_str() {
-                "--trace" => {
-                    trace = Some(PathBuf::from(
-                        it.next().ok_or_else(|| "--trace requires a path".to_string())?,
-                    ));
-                }
-                "--json" => {
-                    json = Some(PathBuf::from(
-                        it.next().ok_or_else(|| "--json requires a path".to_string())?,
-                    ));
-                }
-                "--profile" => {
-                    profile = Some(PathBuf::from(
-                        it.next().ok_or_else(|| "--profile requires a path".to_string())?,
-                    ));
-                }
-                "--strategy" => {
-                    let name = it.next().ok_or_else(|| "--strategy requires a name".to_string())?;
-                    strategy = Some(parse_strategy(&name)?);
-                }
+                "--trace" => trace = Some(PathBuf::from(value("path")?)),
+                "--json" => json = Some(PathBuf::from(value("path")?)),
+                "--profile" => profile = Some(PathBuf::from(value("path")?)),
+                "--strategy" => strategy = Some(value("name")?.parse::<ntga::Approach>()?.into()),
                 other => {
                     return Err(format!(
                         "unknown argument `{other}` (expected --trace <path>, --json <path>, \
@@ -107,7 +94,8 @@ impl BenchOpts {
             eprintln!(
                 "usage: fig<N> [--trace <path>] [--json <path>] [--profile <path>] \
                  [--strategy <name>]\n\
-                 strategies: auto-cost | eager | lazy-full | lazy-partial:<m> | auto:<m>"
+                 strategies: {}",
+                ntga::Approach::GRAMMAR
             );
             std::process::exit(2);
         })
@@ -213,29 +201,6 @@ pub fn profile_queries(
         .collect()
 }
 
-fn parse_strategy(name: &str) -> Result<Runner, String> {
-    fn phi(name: &str, arg: &str) -> Result<u64, String> {
-        arg.parse().map_err(|_| format!("{name} needs an integer threshold, got `{arg}`"))
-    }
-    match name {
-        "auto-cost" => Ok(Runner::NtgaCost),
-        "eager" => Ok(Runner::Ntga(Strategy::Eager)),
-        "lazy-full" => Ok(Runner::Ntga(Strategy::LazyFull)),
-        other => {
-            if let Some(arg) = other.strip_prefix("lazy-partial:") {
-                Ok(Runner::Ntga(Strategy::LazyPartial(phi("lazy-partial", arg)?)))
-            } else if let Some(arg) = other.strip_prefix("auto:") {
-                Ok(Runner::Ntga(Strategy::Auto(phi("auto", arg)?)))
-            } else {
-                Err(format!(
-                    "unknown strategy `{other}` (expected auto-cost, eager, lazy-full, \
-                     lazy-partial:<m> or auto:<m>)"
-                ))
-            }
-        }
-    }
-}
-
 fn build_trace_sink(path: &Path) -> Result<Arc<dyn TraceSink>, String> {
     let jsonl = JsonlSink::create(path.with_extension("jsonl"))
         .map_err(|e| format!("cannot create JSONL event log: {e}"))?;
@@ -288,6 +253,18 @@ pub enum Runner {
     /// [`rdf_model::StoreStats`] and the engine's [`mrsim::CostModel`]
     /// (`--strategy auto-cost`).
     NtgaCost,
+}
+
+impl From<ntga::Approach> for Runner {
+    fn from(approach: ntga::Approach) -> Runner {
+        use ntga::Approach;
+        match (approach.strategy(), approach) {
+            (Some(strategy), _) => Runner::Ntga(strategy),
+            (None, Approach::Pig) => Runner::Relational(relbase::RelFlavor::Pig),
+            (None, Approach::Hive) => Runner::Relational(relbase::RelFlavor::Hive),
+            (None, _) => Runner::NtgaCost,
+        }
+    }
 }
 
 impl Runner {
@@ -390,17 +367,15 @@ mod tests {
             &Runner::paper_panel(64),
         );
         assert_eq!(rows.len(), 4);
-        assert!(rows.iter().all(|r| r.ok));
+        assert!(rows.iter().all(|r| r.ok()));
         // NTGA rows should show fewer cycles than relational rows.
-        let ntga_cycles = rows.iter().find(|r| r.approach.contains("Lazy")).unwrap().mr_cycles;
-        let hive_cycles = rows.iter().find(|r| r.approach == "Hive").unwrap().mr_cycles;
-        assert!(ntga_cycles < hive_cycles);
+        let cycles = |approach| report::stats_of(&rows, "B1ish", approach).mr_cycles;
+        assert!(cycles("Lazy") < cycles("Hive"));
         // The NTGA rows carry operator counters; relational plans record
         // none (their operators don't count yet).
         for r in &rows {
             if r.approach.contains("Lazy") || r.approach == "EagerUnnest" {
-                assert!(!r.ops.is_empty(), "{} rows must carry ntga.* counters", r.approach);
-                assert!(r.ops.get(ntga_core::physical::op::GROUPS_IN) > 0);
+                assert!(r.ops().get(ntga_core::physical::op::GROUPS_IN) > 0, "{}", r.approach);
             }
         }
         let json = report::rows_json(&rows);
@@ -473,16 +448,10 @@ mod tests {
         opts.write_profile(&cluster, &store, &queries);
         assert!(!path.exists());
 
-        // The library entry point returns the same profiles directly, and
-        // their q-errors stay consistent with the runs' workflow stats.
+        // The library entry point returns the same profiles directly.
         let profiles = profile_queries(&cluster, &store, &queries).unwrap();
         assert_eq!(profiles.len(), 1);
-        let op_max = profiles[0]
-            .operators
-            .iter()
-            .filter_map(|o| o.q_error)
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(Some(op_max), profiles[0].max_q_error);
+        assert!(json.contains(&profiles[0].to_json()), "{json}");
     }
 
     #[test]
@@ -493,13 +462,6 @@ mod tests {
         assert_eq!(panel.len(), 1);
         assert_eq!(panel[0].label(), "CostBased");
 
-        let opts = BenchOpts::parse(["--strategy", "lazy-partial:32"].map(String::from)).unwrap();
-        assert!(matches!(opts.strategy, Some(Runner::Ntga(Strategy::LazyPartial(32)))));
-        let opts = BenchOpts::parse(["--strategy", "auto:8"].map(String::from)).unwrap();
-        assert!(matches!(opts.strategy, Some(Runner::Ntga(Strategy::Auto(8)))));
-        let opts = BenchOpts::parse(["--strategy", "eager"].map(String::from)).unwrap();
-        assert!(matches!(opts.strategy, Some(Runner::Ntga(Strategy::Eager))));
-
         // No override: the default panel passes through untouched.
         let opts = BenchOpts::parse(Vec::new()).unwrap();
         assert_eq!(opts.panel_or(Runner::paper_panel(64)).len(), 4);
@@ -507,6 +469,36 @@ mod tests {
         assert!(BenchOpts::parse(["--strategy".to_string()]).is_err());
         assert!(BenchOpts::parse(["--strategy", "bogus"].map(String::from)).is_err());
         assert!(BenchOpts::parse(["--strategy", "lazy-partial:x"].map(String::from)).is_err());
+    }
+
+    #[test]
+    fn both_doors_take_every_spelling() {
+        // `ntga-cli --approach` parses with `str::parse::<Approach>`, the
+        // fig binaries' `--strategy` goes on to a `Runner`: one grammar.
+        use ntga::Approach;
+        for (spelling, approach, runner_label) in [
+            ("pig", Approach::Pig, "Pig"),
+            ("hive", Approach::Hive, "Hive"),
+            ("eager", Approach::NtgaEager, "EagerUnnest"),
+            ("lazy", Approach::NtgaLazyFull, "LazyUnnest(full)"),
+            ("lazyfull", Approach::NtgaLazyFull, "LazyUnnest(full)"),
+            ("lazy-full", Approach::NtgaLazyFull, "LazyUnnest(full)"),
+            ("partial", Approach::NtgaLazyPartial(1024), "LazyUnnest(phi_1024)"),
+            ("partial:8", Approach::NtgaLazyPartial(8), "LazyUnnest(phi_8)"),
+            ("lazy-partial:8", Approach::NtgaLazyPartial(8), "LazyUnnest(phi_8)"),
+            ("auto", Approach::NtgaAuto(1024), "LazyUnnest(auto,phi_1024)"),
+            ("auto:8", Approach::NtgaAuto(8), "LazyUnnest(auto,phi_8)"),
+            ("auto-cost", Approach::NtgaAutoCost, "CostBased"),
+            ("cost", Approach::NtgaAutoCost, "CostBased"),
+        ] {
+            assert_eq!(spelling.parse(), Ok(approach), "{spelling}");
+            let opts = BenchOpts::parse(["--strategy", spelling].map(String::from)).unwrap();
+            assert_eq!(opts.strategy.unwrap().label(), runner_label, "{spelling}");
+            let name = spelling.split(':').next().unwrap();
+            assert!(Approach::GRAMMAR.contains(name), "{name} missing from the usage grammar");
+        }
+        let err = "bogus".parse::<Approach>().unwrap_err();
+        assert!(err.contains("unknown approach") && err.contains(Approach::GRAMMAR), "{err}");
     }
 
     #[test]
@@ -522,14 +514,14 @@ mod tests {
             &[("B1ish".to_string(), q)],
             &[Runner::NtgaCost, Runner::Ntga(Strategy::Auto(64))],
         );
-        assert!(rows.iter().all(|r| r.ok));
-        let cost = rows.iter().find(|r| r.approach == "CostBased").unwrap();
-        let auto = rows.iter().find(|r| r.approach.contains("auto")).unwrap();
+        assert!(rows.iter().all(|r| r.ok()));
+        let cost = report::stats_of(&rows, "B1ish", "CostBased");
+        let auto = report::stats_of(&rows, "B1ish", "auto");
         // Same answer, and the cost-based rows carry the estimator's
         // q-error while hand-picked strategies have no estimates.
-        assert_eq!(cost.result_records, auto.result_records);
-        assert!(cost.max_q_error.is_some());
-        assert!(auto.max_q_error.is_none());
+        assert_eq!(cost.final_output_records(), auto.final_output_records());
+        assert!(cost.max_q_error().is_some());
+        assert!(auto.max_q_error().is_none());
         let json = report::rows_json(&rows);
         mrsim::trace::validate_json(&json).unwrap();
         assert!(json.contains("\"max_q_error\":null"), "{json}");

@@ -15,6 +15,7 @@
 //! star past them, plan quality on the fig workloads is at risk (the
 //! optimizer exhibit's margin is real but not unlimited).
 
+use mrsim::q_error;
 use rdf_model::TripleStore;
 use rdf_query::{estimate, naive, Query};
 
@@ -33,14 +34,6 @@ const MAX_ROW_Q_ERROR: f64 = 64.0;
 /// Worst tolerated per-job q-error of an executed cost-based plan (the
 /// estimate the optimizer priced vs the records the job actually wrote).
 const MAX_PLAN_Q_ERROR: f64 = 64.0;
-
-fn q_error(est: f64, truth: f64) -> f64 {
-    // Clamp both sides to one record: an estimator that says "none" when
-    // the truth is "none" is perfect, and sub-record fractions are noise.
-    let est = est.max(1.0);
-    let truth = truth.max(1.0);
-    (est / truth).max(truth / est)
-}
 
 fn bsbm() -> TripleStore {
     datagen::bsbm::generate(&datagen::BsbmConfig {

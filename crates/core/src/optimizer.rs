@@ -29,52 +29,34 @@
 
 use crate::physical::{role_of, BuildSide, JoinRole, UnnestMode};
 use mr_rdf::{check_query, PlanError, UnsupportedReason};
-use mrsim::{CostModel, Engine, JobStats};
+use mrsim::{CostModel, Engine, JobStats, BLOCK_SIZE_BYTES, DEFAULT_BROADCAST_BUDGET_BYTES};
 use rdf_model::StoreStats;
 use rdf_query::estimate::{
     pattern_cardinality, star_pair_cardinality, star_row_cardinality, star_subject_cardinality,
 };
 use rdf_query::{ObjPattern, PropPattern, Query, StarPattern};
 
-/// Tunables for plan search. [`OptimizerConfig::for_engine`] copies the
-/// physical limits (broadcast budget, block size) from an engine so plans
-/// are priced against the cluster that will run them.
+/// What a caller sets for plan search: the broadcast budget of the engine
+/// that will run the plan ([`OptimizerConfig::for_engine`]). Block size,
+/// reducer sizing and the φ candidates are constants, the first shared
+/// with the engine ([`BLOCK_SIZE_BYTES`]).
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
-    /// Broadcast jobs are only considered when the estimated build side
-    /// fits this many bytes (mirror of `Engine::broadcast_budget_bytes`).
+    /// Broadcast joins are only considered when the estimated build side
+    /// fits this many bytes (`Engine::broadcast_budget_bytes`).
     pub broadcast_budget_bytes: u64,
-    /// DFS block size used to estimate map-task counts (each map task
-    /// pulls one copy of the broadcast payload).
-    pub block_size: u64,
-    /// Target shuffle bytes per reduce task when sizing reducer counts.
-    pub reducer_target_bytes: u64,
-    /// Upper bound on sized reducer counts.
-    pub max_reduce_tasks: usize,
-    /// φ granularities considered for partial unnest.
-    pub phi_candidates: Vec<u64>,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        OptimizerConfig {
-            broadcast_budget_bytes: 64 * 1024 * 1024,
-            block_size: 256 * 1024 * 1024,
-            reducer_target_bytes: 32 * 1024 * 1024,
-            max_reduce_tasks: 64,
-            phi_candidates: vec![16, 1024],
-        }
+        OptimizerConfig { broadcast_budget_bytes: DEFAULT_BROADCAST_BUDGET_BYTES }
     }
 }
 
 impl OptimizerConfig {
-    /// A config whose physical limits match `engine`'s.
+    /// A config whose broadcast budget is `engine`'s.
     pub fn for_engine(engine: &Engine) -> Self {
-        OptimizerConfig {
-            broadcast_budget_bytes: engine.broadcast_budget_bytes,
-            block_size: engine.block_size,
-            ..OptimizerConfig::default()
-        }
+        OptimizerConfig { broadcast_budget_bytes: engine.broadcast_budget_bytes }
     }
 }
 
@@ -400,10 +382,9 @@ fn r64(x: f64) -> u64 {
     }
 }
 
-fn size_reducers(shuffle_bytes: f64, config: &OptimizerConfig) -> usize {
-    let target = config.reducer_target_bytes.max(1) as f64;
-    let n = (shuffle_bytes / target).ceil();
-    (n as usize).clamp(1, config.max_reduce_tasks.max(1))
+fn size_reducers(shuffle_bytes: f64) -> usize {
+    let n = (shuffle_bytes / REDUCER_TARGET_BYTES as f64).ceil();
+    (n as usize).clamp(1, MAX_REDUCE_TASKS)
 }
 
 // ---------------------------------------------------------------------------
@@ -420,12 +401,11 @@ fn price_reduce_join(
     mode: UnnestMode,
     out: RelEst,
     bpp: f64,
-    config: &OptimizerConfig,
 ) -> (f64, u64, usize) {
     let ls = shipped(l, lexp, mode, bpp);
     let rs = shipped(r, rexp, mode, bpp);
     let shuffle_bytes = ls.bytes + rs.bytes;
-    let reduce_tasks = size_reducers(shuffle_bytes, config);
+    let reduce_tasks = size_reducers(shuffle_bytes);
     let stats = JobStats {
         input_records: r64(l.records + r.records),
         hdfs_read_bytes: r64(l.bytes + r.bytes),
@@ -441,14 +421,8 @@ fn price_reduce_join(
     (cost.job_seconds(&stats), r64(shuffle_bytes), reduce_tasks)
 }
 
-fn price_broadcast_join(
-    cost: &CostModel,
-    build: RelEst,
-    probe: RelEst,
-    out: RelEst,
-    config: &OptimizerConfig,
-) -> f64 {
-    let map_tasks = (r64(probe.bytes).div_ceil(config.block_size.max(1))).max(1);
+fn price_broadcast_join(cost: &CostModel, build: RelEst, probe: RelEst, out: RelEst) -> f64 {
+    let map_tasks = r64(probe.bytes).div_ceil(BLOCK_SIZE_BYTES).max(1);
     let stats = JobStats {
         input_records: r64(probe.records),
         hdfs_read_bytes: r64(probe.bytes),
@@ -469,7 +443,6 @@ fn price_job1(
     stats: &StoreStats,
     ecs: &[RelEst],
     star_ests: &[StarEst],
-    config: &OptimizerConfig,
 ) -> (f64, usize, f64) {
     let triples = stats.triples as f64;
     let bpp = bytes_per_pair(stats);
@@ -478,7 +451,7 @@ fn price_job1(
     let shuffle_bytes = shipped_pairs * bpp;
     let out_records: f64 = ecs.iter().map(|e| e.records).sum();
     let out_bytes: f64 = ecs.iter().map(|e| e.bytes).sum();
-    let reduce_tasks = size_reducers(shuffle_bytes, config);
+    let reduce_tasks = size_reducers(shuffle_bytes);
     let js = JobStats {
         input_records: stats.triples,
         hdfs_read_bytes: stats.text_bytes,
@@ -501,6 +474,15 @@ fn price_job1(
 /// Most stars [`optimize`] enumerates placements for (2^16 plans).
 const MAX_STARS: usize = 16;
 
+/// Target shuffle bytes per reduce task when sizing reducer counts.
+const REDUCER_TARGET_BYTES: u64 = 32 * 1024 * 1024;
+
+/// Upper bound on sized reducer counts.
+const MAX_REDUCE_TASKS: usize = 64;
+
+/// φ granularities priced for partial unnest.
+const PHI_CANDIDATES: [u64; 2] = [16, 1024];
+
 /// Derive a [`PhysicalPlan`] for `query` over a store described by `stats`,
 /// priced under `cost`.
 ///
@@ -508,7 +490,7 @@ const MAX_STARS: usize = 16;
 /// query's n stars; more than 16 stars is
 /// [`UnsupportedReason::TooManyStars`]) and, for each placement,
 /// independently picks the cheapest algorithm per join cycle from
-/// {reduce-exact, reduce-partial(φ) for each configured φ, broadcast with
+/// {reduce-exact, reduce-partial(φ) for φ ∈ {16, 1024}, broadcast with
 /// either side as build when it fits the budget}. The cheapest total wins.
 pub fn optimize(
     query: &Query,
@@ -535,7 +517,7 @@ pub fn optimize(
             .map(|(&e, &eager)| ec_estimate(e, eager, bpp))
             .collect();
         let (job1_seconds, job1_reduce_tasks, job1_records) =
-            price_job1(cost, stats, &ecs, &star_ests, config);
+            price_job1(cost, stats, &ecs, &star_ests);
 
         let mut total = job1_seconds;
         let mut cur = ecs[0];
@@ -560,17 +542,8 @@ pub fn optimize(
             let out = join_output(cur, lexp, right, rexp, bpp);
 
             // Candidate: reduce-side exact.
-            let (secs, shuffle, rt) = price_reduce_join(
-                cost,
-                cur,
-                lexp,
-                right,
-                rexp,
-                UnnestMode::Exact,
-                out,
-                bpp,
-                config,
-            );
+            let (secs, shuffle, rt) =
+                price_reduce_join(cost, cur, lexp, right, rexp, UnnestMode::Exact, out, bpp);
             let mut best_cycle =
                 (JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks: rt }, shuffle, secs);
             // Candidates: reduce-side φ-partial (only when a lazy unbound
@@ -582,10 +555,10 @@ pub fn optimize(
                     && !eager_stars[step.other]
                     && rexp.exp > 1.0);
             if lazy_unbound {
-                for &m in &config.phi_candidates {
+                for m in PHI_CANDIDATES {
                     let mode = UnnestMode::Partial(m);
                     let (secs, shuffle, rt) =
-                        price_reduce_join(cost, cur, lexp, right, rexp, mode, out, bpp, config);
+                        price_reduce_join(cost, cur, lexp, right, rexp, mode, out, bpp);
                     if secs < best_cycle.2 {
                         best_cycle = (JoinAlgo::Reduce { mode, reduce_tasks: rt }, shuffle, secs);
                     }
@@ -594,7 +567,7 @@ pub fn optimize(
             // Candidates: broadcast either side, when it fits the budget.
             for (build, b, p) in [(BuildSide::Left, cur, right), (BuildSide::Right, right, cur)] {
                 if r64(b.bytes) <= config.broadcast_budget_bytes {
-                    let secs = price_broadcast_join(cost, b, p, out, config);
+                    let secs = price_broadcast_join(cost, b, p, out);
                     if secs < best_cycle.2 {
                         best_cycle = (JoinAlgo::Broadcast { build }, 0, secs);
                     }
@@ -717,7 +690,7 @@ mod tests {
     fn broadcast_disabled_without_budget() {
         let s = store();
         let query = parse_query(UNBOUND_2STAR).unwrap();
-        let config = OptimizerConfig { broadcast_budget_bytes: 0, ..Default::default() };
+        let config = OptimizerConfig { broadcast_budget_bytes: 0 };
         let plan =
             optimize(&query, &s.stats(), &CostModel::scaled_to(s.text_bytes()), &config).unwrap();
         assert_eq!(plan.broadcast_cycles(), 0, "{}", plan.summary());

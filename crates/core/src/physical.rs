@@ -1153,7 +1153,7 @@ mod tests {
                     stats.broadcast_bytes,
                     engine.hdfs().lock().get(build_file).unwrap().text_bytes
                 );
-                assert_eq!(stats.broadcast_ship_bytes, stats.broadcast_bytes * stats.map_tasks);
+                assert_eq!(stats.check_invariants(), Ok(()));
                 let mut got: Vec<TgTuple> = engine.read_records("out").unwrap();
                 got.sort_by_cached_key(Rec::to_bytes);
                 assert_eq!(got, gold, "build {build:?} workers {workers}");

@@ -26,54 +26,15 @@ use mr_rdf::PlanError;
 use mrsim::trace::JsonObject;
 use mrsim::{JobStats, WorkflowStats};
 
-/// The q-error `max(est/actual, actual/est)` of an estimate, with both sides
-/// clamped to one record so empty relations do not divide by zero. `None`
-/// when there was no estimate (negative sentinel) — mirrors
-/// [`mrsim::JobStats::q_error`].
-fn q_error(estimated: f64, actual: f64) -> Option<f64> {
-    if !estimated.is_finite() || estimated < 0.0 {
-        return None;
-    }
-    let est = estimated.max(1.0);
-    let act = actual.max(1.0);
-    Some((est / act).max(act / est))
-}
-
-/// Estimated vs. actual figures for one operator (one MapReduce job).
+/// One operator of the plan. Its measured side is not copied here: row
+/// `i` of a [`Profile`] reads `stats.jobs[i]` in place ([`Profile::rows`]).
 #[derive(Debug, Clone)]
 pub struct OpProfile {
-    /// Job name as the engine ran it, e.g. `q.group` or `q.tgjoin0`.
-    pub name: String,
     /// Human operator label, e.g. `TG_GroupFilter[lazy,eager]` or
     /// `TG_BcastJoin(build=R)`.
     pub operator: String,
-    /// Estimated output cardinality from the plan.
-    pub estimated_records: f64,
-    /// Records the job actually wrote.
-    pub actual_records: u64,
-    /// Estimated output text bytes from the plan.
-    pub estimated_bytes: f64,
-    /// Text bytes the job actually wrote.
-    pub actual_bytes: u64,
-    /// Estimated shuffle bytes from the plan (0 for broadcast cycles).
-    pub estimated_shuffle_bytes: u64,
-    /// Map-output bytes the job actually shuffled.
-    pub actual_shuffle_bytes: u64,
-    /// The plan's priced cost of this operator in simulated seconds.
-    pub estimated_seconds: f64,
-    /// Simulated seconds the job actually took.
-    pub actual_seconds: f64,
-    /// Cardinality q-error, `max(est/actual, actual/est)`; `None` when the
-    /// job carried no estimate.
-    pub q_error: Option<f64>,
-    /// Max/mean partition imbalance of the shuffle (1.0 = perfectly even).
-    pub reduce_skew: f64,
-    /// Largest single reduce partition in shuffle bytes.
-    pub max_partition_shuffle_bytes: u64,
-    /// Peak bytes held by any one task's spill arenas.
-    pub peak_arena_bytes: u64,
-    /// Peak live bytes attributed to a single task.
-    pub peak_task_live_bytes: u64,
+    /// What the plan expected of the operator.
+    pub estimate: CycleEstimate,
     /// True when the plan chose a broadcast join but the run repaired it to
     /// a reduce-side join because the actual build file busted the budget.
     pub broadcast_repaired: bool,
@@ -91,31 +52,29 @@ pub struct StarProfile {
     pub estimated_records: f64,
     /// Records Job 1 actually wrote for this star.
     pub actual_records: u64,
-    /// Per-star cardinality q-error.
-    pub q_error: Option<f64>,
+}
+
+impl StarProfile {
+    /// Per-star cardinality [`mrsim::q_error`].
+    pub fn q_error(&self) -> f64 {
+        mrsim::q_error(self.estimated_records, self.actual_records as f64)
+    }
 }
 
 /// The joined plan-vs-actual profile of one executed plan.
 #[derive(Debug, Clone)]
 pub struct Profile {
-    /// Workflow label the run carried.
-    pub label: String,
-    /// One entry per job, in execution order (Job 1 first, then cycles).
+    /// One entry per job of `stats.jobs`, in execution order (Job 1 first,
+    /// then cycles).
     pub operators: Vec<OpProfile>,
     /// Per-star breakdown of Job 1 (empty when no star actuals were given).
     pub stars: Vec<StarProfile>,
     /// The plan's total priced cost in simulated seconds.
     pub estimated_total_seconds: f64,
-    /// The workflow's measured total, including inter-job overheads.
-    pub actual_total_seconds: f64,
-    /// Largest per-job q-error, as [`WorkflowStats::max_q_error`] reports it.
-    pub max_q_error: Option<f64>,
-    /// Workflow-wide peak arena footprint (max over jobs).
-    pub peak_arena_bytes: u64,
-    /// Workflow-wide peak per-task live bytes (max over jobs).
-    pub peak_task_live_bytes: u64,
-    /// Workflow-wide peak spill-index entries (max over jobs).
-    pub peak_spill_entries: u64,
+    /// The measured run the plan was joined against: label, total seconds,
+    /// `max_q_error()`, the `peak_*()` marks and every per-job number are
+    /// read from here.
+    pub stats: WorkflowStats,
 }
 
 fn job1_operator(plan: &PhysicalPlan) -> String {
@@ -134,33 +93,6 @@ fn cycle_operator(algo: &JoinAlgo) -> String {
         }
         JoinAlgo::Broadcast { build: BuildSide::Left } => "TG_BcastJoin(build=L)".into(),
         JoinAlgo::Broadcast { build: BuildSide::Right } => "TG_BcastJoin(build=R)".into(),
-    }
-}
-
-fn op_profile(
-    name: &str,
-    operator: String,
-    est: &CycleEstimate,
-    job: &JobStats,
-    broadcast_repaired: bool,
-) -> OpProfile {
-    OpProfile {
-        name: name.to_string(),
-        operator,
-        estimated_records: est.output_records,
-        actual_records: job.output_records,
-        estimated_bytes: est.output_bytes,
-        actual_bytes: job.output_text_bytes,
-        estimated_shuffle_bytes: est.shuffle_bytes,
-        actual_shuffle_bytes: job.shuffle_bytes(),
-        estimated_seconds: est.seconds,
-        actual_seconds: job.sim_seconds,
-        q_error: job.q_error(),
-        reduce_skew: job.reduce_skew(),
-        max_partition_shuffle_bytes: job.max_partition_shuffle_bytes(),
-        peak_arena_bytes: job.peak_arena_bytes,
-        peak_task_live_bytes: job.peak_task_live_bytes,
-        broadcast_repaired,
     }
 }
 
@@ -198,10 +130,9 @@ pub fn explain_analyze(
     }
 
     let mut operators = Vec::with_capacity(stats.jobs.len());
-    operators.push(op_profile(
-        &stats.jobs[0].name,
-        job1_operator(plan),
-        &CycleEstimate {
+    operators.push(OpProfile {
+        operator: job1_operator(plan),
+        estimate: CycleEstimate {
             output_records: est.job1_records,
             output_bytes: est.job1_bytes,
             // Job 1 always shuffles; the plan prices it inside job1 seconds
@@ -210,15 +141,17 @@ pub fn explain_analyze(
             shuffle_bytes: stats.jobs[0].shuffle_bytes(),
             seconds: est.job1_seconds,
         },
-        &stats.jobs[0],
-        false,
-    ));
-    for (i, (algo, cycle)) in plan.cycles.iter().zip(&est.cycles).enumerate() {
-        let job = &stats.jobs[i + 1];
-        // A planned broadcast that ran with zero broadcast files was
-        // repaired to the reduce-side join by execute_plan.
-        let repaired = matches!(algo, JoinAlgo::Broadcast { .. }) && job.broadcast_files == 0;
-        operators.push(op_profile(&job.name, cycle_operator(algo), cycle, job, repaired));
+        broadcast_repaired: false,
+    });
+    for ((algo, cycle), job) in plan.cycles.iter().zip(&est.cycles).zip(&stats.jobs[1..]) {
+        operators.push(OpProfile {
+            operator: cycle_operator(algo),
+            estimate: cycle.clone(),
+            // A planned broadcast that ran with zero broadcast files was
+            // repaired to the reduce-side join by execute_plan.
+            broadcast_repaired: matches!(algo, JoinAlgo::Broadcast { .. })
+                && job.broadcast_files == 0,
+        });
     }
 
     let stars = star_actual_records
@@ -229,21 +162,10 @@ pub fn explain_analyze(
             eager: plan.eager_stars[i],
             estimated_records: est.star_records[i],
             actual_records: actual,
-            q_error: q_error(est.star_records[i], actual as f64),
         })
         .collect();
 
-    Ok(Profile {
-        label: stats.label.clone(),
-        operators,
-        stars,
-        estimated_total_seconds: est.seconds,
-        actual_total_seconds: stats.sim_seconds,
-        max_q_error: stats.max_q_error(),
-        peak_arena_bytes: stats.peak_arena_bytes(),
-        peak_task_live_bytes: stats.peak_task_live_bytes(),
-        peak_spill_entries: stats.peak_spill_entries(),
-    })
+    Ok(Profile { operators, stars, estimated_total_seconds: est.seconds, stats: stats.clone() })
 }
 
 fn fmt_est(v: f64) -> String {
@@ -262,6 +184,12 @@ fn fmt_q(q: Option<f64>) -> String {
 }
 
 impl Profile {
+    /// The operator rows: each plan operator beside the stats of the job
+    /// that ran it.
+    pub fn rows(&self) -> impl Iterator<Item = (&OpProfile, &JobStats)> {
+        self.operators.iter().zip(&self.stats.jobs)
+    }
+
     /// Render the annotated text tree.
     ///
     /// ```text
@@ -278,37 +206,37 @@ impl Profile {
     pub fn render(&self) -> String {
         let mut out = format!(
             "EXPLAIN ANALYZE {}  (est {:.3}s, actual {:.3}s, max q-error {})\n",
-            self.label,
+            self.stats.label,
             self.estimated_total_seconds,
-            self.actual_total_seconds,
-            fmt_q(self.max_q_error)
+            self.stats.sim_seconds,
+            fmt_q(self.stats.max_q_error())
         );
         let n = self.operators.len();
-        for (i, op) in self.operators.iter().enumerate() {
+        for (i, (op, job)) in self.rows().enumerate() {
             let last = i + 1 == n;
             let (head, cont) = if last { ("└─", "  ") } else { ("├─", "│ ") };
             let repaired = if op.broadcast_repaired { "  [repaired→reduce]" } else { "" };
-            out.push_str(&format!("{head} {}  {}{repaired}\n", op.name, op.operator));
+            out.push_str(&format!("{head} {}  {}{repaired}\n", job.name, op.operator));
             out.push_str(&format!(
                 "{cont}   records est {} actual {} (q {}) · bytes est {} actual {}\n",
-                fmt_est(op.estimated_records),
-                op.actual_records,
-                fmt_q(op.q_error),
-                fmt_est(op.estimated_bytes),
-                op.actual_bytes
+                fmt_est(op.estimate.output_records),
+                job.output_records,
+                fmt_q(job.q_error()),
+                fmt_est(op.estimate.output_bytes),
+                job.output_text_bytes
             ));
             out.push_str(&format!(
                 "{cont}   shuffle est {} actual {} B (skew {:.2}, max part {} B) · est {:.3}s actual {:.3}s\n",
-                op.estimated_shuffle_bytes,
-                op.actual_shuffle_bytes,
-                op.reduce_skew,
-                op.max_partition_shuffle_bytes,
-                op.estimated_seconds,
-                op.actual_seconds
+                op.estimate.shuffle_bytes,
+                job.shuffle_bytes(),
+                job.reduce_skew(),
+                job.max_partition_shuffle_bytes(),
+                op.estimate.seconds,
+                job.sim_seconds
             ));
             out.push_str(&format!(
                 "{cont}   memory: arena {} B, task live {} B\n",
-                op.peak_arena_bytes, op.peak_task_live_bytes
+                job.peak_arena_bytes, job.peak_task_live_bytes
             ));
             if i == 0 {
                 let ns = self.stars.len();
@@ -320,14 +248,16 @@ impl Profile {
                         if star.eager { "eager" } else { "lazy" },
                         fmt_est(star.estimated_records),
                         star.actual_records,
-                        fmt_q(star.q_error)
+                        fmt_q(Some(star.q_error()))
                     ));
                 }
             }
         }
         out.push_str(&format!(
             "memory high-water: arena {} B · task live {} B · spill entries {}\n",
-            self.peak_arena_bytes, self.peak_task_live_bytes, self.peak_spill_entries
+            self.stats.peak_arena_bytes(),
+            self.stats.peak_task_live_bytes(),
+            self.stats.peak_spill_entries()
         ));
         out
     }
@@ -340,23 +270,23 @@ impl Profile {
     /// repeats the per-column totals summed over the `operators` rows —
     /// consumers re-sum the rows and compare to validate the document.
     pub fn to_json(&self) -> String {
-        let ops = self.operators.iter().map(|op| {
+        let ops = self.rows().map(|(op, job)| {
             let mut o = JsonObject::new();
-            o.str("name", &op.name);
+            o.str("name", &job.name);
             o.str("operator", &op.operator);
-            o.f64("estimated_records", op.estimated_records);
-            o.u64("actual_records", op.actual_records);
-            o.f64("estimated_bytes", op.estimated_bytes);
-            o.u64("actual_bytes", op.actual_bytes);
-            o.u64("estimated_shuffle_bytes", op.estimated_shuffle_bytes);
-            o.u64("actual_shuffle_bytes", op.actual_shuffle_bytes);
-            o.f64("estimated_seconds", op.estimated_seconds);
-            o.f64("actual_seconds", op.actual_seconds);
-            o.opt_f64("q_error", op.q_error);
-            o.f64("reduce_skew", op.reduce_skew);
-            o.u64("max_partition_shuffle_bytes", op.max_partition_shuffle_bytes);
-            o.u64("peak_arena_bytes", op.peak_arena_bytes);
-            o.u64("peak_task_live_bytes", op.peak_task_live_bytes);
+            o.f64("estimated_records", op.estimate.output_records);
+            o.u64("actual_records", job.output_records);
+            o.f64("estimated_bytes", op.estimate.output_bytes);
+            o.u64("actual_bytes", job.output_text_bytes);
+            o.u64("estimated_shuffle_bytes", op.estimate.shuffle_bytes);
+            o.u64("actual_shuffle_bytes", job.shuffle_bytes());
+            o.f64("estimated_seconds", op.estimate.seconds);
+            o.f64("actual_seconds", job.sim_seconds);
+            o.opt_f64("q_error", job.q_error());
+            o.f64("reduce_skew", job.reduce_skew());
+            o.u64("max_partition_shuffle_bytes", job.max_partition_shuffle_bytes());
+            o.u64("peak_arena_bytes", job.peak_arena_bytes);
+            o.u64("peak_task_live_bytes", job.peak_task_live_bytes);
             o.bool("broadcast_repaired", op.broadcast_repaired);
             o.finish()
         });
@@ -366,28 +296,26 @@ impl Profile {
             o.bool("eager", s.eager);
             o.f64("estimated_records", s.estimated_records);
             o.u64("actual_records", s.actual_records);
-            o.opt_f64("q_error", s.q_error);
+            o.f64("q_error", s.q_error());
             o.finish()
         });
 
+        let jobs = &self.stats.jobs;
         let mut recon = JsonObject::new();
-        recon.u64("actual_records", self.operators.iter().map(|o| o.actual_records).sum());
-        recon.u64("actual_bytes", self.operators.iter().map(|o| o.actual_bytes).sum());
-        recon.u64(
-            "actual_shuffle_bytes",
-            self.operators.iter().map(|o| o.actual_shuffle_bytes).sum(),
-        );
-        recon.f64("actual_seconds", self.operators.iter().map(|o| o.actual_seconds).sum());
-        recon.f64("estimated_seconds", self.operators.iter().map(|o| o.estimated_seconds).sum());
+        recon.u64("actual_records", jobs.iter().map(|j| j.output_records).sum());
+        recon.u64("actual_bytes", jobs.iter().map(|j| j.output_text_bytes).sum());
+        recon.u64("actual_shuffle_bytes", self.stats.total_shuffle_bytes());
+        recon.f64("actual_seconds", jobs.iter().map(|j| j.sim_seconds).sum());
+        recon.f64("estimated_seconds", self.operators.iter().map(|o| o.estimate.seconds).sum());
 
         let mut root = JsonObject::new();
-        root.str("label", &self.label);
+        root.str("label", &self.stats.label);
         root.f64("estimated_total_seconds", self.estimated_total_seconds);
-        root.f64("actual_total_seconds", self.actual_total_seconds);
-        root.opt_f64("max_q_error", self.max_q_error);
-        root.u64("peak_arena_bytes", self.peak_arena_bytes);
-        root.u64("peak_task_live_bytes", self.peak_task_live_bytes);
-        root.u64("peak_spill_entries", self.peak_spill_entries);
+        root.f64("actual_total_seconds", self.stats.sim_seconds);
+        root.opt_f64("max_q_error", self.stats.max_q_error());
+        root.u64("peak_arena_bytes", self.stats.peak_arena_bytes());
+        root.u64("peak_task_live_bytes", self.stats.peak_task_live_bytes());
+        root.u64("peak_spill_entries", self.stats.peak_spill_entries());
         root.raw("operators", &JsonObject::array(ops));
         root.raw("stars", &JsonObject::array(stars));
         root.raw("reconciliation", &recon.finish());
@@ -440,16 +368,14 @@ mod tests {
         let (plan, profile) = profiled_run();
         assert_eq!(profile.operators.len(), plan.cycles.len() + 1);
         assert_eq!(profile.stars.len(), 2);
-        // Per-operator q-errors are consistent with the workflow's max.
-        let op_max =
-            profile.operators.iter().filter_map(|o| o.q_error).fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(Some(op_max), profile.max_q_error);
+        // Every job carried an estimate to compare against.
+        assert!(profile.rows().all(|(_, job)| job.q_error().is_some()));
         // Actual star records sum to Job 1's actual output.
         let star_sum: u64 = profile.stars.iter().map(|s| s.actual_records).sum();
-        assert_eq!(star_sum, profile.operators[0].actual_records);
+        assert_eq!(star_sum, profile.stats.jobs[0].output_records);
         // Memory marks flowed through.
-        assert!(profile.peak_arena_bytes > 0);
-        assert!(profile.peak_task_live_bytes > 0);
+        assert!(profile.stats.peak_arena_bytes() > 0);
+        assert!(profile.stats.peak_task_live_bytes() > 0);
     }
 
     #[test]
@@ -473,7 +399,7 @@ mod tests {
         let json = profile.to_json();
         // The reconciliation block is derived from the same rows, so the
         // sums must appear verbatim.
-        let records: u64 = profile.operators.iter().map(|o| o.actual_records).sum();
+        let records: u64 = profile.stats.jobs.iter().map(|j| j.output_records).sum();
         assert!(json.contains(&format!("\"reconciliation\":{{\"actual_records\":{records}")));
     }
 

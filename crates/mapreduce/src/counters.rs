@@ -64,6 +64,23 @@ impl OpCounters {
     }
 }
 
+/// The q-error of a cardinality estimate: `max(est/actual, actual/est)`
+/// with both sides clamped to ≥ 1 record, so empty outputs and sub-row
+/// estimates stay finite. `1.0` is a perfect estimate.
+pub fn q_error(estimated: f64, actual: f64) -> f64 {
+    let est = estimated.max(1.0);
+    let actual = actual.max(1.0);
+    (est / actual).max(actual / est)
+}
+
+/// `Ok` when every law holds, else the first broken one, as stated.
+fn first_broken(kind: &str, name: &str, laws: &[(bool, &str)]) -> Result<(), String> {
+    match laws.iter().find(|(holds, _)| !holds) {
+        Some((_, law)) => Err(format!("{kind} '{name}' breaks `{law}`")),
+        None => Ok(()),
+    }
+}
+
 /// Fault-injection counters for one job: what the failure model did and
 /// what it cost. All counts are pure functions of `(seed, job, task)` via
 /// [`crate::FaultConfig`], so they are independent of worker count.
@@ -252,14 +269,11 @@ impl JobStats {
         self.shuffle_partition_bytes.iter().copied().max().unwrap_or(0)
     }
 
-    /// The estimate's q-error: `max(est/actual, actual/est)` with both
-    /// sides clamped to ≥ 1 so empty outputs and sub-row estimates stay
-    /// finite. `1.0` is a perfect estimate; `None` when the job carried no
-    /// estimate (no optimizer planned it).
+    /// The [`q_error`] of the planner's estimate against the records the
+    /// job wrote; `None` when the job carried no estimate (no optimizer
+    /// planned it).
     pub fn q_error(&self) -> Option<f64> {
-        let est = self.estimated_output_records?.max(1.0);
-        let actual = (self.output_records as f64).max(1.0);
-        Some((est / actual).max(actual / est))
+        Some(q_error(self.estimated_output_records?, self.output_records as f64))
     }
 
     /// Reduce skew: the most-loaded partition's shuffle bytes divided by
@@ -274,6 +288,74 @@ impl JobStats {
         let max = self.max_partition_shuffle_bytes() as f64;
         let mean = total as f64 / self.shuffle_partition_bytes.len() as f64;
         max / mean
+    }
+
+    /// The conservation laws between this job's counters, stated once:
+    /// `Err` names the first one broken. [`crate::Workflow`] checks every
+    /// job it runs under `debug_assert!`. The histogram laws bind only on
+    /// a profiled job (an absent histogram holds vacuously).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        use crate::metrics::name;
+        let reduces = self.reduce_tasks > 0;
+        let partitions = &self.shuffle_partition_bytes;
+        let f = &self.faults;
+        let hist = |metric, count, sum| {
+            self.metrics.get(metric).is_none_or(|h| h.count() == count && h.sum() == sum)
+        };
+        let laws = [
+            (
+                !reduces || partitions.len() as u64 == self.reduce_tasks,
+                "one shuffle partition per reduce task",
+            ),
+            (
+                !reduces || partitions.iter().sum::<u64>() == self.map_output_bytes,
+                "shuffle partitions sum to map_output_bytes",
+            ),
+            (
+                !reduces || self.reduce_input_records == self.map_output_records,
+                "reduce_input_records == map_output_records",
+            ),
+            (
+                !reduces || self.reduce_groups <= self.reduce_input_records,
+                "reduce_groups <= reduce_input_records",
+            ),
+            (reduces || partitions.is_empty(), "map-only: no shuffle partitions"),
+            (reduces || self.map_output_encoded_bytes == 0, "map-only: no wire bytes"),
+            (reduces || self.reduce_groups == 0, "map-only: no reduce groups"),
+            (
+                self.task_retries == f.map_task_retries + f.reduce_task_retries,
+                "task_retries == map + reduce task retries",
+            ),
+            (
+                f.corruptions_detected == f.corrupt_refetches + f.dfs_refetches,
+                "corruptions_detected == corrupt + dfs refetches",
+            ),
+            (
+                self.broadcast_ship_bytes == self.broadcast_bytes * self.map_tasks,
+                "broadcast_ship_bytes == broadcast_bytes * map_tasks",
+            ),
+            (
+                self.sim_seconds >= self.startup_seconds + self.retry_seconds,
+                "sim_seconds >= startup_seconds + retry_seconds",
+            ),
+            (
+                hist(name::SHUFFLE_PARTITION_BYTES, self.reduce_tasks, self.map_output_bytes),
+                "partition-byte histogram matches its counters",
+            ),
+            (
+                hist(
+                    name::RECORD_SHUFFLE_BYTES,
+                    self.map_output_records,
+                    self.map_output_encoded_bytes,
+                ),
+                "record-size histogram matches its counters",
+            ),
+            (
+                hist(name::REDUCE_GROUP_WIDTH, self.reduce_groups, self.reduce_input_records),
+                "group-width histogram matches its counters",
+            ),
+        ];
+        first_broken("job", &self.name, &laws)
     }
 }
 
@@ -442,6 +524,19 @@ impl WorkflowStats {
     pub fn max_partition_shuffle_bytes(&self) -> u64 {
         self.jobs.iter().map(JobStats::max_partition_shuffle_bytes).max().unwrap_or(0)
     }
+
+    /// Every job's [`JobStats::check_invariants`], then the laws between
+    /// the workflow's own counters and its job list.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.jobs.iter().try_for_each(JobStats::check_invariants)?;
+        let scans = self.jobs.iter().filter(|j| j.full_input_scan).count() as u64;
+        let laws = [
+            (self.full_scans == scans, "full_scans == jobs with full_input_scan"),
+            (self.mr_cycles <= self.jobs.len() as u64, "mr_cycles <= jobs.len()"),
+            (self.succeeded == self.failure.is_none(), "succeeded <=> failure.is_none()"),
+        ];
+        first_broken("workflow", &self.label, &laws)
+    }
 }
 
 #[cfg(test)]
@@ -591,6 +686,101 @@ mod tests {
         assert_eq!(WorkflowStats::default().peak_arena_bytes(), 0);
         assert_eq!(WorkflowStats::default().max_partition_shuffle_bytes(), 0);
         assert!(WorkflowStats::default().metrics().is_empty());
+    }
+
+    /// A profiled job with a reduce phase that keeps every law.
+    fn lawful() -> JobStats {
+        use crate::metrics::name;
+        let mut j = JobStats {
+            name: "j".into(),
+            map_output_records: 4,
+            map_output_bytes: 30,
+            map_output_encoded_bytes: 40,
+            shuffle_partition_bytes: vec![10, 20],
+            reduce_tasks: 2,
+            reduce_input_records: 4,
+            reduce_groups: 3,
+            ..JobStats::default()
+        };
+        for (metric, samples) in [
+            (name::SHUFFLE_PARTITION_BYTES, &[10, 20][..]),
+            (name::RECORD_SHUFFLE_BYTES, &[10, 10, 10, 10]),
+            (name::REDUCE_GROUP_WIDTH, &[2, 1, 1]),
+        ] {
+            samples.iter().for_each(|&v| j.metrics.record(metric, v));
+        }
+        j
+    }
+
+    #[test]
+    fn each_broken_job_law_is_named() {
+        use crate::metrics::name::{
+            RECORD_SHUFFLE_BYTES as SIZES, REDUCE_GROUP_WIDTH as WIDTHS,
+            SHUFFLE_PARTITION_BYTES as PARTS,
+        };
+        type Break = (fn(&mut JobStats), &'static str);
+        let map_only = || JobStats { name: "j".into(), ..JobStats::default() };
+        let with_reduce: [Break; 11] = [
+            (|j| j.shuffle_partition_bytes.push(0), "one shuffle partition per reduce task"),
+            (|j| j.shuffle_partition_bytes[0] += 1, "shuffle partitions sum to map_output_bytes"),
+            (|j| j.reduce_input_records += 1, "reduce_input_records == map_output_records"),
+            (|j| j.reduce_groups = 9, "reduce_groups <= reduce_input_records"),
+            (|j| j.task_retries += 1, "task_retries == map + reduce task retries"),
+            (|j| j.faults.dfs_refetches += 1, "corruptions_detected == corrupt + dfs refetches"),
+            (
+                |j| j.broadcast_ship_bytes += 1,
+                "broadcast_ship_bytes == broadcast_bytes * map_tasks",
+            ),
+            (|j| j.retry_seconds = 1.0, "sim_seconds >= startup_seconds + retry_seconds"),
+            (|j| j.metrics.record(PARTS, 0), "partition-byte histogram matches its counters"),
+            (|j| j.metrics.record(SIZES, 0), "record-size histogram matches its counters"),
+            (|j| j.metrics.record(WIDTHS, 0), "group-width histogram matches its counters"),
+        ];
+        let without: [Break; 3] = [
+            (|j| j.shuffle_partition_bytes.push(0), "map-only: no shuffle partitions"),
+            (|j| j.map_output_encoded_bytes = 1, "map-only: no wire bytes"),
+            (|j| j.reduce_groups = 1, "map-only: no reduce groups"),
+        ];
+        let cases = [(lawful as fn() -> JobStats, &with_reduce[..]), (map_only, &without[..])];
+        for (lawful_job, breaks) in cases {
+            assert_eq!(lawful_job().check_invariants(), Ok(()));
+            for (break_it, law) in breaks {
+                let mut job = lawful_job();
+                break_it(&mut job);
+                assert_eq!(job.check_invariants(), Err(format!("job 'j' breaks `{law}`")));
+            }
+        }
+    }
+
+    #[test]
+    fn each_broken_workflow_law_is_named() {
+        let broken = |break_it: fn(&mut WorkflowStats)| {
+            let mut wf = WorkflowStats {
+                label: "w".into(),
+                jobs: vec![JobStats { full_input_scan: true, ..lawful() }],
+                mr_cycles: 1,
+                full_scans: 1,
+                succeeded: true,
+                ..WorkflowStats::default()
+            };
+            assert_eq!(wf.check_invariants(), Ok(()));
+            break_it(&mut wf);
+            wf.check_invariants().unwrap_err()
+        };
+        assert_eq!(
+            broken(|w| w.full_scans = 0),
+            "workflow 'w' breaks `full_scans == jobs with full_input_scan`"
+        );
+        assert_eq!(broken(|w| w.mr_cycles = 2), "workflow 'w' breaks `mr_cycles <= jobs.len()`");
+        assert_eq!(
+            broken(|w| w.failure = Some("boom".into())),
+            "workflow 'w' breaks `succeeded <=> failure.is_none()`"
+        );
+        // A job's broken law is the workflow's.
+        assert_eq!(
+            broken(|w| w.jobs[0].task_retries = 1),
+            "job 'j' breaks `task_retries == map + reduce task retries`"
+        );
     }
 
     #[test]

@@ -155,6 +155,24 @@ impl TaskContext {
     pub fn take_metrics(&self) -> MetricsRegistry {
         self.metrics.take()
     }
+
+    /// Close the task: drain its counters and metrics into the one
+    /// [`TaskReport`] the engine absorbs into the job.
+    pub(crate) fn report(&self, live_bytes: u64, skipped: Vec<Vec<u8>>) -> TaskReport {
+        TaskReport { ops: self.take_counters(), metrics: self.take_metrics(), live_bytes, skipped }
+    }
+}
+
+/// What a finished task hands the engine beside its emitter.
+pub(crate) struct TaskReport {
+    /// Operator counters the task recorded.
+    pub(crate) ops: OpCounters,
+    /// Distribution metrics the task recorded (empty unless profiling).
+    pub(crate) metrics: MetricsRegistry,
+    /// Peak bytes the task held live (spill arenas or buffered output).
+    pub(crate) live_bytes: u64,
+    /// Undecodable input records skip mode quarantined, in input order.
+    pub(crate) skipped: Vec<Vec<u8>>,
 }
 
 /// Buffered, map-side-partitioned output of one map task.

@@ -67,8 +67,8 @@ pub use rdf_model::hash;
 
 pub use codec::{uvarint_len, write_uvarint, Rec, SliceReader, VarId};
 pub use cost::CostModel;
-pub use counters::{FaultStats, JobStats, OpCounters, WorkflowStats};
-pub use engine::{default_partition, Engine};
+pub use counters::{q_error, FaultStats, JobStats, OpCounters, WorkflowStats};
+pub use engine::{default_partition, Engine, BLOCK_SIZE_BYTES, DEFAULT_BROADCAST_BUDGET_BYTES};
 pub use error::MrError;
 pub use faults::FaultConfig;
 pub use hdfs::{DfsFile, SimHdfs};

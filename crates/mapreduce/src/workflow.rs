@@ -231,6 +231,7 @@ impl<'e> Workflow<'e> {
                         self.stats.full_scans += 1;
                     }
                     self.stats.jobs.push(stats);
+                    debug_assert_eq!(self.stats.check_invariants(), Ok(()));
                 }
                 Err(e) => {
                     self.record_peak();

@@ -61,12 +61,6 @@ impl QueryRun {
     pub fn succeeded(&self) -> bool {
         self.stats.succeeded
     }
-
-    /// Operator-level counters merged across every job of the workflow
-    /// (e.g. the `ntga.*` counters recorded by the physical operators).
-    pub fn op_counters(&self) -> mrsim::OpCounters {
-        self.stats.op_counters()
-    }
 }
 
 /// Why a workflow body stopped before producing its final relation.

@@ -10,8 +10,9 @@
 //! ntga-cli compare  --data data.nt --query q.rq [--replication 2] [--disk-factor F]
 //! ```
 //!
-//! `--approach` is one of `pig`, `hive`, `eager`, `lazy`, `partial:M`,
-//! `auto:M`, `auto-cost`. `auto-cost` plans with the statistics-driven
+//! `--approach` takes [`Approach::GRAMMAR`] (`pig`, `hive`, `eager`, `lazy`,
+//! `partial:M`, `auto:M`, `auto-cost`, …) — the same spellings as the fig
+//! binaries' `--strategy`. `auto-cost` plans with the statistics-driven
 //! optimizer (per-star unnest placement, broadcast joins, reducer sizing)
 //! and needs `--data` even for `explain`, since the plan depends on the
 //! store's statistics. `--disk-factor F` bounds the cluster's disk to
@@ -38,13 +39,13 @@ fn main() -> ExitCode {
     }));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let opts = match parse_flags(rest) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -55,7 +56,7 @@ fn main() -> ExitCode {
         "query" => cmd_query(&opts),
         "compare" => cmd_compare(&opts),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            println!("{}", usage());
             return ExitCode::SUCCESS;
         }
         other => Err(format!("unknown command '{other}'")),
@@ -69,7 +70,9 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "ntga-cli — unbound-property RDF queries on a simulated MapReduce cluster
+fn usage() -> String {
+    format!(
+        "ntga-cli — unbound-property RDF queries on a simulated MapReduce cluster
 
 USAGE:
   ntga-cli generate --dataset bsbm|bio2rdf|dbpedia|btc --scale N --out FILE [--seed S]
@@ -79,8 +82,11 @@ USAGE:
                     [--replication N] [--disk-factor F] [--limit N] [--no-solutions]
   ntga-cli compare  --data FILE --query FILE [--replication N] [--disk-factor F]
 
-APPROACH: pig | hive | eager | lazy | partial:M | auto:M | auto-cost
-          (default auto:1024; auto-cost requires --data, also for explain)";
+APPROACH: {}
+          (default auto:1024; auto-cost requires --data, also for explain)",
+        Approach::GRAMMAR
+    )
+}
 
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
@@ -107,24 +113,16 @@ fn required<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str,
     opts.get(key).map(String::as_str).ok_or_else(|| format!("missing --{key}"))
 }
 
-fn parse_approach(spec: &str) -> Result<Approach, String> {
-    let (name, param) = match spec.split_once(':') {
-        Some((n, p)) => (n, Some(p)),
-        None => (spec, None),
-    };
-    let m = |p: Option<&str>| -> Result<u64, String> {
-        p.unwrap_or("1024").parse().map_err(|_| format!("bad φ range in '{spec}'"))
-    };
-    match name {
-        "pig" => Ok(Approach::Pig),
-        "hive" => Ok(Approach::Hive),
-        "eager" => Ok(Approach::NtgaEager),
-        "lazy" | "lazyfull" => Ok(Approach::NtgaLazyFull),
-        "partial" => Ok(Approach::NtgaLazyPartial(m(param)?)),
-        "auto" => Ok(Approach::NtgaAuto(m(param)?)),
-        "auto-cost" | "cost" => Ok(Approach::NtgaAutoCost),
-        other => Err(format!("unknown approach '{other}'")),
-    }
+fn approach_of(opts: &HashMap<String, String>) -> Result<Approach, String> {
+    opts.get("approach").map_or("auto:1024", String::as_str).parse()
+}
+
+/// `--key`'s value as a `T` (`None` without the flag), or `bad --key`.
+fn parsed<T: std::str::FromStr>(
+    opts: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, String> {
+    opts.get(key).map(|v| v.parse().map_err(|_| format!("bad --{key}"))).transpose()
 }
 
 fn load_data(opts: &HashMap<String, String>) -> Result<TripleStore, String> {
@@ -143,15 +141,16 @@ fn cluster_for(
     opts: &HashMap<String, String>,
     store: &TripleStore,
 ) -> Result<ClusterConfig, String> {
-    let replication: u32 = opts
-        .get("replication")
-        .map(|r| r.parse().map_err(|_| "bad --replication".to_string()))
-        .transpose()?
-        .unwrap_or(1);
+    let replication: u32 = parsed(opts, "replication")?.unwrap_or(1);
+    if replication == 0 {
+        return Err("bad --replication".into());
+    }
     let mut cfg = ClusterConfig { replication, ..Default::default() };
     cfg.cost = CostModel::scaled_to(store.text_bytes());
-    if let Some(f) = opts.get("disk-factor") {
-        let factor: f64 = f.parse().map_err(|_| "bad --disk-factor".to_string())?;
+    if let Some(factor) = parsed::<f64>(opts, "disk-factor")? {
+        if factor.is_nan() || factor <= 0.0 {
+            return Err("bad --disk-factor".into());
+        }
         cfg = cfg.tight_disk(store, factor);
     }
     Ok(cfg)
@@ -160,11 +159,7 @@ fn cluster_for(
 fn cmd_generate(opts: &HashMap<String, String>) -> Result<(), String> {
     let dataset = required(opts, "dataset")?;
     let scale: usize = required(opts, "scale")?.parse().map_err(|_| "bad --scale".to_string())?;
-    let seed: u64 = opts
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed".to_string()))
-        .transpose()?
-        .unwrap_or(42);
+    let seed: u64 = parsed(opts, "seed")?.unwrap_or(42);
     let out = required(opts, "out")?;
     let store = match dataset {
         "bsbm" => {
@@ -208,16 +203,10 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
     let query = load_query(opts)?;
-    let approach = parse_approach(opts.get("approach").map_or("auto:1024", String::as_str))?;
-    let plan = match approach {
-        Approach::Pig | Approach::Hive => {
-            return Err("explain currently covers the NTGA strategies".into())
-        }
-        Approach::NtgaEager => Strategy::Eager.plan(&query),
-        Approach::NtgaLazyFull => Strategy::LazyFull.plan(&query),
-        Approach::NtgaLazyPartial(m) => Strategy::LazyPartial(m).plan(&query),
-        Approach::NtgaAuto(m) => Strategy::Auto(m).plan(&query),
-        Approach::NtgaAutoCost => {
+    let approach = approach_of(opts)?;
+    let plan = match (approach.strategy(), approach) {
+        (Some(strategy), _) => strategy.plan(&query),
+        (None, Approach::NtgaAutoCost) => {
             // The cost-based plan depends on the data: derive statistics
             // and optimize under the same scaled cost model `query` would
             // use.
@@ -226,6 +215,7 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
             let cost = CostModel::scaled_to(store.text_bytes());
             ntga_core::optimize(&query, &store.stats(), &cost, &Default::default())
         }
+        (None, _) => return Err("explain currently covers the NTGA strategies".into()),
     }
     .map_err(|e| e.to_string())?;
     let text = ntga_core::explain_plan(&plan, &query).map_err(|e| e.to_string())?;
@@ -252,7 +242,7 @@ fn print_stats(stats: &WorkflowStats) {
 fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     let store = load_data(opts)?;
     let query = load_query(opts)?;
-    let approach = parse_approach(opts.get("approach").map_or("auto:1024", String::as_str))?;
+    let approach = approach_of(opts)?;
     let want_solutions = !opts.contains_key("no-solutions");
     let cluster = cluster_for(opts, &store)?;
     let engine = engine_for(&cluster, &store)?;
@@ -264,11 +254,7 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
     if let Some(solutions) = &run.solutions {
-        let limit: usize = opts
-            .get("limit")
-            .map(|l| l.parse().map_err(|_| "bad --limit".to_string()))
-            .transpose()?
-            .unwrap_or(20);
+        let limit: usize = parsed(opts, "limit")?.unwrap_or(20);
         println!(
             "{} solution(s){}:",
             solutions.len(),

@@ -43,6 +43,46 @@ impl Approach {
             Approach::NtgaAutoCost => "CostBased".into(),
         }
     }
+
+    /// What [`Approach::from_str`](std::str::FromStr::from_str) accepts —
+    /// the one grammar of `ntga-cli --approach` and the fig binaries'
+    /// `--strategy`. `M` is the φ range and defaults to 1024.
+    pub const GRAMMAR: &'static str = "pig | hive | eager | lazy | lazyfull | lazy-full | \
+        partial[:M] | lazy-partial[:M] | auto[:M] | auto-cost | cost";
+
+    /// The hand-picked NTGA strategy this approach runs; `None` for the
+    /// relational baselines and the cost-based optimizer.
+    pub fn strategy(self) -> Option<Strategy> {
+        match self {
+            Approach::NtgaEager => Some(Strategy::Eager),
+            Approach::NtgaLazyFull => Some(Strategy::LazyFull),
+            Approach::NtgaLazyPartial(m) => Some(Strategy::LazyPartial(m)),
+            Approach::NtgaAuto(m) => Some(Strategy::Auto(m)),
+            Approach::Pig | Approach::Hive | Approach::NtgaAutoCost => None,
+        }
+    }
+}
+
+impl std::str::FromStr for Approach {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Approach, String> {
+        let (name, param) = match spec.split_once(':') {
+            Some((n, p)) => (n, Some(p)),
+            None => (spec, None),
+        };
+        let m = || param.unwrap_or("1024").parse().map_err(|_| format!("bad φ range in '{spec}'"));
+        match name {
+            "pig" => Ok(Approach::Pig),
+            "hive" => Ok(Approach::Hive),
+            "eager" => Ok(Approach::NtgaEager),
+            "lazy" | "lazyfull" | "lazy-full" => Ok(Approach::NtgaLazyFull),
+            "partial" | "lazy-partial" => Ok(Approach::NtgaLazyPartial(m()?)),
+            "auto" => Ok(Approach::NtgaAuto(m()?)),
+            "auto-cost" | "cost" => Ok(Approach::NtgaAutoCost),
+            other => Err(format!("unknown approach '{other}' (expected {})", Approach::GRAMMAR)),
+        }
+    }
 }
 
 /// Run one query with one approach against a triple relation already
@@ -57,30 +97,28 @@ pub fn run_query(
     let label = format!("{}-{label}", approach.label());
     let relational =
         |flavor| relbase::execute(flavor, engine, query, TRIPLES_FILE, &label, extract_solutions);
-    let strategy = match approach {
-        Approach::Pig => return relational(RelFlavor::Pig),
-        Approach::Hive => return relational(RelFlavor::Hive),
-        Approach::NtgaEager => Strategy::Eager,
-        Approach::NtgaLazyFull => Strategy::LazyFull,
-        Approach::NtgaLazyPartial(m) => Strategy::LazyPartial(m),
-        Approach::NtgaAuto(m) => Strategy::Auto(m),
-        Approach::NtgaAutoCost => {
+    match (approach.strategy(), approach) {
+        (Some(strategy), _) => {
+            ntga_core::execute(strategy, engine, query, TRIPLES_FILE, &label, extract_solutions)
+        }
+        (None, Approach::Pig) => relational(RelFlavor::Pig),
+        (None, Approach::Hive) => relational(RelFlavor::Hive),
+        (None, _) => {
             // ANALYZE step: derive statistics from the relation the engine
             // actually holds, then plan against them.
             let stats = mr_rdf::read_store(engine, TRIPLES_FILE)
                 .map_err(|e| PlanError::Internal(format!("reading {TRIPLES_FILE}: {e}")))?
                 .stats();
-            return ntga_core::execute_cost_based(
+            ntga_core::execute_cost_based(
                 engine,
                 query,
                 TRIPLES_FILE,
                 &label,
                 extract_solutions,
                 &stats,
-            );
+            )
         }
-    };
-    ntga_core::execute(strategy, engine, query, TRIPLES_FILE, &label, extract_solutions)
+    }
 }
 
 /// Describes the simulated cluster for an experiment.
@@ -147,8 +185,11 @@ impl Default for ClusterConfig {
 impl ClusterConfig {
     /// Build a fresh engine with the triple store loaded at
     /// [`TRIPLES_FILE`]; `DiskFull` when the input alone does not fit the
-    /// configured disk.
+    /// configured disk, [`MrError::Op`] for a replication factor of 0.
     pub fn try_engine_with(&self, store: &TripleStore) -> Result<Engine, MrError> {
+        if self.replication == 0 {
+            return Err(MrError::Op("cluster replication factor must be >= 1".into()));
+        }
         let capacity = u64::from(self.nodes).saturating_mul(self.disk_per_node);
         let mut engine = Engine::new(SimHdfs::new(capacity, self.replication))
             .with_cost(self.cost.clone())
@@ -291,6 +332,13 @@ mod tests {
         let cfg = ClusterConfig { nodes: 1, ..Default::default() }.tight_disk(&store, 0.5);
         let err = cfg.try_engine_with(&store).err().expect("half the input cannot fit");
         assert!(err.is_disk_full(), "{err}");
+    }
+
+    #[test]
+    fn zero_replication_is_a_typed_error() {
+        let cfg = ClusterConfig { replication: 0, ..Default::default() };
+        let err = cfg.try_engine_with(&store()).err().expect("no copy of any block");
+        assert!(matches!(&err, MrError::Op(m) if m.contains("replication")), "{err}");
     }
 
     #[test]

@@ -29,6 +29,17 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).to_string()
 }
 
+/// A fresh temp dir holding `d.nt` (generated BSBM, `scale` products) and
+/// `q.rq` (the query text): `(dir, data path, query path)`.
+fn bsbm_fixture(name: &str, scale: &str, query: &str) -> (PathBuf, String, String) {
+    let dir = tempdir(name);
+    let data = dir.join("d.nt").to_str().unwrap().to_string();
+    let path = dir.join("q.rq");
+    run_ok(cli().args(["generate", "--dataset", "bsbm", "--scale", scale, "--out", &data]));
+    std::fs::write(&path, query).unwrap();
+    (dir, data, path.to_str().unwrap().to_string())
+}
+
 #[test]
 fn generate_stats_query_compare_pipeline() {
     let dir = tempdir("pipeline");
@@ -68,6 +79,8 @@ fn generate_stats_query_compare_pipeline() {
     let text = stdout(&out);
     assert!(text.contains("MR1:"), "{text}");
     assert!(text.contains("TG_UnbGrpFilter"), "{text}");
+    // ...also under the fig binaries' spelling of an approach.
+    run_ok(cli().args(["explain", "--query", query.to_str().unwrap(), "--approach", "lazy-full"]));
 
     // query (lazy)
     let out = run_ok(cli().args([
@@ -103,29 +116,17 @@ fn generate_stats_query_compare_pipeline() {
 
 #[test]
 fn constrained_disk_reports_failure() {
-    let dir = tempdir("diskfail");
-    let data = dir.join("d.nt");
-    let query = dir.join("q.rq");
-    run_ok(cli().args([
-        "generate",
-        "--dataset",
-        "bsbm",
-        "--scale",
+    let (dir, data, query) = bsbm_fixture(
+        "diskfail",
         "60",
-        "--out",
-        data.to_str().unwrap(),
-    ]));
-    std::fs::write(
-        &query,
         "SELECT * WHERE { ?p <rdfs:label> ?l . ?p ?u ?x . ?x <rdfs:label> ?l2 . }",
-    )
-    .unwrap();
+    );
     let out = run_ok(cli().args([
         "query",
         "--data",
-        data.to_str().unwrap(),
+        &data,
         "--query",
-        query.to_str().unwrap(),
+        &query,
         "--approach",
         "hive",
         "--replication",
@@ -144,30 +145,11 @@ fn disk_too_small_for_the_input_is_an_error_not_a_panic() {
     // `--disk-factor 0.5` cannot even hold the input: both commands must
     // report the typed DiskFull and exit non-zero (this used to abort with
     // "input must fit in the cluster").
-    let dir = tempdir("tinydisk");
-    let data = dir.join("d.nt");
-    let query = dir.join("q.rq");
-    run_ok(cli().args([
-        "generate",
-        "--dataset",
-        "bsbm",
-        "--scale",
-        "5",
-        "--out",
-        data.to_str().unwrap(),
-    ]));
-    std::fs::write(&query, "SELECT * WHERE { ?s <rdfs:label> ?l . }").unwrap();
+    let (dir, data, query) =
+        bsbm_fixture("tinydisk", "5", "SELECT * WHERE { ?s <rdfs:label> ?l . }");
     for command in ["query", "compare"] {
         let out = cli()
-            .args([
-                command,
-                "--data",
-                data.to_str().unwrap(),
-                "--query",
-                query.to_str().unwrap(),
-                "--disk-factor",
-                "0.5",
-            ])
+            .args([command, "--data", &data, "--query", &query, "--disk-factor", "0.5"])
             .output()
             .expect("spawn");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -176,38 +158,37 @@ fn disk_too_small_for_the_input_is_an_error_not_a_panic() {
         assert!(stderr.contains("HDFS full"), "{command}: {stderr}");
         assert!(!stderr.contains("panicked"), "{command}: {stderr}");
     }
+    // Values no cluster can have are refused at the door: `--replication 0`
+    // used to reach `SimHdfs::new`'s assert (exit 101), `--disk-factor nan`
+    // and `-1` to run against a 60-byte disk.
+    for (flag, value) in [
+        ("--replication", "0"),
+        ("--replication", "-1"),
+        ("--disk-factor", "nan"),
+        ("--disk-factor", "0"),
+        ("--disk-factor", "-1"),
+    ] {
+        let out = cli()
+            .args(["query", "--data", &data, "--query", &query, flag, value])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert_eq!(stderr, format!("error: bad {flag}\n"), "{flag} {value}");
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn more_stars_than_the_cost_search_takes_is_an_error_not_a_panic() {
-    let dir = tempdir("manystars");
-    let data = dir.join("d.nt");
-    let query = dir.join("q.rq");
-    run_ok(cli().args([
-        "generate",
-        "--dataset",
-        "bsbm",
-        "--scale",
-        "5",
-        "--out",
-        data.to_str().unwrap(),
-    ]));
     let chain: String = (0..17)
         .map(|i| format!("?s{i} <bsbm:producer> ?s{} . ?s{i} ?p{i} ?o{i} . ", i + 1))
         .collect();
-    std::fs::write(&query, format!("SELECT * WHERE {{ {chain}}}")).unwrap();
+    let (dir, data, query) =
+        bsbm_fixture("manystars", "5", &format!("SELECT * WHERE {{ {chain}}}"));
     let run = |command: &str, approach: &str| {
         cli()
-            .args([
-                command,
-                "--data",
-                data.to_str().unwrap(),
-                "--query",
-                query.to_str().unwrap(),
-                "--approach",
-                approach,
-            ])
+            .args([command, "--data", &data, "--query", &query, "--approach", approach])
             .output()
             .expect("spawn")
     };
@@ -239,29 +220,10 @@ fn bad_usage_fails_cleanly() {
 
 #[test]
 fn unknown_approach_is_an_error() {
-    let dir = tempdir("badapproach");
-    let data = dir.join("d.nt");
-    let query = dir.join("q.rq");
-    run_ok(cli().args([
-        "generate",
-        "--dataset",
-        "bsbm",
-        "--scale",
-        "5",
-        "--out",
-        data.to_str().unwrap(),
-    ]));
-    std::fs::write(&query, "SELECT * WHERE { ?s <rdfs:label> ?l . }").unwrap();
+    let (dir, data, query) =
+        bsbm_fixture("badapproach", "5", "SELECT * WHERE { ?s <rdfs:label> ?l . }");
     let out = cli()
-        .args([
-            "query",
-            "--data",
-            data.to_str().unwrap(),
-            "--query",
-            query.to_str().unwrap(),
-            "--approach",
-            "magic",
-        ])
+        .args(["query", "--data", &data, "--query", &query, "--approach", "magic"])
         .output()
         .expect("spawn");
     assert!(!out.status.success());

@@ -5,10 +5,9 @@ use ntga::prelude::*;
 
 #[test]
 fn counter_conservation_across_testbed_workflows() {
-    // For every job of every approach on a two-star query:
-    // shuffle records in == reduce records in; bytes are non-zero exactly
-    // where the phase ran; every job's read bytes are covered by files
-    // that existed (input or an earlier job's output).
+    // For every job of every approach on a two-star query: the counter
+    // laws of `check_invariants` hold, and every job's read bytes are
+    // covered by files that existed (input or an earlier job's output).
     let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(25));
     let b1 = ntga::testbed::b_series().remove(1);
     for approach in [
@@ -21,32 +20,19 @@ fn counter_conservation_across_testbed_workflows() {
         let engine = ClusterConfig::default().engine_with(&store);
         let run = run_query(approach, &engine, &b1.query, "cons", false).unwrap();
         assert!(run.succeeded());
+        assert_eq!(run.stats.check_invariants(), Ok(()), "{approach:?}");
         let mut produced_text: u64 = store.text_bytes();
         for job in &run.stats.jobs {
-            if job.reduce_tasks > 0 {
-                assert_eq!(
-                    job.map_output_records, job.reduce_input_records,
-                    "{approach:?}/{}: shuffle not conserved",
-                    job.name
-                );
-            }
-            assert!(
-                job.reduce_groups <= job.reduce_input_records,
-                "{approach:?}/{}: more groups than records",
-                job.name
-            );
             assert!(
                 job.hdfs_read_bytes <= produced_text * 2 + store.text_bytes(),
                 "{approach:?}/{}: read more than ever produced",
                 job.name
             );
             produced_text += job.output_text_bytes;
-            assert!(job.sim_seconds >= job.startup_seconds);
         }
         // Workflow aggregates match per-job sums.
         let sum_writes: u64 = run.stats.jobs.iter().map(|j| j.hdfs_write_bytes).sum();
         assert_eq!(sum_writes, run.stats.total_write_bytes());
-        assert!(run.stats.jobs.len() as u64 >= run.stats.mr_cycles);
     }
 }
 
