@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the NTGA core operators: grouping,
 //! group-filtering, β-unnest (full and partial), join expansions, the
-//! relational joins' reduce groups, record codecs, the query parser, and
-//! the engine's map→reduce shuffle.
+//! relational joins' reduce groups, the final β-unnest over a workflow's
+//! output, ANALYZE over an encoded relation, record codecs, the query
+//! parser, and the engine's map→reduce shuffle.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrsim::Rec;
@@ -123,6 +124,44 @@ fn bench_relational_reduce(c: &mut Criterion) {
     });
 }
 
+/// The epilogue kernels on what A2 leaves behind on 750 genes: the final
+/// β-unnest of NTGA's nested tuples (750 → 13 k rows) and of Hive's flat
+/// rows, each with the one sort + dedup; and ANALYZE of the 17 k-triple
+/// relation where it lies.
+fn bench_extract(c: &mut Criterion) {
+    use ntga::{run_query, Approach, ClusterConfig};
+    let store = datagen::bio2rdf::generate(&datagen::Bio2RdfConfig::with_genes(750));
+    let query = ntga::testbed::a_series().remove(1).query; // A2
+    let vars = query.solution_vars();
+    // The one file a workflow leaves beside its input.
+    let run = |approach| {
+        let engine = ClusterConfig::default().engine_with(&store);
+        assert!(run_query(approach, &engine, &query, "bench", false).unwrap().succeeded());
+        let files = engine.hdfs().lock().file_names();
+        let last = files.into_iter().find(|f| f != mr_rdf::TRIPLES_FILE).expect("final relation");
+        (engine, last)
+    };
+    let (engine, file) = run(Approach::NtgaAuto(1024));
+    c.bench_function("extract/tg_tuples", |b| {
+        b.iter(|| {
+            let mut unnest = ntga_core::FinalUnnest::new(&query, &[0], &vars).unwrap();
+            mr_rdf::read_solutions(&engine, &file, vars.clone(), |r, out| unnest.add_rows(r, out))
+                .unwrap()
+        })
+    });
+    let (engine, file) = run(Approach::Hive);
+    let schema = relbase::star_join::star_join_job("s", &query.stars[0], "in", "out", false).1;
+    c.bench_function("extract/rows", |b| {
+        b.iter(|| {
+            let add_rows = schema.extractor(&vars).unwrap();
+            mr_rdf::read_solutions(&engine, &file, vars.clone(), add_rows).unwrap()
+        })
+    });
+    c.bench_function("analyze/17k_triples", |b| {
+        b.iter(|| mr_rdf::analyze(black_box(&engine), mr_rdf::TRIPLES_FILE).unwrap())
+    });
+}
+
 fn bench_codecs(c: &mut Criterion) {
     let tg = anntg_with_candidates(64);
     let tuple = ntga_core::TgTuple(vec![tg]);
@@ -191,6 +230,7 @@ criterion_group!(
     bench_unnest,
     bench_join_expansions,
     bench_relational_reduce,
+    bench_extract,
     bench_codecs,
     bench_parser,
     bench_engine_wordcount

@@ -92,7 +92,7 @@ fn main() {
                 // strategies; the planner tests prove that).
                 let extract = strategy == Strategy::Auto(1024);
                 let label = format!("{qid}-{}", strategy.label());
-                let (run, _) = strategy
+                let (mut run, _) = strategy
                     .plan(&tq.query)
                     .and_then(|plan| {
                         ntga_core::execute_plan(
@@ -106,7 +106,7 @@ fn main() {
                     })
                     .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
                 assert!(run.succeeded(), "{label}: hand-picked run failed");
-                if let Some(s) = run.solutions.clone() {
+                if let Some(s) = run.solutions.take() {
                     reference = Some(s);
                 }
                 let t = run.stats.sim_seconds;

@@ -64,9 +64,9 @@ fn check_workload(name: &str, store: &TripleStore, queries: Vec<ntga::testbed::T
     for tq in queries {
         for (i, star) in tq.query.stars.iter().enumerate() {
             let solo = Query::new(vec![star.clone()]);
-            let truth = naive::evaluate(&solo, store);
-            let true_rows = truth.len() as f64;
-            let true_subjects = truth.project(std::slice::from_ref(&star.subject_var)).len() as f64;
+            let true_rows = naive::evaluate(&solo, store).len() as f64;
+            let subjects = solo.with_projection(vec![star.subject_var.clone()]);
+            let true_subjects = naive::evaluate(&subjects, store).len() as f64;
 
             let est_subjects = estimate::star_subject_cardinality(star, &stats);
             let est_rows = estimate::star_row_cardinality(star, &stats);

@@ -7,6 +7,8 @@
 //!   (nested property→objects representation with per-unbound-pattern
 //!   candidate lists), [`TgTuple`] joined tuples, and the borrowed
 //!   [`tg::TgCursor`] the join cycles read encoded tuples through;
+//! * [`unnest`] — the final β-unnest: [`FinalUnnest`] turns a workflow's
+//!   final tuples into projected solution rows, read in place;
 //! * [`logical`] — the algebra of Section 3: `γ`, `σ^γ`, `σ^βγ`
 //!   (Definition 1), `μ^β` (Definition 2), `μ^β_φ` (Definition 3);
 //! * [`physical`] — the MapReduce operators of Section 4: `TG_GroupBy` +
@@ -58,6 +60,7 @@ pub mod planner;
 pub mod profile;
 pub mod rewrite;
 pub mod tg;
+pub mod unnest;
 
 pub use explain::{explain, explain_plan, PlanText};
 pub use optimizer::{
@@ -66,3 +69,4 @@ pub use optimizer::{
 pub use planner::{execute, execute_cost_based, execute_plan, Strategy};
 pub use profile::{explain_analyze, OpProfile, Profile, StarProfile};
 pub use tg::{AnnTg, TgTuple};
+pub use unnest::FinalUnnest;

@@ -909,28 +909,15 @@ mod tests {
             "out",
         );
         engine.run_job(&job).unwrap();
-        let tuples: Vec<TgTuple> = engine.read_records("out").unwrap();
-        let mut set = rdf_query::SolutionSet::new();
-        for t in &tuples {
-            let mut partials: Vec<rdf_query::Binding> = vec![rdf_query::Binding::new()];
-            for (tg, star) in t.0.iter().zip(&query.stars) {
-                let expansions = tg.expand(star).unwrap();
-                let mut next = Vec::new();
-                for p in &partials {
-                    for e in &expansions {
-                        let mut m = p.clone();
-                        if m.merge(e) {
-                            next.push(m);
-                        }
-                    }
-                }
-                partials = next;
-            }
-            for b in partials {
-                set.insert(b);
-            }
-        }
-        set
+        solutions(&engine, &query)
+    }
+
+    /// The solutions of the joined tuples in `out`, through the production
+    /// final-unnest kernel.
+    fn solutions(engine: &Engine, query: &Query) -> rdf_query::SolutionSet {
+        let vars = query.solution_vars();
+        let mut unnest = crate::FinalUnnest::new(query, &[0, 1], &vars).unwrap();
+        mr_rdf::read_solutions(engine, "out", vars, |rec, rows| unnest.add_rows(rec, rows)).unwrap()
     }
 
     #[test]
@@ -1200,28 +1187,7 @@ mod tests {
         engine
             .run_job(&tg_broadcast_join_job("bjoin", left, right, BuildSide::Right, "out"))
             .unwrap();
-        let tuples: Vec<TgTuple> = engine.read_records("out").unwrap();
-        let mut set = rdf_query::SolutionSet::new();
-        for t in &tuples {
-            let mut partials: Vec<rdf_query::Binding> = vec![rdf_query::Binding::new()];
-            for (tg, star) in t.0.iter().zip(&query.stars) {
-                let expansions = tg.expand(star).unwrap();
-                let mut next = Vec::new();
-                for p in &partials {
-                    for e in &expansions {
-                        let mut m = p.clone();
-                        if m.merge(e) {
-                            next.push(m);
-                        }
-                    }
-                }
-                partials = next;
-            }
-            for b in partials {
-                set.insert(b);
-            }
-        }
-        assert_eq!(set, gold);
+        assert_eq!(solutions(&engine, &query), gold);
     }
 
     #[test]

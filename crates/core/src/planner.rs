@@ -15,11 +15,11 @@ use crate::optimizer::{join_schedule, optimize, JoinAlgo, OptimizerConfig, Physi
 use crate::physical::{
     group_filter_job, tg_broadcast_join_job, tg_join_job, BuildSide, JoinSide, UnnestMode, REDUCERS,
 };
-use crate::tg::TgTuple;
+use crate::FinalUnnest;
 use mr_rdf::{check_query, run_query_workflow, PlanError, QueryRun};
 use mrsim::Engine;
 use rdf_model::StoreStats;
-use rdf_query::{Binding, Query, SolutionSet};
+use rdf_query::{Query, SolutionRows};
 
 /// When and how β-unnesting happens (Section 4).
 ///
@@ -104,41 +104,6 @@ fn mode_for(strategy: Strategy, unbound_sides: &[(usize, bool)]) -> UnnestMode {
             }
         }
     }
-}
-
-/// Expand one joined triplegroup tuple into its solutions.
-///
-/// `components` maps each tuple position to its star index in `query`.
-fn expand_tuple(
-    tuple: &TgTuple,
-    components: &[usize],
-    query: &Query,
-    set: &mut SolutionSet,
-) -> Result<(), PlanError> {
-    if tuple.0.len() != components.len() {
-        return Err(PlanError::Internal("tuple arity mismatch".into()));
-    }
-    let mut partials: Vec<Binding> = vec![Binding::new()];
-    for (tg, &star_idx) in tuple.0.iter().zip(components) {
-        let star = &query.stars[star_idx];
-        let expansions = tg
-            .expand(star)
-            .ok_or_else(|| PlanError::Internal("triplegroup/star shape mismatch".into()))?;
-        let mut next = Vec::with_capacity(partials.len() * expansions.len());
-        for p in &partials {
-            for e in &expansions {
-                let mut m = p.clone();
-                if m.merge(e) {
-                    next.push(m);
-                }
-            }
-        }
-        partials = next;
-    }
-    for b in partials {
-        set.insert(b);
-    }
-    Ok(())
 }
 
 /// Execute `plan` for `query` over the triple relation in DFS file `input`:
@@ -228,9 +193,9 @@ pub fn execute_plan(
             components.push(step.other);
             current_file = out;
         }
-        Ok((current_file, move |tuple: &TgTuple, set: &mut SolutionSet| {
-            expand_tuple(tuple, &components, query, set)
-        }))
+        // `components` maps each tuple position to its star.
+        let mut unnest = FinalUnnest::new(query, &components, &query.solution_vars())?;
+        Ok((current_file, move |rec: &[u8], out: &mut SolutionRows| unnest.add_rows(rec, out)))
     })?;
     Ok((run, star_records))
 }

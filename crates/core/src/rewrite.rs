@@ -23,8 +23,11 @@
 //! content-equivalent to `μ^β(σ^βγ(γ(T)))`.
 
 use crate::logical::{beta_group_filter, beta_unnest, group_by_subject};
+use crate::tg::{AnnTg, TgTuple};
+use crate::FinalUnnest;
+use mrsim::Rec;
 use rdf_model::{Atom, STriple, TripleStore};
-use rdf_query::{PropPattern, Query, SolutionSet, StarPattern, TriplePattern};
+use rdf_query::{PropPattern, Query, SolutionRows, SolutionSet, StarPattern, TriplePattern};
 
 /// Enumerate the concrete pattern combinations of the naive rewrite: for
 /// each unbound pattern, substitute every property of the database.
@@ -77,67 +80,71 @@ pub fn enumerate_combinations(star: &StarPattern, properties: &[Atom]) -> Vec<St
     }
 }
 
-/// Expand a concrete (bound) star's triplegroups into solutions, recording
-/// the original unbound variables: for a combination that substituted
-/// property `p` for unbound variable `?v`, every solution binds `?v = p`.
+/// The solutions `anns` — triplegroups group-filtered from `star` — stand
+/// for: each through the production final-unnest kernel, as a one-component
+/// tuple.
+fn unnest_all(anns: impl IntoIterator<Item = AnnTg>, star: &StarPattern) -> SolutionSet {
+    let query = Query::new(vec![star.clone()]);
+    let vars = query.solution_vars();
+    let mut unnest = FinalUnnest::new(&query, &[0], &vars).expect("a star binds its variables");
+    let mut rows = SolutionRows::new(vars);
+    for ann in anns {
+        let rec = TgTuple(vec![ann]).to_bytes();
+        unnest.add_rows(&rec, &mut rows).expect("a triplegroup filtered by this star");
+    }
+    rows.finish()
+}
+
+/// Add a concrete (bound) star's solutions to `out`, recording the original
+/// unbound variables: for a combination that substituted property `p` for
+/// unbound variable `?v`, every solution binds `?v = p`.
 fn solutions_of_concrete(
     concrete: &StarPattern,
     original: &StarPattern,
     triples: &[STriple],
-) -> SolutionSet {
-    let tgs = group_by_subject(triples);
+    out: &mut SolutionRows,
+) {
+    let substituted: Vec<(&str, &Atom)> = original
+        .patterns
+        .iter()
+        .zip(&concrete.patterns)
+        .filter_map(|(orig, conc)| match (&orig.property, &conc.property) {
+            (PropPattern::Unbound(var), PropPattern::Bound(prop)) => Some((var.as_str(), prop)),
+            _ => None,
+        })
+        .collect();
     // The concrete star is bound-only; σ^γ applies (via the shared
     // match_star core inside beta_group_filter, which handles both).
-    let anns = beta_group_filter(&tgs, concrete, 0);
-    let mut out = SolutionSet::new();
-    for ann in anns {
-        if let Some(bindings) = ann.expand(concrete) {
-            for mut b in bindings {
-                // Re-introduce the unbound property variables.
-                let mut ok = true;
-                for (orig, conc) in original.patterns.iter().zip(&concrete.patterns) {
-                    if let (PropPattern::Unbound(var), PropPattern::Bound(prop)) =
-                        (&orig.property, &conc.property)
-                    {
-                        ok = ok && b.bind(var, prop.clone());
-                    }
-                }
-                if ok {
-                    out.insert(b);
-                }
-            }
+    let anns = beta_group_filter(&group_by_subject(triples), concrete, 0);
+    for b in unnest_all(anns, concrete).iter() {
+        // Re-introduce the unbound property variables: each must agree
+        // with what the solution or an earlier substitution already binds.
+        let value = |var: &str| {
+            let by_substitution = || substituted.iter().find(|(v, _)| *v == var).map(|&(_, p)| p);
+            b.get(var).or_else(by_substitution)
+        };
+        if substituted.iter().all(|&(var, prop)| value(var) == Some(prop)) {
+            let row: Vec<Atom> = out.vars().iter().filter_map(|v| value(v).cloned()).collect();
+            out.push(row);
         }
     }
-    out
 }
 
 /// Naive-rewrite evaluation of a single unbound-property star: union of
 /// the σ^γ results over all enumerated concrete combinations.
 pub fn evaluate_enumerated(star: &StarPattern, store: &TripleStore) -> SolutionSet {
     let properties = store.properties();
-    let mut out = SolutionSet::new();
+    let mut out = SolutionRows::new(Query::new(vec![star.clone()]).solution_vars());
     for concrete in enumerate_combinations(star, &properties) {
-        for b in solutions_of_concrete(&concrete, star, store.triples()).iter() {
-            out.insert(b.clone());
-        }
+        solutions_of_concrete(&concrete, star, store.triples(), &mut out);
     }
-    out
+    out.finish()
 }
 
 /// Relaxed evaluation: `μ^β(σ^βγ(γ(T)))`, expanded to solutions.
 pub fn evaluate_relaxed(star: &StarPattern, store: &TripleStore) -> SolutionSet {
     let tgs = group_by_subject(store.triples());
-    let mut out = SolutionSet::new();
-    for ann in beta_group_filter(&tgs, star, 0) {
-        for perfect in beta_unnest(&ann) {
-            if let Some(bindings) = perfect.expand(star) {
-                for b in bindings {
-                    out.insert(b);
-                }
-            }
-        }
-    }
-    out
+    unnest_all(beta_group_filter(&tgs, star, 0).iter().flat_map(beta_unnest), star)
 }
 
 /// Executable Lemma 1: for a star pattern with one or more unbound

@@ -15,7 +15,6 @@
 use mrsim::codec::put_count;
 use mrsim::{MrError, Rec, SliceReader};
 use rdf_model::atom::Atom;
-use rdf_query::{Binding, ObjPattern, PropPattern, StarPattern};
 use std::ops::Range;
 
 /// An annotated triplegroup: one subject's matches for one star
@@ -30,10 +29,11 @@ pub struct AnnTg {
     /// Equivalence class: index of the star in the query.
     pub ec: u64,
     /// Objects per bound pattern, parallel to
-    /// [`StarPattern::bound_patterns`] order: `(property token, objects)`.
+    /// [`rdf_query::StarPattern::bound_patterns`] order: `(property token,
+    /// objects)`.
     pub bound: Vec<(Atom, Vec<Atom>)>,
     /// Candidate `(property, object)` pairs per unbound pattern, parallel
-    /// to [`StarPattern::unbound_patterns`] order.
+    /// to [`rdf_query::StarPattern::unbound_patterns`] order.
     pub unbound: Vec<Vec<(Atom, Atom)>>,
 }
 
@@ -80,73 +80,6 @@ impl AnnTg {
     fn text_size_in<'a>(&'a self, pairs: &mut Vec<(&'a str, &'a str)>) -> u64 {
         self.distinct_pairs_into(pairs);
         self.subject.len() as u64 + 1 + pairs.iter().map(|&(p, o)| pair_text(p, o)).sum::<u64>()
-    }
-
-    /// Expand to solution bindings for the star this triplegroup matches.
-    ///
-    /// The cross product of bound-object choices and unbound-candidate
-    /// choices, with variables drawn from the star's patterns. Positions
-    /// bound to constants bind nothing.
-    ///
-    /// Returns `None` if this triplegroup's shape does not line up with
-    /// the star (planner bug).
-    pub fn expand(&self, star: &StarPattern) -> Option<Vec<Binding>> {
-        let bound_pats = star.bound_patterns();
-        let unbound_pats = star.unbound_patterns();
-        if bound_pats.len() != self.bound.len() || unbound_pats.len() != self.unbound.len() {
-            return None;
-        }
-        // Dimensions: bound lists then unbound lists.
-        let mut dims: Vec<usize> = Vec::new();
-        for (_, objs) in &self.bound {
-            if objs.is_empty() {
-                return Some(Vec::new());
-            }
-            dims.push(objs.len());
-        }
-        for cands in &self.unbound {
-            if cands.is_empty() {
-                return Some(Vec::new());
-            }
-            dims.push(cands.len());
-        }
-        let mut out = Vec::new();
-        let mut cursor = vec![0usize; dims.len()];
-        loop {
-            let mut b = Binding::new();
-            let mut ok = b.bind(&star.subject_var, self.subject.clone());
-            for (i, pat) in bound_pats.iter().enumerate() {
-                let obj = &self.bound[i].1[cursor[i]];
-                if let ObjPattern::Var(v) | ObjPattern::Filtered(v, _) = &pat.object {
-                    ok = ok && b.bind(v, obj.clone());
-                }
-            }
-            for (j, pat) in unbound_pats.iter().enumerate() {
-                let (p, o) = &self.unbound[j][cursor[bound_pats.len() + j]];
-                if let PropPattern::Unbound(v) = &pat.property {
-                    ok = ok && b.bind(v, p.clone());
-                }
-                if let ObjPattern::Var(v) | ObjPattern::Filtered(v, _) = &pat.object {
-                    ok = ok && b.bind(v, o.clone());
-                }
-            }
-            if ok {
-                out.push(b);
-            }
-            // odometer
-            let mut pos = dims.len();
-            loop {
-                if pos == 0 {
-                    return Some(out);
-                }
-                pos -= 1;
-                cursor[pos] += 1;
-                if cursor[pos] < dims[pos] {
-                    break;
-                }
-                cursor[pos] = 0;
-            }
-        }
     }
 }
 
@@ -369,18 +302,6 @@ impl<'a> TgCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_query::TriplePattern;
-
-    fn star() -> StarPattern {
-        StarPattern::new(
-            "g",
-            vec![
-                TriplePattern::bound("g", "<label>", ObjPattern::Var("l".into())),
-                TriplePattern::bound("g", "<xGO>", ObjPattern::Var("go".into())),
-                TriplePattern::unbound("g", "p", ObjPattern::Var("o".into())),
-            ],
-        )
-    }
 
     fn anntg() -> AnnTg {
         AnnTg {
@@ -428,42 +349,5 @@ mod tests {
                 .map(|(p, o)| p.len() as u64 + o.len() as u64 + 2)
                 .sum::<u64>();
         assert_eq!(tg.text_size(), expected);
-    }
-
-    #[test]
-    fn nested_text_is_smaller_than_flat() {
-        // The whole point: 8 flat combinations vs one nested TG.
-        let tg = anntg();
-        let bindings = tg.expand(&star()).unwrap();
-        assert_eq!(bindings.len(), 8);
-        let flat_bytes: u64 =
-            bindings.iter().map(|b| b.iter().map(|(_, v)| v.len() as u64 + 1).sum::<u64>()).sum();
-        assert!(tg.text_size() < flat_bytes);
-    }
-
-    #[test]
-    fn expand_binds_all_vars() {
-        let bindings = anntg().expand(&star()).unwrap();
-        for b in &bindings {
-            assert!(b.get("g").is_some());
-            assert!(b.get("l").is_some());
-            assert!(b.get("go").is_some());
-            assert!(b.get("p").is_some());
-            assert!(b.get("o").is_some());
-        }
-    }
-
-    #[test]
-    fn expand_rejects_shape_mismatch() {
-        let mut tg = anntg();
-        tg.unbound.clear();
-        assert!(tg.expand(&star()).is_none());
-    }
-
-    #[test]
-    fn expand_empty_candidate_list_is_no_solutions() {
-        let mut tg = anntg();
-        tg.unbound[0].clear();
-        assert_eq!(tg.expand(&star()).unwrap().len(), 0);
     }
 }

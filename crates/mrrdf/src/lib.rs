@@ -10,10 +10,10 @@
 //!   relational star-join results (3k-arity: subject/property/object per
 //!   pattern, exactly the redundant representation the paper measures);
 //! * [`load_store`] — put a [`rdf_model::TripleStore`] into the simulated
-//!   DFS;
+//!   DFS; [`analyze`] — its [`rdf_model::StoreStats`], read in place;
 //! * [`run_query_workflow`] — the one driver every planner runs a query's
 //!   jobs through (validation, failure → failed [`QueryRun`], cleanup,
-//!   solution extraction).
+//!   solution extraction through [`read_solutions`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -24,6 +24,8 @@ pub mod support;
 pub mod triple_rec;
 
 pub use row::{Row, RowSchema, RowView};
-pub use run::{run_query_workflow, PlanError, QueryRun, WorkflowAbort};
+pub use run::{
+    binder_slots, read_solutions, run_query_workflow, PlanError, QueryRun, WorkflowAbort,
+};
 pub use support::{check_query, check_star, UnsupportedReason};
-pub use triple_rec::{load_store, read_store, TripleRec, TripleView, TRIPLES_FILE};
+pub use triple_rec::{analyze, load_store, read_store, TripleRec, TripleView, TRIPLES_FILE};

@@ -10,13 +10,13 @@
 //! tab-separated text row.
 //!
 //! Column *meaning* is tracked out-of-band by [`RowSchema`] (relations have
-//! schemas; Hadoop text rows don't carry column names), which also converts
-//! rows to [`Binding`]s for result verification.
+//! schemas; Hadoop text rows don't carry column names), which also turns
+//! encoded rows into solutions ([`RowSchema::extractor`]).
 
-use crate::run::PlanError;
+use crate::run::{binder_slots, PlanError};
 use mrsim::{MrError, SliceReader};
 use rdf_model::atom::Atom;
-use rdf_query::{Binding, SolutionSet};
+use rdf_query::SolutionRows;
 
 /// A flat n-tuple of interned tokens. `Vec<Atom>` already implements
 /// [`mrsim::Rec`] (byte-compatible with the historical `Vec<String>` wire
@@ -97,37 +97,49 @@ impl RowSchema {
         self.cols.iter().position(|c| c.as_deref() == Some(var))
     }
 
-    /// Convert a row to a [`Binding`].
+    /// The solution-extraction kernel of a relational workflow whose final
+    /// relation has this schema (see [`crate::run_query_workflow`]): append
+    /// one encoded [`Row`]'s solution over the header `vars` (sorted) to
+    /// the table, in one walk of its bytes. Slots are [`binder_slots`]'; a
+    /// slot keeps its last atom, which the next row shares if it repeats
+    /// the value — relations come out of a reduce grouped, so most do.
     ///
-    /// Returns `None` if the row's arity mismatches the schema or if two
-    /// columns binding the same variable disagree (both indicate planner
-    /// bugs; callers treat this as an error).
-    pub fn binding(&self, row: &Row) -> Option<Binding> {
-        if row.len() != self.cols.len() {
-            return None;
-        }
-        let mut b = Binding::new();
-        for (col, val) in self.cols.iter().zip(row) {
-            if let Some(var) = col {
-                if !b.bind(var, val.clone()) {
-                    return None;
+    /// A row whose arity is not the schema's, or two of whose columns bind
+    /// one variable and disagree, is an "inconsistent output row" (a
+    /// planner bug). Malformed bytes give the decoder's message, as
+    /// `Row::from_bytes` words it.
+    pub fn extractor(
+        &self,
+        vars: &[String],
+    ) -> Result<impl FnMut(&[u8], &mut SolutionRows) -> Result<(), PlanError>, PlanError> {
+        let cols: Vec<Option<&str>> = self.cols.iter().map(Option::as_deref).collect();
+        let (slots, count) = binder_slots(&cols, vars)?;
+        // Per column its slot, and whether it is the first to bind it.
+        let first = |i: usize| !cols[..i].contains(&cols[i]);
+        let plan: Vec<Option<(usize, bool)>> =
+            slots.iter().enumerate().map(|(i, slot)| slot.map(|s| (s, first(i)))).collect();
+        let mut row: Vec<Option<Atom>> = vec![None; count];
+        let arity = vars.len();
+        Ok(move |rec: &[u8], out: &mut SolutionRows| {
+            let mut r = SliceReader::new(rec);
+            let width = r.read_u32().map_err(PlanError::final_output)? as usize;
+            let mut consistent = width == plan.len();
+            for i in 0..width {
+                let token = r.read_str().map_err(PlanError::final_output)?;
+                let Some(&Some((slot, first))) = plan.get(i) else { continue };
+                match &row[slot] {
+                    Some(last) if **last == *token => {}
+                    _ if first => row[slot] = Some(Atom::from(token)),
+                    _ => consistent = false,
                 }
             }
-        }
-        Some(b)
-    }
-
-    /// The solution-extraction step of a relational workflow whose final
-    /// relation has this schema (see [`crate::run_query_workflow`]): add
-    /// one output row's binding to the solution set.
-    pub fn into_extractor(self) -> impl Fn(&Row, &mut SolutionSet) -> Result<(), PlanError> {
-        move |row, set| {
-            let binding = self
-                .binding(row)
-                .ok_or_else(|| PlanError::Internal("inconsistent output row".into()))?;
-            set.insert(binding);
+            r.finish().map_err(PlanError::final_output)?;
+            if !consistent {
+                return Err(PlanError::Internal("inconsistent output row".into()));
+            }
+            out.push(row[..arity].iter().map(|cell| cell.clone().expect("a header column read")));
             Ok(())
-        }
+        })
     }
 }
 
@@ -148,40 +160,41 @@ mod tests {
         ])
     }
 
+    /// One row through the kernel over the header `vars`.
+    fn extract(row: &[&str], vars: &[&str]) -> Result<Vec<String>, PlanError> {
+        let vars: Vec<String> = vars.iter().map(|v| v.to_string()).collect();
+        let mut out = SolutionRows::new(vars.clone());
+        let row: Row = row.iter().map(|t| Atom::from(*t)).collect();
+        schema().extractor(&vars)?(&row.to_bytes(), &mut out)?;
+        Ok(out.finish().iter().map(|b| b.to_string()).collect())
+    }
+
+    const ROW: [&str; 6] = ["<g1>", "<label>", "\"a\"", "<g1>", "<xGO>", "<go1>"];
+
     #[test]
-    fn binding_extraction() {
-        let row: Row = vec![
-            "<g1>".into(),
-            "<label>".into(),
-            "\"a\"".into(),
-            "<g1>".into(),
-            "<xGO>".into(),
-            "<go1>".into(),
-        ];
-        let b = schema().binding(&row).unwrap();
-        assert_eq!(&**b.get("g").unwrap(), "<g1>");
-        assert_eq!(&**b.get("l").unwrap(), "\"a\"");
-        assert_eq!(&**b.get("go").unwrap(), "<go1>");
-        assert_eq!(b.len(), 3);
+    fn extraction_projects_in_header_order() {
+        assert_eq!(extract(&ROW, &["g", "go", "l"]).unwrap(), ["{?g=<g1>, ?go=<go1>, ?l=\"a\"}"]);
+        assert_eq!(extract(&ROW, &["l"]).unwrap(), ["{?l=\"a\"}"]);
+        assert_eq!(extract(&ROW, &[]).unwrap(), ["{}"]);
     }
 
     #[test]
-    fn binding_rejects_inconsistent_row() {
-        let row: Row = vec![
-            "<g1>".into(),
-            "<label>".into(),
-            "\"a\"".into(),
-            "<g2>".into(), // subject mismatch across patterns
-            "<xGO>".into(),
-            "<go1>".into(),
-        ];
-        assert!(schema().binding(&row).is_none());
+    fn extraction_rejects_inconsistent_row() {
+        // Subject mismatch across patterns, projected or not.
+        let row = ["<g1>", "<label>", "\"a\"", "<g2>", "<xGO>", "<go1>"];
+        for vars in [&["g", "l"][..], &["l"]] {
+            let err = extract(&row, vars).unwrap_err();
+            assert_eq!(err, PlanError::Internal("inconsistent output row".into()));
+        }
     }
 
     #[test]
-    fn binding_rejects_arity_mismatch() {
-        let row: Row = vec!["<g1>".into()];
-        assert!(schema().binding(&row).is_none());
+    fn extraction_rejects_arity_mismatch_and_unbound_header() {
+        for row in [&ROW[..1], &[ROW.as_slice(), &["<x>"]].concat()] {
+            let err = extract(row, &["g"]).unwrap_err();
+            assert_eq!(err, PlanError::Internal("inconsistent output row".into()));
+        }
+        assert!(matches!(extract(&ROW, &["zz"]), Err(PlanError::Internal(m)) if m.contains("?zz")));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! jobs through.
 
 use crate::support::{check_query, UnsupportedReason};
-use mrsim::{Engine, MrError, Rec, Workflow, WorkflowStats};
-use rdf_query::{Query, QueryError, SolutionSet};
+use mrsim::{Engine, MrError, Workflow, WorkflowStats};
+use rdf_query::{Query, QueryError, SolutionRows, SolutionSet};
 use std::fmt;
 
 /// Errors raised while *planning* a query (before any job runs).
@@ -33,6 +33,14 @@ impl fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+impl PlanError {
+    /// A final relation that cannot be read back: a missing file or a
+    /// record the decoder refuses.
+    pub fn final_output(e: MrError) -> Self {
+        PlanError::Internal(format!("reading final output: {e}"))
+    }
+}
 
 impl From<QueryError> for PlanError {
     fn from(e: QueryError) -> Self {
@@ -89,18 +97,64 @@ impl From<MrError> for WorkflowAbort {
     }
 }
 
+/// The slot each binding position of a final relation's records writes;
+/// `positions` names the variable, if any, each one binds, in record order.
+/// The header's variables (`vars`, sorted) take slots `0..vars.len()` — a
+/// row's cells; a variable bound at more than one position but not
+/// projected takes one past them, for the equality check alone; any other
+/// has none. Returned with the number of slots. A header variable no
+/// position binds is a planner bug.
+pub fn binder_slots(
+    positions: &[Option<&str>],
+    vars: &[String],
+) -> Result<(Vec<Option<usize>>, usize), PlanError> {
+    let occurrences = |var: &str| positions.iter().filter(|p| **p == Some(var)).count();
+    if let Some(var) = vars.iter().find(|v| occurrences(v) == 0) {
+        return Err(PlanError::Internal(format!("the final relation does not bind ?{var}")));
+    }
+    let mut names: Vec<&str> = vars.iter().map(String::as_str).collect();
+    let mut slot = |var| {
+        names.iter().position(|n| *n == var).or_else(|| {
+            (occurrences(var) > 1).then(|| {
+                names.push(var);
+                names.len() - 1
+            })
+        })
+    };
+    let slots = positions.iter().map(|p| p.and_then(&mut slot)).collect();
+    Ok((slots, names.len()))
+}
+
+/// The final β-unnest of a relation: walk the encoded records of DFS file
+/// `file` in place and hand each to `add_rows`, which appends the rows it
+/// stands for — values in the order of `vars`, already projected — then
+/// sort and deduplicate once.
+pub fn read_solutions(
+    engine: &Engine,
+    file: &str,
+    vars: Vec<String>,
+    mut add_rows: impl FnMut(&[u8], &mut SolutionRows) -> Result<(), PlanError>,
+) -> Result<SolutionSet, PlanError> {
+    let file = engine.hdfs().lock().get(file).map_err(PlanError::final_output)?;
+    let mut rows = SolutionRows::new(vars);
+    for record in &file.records {
+        add_rows(record, &mut rows)?;
+    }
+    Ok(rows.finish())
+}
+
 /// Run one query as one workflow named `name`.
 ///
 /// The part every planner shares: validate the query and check planner
 /// support, open the [`Workflow`], let `body` run its jobs (`wf.run_job(job)?`
 /// — the first failing job ends the run as a failed [`QueryRun`]), clean up
 /// every intermediate except the final relation, and, when
-/// `extract_solutions` is set, decode that relation's records of type `R`
-/// into the projected [`SolutionSet`].
+/// `extract_solutions` is set, turn that relation into the [`SolutionSet`]
+/// over [`Query::solution_vars`] through [`read_solutions`].
 ///
 /// `body` returns the DFS file holding the final relation together with
-/// the function that adds one of its records' bindings to the solution set.
-pub fn run_query_workflow<R, X>(
+/// the kernel that appends one encoded record's rows.
+pub fn run_query_workflow<X>(
     engine: &Engine,
     name: String,
     query: &Query,
@@ -108,14 +162,13 @@ pub fn run_query_workflow<R, X>(
     body: impl FnOnce(&mut Workflow<'_>) -> Result<(String, X), WorkflowAbort>,
 ) -> Result<QueryRun, PlanError>
 where
-    R: Rec,
-    X: Fn(&R, &mut SolutionSet) -> Result<(), PlanError>,
+    X: FnMut(&[u8], &mut SolutionRows) -> Result<(), PlanError>,
 {
     query.validate()?;
     check_query(query)?;
 
     let mut wf = Workflow::new(engine, name);
-    let (final_file, add_bindings) = match body(&mut wf) {
+    let (final_file, add_rows) = match body(&mut wf) {
         Ok(done) => done,
         Err(WorkflowAbort::Plan(e)) => return Err(e),
         Err(WorkflowAbort::Run(e)) => {
@@ -123,21 +176,9 @@ where
         }
     };
     let stats = wf.finish(&[&final_file]);
-    let solutions = if extract_solutions {
-        let records: Vec<R> = engine
-            .read_records(&final_file)
-            .map_err(|e| PlanError::Internal(format!("reading final output: {e}")))?;
-        let mut set = SolutionSet::new();
-        for record in &records {
-            add_bindings(record, &mut set)?;
-        }
-        Some(match &query.projection {
-            Some(vars) => set.project(vars),
-            None => set,
-        })
-    } else {
-        None
-    };
+    let solutions = extract_solutions
+        .then(|| read_solutions(engine, &final_file, query.solution_vars(), add_rows))
+        .transpose()?;
     Ok(QueryRun { stats, solutions })
 }
 

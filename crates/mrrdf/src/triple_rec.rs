@@ -2,7 +2,7 @@
 
 use mrsim::codec::{put_token, token_len};
 use mrsim::{DfsFile, Engine, MrError, Rec, SliceReader};
-use rdf_model::{STriple, TripleStore};
+use rdf_model::{STriple, StatsBuilder, StoreStats, TripleStore};
 
 /// Conventional DFS name for the base triple relation.
 pub const TRIPLES_FILE: &str = "triples";
@@ -82,10 +82,23 @@ pub fn load_store(engine: &Engine, name: &str, store: &TripleStore) -> Result<()
     engine.hdfs().lock().put(name, file)
 }
 
+/// ANALYZE a triple relation where it lies: [`StoreStats`] of the DFS file
+/// `name`, accumulated over the [`TripleView`]s of its records — what
+/// `read_store(engine, name)?.stats()` gives, without building the store.
+/// Cost-based planning uses it to plan against whatever relation an engine
+/// actually holds when the caller has no handle on the original store.
+pub fn analyze(engine: &Engine, name: &str) -> Result<StoreStats, MrError> {
+    let file = engine.hdfs().lock().get(name)?;
+    let mut stats = StatsBuilder::default();
+    for raw in &file.records {
+        let t = TripleView::from_bytes(raw)?;
+        stats.add(t.s, t.p, t.o);
+    }
+    Ok(stats.finish())
+}
+
 /// Read a triple relation back out of the engine's DFS — the inverse of
-/// [`load_store`]. Cost-based planning uses it to derive
-/// [`rdf_model::StoreStats`] for whatever relation an engine actually
-/// holds when the caller has no handle on the original store.
+/// [`load_store`].
 pub fn read_store(engine: &Engine, name: &str) -> Result<TripleStore, MrError> {
     let file = engine.hdfs().lock().get(name)?;
     let mut triples = Vec::with_capacity(file.records.len());
@@ -160,6 +173,8 @@ mod tests {
         load_store(&engine, TRIPLES_FILE, &store).unwrap();
         let back = read_store(&engine, TRIPLES_FILE).unwrap();
         assert_eq!(back.stats(), store.stats());
+        assert_eq!(analyze(&engine, TRIPLES_FILE).unwrap(), store.stats());
         assert!(matches!(read_store(&engine, "nope"), Err(MrError::NoSuchFile(_))));
+        assert!(matches!(analyze(&engine, "nope"), Err(MrError::NoSuchFile(_))));
     }
 }

@@ -4,9 +4,12 @@
 //! position may be an unbound variable ([`PropPattern::Unbound`]), star
 //! subpatterns grouping patterns by subject variable ([`StarPattern`]),
 //! whole queries with inter-star join analysis ([`Query`]), a SPARQL-subset
-//! parser ([`parse_query`]), canonical solution sets ([`SolutionSet`]), and
-//! a naive reference evaluator ([`naive::evaluate`]) that serves as the
-//! gold standard for every MapReduce execution strategy in the workspace.
+//! parser ([`parse_query`]), canonical solution sets ([`SolutionSet`]: one
+//! sorted, deduplicated table of rows over the header
+//! [`Query::solution_vars`], filled through [`SolutionRows`] and read row
+//! by row as [`Binding`]s), and a naive reference evaluator
+//! ([`naive::evaluate`]) that serves as the gold standard for every
+//! MapReduce execution strategy in the workspace.
 //!
 //! ```
 //! use rdf_query::parse_query;
@@ -34,7 +37,7 @@ pub mod pattern;
 pub mod query;
 pub mod star;
 
-pub use bindings::{Binding, SolutionSet};
+pub use bindings::{Binding, SolutionRows, SolutionSet};
 pub use parser::{parse_query, ParseError};
 pub use pattern::{ObjFilter, ObjPattern, PropPattern, SubjPattern, TriplePattern};
 pub use query::{JoinEdge, JoinKind, JoinStep, Query, QueryError};

@@ -13,11 +13,34 @@
 //!   simultaneously (Section 3, "triples playing multiple roles").
 //! * Set semantics: duplicate bindings collapse.
 
-use crate::bindings::{Binding, SolutionSet};
+use crate::bindings::{SolutionRows, SolutionSet};
 use crate::pattern::{ObjFilter, ObjPattern, PropPattern, SubjPattern, TriplePattern};
 use crate::query::Query;
-use rdf_model::{STriple, TripleStore};
+use rdf_model::{Atom, STriple, TripleStore};
 use std::collections::HashMap;
+
+/// The variables bound so far on one branch of the search: a slot per
+/// query variable.
+#[derive(Clone)]
+struct Partial<'q> {
+    vars: &'q [String],
+    values: Vec<Option<Atom>>,
+}
+
+impl Partial<'_> {
+    /// Bind `var` to `value`; `false` (and no change) if `var` is already
+    /// bound to a *different* value.
+    fn bind(&mut self, var: &str, value: &Atom) -> bool {
+        let slot = self.vars.iter().position(|v| v == var).expect("a pattern's variable");
+        match &self.values[slot] {
+            Some(existing) => existing == value,
+            None => {
+                self.values[slot] = Some(value.clone());
+                true
+            }
+        }
+    }
+}
 
 /// Evaluate `query` against `store` by brute-force backtracking.
 ///
@@ -38,14 +61,11 @@ pub fn evaluate(query: &Query, store: &TripleStore) -> SolutionSet {
         .iter()
         .flat_map(|star| star.patterns.iter().map(move |p| (p, star.subject_filter.as_ref())))
         .collect();
-    let mut solutions = SolutionSet::new();
-    let mut binding = Binding::new();
+    let vars = query.variables();
+    let mut solutions = SolutionRows::new(query.solution_vars());
+    let mut binding = Partial { vars: &vars, values: vec![None; vars.len()] };
     backtrack(&patterns, 0, &by_prop, &all, &mut binding, &mut solutions);
-
-    match &query.projection {
-        Some(vars) => solutions.project(vars),
-        None => solutions,
-    }
+    solutions.finish()
 }
 
 fn backtrack(
@@ -53,11 +73,14 @@ fn backtrack(
     i: usize,
     by_prop: &HashMap<&str, Vec<&STriple>>,
     all: &[&STriple],
-    binding: &mut Binding,
-    out: &mut SolutionSet,
+    binding: &mut Partial<'_>,
+    out: &mut SolutionRows,
 ) {
     if i == patterns.len() {
-        out.insert(binding.clone());
+        // Every variable occurs in some pattern, and every pattern matched.
+        let value = |var| binding.values[binding.vars.iter().position(|v| v == var)?].clone();
+        let row: Vec<Atom> = out.vars().iter().filter_map(value).collect();
+        out.push(row);
         return;
     }
     let (pat, subj_filter) = patterns[i];
@@ -84,20 +107,20 @@ fn backtrack(
 
 /// Extend `binding` with the variable assignments a triple induces for a
 /// pattern; `false` on conflict with existing assignments.
-fn try_bind(pat: &TriplePattern, t: &STriple, binding: &mut Binding) -> bool {
+fn try_bind(pat: &TriplePattern, t: &STriple, binding: &mut Partial<'_>) -> bool {
     if let SubjPattern::Var(v) = &pat.subject {
-        if !binding.bind(v, t.s.clone()) {
+        if !binding.bind(v, &t.s) {
             return false;
         }
     }
     if let PropPattern::Unbound(v) = &pat.property {
-        if !binding.bind(v, t.p.clone()) {
+        if !binding.bind(v, &t.p) {
             return false;
         }
     }
     match &pat.object {
         ObjPattern::Var(v) | ObjPattern::Filtered(v, _) => {
-            if !binding.bind(v, t.o.clone()) {
+            if !binding.bind(v, &t.o) {
                 return false;
             }
         }

@@ -110,6 +110,18 @@ impl Query {
         out
     }
 
+    /// The header of this query's solutions: the projected variables — all
+    /// of them under `SELECT *` — that some pattern binds, sorted, each
+    /// once. [`Query::validate`] refuses a projection that names any other.
+    pub fn solution_vars(&self) -> Vec<String> {
+        let mut vars = self.variables();
+        if let Some(projection) = &self.projection {
+            vars.retain(|v| projection.contains(v));
+        }
+        vars.sort_unstable();
+        vars
+    }
+
     /// Number of unbound-property triple patterns in the whole query.
     pub fn unbound_pattern_count(&self) -> usize {
         self.stars.iter().map(|s| s.unbound_patterns().len()).sum()
@@ -318,6 +330,10 @@ mod tests {
         q.validate().unwrap();
         let bad = two_star_os().with_projection(vec!["nope".into()]);
         assert!(matches!(bad.validate(), Err(QueryError::UnknownProjectionVar(_))));
+        // The solution header: sorted, each variable once, bound ones only.
+        assert_eq!(two_star_os().solution_vars(), ["g", "gl", "go", "l"]);
+        let twice = vec!["l".into(), "g".into(), "l".into(), "nope".into()];
+        assert_eq!(two_star_os().with_projection(twice).solution_vars(), ["g", "l"]);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! RDF data are drawn from a tiny vocabulary, so interning them is a large
 //! win).
 
+use crate::hash::TokenHasher;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// An interned lexical token: subject, property or object in canonical
@@ -78,25 +80,11 @@ impl std::hash::Hasher for IdentityHasher {
     }
 }
 
-/// Deterministic word-at-a-time token hash for the interner: processes
-/// 8-byte chunks with a rotate-xor-multiply round, far cheaper per byte
-/// than byte-serial FNV on typical 10–60-byte RDF tokens. Internal to the
-/// table — shuffle partitioning keeps the spec-stable [`fnv1a`].
+/// The interner's one hash of a token: [`TokenHasher`] over its bytes.
 fn token_hash(bytes: &[u8]) -> u64 {
-    const SEED: u64 = 0x517c_c1b7_2722_0a95;
-    let mut h = bytes.len() as u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h = (h.rotate_left(5) ^ u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .wrapping_mul(SEED);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h = (h.rotate_left(5) ^ u64::from_le_bytes(tail)).wrapping_mul(SEED);
-    }
-    h
+    let mut h = TokenHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
 impl AtomTable {

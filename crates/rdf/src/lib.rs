@@ -31,8 +31,8 @@ pub mod term;
 pub mod triple;
 
 pub use atom::{Atom, AtomTable};
-pub use hash::{fnv1a, DetHashMap, FnvBuildHasher, FnvHasher};
+pub use hash::{fnv1a, DetHashMap, FnvBuildHasher, FnvHasher, TokenBuildHasher, TokenHasher};
 pub use ntriples::{parse_line, parse_str, write_triple, NtParseError};
-pub use store::{PropertyStats, StoreStats, TripleStore};
+pub use store::{PropertyStats, StatsBuilder, StoreStats, TripleStore};
 pub use term::Term;
 pub use triple::STriple;

@@ -9,6 +9,7 @@
 //! verify their synthetic data matches the paper's regimes.
 
 use crate::atom::Atom;
+use crate::hash::TokenBuildHasher;
 use crate::ntriples::{parse_str, NtParseError};
 use crate::triple::STriple;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -122,50 +123,78 @@ impl TripleStore {
 
     /// Compute full store statistics in a single pass.
     pub fn stats(&self) -> StoreStats {
-        /// Accumulator per property: count, subject multiplicities, objects.
-        type PropAcc<'a> = (u64, HashMap<&'a Atom, u64>, HashSet<&'a Atom>);
-        let mut subjects: HashSet<&Atom> = HashSet::new();
-        let mut objects: HashSet<&Atom> = HashSet::new();
-        let mut per_prop: HashMap<&Atom, PropAcc<'_>> = HashMap::new();
-        let mut text_bytes = 0u64;
+        let mut acc = StatsBuilder::default();
         for t in &self.triples {
-            subjects.insert(&t.s);
-            objects.insert(&t.o);
-            text_bytes += t.text_size();
-            let entry = per_prop.entry(&t.p).or_default();
-            entry.0 += 1;
-            *entry.1.entry(&t.s).or_insert(0) += 1;
-            entry.2.insert(&t.o);
+            acc.add(&t.s, &t.p, &t.o);
         }
+        acc.finish()
+    }
+}
+
+/// Accumulator per property: count, subject multiplicities, objects.
+#[derive(Default)]
+struct PropAcc<'a> {
+    count: u64,
+    subjects: HashMap<&'a str, u64, TokenBuildHasher>,
+    objects: HashSet<&'a str, TokenBuildHasher>,
+}
+
+/// The one ANALYZE pass: [`StoreStats`] accumulated over borrowed tokens,
+/// whoever holds them — a [`TripleStore`]'s atoms or an encoded relation
+/// read in place. Integer counts only until [`finish`](Self::finish), so
+/// the result does not depend on the order of the triples or of the hash
+/// tables.
+#[derive(Default)]
+pub struct StatsBuilder<'a> {
+    triples: u64,
+    text_bytes: u64,
+    subjects: HashSet<&'a str, TokenBuildHasher>,
+    objects: HashSet<&'a str, TokenBuildHasher>,
+    per_prop: HashMap<&'a str, PropAcc<'a>, TokenBuildHasher>,
+}
+
+impl<'a> StatsBuilder<'a> {
+    /// Count one triple.
+    pub fn add(&mut self, s: &'a str, p: &'a str, o: &'a str) {
+        self.triples += 1;
+        self.text_bytes += STriple::text_size_of(s, p, o);
+        self.subjects.insert(s);
+        self.objects.insert(o);
+        let prop = self.per_prop.entry(p).or_default();
+        prop.count += 1;
+        *prop.subjects.entry(s).or_insert(0) += 1;
+        prop.objects.insert(o);
+    }
+
+    /// The statistics of everything added.
+    pub fn finish(self) -> StoreStats {
         let mut per_property = BTreeMap::new();
         let mut multi = 0u64;
-        for (p, (count, subs, objs)) in &per_prop {
-            let max_multiplicity = subs.values().copied().max().unwrap_or(0);
-            let distinct_subjects = subs.len() as u64;
-            let distinct_objects = objs.len() as u64;
-            let mean_multiplicity =
-                if distinct_subjects == 0 { 0.0 } else { *count as f64 / distinct_subjects as f64 };
+        for (p, acc) in &self.per_prop {
+            let max_multiplicity = acc.subjects.values().copied().max().unwrap_or(0);
+            let distinct_subjects = acc.subjects.len() as u64;
             if max_multiplicity > 1 {
                 multi += 1;
             }
             per_property.insert(
-                (*p).clone(),
+                Atom::from(*p),
                 PropertyStats {
-                    count: *count,
+                    count: acc.count,
                     distinct_subjects,
-                    distinct_objects,
+                    distinct_objects: acc.objects.len() as u64,
                     max_multiplicity,
-                    mean_multiplicity,
+                    // A property is only here through a triple that has it.
+                    mean_multiplicity: acc.count as f64 / distinct_subjects as f64,
                 },
             );
         }
-        let distinct_properties = per_prop.len() as u64;
+        let distinct_properties = self.per_prop.len() as u64;
         StoreStats {
-            triples: self.triples.len() as u64,
-            distinct_subjects: subjects.len() as u64,
-            distinct_objects: objects.len() as u64,
+            triples: self.triples,
+            distinct_subjects: self.subjects.len() as u64,
+            distinct_objects: self.objects.len() as u64,
             distinct_properties,
-            text_bytes,
+            text_bytes: self.text_bytes,
             multi_valued_fraction: if distinct_properties == 0 {
                 0.0
             } else {

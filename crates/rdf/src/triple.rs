@@ -35,7 +35,12 @@ impl STriple {
     /// Size in bytes of this triple as a text row: the three tokens,
     /// two separating spaces, ` .` terminator and newline (N-Triples row).
     pub fn text_size(&self) -> u64 {
-        self.s.len() as u64 + self.p.len() as u64 + self.o.len() as u64 + 5
+        Self::text_size_of(&self.s, &self.p, &self.o)
+    }
+
+    /// [`STriple::text_size`] of three tokens, wherever they are held.
+    pub fn text_size_of(s: &str, p: &str, o: &str) -> u64 {
+        (s.len() + p.len() + o.len()) as u64 + 5
     }
 }
 

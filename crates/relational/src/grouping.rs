@@ -154,7 +154,7 @@ pub fn execute_grouping(
                 }
             },
         };
-        Ok((final_file, final_schema.into_extractor()))
+        Ok((final_file, final_schema.extractor(&query.solution_vars())?))
     })
 }
 

@@ -174,9 +174,8 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(schema.arity(), 4);
         for r in &rows {
-            let b = schema.binding(r).unwrap();
-            assert_eq!(&**b.get("x").unwrap(), "<k1>");
-            assert_eq!(&**b.get("b").unwrap(), "<b1>");
+            assert_eq!(&*r[schema.index_of("x").unwrap()], "<k1>");
+            assert_eq!(&*r[schema.index_of("b").unwrap()], "<b1>");
         }
     }
 

@@ -279,8 +279,7 @@ mod tests {
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert_eq!(r.len(), 6);
-            let b = schema.binding(r).unwrap();
-            assert_eq!(&**b.get("g").unwrap(), "<g1>");
+            assert_eq!(&*r[schema.index_of("g").unwrap()], "<g1>");
         }
     }
 
@@ -291,10 +290,7 @@ mod tests {
         // g2: 1 label × 2 triples = 2
         assert_eq!(rows.len(), 5);
         // the label triple itself appears as unbound match
-        assert!(rows.iter().any(|r| {
-            let b = schema.binding(r).unwrap();
-            &**b.get("p").unwrap() == "<label>"
-        }));
+        assert!(rows.iter().any(|r| &*r[schema.index_of("p").unwrap()] == "<label>"));
     }
 
     #[test]
@@ -329,7 +325,7 @@ mod tests {
         let (rows, schema, _) = run(star, false);
         assert_eq!(rows.len(), 2);
         for r in &rows {
-            assert_eq!(&**schema.binding(r).unwrap().get("g").unwrap(), "<g2>");
+            assert_eq!(&*r[schema.index_of("g").unwrap()], "<g2>");
         }
     }
 

@@ -40,9 +40,9 @@ fn main() {
     let run = run_query(Approach::NtgaAuto(1024), &engine, &q1, "hexo", true).unwrap();
     let solutions = run.solutions.unwrap();
     println!("\n[1] 'what mentions hexokinase?': {} solutions via ?p edges:", solutions.len());
-    let mut props: Vec<String> =
-        solutions.iter().filter_map(|b| b.get("p").map(|p| p.to_string())).collect();
-    props.sort();
+    // Rows are sorted by ?gene first, so ?p still needs its own dedup.
+    let mut props: Vec<&str> = solutions.iter().filter_map(|b| b.get("p")).map(|p| &**p).collect();
+    props.sort_unstable();
     props.dedup();
     println!("    discovered relationships: {}", props.join(", "));
 

@@ -47,8 +47,10 @@ fn main() {
     let run = run_query(Approach::NtgaAuto(1024), &engine, &query, "quickstart", true)
         .expect("plannable query");
 
-    println!("\nsolutions:");
-    for binding in run.solutions.as_ref().expect("extracted").iter() {
+    // One table: a sorted header, and the rows in lexicographic order.
+    let solutions = run.solutions.as_ref().expect("extracted");
+    println!("\n{} solutions over ?{}:", solutions.len(), solutions.vars().join(" ?"));
+    for binding in solutions.iter() {
         println!("  {binding}");
     }
 

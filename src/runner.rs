@@ -105,10 +105,9 @@ pub fn run_query(
         (None, Approach::Hive) => relational(RelFlavor::Hive),
         (None, _) => {
             // ANALYZE step: derive statistics from the relation the engine
-            // actually holds, then plan against them.
-            let stats = mr_rdf::read_store(engine, TRIPLES_FILE)
-                .map_err(|e| PlanError::Internal(format!("reading {TRIPLES_FILE}: {e}")))?
-                .stats();
+            // actually holds, read where it lies, then plan against them.
+            let stats = mr_rdf::analyze(engine, TRIPLES_FILE)
+                .map_err(|e| PlanError::Internal(format!("reading {TRIPLES_FILE}: {e}")))?;
             ntga_core::execute_cost_based(
                 engine,
                 query,

@@ -88,3 +88,24 @@ fn selectivity_estimates_order_testbed_stars_sensibly() {
         "estimate {b1_rows} vs actual {actual_star_rows} (off by more than 20x)"
     );
 }
+
+#[test]
+fn analyze_in_place_is_the_stores_own_statistics() {
+    // The cost-based planner's ANALYZE reads the encoded relation where it
+    // lies; it must see exactly what decoding it into a store would — every
+    // count and both floats — on each generator's output and on nothing.
+    let stores = [
+        datagen::bsbm::generate(&datagen::BsbmConfig::with_products(40)),
+        datagen::bio2rdf::generate(&datagen::Bio2RdfConfig::with_genes(60)),
+        datagen::dbpedia::generate(&datagen::DbpediaConfig::with_entities(60)),
+        TripleStore::new(),
+    ];
+    for store in stores {
+        let engine = ClusterConfig::default().engine_with(&store);
+        let analyzed = mr_rdf::analyze(&engine, mr_rdf::TRIPLES_FILE).unwrap();
+        let decoded = mr_rdf::read_store(&engine, mr_rdf::TRIPLES_FILE).unwrap().stats();
+        assert_eq!(analyzed, decoded);
+        assert_eq!(analyzed, store.stats());
+        assert_eq!(analyzed.triples, store.len() as u64);
+    }
+}

@@ -84,6 +84,36 @@ proptest! {
             }
         }
     }
+
+    /// Every shape under a random projection — any non-empty subset of its
+    /// variables, its first variable named twice every other time — on
+    /// every approach (the final β-unnest projects before it expands).
+    #[test]
+    fn random_projections_equal_naive_on_every_approach(store in arb_store(), pick in 1..u32::MAX) {
+        for (i, (id, query)) in shapes().into_iter().enumerate() {
+            let vars = query.variables();
+            let mask = pick.rotate_left(i as u32 * 3);
+            let mut chosen: Vec<String> =
+                vars.iter().enumerate().filter(|(v, _)| mask & 1 << v != 0).map(|(_, v)| v.clone()).collect();
+            chosen.extend(chosen.is_empty().then(|| vars[0].clone()));
+            chosen.extend((mask & 1 << 31 != 0).then(|| chosen[0].clone()));
+            let query = query.with_projection(chosen);
+            let gold = rdf_query::naive::evaluate(&query, &store);
+            for approach in approaches() {
+                let engine = ClusterConfig::default().engine_with(&store);
+                let run = run_query(approach, &engine, &query, "pp", true)
+                    .unwrap_or_else(|e| panic!("{id}/{approach:?}: {e}"));
+                prop_assert_eq!(
+                    run.solutions.as_ref(),
+                    Some(&gold),
+                    "{} / {:?} / SELECT {:?}: MR result diverges from naive evaluator",
+                    id,
+                    approach,
+                    query.projection
+                );
+            }
+        }
+    }
 }
 
 #[test]
