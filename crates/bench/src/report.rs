@@ -159,10 +159,8 @@ pub fn rows_json(rows: &[Row]) -> String {
         o.u64("node_losses", s.total_node_losses());
         o.u64("speculative_tasks", s.total_speculative_tasks());
         o.u64("corruptions_detected", s.total_corruptions_detected());
-        o.u64("records_skipped", s.total_records_skipped());
         o.f64("retry_seconds", s.total_retry_seconds());
         o.u64("stage_retries", s.stage_retries);
-        o.u64("stages_skipped", s.stages_skipped);
         o.bool("degraded", s.degraded_replication);
         o.raw("ops", &r.ops().to_json());
         o.bool("ok", r.ok());
@@ -218,7 +216,6 @@ mod tests {
                 corruptions_detected: 2,
                 ..FaultStats::default()
             },
-            records_skipped: 5,
             retry_seconds: 4.5,
             peak_arena_bytes: 512,
             ops,
@@ -244,7 +241,6 @@ mod tests {
             sim_seconds: f64::NAN,
             succeeded: true,
             stage_retries: 1,
-            stages_skipped: 1,
             ..WorkflowStats::default()
         };
         Row { query: "B\"1".into(), approach: "Lazy\\Unnest".into(), stats }
@@ -263,8 +259,8 @@ mod tests {
             r#""reduce_skew":1.6,"max_partition_shuffle_bytes":40,"peak_arena_bytes":512,"#,
             r#""peak_task_live_bytes":768,"beta_expansion":5,"result_records":7,"result_bytes":70,"#,
             r#""task_retries":3,"node_losses":1,"speculative_tasks":2,"corruptions_detected":2,"#,
-            r#""records_skipped":5,"retry_seconds":4.5,"stage_retries":1,"stages_skipped":1,"#,
-            r#""degraded":false,"ops":{"ntga.unnest.in":2,"ntga.unnest.out":10},"ok":true}]"#,
+            r#""retry_seconds":4.5,"stage_retries":1,"degraded":false,"#,
+            r#""ops":{"ntga.unnest.in":2,"ntga.unnest.out":10},"ok":true}]"#,
         );
         assert_eq!(json, golden);
         assert_eq!(rows_json(&[]), "[]");

@@ -10,15 +10,9 @@
 //! the cost the lazy strategy already paid — instead of O(number of flat
 //! solutions).
 //!
-//! Provided both as in-memory folds over a final [`TgTuple`] relation and
-//! as a MapReduce job ([`count_job`]) that uses a combiner, so the count
-//! of a billion-combination result ships a handful of numbers through the
-//! shuffle.
+//! Provided as in-memory folds over a final [`TgTuple`] relation.
 
 use crate::tg::TgTuple;
-use mrsim::{
-    combine_fn, map_fn, reduce_fn, InputBinding, JobSpec, TypedMapEmitter, TypedOutEmitter,
-};
 use rdf_model::atom::Atom;
 use std::collections::BTreeMap;
 
@@ -43,46 +37,6 @@ pub fn group_count_by_subject(tuples: &[TgTuple], component: usize) -> BTreeMap<
         }
     }
     out
-}
-
-/// Build an MR job computing `GROUP BY <component subject> COUNT(*)` over
-/// a [`TgTuple`] relation, counting on the nested representation.
-///
-/// Map emits `(subject, implicit combination count)`; a combiner sums
-/// per-map-task; reduce sums and writes `(subject, count)` rows. The
-/// shuffle carries one small pair per (task, subject) — not one record
-/// per solution.
-pub fn count_job(
-    name: impl Into<String>,
-    input: &str,
-    component: usize,
-    output: impl Into<String>,
-) -> JobSpec {
-    let mapper = map_fn(move |t: TgTuple, out: &mut TypedMapEmitter<'_, Atom, u64>| {
-        let Some(tg) = t.0.get(component) else {
-            return Err(mrsim::MrError::Op("count component out of range".into()));
-        };
-        let combos: u64 = t.0.iter().map(|c| c.combination_count()).product();
-        out.emit(&tg.subject, &combos);
-        Ok(())
-    });
-    let combiner =
-        combine_fn(|key: Atom, counts: Vec<u64>, out: &mut TypedMapEmitter<'_, Atom, u64>| {
-            out.emit(&key, &counts.iter().sum());
-            Ok(())
-        });
-    let reducer =
-        reduce_fn(|key: Atom, counts: Vec<u64>, out: &mut TypedOutEmitter<'_, (Atom, u64)>| {
-            out.emit(&(key, counts.iter().sum()))
-        });
-    JobSpec::map_reduce(
-        name,
-        vec![InputBinding { file: input.to_string(), mapper }],
-        reducer,
-        crate::physical::REDUCERS,
-        output,
-    )
-    .with_combiner(combiner)
 }
 
 #[cfg(test)]
@@ -167,21 +121,6 @@ mod tests {
         assert_eq!(total, solution_count_fast(&tuples));
         // g1 carries the multi-valued xRef (but only xGO joins to go1).
         assert!(groups.contains_key("<g1>"));
-    }
-
-    #[test]
-    fn count_job_runs_on_nested_form() {
-        let (engine, tuples, _, _) = run_lazy(Q);
-        let names = engine.hdfs().lock().file_names();
-        let input = names.iter().filter(|n| n.contains("agg")).max().unwrap().clone();
-        let job = count_job("count", &input, 0, "counts");
-        let stats = engine.run_job(&job).unwrap();
-        let rows: Vec<(Atom, u64)> = engine.read_records("counts").unwrap();
-        let total: u64 = rows.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, solution_count_fast(&tuples));
-        // The shuffle carried at most one pair per (map task, subject) —
-        // far fewer than the flat solution count when combos are implicit.
-        assert!(stats.map_output_records <= tuples.len() as u64);
     }
 
     #[test]

@@ -141,13 +141,9 @@ pub struct JobStats {
     pub input_records: u64,
     /// Text bytes read from DFS input files.
     pub hdfs_read_bytes: u64,
-    /// Map output records before any combiner ran.
-    pub pre_combine_records: u64,
-    /// Map output records (== shuffle records for jobs with a reduce;
-    /// after the combiner, if one ran).
+    /// Map output records (== shuffle records for jobs with a reduce).
     pub map_output_records: u64,
-    /// Map output text bytes (== shuffle bytes for jobs with a reduce;
-    /// after the combiner, if one ran).
+    /// Map output text bytes (== shuffle bytes for jobs with a reduce).
     pub map_output_bytes: u64,
     /// Map output bytes *post-encoding* — the exact size of the encoded
     /// key/value bytes spilled to the shuffle, as opposed to the
@@ -183,10 +179,6 @@ pub struct JobStats {
     /// Detailed fault-injection counters (node losses, re-executed maps,
     /// stragglers, speculative backups, detected corruptions).
     pub faults: FaultStats,
-    /// Undecodable records quarantined to the job's bad-record side file
-    /// instead of failing the task (skip-bad-records mode; 0 when the
-    /// policy is off or every record decoded).
-    pub records_skipped: u64,
     /// Simulated seconds lost to faults: wasted attempts, re-executed
     /// maps, and speculative duplicates, priced by
     /// [`crate::CostModel::retry_seconds`]. Included in `sim_seconds`.
@@ -225,8 +217,7 @@ pub struct JobStats {
     /// Always recorded (the accounting is O(partitions), not O(records)).
     pub peak_arena_bytes: u64,
     /// Peak live bytes held by a single task: the largest map-task
-    /// emitter footprint (including the combiner's coexisting output
-    /// arena while it runs) or reduce-partition footprint, whichever is
+    /// emitter footprint or reduce-partition footprint, whichever is
     /// larger. Worker-count-invariant because task chunking is.
     pub peak_task_live_bytes: u64,
     /// High-water mark of any spill index (entry count of the largest
@@ -388,9 +379,6 @@ pub struct WorkflowStats {
     /// True if `DegradeOnDiskFull` dropped a stage's output replication to
     /// 1 to survive a `DiskFull` failure.
     pub degraded_replication: bool,
-    /// Stages skipped by [`crate::Workflow::resume`] because all their
-    /// outputs were already committed to the DFS (checkpoint hits).
-    pub stages_skipped: u64,
 }
 
 impl WorkflowStats {
@@ -473,11 +461,6 @@ impl WorkflowStats {
     /// Checksum mismatches detected by the data plane, over all jobs.
     pub fn total_corruptions_detected(&self) -> u64 {
         self.jobs.iter().map(|j| j.faults.corruptions_detected).sum()
-    }
-
-    /// Undecodable records quarantined by skip-bad-records, over all jobs.
-    pub fn total_records_skipped(&self) -> u64 {
-        self.jobs.iter().map(|j| j.records_skipped).sum()
     }
 
     /// Worst reduce skew over all jobs in the workflow (1.0 when no job
@@ -644,7 +627,6 @@ mod tests {
         j2.faults.speculative_reduce_tasks = 2;
         j2.faults.corruptions_detected = 2;
         j2.faults.corrupt_refetches = 1;
-        j2.records_skipped = 5;
         j2.output_records = 7;
         j2.output_text_bytes = 70;
         let wf = WorkflowStats { jobs: vec![j1, j2], succeeded: true, ..WorkflowStats::default() };
@@ -653,7 +635,6 @@ mod tests {
         assert_eq!(wf.total_node_losses(), 1);
         assert_eq!(wf.total_speculative_tasks(), 3);
         assert_eq!(wf.total_corruptions_detected(), 2);
-        assert_eq!(wf.total_records_skipped(), 5);
         assert_eq!(wf.final_output_records(), 7);
         assert_eq!(wf.final_output_text_bytes(), 70);
         assert_eq!(WorkflowStats::default().final_output_text_bytes(), 0);

@@ -23,8 +23,8 @@
 //! rebase), free it. The driver copies no shuffle bytes; it only injects
 //! faults and does per-task bookkeeping, in task order. No owned
 //! per-record pairs are ever built: emissions encode straight into the
-//! arena, and sorting, combining and reducing all operate on borrowed
-//! `&[u8]` slices of it.
+//! arena, and sorting and reducing both operate on borrowed `&[u8]`
+//! slices of it.
 //!
 //! Determinism: the same job over the same inputs produces byte-identical
 //! output files and identical counters regardless of worker count. Map
@@ -42,8 +42,7 @@ use crate::error::MrError;
 use crate::faults::FaultConfig;
 use crate::hdfs::{DfsFile, SimHdfs};
 use crate::job::{
-    JobKind, JobSpec, MapEmitter, OutEmitter, RawCombineOp, RawMapOnlyOp, RawMapOp, TaskContext,
-    TaskReport,
+    JobKind, JobSpec, MapEmitter, OutEmitter, RawMapOnlyOp, RawMapOp, TaskContext, TaskReport,
 };
 use crate::spill::SpillArena;
 use crate::trace::{TaskPhase, TraceEvent, TraceSink};
@@ -117,14 +116,6 @@ pub struct Engine {
     /// injected corruption then reaches job output: the checksums are
     /// load-bearing.
     verify_checksums: bool,
-    /// Hadoop's skip mode (`mapreduce.map.skip.maxrecords`): when set,
-    /// a map task that hits an undecodable input record
-    /// ([`MrError::Codec`]) quarantines the raw record into a
-    /// `<job>.quarantine` side file and keeps going, up to this many
-    /// records per task; one more fails the job with
-    /// [`MrError::SkipBudgetExhausted`]. `None` (the default) fails the
-    /// job on the first bad record.
-    pub skip_bad_records: Option<u64>,
 }
 
 /// Per-task metadata collected only while tracing, to lay task spans on
@@ -199,7 +190,6 @@ impl Engine {
             broadcast_budget_bytes: DEFAULT_BROADCAST_BUDGET_BYTES,
             profiling: false,
             verify_checksums: true,
-            skip_bad_records: None,
         }
     }
 
@@ -257,15 +247,6 @@ impl Engine {
     #[cfg(test)]
     pub(crate) fn with_verification(mut self, on: bool) -> Self {
         self.verify_checksums = on;
-        self
-    }
-
-    /// Enable skip-bad-records mode with the given per-task budget (see
-    /// [`Engine::skip_bad_records`]). A budget of 0 quarantines nothing:
-    /// the first undecodable record fails the job, but as
-    /// [`MrError::SkipBudgetExhausted`] rather than a bare codec error.
-    pub fn with_skip_bad_records(mut self, budget: u64) -> Self {
-        self.skip_bad_records = Some(budget);
         self
     }
 
@@ -490,10 +471,9 @@ impl Engine {
                 &mut stats,
                 &mut scratch,
             )?,
-            JobKind::MapReduce { inputs, combiner, reducer, reduce_tasks } => {
+            JobKind::MapReduce { inputs, reducer, reduce_tasks } => {
                 let partitions = self.run_map_phase(
                     inputs,
-                    combiner.as_deref(),
                     &broadcast,
                     *reduce_tasks,
                     spec.fault_epoch,
@@ -542,13 +522,6 @@ impl Engine {
             });
         }
 
-        let mut outputs = outputs;
-        if spec.output_compression < 1.0 {
-            for output in &mut outputs {
-                output.text_bytes =
-                    (output.text_bytes as f64 * spec.output_compression).ceil() as u64;
-            }
-        }
         for output in &outputs {
             stats.output_records += output.records.len() as u64;
             stats.output_text_bytes += output.text_bytes;
@@ -750,22 +723,18 @@ impl Engine {
             }
         }
         self.resolve_faults(epoch, TaskPhase::Map, chunks.len(), false, stats)?;
-        let job = stats.name.clone();
         let results = self.parallel_over(&chunks, |chunk| {
             let ctx = TaskContext::with_env(broadcast.to_vec()).profiled(self.profiling);
             let mut out = OutEmitter::with_outputs(budget, n_outputs);
-            let mut skipped: Vec<Vec<u8>> = Vec::new();
             for rec in *chunk {
-                let r = mapper.run(&ctx, rec, &mut out);
-                self.filter_record(&job, r, rec, &mut skipped)?;
+                mapper.run(&ctx, rec, &mut out)?;
             }
             // Map-only tasks buffer their output records until commit.
             let live_bytes: u64 = out.records.iter().map(|(_, r, _)| r.len() as u64).sum();
-            Ok((out, ctx.report(live_bytes, skipped)))
+            Ok((out, ctx.report(live_bytes)))
         })?;
-        let mut quarantined: Vec<Vec<u8>> = Vec::new();
-        let outs = results.into_iter().enumerate().map(|(task, (out, report))| {
-            quarantined.extend(self.absorb(task as u64, report, stats));
+        let outs = results.into_iter().map(|(out, report)| {
+            Self::absorb(report, stats);
             out
         });
         let files = collect_outputs(outs, budget, n_outputs)?;
@@ -773,73 +742,15 @@ impl Engine {
         // map-only jobs, but they are NOT shuffle bytes (reduce_tasks == 0).
         stats.map_output_records = files.iter().map(|f| f.records.len() as u64).sum();
         stats.map_output_bytes = files.iter().map(|f| f.text_bytes).sum();
-        self.write_quarantine(&job, quarantined)?;
         Ok(files)
     }
 
-    /// Skip-mode filter for one map input record: pass non-codec results
-    /// through, quarantine a decode failure when a budget is configured
-    /// and not yet spent, fail the task with
-    /// [`MrError::SkipBudgetExhausted`] once it is. Decode happens before
-    /// any user logic runs, so a quarantined record has emitted nothing.
-    fn filter_record(
-        &self,
-        job: &str,
-        result: Result<(), MrError>,
-        rec: &[u8],
-        skipped: &mut Vec<Vec<u8>>,
-    ) -> Result<(), MrError> {
-        match (result, self.skip_bad_records) {
-            (Err(MrError::Codec(_)), Some(budget)) => {
-                skipped.push(rec.to_vec());
-                if skipped.len() as u64 > budget {
-                    return Err(MrError::SkipBudgetExhausted { job: job.to_string(), budget });
-                }
-                Ok(())
-            }
-            (r, _) => r,
-        }
-    }
-
     /// Fold one task's [`TaskReport`] into the job — the one place a task's
-    /// counters, histograms, live-byte mark and skip-mode evidence
-    /// (`records_skipped`, the [`TraceEvent::RecordSkipped`] event) reach
-    /// [`JobStats`]. Returns the task's quarantined records; callers visit
-    /// tasks in task order, so the side file they append to is
-    /// worker-count-invariant.
-    fn absorb(&self, task: u64, report: TaskReport, stats: &mut JobStats) -> Vec<Vec<u8>> {
+    /// counters, histograms and live-byte mark reach [`JobStats`].
+    fn absorb(report: TaskReport, stats: &mut JobStats) {
         stats.ops.merge(&report.ops);
         stats.metrics.merge(&report.metrics);
         stats.peak_task_live_bytes = stats.peak_task_live_bytes.max(report.live_bytes);
-        if !report.skipped.is_empty() {
-            let records = report.skipped.len() as u64;
-            stats.records_skipped += records;
-            let job = stats.name.clone();
-            self.emit(|| TraceEvent::RecordSkipped { job, task, records });
-        }
-        report.skipped
-    }
-
-    /// Commit a job's quarantined records as a `<job>.quarantine` side
-    /// file (nothing is written when the quarantine is empty). A leftover
-    /// side file from a previous attempt of the same job is replaced, so
-    /// workflow stage retries and resumes converge on the newest attempt's
-    /// evidence.
-    fn write_quarantine(&self, job: &str, records: Vec<Vec<u8>>) -> Result<(), MrError> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let name = format!("{job}.quarantine");
-        let file = DfsFile {
-            text_bytes: records.iter().map(|r| r.len() as u64).sum(),
-            records,
-            ..DfsFile::default()
-        };
-        let mut fs = self.hdfs.lock();
-        if fs.exists(&name) {
-            let _ = fs.delete(&name);
-        }
-        fs.put(&name, file)
     }
 
     /// Map phase with map-side shuffle partitioning: every map task spills
@@ -852,7 +763,6 @@ impl Engine {
     fn run_map_phase(
         &self,
         inputs: &[crate::job::InputBinding],
-        combiner: Option<&dyn RawCombineOp>,
         broadcast: &[Arc<DfsFile>],
         reduce_tasks: usize,
         epoch: u64,
@@ -883,19 +793,10 @@ impl Engine {
         let mut results = self.parallel_over(&work, |(mapper, chunk)| {
             let ctx = TaskContext::with_env(broadcast.to_vec()).profiled(self.profiling);
             let mut out = MapEmitter::partitioned(reduce_tasks);
-            let mut skipped: Vec<Vec<u8>> = Vec::new();
             for rec in *chunk {
-                let r = mapper.run(&ctx, rec, &mut out);
-                self.filter_record(&job, r, rec, &mut skipped)?;
+                mapper.run(&ctx, rec, &mut out)?;
             }
-            let pre_combine = out.len() as u64;
-            let mut live_bytes: u64 = out.buckets.iter().map(SpillArena::footprint_bytes).sum();
-            if let Some(c) = combiner {
-                out = self.run_combiner(c, &ctx, out)?;
-                // While the combiner runs, the original spill and its
-                // combined replacement coexist in task memory.
-                live_bytes += out.buckets.iter().map(SpillArena::footprint_bytes).sum::<u64>();
-            }
+            let live_bytes: u64 = out.buckets.iter().map(SpillArena::footprint_bytes).sum();
             // Map-side sort (Hadoop sorts every spill before the
             // reducers fetch it): each bucket becomes one sorted run
             // the reduce side can merge instead of re-sorting.
@@ -903,13 +804,13 @@ impl Engine {
                 bucket.sort_unstable();
             }
             if self.verify_checksums {
-                // Seal once the bucket contents are final (post-combiner):
-                // the checksum the shuffle verifies on absorb.
+                // Seal once the bucket contents are final: the checksum
+                // the shuffle verifies on absorb.
                 for bucket in &mut out.buckets {
                     bucket.seal();
                 }
             }
-            Ok((out, pre_combine, ctx.report(live_bytes, skipped)))
+            Ok((out, ctx.report(live_bytes)))
         })?;
         // In-flight corruption: flip one bit somewhere in a map task's
         // serialized output before the reducers fetch it. The draw and the
@@ -920,7 +821,7 @@ impl Engine {
         let base = Self::fault_base(&job, epoch, TaskPhase::Map);
         let mut columns: Vec<Vec<(SpillArena, Option<usize>)>> =
             (0..reduce_tasks).map(|_| Vec::with_capacity(results.len())).collect();
-        for (task, (out, ..)) in results.iter_mut().enumerate() {
+        for (task, (out, _)) in results.iter_mut().enumerate() {
             let total: usize = out.buckets.iter().map(|b| b.encoded_bytes() as usize).sum();
             let offset = if self.faults.data_corrupted(base, task as u64) {
                 self.faults.corruption_offset(base, task as u64, total)
@@ -969,12 +870,10 @@ impl Engine {
         }
         // Per-task accounting in task order, so counters and the event
         // stream are what a serial task-by-task fetch would produce.
-        let mut quarantined: Vec<Vec<u8>> = Vec::new();
-        for (task, (_, pre_combine, report)) in results.into_iter().enumerate() {
+        for (task, (_, report)) in results.into_iter().enumerate() {
             let detected = refetched[task];
             let task = task as u64;
-            stats.pre_combine_records += pre_combine;
-            quarantined.extend(self.absorb(task, report, stats));
+            Self::absorb(report, stats);
             if detected {
                 // The re-executed map is priced into `retry_seconds` via
                 // the refetch counter.
@@ -988,7 +887,6 @@ impl Engine {
                 self.emit(|| TraceEvent::Refetch { job: job.clone(), site: "shuffle", task });
             }
         }
-        self.write_quarantine(&job, quarantined)?;
         // Arenas only grow, so the post-merge footprint of each reduce
         // partition is its lifetime high-water mark.
         for part in &partitions {
@@ -1049,34 +947,6 @@ impl Engine {
         Ok((part, refetched, metrics))
     }
 
-    /// Run the combiner over one map task's buffered output: sort and
-    /// group each spill arena's record index, feed every group to the
-    /// combiner (exactly Hadoop's in-memory combine before spill). Keys
-    /// and values are slices borrowed from the arena — no per-group
-    /// clones. Combiner output is re-partitioned by its (possibly
-    /// rewritten) keys.
-    fn run_combiner(
-        &self,
-        combiner: &dyn RawCombineOp,
-        ctx: &TaskContext,
-        mut out: MapEmitter,
-    ) -> Result<MapEmitter, MrError> {
-        let mut combined = MapEmitter::partitioned(out.buckets.len());
-        let mut values: Vec<&[u8]> = Vec::new();
-        for bucket in &mut out.buckets {
-            bucket.sort_unstable();
-        }
-        for bucket in &out.buckets {
-            // Same grouping iterator the reduce side streams from.
-            for group in bucket.group_ranges() {
-                values.clear();
-                values.extend(group.clone().map(|t| bucket.value(t)));
-                combiner.run(ctx, bucket.key(group.start), &values, &mut combined)?;
-            }
-        }
-        Ok(combined)
-    }
-
     /// Reduce phase over pre-partitioned shuffle data: each partition
     /// sorts its record index (prefix-accelerated, in place — the arena
     /// bytes never move) and streams groups of borrowed slices to the
@@ -1127,12 +997,11 @@ impl Engine {
                 reducer.run(&ctx, part.key(group.start), &values, &mut out)?;
                 groups += 1;
             }
-            Ok((out, groups, ctx.report(live_bytes, Vec::new())))
+            Ok((out, groups, ctx.report(live_bytes)))
         })?;
-        let outs = results.into_iter().enumerate().map(|(task, (out, groups, report))| {
+        let outs = results.into_iter().map(|(out, groups, report)| {
             stats.reduce_groups += groups;
-            // Reduce tasks decode no input records: nothing was skipped.
-            self.absorb(task as u64, report, stats);
+            Self::absorb(report, stats);
             out
         });
         collect_outputs(outs, budget, n_outputs)
@@ -1257,32 +1126,17 @@ mod tests {
 
     #[test]
     fn deterministic_across_worker_counts() {
-        // Byte-identical outputs AND counters for every worker count, with
-        // and without a combiner.
-        let run = |workers: usize, with_combiner: bool| {
+        // Byte-identical outputs AND counters for every worker count.
+        let run = |workers: usize| {
             let engine =
                 word_count_engine(&["x", "y", "x", "z", "w", "w", "w"]).with_workers(workers);
-            let mut spec = word_count_spec();
-            if with_combiner {
-                let combiner = crate::job::combine_fn(
-                    |key: String,
-                     ones: Vec<u64>,
-                     out: &mut crate::job::TypedMapEmitter<'_, String, u64>| {
-                        out.emit(&key, &ones.iter().sum());
-                        Ok(())
-                    },
-                );
-                spec = spec.with_combiner(combiner);
-            }
-            let stats = engine.run_job(&spec).unwrap();
+            let stats = engine.run_job(&word_count_spec()).unwrap();
             let out: Vec<String> = engine.read_records("out").unwrap();
             (format!("{stats:?}"), out)
         };
-        for combined in [false, true] {
-            let baseline = run(1, combined);
-            for workers in [4, 8] {
-                assert_eq!(run(workers, combined), baseline, "workers={workers}");
-            }
+        let baseline = run(1);
+        for workers in [4, 8] {
+            assert_eq!(run(workers), baseline, "workers={workers}");
         }
     }
 
@@ -1463,58 +1317,6 @@ mod tests {
         engine.run_job(&spec).unwrap();
         let out: Vec<String> = engine.read_records("out").unwrap();
         assert_eq!(out, vec!["L:l1,R:r1"]);
-    }
-
-    #[test]
-    fn combiner_shrinks_shuffle_without_changing_results() {
-        use crate::job::combine_fn;
-        let engine = word_count_engine(&["a"; 200]).with_workers(4);
-        let baseline = engine.run_job(&word_count_spec()).unwrap();
-        let base_out: Vec<String> = engine.read_records("out").unwrap();
-
-        let combiner = combine_fn(
-            |key: String,
-             ones: Vec<u64>,
-             out: &mut crate::job::TypedMapEmitter<'_, String, u64>| {
-                out.emit(&key, &ones.iter().sum());
-                Ok(())
-            },
-        );
-        let spec = {
-            let mut s = word_count_spec();
-            s.outputs = vec!["out2".into()];
-            s.with_combiner(combiner)
-        };
-        let combined = engine.run_job(&spec).unwrap();
-        let comb_out: Vec<String> = engine.read_records("out2").unwrap();
-        assert_eq!(base_out, comb_out, "combiner must not change results");
-        assert!(combined.map_output_records < baseline.map_output_records);
-        assert!(combined.map_output_bytes < baseline.map_output_bytes);
-        assert_eq!(combined.pre_combine_records, baseline.map_output_records);
-    }
-
-    #[test]
-    fn output_compression_scales_accounted_bytes() {
-        let engine = word_count_engine(&["alpha", "beta", "alpha"]);
-        let plain = engine.run_job(&word_count_spec()).unwrap();
-        let spec = {
-            let mut s = word_count_spec();
-            s.outputs = vec!["out2".into()];
-            s.with_output_compression(0.5)
-        };
-        let compressed = engine.run_job(&spec).unwrap();
-        // Same records, half the accounted bytes (ceil per file).
-        assert_eq!(compressed.output_records, plain.output_records);
-        assert!(compressed.output_text_bytes <= plain.output_text_bytes / 2 + 1);
-        // Readers of the compressed file are charged the compressed size.
-        let file = engine.hdfs().lock().get("out2").unwrap();
-        assert_eq!(file.text_bytes, compressed.output_text_bytes);
-    }
-
-    #[test]
-    #[should_panic(expected = "compression ratio")]
-    fn rejects_bad_compression_ratio() {
-        word_count_spec().with_output_compression(0.0);
     }
 
     #[test]
@@ -1804,78 +1606,33 @@ mod tests {
     }
 
     #[test]
-    fn skip_bad_records_quarantines_within_budget() {
+    fn undecodable_input_record_fails_the_job_with_a_codec_error() {
         use crate::codec::Rec;
-        use crate::trace::MemorySink;
-        let bad1 = vec![2, 0, 0, 0, 0xff, 0xfe]; // length-prefixed invalid UTF-8
-        let bad2 = vec![9, 0, 0, 0, 0xff]; // claims 9 payload bytes, has 1
-        let mut records = Vec::new();
-        for w in ["alpha", "beta", "alpha"] {
-            records.push(w.to_string().to_bytes());
-        }
-        records.insert(1, bad1.clone());
-        records.push(bad2.clone());
-        let sink = MemorySink::new();
-        let engine =
-            Engine::unbounded().with_workers(4).with_skip_bad_records(8).with_trace(sink.clone());
-        let file = DfsFile { text_bytes: 24, records, ..DfsFile::default() };
-        engine.hdfs().lock().put("input", file).unwrap();
-        let stats = engine.run_job(&word_count_spec()).unwrap();
-        assert_eq!(stats.records_skipped, 2);
-        let mut out: Vec<String> = engine.read_records("out").unwrap();
-        out.sort_unstable();
-        assert_eq!(out, vec!["alpha:2", "beta:1"]);
-        // The raw undecodable records land in the side file, in task order.
-        let q = engine.hdfs().lock().get("wordcount.quarantine").unwrap();
-        assert_eq!(q.records, vec![bad1, bad2]);
-        assert!(sink
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::RecordSkipped { records: 2, .. })));
-    }
-
-    #[test]
-    fn skip_budget_exhaustion_and_default_failfast() {
-        use crate::codec::Rec;
-        let bad = vec![2, 0, 0, 0, 0xff, 0xfe];
-        let records = vec!["alpha".to_string().to_bytes(), bad.clone(), bad.clone()];
-        let seeded = |engine: Engine| {
-            let file = DfsFile { text_bytes: 9, records: records.clone(), ..DfsFile::default() };
-            engine.hdfs().lock().put("input", file).unwrap();
-            engine
+        let bad = vec![2, 0, 0, 0, 0xff, 0xfe]; // length-prefixed invalid UTF-8
+        let records = vec!["alpha".to_string().to_bytes(), bad, "beta".to_string().to_bytes()];
+        let upper = || {
+            let mapper = crate::job::map_only_fn(
+                |w: String, out: &mut crate::job::TypedOutEmitter<'_, String>| {
+                    out.emit(&w.to_uppercase())
+                },
+            );
+            JobSpec::map_only("upper", vec!["input".into()], mapper, "out")
         };
-        // Budget 1, two bad records in one task: typed exhaustion error.
-        let engine = seeded(Engine::unbounded().with_skip_bad_records(1));
-        let err = engine.run_job(&word_count_spec()).unwrap_err();
-        assert!(err.is_skip_budget_exhausted(), "{err:?}");
-        assert!(!engine.hdfs().lock().exists("out"));
-        assert!(!engine.hdfs().lock().exists("wordcount.quarantine"));
-        // Without skip mode the first bad record is a hard codec failure.
-        let engine = seeded(Engine::unbounded());
-        let err = engine.run_job(&word_count_spec()).unwrap_err();
-        assert!(matches!(err, MrError::Codec(_)), "{err:?}");
-    }
-
-    #[test]
-    fn skip_bad_records_in_map_only_jobs() {
-        use crate::codec::Rec;
-        let bad = vec![9, 0, 0, 0, 0xff];
-        let records = vec!["one".to_string().to_bytes(), bad.clone(), "two".to_string().to_bytes()];
-        let engine = Engine::unbounded().with_skip_bad_records(4);
-        let file = DfsFile { text_bytes: 8, records, ..DfsFile::default() };
-        engine.hdfs().lock().put("input", file).unwrap();
-        let mapper = crate::job::map_only_fn(
-            |w: String, out: &mut crate::job::TypedOutEmitter<'_, String>| {
-                out.emit(&w.to_uppercase())
-            },
-        );
-        let spec = JobSpec::map_only("upper", vec!["input".into()], mapper, "out");
-        let stats = engine.run_job(&spec).unwrap();
-        assert_eq!(stats.records_skipped, 1);
-        let out: Vec<String> = engine.read_records("out").unwrap();
-        assert_eq!(out, vec!["ONE", "TWO"]);
-        let q = engine.hdfs().lock().get("upper.quarantine").unwrap();
-        assert_eq!(q.records, vec![bad]);
+        for workers in [1, 4] {
+            for spec in [word_count_spec(), upper()] {
+                let engine = Engine::unbounded().with_workers(workers);
+                let file =
+                    DfsFile { text_bytes: 13, records: records.clone(), ..DfsFile::default() };
+                engine.hdfs().lock().put("input", file).unwrap();
+                let err = engine.run_job(&spec).unwrap_err();
+                assert!(
+                    matches!(err, MrError::Codec(_)),
+                    "{} workers={workers}: {err:?}",
+                    spec.name
+                );
+                assert!(!engine.hdfs().lock().exists("out"), "{} committed output", spec.name);
+            }
+        }
     }
 
     mod split_rule {
@@ -1926,7 +1683,7 @@ mod tests {
         // input — must fan out over the pool: splits are cut by bytes.
         let lines: Vec<String> =
             (0..300).map(|i| format!("k{}:{}", i % 7, "x".repeat(1000))).collect();
-        let run = |workers: usize, with_combiner: bool| {
+        let run = |workers: usize| {
             let engine = Engine::unbounded().with_workers(workers);
             engine.put_records("input", lines.clone()).unwrap();
             let mapper =
@@ -1939,36 +1696,24 @@ mod tests {
                     out.emit(&format!("{key}:{}", vs.iter().sum::<u64>()))
                 },
             );
-            let mut spec = JobSpec::map_reduce(
+            let spec = JobSpec::map_reduce(
                 "kb",
                 vec![InputBinding { file: "input".into(), mapper }],
                 reducer,
                 3,
                 "out",
             );
-            if with_combiner {
-                spec = spec.with_combiner(crate::job::combine_fn(
-                    |key: String,
-                     vs: Vec<u64>,
-                     out: &mut crate::job::TypedMapEmitter<'_, String, u64>| {
-                        out.emit(&key, &vs.iter().sum());
-                        Ok(())
-                    },
-                ));
-            }
             let stats = engine.run_job(&spec).unwrap();
             let out = engine.hdfs().lock().get("out").unwrap().records.clone();
             (stats, out)
         };
-        for combined in [false, true] {
-            let (stats, out) = run(1, combined);
-            // ~302 KB of input at the 32 KiB floor.
-            assert_eq!(stats.faults.map_tasks_scheduled, 10, "combiner={combined}");
-            let baseline = (format!("{stats:?}"), out);
-            for workers in [4, 8] {
-                let (stats, out) = run(workers, combined);
-                assert_eq!((format!("{stats:?}"), out), baseline, "workers={workers}");
-            }
+        let (stats, out) = run(1);
+        // ~302 KB of input at the 32 KiB floor.
+        assert_eq!(stats.faults.map_tasks_scheduled, 10);
+        let baseline = (format!("{stats:?}"), out);
+        for workers in [4, 8] {
+            let (stats, out) = run(workers);
+            assert_eq!((format!("{stats:?}"), out), baseline, "workers={workers}");
         }
     }
 

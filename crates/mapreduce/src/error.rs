@@ -67,15 +67,6 @@ pub enum MrError {
         /// Checksum recomputed at read time.
         actual: u64,
     },
-    /// A task quarantined more undecodable records than its
-    /// skip-bad-records budget allows (Hadoop's skip mode gives up once
-    /// the bad-record count passes `mapreduce.map.skip.maxrecords`).
-    SkipBudgetExhausted {
-        /// Job whose task ran out of skip budget.
-        job: String,
-        /// Per-task skip budget that was exceeded.
-        budget: u64,
-    },
     /// A stage was submitted to a workflow that already failed. The
     /// workflow records its first failure and refuses further stages.
     WorkflowDead,
@@ -105,10 +96,6 @@ impl fmt::Display for MrError {
                 f,
                 "checksum mismatch in '{job}' at {site}: expected {expected:#018x}, got {actual:#018x}"
             ),
-            MrError::SkipBudgetExhausted { job, budget } => write!(
-                f,
-                "'{job}' quarantined more than {budget} undecodable records in one task"
-            ),
             MrError::WorkflowDead => write!(f, "workflow already failed; stage refused"),
             MrError::Op(m) => write!(f, "operator error: {m}"),
         }
@@ -134,16 +121,6 @@ impl MrError {
     /// task memory budget.
     pub fn is_broadcast_too_large(&self) -> bool {
         matches!(self, MrError::BroadcastTooLarge { .. })
-    }
-
-    /// True if this error is a detected checksum mismatch.
-    pub fn is_corruption(&self) -> bool {
-        matches!(self, MrError::Corruption { .. })
-    }
-
-    /// True if this error is a task exceeding its skip-bad-records budget.
-    pub fn is_skip_budget_exhausted(&self) -> bool {
-        matches!(self, MrError::SkipBudgetExhausted { .. })
     }
 }
 
@@ -177,28 +154,16 @@ mod tests {
     }
 
     #[test]
-    fn corruption_display_and_predicate() {
+    fn corruption_display() {
         let e = MrError::Corruption {
             job: "j".into(),
             site: "shuffle",
             expected: 0xDEAD,
             actual: 0xBEEF,
         };
-        assert!(e.is_corruption());
         assert!(!e.is_task_exhausted());
         let msg = e.to_string();
         assert!(msg.contains("checksum mismatch in 'j' at shuffle"), "{msg}");
         assert!(msg.contains("0x000000000000dead"), "{msg}");
-        assert!(!MrError::WorkflowDead.is_corruption());
-    }
-
-    #[test]
-    fn skip_budget_display_and_predicate() {
-        let e = MrError::SkipBudgetExhausted { job: "j".into(), budget: 8 };
-        assert!(e.is_skip_budget_exhausted());
-        assert!(!e.is_corruption());
-        let msg = e.to_string();
-        assert!(msg.contains("more than 8 undecodable records"), "{msg}");
-        assert!(!MrError::Codec("x".into()).is_skip_budget_exhausted());
     }
 }

@@ -111,13 +111,6 @@ impl FaultConfig {
         self
     }
 
-    /// Set the simulated node count map tasks are assigned over.
-    pub fn with_nodes(mut self, nodes: u32) -> Self {
-        assert!(nodes >= 1, "need at least one node");
-        self.nodes = nodes;
-        self
-    }
-
     /// Make each task a straggler with probability `p`, running at
     /// `slowdown ×` its normal time.
     pub fn with_stragglers(mut self, p: f64, slowdown: f64) -> Self {
@@ -320,7 +313,7 @@ mod tests {
 
     #[test]
     fn node_loss_rate_and_independence() {
-        let f = FaultConfig::none().with_node_loss(0.25).with_nodes(4);
+        let f = FaultConfig::none().with_node_loss(0.25);
         assert!(f.any());
         let losses = (0..10_000u64).filter(|&salt| f.node_lost(salt, 1)).count();
         assert!((2_000..3_000).contains(&losses), "{losses}");
@@ -360,7 +353,6 @@ mod tests {
     #[test]
     fn builders_validate() {
         assert!(std::panic::catch_unwind(|| FaultConfig::none().with_node_loss(1.0)).is_err());
-        assert!(std::panic::catch_unwind(|| FaultConfig::none().with_nodes(0)).is_err());
         assert!(std::panic::catch_unwind(|| FaultConfig::none().with_stragglers(0.1, 0.5)).is_err());
         assert!(std::panic::catch_unwind(|| FaultConfig::none().with_speculation(0.0)).is_err());
         assert!(std::panic::catch_unwind(|| FaultConfig::none().with_corruption(1.0)).is_err());

@@ -17,8 +17,8 @@ use std::cell::{Ref, RefCell};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// Per-task execution context, created by the engine for each map task,
-/// combiner run, and reduce partition.
+/// Per-task execution context, created by the engine for each map task
+/// and reduce partition.
 ///
 /// Carries the task-lifetime [`AtomTable`] that typed adapters decode
 /// through, so every occurrence of a token within one task shares a
@@ -158,8 +158,8 @@ impl TaskContext {
 
     /// Close the task: drain its counters and metrics into the one
     /// [`TaskReport`] the engine absorbs into the job.
-    pub(crate) fn report(&self, live_bytes: u64, skipped: Vec<Vec<u8>>) -> TaskReport {
-        TaskReport { ops: self.take_counters(), metrics: self.take_metrics(), live_bytes, skipped }
+    pub(crate) fn report(&self, live_bytes: u64) -> TaskReport {
+        TaskReport { ops: self.take_counters(), metrics: self.take_metrics(), live_bytes }
     }
 }
 
@@ -171,8 +171,6 @@ pub(crate) struct TaskReport {
     pub(crate) metrics: MetricsRegistry,
     /// Peak bytes the task held live (spill arenas or buffered output).
     pub(crate) live_bytes: u64,
-    /// Undecodable input records skip mode quarantined, in input order.
-    pub(crate) skipped: Vec<Vec<u8>>,
 }
 
 /// Buffered, map-side-partitioned output of one map task.
@@ -180,9 +178,7 @@ pub(crate) struct TaskReport {
 /// Each emission is routed to one of `reduce_tasks` spill arenas as it is
 /// produced, keyed by [`crate::engine::default_partition`] — Hadoop's
 /// map-side partitioning, where the map task writes one spill segment per
-/// reducer and the driver never touches individual pairs. Combiners also
-/// emit into a partitioned emitter, so their (possibly rewritten) keys are
-/// re-routed to the correct reducer.
+/// reducer and the driver never touches individual pairs.
 ///
 /// The emit path is allocation-free per record: the key is encoded into a
 /// reusable scratch buffer (to compute its partition), then key and value
@@ -244,6 +240,7 @@ impl MapEmitter {
     }
 
     /// Total emissions across all partition arenas.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.buckets.iter().map(crate::spill::SpillArena::len).sum()
     }
@@ -337,21 +334,6 @@ pub trait RawReduceOp: Send + Sync {
         key: &[u8],
         values: &[&[u8]],
         out: &mut OutEmitter,
-    ) -> Result<(), MrError>;
-}
-
-/// Byte-level combiner: runs on each map task's local output before the
-/// shuffle (Hadoop's combiner), re-emitting key/value pairs. Input and
-/// output key/value types must match the mapper's. Like [`RawReduceOp`],
-/// `values` borrows from the map task's spill buffer.
-pub trait RawCombineOp: Send + Sync {
-    /// Combine one locally-grouped key. Emit replacement pairs via `out`.
-    fn run(
-        &self,
-        ctx: &TaskContext,
-        key: &[u8],
-        values: &[&[u8]],
-        out: &mut MapEmitter,
     ) -> Result<(), MrError>;
 }
 
@@ -452,43 +434,6 @@ where
     Arc::new(MapOnlyFnOp { f, _pd: PhantomData })
 }
 
-struct CombineFnOp<K, V, F> {
-    f: F,
-    #[allow(clippy::type_complexity)]
-    _pd: PhantomData<fn(K, V) -> (K, V)>,
-}
-
-impl<K, V, F> RawCombineOp for CombineFnOp<K, V, F>
-where
-    K: Rec,
-    V: Rec,
-    F: Fn(K, Vec<V>, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync,
-{
-    fn run(
-        &self,
-        ctx: &TaskContext,
-        key: &[u8],
-        values: &[&[u8]],
-        out: &mut MapEmitter,
-    ) -> Result<(), MrError> {
-        let key = K::from_bytes_with(key, &ctx.atoms)?;
-        let values: Result<Vec<V>, MrError> =
-            values.iter().map(|v| V::from_bytes_with(v, &ctx.atoms)).collect();
-        let mut emitter = TypedMapEmitter { raw: out, _pd: PhantomData };
-        (self.f)(key, values?, &mut emitter)
-    }
-}
-
-/// Wrap a typed closure as a combiner.
-pub fn combine_fn<K, V, F>(f: F) -> Arc<dyn RawCombineOp>
-where
-    K: Rec,
-    V: Rec,
-    F: Fn(K, Vec<V>, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync + 'static,
-{
-    Arc::new(CombineFnOp { f, _pd: PhantomData })
-}
-
 /// Wrap a typed closure as a reduce operator: [`reduce_fn_ctx`] for a
 /// closure that has no use for the [`TaskContext`].
 pub fn reduce_fn<K, V, O, F>(f: F) -> Arc<dyn RawReduceOp>
@@ -567,9 +512,6 @@ pub enum JobKind {
     MapReduce {
         /// Inputs with their mappers.
         inputs: Vec<InputBinding>,
-        /// Optional map-side combiner (runs per map task before the
-        /// shuffle).
-        combiner: Option<Arc<dyn RawCombineOp>>,
         /// The reduce operator.
         reducer: Arc<dyn RawReduceOp>,
         /// Number of reduce tasks (partitions).
@@ -596,11 +538,6 @@ pub struct JobSpec {
     pub outputs: Vec<String>,
     /// Replication override for the outputs (defaults to the DFS default).
     pub replication: Option<u32>,
-    /// Simulated output compression ratio in `(0, 1]`: the stored file's
-    /// accounted text size is `ratio ×` the raw text size (Pig/Hive jobs
-    /// frequently compress intermediates; the paper's Pig plans start with
-    /// a compression pass).
-    pub output_compression: f64,
     /// Marks the job as scanning the base input relation in full — the
     /// paper's "full scan" (FS) metric. Set by planners.
     pub full_input_scan: bool,
@@ -635,34 +572,14 @@ impl JobSpec {
         assert!(reduce_tasks >= 1, "need at least one reduce task");
         JobSpec {
             name: name.into(),
-            kind: JobKind::MapReduce { inputs, combiner: None, reducer, reduce_tasks },
+            kind: JobKind::MapReduce { inputs, reducer, reduce_tasks },
             outputs: vec![output.into()],
             replication: None,
-            output_compression: 1.0,
             full_input_scan: false,
             fault_epoch: 0,
             broadcast: Vec::new(),
             estimated_output_records: None,
         }
-    }
-
-    /// Attach a map-side combiner (only meaningful for map-reduce jobs).
-    ///
-    /// # Panics
-    /// Panics when called on a map-only job.
-    pub fn with_combiner(mut self, c: Arc<dyn RawCombineOp>) -> Self {
-        match &mut self.kind {
-            JobKind::MapReduce { combiner, .. } => *combiner = Some(c),
-            JobKind::MapOnly { .. } => panic!("combiners require a reduce phase"),
-        }
-        self
-    }
-
-    /// Set the simulated output compression ratio (`0 < ratio <= 1`).
-    pub fn with_output_compression(mut self, ratio: f64) -> Self {
-        assert!(ratio > 0.0 && ratio <= 1.0, "compression ratio must be in (0, 1]");
-        self.output_compression = ratio;
-        self
     }
 
     /// Build a map-only job.
@@ -677,7 +594,6 @@ impl JobSpec {
             kind: JobKind::MapOnly { files, mapper },
             outputs: vec![output.into()],
             replication: None,
-            output_compression: 1.0,
             full_input_scan: false,
             fault_epoch: 0,
             broadcast: Vec::new(),

@@ -256,8 +256,7 @@ impl SpillArena {
 
     /// Iterate maximal ranges of equal-key records in current index
     /// order. Only meaningful on a sorted (or merged) arena, where equal
-    /// keys are adjacent — this is the one grouping loop shared by the
-    /// combiner and the reduce side.
+    /// keys are adjacent — the reduce side's grouping loop.
     pub fn group_ranges(&self) -> GroupRanges<'_> {
         GroupRanges { arena: self, start: 0 }
     }
@@ -332,9 +331,8 @@ impl SpillArena {
     }
 
     /// Seal the arena: record its checksum for later [`verify`]. The map
-    /// side calls this once a bucket's contents are final (after the
-    /// combiner, if any); any later mutation through the normal API
-    /// clears the seal.
+    /// side calls this once a bucket's contents are final; any later
+    /// mutation through the normal API clears the seal.
     ///
     /// [`verify`]: Self::verify
     pub(crate) fn seal(&mut self) {

@@ -177,16 +177,6 @@ pub enum TraceEvent {
         /// Producing map-task index (shuffle) or block index (dfs).
         task: u64,
     },
-    /// Skip-bad-records mode quarantined undecodable input records to the
-    /// job's bad-record side file instead of failing the task.
-    RecordSkipped {
-        /// Job name.
-        job: String,
-        /// Task index that hit the bad records.
-        task: u64,
-        /// Records quarantined by this task.
-        records: u64,
-    },
     /// A job's broadcast side files were distributed to its map tasks
     /// through the simulated distributed cache.
     Broadcast {
@@ -229,8 +219,8 @@ pub enum TraceEvent {
         job: String,
         /// Largest merged reduce-partition spill-arena footprint in bytes.
         peak_arena_bytes: u64,
-        /// Largest per-task live byte footprint (map emitter buffers,
-        /// combiner coexistence included, or a reduce partition).
+        /// Largest per-task live byte footprint (map emitter buffers or a
+        /// reduce partition).
         peak_task_live_bytes: u64,
         /// Largest spill-arena record-index length (entries).
         peak_spill_entries: u64,
@@ -318,15 +308,6 @@ pub enum TraceEvent {
         /// Display form of the error that failed the attempt.
         error: String,
     },
-    /// A resumed workflow skipped a stage whose outputs were all already
-    /// committed to the DFS (checkpoint hit; see
-    /// [`crate::Workflow::resume`]).
-    CheckpointResume {
-        /// Zero-based stage index that was skipped.
-        stage: u64,
-        /// Number of jobs in the skipped stage.
-        jobs: u64,
-    },
     /// A stage completed at `sim_end` (start + max startup + Σ work).
     StageEnd {
         /// Zero-based stage index.
@@ -359,7 +340,6 @@ impl TraceEvent {
             TraceEvent::SpeculativeTask { .. } => "speculative_task",
             TraceEvent::CorruptionDetected { .. } => "corruption_detected",
             TraceEvent::Refetch { .. } => "refetch",
-            TraceEvent::RecordSkipped { .. } => "record_skipped",
             TraceEvent::Broadcast { .. } => "broadcast",
             TraceEvent::CardinalityEstimate { .. } => "cardinality_estimate",
             TraceEvent::ShufflePartition { .. } => "shuffle_partition",
@@ -369,7 +349,6 @@ impl TraceEvent {
             TraceEvent::JobEnd { .. } => "job_end",
             TraceEvent::JobSpan { .. } => "job_span",
             TraceEvent::StageRetry { .. } => "stage_retry",
-            TraceEvent::CheckpointResume { .. } => "checkpoint_resume",
             TraceEvent::StageEnd { .. } => "stage_end",
             TraceEvent::WorkflowEnd { .. } => "workflow_end",
         }
@@ -427,11 +406,6 @@ impl TraceEvent {
                 o.str("job", job);
                 o.str("site", site);
                 o.u64("task", *task);
-            }
-            TraceEvent::RecordSkipped { job, task, records } => {
-                o.str("job", job);
-                o.u64("task", *task);
-                o.u64("records", *records);
             }
             TraceEvent::Broadcast { job, files, bytes, ship_bytes } => {
                 o.str("job", job);
@@ -510,10 +484,6 @@ impl TraceEvent {
                 o.u64("attempt", u64::from(*attempt));
                 o.f64("backoff_seconds", *backoff_seconds);
                 o.str("error", error);
-            }
-            TraceEvent::CheckpointResume { stage, jobs } => {
-                o.u64("stage", *stage);
-                o.u64("jobs", *jobs);
             }
             TraceEvent::StageEnd { stage, sim_end } => {
                 o.u64("stage", *stage);
@@ -661,21 +631,6 @@ pub fn validate_json(s: &str) -> Result<(), String> {
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-/// Validate a JSON Lines document (e.g. a [`JsonlSink`] event log): every
-/// non-empty line must be one complete JSON value. On failure, reports the
-/// zero-based line index — the offending event's position in the stream —
-/// alongside the inner parse error, instead of leaving the caller to
-/// bisect the file.
-pub fn validate_jsonl(s: &str) -> Result<(), String> {
-    for (line_no, line) in s.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        validate_json(line).map_err(|e| format!("line {line_no} (event {line_no}): {e}"))?;
     }
     Ok(())
 }
@@ -1096,17 +1051,6 @@ impl TraceSink for ChromeTraceSink {
                 let tid = Self::task_lane(state, job);
                 Self::instant(state, tid, &format!("refetch {site} {task}"), JsonObject::new());
             }
-            TraceEvent::RecordSkipped { job, task, records } => {
-                let tid = Self::task_lane(state, job);
-                let mut args = JsonObject::new();
-                args.u64("records", *records);
-                Self::instant(state, tid, &format!("skipped records {task}"), args);
-            }
-            TraceEvent::CheckpointResume { stage, jobs } => {
-                let mut args = JsonObject::new();
-                args.u64("jobs", *jobs);
-                Self::instant(state, JOB_LANE, &format!("stage {stage} checkpointed"), args);
-            }
             TraceEvent::ShufflePartition { .. }
             | TraceEvent::Broadcast { .. }
             | TraceEvent::CardinalityEstimate { .. }
@@ -1236,8 +1180,6 @@ mod tests {
             },
             TraceEvent::CorruptionDetected { job: "j1".into(), site: "shuffle", task: 4 },
             TraceEvent::Refetch { job: "j1".into(), site: "dfs", task: 0 },
-            TraceEvent::RecordSkipped { job: "j1".into(), task: 2, records: 3 },
-            TraceEvent::CheckpointResume { stage: 1, jobs: 2 },
             TraceEvent::ShufflePartition { job: "j1".into(), partition: 1, records: 7, bytes: 99 },
             TraceEvent::MemoryHighWater {
                 job: "j1".into(),
@@ -1335,42 +1277,6 @@ mod tests {
         {
             assert!(validate_json(bad).is_err(), "accepted: {bad}");
         }
-    }
-
-    #[test]
-    fn validate_jsonl_reports_offending_line() {
-        validate_jsonl("").unwrap();
-        validate_jsonl("{\"a\":1}\n{\"b\":2}\n\n[3]\n").unwrap();
-        let err = validate_jsonl("{\"a\":1}\n{broken\n{\"c\":3}\n").unwrap_err();
-        assert!(err.starts_with("line 1 (event 1):"), "{err}");
-        let err = validate_jsonl("{\"a\":1}\n{\"b\":2}\nnope").unwrap_err();
-        assert!(err.starts_with("line 2"), "{err}");
-    }
-
-    #[test]
-    fn validate_jsonl_accepts_integrity_event_stream() {
-        // An event log of the new integrity/recovery events must be a
-        // valid JSONL document carrying the stable kind tags.
-        let events = [
-            TraceEvent::CorruptionDetected { job: "j".into(), site: "shuffle", task: 3 },
-            TraceEvent::Refetch { job: "j".into(), site: "shuffle", task: 3 },
-            TraceEvent::CorruptionDetected { job: "j".into(), site: "dfs", task: 0 },
-            TraceEvent::Refetch { job: "j".into(), site: "dfs", task: 0 },
-            TraceEvent::RecordSkipped { job: "j".into(), task: 1, records: 4 },
-            TraceEvent::CheckpointResume { stage: 2, jobs: 1 },
-        ];
-        let log: String = events.iter().map(|e| e.to_json() + "\n").collect::<Vec<_>>().concat();
-        validate_jsonl(&log).unwrap();
-        for (ev, line) in events.iter().zip(log.lines()) {
-            assert!(line.contains(&format!("\"event\":\"{}\"", ev.kind())), "{line}");
-        }
-        assert!(log.contains("\"event\":\"corruption_detected\""));
-        assert!(log.contains("\"event\":\"record_skipped\""));
-        assert!(log.contains("\"event\":\"checkpoint_resume\""));
-        // A flipped byte in the log itself is caught with its line index.
-        let broken = log.replace("\"event\":\"refetch\"", "\"event\":refetch\"");
-        let err = validate_jsonl(&broken).unwrap_err();
-        assert!(err.starts_with("line 1 (event 1):"), "{err}");
     }
 
     #[test]

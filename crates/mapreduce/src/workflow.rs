@@ -50,20 +50,11 @@ pub enum RecoveryPolicy {
     /// is *already* writing at replication 1 there is nothing left to
     /// degrade, and the stage fails fast with the original `DiskFull`.
     DegradeOnDiskFull,
-    /// Fail the current driver like [`FailFast`](Self::FailFast), but
-    /// rely on completed stage outputs on the DFS as checkpoints: a new
-    /// driver built with [`Workflow::resume`] resubmits the same stages
-    /// and skips every stage whose outputs are all committed, re-running
-    /// only from the first incomplete stage (partial outputs of which
-    /// are deleted first). This is the restart story of a long NTGA
-    /// workflow after a driver crash.
-    CheckpointRestart,
 }
 
 /// A running workflow over an [`Engine`].
 pub struct Workflow<'e> {
     engine: &'e Engine,
-    policy: RecoveryPolicy,
     stats: WorkflowStats,
     intermediates: Vec<String>,
     failed: bool,
@@ -71,91 +62,47 @@ pub struct Workflow<'e> {
     /// stage retry: every attempt (failed or not) consumes an index so
     /// trace timelines stay unambiguous.
     next_stage: u64,
-    /// True while a [`resume`](Self::resume)d workflow is still replaying
-    /// the checkpointed prefix: stages whose outputs all exist are
-    /// skipped. Cleared at the first incomplete stage.
-    resuming: bool,
 }
 
 impl<'e> Workflow<'e> {
     /// Start a workflow with the given report label. The recovery policy
-    /// is inherited from the engine (see [`Engine::with_recovery`]).
+    /// is the engine's (see [`Engine::with_recovery`]).
     pub fn new(engine: &'e Engine, label: impl Into<String>) -> Self {
         let label = label.into();
         engine.emit(|| TraceEvent::WorkflowStart { label: label.clone() });
         Workflow {
             engine,
-            policy: engine.recovery,
             stats: WorkflowStats { label, succeeded: true, ..Default::default() },
             intermediates: Vec::new(),
             failed: false,
             next_stage: 0,
-            resuming: false,
         }
-    }
-
-    /// Restart a workflow after a driver crash (or a
-    /// [`RecoveryPolicy::CheckpointRestart`] failure), treating completed
-    /// stage outputs already on the DFS as checkpoints. The caller
-    /// resubmits the *same* stage sequence; every stage whose outputs all
-    /// exist is skipped (recorded in [`WorkflowStats::stages_skipped`]
-    /// and a `checkpoint_resume` trace event), and execution restarts at
-    /// the first incomplete stage after deleting its partial outputs.
-    pub fn resume(engine: &'e Engine, label: impl Into<String>) -> Self {
-        let mut wf = Workflow::new(engine, label);
-        wf.resuming = true;
-        wf
-    }
-
-    /// Override the recovery policy for this workflow only.
-    pub fn with_policy(mut self, policy: RecoveryPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Run one stage of concurrent jobs, applying the recovery policy on
     /// failure. Returns the error that killed the workflow, if any; the
     /// workflow is dead afterwards and refuses further stages with
-    /// [`MrError::WorkflowDead`].
+    /// [`MrError::WorkflowDead`]. A stage without jobs is refused with
+    /// [`MrError::Op`] and leaves the workflow as it was.
     pub fn run_stage(&mut self, mut specs: Vec<JobSpec>) -> Result<(), MrError> {
-        assert!(!specs.is_empty(), "empty stage");
         if self.failed {
             return Err(MrError::WorkflowDead);
+        }
+        if specs.is_empty() {
+            return Err(MrError::Op("empty stage".into()));
         }
         // Register outputs BEFORE running: a stage that fails midway may
         // have committed some jobs' outputs to the DFS, and those must be
         // cleaned up by `finish`/`finish_failed` like any intermediate.
         let outputs: Vec<String> = specs.iter().flat_map(|s| s.outputs.iter().cloned()).collect();
         self.intermediates.extend(outputs.iter().cloned());
-        if self.resuming {
-            let all_committed = {
-                let fs = self.engine.hdfs().lock();
-                outputs.iter().all(|o| fs.exists(o))
-            };
-            if all_committed {
-                // Checkpoint hit: every output of this stage survived the
-                // crash. Consume a stage index (trace timelines stay
-                // aligned with the original submission order) and move on
-                // without running or charging anything.
-                let stage = self.next_stage;
-                self.next_stage += 1;
-                self.stats.stages_skipped += 1;
-                self.engine
-                    .emit(|| TraceEvent::CheckpointResume { stage, jobs: specs.len() as u64 });
-                return Ok(());
-            }
-            // First incomplete stage: delete any partial outputs the
-            // crashed driver left behind, then run normally from here on.
-            self.resuming = false;
-            self.delete_existing(&outputs);
-        }
         let mut attempt: u32 = 0;
         let mut degraded = false;
         loop {
             match self.try_stage(&specs) {
                 Ok(()) => return Ok(()),
                 Err(e) => {
-                    let backoff = match self.policy {
+                    let backoff = match self.engine.recovery {
                         RecoveryPolicy::FailFast => None,
                         RecoveryPolicy::RetryStage { max_retries, backoff_s } => {
                             (attempt < max_retries).then(|| backoff_s * f64::from(attempt + 1))
@@ -170,7 +117,6 @@ impl<'e> Workflow<'e> {
                                 specs.iter().any(|s| s.replication.unwrap_or(default_repl) > 1);
                             (e.is_disk_full() && !degraded && degradable).then_some(0.0)
                         }
-                        RecoveryPolicy::CheckpointRestart => None,
                     };
                     let Some(backoff) = backoff else {
                         self.failed = true;
@@ -190,7 +136,7 @@ impl<'e> Workflow<'e> {
                         backoff_seconds: backoff,
                         error: e.to_string(),
                     });
-                    if matches!(self.policy, RecoveryPolicy::DegradeOnDiskFull) {
+                    if matches!(self.engine.recovery, RecoveryPolicy::DegradeOnDiskFull) {
                         degraded = true;
                         self.stats.degraded_replication = true;
                         for spec in &mut specs {
@@ -506,9 +452,9 @@ mod tests {
         assert!(!ff.succeeded);
 
         // RetryStage: recovers, output identical to a fault-free run.
-        let engine = mk_engine();
-        let mut wf = Workflow::new(&engine, "retry")
-            .with_policy(RecoveryPolicy::RetryStage { max_retries: 3, backoff_s: 5.0 });
+        let engine = mk_engine()
+            .with_recovery(RecoveryPolicy::RetryStage { max_retries: 3, backoff_s: 5.0 });
+        let mut wf = Workflow::new(&engine, "retry");
         wf.run_job(identity_job("in", &out, false)).unwrap();
         let stats = wf.finish(&[&out]);
         assert!(stats.succeeded);
@@ -535,9 +481,9 @@ mod tests {
         let capacity = 2 * in_text + out_text + out_text / 2;
 
         let mk = |policy: RecoveryPolicy| {
-            let engine = Engine::new(SimHdfs::new(capacity, 2));
+            let engine = Engine::new(SimHdfs::new(capacity, 2)).with_recovery(policy);
             engine.put_records("in", (0..40).map(|i| format!("word{i}"))).unwrap();
-            let mut wf = Workflow::new(&engine, "deg").with_policy(policy);
+            let mut wf = Workflow::new(&engine, "deg");
             let res = wf.run_job(identity_job("in", "out", false));
             (res, wf.finish(&["out"]))
         };
@@ -562,9 +508,10 @@ mod tests {
         let in_text = probe.hdfs().lock().usage(); // unbounded => replication 1
         let out_text = probe.run_job(&identity_job("in", "out", false)).unwrap().output_text_bytes;
 
-        let engine = Engine::new(SimHdfs::new(in_text + out_text / 2, 1));
+        let engine = Engine::new(SimHdfs::new(in_text + out_text / 2, 1))
+            .with_recovery(RecoveryPolicy::DegradeOnDiskFull);
         engine.put_records("in", (0..40).map(|i| format!("word{i}"))).unwrap();
-        let mut wf = Workflow::new(&engine, "deg1").with_policy(RecoveryPolicy::DegradeOnDiskFull);
+        let mut wf = Workflow::new(&engine, "deg1");
         let err = wf.run_job(identity_job("in", "out", false)).unwrap_err();
         assert!(err.is_disk_full());
         let stats = wf.finish_failed(&err);
@@ -574,9 +521,10 @@ mod tests {
 
         // An explicit per-spec replication of 1 is equally non-degradable,
         // even when the DFS default is higher.
-        let engine = Engine::new(SimHdfs::new(2 * in_text + out_text / 2, 2));
+        let engine = Engine::new(SimHdfs::new(2 * in_text + out_text / 2, 2))
+            .with_recovery(RecoveryPolicy::DegradeOnDiskFull);
         engine.put_records("in", (0..40).map(|i| format!("word{i}"))).unwrap();
-        let mut wf = Workflow::new(&engine, "deg2").with_policy(RecoveryPolicy::DegradeOnDiskFull);
+        let mut wf = Workflow::new(&engine, "deg2");
         let mut spec = identity_job("in", "out", false);
         spec.replication = Some(1);
         let err = wf.run_job(spec).unwrap_err();
@@ -585,91 +533,33 @@ mod tests {
     }
 
     #[test]
-    fn resume_skips_completed_stages() {
-        use crate::trace::{MemorySink, TraceSink};
-        use std::sync::Arc;
-
-        let sink = MemorySink::new();
-        let engine = Engine::unbounded().with_trace(sink.clone() as Arc<dyn TraceSink>);
-        engine.put_records("in", (0..50).map(|i| format!("w{}", i % 7))).unwrap();
-
-        // First driver completes stages A and B, then "crashes" (dropped
-        // without finish); its committed outputs stay on the DFS.
-        let mut wf = Workflow::new(&engine, "crashed");
-        wf.run_job(identity_job("in", "a", false)).unwrap();
-        wf.run_job(identity_job("a", "b", false)).unwrap();
-        drop(wf);
-        sink.take();
-
-        // The new driver resubmits the same plan plus the unfinished tail.
-        let mut wf =
-            Workflow::resume(&engine, "resumed").with_policy(RecoveryPolicy::CheckpointRestart);
-        wf.run_job(identity_job("in", "a", false)).unwrap();
-        wf.run_job(identity_job("a", "b", false)).unwrap();
-        wf.run_job(identity_job("b", "c", false)).unwrap();
-        let stats = wf.finish(&["c"]);
+    fn empty_stage_is_a_typed_error_and_the_workflow_lives() {
+        let engine = Engine::unbounded();
+        engine.put_records("in", ["a".to_string()]).unwrap();
+        let mut wf = Workflow::new(&engine, "empty");
+        let err = wf.run_stage(vec![]).unwrap_err();
+        assert!(matches!(&err, MrError::Op(m) if m == "empty stage"), "{err:?}");
+        wf.run_job(identity_job("in", "out", false)).unwrap();
+        let stats = wf.finish(&["out"]);
         assert!(stats.succeeded);
-        assert_eq!(stats.stages_skipped, 2);
-        assert_eq!(stats.mr_cycles, 1, "only the incomplete stage runs");
-        assert_eq!(stats.jobs.len(), 1);
-        assert_eq!(stats.jobs[0].name, "b->c");
-
-        // Trace evidence: job spans exist only for the re-run stage, and
-        // the skipped prefix shows up as checkpoint_resume events.
-        let events = sink.events();
-        let spans: Vec<&str> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::JobSpan { job, .. } => Some(job.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(spans, vec!["b->c"]);
-        let skipped: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::CheckpointResume { stage, .. } => Some(*stage),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(skipped, vec![0, 1]);
-
-        // The resumed result matches an uninterrupted run bit-for-bit.
-        let clean = Engine::unbounded();
-        clean.put_records("in", (0..50).map(|i| format!("w{}", i % 7))).unwrap();
-        let mut wf = Workflow::new(&clean, "clean");
-        wf.run_job(identity_job("in", "a", false)).unwrap();
-        wf.run_job(identity_job("a", "b", false)).unwrap();
-        wf.run_job(identity_job("b", "c", false)).unwrap();
-        wf.finish(&["c"]);
-        assert_eq!(
-            engine.hdfs().lock().get("c").unwrap().records,
-            clean.hdfs().lock().get("c").unwrap().records
-        );
+        assert_eq!(stats.mr_cycles, 1);
     }
 
     #[test]
-    fn resume_cleans_partial_stage_outputs() {
-        // A concurrent stage that crashed after committing only one of its
-        // two outputs is incomplete: resume must delete the partial output
-        // and re-run the whole stage.
-        let engine = Engine::unbounded();
-        engine.put_records("in", (0..30).map(|i| format!("w{}", i % 5))).unwrap();
-        let mut wf = Workflow::new(&engine, "crashed");
-        wf.run_job(identity_job("in", "a", false)).unwrap();
-        // Simulate the crash mid-stage: only "b1" of {b1, b2} committed.
-        wf.run_job(identity_job("a", "b1", false)).unwrap();
-        drop(wf);
-        assert!(engine.hdfs().lock().exists("b1"));
-
-        let mut wf = Workflow::resume(&engine, "resumed");
-        wf.run_job(identity_job("in", "a", false)).unwrap();
-        wf.run_stage(vec![identity_job("a", "b1", false), identity_job("a", "b2", false)]).unwrap();
-        let stats = wf.finish(&["b1", "b2"]);
-        assert!(stats.succeeded);
-        assert_eq!(stats.stages_skipped, 1, "only stage A was checkpointed");
-        assert_eq!(stats.jobs.len(), 2, "the partial stage re-runs both jobs");
-        assert!(engine.hdfs().lock().exists("b1"));
-        assert!(engine.hdfs().lock().exists("b2"));
+    fn poisoned_input_exhausts_stage_retries_with_the_codec_error() {
+        use crate::codec::Rec;
+        let engine = Engine::unbounded()
+            .with_recovery(RecoveryPolicy::RetryStage { max_retries: 2, backoff_s: 1.0 });
+        let records = vec!["a".to_string().to_bytes(), vec![2, 0, 0, 0, 0xff, 0xfe]];
+        let file = crate::hdfs::DfsFile { records, text_bytes: 5, ..Default::default() };
+        engine.hdfs().lock().put("in", file).unwrap();
+        let mut wf = Workflow::new(&engine, "poison");
+        let err = wf.run_job(identity_job("in", "out", false)).unwrap_err();
+        assert!(matches!(err, MrError::Codec(_)), "{err:?}");
+        let stats = wf.finish_failed(&err);
+        assert!(!stats.succeeded);
+        assert_eq!(stats.stage_retries, 2);
+        assert_eq!(stats.failure, Some(err.to_string()));
+        assert!(!engine.hdfs().lock().exists("out"));
     }
 }

@@ -20,8 +20,8 @@
 
 use mrsim::trace::TraceEvent;
 use mrsim::{
-    combine_fn, map_fn, reduce_fn, Engine, FaultConfig, InputBinding, JobSpec, MemorySink,
-    TraceSink, TypedMapEmitter, TypedOutEmitter, Workflow, WorkflowStats,
+    map_fn, reduce_fn, Engine, FaultConfig, InputBinding, JobSpec, MemorySink, TraceSink,
+    TypedMapEmitter, TypedOutEmitter, Workflow, WorkflowStats,
 };
 use std::sync::Arc;
 
@@ -319,29 +319,15 @@ fn exhausted_attempts_fail_the_workflow_not_the_process() {
 
 /// The profiled chaos workflow: the campaign shape at >4096 input records
 /// (so every map input splits into multiple chunks — the regime where
-/// worker-dependent chunking would skew per-task histograms), with the
-/// combiner optionally attached to every word-count job.
-fn run_profiled(regime: Regime, seed: u64, workers: usize, combiner: bool) -> WorkflowStats {
+/// worker-dependent chunking would skew per-task histograms).
+fn run_profiled(regime: Regime, seed: u64, workers: usize) -> WorkflowStats {
     let engine = Engine::unbounded()
         .with_workers(workers)
         .with_profiling(true)
         .with_faults(faults_for(regime, seed));
     engine.put_records("in", (0..6000).map(|i| format!("word{}", i % 37))).unwrap();
-    let attach = |job: JobSpec| {
-        if combiner {
-            job.with_combiner(combine_fn(
-                |key: String, values: Vec<u64>, out: &mut TypedMapEmitter<'_, String, u64>| {
-                    out.emit(&key, &values.iter().sum());
-                    Ok(())
-                },
-            ))
-        } else {
-            job
-        }
-    };
     let mut wf = Workflow::new(&engine, format!("profiled-{regime:?}"));
-    wf.run_stage(vec![attach(wc_job("p-a", "in", "a", 4)), attach(wc_job("p-b", "in", "b", 3))])
-        .unwrap();
+    wf.run_stage(vec![wc_job("p-a", "in", "a", 4), wc_job("p-b", "in", "b", 3)]).unwrap();
     wf.run_job(wc_job("p-merge", "a", "c", 2)).unwrap();
     wf.finish(&["c"])
 }
@@ -351,45 +337,32 @@ fn profiles_are_worker_invariant_under_chaos() {
     let seed = campaign_seed();
     // The full profile fingerprint — merged histograms plus every memory
     // high-water mark — must be bit-identical across worker counts in
-    // every (regime, combiner) cell.
+    // every regime.
     for regime in REGIMES {
-        for combiner in [false, true] {
-            let base = run_profiled(regime, seed, 1, combiner);
-            let fingerprint = |stats: &WorkflowStats| {
-                (
-                    stats.metrics().to_json(),
-                    stats.peak_arena_bytes(),
-                    stats.peak_task_live_bytes(),
-                    stats.peak_spill_entries(),
-                    stats.max_partition_shuffle_bytes(),
-                )
-            };
-            assert!(!base.metrics().is_empty(), "{regime:?} combiner={combiner}");
-            assert!(base.peak_arena_bytes() > 0, "{regime:?} combiner={combiner}");
-            assert!(base.peak_task_live_bytes() > 0, "{regime:?} combiner={combiner}");
-            for workers in [4usize, 8] {
-                let stats = run_profiled(regime, seed, workers, combiner);
-                assert_eq!(
-                    fingerprint(&stats),
-                    fingerprint(&base),
-                    "{regime:?} combiner={combiner} workers={workers}"
-                );
-            }
+        let base = run_profiled(regime, seed, 1);
+        let fingerprint = |stats: &WorkflowStats| {
+            (
+                stats.metrics().to_json(),
+                stats.peak_arena_bytes(),
+                stats.peak_task_live_bytes(),
+                stats.peak_spill_entries(),
+                stats.max_partition_shuffle_bytes(),
+            )
+        };
+        assert!(!base.metrics().is_empty(), "{regime:?}");
+        assert!(base.peak_arena_bytes() > 0, "{regime:?}");
+        assert!(base.peak_task_live_bytes() > 0, "{regime:?}");
+        for workers in [4usize, 8] {
+            let stats = run_profiled(regime, seed, workers);
+            assert_eq!(fingerprint(&stats), fingerprint(&base), "{regime:?} workers={workers}");
         }
     }
     // Duration histograms are also fault-regime-invariant: fault losses
     // are priced into retry_seconds, never into the phase histograms.
-    let clean = run_profiled(Regime::None, seed, 4, false);
-    let faulted = run_profiled(Regime::TaskFail, seed, 4, false);
+    let clean = run_profiled(Regime::None, seed, 4);
+    let faulted = run_profiled(Regime::TaskFail, seed, 4);
     assert!(faulted.total_task_retries() > 0, "the regime must inject");
     assert_eq!(clean.metrics(), faulted.metrics());
-    // The combiner legitimately changes the shuffle-side histograms
-    // (fewer, wider records reach the reducers) — but never the output.
-    let combined = run_profiled(Regime::None, seed, 4, true);
-    assert!(
-        combined.metrics().to_json() != clean.metrics().to_json(),
-        "combiner must be visible in the shuffle histograms"
-    );
 }
 
 #[test]
@@ -410,73 +383,6 @@ fn corruption_detection_counters_are_worker_invariant() {
             assert_eq!(out, base_out, "{regime:?} workers={workers}");
             assert_eq!(canonical(&events), canonical(&base_events), "{regime:?} w={workers}");
         }
-    }
-}
-
-#[test]
-fn poison_record_quarantine_is_worker_invariant() {
-    use mrsim::{DfsFile, Rec};
-    let bad1 = vec![2, 0, 0, 0, 0xff, 0xfe]; // invalid UTF-8 payload
-    let bad2 = vec![9, 0, 0, 0, 0xff]; // truncated payload
-    let run = |workers: usize| {
-        let engine = Engine::unbounded().with_workers(workers).with_skip_bad_records(8);
-        // > 4096 records so the input splits into several map tasks and
-        // the two poison records land in different tasks.
-        let mut records: Vec<Vec<u8>> =
-            (0..6000).map(|i| format!("word{}", i % 17).to_bytes()).collect();
-        records.insert(100, bad1.clone());
-        records.insert(3000, bad2.clone());
-        let file = DfsFile {
-            text_bytes: records.iter().map(|r| r.len() as u64).sum(),
-            records,
-            ..DfsFile::default()
-        };
-        engine.hdfs().lock().put("in", file).unwrap();
-        let stats = engine.run_job(&wc_job("poison", "in", "out", 4)).unwrap();
-        let out = engine.hdfs().lock().get("out").unwrap().records.clone();
-        let quarantine = engine.hdfs().lock().get("poison.quarantine").unwrap().records.clone();
-        (stats.records_skipped, out, quarantine)
-    };
-    let base = run(1);
-    assert_eq!(base.0, 2);
-    assert_eq!(base.2, vec![bad1.clone(), bad2.clone()], "quarantine preserves task order");
-    for workers in [4usize, 8] {
-        assert_eq!(run(workers), base, "workers={workers}");
-    }
-}
-
-#[test]
-fn poison_records_in_different_splits_quarantine_in_task_order() {
-    use mrsim::{DfsFile, Rec};
-    // ~1 KB records put a split boundary every ~32 records, so the poison
-    // records at 5 and 90 are skipped by different map tasks; the side
-    // file must still list them in task order on every worker count.
-    let bad1 = vec![2, 0, 0, 0, 0xff, 0xfe];
-    let bad2 = vec![9, 0, 0, 0, 0xff];
-    let run = |workers: usize| {
-        let engine = Engine::unbounded().with_workers(workers).with_skip_bad_records(1);
-        let mut records: Vec<Vec<u8>> =
-            (0..100).map(|i| format!("w{}{}", i % 5, "x".repeat(1000)).to_bytes()).collect();
-        records.insert(5, bad1.clone());
-        records.insert(90, bad2.clone());
-        let file = DfsFile {
-            text_bytes: records.iter().map(|r| r.len() as u64).sum(),
-            records,
-            ..DfsFile::default()
-        };
-        engine.hdfs().lock().put("in", file).unwrap();
-        let stats = engine.run_job(&wc_job("poison2", "in", "out", 4)).unwrap();
-        assert!(stats.faults.map_tasks_scheduled > 2);
-        let out = engine.hdfs().lock().get("out").unwrap().records.clone();
-        let quarantine = engine.hdfs().lock().get("poison2.quarantine").unwrap().records.clone();
-        (stats.records_skipped, out, quarantine)
-    };
-    let base = run(1);
-    // A per-task budget of 1 only suffices if the two land in different tasks.
-    assert_eq!(base.0, 2);
-    assert_eq!(base.2, vec![bad1.clone(), bad2.clone()]);
-    for workers in [4usize, 8] {
-        assert_eq!(run(workers), base, "workers={workers}");
     }
 }
 

@@ -105,13 +105,12 @@ proptest! {
             prop::sample::select(vec!["a", "b", "c", "dd", "eee", "ffff"]),
             0..80,
         ),
-        with_combiner in 0usize..2,
         with_faults in 0usize..2,
     ) {
         // The engine's core invariant: the same job over the same input
         // yields byte-identical output files and identical counters for
-        // every worker count — with and without a combiner, and with
-        // fault injection (retries must not perturb results).
+        // every worker count — with and without fault injection (retries
+        // must not perturb results).
         let run = |workers: usize| {
             let mut engine = Engine::unbounded().with_workers(workers);
             if with_faults == 1 {
@@ -127,21 +126,13 @@ proptest! {
                     out.emit(&(w, ones.iter().sum()))
                 },
             );
-            let mut spec = JobSpec::map_reduce(
+            let spec = JobSpec::map_reduce(
                 "det",
                 vec![InputBinding { file: "in".into(), mapper }],
                 reducer,
                 3,
                 "out",
             );
-            if with_combiner == 1 {
-                spec = spec.with_combiner(mrsim::combine_fn(
-                    |w: String, ones: Vec<u64>, out: &mut TypedMapEmitter<'_, String, u64>| {
-                        out.emit(&w, &ones.iter().sum());
-                        Ok(())
-                    },
-                ));
-            }
             let stats = engine.run_job(&spec).unwrap();
             let file = engine.hdfs().lock().get("out").unwrap();
             (format!("{stats:?}"), file.records.clone(), file.text_bytes)
@@ -279,32 +270,10 @@ mod fault_injection {
 
 /// The arena-backed spill path must be byte-for-byte equivalent to the
 /// owned-pair shuffle it replaced. The reference model below re-implements
-/// map → (combine) → partition → sort → group → reduce over plain owned
-/// `(Vec<u8>, Vec<u8>)` pairs, mirroring the engine's input splits (a
-/// split ends where its encoded bytes reach `max(total / 32, 32 KiB)`,
-/// independent of worker count) so per-task combining sees the same
-/// record sets.
+/// map → partition → sort → group → reduce over plain owned
+/// `(Vec<u8>, Vec<u8>)` pairs.
 mod arena_shuffle {
     use super::*;
-
-    /// The engine's map-split rule over the encoded input records.
-    fn reference_splits(words: &[String]) -> Vec<&[String]> {
-        let len = |w: &String| w.to_bytes().len();
-        let target = (words.iter().map(len).sum::<usize>() / 32).max(32 * 1024);
-        let mut splits = Vec::new();
-        let (mut start, mut bytes) = (0, 0);
-        for (i, w) in words.iter().enumerate() {
-            bytes += len(w);
-            if bytes >= target {
-                splits.push(&words[start..=i]);
-                (start, bytes) = (i + 1, 0);
-            }
-        }
-        if start < words.len() {
-            splits.push(&words[start..]);
-        }
-        splits
-    }
 
     /// Mapper fanout used by both the engine job and the reference model:
     /// `w → (w, 1), (w#t, 2)`.
@@ -314,39 +283,14 @@ mod arena_shuffle {
 
     /// Owned-pair reference shuffle. Returns the encoded output records in
     /// partition order — what the engine's output file must contain.
-    fn reference_shuffle(words: &[String], reducers: usize, with_combiner: bool) -> Vec<Vec<u8>> {
+    fn reference_shuffle(words: &[String], reducers: usize) -> Vec<Vec<u8>> {
         type Pair = (Vec<u8>, Vec<u8>);
         let mut partitions: Vec<Vec<Pair>> = vec![Vec::new(); reducers];
-        for chunk in reference_splits(words) {
-            let mut buckets: Vec<Vec<Pair>> = vec![Vec::new(); reducers];
-            for w in chunk {
-                for (k, v) in map_pairs(w) {
-                    let kb = k.to_bytes();
-                    let p = mrsim::default_partition(&kb, reducers);
-                    buckets[p].push((kb, v.to_bytes()));
-                }
-            }
-            if with_combiner {
-                let mut combined: Vec<Vec<Pair>> = vec![Vec::new(); reducers];
-                for bucket in &mut buckets {
-                    bucket.sort();
-                    let mut i = 0;
-                    while i < bucket.len() {
-                        let mut j = i + 1;
-                        while j < bucket.len() && bucket[j].0 == bucket[i].0 {
-                            j += 1;
-                        }
-                        let sum: u64 =
-                            bucket[i..j].iter().map(|(_, v)| u64::from_bytes(v).unwrap()).sum();
-                        let p = mrsim::default_partition(&bucket[i].0, reducers);
-                        combined[p].push((bucket[i].0.clone(), sum.to_bytes()));
-                        i = j;
-                    }
-                }
-                buckets = combined;
-            }
-            for (p, bucket) in buckets.into_iter().enumerate() {
-                partitions[p].extend(bucket);
+        for w in words {
+            for (k, v) in map_pairs(w) {
+                let kb = k.to_bytes();
+                let p = mrsim::default_partition(&kb, reducers);
+                partitions[p].push((kb, v.to_bytes()));
             }
         }
         let mut out = Vec::new();
@@ -364,12 +308,7 @@ mod arena_shuffle {
     /// file records. The identity reducer re-emits every `(key, value)`
     /// pair, so the output file *is* the sorted per-partition shuffle
     /// stream, verbatim.
-    fn engine_shuffle(
-        words: &[String],
-        workers: usize,
-        reducers: usize,
-        with_combiner: bool,
-    ) -> Vec<Vec<u8>> {
+    fn engine_shuffle(words: &[String], workers: usize, reducers: usize) -> Vec<Vec<u8>> {
         let engine = Engine::unbounded().with_workers(workers);
         engine.put_records("in", words.to_vec()).unwrap();
         let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
@@ -385,21 +324,13 @@ mod arena_shuffle {
                 }
                 Ok(())
             });
-        let mut spec = JobSpec::map_reduce(
+        let spec = JobSpec::map_reduce(
             "arena-vs-reference",
             vec![InputBinding { file: "in".into(), mapper }],
             reducer,
             reducers,
             "out",
         );
-        if with_combiner {
-            spec = spec.with_combiner(mrsim::combine_fn(
-                |w: String, vals: Vec<u64>, out: &mut TypedMapEmitter<'_, String, u64>| {
-                    out.emit(&w, &vals.iter().sum::<u64>());
-                    Ok(())
-                },
-            ));
-        }
         engine.run_job(&spec).unwrap();
         let records = engine.hdfs().lock().get("out").unwrap().records.clone();
         records
@@ -428,20 +359,11 @@ mod arena_shuffle {
         fn arena_matches_owned_pair_reference(
             words in arb_words(),
             reducers in 1usize..5,
-            with_combiner in 0usize..2,
         ) {
-            let with_combiner = with_combiner == 1;
-            let expected = reference_shuffle(&words, reducers, with_combiner);
+            let expected = reference_shuffle(&words, reducers);
             for workers in [1usize, 4, 8] {
-                let got = engine_shuffle(&words, workers, reducers, with_combiner);
-                prop_assert_eq!(
-                    &got,
-                    &expected,
-                    "workers={} reducers={} combiner={}",
-                    workers,
-                    reducers,
-                    with_combiner
-                );
+                let got = engine_shuffle(&words, workers, reducers);
+                prop_assert_eq!(&got, &expected, "workers={} reducers={}", workers, reducers);
             }
         }
     }
@@ -449,9 +371,9 @@ mod arena_shuffle {
     #[test]
     fn arena_matches_reference_across_multiple_map_tasks() {
         // 6 000 input records (~80 KB encoded) split into three map tasks
-        // at the 32 KiB floor (regardless of worker count), so per-task
-        // combining and multi-bucket absorption are genuinely exercised
-        // (small proptest inputs fit in one split).
+        // at the 32 KiB floor (regardless of worker count), so multi-bucket
+        // absorption is genuinely exercised (small proptest inputs fit in
+        // one split).
         let words: Vec<String> = (0..6000)
             .map(|i| match i % 5 {
                 0 => format!("sharedprefix-{}", i % 23),
@@ -461,12 +383,9 @@ mod arena_shuffle {
                 _ => format!("sharedprefix-{}#x", i % 7),
             })
             .collect();
-        for with_combiner in [false, true] {
-            let expected = reference_shuffle(&words, 4, with_combiner);
-            for workers in [1usize, 4, 8] {
-                let got = engine_shuffle(&words, workers, 4, with_combiner);
-                assert_eq!(got, expected, "workers={workers} combiner={with_combiner}");
-            }
+        let expected = reference_shuffle(&words, 4);
+        for workers in [1usize, 4, 8] {
+            assert_eq!(engine_shuffle(&words, workers, 4), expected, "workers={workers}");
         }
     }
 }

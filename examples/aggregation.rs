@@ -64,20 +64,6 @@ fn main() {
         println!("  {gene:<12} {count}");
     }
 
-    // The same aggregation as a MapReduce job with a combiner: the
-    // shuffle moves one (gene, count) pair per map task per gene.
-    let job = aggregate::count_job("count", &final_file, 0, "counts");
-    let stats = engine.run_job(&job).unwrap();
-    let rows: Vec<(String, u64)> = engine.read_records("counts").unwrap();
-    let mr_total: u64 = rows.iter().map(|(_, c)| c).sum();
-    assert_eq!(mr_total, total);
-    println!(
-        "\nMR count job: {} shuffle records for {} solutions (combiner collapsed {})",
-        stats.map_output_records,
-        total,
-        stats.pre_combine_records - stats.map_output_records
-    );
-
     // Contrast: what a flat plan would have had to materialize first.
     let naive = rdf_query::naive::evaluate(&query, &store);
     assert_eq!(naive.len() as u64, total, "fast count equals the real solution count");

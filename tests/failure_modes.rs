@@ -113,16 +113,15 @@ fn map_only_jobs_respect_the_aggregate_disk_budget() {
     let spec = || {
         let mapper = map_only_fn(|w: String, out: &mut TypedOutEmitter<'_, String>| out.emit(&w));
         JobSpec::map_only("identity", vec!["input".into()], mapper, "out")
-            .with_output_compression(0.4)
     };
     let unbounded = Engine::unbounded().with_workers(4);
     unbounded.put_records("input", rows()).unwrap();
     assert_eq!(unbounded.run_job(&spec()).unwrap().faults.map_tasks_scheduled, 5);
 
     // 123 000 B of input leave a 60 000 B budget: every task fits it alone,
-    // the second one takes the aggregate over it. Output compression (0.4
-    // → 49 200 B stored) would let the final write through, so only the
-    // aggregate early-abort can fail this job.
+    // the second one takes the aggregate over it. `needed` is the two
+    // tasks' 61 090 B, not the 123 000 B the final write would ask for, so
+    // it is the aggregate early-abort that failed this job.
     let engine = Engine::new(SimHdfs::new(183_000, 1)).with_workers(4);
     engine.put_records("input", rows()).unwrap();
     let err = engine.run_job(&spec()).unwrap_err();
