@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the NTGA core operators: grouping,
-//! group-filtering, β-unnest (full and partial), join expansions, the
-//! relational joins' reduce groups, the final β-unnest over a workflow's
-//! output, ANALYZE over an encoded relation, record codecs, the query
-//! parser, and the engine's map→reduce shuffle.
+//! group-filtering, β-unnest (full and partial), Job 1's reduce, join
+//! expansions, the relational joins' reduce groups, the final β-unnest over
+//! a workflow's output, ANALYZE over an encoded relation, record codecs, the
+//! query parser, and the engine's map→reduce shuffle.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrsim::Rec;
@@ -53,6 +53,54 @@ fn bench_unnest(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// Job 1's reduce over the largest BSBM product group, against a star with
+/// a bound label, a bound multi-valued feature and an unbound `?u ?x`: the
+/// byte kernel beside the typed closure it replaced (decode and intern
+/// every token, match, β-unnest, encode), nested and eagerly unnested.
+fn bench_group_reduce(c: &mut Criterion) {
+    use ntga_core::logical::{match_star, TripleGroup};
+    use ntga_core::physical::GroupReduce;
+    use rdf_model::atom::Atom;
+    let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(500));
+    let product = group_by_subject(store.triples())
+        .into_iter()
+        .filter(|tg| tg.subject.starts_with("<bsbm:product"))
+        .max_by_key(|tg| tg.pairs.len())
+        .unwrap();
+    let key = product.subject.to_bytes();
+    let mut values: Vec<Vec<u8>> = product.pairs.iter().map(Rec::to_bytes).collect();
+    values.sort();
+    let values: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
+    let query = "SELECT * WHERE { ?p <rdfs:label> ?l . ?p <bsbm:productFeature> ?f . ?p ?u ?x . }";
+    let stars = rdf_query::parse_query(query).unwrap().stars;
+    let ctx = mrsim::TaskContext::new();
+    for (placement, eager) in [("lazy", false), ("eager", true)] {
+        let reduce = GroupReduce::new(&stars, &[eager]);
+        c.bench_function(&format!("group_reduce/kernel/{placement}"), |b| {
+            b.iter(|| {
+                let mut emit = |star, record, text| {
+                    black_box((star, record, text));
+                    Ok(())
+                };
+                reduce.filter(&ctx, black_box(&key), black_box(&values), &mut emit).unwrap()
+            })
+        });
+        c.bench_function(&format!("group_reduce/typed/{placement}"), |b| {
+            b.iter(|| {
+                let subject = Atom::from_bytes_with(black_box(&key), &ctx.atoms).unwrap();
+                let pairs = values.iter().map(|v| <(Atom, Atom)>::from_bytes_with(v, &ctx.atoms));
+                let group =
+                    TripleGroup { subject, pairs: pairs.collect::<Result<_, _>>().unwrap() };
+                let ann = match_star(&group, &stars[0], 0).unwrap();
+                for tg in if eager { beta_unnest(&ann) } else { vec![ann] } {
+                    let tuple = ntga_core::TgTuple(vec![tg]);
+                    black_box((tuple.to_bytes(), tuple.text_size()));
+                }
+            })
+        });
+    }
 }
 
 /// One map-side unnest of the join kernel over an encoded tuple: every
@@ -228,6 +276,7 @@ criterion_group!(
     bench_grouping,
     bench_group_filter,
     bench_unnest,
+    bench_group_reduce,
     bench_join_expansions,
     bench_relational_reduce,
     bench_extract,

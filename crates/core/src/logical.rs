@@ -18,7 +18,7 @@
 //!   the granularity of a partition function `φ_m` over the join key, so
 //!   candidates landing in the same reducer partition stay nested.
 
-use crate::tg::AnnTg;
+use crate::tg::{next_combination, AnnTg};
 use rdf_model::atom::Atom;
 use rdf_model::STriple;
 use rdf_query::{PropPattern, StarPattern};
@@ -126,17 +126,8 @@ pub fn beta_unnest(tg: &AnnTg) -> Vec<AnnTg> {
             bound: tg.bound.clone(),
             unbound,
         });
-        let mut pos = dims.len();
-        loop {
-            if pos == 0 {
-                return out;
-            }
-            pos -= 1;
-            cursor[pos] += 1;
-            if cursor[pos] < dims[pos] {
-                break;
-            }
-            cursor[pos] = 0;
+        if !next_combination(&mut cursor, |pos| dims[pos]) {
+            return out;
         }
     }
 }

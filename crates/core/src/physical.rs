@@ -6,7 +6,9 @@
 //!   grouping cycle that computes ALL star joins). Where `eager[i]` is set
 //!   the reduce additionally β-unnests star `i` (all stars: the paper's
 //!   **EagerUnnest**); otherwise annotated triplegroups stay nested
-//!   (**LazyUnnest**).
+//!   (**LazyUnnest**). Its reduce, [`GroupReduce`], reads the group's
+//!   `(property, object)` values in place and writes every annotated or
+//!   perfect triplegroup from their bytes.
 //! * [`tg_join_job`] — **Job 2**: join between two triplegroup equivalence
 //!   classes. The map side evaluates the join role of each side:
 //!   subject joins ship the triplegroup as-is; bound-object joins pin the
@@ -19,20 +21,28 @@
 //!   operators ([`JoinMap`], [`JoinReduce`], [`BroadcastJoin`]) work on the
 //!   encoded bytes: a pinned copy is the input's bytes spliced around that
 //!   one list, and nothing is decoded into [`crate::AnnTg`]s.
+//!
+//! Every operator here reads and writes encoded bytes; the typed
+//! [`TgTuple`] codec defines the format and is what the tests decode with.
 
-use crate::logical::{match_star, TripleGroup};
-use crate::tg::{added_text, pair_text, sort_distinct, ListRef, PairRef, TgCursor, TgTuple};
+use crate::tg::{
+    added_text, next_combination, pair_text, sort_distinct, ListRef, PairRef, TgCursor,
+};
+// The record type every operator here writes, named by the docs alone.
+#[cfg(doc)]
+use crate::tg::TgTuple;
 use mr_rdf::{PlanError, TripleView};
 use mrsim::codec::{
-    counted_len, put_count, put_decimal_token, put_tag, put_token, split_tag, token_key_text,
+    counted_len, put_count, put_decimal_token, put_tag, put_token, split_tag, token_key,
+    token_key_text, token_len,
 };
 use mrsim::{
-    reduce_fn_ctx, InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOnlyOp, RawMapOp,
-    RawReduceOp, TaskContext, TypedOutEmitter,
+    InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOnlyOp, RawMapOp, RawReduceOp,
+    SliceReader, TaskContext,
 };
 use rdf_model::atom::{fnv1a, Atom};
 use rdf_model::hash::DetHashMap;
-use rdf_query::{Query, StarPattern};
+use rdf_query::{ObjFilter, ObjPattern, PropPattern, Query, StarPattern, TriplePattern};
 use std::borrow::Borrow;
 use std::hash::Hash;
 use std::ops::Range;
@@ -92,42 +102,6 @@ pub fn phi(key: &str, m: u64) -> u64 {
 // Job 1: TG_GroupBy + TG_UnbGrpFilter (+ optional eager β-unnest)
 // ---------------------------------------------------------------------------
 
-/// `TG_UnbGrpFilter` over one subject's triplegroup, plus the eager μ^β of
-/// the stars the plan unnests in Job 1 — Job 1's reduce-side operator.
-/// Admissions to star `i` go to output `i`.
-fn group_filter(
-    ctx: &TaskContext,
-    tg: &TripleGroup,
-    stars: &[StarPattern],
-    eager: &[bool],
-    out: &mut TypedOutEmitter<'_, TgTuple>,
-) -> Result<(), MrError> {
-    ctx.count(op::GROUPS_IN, 1);
-    ctx.count(op::PAIRS_IN, tg.pairs.len() as u64);
-    let mut admitted = 0u64;
-    for (i, star) in stars.iter().enumerate() {
-        if let Some(ann) = match_star(tg, star, i as u64) {
-            admitted += 1;
-            if eager[i] {
-                ctx.count(op::UNNEST_IN, 1);
-                let perfects = crate::logical::beta_unnest(&ann);
-                ctx.record(op::UNNEST_WIDTH, perfects.len() as u64);
-                for perfect in perfects {
-                    ctx.count(op::UNNEST_OUT, 1);
-                    out.emit_to(i, &TgTuple(vec![perfect]))?;
-                }
-            } else {
-                out.emit_to(i, &TgTuple(vec![ann]))?;
-            }
-        }
-    }
-    ctx.count(op::ADMITTED, admitted);
-    if admitted == 0 {
-        ctx.count(op::DROPPED, 1);
-    }
-    Ok(())
-}
-
 /// `TG_GroupBy`'s map over the triple relation, reading each record in
 /// place: the shuffle key is the triple's own encoded subject, the value
 /// its encoded property and object.
@@ -151,6 +125,191 @@ impl RawMapOp for GroupMap {
             out.emit_raw(t.s_bytes, t.po_bytes, text);
         }
         Ok(())
+    }
+}
+
+/// `TG_UnbGrpFilter` (Definition 1), Job 1's reduce: the β group-filter of
+/// one subject's triples against every star at once, and the eager μ^β
+/// (Definition 2) of the stars the plan unnests here. It reads the group's
+/// tokens in place and writes each admitted triplegroup from their bytes.
+pub struct GroupReduce {
+    stars: Vec<StarMatch>,
+}
+
+/// One star as [`GroupReduce`] matches it, compiled once per job.
+struct StarMatch {
+    subject: Option<ObjFilter>,
+    /// Each pattern's property (`None`: unbound) and object, bound patterns
+    /// first — the order of a triplegroup's lists.
+    patterns: Vec<(Option<Atom>, ObjPattern)>,
+    eager: bool,
+}
+
+/// A group value read in place: property, object, and its bytes `token p ·
+/// token o` — an unbound-list entry as it stands.
+type Pair<'a> = (&'a str, &'a str, &'a [u8]);
+
+/// A pair's role in a star's triplegroup: an unbound candidate only, or in
+/// a bound list, which puts its text in every perfect triplegroup.
+const CANDIDATE: u8 = 1;
+const BOUND: u8 = 2;
+
+impl GroupReduce {
+    /// The reduce for `stars`, β-unnesting star `i` here where `eager[i]`.
+    pub fn new(stars: &[StarPattern], eager: &[bool]) -> Self {
+        let compile = |(star, &eager): (&StarPattern, &bool)| {
+            let prop = |t: &TriplePattern| match &t.property {
+                PropPattern::Bound(p) => Some(p.clone()),
+                PropPattern::Unbound(_) => None,
+            };
+            let mut patterns: Vec<_> =
+                star.patterns.iter().map(|t| (prop(t), t.object.clone())).collect();
+            patterns.sort_by_key(|(p, _)| p.is_none());
+            StarMatch { subject: star.subject_filter.clone(), patterns, eager }
+        };
+        GroupReduce { stars: stars.iter().zip(eager).map(compile).collect() }
+    }
+
+    /// Filter one subject group: `key` the encoded subject, `values` its
+    /// encoded `(property, object)` pairs in the shuffle's sorted order, so
+    /// equal pairs are adjacent. `emit(star, record, text)` once per
+    /// admitted triplegroup, a one-component [`TgTuple`], star by star; an
+    /// eager star's perfect triplegroups in odometer order, the last unbound
+    /// list fastest.
+    ///
+    /// The key and every value are read before anything is emitted, so a
+    /// broken one fails the task with the codec's error.
+    pub fn filter(
+        &self,
+        ctx: &TaskContext,
+        key: &[u8],
+        values: &[&[u8]],
+        mut emit: impl FnMut(usize, Vec<u8>, u64) -> Result<(), MrError>,
+    ) -> Result<(), MrError> {
+        let subject = token_key(key)?;
+        let mut pairs: Vec<Pair<'_>> = Vec::with_capacity(values.len());
+        for &value in values {
+            let mut r = SliceReader::new(value);
+            pairs.push((r.read_str()?, r.read_str()?, value));
+            r.finish()?;
+        }
+        // No list count below is larger.
+        u32::try_from(pairs.len()).map_err(|_| MrError::Op("subject group too large".into()))?;
+        ctx.count(op::GROUPS_IN, 1);
+        ctx.count(op::PAIRS_IN, pairs.len() as u64);
+        // The subject and each distinct pair whose role is at least `min`.
+        let held_text = |roles: &[u8], min: u8| {
+            let first = |j: usize| j == 0 || pairs[j - 1].2 != pairs[j].2;
+            let held = pairs.iter().enumerate().filter(|&(j, _)| roles[j] >= min && first(j));
+            subject.len() as u64 + 1 + held.map(|(_, &(p, o, _))| pair_text(p, o)).sum::<u64>()
+        };
+        let (mut lists, mut roles, mut head, mut cursor) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut admitted = 0;
+        for (i, star) in self.stars.iter().enumerate() {
+            let patterns = &star.patterns;
+            // List `k` holds the pairs pattern `k` matches, by index.
+            lists.resize_with(patterns.len(), Vec::new);
+            roles.clear();
+            roles.resize(pairs.len(), 0);
+            let admits = star.subject.as_ref().is_none_or(|f| f.accepts(subject))
+                && patterns.iter().zip(&mut lists).all(|((prop, object), list)| {
+                    list.clear();
+                    for (j, &(p, o, _)) in pairs.iter().enumerate() {
+                        if prop.as_ref().is_none_or(|prop| &**prop == p) && object.accepts(o) {
+                            list.push(j);
+                            roles[j] = roles[j].max(if prop.is_some() { BOUND } else { CANDIDATE });
+                        }
+                    }
+                    !list.is_empty()
+                });
+            if !admits {
+                continue;
+            }
+            admitted += 1;
+            let bound = patterns.iter().take_while(|(p, _)| p.is_some()).count();
+            let (bound_lists, unbound_lists) = lists[..patterns.len()].split_at(bound);
+            // The record up to its unbound lists: one component, its subject,
+            // class and bound lists — each the property token as its first
+            // entry spells it, the count, the objects — and the unbound-list
+            // count.
+            head.clear();
+            put_count(&mut head, 1);
+            head.extend_from_slice(key);
+            put_tag(&mut head, i as u64);
+            put_count(&mut head, bound as u32);
+            for list in bound_lists {
+                let (p, _, value) = pairs[list[0]];
+                head.extend_from_slice(&value[..token_len(p)]);
+                put_count(&mut head, list.len() as u32);
+                for &(p, _, value) in list.iter().map(|&j| &pairs[j]) {
+                    head.extend_from_slice(&value[token_len(p)..]);
+                }
+            }
+            put_count(&mut head, unbound_lists.len() as u32);
+            if !star.eager {
+                let record = tg_record(&head, &pairs, unbound_lists.iter().map(Vec::as_slice));
+                emit(i, record, held_text(&roles, CANDIDATE))?;
+                continue;
+            }
+            let width = unbound_lists.iter().map(|l| l.len() as u64).fold(1, u64::saturating_mul);
+            count_unnest(ctx, width);
+            let base = held_text(&roles, BOUND);
+            cursor.clear();
+            cursor.resize(unbound_lists.len(), 0);
+            loop {
+                let picks = cursor.iter().zip(unbound_lists).map(|(&c, list)| &list[c..=c]);
+                // A pick that a bound list or an earlier pick holds adds no
+                // text.
+                let mut text = base;
+                for (n, pick) in picks.clone().enumerate() {
+                    let (p, o, value) = pairs[pick[0]];
+                    let earlier = picks.clone().take(n).any(|q| pairs[q[0]].2 == value);
+                    if roles[pick[0]] != BOUND && !earlier {
+                        text += pair_text(p, o);
+                    }
+                }
+                emit(i, tg_record(&head, &pairs, picks), text)?;
+                if !next_combination(&mut cursor, |w| unbound_lists[w].len()) {
+                    break;
+                }
+            }
+        }
+        ctx.count(op::ADMITTED, admitted);
+        if admitted == 0 {
+            ctx.count(op::DROPPED, 1);
+        }
+        Ok(())
+    }
+}
+
+/// `head`, then each list as its count and its entries' values: a
+/// one-component [`TgTuple`], written once at its length.
+fn tg_record<'l>(
+    head: &[u8],
+    pairs: &[Pair<'_>],
+    lists: impl Iterator<Item = &'l [usize]> + Clone,
+) -> Vec<u8> {
+    let values = |list: &'l [usize]| list.iter().map(|&j| pairs[j].2);
+    let len: usize = lists.clone().map(|l| counted_len(values(l).map(<[u8]>::len).sum())).sum();
+    let mut rec = Vec::with_capacity(head.len() + len);
+    rec.extend_from_slice(head);
+    for list in lists {
+        put_count(&mut rec, list.len() as u32);
+        values(list).for_each(|value| rec.extend_from_slice(value));
+    }
+    rec
+}
+
+impl RawReduceOp for GroupReduce {
+    fn run(
+        &self,
+        ctx: &TaskContext,
+        key: &[u8],
+        values: &[&[u8]],
+        out: &mut OutEmitter,
+    ) -> Result<(), MrError> {
+        self.filter(ctx, key, values, |star, record, text| out.emit_raw_to(star, record, text))
     }
 }
 
@@ -180,15 +339,7 @@ pub fn group_filter_job(
         )));
     }
     let mapper = Arc::new(GroupMap { stars: query.stars.clone() });
-    let stars_red = query.stars.clone();
-    let reducer = reduce_fn_ctx(
-        move |ctx: &TaskContext,
-              subject: Atom,
-              pairs: Vec<(Atom, Atom)>,
-              out: &mut TypedOutEmitter<'_, TgTuple>| {
-            group_filter(ctx, &TripleGroup { subject, pairs }, &stars_red, &eager, out)
-        },
-    );
+    let reducer = Arc::new(GroupReduce::new(&query.stars, &eager));
     let mut outs = outputs.into_iter();
     let first =
         outs.next().ok_or_else(|| PlanError::Internal("Job 1 of a query without stars".into()))?;
@@ -812,6 +963,7 @@ pub fn tg_broadcast_join_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tg::TgTuple;
     use mr_rdf::load_store;
     use mrsim::{Engine, Rec};
     use rdf_model::{STriple, TripleStore};

@@ -143,6 +143,20 @@ pub(crate) fn pair_text(p: &str, o: &str) -> u64 {
     p.len() as u64 + o.len() as u64 + 2
 }
 
+/// Step an odometer whose wheel `i` has `len(i)` positions, the last wheel
+/// fastest: false, with every wheel back at 0, once all combinations have
+/// been visited.
+pub(crate) fn next_combination(cursor: &mut [usize], len: impl Fn(usize) -> usize) -> bool {
+    for pos in (0..cursor.len()).rev() {
+        cursor[pos] += 1;
+        if cursor[pos] < len(pos) {
+            return true;
+        }
+        cursor[pos] = 0;
+    }
+    false
+}
+
 /// Sort `pairs` and drop repeats: the set a triplegroup stores, whatever
 /// number of lists a pair appears in.
 pub(crate) fn sort_distinct(pairs: &mut Vec<(&str, &str)>) {

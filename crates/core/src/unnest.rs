@@ -9,7 +9,7 @@
 //! extraction kernel; [`crate::rewrite`] evaluates the logical algebra
 //! through it too, so there is one cross product in the crate.
 
-use crate::tg::{ListRef, PairRef, TgCursor};
+use crate::tg::{next_combination, ListRef, PairRef, TgCursor};
 use mr_rdf::{binder_slots, PlanError};
 use rdf_model::atom::Atom;
 use rdf_query::{PropPattern, Query, SolutionRows};
@@ -145,18 +145,8 @@ impl FinalUnnest {
             if agree {
                 out.push(row[..*arity].iter().map(|&a| atoms[a].clone()));
             }
-            // odometer
-            let mut pos = dims.len();
-            loop {
-                if pos == 0 {
-                    return Ok(());
-                }
-                pos -= 1;
-                cursor[pos] += 1;
-                if cursor[pos] < dims[pos].len {
-                    break;
-                }
-                cursor[pos] = 0;
+            if !next_combination(cursor, |pos| dims[pos].len) {
+                return Ok(());
             }
         }
     }

@@ -4,14 +4,16 @@
 //! must do exactly what `TgTuple::from_bytes` does — the same
 //! `MrError::Codec`, or the same tuple, with byte ranges that cut the
 //! record where the typed codec would — and the join operators built on it
-//! must return, never panic. CI runs this in release too, where a wrapped
-//! offset would otherwise go unnoticed.
+//! must return, never panic. Job 1's reduce meets the same on every
+//! truncation and bit flip of a group's key and values. CI runs this in
+//! release too, where a wrapped offset would otherwise go unnoticed.
 
 use mrsim::{MrError, Rec, TaskContext};
-use ntga_core::physical::{JoinMap, JoinReduce, JoinRole, JoinSide, UnnestMode};
+use ntga_core::physical::{GroupReduce, JoinMap, JoinReduce, JoinRole, JoinSide, UnnestMode};
 use ntga_core::tg::{AnnTg, CompRef, ListRef, PairRef, TgCursor, TgTuple};
 use proptest::test_runner::TestRng;
 use rdf_model::atom::Atom;
+use rdf_query::{ObjPattern, StarPattern, TriplePattern};
 
 fn anntg(subject: &str, ec: u64, bound: &[(&str, &[&str])], unbound: &[&[(&str, &str)]]) -> AnnTg {
     AnnTg {
@@ -175,6 +177,77 @@ fn single_bit_flips_agree_with_the_typed_codec() {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             check(&flipped, &format!("seed {i} bit {bit}"));
+        }
+    }
+}
+
+/// Every truncation and single-bit flip of `bytes`, and `bytes` with one
+/// byte too many.
+fn variants(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let mut out: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+    out.push([bytes, &[0]].concat());
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        out.push(flipped);
+    }
+    out
+}
+
+/// Job 1's reduce on hostile keys and values: it fails exactly when the
+/// typed decode of the group would — `Atom::from_bytes` on the key, then
+/// `<(Atom, Atom)>::from_bytes` on each value in turn — with that error,
+/// and emits nothing first.
+#[test]
+fn group_reduce_refuses_what_the_typed_codec_refuses() {
+    let var = |v: &str| ObjPattern::Var(v.into());
+    let stars = [
+        StarPattern::new(
+            "g",
+            vec![
+                TriplePattern::bound("g", "<label>", var("l")),
+                TriplePattern::unbound("g", "p", var("o")),
+                TriplePattern::unbound("g", "q", var("x")),
+            ],
+        ),
+        StarPattern::new("g", vec![TriplePattern::bound("g", "<xGO>", var("go"))]),
+    ];
+    let reduces = [GroupReduce::new(&stars, &[false, false]), GroupReduce::new(&stars, &[true; 2])];
+    let key = Atom::from("<g1>").to_bytes();
+    let pairs = [("<label>", "\"a\""), ("<xGO>", "<go1>"), ("", ""), ("<syn>", "\"s\u{e9}\"")];
+    let mut values: Vec<Vec<u8>> =
+        pairs.iter().map(|&(p, o)| (Atom::from(p), Atom::from(o)).to_bytes()).collect();
+    values.sort();
+    let check = |key: &[u8], values: &[Vec<u8>], what: &str| {
+        let typed = Atom::from_bytes(key)
+            .err()
+            .or_else(|| values.iter().find_map(|v| <(Atom, Atom)>::from_bytes(v).err()));
+        let values: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
+        for reduce in &reduces {
+            let mut emitted = 0;
+            let got = reduce.filter(&TaskContext::new(), key, &values, |_, _, _| {
+                emitted += 1;
+                Ok(())
+            });
+            match (&typed, got) {
+                (None, Ok(())) => {}
+                (Some(MrError::Codec(a)), Err(MrError::Codec(b))) => {
+                    assert_eq!(*a, b, "{what}");
+                    assert_eq!(emitted, 0, "{what}");
+                }
+                (typed, got) => panic!("{what}: typed {typed:?}, kernel {got:?}"),
+            }
+        }
+    };
+    check(&key, &values, "the valid group");
+    for (n, bad) in variants(&key).iter().enumerate() {
+        check(bad, &values, &format!("key variant {n}"));
+    }
+    for i in 0..values.len() {
+        for (n, bad) in variants(&values[i]).into_iter().enumerate() {
+            let mut group = values.clone();
+            group[i] = bad;
+            check(&key, &group, &format!("value {i} variant {n}"));
         }
     }
 }

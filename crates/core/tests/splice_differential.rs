@@ -1,20 +1,25 @@
-//! The join kernel splices encoded bytes; this file keeps the operators it
-//! replaced — decode every triplegroup, clone, pin, re-encode, size the
-//! text by sorting string pairs — as the reference, and checks on random
-//! tuples that both write the same records (bytes and order), the same
-//! per-record text sizes, the same `op::*` counters and the same
-//! `UNNEST_WIDTH` histogram: through every `JoinRole` on both sides,
-//! `Exact` and `Partial(m)`, and the broadcast join with either side built.
+//! The NTGA kernels splice encoded bytes; this file keeps the operators
+//! they replaced — decode every triplegroup, clone, pin, re-encode, size
+//! the text by sorting string pairs — as the reference, and checks on
+//! random input that both write the same records (bytes, order and output
+//! index), the same per-record text sizes, the same `op::*` counters and
+//! the same `UNNEST_WIDTH` histogram: Job 1's reduce over random subject
+//! groups and stars under every eager/lazy placement, and the joins through
+//! every `JoinRole` on both sides, `Exact` and `Partial(m)`, and the
+//! broadcast join with either side built.
 
 use mrsim::hash::DetHashMap;
 use mrsim::{MetricsRegistry, MrError, OpCounters, Rec, TaskContext};
 use ntga_core::physical::{
-    op, phi, BroadcastJoin, BuildSide, JoinMap, JoinReduce, JoinRole, JoinSide, UnnestMode,
+    op, phi, BroadcastJoin, BuildSide, GroupReduce, JoinMap, JoinReduce, JoinRole, JoinSide,
+    UnnestMode,
 };
 use ntga_core::tg::{AnnTg, TgTuple};
 use proptest::prelude::{prop, prop_assert_eq, proptest, ProptestConfig};
-use proptest::strategy::Strategy;
+use proptest::strategy::{Just, Strategy, Union};
+use proptest::test_runner::TestCaseError;
 use rdf_model::atom::{atom, Atom};
+use rdf_query::{ObjFilter, ObjPattern, StarPattern, TriplePattern};
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
@@ -23,6 +28,52 @@ use std::collections::BTreeMap;
 
 mod reference {
     use super::*;
+    use ntga_core::logical::{beta_unnest, match_star, TripleGroup};
+
+    /// One Job 1 output record: output index, bytes, text size.
+    pub type Routed = (usize, Vec<u8>, u64);
+
+    /// Job 1's reduce as the typed closure ran it: decode the subject and
+    /// every pair, match each star (`TG_UnbGrpFilter`), β-unnest the eager
+    /// ones, encode each triplegroup as a one-component tuple.
+    pub fn group_filter(
+        ctx: &TaskContext,
+        stars: &[StarPattern],
+        eager: &[bool],
+        key: &[u8],
+        values: &[&[u8]],
+    ) -> Result<Vec<Routed>, MrError> {
+        let subject = Atom::from_bytes(key)?;
+        let pairs =
+            values.iter().map(|v| <(Atom, Atom)>::from_bytes(v)).collect::<Result<_, _>>()?;
+        let tg = TripleGroup { subject, pairs };
+        ctx.count(op::GROUPS_IN, 1);
+        ctx.count(op::PAIRS_IN, tg.pairs.len() as u64);
+        let mut out = Vec::new();
+        let mut admitted = 0u64;
+        for (i, star) in stars.iter().enumerate() {
+            let Some(ann) = match_star(&tg, star, i as u64) else { continue };
+            admitted += 1;
+            let tgs = if eager[i] {
+                ctx.count(op::UNNEST_IN, 1);
+                let perfects = beta_unnest(&ann);
+                ctx.record(op::UNNEST_WIDTH, perfects.len() as u64);
+                perfects.iter().for_each(|_| ctx.count(op::UNNEST_OUT, 1));
+                perfects
+            } else {
+                vec![ann]
+            };
+            for tg in tgs {
+                let tuple = TgTuple(vec![tg]);
+                out.push((i, tuple.to_bytes(), tuple.text_size()));
+            }
+        }
+        ctx.count(op::ADMITTED, admitted);
+        if admitted == 0 {
+            ctx.count(op::DROPPED, 1);
+        }
+        Ok(out)
+    }
 
     type SidedTuple = (u64, TgTuple);
 
@@ -288,8 +339,117 @@ fn counted(ctx: &TaskContext) -> (OpCounters, MetricsRegistry) {
     (ctx.take_counters(), ctx.take_metrics())
 }
 
+// ---------------------------------------------------------------------------
+// Random subject groups and stars (Job 1)
+// ---------------------------------------------------------------------------
+
+/// One subject's shuffle values: 0–8 pairs over the shared vocabulary, a
+/// few of them shipped twice, encoded and in the shuffle's byte order.
+fn arb_group() -> impl Strategy<Value = (Vec<u8>, Vec<Vec<u8>>)> {
+    let pairs = prop::collection::vec((arb_prop(), arb_token()), 0..=8);
+    (arb_token(), pairs, 0..=3usize).prop_map(|(subject, mut pairs, repeats)| {
+        pairs.extend(pairs.iter().take(repeats).cloned().collect::<Vec<_>>());
+        let mut values: Vec<Vec<u8>> = pairs.iter().map(Rec::to_bytes).collect();
+        values.sort();
+        (subject.to_bytes(), values)
+    })
+}
+
+fn arb_filter() -> impl Strategy<Value = ObjFilter> {
+    Union::new([
+        arb_token().prop_map(ObjFilter::Equals).boxed(),
+        Just(ObjFilter::Prefix("<".into())).boxed(),
+        Just(ObjFilter::Contains("a".into())).boxed(),
+    ])
+}
+
+fn arb_object() -> impl Strategy<Value = ObjPattern> {
+    Union::new([
+        Just(ObjPattern::Var("o".into())).boxed(),
+        arb_token().prop_map(ObjPattern::Const).boxed(),
+        arb_filter().prop_map(|f| ObjPattern::Filtered("o".into(), f)).boxed(),
+    ])
+}
+
+/// 0–4 patterns, bound (over three properties, so one can repeat) or
+/// unbound, with a constant, filtered or variable object; a subject filter
+/// now and then.
+fn arb_star() -> impl Strategy<Value = StarPattern> {
+    let pattern =
+        (prop::option::of(arb_prop()), arb_object()).prop_map(|(prop, object)| match prop {
+            Some(p) => TriplePattern::bound("s", &p, object),
+            None => TriplePattern::unbound("s", "p", object),
+        });
+    let patterns = prop::collection::vec(pattern, 0..=4);
+    (patterns, 0..5u8, arb_filter()).prop_map(|(patterns, dice, filter)| {
+        let star = StarPattern::new("s", patterns);
+        if dice == 0 {
+            star.with_subject_filter(filter)
+        } else {
+            star
+        }
+    })
+}
+
+/// Job 1's reduce over one group under every eager/lazy placement of
+/// `stars`, against the typed reference.
+fn check_group(stars: &[StarPattern], key: &[u8], values: &[Vec<u8>]) -> Result<(), TestCaseError> {
+    let values: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
+    for placement in 0..1u32 << stars.len() {
+        let eager: Vec<bool> = (0..stars.len()).map(|i| placement >> i & 1 == 1).collect();
+        let ctx = profiled();
+        let want = reference::group_filter(&ctx, stars, &eager, key, &values).unwrap();
+        let want_counted = counted(&ctx);
+        let mut got: Vec<reference::Routed> = Vec::new();
+        GroupReduce::new(stars, &eager)
+            .filter(&ctx, key, &values, |star, record, text| {
+                got.push((star, record, text));
+                Ok(())
+            })
+            .unwrap();
+        prop_assert_eq!(got, want, "eager {:?}", eager);
+        prop_assert_eq!(counted(&ctx), want_counted, "eager {:?}", eager);
+    }
+    Ok(())
+}
+
+/// The overlaps the text arithmetic has to get right, spelled out: a pair
+/// both a bound match and an unbound candidate (`<p1> <a>`), two unbound
+/// patterns picking the same pair that no bound list holds (`<p2>
+/// "café"`), a triple shipped twice, a bound property asked for twice.
+#[test]
+fn group_reduce_overlaps_match_typed_reference() {
+    let pairs = [("<p1>", "<a>"), ("<p1>", "<a>"), ("<p1>", "<b>"), ("<p2>", "\"caf\u{e9}\"")];
+    let mut values: Vec<Vec<u8>> =
+        pairs.iter().map(|&(p, o)| (atom(p), atom(o)).to_bytes()).collect();
+    values.sort();
+    let var = || ObjPattern::Var("o".into());
+    let with_a = ObjPattern::Filtered("o".into(), ObjFilter::Contains("a".into()));
+    let star = StarPattern::new(
+        "s",
+        vec![
+            TriplePattern::bound("s", "<p1>", var()),
+            TriplePattern::unbound("s", "p", var()),
+            TriplePattern::bound("s", "<p1>", ObjPattern::Const(atom("<b>"))),
+            TriplePattern::unbound("s", "q", with_a),
+        ],
+    );
+    let unbound_only = StarPattern::new("s", vec![TriplePattern::unbound("s", "p", var())]);
+    check_group(&[star, unbound_only], &atom("<s>").to_bytes(), &values).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn group_reduce_matches_typed_reference(
+        stars in prop::collection::vec(arb_star(), 1..=3),
+        groups in prop::collection::vec(arb_group(), 1..=4),
+    ) {
+        for (key, values) in &groups {
+            check_group(&stars, key, values)?;
+        }
+    }
 
     #[test]
     fn reduce_side_join_matches_typed_reference(

@@ -369,11 +369,6 @@ impl<O: Rec> TypedOutEmitter<'_, O> {
     pub fn emit(&mut self, record: &O) -> Result<(), MrError> {
         self.raw.emit_raw(record.to_bytes(), record.text_size())
     }
-
-    /// Emit one output record to the named output `idx`.
-    pub fn emit_to(&mut self, idx: usize, record: &O) -> Result<(), MrError> {
-        self.raw.emit_raw_to(idx, record.to_bytes(), record.text_size())
-    }
 }
 
 struct MapFnOp<I, K, V, F> {
@@ -434,33 +429,17 @@ where
     Arc::new(MapOnlyFnOp { f, _pd: PhantomData })
 }
 
-/// Wrap a typed closure as a reduce operator: [`reduce_fn_ctx`] for a
-/// closure that has no use for the [`TaskContext`].
-pub fn reduce_fn<K, V, O, F>(f: F) -> Arc<dyn RawReduceOp>
-where
-    K: Rec,
-    V: Rec,
-    O: Rec,
-    F: Fn(K, Vec<V>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync + 'static,
-{
-    reduce_fn_ctx(move |_: &TaskContext, key, values, out: &mut TypedOutEmitter<'_, O>| {
-        f(key, values, out)
-    })
-}
-
-struct CtxReduceFnOp<K, V, O, F> {
+struct ReduceFnOp<K, V, O, F> {
     f: F,
     _pd: PhantomData<fn(K, V) -> O>,
 }
 
-impl<K, V, O, F> RawReduceOp for CtxReduceFnOp<K, V, O, F>
+impl<K, V, O, F> RawReduceOp for ReduceFnOp<K, V, O, F>
 where
     K: Rec,
     V: Rec,
     O: Rec,
-    F: Fn(&TaskContext, K, Vec<V>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError>
-        + Send
-        + Sync,
+    F: Fn(K, Vec<V>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync,
 {
     fn run(
         &self,
@@ -473,23 +452,19 @@ where
         let values: Result<Vec<V>, MrError> =
             values.iter().map(|v| V::from_bytes_with(v, &ctx.atoms)).collect();
         let mut emitter = TypedOutEmitter { raw: out, _pd: PhantomData };
-        (self.f)(ctx, key, values?, &mut emitter)
+        (self.f)(key, values?, &mut emitter)
     }
 }
 
-/// Wrap a typed closure as a reduce operator that also receives the
-/// [`TaskContext`] (for operator counters via [`TaskContext::count`]).
-pub fn reduce_fn_ctx<K, V, O, F>(f: F) -> Arc<dyn RawReduceOp>
+/// Wrap a typed closure as a reduce operator.
+pub fn reduce_fn<K, V, O, F>(f: F) -> Arc<dyn RawReduceOp>
 where
     K: Rec,
     V: Rec,
     O: Rec,
-    F: Fn(&TaskContext, K, Vec<V>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError>
-        + Send
-        + Sync
-        + 'static,
+    F: Fn(K, Vec<V>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync + 'static,
 {
-    Arc::new(CtxReduceFnOp { f, _pd: PhantomData })
+    Arc::new(ReduceFnOp { f, _pd: PhantomData })
 }
 
 // ---------------------------------------------------------------------------
@@ -533,7 +508,7 @@ pub struct JobSpec {
     /// Map/reduce structure.
     pub kind: JobKind,
     /// Output DFS file names. Index 0 is the primary output; reducers
-    /// route to further outputs with [`TypedOutEmitter::emit_to`]
+    /// route to further outputs with [`OutEmitter::emit_raw_to`]
     /// (Hadoop `MultipleOutputs`).
     pub outputs: Vec<String>,
     /// Replication override for the outputs (defaults to the DFS default).
@@ -631,7 +606,7 @@ impl JobSpec {
     }
 
     /// Add a further named output (Hadoop `MultipleOutputs`). Reducers
-    /// reach it via [`TypedOutEmitter::emit_to`] with the output's index.
+    /// reach it via [`OutEmitter::emit_raw_to`] with the output's index.
     pub fn with_extra_output(mut self, name: impl Into<String>) -> Self {
         self.outputs.push(name.into());
         self
@@ -770,29 +745,6 @@ mod tests {
         op.run(&TaskContext::new(), &"k".to_string().to_bytes(), &values, &mut out).unwrap();
         assert_eq!(out.records.len(), 1);
         assert_eq!(String::from_bytes(&out.records[0].1).unwrap(), "k=3");
-    }
-
-    #[test]
-    fn ctx_adapter_records_counters() {
-        let ctx = TaskContext::new();
-        let reduce_op = reduce_fn_ctx(
-            |ctx: &TaskContext,
-             key: String,
-             values: Vec<u64>,
-             out: &mut TypedOutEmitter<'_, String>| {
-                ctx.count("reduce.groups_seen", 1);
-                out.emit(&format!("{key}:{}", values.len()))
-            },
-        );
-        let mut rout = OutEmitter::new(None);
-        let owned = [1u64.to_bytes()];
-        let values: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-        reduce_op.run(&ctx, &"a".to_string().to_bytes(), &values, &mut rout).unwrap();
-
-        let counters = ctx.take_counters();
-        assert_eq!(counters.get("reduce.groups_seen"), 1);
-        // take_counters drains.
-        assert!(ctx.take_counters().is_empty());
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub use error::MrError;
 pub use faults::FaultConfig;
 pub use hdfs::{DfsFile, SimHdfs};
 pub use job::{
-    map_fn, map_only_fn, reduce_fn, reduce_fn_ctx, InputBinding, JobKind, JobSpec, MapEmitter,
-    OutEmitter, RawMapOnlyOp, RawMapOp, RawReduceOp, TaskContext, TypedMapEmitter, TypedOutEmitter,
+    map_fn, map_only_fn, reduce_fn, InputBinding, JobKind, JobSpec, MapEmitter, OutEmitter,
+    RawMapOnlyOp, RawMapOp, RawReduceOp, TaskContext, TypedMapEmitter, TypedOutEmitter,
 };
 pub use metrics::{Histogram, MetricsRegistry};
 pub use spill::SpillArena;
