@@ -56,13 +56,10 @@ fn bench_unnest(c: &mut Criterion) {
 }
 
 /// Job 1's reduce over the largest BSBM product group, against a star with
-/// a bound label, a bound multi-valued feature and an unbound `?u ?x`: the
-/// byte kernel beside the typed closure it replaced (decode and intern
-/// every token, match, β-unnest, encode), nested and eagerly unnested.
+/// a bound label, a bound multi-valued feature and an unbound `?u ?x`,
+/// nested and eagerly unnested.
 fn bench_group_reduce(c: &mut Criterion) {
-    use ntga_core::logical::{match_star, TripleGroup};
     use ntga_core::physical::GroupReduce;
-    use rdf_model::atom::Atom;
     let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(500));
     let product = group_by_subject(store.triples())
         .into_iter()
@@ -85,19 +82,6 @@ fn bench_group_reduce(c: &mut Criterion) {
                     Ok(())
                 };
                 reduce.filter(&ctx, black_box(&key), black_box(&values), &mut emit).unwrap()
-            })
-        });
-        c.bench_function(&format!("group_reduce/typed/{placement}"), |b| {
-            b.iter(|| {
-                let subject = Atom::from_bytes_with(black_box(&key), &ctx.atoms).unwrap();
-                let pairs = values.iter().map(|v| <(Atom, Atom)>::from_bytes_with(v, &ctx.atoms));
-                let group =
-                    TripleGroup { subject, pairs: pairs.collect::<Result<_, _>>().unwrap() };
-                let ann = match_star(&group, &stars[0], 0).unwrap();
-                for tg in if eager { beta_unnest(&ann) } else { vec![ann] } {
-                    let tuple = ntga_core::TgTuple(vec![tg]);
-                    black_box((tuple.to_bytes(), tuple.text_size()));
-                }
             })
         });
     }
@@ -238,9 +222,14 @@ fn bench_parser(c: &mut Criterion) {
     });
 }
 
+/// The engine's own test operators: the word count below runs them.
+#[path = "../../mapreduce/tests/common/mod.rs"]
+mod common;
+
 /// The engine end to end: an 8-worker wordcount whose cost is dominated by
 /// the map→reduce shuffle (spill, sort, seal, fetch, merge).
 fn bench_engine_wordcount(c: &mut Criterion) {
+    use std::sync::Arc;
     const PARTITIONS: usize = 8;
     let engine = mrsim::Engine::unbounded().with_workers(8);
     engine
@@ -249,20 +238,11 @@ fn bench_engine_wordcount(c: &mut Criterion) {
     c.bench_function("shuffle/engine_wordcount_8workers", |b| {
         b.iter(|| {
             let _ = engine.hdfs().lock().delete("bench-shuffle-out");
-            let mapper =
-                mrsim::map_fn(|w: String, out: &mut mrsim::TypedMapEmitter<'_, String, u64>| {
-                    out.emit(&w, &1);
-                    Ok(())
-                });
-            let reducer = mrsim::reduce_fn(
-                |w: String, ones: Vec<u64>, out: &mut mrsim::TypedOutEmitter<'_, (String, u64)>| {
-                    out.emit(&(w, ones.iter().sum()))
-                },
-            );
+            let mapper = Arc::new(common::WordOne);
             let spec = mrsim::JobSpec::map_reduce(
                 "bench-shuffle",
                 vec![mrsim::InputBinding { file: "bench-shuffle-in".into(), mapper }],
-                reducer,
+                Arc::new(common::CountReduce),
                 PARTITIONS,
                 "bench-shuffle-out",
             );

@@ -18,7 +18,8 @@
 //!   the granularity of a partition function `φ_m` over the join key, so
 //!   candidates landing in the same reducer partition stay nested.
 
-use crate::tg::{next_combination, AnnTg};
+use crate::tg::AnnTg;
+use mr_rdf::next_combination;
 use rdf_model::atom::Atom;
 use rdf_model::STriple;
 use rdf_query::{PropPattern, StarPattern};

@@ -25,13 +25,11 @@
 //! Every operator here reads and writes encoded bytes; the typed
 //! [`TgTuple`] codec defines the format and is what the tests decode with.
 
-use crate::tg::{
-    added_text, next_combination, pair_text, sort_distinct, ListRef, PairRef, TgCursor,
-};
+use crate::tg::{added_text, pair_text, sort_distinct, ListRef, PairRef, TgCursor};
 // The record type every operator here writes, named by the docs alone.
 #[cfg(doc)]
 use crate::tg::TgTuple;
-use mr_rdf::{PlanError, TripleView};
+use mr_rdf::{next_combination, PlanError, TripleView};
 use mrsim::codec::{
     counted_len, put_count, put_decimal_token, put_tag, put_token, split_tag, token_key,
     token_key_text, token_len,

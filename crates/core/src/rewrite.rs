@@ -25,6 +25,7 @@
 use crate::logical::{beta_group_filter, beta_unnest, group_by_subject};
 use crate::tg::{AnnTg, TgTuple};
 use crate::FinalUnnest;
+use mr_rdf::next_combination;
 use mrsim::Rec;
 use rdf_model::{Atom, STriple, TripleStore};
 use rdf_query::{PropPattern, Query, SolutionRows, SolutionSet, StarPattern, TriplePattern};
@@ -64,18 +65,8 @@ pub fn enumerate_combinations(star: &StarPattern, properties: &[Atom]) -> Vec<St
         let mut concrete = StarPattern::new(star.subject_var.clone(), patterns);
         concrete.subject_filter = star.subject_filter.clone();
         out.push(concrete);
-        // odometer over property choices
-        let mut pos = unbound_idx.len();
-        loop {
-            if pos == 0 {
-                return out;
-            }
-            pos -= 1;
-            cursor[pos] += 1;
-            if cursor[pos] < properties.len() {
-                break;
-            }
-            cursor[pos] = 0;
+        if !next_combination(&mut cursor, |_| properties.len()) {
+            return out;
         }
     }
 }

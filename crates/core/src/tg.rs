@@ -18,7 +18,7 @@ use rdf_model::atom::Atom;
 use std::ops::Range;
 
 /// An annotated triplegroup: one subject's matches for one star
-/// subpattern. Tokens are interned [`Atom`]s, so cloning a triplegroup
+/// subpattern. Tokens are [`Atom`]s, so cloning a triplegroup
 /// (or re-emitting its tokens across cycles) bumps reference counts
 /// instead of copying heap strings; equality and ordering stay
 /// content-based, so shuffle sort order matches the `String` era.
@@ -141,20 +141,6 @@ impl Rec for TgTuple {
 /// row: both tokens and two separators.
 pub(crate) fn pair_text(p: &str, o: &str) -> u64 {
     p.len() as u64 + o.len() as u64 + 2
-}
-
-/// Step an odometer whose wheel `i` has `len(i)` positions, the last wheel
-/// fastest: false, with every wheel back at 0, once all combinations have
-/// been visited.
-pub(crate) fn next_combination(cursor: &mut [usize], len: impl Fn(usize) -> usize) -> bool {
-    for pos in (0..cursor.len()).rev() {
-        cursor[pos] += 1;
-        if cursor[pos] < len(pos) {
-            return true;
-        }
-        cursor[pos] = 0;
-    }
-    false
 }
 
 /// Sort `pairs` and drop repeats: the set a triplegroup stores, whatever

@@ -9,8 +9,8 @@
 //! extraction kernel; [`crate::rewrite`] evaluates the logical algebra
 //! through it too, so there is one cross product in the crate.
 
-use crate::tg::{next_combination, ListRef, PairRef, TgCursor};
-use mr_rdf::{binder_slots, PlanError};
+use crate::tg::{ListRef, PairRef, TgCursor};
+use mr_rdf::{binder_slots, next_combination, PlanError};
 use rdf_model::atom::Atom;
 use rdf_query::{PropPattern, Query, SolutionRows};
 

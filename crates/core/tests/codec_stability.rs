@@ -11,7 +11,6 @@ use mrsim::Rec;
 use ntga_core::tg::{AnnTg, TgTuple};
 use proptest::prelude::{prop, proptest};
 use proptest::strategy::Strategy;
-use rdf_model::atom::AtomTable;
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(&u32::try_from(s.len()).unwrap().to_le_bytes());
@@ -147,22 +146,4 @@ fn anntg_golden_bytes() {
     assert_eq!(tg.to_bytes(), expected);
     // One distinct (p, o) pair — the candidate duplicates the bound match.
     assert_eq!(tg.text_size(), 4 + (3 + 3 + 2));
-}
-
-/// Interned decode shares allocations for repeated tokens without changing
-/// content or ordering.
-#[test]
-fn interned_decode_shares_repeated_tokens() {
-    let tg = AnnTg {
-        subject: "<g>".into(),
-        ec: 0,
-        bound: vec![("<p>".into(), vec!["<o>".into()])],
-        unbound: vec![vec![("<p>".into(), "<o>".into())]],
-    };
-    let table = AtomTable::new();
-    let decoded = AnnTg::from_bytes_with(&tg.to_bytes(), &table).unwrap();
-    assert_eq!(decoded, tg);
-    assert!(rdf_model::atom::Atom::ptr_eq(&decoded.bound[0].0, &decoded.unbound[0][0].0));
-    assert!(rdf_model::atom::Atom::ptr_eq(&decoded.bound[0].1[0], &decoded.unbound[0][0].1));
-    assert_eq!(table.len(), 3); // <g>, <p>, <o>
 }

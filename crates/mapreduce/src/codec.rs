@@ -35,31 +35,18 @@
 //! [`SliceReader`] and take offsets from it, never from a literal width.
 
 use crate::error::MrError;
-use rdf_model::atom::{Atom, AtomTable};
+use rdf_model::atom::Atom;
 use std::io::Write;
 
 /// A readable slice with position tracking for decoding.
-///
-/// A reader may carry a per-task [`AtomTable`]; [`read_atom`] then
-/// re-interns decoded tokens instead of allocating a fresh heap string
-/// per occurrence. The table never affects the bytes consumed — only who
-/// owns the resulting allocation.
-///
-/// [`read_atom`]: SliceReader::read_atom
 pub struct SliceReader<'a> {
     buf: &'a [u8],
-    interner: Option<&'a AtomTable>,
 }
 
 impl<'a> SliceReader<'a> {
     /// Wrap a byte slice.
     pub fn new(buf: &'a [u8]) -> Self {
-        SliceReader { buf, interner: None }
-    }
-
-    /// Wrap a byte slice with a per-task interner for [`Atom`] fields.
-    pub fn with_interner(buf: &'a [u8], atoms: &'a AtomTable) -> Self {
-        SliceReader { buf, interner: Some(atoms) }
+        SliceReader { buf }
     }
 
     /// Bytes not yet consumed.
@@ -119,15 +106,9 @@ impl<'a> SliceReader<'a> {
         std::str::from_utf8(raw).map_err(|e| MrError::Codec(format!("invalid utf-8: {e}")))
     }
 
-    /// Read a length-prefixed UTF-8 token as an [`Atom`], re-interning
-    /// through the reader's table when one is attached (repeated tokens
-    /// then share one allocation for the task's lifetime).
+    /// Read a length-prefixed UTF-8 token as an [`Atom`] of its own.
     pub fn read_atom(&mut self) -> Result<Atom, MrError> {
-        let s = self.read_str()?;
-        Ok(match self.interner {
-            Some(table) => table.intern(s),
-            None => Atom::from(s),
-        })
+        self.read_str().map(Atom::from)
     }
 
     /// Read a canonical LEB128 varint `u32` (see [`write_uvarint`]).
@@ -281,16 +262,6 @@ pub trait Rec: Sized + Send + Sync + Clone + 'static {
         r.finish()?;
         Ok(v)
     }
-
-    /// [`from_bytes`](Rec::from_bytes), re-interning [`Atom`] fields
-    /// through a per-task table. Byte behaviour is identical; only the
-    /// ownership of decoded tokens changes.
-    fn from_bytes_with(buf: &[u8], atoms: &AtomTable) -> Result<Self, MrError> {
-        let mut r = SliceReader::with_interner(buf, atoms);
-        let v = Self::decode(&mut r)?;
-        r.finish()?;
-        Ok(v)
-    }
 }
 
 impl Rec for String {
@@ -309,9 +280,7 @@ impl Rec for String {
 
 /// Byte-identical to the `String` codec (u32-LE length prefix + UTF-8),
 /// so `String`-era wire bytes, shuffle sort order, and `text_size`
-/// accounting all carry over unchanged. Decoding goes through
-/// [`SliceReader::read_atom`], which re-interns when the reader carries a
-/// task table.
+/// accounting all carry over unchanged.
 impl Rec for Atom {
     fn encode_into(&self, buf: &mut Vec<u8>) {
         put_token(buf, self);
@@ -525,24 +494,11 @@ mod tests {
     fn atom_codec_matches_string_codec() {
         for s in ["", "k1", "<gene9>", "unicode: \u{1F980}"] {
             let owned = String::from(s);
-            let interned = Atom::from(s);
-            assert_eq!(owned.to_bytes(), interned.to_bytes(), "wire bytes for {s:?}");
-            assert_eq!(owned.text_size(), interned.text_size(), "text size for {s:?}");
-            roundtrip(interned);
+            let atom = Atom::from(s);
+            assert_eq!(owned.to_bytes(), atom.to_bytes(), "wire bytes for {s:?}");
+            assert_eq!(owned.text_size(), atom.text_size(), "text size for {s:?}");
+            roundtrip(atom);
         }
-    }
-
-    #[test]
-    fn atom_decode_interns_through_task_table() {
-        let table = AtomTable::new();
-        let bytes = (Atom::from("<p>"), Atom::from("<p>")).to_bytes();
-        let (a, b) = <(Atom, Atom)>::from_bytes_with(&bytes, &table).unwrap();
-        assert!(Atom::ptr_eq(&a, &b), "same token must share one allocation");
-        assert_eq!(table.len(), 1);
-        // Without a table, decoding still works (fresh allocations).
-        let (c, d) = <(Atom, Atom)>::from_bytes(&bytes).unwrap();
-        assert_eq!(c, d);
-        assert!(!Atom::ptr_eq(&c, &d));
     }
 
     #[test]

@@ -410,13 +410,12 @@ impl Engine {
         self.hdfs.lock().put(name, file)
     }
 
-    /// Helper: read a DFS file back as typed records. Token (`Atom`)
-    /// fields are re-interned through one table for the whole read, so
-    /// repeated tokens in the file share allocations.
+    /// Helper: read a DFS file back as typed records, each through
+    /// [`Rec::from_bytes`](crate::codec::Rec::from_bytes) — for tests and
+    /// reports; operators read records in place.
     pub fn read_records<T: crate::codec::Rec>(&self, name: &str) -> Result<Vec<T>, MrError> {
         let file = self.hdfs.lock().get(name)?;
-        let atoms = rdf_model::atom::AtomTable::new();
-        file.records.iter().map(|r| T::from_bytes_with(r, &atoms)).collect()
+        file.records.iter().map(|r| T::from_bytes(r)).collect()
     }
 
     /// Execute one job to completion.
@@ -1076,7 +1075,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{map_fn, reduce_fn, InputBinding};
+    use crate::codec::Rec;
+    use crate::common::{CountReduce, Identity, WordOne};
+    use crate::job::{InputBinding, RawReduceOp};
 
     fn word_count_engine(words: &[&str]) -> Engine {
         let engine = Engine::unbounded().with_workers(4);
@@ -1085,23 +1086,8 @@ mod tests {
     }
 
     fn word_count_spec() -> JobSpec {
-        let mapper =
-            map_fn(|word: String, out: &mut crate::job::TypedMapEmitter<'_, String, u64>| {
-                out.emit(&word, &1);
-                Ok(())
-            });
-        let reducer = reduce_fn(
-            |key: String, values: Vec<u64>, out: &mut crate::job::TypedOutEmitter<'_, String>| {
-                out.emit(&format!("{key}:{}", values.iter().sum::<u64>()))
-            },
-        );
-        JobSpec::map_reduce(
-            "wordcount",
-            vec![InputBinding { file: "input".into(), mapper }],
-            reducer,
-            3,
-            "out",
-        )
+        let words = InputBinding { file: "input".into(), mapper: Arc::new(WordOne) };
+        JobSpec::map_reduce("wordcount", vec![words], Arc::new(CountReduce), 3, "out")
     }
 
     #[test]
@@ -1168,14 +1154,7 @@ mod tests {
     #[test]
     fn zero_reduce_tasks_error_not_panic() {
         let engine = word_count_engine(&["a"]);
-        let spec = {
-            let mut s = word_count_spec();
-            if let JobKind::MapReduce { reduce_tasks, .. } = &mut s.kind {
-                *reduce_tasks = 0; // bypass the builder assert via the pub field
-            }
-            s
-        };
-        let err = engine.run_job(&spec).unwrap_err();
+        let err = engine.run_job(&word_count_spec().with_reducers(0)).unwrap_err();
         assert!(err.to_string().contains("reduce tasks"), "{err}");
     }
 
@@ -1204,23 +1183,37 @@ mod tests {
         // figure.
         let engine = Engine::unbounded().with_workers(4);
         engine.put_records("ids", (0..500u32).map(VarId)).unwrap();
-        let mapper =
-            map_fn(|rec: VarId, out: &mut crate::job::TypedMapEmitter<'_, VarId, VarId>| {
-                out.emit(&VarId(rec.0 % 7), &rec);
+        /// Each id under its residue mod 7.
+        struct Mod7;
+        impl RawMapOp for Mod7 {
+            fn run(
+                &self,
+                _: &TaskContext,
+                rec: &[u8],
+                out: &mut MapEmitter,
+            ) -> Result<(), MrError> {
+                let id = VarId::from_bytes(rec)?;
+                let key = VarId(id.0 % 7);
+                out.emit_raw(&key.to_bytes(), rec, key.text_size() + id.text_size() - 1);
                 Ok(())
-            });
-        let reducer = reduce_fn(
-            |_k: VarId, vs: Vec<VarId>, out: &mut crate::job::TypedOutEmitter<'_, u64>| {
-                out.emit(&(vs.len() as u64))
-            },
-        );
-        let spec = JobSpec::map_reduce(
-            "idjob",
-            vec![InputBinding { file: "ids".into(), mapper }],
-            reducer,
-            3,
-            "out",
-        );
+            }
+        }
+        /// Each residue's number of ids.
+        struct Width;
+        impl RawReduceOp for Width {
+            fn run(
+                &self,
+                _: &TaskContext,
+                _: &[u8],
+                values: &[&[u8]],
+                out: &mut OutEmitter,
+            ) -> Result<(), MrError> {
+                let n = values.len() as u64;
+                out.emit_raw(n.to_bytes(), n.text_size())
+            }
+        }
+        let ids = InputBinding { file: "ids".into(), mapper: Arc::new(Mod7) };
+        let spec = JobSpec::map_reduce("idjob", vec![ids], Arc::new(Width), 3, "out");
         let stats = engine.run_job(&spec).unwrap();
         let expected_wire: u64 = (0..500u32).map(|i| uvarint_len(i % 7) + uvarint_len(i)).sum();
         assert_eq!(stats.map_output_encoded_bytes, expected_wire);
@@ -1238,10 +1231,7 @@ mod tests {
         assert!(lex.shuffle_wire_bytes() > lex.shuffle_bytes());
 
         // Map-only jobs shuffle nothing under either accounting.
-        let mapper = crate::job::map_only_fn(
-            |w: String, out: &mut crate::job::TypedOutEmitter<'_, String>| out.emit(&w),
-        );
-        let spec = JobSpec::map_only("mo", vec!["input".into()], mapper, "mo_out");
+        let spec = JobSpec::map_only("mo", vec!["input".into()], Arc::new(Identity), "mo_out");
         let stats = engine.run_job(&spec).unwrap();
         assert_eq!(stats.shuffle_wire_bytes(), 0);
     }
@@ -1249,17 +1239,12 @@ mod tests {
     #[test]
     fn map_only_job() {
         let engine = word_count_engine(&["one", "two"]);
-        let mapper = crate::job::map_only_fn(
-            |w: String, out: &mut crate::job::TypedOutEmitter<'_, String>| {
-                out.emit(&w.to_uppercase())
-            },
-        );
-        let spec = JobSpec::map_only("upper", vec!["input".into()], mapper, "out");
+        let spec = JobSpec::map_only("copy", vec!["input".into()], Arc::new(Identity), "out");
         let stats = engine.run_job(&spec).unwrap();
         assert_eq!(stats.reduce_tasks, 0);
         assert_eq!(stats.shuffle_bytes(), 0);
         let out: Vec<String> = engine.read_records("out").unwrap();
-        assert_eq!(out, vec!["ONE", "TWO"]);
+        assert_eq!(out, vec!["one", "two"]);
     }
 
     #[test]
@@ -1293,35 +1278,31 @@ mod tests {
         let engine = Engine::unbounded();
         engine.put_records("left", ["l1".to_string()]).unwrap();
         engine.put_records("right", ["r1".to_string()]).unwrap();
-        let tag = |t: &'static str| {
-            map_fn(move |w: String, out: &mut crate::job::TypedMapEmitter<'_, String, String>| {
-                out.emit(&"k".to_string(), &format!("{t}:{w}"));
+        /// Each word counted under `tag:word`.
+        struct Tag(&'static str);
+        impl RawMapOp for Tag {
+            fn run(
+                &self,
+                _: &TaskContext,
+                rec: &[u8],
+                out: &mut MapEmitter,
+            ) -> Result<(), MrError> {
+                let key = format!("{}:{}", self.0, String::from_bytes(rec)?);
+                out.emit_raw(&key.to_bytes(), &1u64.to_bytes(), key.text_size() + 1);
                 Ok(())
-            })
-        };
-        let reducer = reduce_fn(
-            |_k: String, values: Vec<String>, out: &mut crate::job::TypedOutEmitter<'_, String>| {
-                out.emit(&values.join(","))
-            },
-        );
-        let spec = JobSpec::map_reduce(
-            "join",
-            vec![
-                InputBinding { file: "left".into(), mapper: tag("L") },
-                InputBinding { file: "right".into(), mapper: tag("R") },
-            ],
-            reducer,
-            1,
-            "out",
-        );
+            }
+        }
+        let input =
+            |file: &str, tag| InputBinding { file: file.into(), mapper: Arc::new(Tag(tag)) };
+        let inputs = vec![input("left", "L"), input("right", "R")];
+        let spec = JobSpec::map_reduce("join", inputs, Arc::new(CountReduce), 1, "out");
         engine.run_job(&spec).unwrap();
         let out: Vec<String> = engine.read_records("out").unwrap();
-        assert_eq!(out, vec!["L:l1,R:r1"]);
+        assert_eq!(out, vec!["L:l1:1", "R:r1:1"]);
     }
 
     #[test]
     fn broadcast_reaches_every_task_and_is_charged() {
-        use crate::codec::Rec;
         use crate::trace::MemorySink;
         // Map-only "join": each input word is annotated with the size of
         // the broadcast side file, read per task via the distributed cache.
@@ -1375,11 +1356,8 @@ mod tests {
     fn broadcast_over_budget_is_refused() {
         let engine = word_count_engine(&["a"]).with_broadcast_budget(4);
         engine.put_records("side", ["0123456789".to_string()]).unwrap();
-        let mapper = crate::job::map_only_fn(
-            |w: String, out: &mut crate::job::TypedOutEmitter<'_, String>| out.emit(&w),
-        );
-        let spec =
-            JobSpec::map_only("big", vec!["input".into()], mapper, "out").with_broadcast("side");
+        let spec = JobSpec::map_only("big", vec!["input".into()], Arc::new(Identity), "out")
+            .with_broadcast("side");
         let err = engine.run_job(&spec).unwrap_err();
         assert!(err.is_broadcast_too_large(), "{err}");
         assert!(!engine.hdfs().lock().exists("out"));
@@ -1607,19 +1585,11 @@ mod tests {
 
     #[test]
     fn undecodable_input_record_fails_the_job_with_a_codec_error() {
-        use crate::codec::Rec;
         let bad = vec![2, 0, 0, 0, 0xff, 0xfe]; // length-prefixed invalid UTF-8
         let records = vec!["alpha".to_string().to_bytes(), bad, "beta".to_string().to_bytes()];
-        let upper = || {
-            let mapper = crate::job::map_only_fn(
-                |w: String, out: &mut crate::job::TypedOutEmitter<'_, String>| {
-                    out.emit(&w.to_uppercase())
-                },
-            );
-            JobSpec::map_only("upper", vec!["input".into()], mapper, "out")
-        };
+        let copy = || JobSpec::map_only("copy", vec!["input".into()], Arc::new(Identity), "out");
         for workers in [1, 4] {
-            for spec in [word_count_spec(), upper()] {
+            for spec in [word_count_spec(), copy()] {
                 let engine = Engine::unbounded().with_workers(workers);
                 let file =
                     DfsFile { text_bytes: 13, records: records.clone(), ..DfsFile::default() };
@@ -1686,24 +1656,7 @@ mod tests {
         let run = |workers: usize| {
             let engine = Engine::unbounded().with_workers(workers);
             engine.put_records("input", lines.clone()).unwrap();
-            let mapper =
-                map_fn(|line: String, out: &mut crate::job::TypedMapEmitter<'_, String, u64>| {
-                    out.emit(&line[..2].to_string(), &(line.len() as u64));
-                    Ok(())
-                });
-            let reducer = reduce_fn(
-                |key: String, vs: Vec<u64>, out: &mut crate::job::TypedOutEmitter<'_, String>| {
-                    out.emit(&format!("{key}:{}", vs.iter().sum::<u64>()))
-                },
-            );
-            let spec = JobSpec::map_reduce(
-                "kb",
-                vec![InputBinding { file: "input".into(), mapper }],
-                reducer,
-                3,
-                "out",
-            );
-            let stats = engine.run_job(&spec).unwrap();
+            let stats = engine.run_job(&word_count_spec()).unwrap();
             let out = engine.hdfs().lock().get("out").unwrap().records.clone();
             (stats, out)
         };

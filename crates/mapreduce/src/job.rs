@@ -1,34 +1,24 @@
-//! Job definitions: raw byte-level operator traits, typed adapters, and the
-//! [`JobSpec`] builder.
+//! Job definitions: the byte-level operator traits and the [`JobSpec`]
+//! builder.
 //!
-//! The engine itself moves opaque encoded records (so heterogeneous jobs can
-//! be chained without generics leaking into the engine), while user code
-//! writes *typed* mappers/reducers via [`map_fn`], [`map_only_fn`] and
-//! [`reduce_fn`], which handle encode/decode and text-size accounting.
+//! The engine moves opaque encoded records, so heterogeneous jobs chain
+//! without generics leaking into the engine. An operator is a
+//! [`RawMapOp`], [`RawMapOnlyOp`] or [`RawReduceOp`]: it reads its records
+//! in place through [`crate::codec`] and sizes the simulated text of what
+//! it emits itself.
 
-use crate::codec::Rec;
 use crate::counters::OpCounters;
 use crate::error::MrError;
 use crate::hdfs::DfsFile;
 use crate::metrics::MetricsRegistry;
-use rdf_model::atom::AtomTable;
 use std::any::Any;
 use std::cell::{Ref, RefCell};
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// Per-task execution context, created by the engine for each map task
 /// and reduce partition.
 ///
-/// Carries the task-lifetime [`AtomTable`] that typed adapters decode
-/// through, so every occurrence of a token within one task shares a
-/// single `Atom` allocation instead of re-allocating per record — the
-/// in-process analogue of the paper's argument that nested triplegroups
-/// avoid paying for redundant token copies. Scoped per task (not per
-/// job) so concurrent tasks never contend on one table and memory is
-/// released with the task.
-///
-/// It also carries the task's [`OpCounters`]: operators record named
+/// It carries the task's [`OpCounters`]: operators record named
 /// operator-level counters through [`TaskContext::count`] (Hadoop's
 /// user-defined `Counter`s), and the engine merges every task's counters
 /// into [`crate::JobStats::ops`] when the job completes.
@@ -39,8 +29,6 @@ use std::sync::Arc;
 /// table — Hadoop's `Mapper.setup()`) via [`TaskContext::task_state`].
 #[derive(Default)]
 pub struct TaskContext {
-    /// Interner for token (`Atom`) fields decoded by this task.
-    pub atoms: AtomTable,
     counters: RefCell<OpCounters>,
     metrics: RefCell<MetricsRegistry>,
     profiling: bool,
@@ -51,7 +39,6 @@ pub struct TaskContext {
 impl std::fmt::Debug for TaskContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskContext")
-            .field("atoms", &self.atoms)
             .field("counters", &self.counters)
             .field("profiling", &self.profiling)
             .field("broadcast_files", &self.broadcast.len())
@@ -61,7 +48,7 @@ impl std::fmt::Debug for TaskContext {
 }
 
 impl TaskContext {
-    /// Fresh context with an empty atom table.
+    /// Fresh context with no broadcast files.
     pub fn new() -> Self {
         Self::with_env(Vec::new())
     }
@@ -70,7 +57,6 @@ impl TaskContext {
     /// engine builds every task's context through this).
     pub fn with_env(broadcast: Vec<Arc<DfsFile>>) -> Self {
         TaskContext {
-            atoms: AtomTable::new(),
             counters: RefCell::new(OpCounters::new()),
             metrics: RefCell::new(MetricsRegistry::new()),
             profiling: false,
@@ -180,55 +166,31 @@ pub(crate) struct TaskReport {
 /// map-side partitioning, where the map task writes one spill segment per
 /// reducer and the driver never touches individual pairs.
 ///
-/// The emit path is allocation-free per record: the key is encoded into a
-/// reusable scratch buffer (to compute its partition), then key and value
-/// bytes are appended to the partition's contiguous `SpillArena` (the
-/// `spill` module) — the value encodes straight
-/// into the arena, so no owned `(Vec<u8>, Vec<u8>)` pair is ever built.
+/// The emit path is allocation-free per record: key and value bytes are
+/// appended to the partition's contiguous `SpillArena` (the `spill`
+/// module) — a spliced value is written straight into the arena — so no
+/// owned `(Vec<u8>, Vec<u8>)` pair is ever built.
 pub struct MapEmitter {
     /// One spill arena per reduce partition; arena `p` holds every
     /// emission whose key partitions to `p`.
     pub(crate) buckets: Vec<crate::spill::SpillArena>,
-    /// Reusable key-encoding scratch (cleared per emission, so its
-    /// allocation amortizes across the task).
-    key_scratch: Vec<u8>,
 }
 
 impl MapEmitter {
-    /// Single-partition emitter (tests only; the engine always builds
-    /// partitioned emitters).
-    #[cfg(test)]
-    pub(crate) fn new() -> Self {
-        Self::partitioned(1)
-    }
-
     /// Emitter spilling into `reduce_tasks` partition arenas.
     pub(crate) fn partitioned(reduce_tasks: usize) -> Self {
-        MapEmitter {
-            buckets: vec![crate::spill::SpillArena::default(); reduce_tasks.max(1)],
-            key_scratch: Vec::new(),
-        }
+        MapEmitter { buckets: vec![crate::spill::SpillArena::default(); reduce_tasks.max(1)] }
     }
 
-    /// Emit one typed key/value record with its simulated text row size,
-    /// routing it to its reduce partition's arena. The value encodes
-    /// directly into the arena; nothing is heap-allocated per record.
-    pub fn emit_rec<K: Rec, V: Rec>(&mut self, key: &K, value: &V, text_size: u64) {
-        let MapEmitter { buckets, key_scratch } = self;
-        key_scratch.clear();
-        key.encode_into(key_scratch);
-        let p = crate::engine::default_partition(key_scratch, buckets.len());
-        buckets[p].push(key_scratch, text_size, |buf| value.encode_into(buf));
-    }
-
-    /// Emit an already-encoded key/value pair (copied into the arena).
+    /// Emit an encoded key/value pair with its simulated text row size,
+    /// copied into its reduce partition's arena.
     pub fn emit_raw(&mut self, key: &[u8], value: &[u8], text_size: u64) {
         self.emit_raw_with(key, text_size, |buf| buf.extend_from_slice(value));
     }
 
     /// Emit an already-encoded key whose value `write_value` appends
     /// straight to the partition arena (append only, as
-    /// [`Rec::encode_into`]) — for values spliced from several pieces.
+    /// [`crate::Rec::encode_into`]) — for values spliced from several pieces.
     pub fn emit_raw_with(
         &mut self,
         key: &[u8],
@@ -338,136 +300,6 @@ pub trait RawReduceOp: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Typed adapters
-// ---------------------------------------------------------------------------
-
-/// Typed emit handle passed to map closures.
-pub struct TypedMapEmitter<'a, K: Rec, V: Rec> {
-    raw: &'a mut MapEmitter,
-    _pd: PhantomData<(K, V)>,
-}
-
-impl<K: Rec, V: Rec> TypedMapEmitter<'_, K, V> {
-    /// Emit one key/value pair. The simulated row size is
-    /// `key.text_size() + value.text_size() - 1` (the pair shares a single
-    /// row: one newline, one tab separator). Both records encode straight
-    /// into the partition spill arena — no per-record allocation.
-    pub fn emit(&mut self, key: &K, value: &V) {
-        let text = key.text_size() + value.text_size() - 1;
-        self.raw.emit_rec(key, value, text);
-    }
-}
-
-/// Typed emit handle passed to reduce / map-only closures.
-pub struct TypedOutEmitter<'a, O: Rec> {
-    raw: &'a mut OutEmitter,
-    _pd: PhantomData<O>,
-}
-
-impl<O: Rec> TypedOutEmitter<'_, O> {
-    /// Emit one output record to the primary output.
-    pub fn emit(&mut self, record: &O) -> Result<(), MrError> {
-        self.raw.emit_raw(record.to_bytes(), record.text_size())
-    }
-}
-
-struct MapFnOp<I, K, V, F> {
-    f: F,
-    _pd: PhantomData<fn(I) -> (K, V)>,
-}
-
-impl<I, K, V, F> RawMapOp for MapFnOp<I, K, V, F>
-where
-    I: Rec,
-    K: Rec,
-    V: Rec,
-    F: Fn(I, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync,
-{
-    fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
-        let input = I::from_bytes_with(record, &ctx.atoms)?;
-        let mut emitter = TypedMapEmitter { raw: out, _pd: PhantomData };
-        (self.f)(input, &mut emitter)
-    }
-}
-
-struct MapOnlyFnOp<I, O, F> {
-    f: F,
-    _pd: PhantomData<fn(I) -> O>,
-}
-
-impl<I, O, F> RawMapOnlyOp for MapOnlyFnOp<I, O, F>
-where
-    I: Rec,
-    O: Rec,
-    F: Fn(I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync,
-{
-    fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut OutEmitter) -> Result<(), MrError> {
-        let input = I::from_bytes_with(record, &ctx.atoms)?;
-        let mut emitter = TypedOutEmitter { raw: out, _pd: PhantomData };
-        (self.f)(input, &mut emitter)
-    }
-}
-
-/// Wrap a typed closure as a shuffle-producing map operator.
-pub fn map_fn<I, K, V, F>(f: F) -> Arc<dyn RawMapOp>
-where
-    I: Rec,
-    K: Rec,
-    V: Rec,
-    F: Fn(I, &mut TypedMapEmitter<'_, K, V>) -> Result<(), MrError> + Send + Sync + 'static,
-{
-    Arc::new(MapFnOp { f, _pd: PhantomData })
-}
-
-/// Wrap a typed closure as a map-only operator.
-pub fn map_only_fn<I, O, F>(f: F) -> Arc<dyn RawMapOnlyOp>
-where
-    I: Rec,
-    O: Rec,
-    F: Fn(I, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync + 'static,
-{
-    Arc::new(MapOnlyFnOp { f, _pd: PhantomData })
-}
-
-struct ReduceFnOp<K, V, O, F> {
-    f: F,
-    _pd: PhantomData<fn(K, V) -> O>,
-}
-
-impl<K, V, O, F> RawReduceOp for ReduceFnOp<K, V, O, F>
-where
-    K: Rec,
-    V: Rec,
-    O: Rec,
-    F: Fn(K, Vec<V>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync,
-{
-    fn run(
-        &self,
-        ctx: &TaskContext,
-        key: &[u8],
-        values: &[&[u8]],
-        out: &mut OutEmitter,
-    ) -> Result<(), MrError> {
-        let key = K::from_bytes_with(key, &ctx.atoms)?;
-        let values: Result<Vec<V>, MrError> =
-            values.iter().map(|v| V::from_bytes_with(v, &ctx.atoms)).collect();
-        let mut emitter = TypedOutEmitter { raw: out, _pd: PhantomData };
-        (self.f)(key, values?, &mut emitter)
-    }
-}
-
-/// Wrap a typed closure as a reduce operator.
-pub fn reduce_fn<K, V, O, F>(f: F) -> Arc<dyn RawReduceOp>
-where
-    K: Rec,
-    V: Rec,
-    O: Rec,
-    F: Fn(K, Vec<V>, &mut TypedOutEmitter<'_, O>) -> Result<(), MrError> + Send + Sync + 'static,
-{
-    Arc::new(ReduceFnOp { f, _pd: PhantomData })
-}
-
-// ---------------------------------------------------------------------------
 // Job specification
 // ---------------------------------------------------------------------------
 
@@ -544,7 +376,6 @@ impl JobSpec {
         reduce_tasks: usize,
         output: impl Into<String>,
     ) -> Self {
-        assert!(reduce_tasks >= 1, "need at least one reduce task");
         JobSpec {
             name: name.into(),
             kind: JobKind::MapReduce { inputs, reducer, reduce_tasks },
@@ -595,9 +426,8 @@ impl JobSpec {
     /// reduce phase to estimated shuffle bytes instead of a fixed default.
     ///
     /// # Panics
-    /// Panics when called on a map-only job or with `reduce_tasks == 0`.
+    /// Panics when called on a map-only job.
     pub fn with_reducers(mut self, reduce_tasks: usize) -> Self {
-        assert!(reduce_tasks >= 1, "need at least one reduce task");
         match &mut self.kind {
             JobKind::MapReduce { reduce_tasks: r, .. } => *r = reduce_tasks,
             JobKind::MapOnly { .. } => panic!("map-only jobs have no reduce tasks"),
@@ -618,10 +448,10 @@ impl JobSpec {
         self
     }
 
-    /// Check cross-field invariants before execution. The builders assert
-    /// these eagerly, but [`JobKind`]'s fields are public, so a hand-built
-    /// spec can bypass them; the engine re-validates here rather than
-    /// panicking deep inside the shuffle (`key % 0`).
+    /// Check cross-field invariants before execution: the one place a job
+    /// with no reduce task or no output file is refused, as the
+    /// [`MrError::Op`] [`crate::Engine::run_job`] returns before any task
+    /// runs — not a panic deep inside the shuffle (`key % 0`).
     pub fn validate(&self) -> Result<(), MrError> {
         if let JobKind::MapReduce { reduce_tasks, .. } = &self.kind {
             if *reduce_tasks == 0 {
@@ -641,17 +471,7 @@ impl JobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn typed_map_emitter_accounts_row_text() {
-        let mut raw = MapEmitter::new();
-        let mut typed: TypedMapEmitter<'_, String, String> =
-            TypedMapEmitter { raw: &mut raw, _pd: PhantomData };
-        typed.emit(&"key".to_string(), &"value".to_string());
-        assert_eq!(raw.len(), 1);
-        // "key\tvalue\n" = 4 + 6 - 1 = 9
-        assert_eq!(raw.buckets[0].text_bytes(), 9);
-    }
+    use crate::common::CountReduce;
 
     #[test]
     fn map_emitter_routes_to_partition_buckets() {
@@ -673,28 +493,24 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_reduce_tasks() {
-        let reducer =
-            reduce_fn(|_k: String, _v: Vec<u64>, _o: &mut TypedOutEmitter<'_, String>| Ok(()));
-        let mut spec = JobSpec::map_reduce("j", vec![], reducer, 1, "out");
+        let job = |reduce_tasks| {
+            let words =
+                InputBinding { file: "in".into(), mapper: Arc::new(crate::common::WordOne) };
+            JobSpec::map_reduce("j", vec![words], Arc::new(CountReduce), reduce_tasks, "out")
+        };
+        let mut spec = job(1);
         assert!(spec.validate().is_ok());
-        if let JobKind::MapReduce { reduce_tasks, .. } = &mut spec.kind {
-            *reduce_tasks = 0; // bypass the builder assert via the pub field
-        }
-        let err = spec.validate().unwrap_err();
-        assert!(err.to_string().contains("reduce tasks"), "{err}");
         spec.outputs.clear();
-        if let JobKind::MapReduce { reduce_tasks, .. } = &mut spec.kind {
-            *reduce_tasks = 1;
-        }
         assert!(spec.validate().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one reduce task")]
-    fn builder_rejects_zero_reduce_tasks() {
-        let reducer =
-            reduce_fn(|_k: String, _v: Vec<u64>, _o: &mut TypedOutEmitter<'_, String>| Ok(()));
-        let _ = JobSpec::map_reduce("j", vec![], reducer, 0, "out");
+        // Zero reduce tasks, from the builder or from `with_reducers`, is the
+        // typed error `run_job` returns, and nothing is committed.
+        let engine = crate::Engine::unbounded();
+        engine.put_records("in", ["a".to_string()]).unwrap();
+        for spec in [job(0), job(2).with_reducers(0)] {
+            let err = engine.run_job(&spec).unwrap_err();
+            assert!(matches!(&err, MrError::Op(m) if m.contains("0 reduce tasks")), "{err:?}");
+            assert!(!engine.hdfs().lock().exists("out"));
+        }
     }
 
     #[test]
@@ -720,34 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn map_fn_decodes_and_emits() {
-        let op = map_fn(|rec: String, out: &mut TypedMapEmitter<'_, String, u64>| {
-            out.emit(&rec, &(rec.len() as u64));
-            Ok(())
-        });
-        let mut out = MapEmitter::new();
-        op.run(&TaskContext::new(), &"abc".to_string().to_bytes(), &mut out).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(String::from_bytes(out.buckets[0].key(0)).unwrap(), "abc");
-        assert_eq!(u64::from_bytes(out.buckets[0].value(0)).unwrap(), 3);
-    }
-
-    #[test]
-    fn reduce_fn_decodes_group() {
-        let op =
-            reduce_fn(|key: String, values: Vec<u64>, out: &mut TypedOutEmitter<'_, String>| {
-                let sum: u64 = values.iter().sum();
-                out.emit(&format!("{key}={sum}"))
-            });
-        let mut out = OutEmitter::new(None);
-        let owned = [1u64.to_bytes(), 2u64.to_bytes()];
-        let values: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-        op.run(&TaskContext::new(), &"k".to_string().to_bytes(), &values, &mut out).unwrap();
-        assert_eq!(out.records.len(), 1);
-        assert_eq!(String::from_bytes(&out.records[0].1).unwrap(), "k=3");
-    }
-
-    #[test]
     fn record_is_gated_on_profiling() {
         let off = TaskContext::new();
         off.record("reduce.group.width", 7);
@@ -762,12 +550,5 @@ mod tests {
         assert_eq!(h.sum(), 10);
         // take_metrics drains.
         assert!(on.take_metrics().is_empty());
-    }
-
-    #[test]
-    fn map_fn_propagates_codec_errors() {
-        let op = map_fn(|_rec: u64, _out: &mut TypedMapEmitter<'_, String, String>| Ok(()));
-        let mut out = MapEmitter::new();
-        assert!(op.run(&TaskContext::new(), &[1, 2], &mut out).is_err());
     }
 }

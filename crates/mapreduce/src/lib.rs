@@ -19,29 +19,49 @@
 //!
 //! ## Quick tour
 //!
+//! An operator reads the engine's encoded records in place and writes
+//! encoded records, each with the size it would have as a text row.
+//!
 //! ```
-//! use mrsim::{map_fn, reduce_fn, Engine, InputBinding, JobSpec};
-//! use mrsim::{TypedMapEmitter, TypedOutEmitter};
+//! use mrsim::codec::{token_key, Rec};
+//! use mrsim::{Engine, InputBinding, JobSpec, MapEmitter, MrError, OutEmitter};
+//! use mrsim::{RawMapOp, RawReduceOp, TaskContext};
+//! use std::sync::Arc;
+//!
+//! /// Each word, shipped under itself with no value.
+//! struct Words;
+//! impl RawMapOp for Words {
+//!     fn run(&self, _: &TaskContext, word: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
+//!         let text = token_key(word)?.len() as u64 + 1; // `word \n`
+//!         out.emit_raw(word, &[], text);
+//!         Ok(())
+//!     }
+//! }
+//!
+//! /// Each word with the number of times it occurs.
+//! struct Count;
+//! impl RawReduceOp for Count {
+//!     fn run(
+//!         &self,
+//!         _: &TaskContext,
+//!         word: &[u8],
+//!         values: &[&[u8]],
+//!         out: &mut OutEmitter,
+//!     ) -> Result<(), MrError> {
+//!         let row = format!("{} {}", token_key(word)?, values.len());
+//!         out.emit_raw(row.to_bytes(), row.text_size())
+//!     }
+//! }
 //!
 //! let engine = Engine::unbounded();
 //! engine.put_records("words", ["a", "b", "a"].map(String::from)).unwrap();
-//!
-//! let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
-//!     out.emit(&w, &1);
-//!     Ok(())
-//! });
-//! let reducer = reduce_fn(|w: String, ones: Vec<u64>, out: &mut TypedOutEmitter<'_, String>| {
-//!     out.emit(&format!("{w} {}", ones.len()))
-//! });
-//! let job = JobSpec::map_reduce(
-//!     "wordcount",
-//!     vec![InputBinding { file: "words".into(), mapper }],
-//!     reducer,
-//!     2,
-//!     "counts",
-//! );
+//! let words = InputBinding { file: "words".into(), mapper: Arc::new(Words) };
+//! let job = JobSpec::map_reduce("wordcount", vec![words], Arc::new(Count), 2, "counts");
 //! let stats = engine.run_job(&job).unwrap();
 //! assert_eq!(stats.reduce_groups, 2);
+//! let mut counts: Vec<String> = engine.read_records("counts").unwrap();
+//! counts.sort();
+//! assert_eq!(counts, ["a 2", "b 1"]);
 //! ```
 
 #![warn(missing_docs)]
@@ -73,8 +93,8 @@ pub use error::MrError;
 pub use faults::FaultConfig;
 pub use hdfs::{DfsFile, SimHdfs};
 pub use job::{
-    map_fn, map_only_fn, reduce_fn, InputBinding, JobKind, JobSpec, MapEmitter, OutEmitter,
-    RawMapOnlyOp, RawMapOp, RawReduceOp, TaskContext, TypedMapEmitter, TypedOutEmitter,
+    InputBinding, JobKind, JobSpec, MapEmitter, OutEmitter, RawMapOnlyOp, RawMapOp, RawReduceOp,
+    TaskContext,
 };
 pub use metrics::{Histogram, MetricsRegistry};
 pub use spill::SpillArena;
@@ -82,3 +102,11 @@ pub use trace::{
     ChromeTraceSink, JsonlSink, MemorySink, MultiSink, TaskPhase, TraceEvent, TraceSink,
 };
 pub use workflow::{RecoveryPolicy, Workflow};
+
+// The unit tests run the integration tests' operators, which name the
+// crate `mrsim`.
+#[cfg(test)]
+extern crate self as mrsim;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;

@@ -263,23 +263,18 @@ impl<'e> Workflow<'e> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{CountReduce, KeyOnly, SelfPair, WordOne};
     use crate::faults::FaultConfig;
     use crate::hdfs::SimHdfs;
-    use crate::job::{map_fn, reduce_fn, InputBinding, TypedMapEmitter, TypedOutEmitter};
+    use crate::job::InputBinding;
+    use std::sync::Arc;
 
     fn identity_job(input: &str, output: &str, full_scan: bool) -> JobSpec {
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, String>| {
-            out.emit(&w, &w);
-            Ok(())
-        });
-        let reducer =
-            reduce_fn(|k: String, _v: Vec<String>, out: &mut TypedOutEmitter<'_, String>| {
-                out.emit(&k)
-            });
+        let lines = InputBinding { file: input.into(), mapper: Arc::new(SelfPair) };
         let spec = JobSpec::map_reduce(
             format!("{input}->{output}"),
-            vec![InputBinding { file: input.into(), mapper }],
-            reducer,
+            vec![lines],
+            Arc::new(KeyOnly),
             2,
             output,
         );
@@ -359,24 +354,9 @@ mod tests {
         }
         use crate::codec::Rec;
         let mut wf = Workflow::new(&engine, "fail");
-        // Job emits 3 copies -> won't fit in remaining 5 bytes.
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, String>| {
-            out.emit(&w, &w);
-            Ok(())
-        });
-        let reducer =
-            reduce_fn(|k: String, _v: Vec<String>, out: &mut TypedOutEmitter<'_, String>| {
-                out.emit(&k)?;
-                out.emit(&k)?;
-                out.emit(&k)
-            });
-        let spec = JobSpec::map_reduce(
-            "explode",
-            vec![InputBinding { file: "in".into(), mapper }],
-            reducer,
-            1,
-            "out",
-        );
+        // The count row `aaaa:1` (7 bytes) won't fit in the remaining 5.
+        let words = InputBinding { file: "in".into(), mapper: Arc::new(WordOne) };
+        let spec = JobSpec::map_reduce("explode", vec![words], Arc::new(CountReduce), 1, "out");
         let err = wf.run_job(spec).unwrap_err();
         assert!(err.is_disk_full());
         let stats = wf.finish_failed(&err);

@@ -2,11 +2,19 @@
 //! record shapes, shuffle-grouping correctness, determinism across worker
 //! counts, and counter conservation laws.
 
-use mrsim::{
-    map_fn, reduce_fn, Engine, InputBinding, JobSpec, Rec, TypedMapEmitter, TypedOutEmitter,
-};
+mod common;
+
+use common::{CountReduce, WordOne};
+use mrsim::{Engine, InputBinding, JobSpec, Rec};
 use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest};
 use proptest::strategy::Strategy;
+use std::sync::Arc;
+
+/// A word count of the DFS file `in` into `out`.
+fn word_count(name: &str, reduce_tasks: usize) -> JobSpec {
+    let words = InputBinding { file: "in".into(), mapper: Arc::new(WordOne) };
+    JobSpec::map_reduce(name, vec![words], Arc::new(CountReduce), reduce_tasks, "out")
+}
 
 fn arb_string() -> impl Strategy<Value = String> {
     prop::collection::vec(
@@ -71,25 +79,10 @@ proptest! {
 
         let engine = Engine::unbounded().with_workers(workers);
         engine.put_records("in", words.iter().map(|w| w.to_string())).unwrap();
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
-            out.emit(&w, &1);
-            Ok(())
-        });
-        let reducer = reduce_fn(
-            |w: String, ones: Vec<u64>, out: &mut TypedOutEmitter<'_, (String, u64)>| {
-                out.emit(&(w, ones.iter().sum()))
-            },
-        );
-        let spec = JobSpec::map_reduce(
-            "wc",
-            vec![InputBinding { file: "in".into(), mapper }],
-            reducer,
-            reducers,
-            "out",
-        );
-        let stats = engine.run_job(&spec).unwrap();
-        let got: std::collections::BTreeMap<String, u64> =
-            engine.read_records::<(String, u64)>("out").unwrap().into_iter().collect();
+        let stats = engine.run_job(&word_count("wc", reducers)).unwrap();
+        let mut got: Vec<String> = engine.read_records("out").unwrap();
+        got.sort();
+        let expected: Vec<String> = expected.iter().map(|(w, n)| format!("{w}:{n}")).collect();
         prop_assert_eq!(got, expected);
 
         // Conservation laws.
@@ -117,23 +110,7 @@ proptest! {
                 engine = engine.with_faults(mrsim::FaultConfig::with_probability(0.3, 7));
             }
             engine.put_records("in", words.iter().map(|w| w.to_string())).unwrap();
-            let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
-                out.emit(&w, &1);
-                Ok(())
-            });
-            let reducer = reduce_fn(
-                |w: String, ones: Vec<u64>, out: &mut TypedOutEmitter<'_, (String, u64)>| {
-                    out.emit(&(w, ones.iter().sum()))
-                },
-            );
-            let spec = JobSpec::map_reduce(
-                "det",
-                vec![InputBinding { file: "in".into(), mapper }],
-                reducer,
-                3,
-                "out",
-            );
-            let stats = engine.run_job(&spec).unwrap();
+            let stats = engine.run_job(&word_count("det", 3)).unwrap();
             let file = engine.hdfs().lock().get("out").unwrap();
             (format!("{stats:?}"), file.records.clone(), file.text_bytes)
         };
@@ -156,23 +133,7 @@ proptest! {
     ) {
         let engine = Engine::unbounded();
         engine.put_records("in", words.iter().map(|w| w.to_string())).unwrap();
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
-            out.emit(&w, &1);
-            Ok(())
-        });
-        let reducer = reduce_fn(
-            |w: String, ones: Vec<u64>, out: &mut TypedOutEmitter<'_, (String, u64)>| {
-                out.emit(&(w, ones.iter().sum()))
-            },
-        );
-        let spec = JobSpec::map_reduce(
-            "attr",
-            vec![InputBinding { file: "in".into(), mapper }],
-            reducer,
-            reducers,
-            "out",
-        );
-        let stats = engine.run_job(&spec).unwrap();
+        let stats = engine.run_job(&word_count("attr", reducers)).unwrap();
         prop_assert_eq!(stats.reduce_tasks, reducers as u64);
         prop_assert_eq!(stats.check_invariants(), Ok(()));
         prop_assert!(stats.max_partition_shuffle_bytes() <= stats.map_output_bytes);
@@ -184,21 +145,7 @@ proptest! {
     fn replication_scales_write_accounting(repl in 1u32..5) {
         let engine = Engine::new(mrsim::SimHdfs::new(u64::MAX / 8, repl));
         engine.put_records("in", ["x".to_string(), "y".to_string()]).unwrap();
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
-            out.emit(&w, &1);
-            Ok(())
-        });
-        let reducer = reduce_fn(|w: String, _: Vec<u64>, out: &mut TypedOutEmitter<'_, String>| {
-            out.emit(&w)
-        });
-        let spec = JobSpec::map_reduce(
-            "j",
-            vec![InputBinding { file: "in".into(), mapper }],
-            reducer,
-            1,
-            "out",
-        );
-        let stats = engine.run_job(&spec).unwrap();
+        let stats = engine.run_job(&word_count("j", 1)).unwrap();
         prop_assert_eq!(stats.hdfs_write_bytes, stats.output_text_bytes * u64::from(repl));
     }
 }
@@ -207,25 +154,10 @@ mod fault_injection {
     use super::*;
     use mrsim::FaultConfig;
 
-    fn wordcount(engine: &Engine) -> Result<(mrsim::JobStats, Vec<(String, u64)>), mrsim::MrError> {
+    fn wordcount(engine: &Engine) -> Result<(mrsim::JobStats, Vec<String>), mrsim::MrError> {
         engine.put_records("in", (0..80).map(|i| format!("w{}", i % 7)))?;
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
-            out.emit(&w, &1);
-            Ok(())
-        });
-        let reducer =
-            reduce_fn(|w: String, ones: Vec<u64>, out: &mut TypedOutEmitter<'_, (String, u64)>| {
-                out.emit(&(w, ones.iter().sum()))
-            });
-        let spec = JobSpec::map_reduce(
-            "wc-faults",
-            vec![InputBinding { file: "in".into(), mapper }],
-            reducer,
-            4,
-            "out",
-        );
-        let stats = engine.run_job(&spec)?;
-        let mut rows = engine.read_records::<(String, u64)>("out")?;
+        let stats = engine.run_job(&word_count("wc-faults", 4))?;
+        let mut rows: Vec<String> = engine.read_records("out")?;
         rows.sort();
         Ok((stats, rows))
     }
@@ -274,6 +206,38 @@ mod fault_injection {
 /// `(Vec<u8>, Vec<u8>)` pairs.
 mod arena_shuffle {
     use super::*;
+    use mrsim::{MapEmitter, MrError, OutEmitter, RawMapOp, RawReduceOp, TaskContext};
+
+    /// Ships [`map_pairs`] of each word.
+    struct Fanout;
+
+    impl RawMapOp for Fanout {
+        fn run(&self, _: &TaskContext, rec: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
+            for (k, v) in map_pairs(&String::from_bytes(rec)?) {
+                out.emit_raw(&k.to_bytes(), &v.to_bytes(), k.text_size() + v.text_size() - 1);
+            }
+            Ok(())
+        }
+    }
+
+    /// Writes every `(key, value)` pair of a group back as one record.
+    struct Pairs;
+
+    impl RawReduceOp for Pairs {
+        fn run(
+            &self,
+            _: &TaskContext,
+            key: &[u8],
+            values: &[&[u8]],
+            out: &mut OutEmitter,
+        ) -> Result<(), MrError> {
+            for v in values {
+                let pair = (String::from_bytes(key)?, u64::from_bytes(v)?);
+                out.emit_raw(pair.to_bytes(), pair.text_size())?;
+            }
+            Ok(())
+        }
+    }
 
     /// Mapper fanout used by both the engine job and the reference model:
     /// `w → (w, 1), (w#t, 2)`.
@@ -311,23 +275,11 @@ mod arena_shuffle {
     fn engine_shuffle(words: &[String], workers: usize, reducers: usize) -> Vec<Vec<u8>> {
         let engine = Engine::unbounded().with_workers(workers);
         engine.put_records("in", words.to_vec()).unwrap();
-        let mapper = map_fn(|w: String, out: &mut TypedMapEmitter<'_, String, u64>| {
-            for (k, v) in map_pairs(&w) {
-                out.emit(&k, &v);
-            }
-            Ok(())
-        });
-        let reducer =
-            reduce_fn(|w: String, vals: Vec<u64>, out: &mut TypedOutEmitter<'_, (String, u64)>| {
-                for v in vals {
-                    out.emit(&(w.clone(), v))?;
-                }
-                Ok(())
-            });
+        let words = InputBinding { file: "in".into(), mapper: Arc::new(Fanout) };
         let spec = JobSpec::map_reduce(
             "arena-vs-reference",
-            vec![InputBinding { file: "in".into(), mapper }],
-            reducer,
+            vec![words],
+            Arc::new(Pairs),
             reducers,
             "out",
         );

@@ -11,30 +11,20 @@
 //! * file sinks — a traced workflow produces a parseable JSONL event log
 //!   and a parseable Chrome trace.
 
+mod common;
+
+use common::{CountReduce, KeyOnly, SelfPair, WordOne};
 use mrsim::trace::validate_json;
 use mrsim::{
-    map_fn, reduce_fn, Engine, FaultConfig, InputBinding, JobSpec, MemorySink, TaskPhase,
-    TraceEvent, TraceSink, TypedMapEmitter, TypedOutEmitter, Workflow,
+    Engine, FaultConfig, InputBinding, JobSpec, MemorySink, TaskPhase, TraceEvent, TraceSink,
+    Workflow,
 };
 use std::sync::Arc;
 
-/// A word-count-shaped job from `input` to `output`.
+/// A word count from `input` to `output`.
 fn wc_job(name: &str, input: &str, output: &str, reduce_tasks: usize) -> JobSpec {
-    let mapper = map_fn(|word: String, out: &mut TypedMapEmitter<'_, String, u64>| {
-        out.emit(&word, &1);
-        Ok(())
-    });
-    let reducer =
-        reduce_fn(|key: String, values: Vec<u64>, out: &mut TypedOutEmitter<'_, String>| {
-            out.emit(&format!("{key}:{}", values.iter().sum::<u64>()))
-        });
-    JobSpec::map_reduce(
-        name,
-        vec![InputBinding { file: input.into(), mapper }],
-        reducer,
-        reduce_tasks,
-        output,
-    )
+    let words = InputBinding { file: input.into(), mapper: Arc::new(WordOne) };
+    JobSpec::map_reduce(name, vec![words], Arc::new(CountReduce), reduce_tasks, output)
 }
 
 fn put_input(engine: &Engine, file: &str, n: usize) {
@@ -114,24 +104,8 @@ fn run_traced_workflow(workers: usize) -> (mrsim::WorkflowStats, Vec<TraceEvent>
     let mut wf = Workflow::new(&engine, "golden");
     wf.run_stage(vec![wc_job("j-a", "in", "a", 4), wc_job("j-b", "in", "b", 3)]).unwrap();
     let merge = {
-        let mapper = map_fn(|line: String, out: &mut TypedMapEmitter<'_, String, String>| {
-            out.emit(&line, &line);
-            Ok(())
-        });
-        let reducer =
-            reduce_fn(|k: String, _v: Vec<String>, out: &mut TypedOutEmitter<'_, String>| {
-                out.emit(&k)
-            });
-        JobSpec::map_reduce(
-            "j-merge",
-            vec![
-                InputBinding { file: "a".into(), mapper: mapper.clone() },
-                InputBinding { file: "b".into(), mapper },
-            ],
-            reducer,
-            2,
-            "c",
-        )
+        let lines = |file: &str| InputBinding { file: file.into(), mapper: Arc::new(SelfPair) };
+        JobSpec::map_reduce("j-merge", vec![lines("a"), lines("b")], Arc::new(KeyOnly), 2, "c")
     };
     wf.run_job(merge).unwrap();
     let stats = wf.finish(&["c"]);

@@ -23,7 +23,7 @@ pub mod run;
 pub mod support;
 pub mod triple_rec;
 
-pub use row::{Row, RowSchema, RowView};
+pub use row::{next_combination, Row, RowSchema, RowView};
 pub use run::{
     binder_slots, read_solutions, run_query_workflow, PlanError, QueryRun, WorkflowAbort,
 };

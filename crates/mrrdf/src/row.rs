@@ -18,7 +18,7 @@ use mrsim::{MrError, SliceReader};
 use rdf_model::atom::Atom;
 use rdf_query::SolutionRows;
 
-/// A flat n-tuple of interned tokens. `Vec<Atom>` already implements
+/// A flat n-tuple of tokens. `Vec<Atom>` already implements
 /// [`mrsim::Rec`] (byte-compatible with the historical `Vec<String>` wire
 /// form); this alias names its role.
 pub type Row = Vec<Atom>;
@@ -64,6 +64,21 @@ impl<'a> RowView<'a> {
     pub fn text_size(&self) -> u64 {
         self.token_text.max(1)
     }
+}
+
+/// Step an odometer whose wheel `i` has `len(i)` positions, the last wheel
+/// fastest: false, with every wheel back at 0, once all combinations have
+/// been visited. Every cross product of both planners steps through it —
+/// a star's flat rows, β-unnest's tuples.
+pub fn next_combination(cursor: &mut [usize], len: impl Fn(usize) -> usize) -> bool {
+    for pos in (0..cursor.len()).rev() {
+        cursor[pos] += 1;
+        if cursor[pos] < len(pos) {
+            return true;
+        }
+        cursor[pos] = 0;
+    }
+    false
 }
 
 /// Column meanings for a row relation: for each column, the variable it

@@ -13,7 +13,6 @@ use mr_rdf::{Row, TripleRec};
 use mrsim::Rec;
 use proptest::prelude::{prop, proptest};
 use proptest::strategy::Strategy;
-use rdf_model::atom::AtomTable;
 use rdf_model::STriple;
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
@@ -96,17 +95,4 @@ fn row_golden_bytes() {
         [2, 0, 0, 0, 4, 0, 0, 0, b'<', b'g', b'1', b'>', 3, 0, 0, 0, b'"', b'x', b'"']
     );
     assert_eq!(row.text_size(), 9);
-}
-
-/// Decoding through a task-scoped [`AtomTable`] must not change content —
-/// only allocation sharing.
-#[test]
-fn interned_decode_is_content_identical() {
-    let rec = TripleRec(STriple::new("<g1>", "<xGO>", "<g1>"));
-    let table = AtomTable::new();
-    let decoded = TripleRec::from_bytes_with(&rec.to_bytes(), &table).unwrap();
-    assert_eq!(decoded, rec);
-    // Subject and object carry the same token: one allocation via the table.
-    assert!(rdf_model::atom::Atom::ptr_eq(&decoded.0.s, &decoded.0.o));
-    assert_eq!(table.len(), 2);
 }

@@ -102,9 +102,9 @@ impl BlockChecksum {
 /// Streaming word-at-a-time token hasher: eight bytes per
 /// rotate-xor-multiply round, far cheaper per byte than byte-serial FNV on
 /// typical 10–60-byte RDF tokens. For in-memory lookup tables whose
-/// iteration order never reaches an output — the [`crate::AtomTable`]
-/// interner and the ANALYZE accumulator ([`crate::StoreStats`]); shuffle
-/// partitioning keeps the spec-stable [`fnv1a`].
+/// iteration order never reaches an output — the ANALYZE accumulator
+/// ([`crate::StatsBuilder`]); shuffle partitioning keeps the spec-stable
+/// [`fnv1a`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TokenHasher(u64);
 

@@ -5,9 +5,8 @@
 //!
 //! * [`Term`] — a parsed RDF term (IRI / literal / blank node) with
 //!   N-Triples-conformant display and parsing;
-//! * [`Atom`] and [`AtomTable`] — cheap reference-counted interned strings
-//!   used for the lexical (token) representation of terms that flows through
-//!   the MapReduce pipelines;
+//! * [`Atom`] — a cheap reference-counted string, the lexical (token)
+//!   representation of a term in typed values;
 //! * [`STriple`] — a triple of atoms (the workhorse record type);
 //! * [`ntriples`] — a streaming N-Triples parser and serializer;
 //! * [`TripleStore`] — an in-memory triple collection with property
@@ -30,7 +29,7 @@ pub mod store;
 pub mod term;
 pub mod triple;
 
-pub use atom::{Atom, AtomTable};
+pub use atom::Atom;
 pub use hash::{fnv1a, DetHashMap, FnvBuildHasher, FnvHasher, TokenBuildHasher, TokenHasher};
 pub use ntriples::{parse_line, parse_str, write_triple, NtParseError};
 pub use store::{PropertyStats, StatsBuilder, StoreStats, TripleStore};

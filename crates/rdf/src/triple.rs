@@ -22,7 +22,7 @@ pub struct STriple {
 }
 
 impl STriple {
-    /// Build a triple from raw token strings (no interning).
+    /// Build a triple from raw token strings.
     pub fn new(s: impl AsRef<str>, p: impl AsRef<str>, o: impl AsRef<str>) -> Self {
         STriple { s: atom(s.as_ref()), p: atom(p.as_ref()), o: atom(o.as_ref()) }
     }

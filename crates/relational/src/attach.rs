@@ -10,17 +10,153 @@
 //! triple relation); for object-object joins a pattern-attach plus a
 //! star-attach are needed (3 cycles, all full scans) — exactly the MR/FS
 //! counts the paper's case study reports.
+//!
+//! Records are read in place and spliced. A shuffle value is a tag and an
+//! encoded row: tag 0 a row of the relation ([`SideMap`] side 0) and tag
+//! `1 + i` a match of pattern `i` — `(property, object)` in a star attach,
+//! the triple in a pattern attach, whose tag 1 makes it [`RowJoinReduce`]'s.
 
-use mr_rdf::{PlanError, Row, RowSchema, TripleRec};
-use mrsim::{map_fn, reduce_fn, InputBinding, JobSpec, MrError, TypedMapEmitter, TypedOutEmitter};
-use rdf_model::atom::Atom;
-use rdf_query::{StarPattern, TriplePattern};
+use mr_rdf::{next_combination, PlanError, RowSchema, RowView, TripleView};
+use mrsim::codec::{
+    counted_len, decimal_digits, put_count, put_tag, split_tag, token_key, token_key_text,
+    token_len,
+};
+use mrsim::{
+    InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOp, RawReduceOp, TaskContext,
+};
+use rdf_query::{StarPattern, SubjPattern, TriplePattern};
+use std::sync::Arc;
 
+use crate::row_join::{RowJoinReduce, SideMap};
 use crate::star_join::{star_schema, REDUCERS};
 
-/// Shuffle value: tag 0 carries a row; tag `1+i` carries the
-/// `(property, object)` of a match for pattern `i`.
-type AttachVal = (u64, Vec<Atom>);
+/// Triple side of both attach jobs: ships each triple once per pattern of
+/// `star` it matches, tagged `1 + i`.
+pub struct AttachMap {
+    /// The star (for a pattern attach, the one pattern's star).
+    pub star: StarPattern,
+    /// Key on the object and ship the whole triple (a pattern attach), not
+    /// on the subject with its `(property, object)` (a star attach).
+    pub by_object: bool,
+}
+
+impl AttachMap {
+    /// Map one encoded [`mr_rdf::TripleRec`]: `emit(key, text,
+    /// write_value)` per matched pattern, in pattern order — the key the
+    /// triple's own encoded subject or object, `text` the shuffle row's
+    /// simulated size, `write_value` appending the tag and the row.
+    pub fn route(
+        &self,
+        rec: &[u8],
+        mut emit: impl FnMut(&[u8], u64, &dyn Fn(&mut Vec<u8>)),
+    ) -> Result<(), MrError> {
+        let t = TripleView::from_bytes(rec)?;
+        if !self.star.subject_accepts(t.s) {
+            return Ok(());
+        }
+        // The shuffle row is `key \t tag \t [s \t] p \t o \n`.
+        let po_text = (t.p.len() + t.o.len()) as u64 + 2;
+        let (key, arity, row, row_text) = if self.by_object {
+            (&t.po_bytes[token_len(t.p)..], 3, rec, t.s.len() as u64 + 1 + po_text)
+        } else {
+            (t.s_bytes, 2, t.po_bytes, po_text)
+        };
+        for (i, pat) in self.star.patterns.iter().enumerate() {
+            if pat.matches_tokens(t.s, t.p, t.o) {
+                let tag = 1 + i as u64;
+                emit(key, token_key_text(key) + row_text + decimal_digits(tag), &|value| {
+                    put_tag(value, tag);
+                    put_count(value, arity);
+                    value.extend_from_slice(row);
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+impl RawMapOp for AttachMap {
+    fn run(&self, _ctx: &TaskContext, record: &[u8], out: &mut MapEmitter) -> Result<(), MrError> {
+        self.route(record, |key, text, write| out.emit_raw_with(key, text, write))
+    }
+}
+
+/// Reduce side of [`star_attach_job`]: per subject, every row joined with
+/// the cross product of the star's matches.
+pub struct StarAttachReduce {
+    /// Number of patterns in the star.
+    pub patterns: usize,
+}
+
+impl StarAttachReduce {
+    /// Join one subject's encoded `(tag, row)` values: `emit(record, text)`
+    /// per combination of one match per pattern (the last pattern's varying
+    /// fastest), within it per row in value order; nothing if there is no
+    /// row or some pattern has no match. A record is the count, the row's
+    /// tokens, then per pattern the key's bytes and the match's.
+    ///
+    /// Every value is walked before anything is emitted, and a broken one's
+    /// [`MrError::Codec`] is reported before a tag past the star or a match
+    /// that is not one `(property, object)`.
+    pub fn join(
+        &self,
+        key: &[u8],
+        values: &[&[u8]],
+        mut emit: impl FnMut(Vec<u8>, u64) -> Result<(), MrError>,
+    ) -> Result<(), MrError> {
+        let s_text = token_key(key)?.len() as u64 + 1;
+        let (mut rows, mut matches) = (Vec::new(), vec![Vec::new(); self.patterns]);
+        let mut malformed = false;
+        for value in values {
+            let (tag, row) = split_tag(value)?;
+            let row = RowView::from_bytes(row, None)?;
+            match tag.checked_sub(1).map(usize::try_from) {
+                None => rows.push(row),
+                Some(Ok(i)) if i < self.patterns && row.arity == 2 => matches[i].push(row),
+                Some(_) => malformed = true,
+            }
+        }
+        if malformed {
+            return Err(MrError::Op("malformed attach value".into()));
+        }
+        if rows.is_empty() || matches.iter().any(Vec::is_empty) {
+            return Ok(());
+        }
+        let mut cursor = vec![0usize; self.patterns];
+        loop {
+            let picked = || cursor.iter().zip(&matches).map(|(&c, bucket)| bucket[c]);
+            let star_len: usize = picked().map(|po| key.len() + po.tokens.len()).sum();
+            let star_text: u64 = picked().map(|po| s_text + po.token_text).sum();
+            for row in &rows {
+                let arity = u32::try_from(u64::from(row.arity) + 3 * self.patterns as u64)
+                    .map_err(|_| MrError::Op("joined row arity exceeds u32".into()))?;
+                let mut rec = Vec::with_capacity(counted_len(row.tokens.len() + star_len));
+                put_count(&mut rec, arity);
+                rec.extend_from_slice(row.tokens);
+                for po in picked() {
+                    rec.extend_from_slice(key);
+                    rec.extend_from_slice(po.tokens);
+                }
+                emit(rec, (row.token_text + star_text).max(1))?;
+            }
+            if !next_combination(&mut cursor, |i| matches[i].len()) {
+                return Ok(());
+            }
+        }
+    }
+}
+
+impl RawReduceOp for StarAttachReduce {
+    fn run(
+        &self,
+        _ctx: &TaskContext,
+        key: &[u8],
+        values: &[&[u8]],
+        out: &mut OutEmitter,
+    ) -> Result<(), MrError> {
+        self.join(key, values, |record, text| out.emit_raw(record, text))
+    }
+}
 
 /// Join a row relation (keyed by `key_var`, which must equal the star's
 /// subject) with the star's matches computed from the base triple relation
@@ -33,97 +169,9 @@ pub fn star_attach_job(
     triples: &str,
     output: impl Into<String>,
 ) -> Result<(JobSpec, RowSchema), PlanError> {
-    let key_col = rows
-        .1
-        .index_of(key_var)
-        .ok_or_else(|| PlanError::Internal(format!("rows lack attach key ?{key_var}")))?;
-    let schema = rows.1.concat(&star_schema(star));
-
-    let row_mapper = map_fn(move |row: Row, out: &mut TypedMapEmitter<'_, Atom, AttachVal>| {
-        let key = row
-            .get(key_col)
-            .ok_or_else(|| MrError::Op("row too short for attach key".into()))?
-            .clone();
-        out.emit(&key, &(0, row));
-        Ok(())
-    });
-    let star_m = star.clone();
-    let triple_mapper =
-        map_fn(move |rec: TripleRec, out: &mut TypedMapEmitter<'_, Atom, AttachVal>| {
-            let t = &rec.0;
-            if !star_m.subject_accepts(&t.s) {
-                return Ok(());
-            }
-            for (idx, pat) in star_m.patterns.iter().enumerate() {
-                if pat.matches_structurally(t) {
-                    out.emit(&t.s, &(1 + idx as u64, vec![t.p.clone(), t.o.clone()]));
-                }
-            }
-            Ok(())
-        });
-
-    let star_r = star.clone();
-    let reducer = reduce_fn(
-        move |subject: Atom, values: Vec<AttachVal>, out: &mut TypedOutEmitter<'_, Row>| {
-            let k = star_r.patterns.len();
-            let mut rows: Vec<Vec<Atom>> = Vec::new();
-            let mut matches: Vec<Vec<(Atom, Atom)>> = vec![Vec::new(); k];
-            for (tag, payload) in values {
-                if tag == 0 {
-                    rows.push(payload);
-                } else {
-                    let idx = (tag - 1) as usize;
-                    if idx >= k || payload.len() != 2 {
-                        return Err(MrError::Op("malformed attach value".into()));
-                    }
-                    matches[idx].push((payload[0].clone(), payload[1].clone()));
-                }
-            }
-            if rows.is_empty() || matches.iter().any(Vec::is_empty) {
-                return Ok(());
-            }
-            // Cross product of star matches, appended to each row.
-            let mut cursor = vec![0usize; k];
-            loop {
-                let mut star_cols: Vec<Atom> = Vec::with_capacity(3 * k);
-                for (i, c) in cursor.iter().enumerate() {
-                    let (p, o) = &matches[i][*c];
-                    star_cols.push(subject.clone());
-                    star_cols.push(p.clone());
-                    star_cols.push(o.clone());
-                }
-                for row in &rows {
-                    let mut joined = row.clone();
-                    joined.extend(star_cols.iter().cloned());
-                    out.emit(&joined)?;
-                }
-                let mut pos = k;
-                loop {
-                    if pos == 0 {
-                        return Ok(());
-                    }
-                    pos -= 1;
-                    cursor[pos] += 1;
-                    if cursor[pos] < matches[pos].len() {
-                        break;
-                    }
-                    cursor[pos] = 0;
-                }
-            }
-        },
-    );
-    let spec = JobSpec::map_reduce(
-        name,
-        vec![
-            InputBinding { file: rows.0.to_string(), mapper: row_mapper },
-            InputBinding { file: triples.to_string(), mapper: triple_mapper },
-        ],
-        reducer,
-        REDUCERS,
-        output,
-    )
-    .with_full_scan();
-    Ok((spec, schema))
+    let map = AttachMap { star: star.clone(), by_object: false };
+    let reducer = Arc::new(StarAttachReduce { patterns: star.patterns.len() });
+    attach_job(name, rows, key_var, map, triples, reducer, output)
 }
 
 /// Join a row relation (keyed by `key_var`) with the matches of a single
@@ -137,78 +185,40 @@ pub fn pattern_attach_job(
     triples: &str,
     output: impl Into<String>,
 ) -> Result<(JobSpec, RowSchema), PlanError> {
-    let key_col = rows
-        .1
+    let SubjPattern::Var(subject) = &pattern.subject else {
+        return Err(PlanError::Internal("pattern attach needs a variable subject".into()));
+    };
+    let map = AttachMap { star: StarPattern::new(subject, vec![pattern.clone()]), by_object: true };
+    attach_job(name, rows, key_var, map, triples, Arc::new(RowJoinReduce), output)
+}
+
+/// The cycle of both attach jobs: the rows as side 0 by their `key_var`
+/// column and the triples through `map`, both full scans, to rows ⋈ star.
+fn attach_job(
+    name: impl Into<String>,
+    (rows, schema): (&str, &RowSchema),
+    key_var: &str,
+    map: AttachMap,
+    triples: &str,
+    reducer: Arc<dyn RawReduceOp>,
+    output: impl Into<String>,
+) -> Result<(JobSpec, RowSchema), PlanError> {
+    let key_col = schema
         .index_of(key_var)
         .ok_or_else(|| PlanError::Internal(format!("rows lack attach key ?{key_var}")))?;
-    // Output schema: rows ++ (subject, property, object) of the pattern.
-    let mini = StarPattern::new(
-        match &pattern.subject {
-            rdf_query::SubjPattern::Var(v) => v.clone(),
-            rdf_query::SubjPattern::Const(_) => {
-                return Err(PlanError::Internal("pattern attach needs a variable subject".into()))
-            }
-        },
-        vec![pattern.clone()],
-    );
-    let schema = rows.1.concat(&star_schema(&mini));
-
-    let row_mapper = map_fn(move |row: Row, out: &mut TypedMapEmitter<'_, Atom, AttachVal>| {
-        let key = row
-            .get(key_col)
-            .ok_or_else(|| MrError::Op("row too short for attach key".into()))?
-            .clone();
-        out.emit(&key, &(0, row));
-        Ok(())
-    });
-    let pat = pattern.clone();
-    let triple_mapper =
-        map_fn(move |rec: TripleRec, out: &mut TypedMapEmitter<'_, Atom, AttachVal>| {
-            let t = &rec.0;
-            if pat.matches_structurally(t) {
-                out.emit(&t.o, &(1, vec![t.s.clone(), t.p.clone(), t.o.clone()]));
-            }
-            Ok(())
-        });
-    let reducer =
-        reduce_fn(move |_key: Atom, values: Vec<AttachVal>, out: &mut TypedOutEmitter<'_, Row>| {
-            let mut rows: Vec<Vec<Atom>> = Vec::new();
-            let mut matches: Vec<Vec<Atom>> = Vec::new();
-            for (tag, payload) in values {
-                if tag == 0 {
-                    rows.push(payload);
-                } else {
-                    matches.push(payload);
-                }
-            }
-            for row in &rows {
-                for m in &matches {
-                    let mut joined = row.clone();
-                    joined.extend(m.iter().cloned());
-                    out.emit(&joined)?;
-                }
-            }
-            Ok(())
-        });
-    let spec = JobSpec::map_reduce(
-        name,
-        vec![
-            InputBinding { file: rows.0.to_string(), mapper: row_mapper },
-            InputBinding { file: triples.to_string(), mapper: triple_mapper },
-        ],
-        reducer,
-        REDUCERS,
-        output,
-    )
-    .with_full_scan();
-    Ok((spec, schema))
+    let joined = schema.concat(&star_schema(&map.star));
+    let inputs = vec![
+        InputBinding { file: rows.to_string(), mapper: Arc::new(SideMap { side: 0, key_col }) },
+        InputBinding { file: triples.to_string(), mapper: Arc::new(map) },
+    ];
+    Ok((JobSpec::map_reduce(name, inputs, reducer, REDUCERS, output).with_full_scan(), joined))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::star_join::star_join_job;
-    use mr_rdf::{load_store, read_solutions};
+    use mr_rdf::{load_store, read_solutions, Row};
     use mrsim::Engine;
     use rdf_model::{STriple, TripleStore};
     use rdf_query::ObjPattern;

@@ -9,7 +9,7 @@
 //! representation whose cost the paper quantifies. Both phases read their
 //! records in place and splice the triples' own encoded tokens.
 
-use mr_rdf::{RowSchema, TripleView};
+use mr_rdf::{next_combination, RowSchema, TripleView};
 use mrsim::codec::{counted_len, decimal_digits, put_count, put_tag, split_tag, token_key};
 use mrsim::{
     InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOp, RawReduceOp, SliceReader,
@@ -144,18 +144,8 @@ impl StarReduce {
                 text += s_text + po_text;
             }
             emit(rec, text.max(1))?;
-            // increment odometer
-            let mut pos = k;
-            loop {
-                if pos == 0 {
-                    return Ok(());
-                }
-                pos -= 1;
-                cursor[pos] += 1;
-                if cursor[pos] < matches[pos].len() {
-                    break;
-                }
-                cursor[pos] = 0;
+            if !next_combination(&mut cursor, |pos| matches[pos].len()) {
+                return Ok(());
             }
         }
     }

@@ -2,7 +2,7 @@
 //! (d)): every truncation, every single-bit flip and a few thousand random
 //! rewrites of valid `Row` encodings. On each variant `RowView` must do
 //! exactly what `Row::from_bytes` does — the same `MrError::Codec`, or the
-//! same tokens — and the five relational operators, handed the bytes as a
+//! same tokens — and the seven relational operators, handed the bytes as a
 //! record, as a shuffle key and as a shuffle value behind a valid tag, must
 //! return, never panic, and write only rows that decode. CI runs this in
 //! release too, where a wrapped length would otherwise go unnoticed.
@@ -12,6 +12,7 @@ use mrsim::{MrError, Rec};
 use proptest::test_runner::TestRng;
 use rdf_model::atom::{atom, Atom};
 use rdf_query::{ObjPattern, StarPattern, TriplePattern};
+use relbase::attach::{AttachMap, StarAttachReduce};
 use relbase::planner::LoadCopy;
 use relbase::row_join::{RowJoinReduce, SideMap};
 use relbase::star_join::{PatternSet, StarMap, StarReduce};
@@ -79,22 +80,33 @@ fn check(rec: &[u8], what: &str) {
             TriplePattern::unbound("g", "p", ObjPattern::Var("o".into())),
         ],
     );
+    for by_object in [false, true] {
+        let map = AttachMap { star: star.clone(), by_object };
+        same_refusal(&triple, &map.route(rec, |_, _, _| {}), what);
+    }
     let map = StarMap { star, which: PatternSet::All };
     same_refusal(&triple, &map.route(rec, |_, _, _| {}), what);
     same_refusal(&triple, &LoadCopy::copy(rec, |_, _| Ok(())), what);
 
-    // ... as a row-join value on both sides of a group ...
+    // ... as a row-join (and pattern-attach) value on both sides of a
+    // group, and as a star attach's row and match ...
     let tagged = |tag: u64| [&tag.to_le_bytes()[..], rec].concat();
     let joined = RowJoinReduce::join(&[&tagged(0), &tagged(1)], decodes);
     assert_eq!(joined.is_err(), typed.is_err(), "{what}: {joined:?}");
+    let key = atom("<g1>").to_bytes();
+    let attach = StarAttachReduce { patterns: 2 };
+    same_refusal(&typed, &attach.join(&key, &[&tagged(0), &tagged(1), &tagged(2)], decodes), what);
     // ... as a star-join value for each pattern, and as the group's key.
     let po = <(Atom, Atom)>::from_bytes(rec);
-    let key = atom("<g1>").to_bytes();
     let reduce = StarReduce { patterns: 2 };
     let joined = reduce.join(&key, &[&tagged(0), &tagged(1)], decodes);
     assert_eq!(joined.is_err(), po.is_err(), "{what}: {joined:?}");
     let value = (0u64, (atom("<p>"), atom("<o>"))).to_bytes();
     let joined = StarReduce { patterns: 1 }.join(rec, &[&value], decodes);
+    same_refusal(&Atom::from_bytes(rec), &joined, what);
+    let row = (0u64, vec![atom("<a>")]).to_bytes();
+    let po = (1u64, vec![atom("<p>"), atom("")]).to_bytes();
+    let joined = StarAttachReduce { patterns: 1 }.join(rec, &[&row, &po], decodes);
     same_refusal(&Atom::from_bytes(rec), &joined, what);
 }
 

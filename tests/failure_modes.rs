@@ -104,16 +104,24 @@ fn map_only_jobs_respect_the_aggregate_disk_budget() {
     // budget; the engine must also re-check the aggregate across tasks
     // (as the reduce phase does), otherwise N tasks can each stay under
     // budget while together exceeding it.
-    use mrsim::{map_only_fn, Engine, JobSpec, MrError, SimHdfs, TypedOutEmitter};
+    use mrsim::codec::token_key;
+    use mrsim::{Engine, JobSpec, MrError, OutEmitter, RawMapOnlyOp, SimHdfs, TaskContext};
+    use std::sync::Arc;
+
+    /// Each `String` row copied as it stands.
+    struct Identity;
+    impl RawMapOnlyOp for Identity {
+        fn run(&self, _: &TaskContext, row: &[u8], out: &mut OutEmitter) -> Result<(), MrError> {
+            let text = token_key(row)?.len() as u64 + 1;
+            out.emit_raw(row.to_vec(), text)
+        }
+    }
 
     // 3000 rows of 40 bytes: 44 encoded bytes each, so the 32 KiB split
     // floor cuts the file into four tasks of 745 rows and one of 20. A full
     // task emits 745 × 41 = 30 545 B of text.
     let rows = || (0..3000).map(|_| "w".repeat(40));
-    let spec = || {
-        let mapper = map_only_fn(|w: String, out: &mut TypedOutEmitter<'_, String>| out.emit(&w));
-        JobSpec::map_only("identity", vec!["input".into()], mapper, "out")
-    };
+    let spec = || JobSpec::map_only("identity", vec!["input".into()], Arc::new(Identity), "out");
     let unbounded = Engine::unbounded().with_workers(4);
     unbounded.put_records("input", rows()).unwrap();
     assert_eq!(unbounded.run_job(&spec()).unwrap().faults.map_tasks_scheduled, 5);
