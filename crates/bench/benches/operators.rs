@@ -1,36 +1,15 @@
-//! Criterion micro-benchmarks for the NTGA core operators: grouping,
-//! group-filtering, β-unnest (full and partial), Job 1's reduce, join
-//! expansions, the relational joins' reduce groups, the final β-unnest over
-//! a workflow's output, ANALYZE over an encoded relation, record codecs, the
-//! query parser, and the engine's map→reduce shuffle.
+//! Criterion micro-benchmarks for the kernels workflows run: Job 1's
+//! reduce, join expansions, the relational joins' reduce groups, the final
+//! β-unnest over a workflow's output, ANALYZE over an encoded relation,
+//! record codecs, the query parser, and the engine's map→reduce shuffle.
+//! The algebra of `ntga_core::logical` is the kernels' specification, run
+//! by no workflow, so nothing here times it.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use mrsim::Rec;
-use ntga_core::logical::{beta_group_filter, beta_unnest, group_by_subject, partial_beta_unnest};
-use ntga_core::physical::{phi, JoinMap, JoinRole, JoinSide, UnnestMode};
+use ntga_core::logical::group_by_subject;
+use ntga_core::physical::{JoinMap, JoinRole, JoinSide, UnnestMode};
 use std::hint::black_box;
-
-fn bench_grouping(c: &mut Criterion) {
-    let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(500));
-    let triples: Vec<_> = store.triples().to_vec();
-    c.bench_function("gamma/group_by_subject/18k_triples", |b| {
-        b.iter(|| group_by_subject(black_box(&triples)))
-    });
-}
-
-fn bench_group_filter(c: &mut Criterion) {
-    let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(500));
-    let tgs = group_by_subject(store.triples());
-    let star = rdf_query::parse_query(
-        "SELECT * WHERE { ?p <rdfs:label> ?l . ?p <bsbm:productFeature> ?f . ?p ?u ?x . }",
-    )
-    .unwrap()
-    .stars
-    .remove(0);
-    c.bench_function("sigma_beta_gamma/group_filter", |b| {
-        b.iter(|| beta_group_filter(black_box(&tgs), black_box(&star), 0))
-    });
-}
 
 fn anntg_with_candidates(n: usize) -> ntga_core::AnnTg {
     ntga_core::AnnTg {
@@ -39,20 +18,6 @@ fn anntg_with_candidates(n: usize) -> ntga_core::AnnTg {
         bound: vec![("<rdfs:label>".into(), vec!["\"retinoid receptor\"".into()])],
         unbound: vec![(0..n).map(|i| ("<bio:xRef>".into(), format!("<ref{i}>").into())).collect()],
     }
-}
-
-fn bench_unnest(c: &mut Criterion) {
-    let mut group = c.benchmark_group("beta_unnest");
-    for n in [4usize, 64, 1024] {
-        let tg = anntg_with_candidates(n);
-        group.bench_with_input(BenchmarkId::new("full", n), &tg, |b, tg| {
-            b.iter(|| beta_unnest(black_box(tg)))
-        });
-        group.bench_with_input(BenchmarkId::new("partial_phi64", n), &tg, |b, tg| {
-            b.iter(|| partial_beta_unnest(black_box(tg), 0, |o| phi(o, 64)))
-        });
-    }
-    group.finish();
 }
 
 /// Job 1's reduce over the largest BSBM product group, against a star with
@@ -253,9 +218,6 @@ fn bench_engine_wordcount(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_grouping,
-    bench_group_filter,
-    bench_unnest,
     bench_group_reduce,
     bench_join_expansions,
     bench_relational_reduce,

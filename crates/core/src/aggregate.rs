@@ -21,19 +21,24 @@ use std::collections::BTreeMap;
 ///
 /// For planner-supported queries (no shared variables within a star) this
 /// equals the number of flat rows a relational plan would have
-/// materialized.
+/// materialized. Saturates at `u64::MAX`.
 pub fn solution_count_fast(tuples: &[TgTuple]) -> u64 {
-    tuples.iter().map(|t| t.0.iter().map(|tg| tg.combination_count()).product::<u64>()).sum()
+    tuples.iter().map(combinations).fold(0, u64::saturating_add)
+}
+
+/// The flat solutions one tuple stands for, saturating at `u64::MAX`.
+fn combinations(t: &TgTuple) -> u64 {
+    t.0.iter().map(|tg| tg.combination_count()).fold(1, u64::saturating_mul)
 }
 
 /// Per-group bag counts, grouped by the subject of tuple component
-/// `component` (a `GROUP BY ?subjectVar COUNT(*)`).
+/// `component` (a `GROUP BY ?subjectVar COUNT(*)`), each saturating.
 pub fn group_count_by_subject(tuples: &[TgTuple], component: usize) -> BTreeMap<Atom, u64> {
     let mut out = BTreeMap::new();
     for t in tuples {
         if let Some(tg) = t.0.get(component) {
-            let combos: u64 = t.0.iter().map(|c| c.combination_count()).product();
-            *out.entry(tg.subject.clone()).or_insert(0) += combos;
+            let count: &mut u64 = out.entry(tg.subject.clone()).or_insert(0);
+            *count = count.saturating_add(combinations(t));
         }
     }
     out
@@ -137,6 +142,19 @@ mod tests {
         // 12 xRef candidates per g1 tuple: flat rows outnumber tuples.
         assert!(flat_rows > tuples.len() as u64);
         assert!(nested_bytes > 0);
+    }
+
+    #[test]
+    fn counts_saturate_past_u64_max() {
+        // Eight unbound lists of 300 candidates: 300^8 > u64::MAX.
+        let list: Vec<(Atom, Atom)> =
+            (0..300).map(|i| (Atom::from("<p>"), Atom::from(format!("<o{i}>")))).collect();
+        let tg =
+            crate::AnnTg { subject: "<s>".into(), ec: 0, bound: vec![], unbound: vec![list; 8] };
+        let tuple = TgTuple(vec![tg.clone(), tg]);
+        let tuples = [tuple.clone(), tuple];
+        assert_eq!(solution_count_fast(&tuples), u64::MAX);
+        assert_eq!(group_count_by_subject(&tuples, 0)["<s>"], u64::MAX);
     }
 
     #[test]

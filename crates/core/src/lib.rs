@@ -9,8 +9,9 @@
 //!   [`tg::TgCursor`] the join cycles read encoded tuples through;
 //! * [`unnest`] — the final β-unnest: [`FinalUnnest`] turns a workflow's
 //!   final tuples into projected solution rows, read in place;
-//! * [`logical`] — the algebra of Section 3: `γ`, `σ^γ`, `σ^βγ`
-//!   (Definition 1), `μ^β` (Definition 2), `μ^β_φ` (Definition 3);
+//! * [`logical`] — the algebra of Section 3, the specification and test
+//!   oracle of the kernels: `γ`, `σ^βγ` (Definition 1), `μ^β` (Definition
+//!   2), `μ^β_φ` (Definition 3) and the final `μ^β`;
 //! * [`physical`] — the MapReduce operators of Section 4: `TG_GroupBy` +
 //!   `TG_UnbGrpFilter` (Algorithm 2), `TG_Join`, `TG_UnbJoin` (lazy full
 //!   β-unnest), `TG_OptUnbJoin` (lazy partial β-unnest, Algorithm 3);

@@ -1,25 +1,28 @@
-//! Logical NTGA operators — the algebra of Section 3.
+//! The NTGA algebra of Section 3, stated once: the specification the
+//! kernels are held to and the oracle their tests compare against, not a
+//! production path. It works on decoded triplegroups and calls no kernel,
+//! cursor, codec or odometer a kernel steps through (CI checks that): an
+//! oracle that calls the code it checks checks nothing.
 //!
-//! These run in memory over a triple collection and exist for two reasons:
-//! they are the formal definitions the physical MapReduce operators are
-//! tested against (Lemma 1), and they make the rewrite rules executable:
+//! * `γ` — [`group_by_subject`]: triples → subject triplegroups.
+//! * `σ^βγ` — [`beta_group_filter`] over [`match_star`] (**Definition 1**);
+//!   over a bound-only star it is `σ^γ`. Held to it: Job 1's `GroupReduce`,
+//!   by `splice_differential.rs`'s `group_reduce_matches_typed_reference`.
+//! * `μ^β` — [`beta_unnest`] (**Definition 2**), and [`beta_unnest_at`], `μ^β`
+//!   at one join position. Held to them: eager `GroupReduce` (same test);
+//!   `JoinMap` (`Exact`), `JoinReduce` and `BroadcastJoin`, by
+//!   `reduce_side_join_matches_typed_reference` and
+//!   `broadcast_join_matches_typed_reference`.
+//! * `μ^β_φ` — [`partial_beta_unnest`] (**Definition 3**). Held to it:
+//!   `JoinMap` (`Partial`), by `reduce_side_join_matches_typed_reference`.
+//! * final `μ^β` — [`solutions`]. Held to it: `FinalUnnest`, by
+//!   `extract_differential.rs`.
 //!
-//! * `γ`  — [`group_by_subject`]: triples → subject triplegroups;
-//! * `σ^γ` — [`group_filter`]: structural validation against a
-//!   bound-property star (projects to the relevant properties);
-//! * `σ^βγ` — [`beta_group_filter`] (**Definition 1**): relaxed filter for
-//!   unbound-property stars — keeps triplegroups containing all *bound*
-//!   properties, with all candidate pairs for the unbound patterns kept
-//!   implicit;
-//! * `μ^β` — [`beta_unnest`] (**Definition 2**): expand an annotated
-//!   triplegroup into *perfect* triplegroups, one per combination of
-//!   unbound candidates (the bound component stays nested);
-//! * `μ^β_φ` — [`partial_beta_unnest`] (**Definition 3**): expand only to
-//!   the granularity of a partition function `φ_m` over the join key, so
-//!   candidates landing in the same reducer partition stay nested.
+//! [`crate::rewrite`] builds Lemma 1 from these and checks it against the
+//! naive evaluator.
 
+use crate::physical::JoinRole;
 use crate::tg::AnnTg;
-use mr_rdf::next_combination;
 use rdf_model::atom::Atom;
 use rdf_model::STriple;
 use rdf_query::{PropPattern, StarPattern};
@@ -49,49 +52,35 @@ pub fn group_by_subject<'a>(triples: impl IntoIterator<Item = &'a STriple>) -> V
 /// Build the [`AnnTg`] for a triplegroup and star, or `None` if the group
 /// violates the star's structural constraints.
 ///
-/// This is the shared core of `σ^γ` and `σ^βγ`: for every bound pattern,
-/// the matching objects (after object filters); for every unbound pattern,
-/// the candidate pairs (after its filter). All lists must be non-empty.
+/// For every bound pattern, the matching objects (after object filters);
+/// for every unbound pattern, the candidate pairs (after its filter). All
+/// lists must be non-empty.
 pub fn match_star(tg: &TripleGroup, star: &StarPattern, ec: u64) -> Option<AnnTg> {
     if !star.subject_accepts(&tg.subject) {
         return None;
     }
-    let mut bound = Vec::new();
-    for pat in star.bound_patterns() {
-        let prop = match &pat.property {
-            PropPattern::Bound(p) => p.clone(),
-            PropPattern::Unbound(_) => unreachable!("bound_patterns returned unbound"),
-        };
-        let objs: Vec<Atom> = tg
-            .pairs
-            .iter()
-            .filter(|(p, o)| *p == prop && pat.object.accepts(o))
-            .map(|(_, o)| o.clone())
-            .collect();
-        if objs.is_empty() {
-            return None;
+    let (mut bound, mut unbound) = (Vec::new(), Vec::new());
+    for pat in &star.patterns {
+        let accepted = tg.pairs.iter().filter(|(_, o)| pat.object.accepts(o));
+        match &pat.property {
+            PropPattern::Bound(prop) => {
+                let objs: Vec<Atom> =
+                    accepted.filter(|(p, _)| p == prop).map(|(_, o)| o.clone()).collect();
+                if objs.is_empty() {
+                    return None;
+                }
+                bound.push((prop.clone(), objs));
+            }
+            PropPattern::Unbound(_) => {
+                let cands: Vec<(Atom, Atom)> = accepted.cloned().collect();
+                if cands.is_empty() {
+                    return None;
+                }
+                unbound.push(cands);
+            }
         }
-        bound.push((prop, objs));
-    }
-    let mut unbound = Vec::new();
-    for pat in star.unbound_patterns() {
-        let cands: Vec<(Atom, Atom)> =
-            tg.pairs.iter().filter(|(_, o)| pat.object.accepts(o)).cloned().collect();
-        if cands.is_empty() {
-            return None;
-        }
-        unbound.push(cands);
     }
     Some(AnnTg { subject: tg.subject.clone(), ec, bound, unbound })
-}
-
-/// `σ^γ`: group-filter for a star with **no** unbound patterns.
-///
-/// # Panics
-/// Panics if the star has unbound patterns — use [`beta_group_filter`].
-pub fn group_filter(tgs: &[TripleGroup], star: &StarPattern, ec: u64) -> Vec<AnnTg> {
-    assert!(!star.has_unbound(), "σ^γ requires a bound-only star; use σ^βγ");
-    tgs.iter().filter_map(|tg| match_star(tg, star, ec)).collect()
 }
 
 /// `σ^βγ` (Definition 1): β group-filter for unbound-property stars.
@@ -99,65 +88,134 @@ pub fn beta_group_filter(tgs: &[TripleGroup], star: &StarPattern, ec: u64) -> Ve
     tgs.iter().filter_map(|tg| match_star(tg, star, ec)).collect()
 }
 
-/// `μ^β` (Definition 2): β-unnest into perfect triplegroups.
-///
-/// Each output pins every unbound pattern to exactly one candidate pair;
-/// the bound component stays nested. A triplegroup with `u` unbound
-/// patterns having `n_1 × … × n_u` candidates yields that many perfect
-/// triplegroups — the redundancy eager unnesting materializes.
-pub fn beta_unnest(tg: &AnnTg) -> Vec<AnnTg> {
-    if tg.unbound.is_empty() {
-        return vec![tg.clone()];
-    }
-    let dims: Vec<usize> = tg.unbound.iter().map(Vec::len).collect();
-    if dims.contains(&0) {
-        return Vec::new();
-    }
-    // One output per candidate combination; reserve up front (capped so a
-    // pathological cross product can't balloon the initial allocation).
-    let combos = dims.iter().copied().fold(1usize, |a, b| a.saturating_mul(b));
-    let mut out = Vec::with_capacity(combos.min(1 << 20));
-    let mut cursor = vec![0usize; dims.len()];
-    loop {
-        let unbound =
-            cursor.iter().enumerate().map(|(j, &c)| vec![tg.unbound[j][c].clone()]).collect();
-        out.push(AnnTg {
-            subject: tg.subject.clone(),
-            ec: tg.ec,
-            bound: tg.bound.clone(),
-            unbound,
-        });
-        if !next_combination(&mut cursor, |pos| dims[pos]) {
-            return out;
-        }
+/// The join keys of the list `role` pins, in record order: its objects.
+/// Empty under [`JoinRole::Subject`], and for a list `tg` does not have.
+fn keys(tg: &AnnTg, role: JoinRole) -> Vec<&Atom> {
+    match role {
+        JoinRole::Subject => Vec::new(),
+        JoinRole::BoundObj(b) => tg.bound.get(b).into_iter().flat_map(|(_, objs)| objs).collect(),
+        JoinRole::UnboundObj(u) => tg.unbound.get(u).into_iter().flatten().map(|e| &e.1).collect(),
     }
 }
 
-/// `μ^β_φ` (Definition 3): partial β-unnest of unbound pattern `u` using a
-/// partition function over the candidate's *object* (the join key).
-///
-/// Candidates assigned to the same partition stay nested in one output
-/// triplegroup, so at most `m` triplegroups are produced per input — the
-/// map-output redundancy becomes a function of `m` instead of the
-/// candidate count. Other unbound patterns are left untouched.
-pub fn partial_beta_unnest(tg: &AnnTg, u: usize, phi: impl Fn(&str) -> u64) -> Vec<(u64, AnnTg)> {
-    let mut parts: BTreeMap<u64, Vec<(Atom, Atom)>> = BTreeMap::new();
-    for (p, o) in &tg.unbound[u] {
-        parts.entry(phi(o)).or_default().push((p.clone(), o.clone()));
+/// `tg` with the list `role` pins cut down to its entries at `at`.
+fn pinned(tg: &AnnTg, role: JoinRole, at: &[usize]) -> AnnTg {
+    let mut out = tg.clone();
+    match role {
+        JoinRole::Subject => {}
+        JoinRole::BoundObj(b) => {
+            out.bound[b].1 = at.iter().map(|&i| tg.bound[b].1[i].clone()).collect()
+        }
+        JoinRole::UnboundObj(u) => {
+            out.unbound[u] = at.iter().map(|&i| tg.unbound[u][i].clone()).collect()
+        }
     }
-    parts
-        .into_iter()
-        .map(|(k, cands)| {
-            let mut pinned = tg.clone();
-            pinned.unbound[u] = cands;
-            (k, pinned)
-        })
-        .collect()
+    out
+}
+
+/// `μ^β` at one join position, each output under its join key: the
+/// triplegroup itself under its subject; one copy per object, alone in its
+/// bound list; one copy per candidate, alone in its unbound list, under its
+/// object. A role `tg` has no list for yields nothing.
+pub fn beta_unnest_at(tg: &AnnTg, role: JoinRole) -> Vec<(Atom, AnnTg)> {
+    if role == JoinRole::Subject {
+        return vec![(tg.subject.clone(), tg.clone())];
+    }
+    let keys = keys(tg, role).into_iter().enumerate();
+    keys.map(|(i, o)| (o.clone(), pinned(tg, role, &[i]))).collect()
+}
+
+/// `μ^β` (Definition 2): one perfect triplegroup per combination of
+/// unbound candidates, the bound component still nested — `n_1 × … × n_u`
+/// of them, the redundancy eager unnesting materializes — the last list
+/// varying fastest.
+pub fn beta_unnest(tg: &AnnTg) -> Vec<AnnTg> {
+    (0..tg.unbound.len()).fold(vec![tg.clone()], |tgs, u| {
+        let each = tgs.iter().flat_map(|t| beta_unnest_at(t, JoinRole::UnboundObj(u)));
+        each.map(|(_, pinned)| pinned).collect()
+    })
+}
+
+/// `μ^β_φ` (Definition 3): partial β-unnest of join position `role` by a
+/// partition function `phi` of the join key ([`crate::physical::phi`] for
+/// the kernels). The entries of one partition stay nested in one copy, in
+/// record order, and copies come in partition order; the subject is one
+/// partition. So one copy comes out per partition, not one per entry.
+pub fn partial_beta_unnest(
+    tg: &AnnTg,
+    role: JoinRole,
+    phi: impl Fn(&str) -> u64,
+) -> Vec<(u64, AnnTg)> {
+    if role == JoinRole::Subject {
+        return vec![(phi(&tg.subject), tg.clone())];
+    }
+    let mut parts: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for (i, o) in keys(tg, role).into_iter().enumerate() {
+        parts.entry(phi(o)).or_default().push(i);
+    }
+    parts.into_iter().map(|(k, at)| (k, pinned(tg, role, &at))).collect()
+}
+
+/// One solution of the final `μ^β`: each variable it binds, and to what.
+pub type Solution = BTreeMap<String, Atom>;
+
+/// Every partial solution extended by each choice of bindings it agrees
+/// with, the choices varying fastest.
+fn cross(partials: &[Solution], choices: &[Vec<(&str, &Atom)>]) -> Vec<Solution> {
+    let mut next = Vec::new();
+    for partial in partials {
+        for choice in choices {
+            let mut s = partial.clone();
+            let mut bind = |&(var, value): &(&str, &Atom)| {
+                *s.entry(var.to_string()).or_insert_with(|| value.clone()) == *value
+            };
+            if choice.iter().all(&mut bind) {
+                next.push(s);
+            }
+        }
+    }
+    next
+}
+
+/// The final `μ^β`, unprojected: the solutions a joined tuple stands for,
+/// component `i` matched by `stars[i]`. Each component binds its subject
+/// variable and crosses its lists in pattern order, an entry binding its
+/// pattern's property and object variables; a combination that binds one
+/// variable to two tokens is none. Odometer order, repeats kept. `None` if
+/// the tuple's shape is not the stars': another component or list count.
+pub fn solutions(tuple: &[AnnTg], stars: &[&StarPattern]) -> Option<Vec<Solution>> {
+    if tuple.len() != stars.len() {
+        return None;
+    }
+    let mut partials = vec![Solution::new()];
+    for (tg, star) in tuple.iter().zip(stars) {
+        partials = cross(&partials, &[vec![(star.subject_var.as_str(), &tg.subject)]]);
+        let (mut bound, mut unbound) = (tg.bound.iter(), tg.unbound.iter());
+        for pat in &star.patterns {
+            let obj = |o| pat.object.var().map(|v| (v, o));
+            let choices: Vec<Vec<(&str, &Atom)>> = match &pat.property {
+                PropPattern::Bound(_) => {
+                    bound.next()?.1.iter().map(|o| obj(o).into_iter().collect()).collect()
+                }
+                PropPattern::Unbound(var) => unbound
+                    .next()?
+                    .iter()
+                    .map(|(p, o)| std::iter::once((var.as_str(), p)).chain(obj(o)).collect())
+                    .collect(),
+            };
+            partials = cross(&partials, &choices);
+        }
+        if bound.next().is_some() || unbound.next().is_some() {
+            return None;
+        }
+    }
+    Some(partials)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdf_model::atom::atom;
     use rdf_query::{ObjFilter, ObjPattern, TriplePattern};
 
     fn triples() -> Vec<STriple> {
@@ -206,6 +264,7 @@ mod tests {
 
     #[test]
     fn group_filter_projects_bound_only() {
+        // σ^γ is σ^βγ over a bound-only star.
         let ts = triples();
         let star = StarPattern::new(
             "g",
@@ -214,18 +273,12 @@ mod tests {
                 TriplePattern::bound("g", "<xGO>", ObjPattern::Var("go".into())),
             ],
         );
-        let anns = group_filter(&group_by_subject(&ts), &star, 3);
+        let anns = beta_group_filter(&group_by_subject(&ts), &star, 3);
         assert_eq!(anns.len(), 1);
         assert_eq!(anns[0].ec, 3);
         assert!(anns[0].unbound.is_empty());
         // Projection: syn pairs are not kept for a bound-only star.
         assert_eq!(anns[0].distinct_pairs().len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "bound-only")]
-    fn group_filter_rejects_unbound_star() {
-        group_filter(&[], &unbound_star(), 0);
     }
 
     #[test]
@@ -269,10 +322,20 @@ mod tests {
     }
 
     #[test]
+    fn beta_unnest_is_last_list_fastest() {
+        let list = |p: &str| vec![(atom(p), atom("<0>")), (atom(p), atom("<1>"))];
+        let unbound = vec![list("<a>"), list("<b>")];
+        let tg = AnnTg { subject: atom("<s>"), ec: 0, bound: vec![], unbound };
+        let pick = |t: &AnnTg| format!("{}{}", t.unbound[0][0].1, t.unbound[1][0].1);
+        let picks: Vec<String> = beta_unnest(&tg).iter().map(pick).collect();
+        assert_eq!(picks, ["<0><0>", "<0><1>", "<1><0>", "<1><1>"]);
+    }
+
+    #[test]
     fn partial_unnest_bounds_outputs_by_m() {
         let anns = beta_group_filter(&group_by_subject(&triples()), &unbound_star(), 0);
         let m = 2u64;
-        let parts = partial_beta_unnest(&anns[0], 0, |o| {
+        let parts = partial_beta_unnest(&anns[0], JoinRole::UnboundObj(0), |o| {
             // simple deterministic φ
             (o.len() as u64) % m
         });
@@ -288,13 +351,28 @@ mod tests {
         let full: std::collections::BTreeSet<AnnTg> = beta_unnest(&anns[0]).into_iter().collect();
         for m in [1u64, 2, 3, 7] {
             let mut via_partial = std::collections::BTreeSet::new();
-            for (_, part) in
-                partial_beta_unnest(&anns[0], 0, |o| (o.bytes().map(u64::from).sum::<u64>()) % m)
-            {
+            let phi = |o: &str| (o.bytes().map(u64::from).sum::<u64>()) % m;
+            for (_, part) in partial_beta_unnest(&anns[0], JoinRole::UnboundObj(0), phi) {
                 via_partial.extend(beta_unnest(&part));
             }
             assert_eq!(via_partial, full, "m={m}");
         }
+    }
+
+    #[test]
+    fn solutions_refuse_a_shape_not_the_stars() {
+        let star = unbound_star();
+        let ann = beta_group_filter(&group_by_subject(&triples()), &star, 0).remove(0);
+        // One label × two xGO objects × four candidates.
+        assert_eq!(solutions(std::slice::from_ref(&ann), &[&star]).map(|s| s.len()), Some(8));
+        assert_eq!(solutions(&[ann.clone(), ann.clone()], &[&star]), None);
+        assert_eq!(solutions(&[], &[&star]), None);
+        let mut short = ann.clone();
+        short.bound.pop();
+        assert_eq!(solutions(&[short], &[&star]), None);
+        let mut long = ann;
+        long.unbound.push(Vec::new());
+        assert_eq!(solutions(&[long], &[&star]), None);
     }
 
     #[test]

@@ -33,19 +33,20 @@ pub fn flat_bytes_of(tgs: &[AnnTg]) -> u64 {
         if combos == 0 {
             continue;
         }
+        let mut add = |n: u64, bytes: u64| total = total.saturating_add(n.saturating_mul(bytes));
         let positions = tg.bound.len() as u64 + tg.unbound.len() as u64;
         let subj = tg.subject.len() as u64 + 1;
-        total += combos * subj * positions.max(1);
+        add(combos, subj * positions.max(1));
         for (p, objs) in &tg.bound {
             let per_choice = combos / objs.len() as u64;
             for o in objs {
-                total += per_choice * (p.len() as u64 + o.len() as u64 + 2);
+                add(per_choice, p.len() as u64 + o.len() as u64 + 2);
             }
         }
         for cands in &tg.unbound {
             let per_choice = combos / cands.len() as u64;
             for (p, o) in cands {
-                total += per_choice * (p.len() as u64 + o.len() as u64 + 2);
+                add(per_choice, p.len() as u64 + o.len() as u64 + 2);
             }
         }
     }
@@ -98,6 +99,16 @@ mod tests {
             expected += subj * 2 + label_pair + cand;
         }
         assert_eq!(flat_bytes_of(&[tg]), expected);
+    }
+
+    #[test]
+    fn flat_bytes_saturate_past_u64_max_combinations() {
+        // 300^8 combinations: more than u64::MAX.
+        let mut wide = tg(300);
+        wide.unbound = vec![wide.unbound[0].clone(); 8];
+        assert_eq!(wide.combination_count(), u64::MAX);
+        assert_eq!(flat_bytes_of(&[wide.clone(), wide.clone()]), u64::MAX);
+        assert!(tg_redundancy(&[wide]) > 0.99);
     }
 
     #[test]

@@ -961,6 +961,7 @@ pub fn tg_broadcast_join_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logical::beta_unnest_at;
     use crate::tg::TgTuple;
     use mr_rdf::load_store;
     use mrsim::{Engine, Rec};
@@ -1219,13 +1220,9 @@ mod tests {
         let map = JoinMap { side: 0, spec: left, mode: UnnestMode::Partial(2) };
         let tuples: Vec<TgTuple> = engine.read_records("ec0").unwrap();
         for tuple in &tuples {
-            let materialized: u64 = tuple.0[0].unbound[0]
-                .iter()
-                .map(|cand| {
-                    let mut t = tuple.clone();
-                    t.0[0].unbound[0] = vec![cand.clone()];
-                    t.text_size()
-                })
+            let materialized: u64 = beta_unnest_at(&tuple.0[0], JoinRole::UnboundObj(0))
+                .into_iter()
+                .map(|(_, pinned)| TgTuple(vec![pinned]).text_size())
                 .sum();
             let ctx = TaskContext::new();
             map.expand(&ctx, &tuple.to_bytes(), |_, _, _| {}).unwrap();

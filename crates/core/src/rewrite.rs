@@ -20,13 +20,13 @@
 //!
 //! The module also provides [`lemma1_holds`], the executable statement of
 //! **Lemma 1**: the relational star join `T_P1 ⋈ … ⋈ T_Pn ⋈ T` is
-//! content-equivalent to `μ^β(σ^βγ(γ(T)))`.
+//! content-equivalent to `μ^β(σ^βγ(γ(T)))`. Both rewrites are built from
+//! [`crate::logical`] and expanded to solutions by [`solutions`], its final
+//! `μ^β`. No kernel runs here, so Lemma 1 checks the algebra itself
+//! against the naive evaluator.
 
-use crate::logical::{beta_group_filter, beta_unnest, group_by_subject};
-use crate::tg::{AnnTg, TgTuple};
-use crate::FinalUnnest;
+use crate::logical::{beta_group_filter, beta_unnest, group_by_subject, solutions};
 use mr_rdf::next_combination;
-use mrsim::Rec;
 use rdf_model::{Atom, STriple, TripleStore};
 use rdf_query::{PropPattern, Query, SolutionRows, SolutionSet, StarPattern, TriplePattern};
 
@@ -71,26 +71,13 @@ pub fn enumerate_combinations(star: &StarPattern, properties: &[Atom]) -> Vec<St
     }
 }
 
-/// The solutions `anns` — triplegroups group-filtered from `star` — stand
-/// for: each through the production final-unnest kernel, as a one-component
-/// tuple.
-fn unnest_all(anns: impl IntoIterator<Item = AnnTg>, star: &StarPattern) -> SolutionSet {
-    let query = Query::new(vec![star.clone()]);
-    let vars = query.solution_vars();
-    let mut unnest = FinalUnnest::new(&query, &[0], &vars).expect("a star binds its variables");
-    let mut rows = SolutionRows::new(vars);
-    for ann in anns {
-        let rec = TgTuple(vec![ann]).to_bytes();
-        unnest.add_rows(&rec, &mut rows).expect("a triplegroup filtered by this star");
-    }
-    rows.finish()
-}
-
-/// Add a concrete (bound) star's solutions to `out`, recording the original
-/// unbound variables: for a combination that substituted property `p` for
-/// unbound variable `?v`, every solution binds `?v = p`.
-fn solutions_of_concrete(
-    concrete: &StarPattern,
+/// Add the solutions of `star` over `triples` to `out`: `μ^β(σ^βγ(γ(T)))`,
+/// each perfect triplegroup expanded by the algebra's final β-unnest. `star`
+/// is `original`, or `original` with properties substituted for unbound
+/// variables: for a combination that substituted property `p` for `?v`,
+/// every solution binds `?v = p`.
+fn add_solutions(
+    star: &StarPattern,
     original: &StarPattern,
     triples: &[STriple],
     out: &mut SolutionRows,
@@ -98,25 +85,28 @@ fn solutions_of_concrete(
     let substituted: Vec<(&str, &Atom)> = original
         .patterns
         .iter()
-        .zip(&concrete.patterns)
+        .zip(&star.patterns)
         .filter_map(|(orig, conc)| match (&orig.property, &conc.property) {
             (PropPattern::Unbound(var), PropPattern::Bound(prop)) => Some((var.as_str(), prop)),
             _ => None,
         })
         .collect();
-    // The concrete star is bound-only; σ^γ applies (via the shared
-    // match_star core inside beta_group_filter, which handles both).
-    let anns = beta_group_filter(&group_by_subject(triples), concrete, 0);
-    for b in unnest_all(anns, concrete).iter() {
-        // Re-introduce the unbound property variables: each must agree
-        // with what the solution or an earlier substitution already binds.
-        let value = |var: &str| {
-            let by_substitution = || substituted.iter().find(|(v, _)| *v == var).map(|&(_, p)| p);
-            b.get(var).or_else(by_substitution)
-        };
-        if substituted.iter().all(|&(var, prop)| value(var) == Some(prop)) {
-            let row: Vec<Atom> = out.vars().iter().filter_map(|v| value(v).cloned()).collect();
-            out.push(row);
+    // Over a concrete star, which is bound-only, σ^βγ is σ^γ and μ^β is the
+    // identity.
+    let anns = beta_group_filter(&group_by_subject(triples), star, 0);
+    for perfect in anns.iter().flat_map(beta_unnest) {
+        for b in solutions(&[perfect], &[star]).into_iter().flatten() {
+            // Re-introduce the unbound property variables: each must agree
+            // with what the solution or an earlier substitution already binds.
+            let value = |var: &str| {
+                let by_substitution =
+                    || substituted.iter().find(|(v, _)| *v == var).map(|&(_, p)| p);
+                b.get(var).or_else(by_substitution)
+            };
+            if substituted.iter().all(|&(var, prop)| value(var) == Some(prop)) {
+                let row: Vec<Atom> = out.vars().iter().filter_map(|v| value(v).cloned()).collect();
+                out.push(row);
+            }
         }
     }
 }
@@ -127,15 +117,16 @@ pub fn evaluate_enumerated(star: &StarPattern, store: &TripleStore) -> SolutionS
     let properties = store.properties();
     let mut out = SolutionRows::new(Query::new(vec![star.clone()]).solution_vars());
     for concrete in enumerate_combinations(star, &properties) {
-        solutions_of_concrete(&concrete, star, store.triples(), &mut out);
+        add_solutions(&concrete, star, store.triples(), &mut out);
     }
     out.finish()
 }
 
 /// Relaxed evaluation: `μ^β(σ^βγ(γ(T)))`, expanded to solutions.
 pub fn evaluate_relaxed(star: &StarPattern, store: &TripleStore) -> SolutionSet {
-    let tgs = group_by_subject(store.triples());
-    unnest_all(beta_group_filter(&tgs, star, 0).iter().flat_map(beta_unnest), star)
+    let mut out = SolutionRows::new(Query::new(vec![star.clone()]).solution_vars());
+    add_solutions(star, star, store.triples(), &mut out);
+    out.finish()
 }
 
 /// Executable Lemma 1: for a star pattern with one or more unbound

@@ -3,13 +3,15 @@
 //!
 //! * **Lemma 1**: relational star join ≅ `μ^β(σ^βγ(γ(T)))`;
 //! * rewrite sufficiency: σ^γ-enumeration ≡ σ^βγ-relaxation;
-//! * `μ^β_φ` then `μ^β` ≡ `μ^β` for arbitrary φ;
+//! * `μ^β_φ` then `μ^β` ≡ `μ^β` at every join position;
 //! * β-unnest output cardinality = candidate-list product;
 //! * text-size conservation: nested size ≤ flat size, with equality only
 //!   when nothing is implicit.
 
-use ntga_core::logical::{beta_group_filter, beta_unnest, group_by_subject, partial_beta_unnest};
-use ntga_core::physical::phi;
+use ntga_core::logical::{
+    beta_group_filter, beta_unnest, beta_unnest_at, group_by_subject, partial_beta_unnest,
+};
+use ntga_core::physical::{phi, JoinRole};
 use ntga_core::rewrite::{check_rewrites, lemma1_holds};
 use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest};
 use proptest::strategy::{Just, Strategy};
@@ -78,18 +80,20 @@ proptest! {
             ],
         );
         let tgs = group_by_subject(store.triples());
+        let roles = [JoinRole::Subject, JoinRole::BoundObj(0), JoinRole::UnboundObj(0)];
         for ann in beta_group_filter(&tgs, &star, 0) {
-            let full: std::collections::BTreeSet<_> =
-                beta_unnest(&ann).into_iter().collect();
-            let mut via_partial = std::collections::BTreeSet::new();
-            let mut partition_count = 0u64;
-            for (k, part) in partial_beta_unnest(&ann, 0, |o| phi(o, m)) {
-                prop_assert!(k < m);
-                partition_count += 1;
-                via_partial.extend(beta_unnest(&part));
+            for role in roles {
+                let parts = partial_beta_unnest(&ann, role, |o| phi(o, m));
+                prop_assert!(parts.iter().all(|&(k, _)| k < m), "{:?}", role);
+                prop_assert!(parts.len() as u64 <= m, "{:?}", role);
+                // As multisets: the partitions' unnests are the whole's.
+                let mut via_partial: Vec<_> =
+                    parts.iter().flat_map(|(_, part)| beta_unnest_at(part, role)).collect();
+                let mut full = beta_unnest_at(&ann, role);
+                via_partial.sort();
+                full.sort();
+                prop_assert_eq!(via_partial, full, "{:?}", role);
             }
-            prop_assert!(partition_count <= m);
-            prop_assert_eq!(via_partial, full);
         }
     }
 

@@ -1,23 +1,23 @@
 //! The final β-unnest writes solution rows straight from encoded bytes
 //! ([`FinalUnnest`] for triplegroup tuples, [`RowSchema::extractor`] for
 //! flat rows); this file keeps the path it replaced — decode every record,
-//! expand each triplegroup into maps from variable name to token, merge
-//! the maps across components, insert into an ordered set, project — as
-//! the reference, and checks on random queries, tuples and rows that both
-//! give the same solutions in the same order under every projection, and
-//! the same refusals. Hand-written tables pin the reference itself.
+//! expand each tuple by the algebra's final μ^β ([`logical::solutions`])
+//! or each row into a map from variable name to token, insert into an
+//! ordered set, project — as the reference, and checks on random queries,
+//! tuples and rows that both give the same solutions in the same order
+//! under every projection, and the same refusals. Hand-written tables pin
+//! the reference itself.
 
 use mr_rdf::{PlanError, Row, RowSchema};
 use mrsim::Rec;
+use ntga_core::logical::{self, Solution};
 use ntga_core::tg::{AnnTg, TgTuple};
 use ntga_core::FinalUnnest;
 use proptest::prelude::{prop, prop_assert_eq, proptest, ProptestConfig};
 use proptest::strategy::Strategy;
 use rdf_model::atom::{atom, Atom};
-use rdf_query::{
-    ObjFilter, ObjPattern, PropPattern, Query, SolutionRows, StarPattern, TriplePattern,
-};
-use std::collections::{BTreeMap, BTreeSet};
+use rdf_query::{ObjFilter, ObjPattern, Query, SolutionRows, StarPattern, TriplePattern};
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
 // The typed reference
@@ -26,81 +26,26 @@ use std::collections::{BTreeMap, BTreeSet};
 mod reference {
     use super::*;
 
-    /// One solution the old way: an ordered map from variable to token.
-    pub type Binding = BTreeMap<String, Atom>;
-
     /// Bind `var`; `false` if it is already bound to a different value.
-    fn bind(b: &mut Binding, var: &str, value: &Atom) -> bool {
+    fn bind(b: &mut Solution, var: &str, value: &Atom) -> bool {
         *b.entry(var.to_string()).or_insert_with(|| value.clone()) == *value
     }
 
-    /// A triplegroup's solutions for the star it matches: the cross product
-    /// of its lists; `None` if its shape is not the star's.
-    fn expand(tg: &AnnTg, star: &StarPattern) -> Option<Vec<Binding>> {
-        let (bound, unbound) = (star.bound_patterns(), star.unbound_patterns());
-        if bound.len() != tg.bound.len() || unbound.len() != tg.unbound.len() {
-            return None;
-        }
-        let mut partials = vec![Binding::from([(star.subject_var.clone(), tg.subject.clone())])];
-        let mut cross = |binders: Vec<Vec<(&str, &Atom)>>| {
-            let mut next = Vec::new();
-            for partial in &partials {
-                for entry in &binders {
-                    let mut b = partial.clone();
-                    if entry.iter().all(|(var, value)| bind(&mut b, var, value)) {
-                        next.push(b);
-                    }
-                }
-            }
-            partials = next;
-        };
-        for (pat, (_, objs)) in bound.iter().zip(&tg.bound) {
-            cross(
-                objs.iter()
-                    .map(|o| pat.object.var().map(|v| (v, o)).into_iter().collect())
-                    .collect(),
-            );
-        }
-        for (pat, cands) in unbound.iter().zip(&tg.unbound) {
-            let PropPattern::Unbound(pvar) = &pat.property else { unreachable!() };
-            let entry = |(p, o)| {
-                std::iter::once((pvar.as_str(), p))
-                    .chain(pat.object.var().map(|v| (v, o)))
-                    .collect()
-            };
-            cross(cands.iter().map(|(p, o)| entry((p, o))).collect());
-        }
-        Some(partials)
-    }
-
-    /// The solutions of a relation of tuples, projected: what
-    /// `expand_tuple` + `SolutionSet::project` computed.
+    /// The solutions of a relation of tuples by the algebra's final `μ^β`,
+    /// projected: what `expand_tuple` + `SolutionSet::project` computed.
     pub fn solutions(
         tuples: &[TgTuple],
         components: &[usize],
         query: &Query,
-    ) -> Result<BTreeSet<Binding>, PlanError> {
+    ) -> Result<BTreeSet<Solution>, PlanError> {
+        let stars: Vec<&StarPattern> = components.iter().map(|&c| &query.stars[c]).collect();
         let mut set = BTreeSet::new();
         for tuple in tuples {
             if tuple.0.len() != components.len() {
                 return Err(PlanError::Internal("tuple arity mismatch".into()));
             }
-            let mut partials = vec![Binding::new()];
-            for (tg, &star) in tuple.0.iter().zip(components) {
-                let expansions = expand(tg, &query.stars[star])
-                    .ok_or_else(|| PlanError::Internal("triplegroup/star shape mismatch".into()))?;
-                let mut next = Vec::new();
-                for p in &partials {
-                    for e in &expansions {
-                        let mut merged = p.clone();
-                        if e.iter().all(|(var, value)| bind(&mut merged, var, value)) {
-                            next.push(merged);
-                        }
-                    }
-                }
-                partials = next;
-            }
-            set.extend(partials);
+            let shape = || PlanError::Internal("triplegroup/star shape mismatch".into());
+            set.extend(logical::solutions(&tuple.0, &stars).ok_or_else(shape)?);
         }
         Ok(project(set, query))
     }
@@ -111,10 +56,10 @@ mod reference {
         rows: &[Row],
         schema: &RowSchema,
         query: &Query,
-    ) -> Result<BTreeSet<Binding>, PlanError> {
+    ) -> Result<BTreeSet<Solution>, PlanError> {
         let mut set = BTreeSet::new();
         for row in rows {
-            let mut b = Binding::new();
+            let mut b = Solution::new();
             let vars = schema.cols.iter().zip(row).filter_map(|(col, v)| Some((col.as_ref()?, v)));
             let consistent = row.len() == schema.arity()
                 && vars.fold(true, |ok, (var, value)| ok && bind(&mut b, var, value));
@@ -126,7 +71,7 @@ mod reference {
         Ok(project(set, query))
     }
 
-    fn project(set: BTreeSet<Binding>, query: &Query) -> BTreeSet<Binding> {
+    fn project(set: BTreeSet<Solution>, query: &Query) -> BTreeSet<Solution> {
         let Some(vars) = &query.projection else { return set };
         set.into_iter().map(|b| b.into_iter().filter(|(k, _)| vars.contains(k)).collect()).collect()
     }
@@ -136,7 +81,7 @@ mod reference {
 /// pairs in order.
 type Table = Vec<Vec<(String, String)>>;
 
-fn table_of_reference(set: BTreeSet<reference::Binding>) -> Table {
+fn table_of_reference(set: BTreeSet<Solution>) -> Table {
     set.iter().map(|b| b.iter().map(|(k, v)| (k.clone(), v.to_string())).collect()).collect()
 }
 

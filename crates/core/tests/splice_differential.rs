@@ -1,6 +1,7 @@
 //! The NTGA kernels splice encoded bytes; this file keeps the operators
-//! they replaced — decode every triplegroup, clone, pin, re-encode, size
-//! the text by sorting string pairs — as the reference, and checks on
+//! they replaced — decode every triplegroup, pin it by the algebra of
+//! `ntga_core::logical` (σ^βγ, μ^β at a join position, μ^β_φ), re-encode,
+//! size the text by sorting string pairs — as the reference, and checks on
 //! random input that both write the same records (bytes, order and output
 //! index), the same per-record text sizes, the same `op::*` counters and
 //! the same `UNNEST_WIDTH` histogram: Job 1's reduce over random subject
@@ -28,7 +29,9 @@ use std::collections::BTreeMap;
 
 mod reference {
     use super::*;
-    use ntga_core::logical::{beta_unnest, match_star, TripleGroup};
+    use ntga_core::logical::{
+        beta_unnest, beta_unnest_at, match_star, partial_beta_unnest, TripleGroup,
+    };
 
     /// One Job 1 output record: output index, bytes, text size.
     pub type Routed = (usize, Vec<u8>, u64);
@@ -36,7 +39,7 @@ mod reference {
     /// Job 1's reduce as the typed closure ran it: decode the subject and
     /// every pair, match each star (`TG_UnbGrpFilter`), β-unnest the eager
     /// ones, encode each triplegroup as a one-component tuple.
-    pub fn group_filter(
+    pub fn group_reduce(
         ctx: &TaskContext,
         stars: &[StarPattern],
         eager: &[bool],
@@ -77,52 +80,6 @@ mod reference {
 
     type SidedTuple = (u64, TgTuple);
 
-    pub fn join_expansions(tg: &AnnTg, role: JoinRole) -> Vec<(Atom, AnnTg)> {
-        match role {
-            JoinRole::Subject => vec![(tg.subject.clone(), tg.clone())],
-            JoinRole::BoundObj(b) => tg.bound[b]
-                .1
-                .iter()
-                .map(|o| {
-                    let mut pinned = tg.clone();
-                    pinned.bound[b].1 = vec![o.clone()];
-                    (o.clone(), pinned)
-                })
-                .collect(),
-            JoinRole::UnboundObj(u) => tg.unbound[u]
-                .iter()
-                .map(|(p, o)| {
-                    let mut pinned = tg.clone();
-                    pinned.unbound[u] = vec![(p.clone(), o.clone())];
-                    (o.clone(), pinned)
-                })
-                .collect(),
-        }
-    }
-
-    fn partial_expansions(tg: &AnnTg, role: JoinRole, m: u64) -> Vec<(u64, AnnTg)> {
-        match role {
-            JoinRole::Subject => vec![(phi(&tg.subject, m), tg.clone())],
-            JoinRole::BoundObj(b) => {
-                let mut parts: BTreeMap<u64, Vec<Atom>> = BTreeMap::new();
-                for o in &tg.bound[b].1 {
-                    parts.entry(phi(o, m)).or_default().push(o.clone());
-                }
-                parts
-                    .into_iter()
-                    .map(|(k, objs)| {
-                        let mut pinned = tg.clone();
-                        pinned.bound[b].1 = objs;
-                        (k, pinned)
-                    })
-                    .collect()
-            }
-            JoinRole::UnboundObj(u) => {
-                ntga_core::logical::partial_beta_unnest(tg, u, |o| phi(o, m))
-            }
-        }
-    }
-
     fn with_component(tuple: &TgTuple, component: usize, pinned: AnnTg) -> TgTuple {
         let mut comps = tuple.0.clone();
         comps[component] = pinned;
@@ -131,7 +88,7 @@ mod reference {
 
     /// Every pinned record a full unnest would ship, materialized and sized.
     fn expanded_bytes_of(tuple: &TgTuple, component: usize, u: usize) -> u64 {
-        join_expansions(&tuple.0[component], JoinRole::UnboundObj(u))
+        beta_unnest_at(&tuple.0[component], JoinRole::UnboundObj(u))
             .into_iter()
             .map(|(_, pinned)| with_component(tuple, component, pinned).text_size())
             .sum()
@@ -151,7 +108,7 @@ mod reference {
         match map.mode {
             UnnestMode::Exact => {
                 let unbound = matches!(spec.role, JoinRole::UnboundObj(_));
-                let expansions = join_expansions(comp, spec.role);
+                let expansions = beta_unnest_at(comp, spec.role);
                 if unbound {
                     ctx.count(op::UNNEST_IN, 1);
                     ctx.record(op::UNNEST_WIDTH, expansions.len() as u64);
@@ -175,7 +132,7 @@ mod reference {
                 } else {
                     None
                 };
-                let expansions = partial_expansions(comp, spec.role, m);
+                let expansions = partial_beta_unnest(comp, spec.role, |o| phi(o, m));
                 if let Some(rest) = unbound_rest.filter(|_| !expansions.is_empty()) {
                     let pinned_bytes: u64 =
                         expansions.iter().map(|(_, pinned)| pinned.text_size()).sum();
@@ -217,12 +174,12 @@ mod reference {
                 let (lcomp, rcomp) = (reduce.left.component, reduce.right.component);
                 let mut right_hash: DetHashMap<Atom, Vec<TgTuple>> = DetHashMap::default();
                 for (_, t) in values.iter().filter(|(s, _)| *s == 1) {
-                    for (key, pinned) in join_expansions(&t.0[rcomp], reduce.right.role) {
+                    for (key, pinned) in beta_unnest_at(&t.0[rcomp], reduce.right.role) {
                         right_hash.entry(key).or_default().push(with_component(t, rcomp, pinned));
                     }
                 }
                 for (_, t) in values.iter().filter(|(s, _)| *s == 0) {
-                    for (key, pinned) in join_expansions(&t.0[lcomp], reduce.left.role) {
+                    for (key, pinned) in beta_unnest_at(&t.0[lcomp], reduce.left.role) {
                         for r in right_hash.get(&key).into_iter().flatten() {
                             let l = with_component(t, lcomp, pinned.clone());
                             out.push(written([&l.0[..], &r.0[..]].concat()));
@@ -242,12 +199,12 @@ mod reference {
     ) -> Vec<Written> {
         let mut table: DetHashMap<Atom, Vec<TgTuple>> = DetHashMap::default();
         for t in build {
-            for (key, pinned) in join_expansions(&t.0[join.build.component], join.build.role) {
+            for (key, pinned) in beta_unnest_at(&t.0[join.build.component], join.build.role) {
                 table.entry(key).or_default().push(with_component(t, join.build.component, pinned));
             }
         }
         let unbound = matches!(join.probe.role, JoinRole::UnboundObj(_));
-        let expansions = join_expansions(&tuple.0[join.probe.component], join.probe.role);
+        let expansions = beta_unnest_at(&tuple.0[join.probe.component], join.probe.role);
         if unbound {
             ctx.count(op::UNNEST_IN, 1);
             ctx.record(op::UNNEST_WIDTH, expansions.len() as u64);
@@ -398,7 +355,7 @@ fn check_group(stars: &[StarPattern], key: &[u8], values: &[Vec<u8>]) -> Result<
     for placement in 0..1u32 << stars.len() {
         let eager: Vec<bool> = (0..stars.len()).map(|i| placement >> i & 1 == 1).collect();
         let ctx = profiled();
-        let want = reference::group_filter(&ctx, stars, &eager, key, &values).unwrap();
+        let want = reference::group_reduce(&ctx, stars, &eager, key, &values).unwrap();
         let want_counted = counted(&ctx);
         let mut got: Vec<reference::Routed> = Vec::new();
         GroupReduce::new(stars, &eager)

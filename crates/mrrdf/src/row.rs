@@ -68,8 +68,9 @@ impl<'a> RowView<'a> {
 
 /// Step an odometer whose wheel `i` has `len(i)` positions, the last wheel
 /// fastest: false, with every wheel back at 0, once all combinations have
-/// been visited. Every cross product of both planners steps through it —
-/// a star's flat rows, β-unnest's tuples.
+/// been visited. Every kernel's cross product steps through it — a star's
+/// flat rows, eager and final β-unnest's tuples — and `ntga_core::logical`,
+/// which specifies them, does not.
 pub fn next_combination(cursor: &mut [usize], len: impl Fn(usize) -> usize) -> bool {
     for pos in (0..cursor.len()).rev() {
         cursor[pos] += 1;
