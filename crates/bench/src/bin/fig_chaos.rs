@@ -10,7 +10,9 @@
 //!   run in every cell — faults are charged simulated time, never allowed
 //!   to corrupt output;
 //! * every faulted cell reports nonzero fault counters and a strictly
-//!   larger simulated makespan.
+//!   larger simulated makespan;
+//! * each corruption regime detects a nonzero number of corruptions, the
+//!   same number at every worker count.
 //!
 //! A second section demonstrates the workflow recovery policies: a
 //! stage-killing fault regime that `FailFast` reports as "X" but
@@ -52,9 +54,6 @@ fn regimes(seed: u64) -> Vec<(&'static str, FaultConfig)> {
 
 fn main() {
     let opts = BenchOpts::from_env();
-    if opts.strategy.is_some() {
-        eprintln!("note: fig_chaos sweeps fault regimes, not strategies; --strategy is ignored");
-    }
     let scale = Scale::from_env();
     let store = datagen::bsbm::generate(&datagen::BsbmConfig {
         products: scale.entities(40),
@@ -108,9 +107,10 @@ fn main() {
         .expect("some seed under 100 must inject every regime without exhaustion");
     println!("chaos seed: {seed}");
 
-    let mut rows = Vec::new();
+    let mut rows: Vec<report::Row> = Vec::new();
     let mut baseline: Option<(u64, u64)> = None;
     for (name, faults) in regimes(seed) {
+        let mut detections = Vec::new();
         for workers in [1usize, 4, 8] {
             let label = format!("{name}/w{workers}");
             let row = run_cell(faults.clone(), workers, name, &label);
@@ -129,13 +129,22 @@ fn main() {
                     s.total_retry_seconds() > 0.0 || s.total_speculative_tasks() > 0,
                     "{label}: injected faults must be visible in the counters"
                 );
-                let clean = report::stats_of(&rows, &query.id, "none/w1");
+                let clean = &rows[0].stats;
                 assert!(
                     s.sim_seconds > clean.sim_seconds,
                     "{label}: faults must slow the simulated clock"
                 );
             }
+            detections.push(s.total_corruptions_detected());
             rows.push(row);
+        }
+        // Checksums catch every injection, and the count is a function of
+        // the fault draws alone: the same at every worker count.
+        if name.starts_with("corrupt") {
+            assert!(
+                detections[0] > 0 && detections.iter().all(|&d| d == detections[0]),
+                "{name}: corruption detections {detections:?} must be nonzero and worker-invariant"
+            );
         }
     }
     report::print_table(
@@ -216,13 +225,9 @@ fn policy_demo(
     // drops that stage's output replication to 1 and completes. The
     // budget comes from measuring a successful run, so the exhibit holds
     // at every scale.
-    let disk_cell = |capacity: Option<u64>, recovery: RecoveryPolicy, row_label: &str| {
-        let mut cluster = base.clone();
-        cluster.replication = 2;
-        if let Some(capacity) = capacity {
-            cluster.nodes = 1;
-            cluster.disk_per_node = capacity;
-        }
+    let disk_cell = |capacity: u64, recovery: RecoveryPolicy, row_label: &str| {
+        let cluster =
+            ClusterConfig { replication: 2, nodes: 1, disk_per_node: capacity, ..base.clone() };
         let cluster = opts.cluster(cluster.with_workers(4).with_recovery(recovery));
         let engine = cluster.engine_with(store);
         let run = run_query(Approach::Pig, &engine, &query.query, "diskfull", false)
@@ -237,9 +242,8 @@ fn policy_demo(
         assert!(run.succeeded(), "Pig must complete unconstrained to measure its footprint");
         run.stats.peak_disk_bytes
     };
-    let capacity = Some(peak - 1);
-    let ff = disk_cell(capacity, RecoveryPolicy::FailFast, "diskfull/failfast");
-    let deg = disk_cell(capacity, RecoveryPolicy::DegradeOnDiskFull, "diskfull/degrade");
+    let ff = disk_cell(peak - 1, RecoveryPolicy::FailFast, "diskfull/failfast");
+    let deg = disk_cell(peak - 1, RecoveryPolicy::DegradeOnDiskFull, "diskfull/degrade");
     assert!(!ff.ok() && deg.ok() && deg.stats.degraded_replication);
     println!(
         "disk budget {} (peak − 1): FailFast X (DiskFull), DegradeOnDiskFull completed at \

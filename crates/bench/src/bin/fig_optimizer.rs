@@ -1,11 +1,11 @@
 //! Optimizer exhibit — cost-based plan selection versus every hand-picked
 //! strategy, on every fig workload.
 //!
-//! Not a figure of the paper: the acceptance exhibit for `--strategy
-//! auto-cost`. For each testbed workload (case study, B-series, B1 with
-//! varying bound arity, A-series, C-series) and each query, it runs all
-//! hand-picked strategies plus the cost-based optimizer, and asserts
-//! in-process that
+//! Not a figure of the paper: the acceptance exhibit for the cost-based
+//! optimizer (`ntga-cli --approach auto-cost`). For each testbed workload
+//! (case study, B-series, B1 with varying bound arity, A-series, C-series)
+//! and each query, it runs all hand-picked strategies plus the cost-based
+//! optimizer, and asserts in-process that
 //!
 //! * the cost-based plan returns the same solutions as the hand-picked
 //!   strategies;
@@ -15,7 +15,8 @@
 //!   counts {1, 4, 8} (rows with query id `bcast/w{N}`).
 //!
 //! The `CostBased` rows carry `max_q_error` — the worst per-job
-//! cardinality estimation error behind the plan choice.
+//! cardinality estimation error behind the plan choice — and the
+//! hand-picked rows, which plan without estimates, carry none.
 
 use ntga_bench::{report, BenchOpts, Scale};
 use ntga_core::Strategy;
@@ -32,9 +33,6 @@ const HAND_PICKED: [Strategy; 5] = [
 
 fn main() {
     let opts = BenchOpts::from_env();
-    if opts.strategy.is_some() {
-        eprintln!("note: fig_optimizer compares all strategies by design; --strategy is ignored");
-    }
     let scale = Scale::from_env();
 
     let bsbm = datagen::bsbm::generate(&datagen::BsbmConfig {
@@ -92,20 +90,12 @@ fn main() {
                 // strategies; the planner tests prove that).
                 let extract = strategy == Strategy::Auto(1024);
                 let label = format!("{qid}-{}", strategy.label());
-                let (mut run, _) = strategy
-                    .plan(&tq.query)
-                    .and_then(|plan| {
-                        ntga_core::execute_plan(
-                            &plan,
-                            &engine,
-                            &tq.query,
-                            mr_rdf::TRIPLES_FILE,
-                            &label,
-                            extract,
-                        )
-                    })
-                    .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+                let input = mr_rdf::TRIPLES_FILE;
+                let mut run =
+                    ntga_core::execute(strategy, &engine, &tq.query, input, &label, extract)
+                        .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
                 assert!(run.succeeded(), "{label}: hand-picked run failed");
+                assert!(run.stats.max_q_error().is_none(), "{label}: no estimates, no q-error");
                 if let Some(s) = run.solutions.take() {
                     reference = Some(s);
                 }
@@ -129,6 +119,8 @@ fn main() {
             )
             .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
             assert!(run.succeeded(), "{label}: cost-based run failed");
+            let q_error = run.stats.max_q_error();
+            worst_q_error = worst_q_error.max(q_error.expect("CostBased rows carry max_q_error"));
             assert_eq!(
                 run.solutions.as_ref(),
                 reference.as_ref(),
@@ -142,9 +134,6 @@ fn main() {
             cells += 1;
             if run.stats.sim_seconds < best_t - 1e-9 {
                 wins += 1;
-            }
-            if let Some(q) = run.stats.max_q_error() {
-                worst_q_error = worst_q_error.max(q);
             }
             wl_rows.push(report::Row::from_run(qid, "CostBased", &run));
         }

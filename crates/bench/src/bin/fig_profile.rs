@@ -21,9 +21,6 @@ const HAND_PICKED: [Strategy; 4] =
 
 fn main() {
     let opts = BenchOpts::from_env();
-    if opts.strategy.is_some() {
-        eprintln!("note: fig_profile compares all strategies by design; --strategy is ignored");
-    }
     let scale = Scale::from_env();
     let store = datagen::bsbm::generate(&datagen::BsbmConfig {
         products: scale.entities(60),
@@ -69,14 +66,8 @@ fn main() {
     }
 
     // The optimizer's plan, profiled: one EXPLAIN ANALYZE tree per query.
-    let profiles = profile_queries(&cluster, &store, &queries).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let again = profile_queries(&cluster, &store, &queries).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let profile = || profile_queries(&cluster, &store, &queries).unwrap_or_else(|e| panic!("{e}"));
+    let (profiles, again) = (profile(), profile());
     for ((profile, rerun), (qid, best_t, best_label)) in profiles.iter().zip(&again).zip(&best) {
         print!("\n{}", profile.render());
         let actual = profile.stats.sim_seconds;

@@ -4,12 +4,15 @@
 //! (`cargo run -p ntga-bench --release --bin fig<N>`), plus Criterion
 //! micro-benchmarks for the core operators (`cargo bench`).
 //!
-//! The binaries print tables shaped like the paper's exhibits: per (query,
-//! approach) the MR-cycle count, full scans, HDFS read/write bytes,
-//! shuffle bytes, simulated seconds and OK/FAILED status. Absolute values
+//! The nine paper figures are values ([`figure::Figure`]): panels of a
+//! dataset, a cluster, queries and approaches, each with the claims the
+//! paper makes about its table. One runner prints every table — per
+//! (query, approach) the MR-cycle count, full scans, HDFS read/write bytes,
+//! shuffle bytes, simulated seconds and OK/FAILED status — and checks every
+//! claim; a claim that does not hold exits 1 with its words. Absolute values
 //! differ from the paper (simulated substrate, scaled-down datasets); the
-//! *shape* — who wins, by what factor, who dies of DiskFull — is the
-//! reproduction target recorded in `EXPERIMENTS.md`.
+//! *shape* — who wins, by what factor, who dies of DiskFull — is what the
+//! claims state, and `EXPERIMENTS.md` is rendered from them.
 //!
 //! Scale is controlled by the `NTGA_SCALE` environment variable:
 //! `small` (default; seconds per figure), `medium`, or `large`.
@@ -17,9 +20,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod figure;
 pub mod report;
 
-use mr_rdf::QueryRun;
+use mr_rdf::{PlanError, QueryRun};
 use mrsim::trace::JsonObject;
 use mrsim::{ChromeTraceSink, JsonlSink, MultiSink, TraceSink};
 use ntga_core::Strategy;
@@ -35,16 +39,13 @@ use std::sync::Arc;
 ///   `<path>` with the extension replaced by `.jsonl`, both on the
 ///   simulated timeline;
 /// * `--json <path>` — write the report rows as a JSON array;
-/// * `--strategy <name>` — replace the figure's approach panel with a
-///   single named approach, in `ntga-cli --approach`'s grammar
-///   ([`ntga::Approach::GRAMMAR`]): `auto-cost` (the statistics-driven
-///   optimizer), `eager`, `lazy-full`, `lazy-partial:<m>`, `auto:<m>`, …;
 /// * `--profile <path>` — run EXPLAIN ANALYZE for the figure's queries
 ///   (cost-based plan executed on a profiling engine, joined against the
 ///   measured run) and write the profile documents as a JSON array at
 ///   `<path>`, printing the annotated plan trees to stdout.
 ///
 /// With no flags, tracing and profiling stay disabled and cost nothing.
+#[derive(Default)]
 pub struct BenchOpts {
     /// Chrome trace output path (`--trace`).
     pub trace: Option<PathBuf>,
@@ -52,62 +53,41 @@ pub struct BenchOpts {
     pub json: Option<PathBuf>,
     /// EXPLAIN ANALYZE JSON output path (`--profile`).
     pub profile: Option<PathBuf>,
-    /// Panel override (`--strategy`).
-    pub strategy: Option<Runner>,
     sink: Option<Arc<dyn TraceSink>>,
 }
 
 impl BenchOpts {
     /// Parse from an argument list (program name already stripped).
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, String> {
-        let mut trace = None;
-        let mut json = None;
-        let mut profile = None;
-        let mut strategy = None;
+        let mut opts = BenchOpts::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
-            let mut value = |what| it.next().ok_or_else(|| format!("{arg} requires a {what}"));
-            match arg.as_str() {
-                "--trace" => trace = Some(PathBuf::from(value("path")?)),
-                "--json" => json = Some(PathBuf::from(value("path")?)),
-                "--profile" => profile = Some(PathBuf::from(value("path")?)),
-                "--strategy" => strategy = Some(value("name")?.parse::<ntga::Approach>()?.into()),
+            let slot = match arg.as_str() {
+                "--trace" => &mut opts.trace,
+                "--json" => &mut opts.json,
+                "--profile" => &mut opts.profile,
                 other => {
                     return Err(format!(
-                        "unknown argument `{other}` (expected --trace <path>, --json <path>, \
-                         --profile <path> and/or --strategy <name>)"
+                        "unknown argument `{other}` (expected --trace <path>, --json <path> \
+                         and/or --profile <path>)"
                     ))
                 }
-            }
+            };
+            *slot = Some(it.next().map(PathBuf::from).ok_or(format!("{arg} requires a path"))?);
         }
-        let sink = match &trace {
-            Some(path) => Some(build_trace_sink(path)?),
-            None => None,
-        };
-        Ok(BenchOpts { trace, json, profile, strategy, sink })
+        if let Some(path) = &opts.trace {
+            opts.sink = Some(build_trace_sink(path)?);
+        }
+        Ok(opts)
     }
 
     /// Parse the process arguments; print usage and exit on error.
     pub fn from_env() -> BenchOpts {
         BenchOpts::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!("error: {e}");
-            eprintln!(
-                "usage: fig<N> [--trace <path>] [--json <path>] [--profile <path>] \
-                 [--strategy <name>]\n\
-                 strategies: {}",
-                ntga::Approach::GRAMMAR
-            );
+            eprintln!("usage: fig<N> [--trace <path>] [--json <path>] [--profile <path>]");
             std::process::exit(2);
         })
-    }
-
-    /// The figure's approach panel: the `--strategy` override when given,
-    /// otherwise `default`.
-    pub fn panel_or(&self, default: Vec<Runner>) -> Vec<Runner> {
-        match self.strategy {
-            Some(runner) => vec![runner],
-            None => default,
-        }
     }
 
     /// Attach the trace sink (if any) to a cluster config.
@@ -129,14 +109,10 @@ impl BenchOpts {
             }
             println!("wrote {} report rows to {}", rows.len(), path.display());
         }
-        if let Some(sink) = &self.sink {
+        if let (Some(sink), Some(trace)) = (&self.sink, &self.trace) {
             sink.finish();
-            let trace = self.trace.as_ref().expect("sink implies --trace");
-            println!(
-                "wrote Chrome trace to {} and event log to {}",
-                trace.display(),
-                trace.with_extension("jsonl").display()
-            );
+            let (trace, log) = (trace.display(), trace.with_extension("jsonl"));
+            println!("wrote Chrome trace to {trace} and event log to {}", log.display());
         }
     }
 
@@ -239,8 +215,8 @@ impl Scale {
 }
 
 /// An execution approach paired with its report label — thin wrapper so
-/// figure binaries can mix relational flavors, NTGA strategies and the
-/// Figure 3 groupings in one panel.
+/// a figure can mix relational flavors, NTGA strategies and the Figure 3
+/// groupings in one panel.
 #[derive(Debug, Clone, Copy)]
 pub enum Runner {
     /// Pig-like or Hive-like relational execution.
@@ -249,22 +225,6 @@ pub enum Runner {
     Grouping(relbase::Grouping),
     /// An NTGA strategy.
     Ntga(Strategy),
-    /// The cost-based optimizer: per-star / per-cycle choices derived from
-    /// [`rdf_model::StoreStats`] and the engine's [`mrsim::CostModel`]
-    /// (`--strategy auto-cost`).
-    NtgaCost,
-}
-
-impl From<ntga::Approach> for Runner {
-    fn from(approach: ntga::Approach) -> Runner {
-        use ntga::Approach;
-        match (approach.strategy(), approach) {
-            (Some(strategy), _) => Runner::Ntga(strategy),
-            (None, Approach::Pig) => Runner::Relational(relbase::RelFlavor::Pig),
-            (None, Approach::Hive) => Runner::Relational(relbase::RelFlavor::Hive),
-            (None, _) => Runner::NtgaCost,
-        }
-    }
 }
 
 impl Runner {
@@ -274,7 +234,6 @@ impl Runner {
             Runner::Relational(f) => f.label().to_string(),
             Runner::Grouping(g) => g.label().to_string(),
             Runner::Ntga(s) => s.label(),
-            Runner::NtgaCost => "CostBased".to_string(),
         }
     }
 
@@ -290,56 +249,32 @@ impl Runner {
 
     /// Execute one query on a fresh engine built from `cluster`. A disk too
     /// small for the input itself is reported like any other `DiskFull`: a
-    /// failed run with no jobs.
+    /// failed run with no jobs. A query the approach cannot plan is the
+    /// planner's error.
     pub fn run(
         &self,
         cluster: &ntga::ClusterConfig,
         store: &TripleStore,
         query: &Query,
         label: &str,
-    ) -> QueryRun {
+    ) -> Result<QueryRun, PlanError> {
         let engine = match cluster.try_engine_with(store) {
             Ok(engine) => engine,
             Err(e) => {
-                let stats = mrsim::WorkflowStats {
-                    label: label.to_string(),
-                    failure: Some(e.to_string()),
-                    ..Default::default()
-                };
-                return QueryRun { stats, solutions: None };
+                let (label, failure) = (label.to_string(), Some(e.to_string()));
+                let stats = mrsim::WorkflowStats { label, failure, ..Default::default() };
+                return Ok(QueryRun { stats, solutions: None });
             }
         };
         let input = mr_rdf::TRIPLES_FILE;
-        let result = match *self {
+        match *self {
             Runner::Relational(f) => relbase::execute(f, &engine, query, input, label, false),
             Runner::Grouping(g) => {
                 relbase::execute_grouping(g, &engine, query, input, label, false)
             }
             Runner::Ntga(s) => ntga_core::execute(s, &engine, query, input, label, false),
-            Runner::NtgaCost => {
-                ntga_core::execute_cost_based(&engine, query, input, label, false, &store.stats())
-            }
-        };
-        result.unwrap_or_else(|e| panic!("{label}: planning failed: {e}"))
-    }
-}
-
-/// Run a panel of runners over a set of queries, returning report rows.
-pub fn run_panel(
-    cluster: &ntga::ClusterConfig,
-    store: &TripleStore,
-    queries: &[(String, Query)],
-    runners: &[Runner],
-) -> Vec<report::Row> {
-    let mut rows = Vec::new();
-    for (qid, query) in queries {
-        for runner in runners {
-            let label = format!("{qid}-{}", runner.label());
-            let run = runner.run(cluster, store, query, &label);
-            rows.push(report::Row::from_run(qid, &runner.label(), &run));
         }
     }
-    rows
 }
 
 #[cfg(test)]
@@ -360,26 +295,40 @@ mod tests {
             "SELECT * WHERE { ?p <rdfs:label> ?l . ?p ?u ?x . ?x <rdfs:label> ?l2 . }",
         )
         .unwrap();
-        let rows = run_panel(
-            &ntga::ClusterConfig::default(),
-            &store,
-            &[("B1ish".to_string(), q)],
-            &Runner::paper_panel(64),
-        );
-        assert_eq!(rows.len(), 4);
+        let cluster = ntga::ClusterConfig::default();
+        let rows: Vec<report::Row> = Runner::paper_panel(64)
+            .iter()
+            .map(|r| {
+                report::Row::from_run(
+                    "B1ish",
+                    &r.label(),
+                    &r.run(&cluster, &store, &q, "t").unwrap(),
+                )
+            })
+            .collect();
+        let labels: Vec<&str> = rows.iter().map(|r| r.approach.as_str()).collect();
+        assert_eq!(labels, ["Pig", "Hive", "EagerUnnest", "LazyUnnest(auto,phi_64)"]);
         assert!(rows.iter().all(|r| r.ok()));
         // NTGA rows should show fewer cycles than relational rows.
-        let cycles = |approach| report::stats_of(&rows, "B1ish", approach).mr_cycles;
-        assert!(cycles("Lazy") < cycles("Hive"));
+        assert!(rows[3].stats.mr_cycles < rows[1].stats.mr_cycles);
         // The NTGA rows carry operator counters; relational plans record
         // none (their operators don't count yet).
-        for r in &rows {
-            if r.approach.contains("Lazy") || r.approach == "EagerUnnest" {
-                assert!(r.ops().get(ntga_core::physical::op::GROUPS_IN) > 0, "{}", r.approach);
-            }
+        for r in &rows[2..] {
+            assert!(r.ops().get(ntga_core::physical::op::GROUPS_IN) > 0, "{}", r.approach);
         }
         let json = report::rows_json(&rows);
         mrsim::trace::validate_json(&json).unwrap();
+    }
+
+    #[test]
+    fn a_query_the_approach_cannot_plan_is_an_error_not_a_panic() {
+        let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(20));
+        let q = rdf_query::parse_query("SELECT * WHERE { ?p <rdfs:label> ?l . }").unwrap();
+        let cluster = ntga::ClusterConfig::default();
+        let err = Runner::Grouping(relbase::Grouping::SjPerCycle)
+            .run(&cluster, &store, &q, "one-star")
+            .unwrap_err();
+        assert!(err.to_string().contains("groupings are defined for two-star queries"), "{err}");
     }
 
     #[test]
@@ -387,7 +336,7 @@ mod tests {
         let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(20));
         let q = rdf_query::parse_query("SELECT * WHERE { ?p <rdfs:label> ?l . }").unwrap();
         let cluster = ntga::ClusterConfig::default().tight_disk(&store, 0.5);
-        let run = Runner::Ntga(Strategy::LazyFull).run(&cluster, &store, &q, "tiny");
+        let run = Runner::Ntga(Strategy::LazyFull).run(&cluster, &store, &q, "tiny").unwrap();
         assert!(!run.succeeded());
         assert!(run.stats.failure.as_deref().is_some_and(|f| f.contains("full")), "{run:?}");
         assert!(run.stats.jobs.is_empty());
@@ -452,78 +401,5 @@ mod tests {
         let profiles = profile_queries(&cluster, &store, &queries).unwrap();
         assert_eq!(profiles.len(), 1);
         assert!(json.contains(&profiles[0].to_json()), "{json}");
-    }
-
-    #[test]
-    fn strategy_flag_overrides_panel() {
-        let opts = BenchOpts::parse(["--strategy", "auto-cost"].map(String::from)).unwrap();
-        assert!(matches!(opts.strategy, Some(Runner::NtgaCost)));
-        let panel = opts.panel_or(Runner::paper_panel(64));
-        assert_eq!(panel.len(), 1);
-        assert_eq!(panel[0].label(), "CostBased");
-
-        // No override: the default panel passes through untouched.
-        let opts = BenchOpts::parse(Vec::new()).unwrap();
-        assert_eq!(opts.panel_or(Runner::paper_panel(64)).len(), 4);
-
-        assert!(BenchOpts::parse(["--strategy".to_string()]).is_err());
-        assert!(BenchOpts::parse(["--strategy", "bogus"].map(String::from)).is_err());
-        assert!(BenchOpts::parse(["--strategy", "lazy-partial:x"].map(String::from)).is_err());
-    }
-
-    #[test]
-    fn both_doors_take_every_spelling() {
-        // `ntga-cli --approach` parses with `str::parse::<Approach>`, the
-        // fig binaries' `--strategy` goes on to a `Runner`: one grammar.
-        use ntga::Approach;
-        for (spelling, approach, runner_label) in [
-            ("pig", Approach::Pig, "Pig"),
-            ("hive", Approach::Hive, "Hive"),
-            ("eager", Approach::NtgaEager, "EagerUnnest"),
-            ("lazy", Approach::NtgaLazyFull, "LazyUnnest(full)"),
-            ("lazyfull", Approach::NtgaLazyFull, "LazyUnnest(full)"),
-            ("lazy-full", Approach::NtgaLazyFull, "LazyUnnest(full)"),
-            ("partial", Approach::NtgaLazyPartial(1024), "LazyUnnest(phi_1024)"),
-            ("partial:8", Approach::NtgaLazyPartial(8), "LazyUnnest(phi_8)"),
-            ("lazy-partial:8", Approach::NtgaLazyPartial(8), "LazyUnnest(phi_8)"),
-            ("auto", Approach::NtgaAuto(1024), "LazyUnnest(auto,phi_1024)"),
-            ("auto:8", Approach::NtgaAuto(8), "LazyUnnest(auto,phi_8)"),
-            ("auto-cost", Approach::NtgaAutoCost, "CostBased"),
-            ("cost", Approach::NtgaAutoCost, "CostBased"),
-        ] {
-            assert_eq!(spelling.parse(), Ok(approach), "{spelling}");
-            let opts = BenchOpts::parse(["--strategy", spelling].map(String::from)).unwrap();
-            assert_eq!(opts.strategy.unwrap().label(), runner_label, "{spelling}");
-            let name = spelling.split(':').next().unwrap();
-            assert!(Approach::GRAMMAR.contains(name), "{name} missing from the usage grammar");
-        }
-        let err = "bogus".parse::<Approach>().unwrap_err();
-        assert!(err.contains("unknown approach") && err.contains(Approach::GRAMMAR), "{err}");
-    }
-
-    #[test]
-    fn cost_based_runner_reports_q_error() {
-        let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(20));
-        let q = rdf_query::parse_query(
-            "SELECT * WHERE { ?p <rdfs:label> ?l . ?p ?u ?x . ?x <rdfs:label> ?l2 . }",
-        )
-        .unwrap();
-        let rows = run_panel(
-            &ntga::ClusterConfig::default(),
-            &store,
-            &[("B1ish".to_string(), q)],
-            &[Runner::NtgaCost, Runner::Ntga(Strategy::Auto(64))],
-        );
-        assert!(rows.iter().all(|r| r.ok()));
-        let cost = report::stats_of(&rows, "B1ish", "CostBased");
-        let auto = report::stats_of(&rows, "B1ish", "auto");
-        // Same answer, and the cost-based rows carry the estimator's
-        // q-error while hand-picked strategies have no estimates.
-        assert_eq!(cost.final_output_records(), auto.final_output_records());
-        assert!(cost.max_q_error().is_some());
-        assert!(auto.max_q_error().is_none());
-        let json = report::rows_json(&rows);
-        mrsim::trace::validate_json(&json).unwrap();
-        assert!(json.contains("\"max_q_error\":null"), "{json}");
     }
 }

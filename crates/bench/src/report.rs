@@ -50,13 +50,6 @@ impl Row {
     }
 }
 
-/// The stats of `query`'s first row whose approach label contains
-/// `approach` — how the figure binaries pick the cells they compare.
-pub fn stats_of<'a>(rows: &'a [Row], query: &str, approach: &str) -> &'a WorkflowStats {
-    let row = rows.iter().find(|r| r.query == query && r.approach.contains(approach));
-    &row.unwrap_or_else(|| panic!("no {query} row for {approach}")).stats
-}
-
 /// Render bytes with binary units.
 pub fn human_bytes(b: u64) -> String {
     const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
@@ -75,38 +68,16 @@ pub fn human_bytes(b: u64) -> String {
 
 /// Print a figure table: header, one block per query, aligned columns.
 pub fn print_table(title: &str, note: &str, rows: &[Row]) {
-    println!("\n=== {title} ===");
-    if !note.is_empty() {
-        println!("{note}");
-    }
-    let header = format!(
-        "{:<10} {:<26} {:>3} {:>3} {:>12} {:>12} {:>12} {:>12} {:>12} {:>10} {:>6} {:>12} {:>7} {:>4} {:>8}  status",
-        "query",
-        "approach",
-        "MR",
-        "FS",
-        "read",
-        "write",
-        "interm.w",
-        "shuffle",
-        "wire",
-        "sim(s)",
-        "skew",
-        "maxpart",
-        "βx",
-        "rtry",
-        "rty(s)"
-    );
-    // Separator width follows the rendered header, so column changes never
-    // leave a stale hardcoded width behind.
+    println!("\n=== {title} ===\n{note}");
+    let header = "query      approach                    MR  FS         read        write     interm.w      shuffle         wire     sim(s)   skew      maxpart      βx rtry   rty(s)  status";
+    // Separator width follows the header, so a column change never leaves a
+    // stale hardcoded width behind.
     let separator = "-".repeat(header.chars().count());
     println!("{header}");
-    let mut last_query = String::new();
-    for r in rows {
-        if r.query != last_query && !last_query.is_empty() {
+    for (i, r) in rows.iter().enumerate() {
+        if i > 0 && rows[i - 1].query != r.query {
             println!("{separator}");
         }
-        last_query = r.query.clone();
         let s = &r.stats;
         println!(
             "{:<10} {:<26} {:>3} {:>3} {:>12} {:>12} {:>12} {:>12} {:>12} {:>10.1} {:>6.2} {:>12} {:>7.1} {:>4} {:>8.1}  {}",
@@ -129,6 +100,32 @@ pub fn print_table(title: &str, note: &str, rows: &[Row]) {
         );
     }
     println!();
+}
+
+/// Print Figure 11's table: the last MR cycle of each run — the join on
+/// the unbound-property pattern — with the partial unnest's nested and
+/// expanded bytes.
+pub fn print_last_cycle_table(title: &str, note: &str, rows: &[Row]) {
+    println!("\n=== {title} ===\n{note}\n");
+    println!("query  strategy                    map-out      shuffle     max-part   skew    last(s)     nested.B   expanded.B");
+    for (i, r) in rows.iter().enumerate() {
+        let last = r.stats.jobs.last().cloned().unwrap_or_default();
+        println!(
+            "{:<6} {:<22} {:>12} {:>12} {:>12} {:>6.2} {:>10.1} {:>12} {:>12}",
+            r.query,
+            r.approach,
+            human_bytes(last.map_output_bytes),
+            human_bytes(last.shuffle_bytes()),
+            human_bytes(last.max_partition_shuffle_bytes()),
+            last.reduce_skew(),
+            last.sim_seconds,
+            human_bytes(last.ops.get(op::PARTIAL_NESTED_BYTES)),
+            human_bytes(last.ops.get(op::PARTIAL_EXPANDED_BYTES)),
+        );
+        if rows.get(i + 1).is_none_or(|next| next.query != r.query) {
+            println!("{}", "-".repeat(110));
+        }
+    }
 }
 
 /// Render rows as a JSON array — the payload of the figure binaries'
@@ -168,15 +165,6 @@ pub fn rows_json(rows: &[Row]) -> String {
     }))
 }
 
-/// Percentage reduction of `ours` versus `theirs` (positive = we wrote
-/// less), for the "N % less HDFS writes" comparisons of the paper.
-pub fn pct_less(theirs: u64, ours: u64) -> f64 {
-    if theirs == 0 {
-        return 0.0;
-    }
-    (1.0 - ours as f64 / theirs as f64) * 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,13 +176,6 @@ mod tests {
         assert_eq!(human_bytes(1024), "1.00 KiB");
         assert_eq!(human_bytes(1536), "1.50 KiB");
         assert_eq!(human_bytes(1024 * 1024 * 3), "3.00 MiB");
-    }
-
-    #[test]
-    fn pct_less_basics() {
-        assert!((pct_less(100, 20) - 80.0).abs() < 1e-9);
-        assert_eq!(pct_less(0, 5), 0.0);
-        assert!((pct_less(50, 50) - 0.0).abs() < 1e-9);
     }
 
     fn sample_row() -> Row {

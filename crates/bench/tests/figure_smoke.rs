@@ -1,8 +1,10 @@
-//! Smoke tests for the figure binaries: each must run to completion and
-//! print the structural markers its paper exhibit is defined by. Keeps the
-//! harness itself under `cargo test` coverage (the full outputs are
-//! exercised manually / in EXPERIMENTS.md at release scale).
+//! The figures under test. The nine paper figures run in-process at
+//! `Scale::Small`: every claim must hold, and each figure's rendered block
+//! must be the one committed in `EXPERIMENTS.md`. The other tests run
+//! binaries: `fig_optimizer`'s in-process asserts and the shared flags.
 
+use ntga_bench::figure::FIGURES;
+use ntga_bench::{BenchOpts, Scale};
 use std::process::Command;
 
 fn run_fig(bin: &str) -> String {
@@ -20,59 +22,30 @@ fn run_fig(bin: &str) -> String {
 }
 
 #[test]
-fn fig3_reports_grouping_counts() {
-    let text = run_fig(env!("CARGO_BIN_EXE_fig3"));
-    // The paper's table shape: every grouping appears, NTGA has 2MR/1FS.
-    assert!(text.contains("SJ-per-cycle"));
-    assert!(text.contains("Sel-SJ-first"));
-    for q in ["Q1a", "Q1b", "Q2a", "Q2b", "Q3a", "Q3b"] {
-        assert!(text.contains(q), "missing {q}");
+fn paper_figures_hold_their_claims_and_match_experiments_md() {
+    let doc = include_str!("../../../EXPERIMENTS.md");
+    let mut problems = Vec::new();
+    for build in FIGURES {
+        let figure = build(Scale::Small);
+        let run = figure.run(&BenchOpts::default());
+        problems
+            .extend(run.verdicts().filter(|v| !v.holds()).map(|v| format!("{}: {v}", figure.id())));
+        let (begin, end) =
+            (format!("<!-- begin {} -->\n", figure.id()), format!("<!-- end {} -->", figure.id()));
+        let committed = doc
+            .split_once(&begin)
+            .and_then(|(_, rest)| rest.split_once(&end))
+            .map(|(block, _)| block);
+        let fresh = run.markdown();
+        if committed != Some(fresh.as_str()) {
+            println!("{begin}{fresh}{end}\n");
+            problems.push(format!(
+                "{}: EXPERIMENTS.md's block differs from the one printed above",
+                figure.id()
+            ));
+        }
     }
-    assert!(text.contains("NTGA=2/1"), "NTGA must report 2 cycles / 1 full scan");
-    assert!(text.contains("Sel-SJ-first=2/2"), "OS joins: 2 cycles / 2 scans");
-    assert!(text.contains("Sel-SJ-first=3/3"), "OO joins: 3 cycles / 3 scans");
-}
-
-#[test]
-fn fig9a_reproduces_failure_pattern() {
-    let text = run_fig(env!("CARGO_BIN_EXE_fig9a"));
-    assert!(text.contains("LazyUnnest completed all queries: true"));
-    for expected_failure in ["B1/Pig", "B3/EagerUnnest", "B4/Hive"] {
-        assert!(
-            text.contains(expected_failure),
-            "expected {expected_failure} in failed executions:\n{text}"
-        );
-    }
-    assert!(!text.contains("B3/LazyUnnest"), "lazy must not fail B3");
-}
-
-#[test]
-fn fig10_shows_flat_ntga_writes() {
-    let text = run_fig(env!("CARGO_BIN_EXE_fig10"));
-    for q in ["B1-3bnd", "B1-4bnd", "B1-5bnd", "B1-6bnd"] {
-        assert!(text.contains(q), "missing {q}");
-    }
-    assert!(text.contains("write growth from 3 to 6 bound patterns"));
-    // The paper's 80-86% less: accept anything above 60% at smoke scale.
-    let reductions: Vec<f64> = text
-        .lines()
-        .filter(|l| l.contains("less than Hive ("))
-        .filter_map(|l| l.split("writes ").nth(1)?.split('%').next()?.trim().parse().ok())
-        .collect();
-    assert_eq!(reductions.len(), 4, "{text}");
-    for r in reductions {
-        assert!(r > 60.0, "write reduction {r}% below the paper's regime");
-    }
-}
-
-#[test]
-fn fig11_shows_partial_unnest_dichotomy() {
-    let text = run_fig(env!("CARGO_BIN_EXE_fig11"));
-    assert!(text.contains("LazyUnnest(full)"));
-    assert!(text.contains("LazyUnnest(phi_16)"));
-    for q in ["B1", "B2", "B3"] {
-        assert!(text.contains(q));
-    }
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
 }
 
 #[test]
@@ -140,15 +113,4 @@ fn fig_binaries_reject_unknown_flags() {
         .expect("spawn fig3");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
-}
-
-#[test]
-fn fig14_reports_redundancy_factor() {
-    let text = run_fig(env!("CARGO_BIN_EXE_fig14"));
-    assert!(text.contains("DBInfobox-like"));
-    assert!(text.contains("BTC-09-like"));
-    assert!(text.contains("redundancy factor"));
-    for q in ["C1", "C2", "C3", "C4"] {
-        assert!(text.contains(q));
-    }
 }

@@ -8,8 +8,8 @@
 //! unnest-mode rule for every join cycle, the default reduce parallelism
 //! everywhere, and no estimates. The statistics-driven constructor is
 //! [`crate::optimizer::optimize`], which makes those choices *per star* and
-//! *per cycle* (`--strategy auto-cost` in the figure binaries). Whatever
-//! built the plan, [`execute_plan`] runs it.
+//! *per cycle* (`ntga-cli --approach auto-cost`). Whatever built the plan,
+//! [`execute_plan`] runs it.
 
 use crate::optimizer::{join_schedule, optimize, JoinAlgo, OptimizerConfig, PhysicalPlan};
 use crate::physical::{
@@ -215,7 +215,7 @@ pub fn execute(
 }
 
 /// [`optimize`] under the engine's own cost model and physical limits, then
-/// [`execute_plan`] — the `--strategy auto-cost` entry point.
+/// [`execute_plan`] — the `--approach auto-cost` entry point.
 pub fn execute_cost_based(
     engine: &Engine,
     query: &Query,

@@ -12,7 +12,9 @@ written. Without `--record` the listing is compared with
 tests/fixtures/exhibits.sha256 and a mismatch exits 1; with it the fixture
 is rewritten. With `--keep <dir>` the binaries run in <dir> (new or empty)
 and their files stay there, so scripts/ci_smoke.py can read what this run
-wrote without running a binary again. The exhibits are deterministic: a
+wrote without running a binary again. A binary that exits non-zero — a
+paper figure whose claim does not hold, or a failed in-process assert —
+fails the run (exit 1). The exhibits are deterministic: a
 refactor that "moves nothing" leaves every line as recorded.
 """
 

@@ -11,11 +11,10 @@
 //! ```
 //!
 //! `--approach` takes [`Approach::GRAMMAR`] (`pig`, `hive`, `eager`, `lazy`,
-//! `partial:M`, `auto:M`, `auto-cost`, …) — the same spellings as the fig
-//! binaries' `--strategy`. `auto-cost` plans with the statistics-driven
-//! optimizer (per-star unnest placement, broadcast joins, reducer sizing)
-//! and needs `--data` even for `explain`, since the plan depends on the
-//! store's statistics. `--disk-factor F` bounds the cluster's disk to
+//! `partial:M`, `auto:M`, `auto-cost`, …). `auto-cost` plans with the
+//! statistics-driven optimizer (per-star unnest placement, broadcast joins,
+//! reducer sizing) and needs `--data` even for `explain`, since the plan
+//! depends on the store's statistics. `--disk-factor F` bounds the cluster's disk to
 //! `F ×` the replicated input (reproducing the paper's constrained
 //! clusters); without it the disk is unbounded.
 

@@ -45,8 +45,8 @@ impl Approach {
     }
 
     /// What [`Approach::from_str`](std::str::FromStr::from_str) accepts —
-    /// the one grammar of `ntga-cli --approach` and the fig binaries'
-    /// `--strategy`. `M` is the φ range and defaults to 1024.
+    /// the grammar of `ntga-cli --approach`. `M` is the φ range and
+    /// defaults to 1024.
     pub const GRAMMAR: &'static str = "pig | hive | eager | lazy | lazyfull | lazy-full | \
         partial[:M] | lazy-partial[:M] | auto[:M] | auto-cost | cost";
 
@@ -338,6 +338,32 @@ mod tests {
         let cfg = ClusterConfig { replication: 0, ..Default::default() };
         let err = cfg.try_engine_with(&store()).err().expect("no copy of any block");
         assert!(matches!(&err, MrError::Op(m) if m.contains("replication")), "{err}");
+    }
+
+    #[test]
+    fn every_spelling_parses_and_is_in_the_grammar() {
+        for (spelling, approach) in [
+            ("pig", Approach::Pig),
+            ("hive", Approach::Hive),
+            ("eager", Approach::NtgaEager),
+            ("lazy", Approach::NtgaLazyFull),
+            ("lazyfull", Approach::NtgaLazyFull),
+            ("lazy-full", Approach::NtgaLazyFull),
+            ("partial", Approach::NtgaLazyPartial(1024)),
+            ("partial:8", Approach::NtgaLazyPartial(8)),
+            ("lazy-partial:8", Approach::NtgaLazyPartial(8)),
+            ("auto", Approach::NtgaAuto(1024)),
+            ("auto:8", Approach::NtgaAuto(8)),
+            ("auto-cost", Approach::NtgaAutoCost),
+            ("cost", Approach::NtgaAutoCost),
+        ] {
+            assert_eq!(spelling.parse(), Ok(approach), "{spelling}");
+            let name = spelling.split(':').next().unwrap();
+            assert!(Approach::GRAMMAR.contains(name), "{name} missing from the usage grammar");
+        }
+        let err = "bogus".parse::<Approach>().unwrap_err();
+        assert!(err.contains("unknown approach") && err.contains(Approach::GRAMMAR), "{err}");
+        assert!("partial:x".parse::<Approach>().is_err());
     }
 
     #[test]
