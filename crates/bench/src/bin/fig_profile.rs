@@ -1,17 +1,17 @@
 //! Profiler exhibit — EXPLAIN ANALYZE on the cost-based optimizer.
 //!
 //! Not a figure of the paper: the acceptance exhibit for the workflow
-//! profiler. For each B-series query it runs every hand-picked strategy on
-//! a profiling engine, then the cost-based plan, joins the plan against the
-//! measured run with `explain_analyze`, prints the annotated plan-vs-actual
-//! tree, and asserts in-process that
+//! profiler. For each B-series query it runs every hand-picked strategy,
+//! then the cost-based plan, joins the plan against the measured run with
+//! `explain_analyze`, prints the annotated plan-vs-actual tree, and asserts
+//! in-process that
 //!
 //! * the workflow's simulated seconds reconcile with the per-job `JobStats`
 //!   totals to 1e-6 (operator rows and `max_q_error` read the same
 //!   `WorkflowStats`, so they agree by construction);
 //! * the optimizer's chosen plan matches or beats the best hand-picked
 //!   strategy (columns `est(s)`/`actual(s)` make the comparison visible);
-//! * two profiled runs of the same plan serialize byte-identically.
+//! * two analyzed runs of the same plan serialize byte-identically.
 
 use ntga_bench::{profile_queries, report, BenchOpts, Scale};
 use ntga_core::Strategy;
@@ -30,12 +30,10 @@ fn main() {
     });
     let queries: Vec<(String, rdf_query::Query)> =
         ntga::testbed::b_series().into_iter().map(|t| (t.id, t.query)).collect();
-    let cluster = opts
-        .cluster(ntga::ClusterConfig {
-            cost: mrsim::CostModel::scaled_to(store.text_bytes()),
-            ..Default::default()
-        })
-        .with_profiling(true);
+    let cluster = opts.cluster(ntga::ClusterConfig {
+        cost: mrsim::CostModel::scaled_to(store.text_bytes()),
+        ..Default::default()
+    });
     println!(
         "dataset: BSBM-like, {} triples ({}); {} queries",
         store.len(),
@@ -65,7 +63,7 @@ fn main() {
         best.push((qid.clone(), t, label));
     }
 
-    // The optimizer's plan, profiled: one EXPLAIN ANALYZE tree per query.
+    // The optimizer's plan, analyzed: one EXPLAIN ANALYZE tree per query.
     let profile = || profile_queries(&cluster, &store, &queries).unwrap_or_else(|e| panic!("{e}"));
     let (profiles, again) = (profile(), profile());
     for ((profile, rerun), (qid, best_t, best_label)) in profiles.iter().zip(&again).zip(&best) {
@@ -77,11 +75,11 @@ fn main() {
             (op_seconds - actual).abs() <= 1e-6 * actual.max(1.0),
             "{qid}: per-operator seconds {op_seconds} must reconcile with the workflow total {actual}"
         );
-        // Deterministic: a second profiled run serializes byte-identically.
+        // Deterministic: a second analyzed run serializes byte-identically.
         assert_eq!(
             profile.to_json(),
             rerun.to_json(),
-            "{qid}: repeated profiled runs must serialize identically"
+            "{qid}: repeated analyzed runs must serialize identically"
         );
         // The chosen plan matches or beats the best hand-picked strategy.
         assert!(

@@ -40,11 +40,12 @@ use std::sync::Arc;
 ///   simulated timeline;
 /// * `--json <path>` — write the report rows as a JSON array;
 /// * `--profile <path>` — run EXPLAIN ANALYZE for the figure's queries
-///   (cost-based plan executed on a profiling engine, joined against the
-///   measured run) and write the profile documents as a JSON array at
-///   `<path>`, printing the annotated plan trees to stdout.
+///   (cost-based plan executed on a fresh engine, its `JobStats` joined
+///   against the plan's estimates) and write the profile documents as a
+///   JSON array at `<path>`, printing the annotated plan trees to stdout.
 ///
-/// With no flags, tracing and profiling stay disabled and cost nothing.
+/// With no flags, tracing stays disabled and costs nothing, and no
+/// EXPLAIN ANALYZE run is made.
 #[derive(Default)]
 pub struct BenchOpts {
     /// Chrome trace output path (`--trace`).
@@ -118,10 +119,10 @@ impl BenchOpts {
 
     /// Run EXPLAIN ANALYZE for the figure's queries and write the
     /// `--profile` JSON array (if requested). Each query is optimized under
-    /// the cluster's cost model, executed on a fresh profiling engine, and
-    /// joined plan-vs-actual; the annotated trees go to stdout and the
-    /// stable JSON documents to the `--profile` path. No-op without the
-    /// flag. Call once, after the figure's tables are printed.
+    /// the cluster's cost model, executed on a fresh engine, and joined
+    /// plan-vs-actual; the annotated trees go to stdout and the stable JSON
+    /// documents to the `--profile` path. No-op without the flag. Call
+    /// once, after the figure's tables are printed.
     pub fn write_profile(
         &self,
         cluster: &ntga::ClusterConfig,
@@ -146,7 +147,7 @@ impl BenchOpts {
 }
 
 /// Optimize each query under the cluster's cost model, execute the plan on
-/// a fresh profiling engine, and join it against the measured run — the
+/// a fresh engine, and join it against the measured run's `JobStats` — the
 /// engine behind the `--profile` flag and the `fig_profile` exhibit.
 pub fn profile_queries(
     cluster: &ntga::ClusterConfig,
@@ -154,7 +155,6 @@ pub fn profile_queries(
     queries: &[(String, Query)],
 ) -> Result<Vec<ntga_core::Profile>, String> {
     let stats = store.stats();
-    let cluster = cluster.clone().with_profiling(true);
     queries
         .iter()
         .map(|(qid, query)| {
@@ -167,7 +167,7 @@ pub fn profile_queries(
                     .map_err(|e| format!("{qid}: execution failed: {e}"))?;
             if !run.succeeded() {
                 return Err(format!(
-                    "{qid}: profiled run failed: {}",
+                    "{qid}: analyzed run failed: {}",
                     run.stats.failure.as_deref().unwrap_or("unknown")
                 ));
             }

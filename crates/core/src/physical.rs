@@ -81,14 +81,6 @@ pub mod op {
     /// Text bytes a full β-unnest would have shipped for the same tuples
     /// (computed arithmetically, without materializing the expansion).
     pub const PARTIAL_EXPANDED_BYTES: &str = "ntga.partial.expanded_bytes";
-    /// Distribution metric (a log2 histogram recorded through
-    /// [`mrsim::TaskContext::record`], not a counter): the per-group width
-    /// of each β-unnest — how many perfect triplegroups one annotated
-    /// triplegroup expands into. Only populated when the engine profiles
-    /// (`Engine::with_profiling`); surfaces on `JobStats::metrics` with
-    /// p50/p95/p99 so unnest fanout tails are visible, not just the
-    /// [`UNNEST_OUT`]/[`UNNEST_IN`] mean.
-    pub const UNNEST_WIDTH: &str = "ntga.unnest.width";
 }
 
 /// The partition function `φ_m` over a join-key token.
@@ -598,7 +590,6 @@ fn joined(left: &Pinned<'_>, right: &Pinned<'_>) -> Result<(Vec<u8>, u64), MrErr
 /// Count one tuple's β-unnest into `width` copies.
 fn count_unnest(ctx: &TaskContext, width: u64) {
     ctx.count(op::UNNEST_IN, 1);
-    ctx.record(op::UNNEST_WIDTH, width);
     // One count per input tuple. Even a zero delta creates the counter,
     // which an empty expansion must not.
     if width > 0 {

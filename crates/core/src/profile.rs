@@ -349,12 +349,12 @@ mod tests {
         TripleStore::from_triples(triples)
     }
 
-    fn profiled_run() -> (PhysicalPlan, Profile) {
+    fn analyzed_run() -> (PhysicalPlan, Profile) {
         let s = store();
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let cost = CostModel::scaled_to(s.text_bytes());
         let plan = optimize(&query, &s.stats(), &cost, &OptimizerConfig::default()).unwrap();
-        let engine = mrsim::Engine::unbounded().with_cost(cost).with_profiling(true);
+        let engine = mrsim::Engine::unbounded().with_cost(cost);
         load_store(&engine, "t", &s).unwrap();
         let (run, stars) = execute_plan(&plan, &engine, &query, "t", "q", false).unwrap();
         assert!(run.succeeded());
@@ -365,7 +365,7 @@ mod tests {
 
     #[test]
     fn profile_joins_plan_to_stats() {
-        let (plan, profile) = profiled_run();
+        let (plan, profile) = analyzed_run();
         assert_eq!(profile.operators.len(), plan.cycles.len() + 1);
         assert_eq!(profile.stars.len(), 2);
         // Every job carried an estimate to compare against.
@@ -380,7 +380,7 @@ mod tests {
 
     #[test]
     fn render_and_json_are_stable_and_valid() {
-        let (_, profile) = profiled_run();
+        let (_, profile) = analyzed_run();
         let text = profile.render();
         assert!(text.starts_with("EXPLAIN ANALYZE"));
         assert!(text.contains("TG_GroupFilter"));
@@ -388,14 +388,14 @@ mod tests {
         let json = profile.to_json();
         mrsim::trace::validate_json(&json).unwrap();
         // A second identical run serializes byte-identically.
-        let (_, again) = profiled_run();
+        let (_, again) = analyzed_run();
         assert_eq!(json, again.to_json());
         assert_eq!(text, again.render());
     }
 
     #[test]
     fn reconciliation_totals_match_rows() {
-        let (_, profile) = profiled_run();
+        let (_, profile) = analyzed_run();
         let json = profile.to_json();
         // The reconciliation block is derived from the same rows, so the
         // sums must appear verbatim.
@@ -405,7 +405,7 @@ mod tests {
 
     #[test]
     fn shape_mismatch_is_reported() {
-        let (plan, _) = profiled_run();
+        let (plan, _) = analyzed_run();
         let stats = WorkflowStats { label: "x".into(), ..Default::default() };
         assert!(explain_analyze(&plan, &stats, &[]).is_err());
         // Wrong star-actual arity is also an error.

@@ -3,14 +3,14 @@
 //! `ntga_core::logical` (σ^βγ, μ^β at a join position, μ^β_φ), re-encode,
 //! size the text by sorting string pairs — as the reference, and checks on
 //! random input that both write the same records (bytes, order and output
-//! index), the same per-record text sizes, the same `op::*` counters and
-//! the same `UNNEST_WIDTH` histogram: Job 1's reduce over random subject
-//! groups and stars under every eager/lazy placement, and the joins through
-//! every `JoinRole` on both sides, `Exact` and `Partial(m)`, and the
-//! broadcast join with either side built.
+//! index), the same per-record text sizes and the same `op::*` counters:
+//! Job 1's reduce over random subject groups and stars under every
+//! eager/lazy placement, and the joins through every `JoinRole` on both
+//! sides, `Exact` and `Partial(m)`, and the broadcast join with either side
+//! built.
 
 use mrsim::hash::DetHashMap;
-use mrsim::{MetricsRegistry, MrError, OpCounters, Rec, TaskContext};
+use mrsim::{MrError, Rec, TaskContext};
 use ntga_core::physical::{
     op, phi, BroadcastJoin, BuildSide, GroupReduce, JoinMap, JoinReduce, JoinRole, JoinSide,
     UnnestMode,
@@ -60,7 +60,6 @@ mod reference {
             let tgs = if eager[i] {
                 ctx.count(op::UNNEST_IN, 1);
                 let perfects = beta_unnest(&ann);
-                ctx.record(op::UNNEST_WIDTH, perfects.len() as u64);
                 perfects.iter().for_each(|_| ctx.count(op::UNNEST_OUT, 1));
                 perfects
             } else {
@@ -111,7 +110,6 @@ mod reference {
                 let expansions = beta_unnest_at(comp, spec.role);
                 if unbound {
                     ctx.count(op::UNNEST_IN, 1);
-                    ctx.record(op::UNNEST_WIDTH, expansions.len() as u64);
                 }
                 if unbound && !expansions.is_empty() {
                     ctx.count(op::UNNEST_OUT, expansions.len() as u64);
@@ -207,7 +205,6 @@ mod reference {
         let expansions = beta_unnest_at(&tuple.0[join.probe.component], join.probe.role);
         if unbound {
             ctx.count(op::UNNEST_IN, 1);
-            ctx.record(op::UNNEST_WIDTH, expansions.len() as u64);
         }
         let mut out = Vec::new();
         for (key, pinned) in expansions {
@@ -288,14 +285,6 @@ fn specs(shape: &Shape) -> Vec<JoinSide> {
     out
 }
 
-fn profiled() -> TaskContext {
-    TaskContext::new().profiled(true)
-}
-
-fn counted(ctx: &TaskContext) -> (OpCounters, MetricsRegistry) {
-    (ctx.take_counters(), ctx.take_metrics())
-}
-
 // ---------------------------------------------------------------------------
 // Random subject groups and stars (Job 1)
 // ---------------------------------------------------------------------------
@@ -354,9 +343,9 @@ fn check_group(stars: &[StarPattern], key: &[u8], values: &[Vec<u8>]) -> Result<
     let values: Vec<&[u8]> = values.iter().map(Vec::as_slice).collect();
     for placement in 0..1u32 << stars.len() {
         let eager: Vec<bool> = (0..stars.len()).map(|i| placement >> i & 1 == 1).collect();
-        let ctx = profiled();
+        let ctx = TaskContext::new();
         let want = reference::group_reduce(&ctx, stars, &eager, key, &values).unwrap();
-        let want_counted = counted(&ctx);
+        let want_counted = ctx.take_counters();
         let mut got: Vec<reference::Routed> = Vec::new();
         GroupReduce::new(stars, &eager)
             .filter(&ctx, key, &values, |star, record, text| {
@@ -365,7 +354,7 @@ fn check_group(stars: &[StarPattern], key: &[u8], values: &[Vec<u8>]) -> Result<
             })
             .unwrap();
         prop_assert_eq!(got, want, "eager {:?}", eager);
-        prop_assert_eq!(counted(&ctx), want_counted, "eager {:?}", eager);
+        prop_assert_eq!(ctx.take_counters(), want_counted, "eager {:?}", eager);
     }
     Ok(())
 }
@@ -429,9 +418,9 @@ proptest! {
                     for (side, spec, tuples) in sides {
                         let map = JoinMap { side, spec: spec.clone(), mode };
                         for tuple in tuples {
-                            let ctx = profiled();
+                            let ctx = TaskContext::new();
                             let want = reference::map(&ctx, &map, tuple);
-                            let want_counted = counted(&ctx);
+                            let want_counted = ctx.take_counters();
                             let mut got: Vec<reference::Shipped> = Vec::new();
                             map.expand(&ctx, &tuple.to_bytes(), |k, text, write| {
                                 let mut v = Vec::new();
@@ -440,7 +429,7 @@ proptest! {
                             })
                             .unwrap();
                             prop_assert_eq!(&got, &want, "map side {} of {}", side, what);
-                            prop_assert_eq!(counted(&ctx), want_counted, "map side {} of {}", side, what);
+                            prop_assert_eq!(ctx.take_counters(), want_counted, "map side {} of {}", side, what);
                             for (key, value, _) in got {
                                 shuffle.entry(key).or_default().push(value);
                             }
@@ -483,9 +472,9 @@ proptest! {
                     let file: Vec<Vec<u8>> = built.iter().map(Rec::to_bytes).collect();
                     let table = join.build_table(&file).unwrap();
                     for tuple in probing {
-                        let ctx = profiled();
+                        let ctx = TaskContext::new();
                         let want = reference::broadcast(&ctx, &join, built, tuple);
-                        let want_counted = counted(&ctx);
+                        let want_counted = ctx.take_counters();
                         let mut got: Vec<reference::Written> = Vec::new();
                         join.probe(&ctx, &table, &tuple.to_bytes(), |record, text| {
                             got.push((record, text));
@@ -493,7 +482,7 @@ proptest! {
                         })
                         .unwrap();
                         prop_assert_eq!(got, want, "probe of {}", what);
-                        prop_assert_eq!(counted(&ctx), want_counted, "probe of {}", what);
+                        prop_assert_eq!(ctx.take_counters(), want_counted, "probe of {}", what);
                     }
                 }
             }

@@ -4,7 +4,6 @@
 //! counters: number of MR cycles, full scans of the input relation, HDFS
 //! bytes read and written (× replication), and shuffle (map-output) bytes.
 
-use crate::metrics::MetricsRegistry;
 use crate::trace::JsonObject;
 use std::collections::BTreeMap;
 
@@ -168,6 +167,9 @@ pub struct JobStats {
     pub output_text_bytes: u64,
     /// Bytes charged to DFS for the output (text bytes × replication).
     pub hdfs_write_bytes: u64,
+    /// Replication factor the job wrote its output at: the spec's
+    /// override, else the DFS default.
+    pub replication: u32,
     /// Number of map tasks.
     pub map_tasks: u64,
     /// Number of reduce tasks (0 for map-only jobs).
@@ -205,12 +207,6 @@ pub struct JobStats {
     /// Operator-level counters recorded by this job's map/reduce operators
     /// (see [`OpCounters`]); empty for jobs whose operators record none.
     pub ops: OpCounters,
-    /// Distribution metrics (per-task durations, per-partition shuffle
-    /// bytes, record wire sizes, reduce group widths) recorded as
-    /// deterministic log2 [`crate::Histogram`]s. Only populated when the
-    /// engine runs with profiling enabled (see `Engine::with_profiling`);
-    /// empty otherwise so the hot path pays nothing.
-    pub metrics: MetricsRegistry,
     /// Peak `SpillArena` footprint (payload bytes + index
     /// entries) of any merged reduce partition, in bytes. Arenas only
     /// grow, so the end-of-phase footprint *is* the high-water mark.
@@ -283,16 +279,11 @@ impl JobStats {
 
     /// The conservation laws between this job's counters, stated once:
     /// `Err` names the first one broken. [`crate::Workflow`] checks every
-    /// job it runs under `debug_assert!`. The histogram laws bind only on
-    /// a profiled job (an absent histogram holds vacuously).
+    /// job it runs under `debug_assert!`.
     pub fn check_invariants(&self) -> Result<(), String> {
-        use crate::metrics::name;
         let reduces = self.reduce_tasks > 0;
         let partitions = &self.shuffle_partition_bytes;
         let f = &self.faults;
-        let hist = |metric, count, sum| {
-            self.metrics.get(metric).is_none_or(|h| h.count() == count && h.sum() == sum)
-        };
         let laws = [
             (
                 !reduces || partitions.len() as u64 == self.reduce_tasks,
@@ -330,20 +321,8 @@ impl JobStats {
                 "sim_seconds >= startup_seconds + retry_seconds",
             ),
             (
-                hist(name::SHUFFLE_PARTITION_BYTES, self.reduce_tasks, self.map_output_bytes),
-                "partition-byte histogram matches its counters",
-            ),
-            (
-                hist(
-                    name::RECORD_SHUFFLE_BYTES,
-                    self.map_output_records,
-                    self.map_output_encoded_bytes,
-                ),
-                "record-size histogram matches its counters",
-            ),
-            (
-                hist(name::REDUCE_GROUP_WIDTH, self.reduce_groups, self.reduce_input_records),
-                "group-width histogram matches its counters",
+                self.hdfs_write_bytes == self.output_text_bytes * u64::from(self.replication),
+                "hdfs_write_bytes == output_text_bytes * replication",
             ),
         ];
         first_broken("job", &self.name, &laws)
@@ -473,17 +452,6 @@ impl WorkflowStats {
     /// `None` when no job in the workflow was planned with one.
     pub fn max_q_error(&self) -> Option<f64> {
         self.jobs.iter().filter_map(JobStats::q_error).reduce(f64::max)
-    }
-
-    /// Distribution metrics merged across every job in the workflow.
-    /// Histogram merge is commutative and per-bucket, so the result is
-    /// independent of job order and worker count.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut total = MetricsRegistry::new();
-        for job in &self.jobs {
-            total.merge(&job.metrics);
-        }
-        total
     }
 
     /// Largest merged-arena footprint over all jobs (bytes).
@@ -641,38 +609,28 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_memory_marks_aggregate() {
-        use crate::metrics::name;
+    fn memory_marks_aggregate() {
         let mut j1 = job(0, 0, 0, 1);
-        j1.metrics.record(name::REDUCE_GROUP_WIDTH, 4);
         j1.peak_arena_bytes = 100;
         j1.peak_task_live_bytes = 40;
         j1.peak_spill_entries = 8;
         let mut j2 = job(0, 0, 0, 2);
-        j2.metrics.record(name::REDUCE_GROUP_WIDTH, 9);
         j2.shuffle_partition_bytes = vec![70, 30];
         j2.peak_arena_bytes = 60;
         j2.peak_task_live_bytes = 90;
         j2.peak_spill_entries = 3;
         let wf = WorkflowStats { jobs: vec![j1, j2], succeeded: true, ..WorkflowStats::default() };
-        let merged = wf.metrics();
-        let h = merged.get(name::REDUCE_GROUP_WIDTH).expect("merged histogram");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 13);
-        assert_eq!(h.max(), 9);
         assert_eq!(wf.peak_arena_bytes(), 100);
         assert_eq!(wf.peak_task_live_bytes(), 90);
         assert_eq!(wf.peak_spill_entries(), 8);
         assert_eq!(wf.max_partition_shuffle_bytes(), 70);
         assert_eq!(WorkflowStats::default().peak_arena_bytes(), 0);
         assert_eq!(WorkflowStats::default().max_partition_shuffle_bytes(), 0);
-        assert!(WorkflowStats::default().metrics().is_empty());
     }
 
-    /// A profiled job with a reduce phase that keeps every law.
+    /// A job with a reduce phase that keeps every law.
     fn lawful() -> JobStats {
-        use crate::metrics::name;
-        let mut j = JobStats {
+        JobStats {
             name: "j".into(),
             map_output_records: 4,
             map_output_bytes: 30,
@@ -681,27 +639,18 @@ mod tests {
             reduce_tasks: 2,
             reduce_input_records: 4,
             reduce_groups: 3,
+            output_text_bytes: 12,
+            replication: 2,
+            hdfs_write_bytes: 24,
             ..JobStats::default()
-        };
-        for (metric, samples) in [
-            (name::SHUFFLE_PARTITION_BYTES, &[10, 20][..]),
-            (name::RECORD_SHUFFLE_BYTES, &[10, 10, 10, 10]),
-            (name::REDUCE_GROUP_WIDTH, &[2, 1, 1]),
-        ] {
-            samples.iter().for_each(|&v| j.metrics.record(metric, v));
         }
-        j
     }
 
     #[test]
     fn each_broken_job_law_is_named() {
-        use crate::metrics::name::{
-            RECORD_SHUFFLE_BYTES as SIZES, REDUCE_GROUP_WIDTH as WIDTHS,
-            SHUFFLE_PARTITION_BYTES as PARTS,
-        };
         type Break = (fn(&mut JobStats), &'static str);
         let map_only = || JobStats { name: "j".into(), ..JobStats::default() };
-        let with_reduce: [Break; 11] = [
+        let with_reduce: [Break; 9] = [
             (|j| j.shuffle_partition_bytes.push(0), "one shuffle partition per reduce task"),
             (|j| j.shuffle_partition_bytes[0] += 1, "shuffle partitions sum to map_output_bytes"),
             (|j| j.reduce_input_records += 1, "reduce_input_records == map_output_records"),
@@ -713,9 +662,7 @@ mod tests {
                 "broadcast_ship_bytes == broadcast_bytes * map_tasks",
             ),
             (|j| j.retry_seconds = 1.0, "sim_seconds >= startup_seconds + retry_seconds"),
-            (|j| j.metrics.record(PARTS, 0), "partition-byte histogram matches its counters"),
-            (|j| j.metrics.record(SIZES, 0), "record-size histogram matches its counters"),
-            (|j| j.metrics.record(WIDTHS, 0), "group-width histogram matches its counters"),
+            (|j| j.replication = 3, "hdfs_write_bytes == output_text_bytes * replication"),
         ];
         let without: [Break; 3] = [
             (|j| j.shuffle_partition_bytes.push(0), "map-only: no shuffle partitions"),

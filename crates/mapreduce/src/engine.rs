@@ -98,13 +98,6 @@ pub struct Engine {
     /// [`MrError::BroadcastTooLarge`]; the optimizer uses the same bound
     /// as its broadcast-join threshold.
     pub broadcast_budget_bytes: u64,
-    /// When true, jobs record distribution metrics (per-task durations,
-    /// per-partition shuffle bytes, record wire sizes, reduce group widths)
-    /// into [`JobStats::metrics`]. Off by default: the map-emit hot path is
-    /// untouched either way (histograms are filled from driver-side
-    /// accounting after the phases run), and task-level recording via
-    /// [`TaskContext::record`] compiles to a single branch.
-    pub profiling: bool,
     /// When true (the default, matching Hadoop's always-on block
     /// checksums), map output is sealed with a checksum per spill bucket
     /// and verified when the shuffle absorbs it, and DFS reads are
@@ -122,7 +115,6 @@ pub struct Engine {
 /// the simulated timeline after the job's counters are known.
 #[derive(Default)]
 struct TraceScratch {
-    enabled: bool,
     /// `(records, encoded input bytes)` per map task.
     map_tasks: Vec<(u64, u64)>,
     /// `(records, shuffle bytes)` per reduce partition.
@@ -188,7 +180,6 @@ impl Engine {
             recovery: RecoveryPolicy::FailFast,
             trace: None,
             broadcast_budget_bytes: DEFAULT_BROADCAST_BUDGET_BYTES,
-            profiling: false,
             verify_checksums: true,
         }
     }
@@ -231,15 +222,6 @@ impl Engine {
     /// Set the broadcast (distributed-cache) memory budget in bytes.
     pub fn with_broadcast_budget(mut self, bytes: u64) -> Self {
         self.broadcast_budget_bytes = bytes;
-        self
-    }
-
-    /// Enable distribution-metric profiling: jobs fill
-    /// [`JobStats::metrics`] with per-task duration, per-partition shuffle,
-    /// record-size, and reduce-group-width histograms, all derived from
-    /// worker-count-invariant accounting.
-    pub fn with_profiling(mut self, on: bool) -> Self {
-        self.profiling = on;
         self
     }
 
@@ -425,6 +407,7 @@ impl Engine {
         stats.full_input_scan = spec.full_input_scan;
         let replication =
             spec.replication.unwrap_or_else(|| self.hdfs.lock().default_replication());
+        stats.replication = replication;
         // Budget for early abort: text bytes this job may write.
         let budget = {
             let fs = self.hdfs.lock();
@@ -454,10 +437,7 @@ impl Engine {
         }
 
         self.emit(|| TraceEvent::JobStart { job: spec.name.clone() });
-        // Per-task scratch feeds both trace spans and (when profiling) the
-        // task-duration histograms.
-        let mut scratch =
-            TraceScratch { enabled: self.trace.is_some() || self.profiling, ..Default::default() };
+        let mut scratch = TraceScratch::default();
         let n_outputs = spec.outputs.len();
         let outputs = match &spec.kind {
             JobKind::MapOnly { files, mapper } => self.run_map_only(
@@ -490,7 +470,7 @@ impl Engine {
                     map_sorted_runs: partitions.iter().map(|p| p.sorted_run_count() as u64).sum(),
                     merge_entries: partitions.iter().map(|p| p.len() as u64).sum(),
                 });
-                if scratch.enabled {
+                if self.trace.is_some() {
                     for (p, part) in partitions.iter().enumerate() {
                         scratch
                             .reduce_tasks
@@ -554,36 +534,10 @@ impl Engine {
         stats.startup_seconds = self.cost.job_startup_s;
         stats.retry_seconds = self.cost.retry_seconds(&stats);
         stats.sim_seconds = self.cost.job_seconds(&stats);
-        if self.profiling {
-            self.record_profile(&mut stats, &scratch);
-        }
         if self.trace.is_some() {
             self.emit_job_trace(&stats, &scratch);
         }
         Ok(stats)
-    }
-
-    /// Fill the job's duration and shuffle-distribution histograms from
-    /// driver-side accounting, after the cost model has priced the job.
-    /// Per-task durations are [`share_seconds`] of each phase — the layout
-    /// [`Engine::emit_job_trace`] uses for task spans — so they are pure
-    /// functions of worker-invariant counters. Fault losses are priced
-    /// separately (`retry_seconds`), so the histograms are also
-    /// fault-regime-invariant.
-    fn record_profile(&self, stats: &mut JobStats, scratch: &TraceScratch) {
-        use crate::metrics::name;
-        let map_seconds = self.cost.map_phase_seconds(stats);
-        let reduce_seconds = self.cost.reduce_phase_seconds(stats);
-        for dur in share_seconds(&scratch.map_tasks, map_seconds) {
-            stats.metrics.record_seconds(name::TASK_MAP_MICROS, dur);
-        }
-        for dur in share_seconds(&scratch.reduce_tasks, reduce_seconds) {
-            stats.metrics.record_seconds(name::TASK_REDUCE_MICROS, dur);
-        }
-        for p in 0..stats.shuffle_partition_bytes.len() {
-            let bytes = stats.shuffle_partition_bytes[p];
-            stats.metrics.record(name::SHUFFLE_PARTITION_BYTES, bytes);
-        }
     }
 
     /// Emit the per-task spans, per-partition shuffle records, and closing
@@ -629,18 +583,6 @@ impl Engine {
             peak_task_live_bytes: stats.peak_task_live_bytes,
             peak_spill_entries: stats.peak_spill_entries,
         });
-        for (metric, h) in stats.metrics.iter() {
-            self.emit(|| TraceEvent::HistogramSummary {
-                job: stats.name.clone(),
-                metric: metric.to_string(),
-                count: h.count(),
-                sum: h.sum(),
-                p50: h.p50(),
-                p95: h.p95(),
-                p99: h.p99(),
-                max: h.max(),
-            });
-        }
         self.emit(|| TraceEvent::JobEnd {
             job: stats.name.clone(),
             sim_seconds: stats.sim_seconds,
@@ -715,7 +657,7 @@ impl Engine {
         // Map-only output order must be deterministic: process chunks in
         // parallel but concatenate in input order.
         let chunks: Vec<&[Vec<u8>]> = inputs.iter().flat_map(|f| Self::chunk(&f.records)).collect();
-        if scratch.enabled {
+        if self.trace.is_some() {
             for chunk in &chunks {
                 let bytes: u64 = chunk.iter().map(|r| r.len() as u64).sum();
                 scratch.map_tasks.push((chunk.len() as u64, bytes));
@@ -723,7 +665,7 @@ impl Engine {
         }
         self.resolve_faults(epoch, TaskPhase::Map, chunks.len(), false, stats)?;
         let results = self.parallel_over(&chunks, |chunk| {
-            let ctx = TaskContext::with_env(broadcast.to_vec()).profiled(self.profiling);
+            let ctx = TaskContext::with_env(broadcast.to_vec());
             let mut out = OutEmitter::with_outputs(budget, n_outputs);
             for rec in *chunk {
                 mapper.run(&ctx, rec, &mut out)?;
@@ -745,10 +687,9 @@ impl Engine {
     }
 
     /// Fold one task's [`TaskReport`] into the job — the one place a task's
-    /// counters, histograms and live-byte mark reach [`JobStats`].
+    /// counters and live-byte mark reach [`JobStats`].
     fn absorb(report: TaskReport, stats: &mut JobStats) {
         stats.ops.merge(&report.ops);
-        stats.metrics.merge(&report.metrics);
         stats.peak_task_live_bytes = stats.peak_task_live_bytes.max(report.live_bytes);
     }
 
@@ -781,7 +722,7 @@ impl Engine {
                 work.push((mapper.as_ref(), chunk));
             }
         }
-        if scratch.enabled {
+        if self.trace.is_some() {
             for (_, chunk) in &work {
                 let bytes: u64 = chunk.iter().map(|r| r.len() as u64).sum();
                 scratch.map_tasks.push((chunk.len() as u64, bytes));
@@ -790,7 +731,7 @@ impl Engine {
         self.resolve_faults(epoch, TaskPhase::Map, work.len(), true, stats)?;
         let job = stats.name.clone();
         let mut results = self.parallel_over(&work, |(mapper, chunk)| {
-            let ctx = TaskContext::with_env(broadcast.to_vec()).profiled(self.profiling);
+            let ctx = TaskContext::with_env(broadcast.to_vec());
             let mut out = MapEmitter::partitioned(reduce_tasks);
             for rec in *chunk {
                 mapper.run(&ctx, rec, &mut out)?;
@@ -854,12 +795,11 @@ impl Engine {
         })?;
         let mut partitions = Vec::with_capacity(reduce_tasks);
         let mut refetched = vec![false; results.len()];
-        for (part, tasks, fetch_metrics) in fetched {
+        for (part, tasks) in fetched {
             stats.map_output_records += part.len() as u64;
             stats.map_output_bytes += part.text_bytes();
             stats.map_output_encoded_bytes += part.encoded_bytes();
             stats.shuffle_partition_bytes.push(part.text_bytes());
-            stats.metrics.merge(&fetch_metrics);
             // At most one bucket per task is ever flipped, so a task is
             // refetched by at most one partition.
             for task in tasks {
@@ -905,20 +845,17 @@ impl Engine {
     /// (the offset riding with the bucket) that undoes the flip — and the
     /// refetched copy must verify, so a bucket that mismatches for any
     /// other reason fails the job with [`MrError::Corruption`]. Returns
-    /// the partition arena, the tasks whose bucket was refetched, and the
-    /// profiling histograms of the absorbed buckets.
+    /// the partition arena and the tasks whose bucket was refetched.
     fn fetch_partition(
         &self,
         job: &str,
         column: Vec<(SpillArena, Option<usize>)>,
-    ) -> Result<(SpillArena, Vec<usize>, crate::metrics::MetricsRegistry), MrError> {
-        use crate::metrics::name;
+    ) -> Result<(SpillArena, Vec<usize>), MrError> {
         let mut part = SpillArena::with_capacity(
             column.iter().map(|(b, _)| b.encoded_bytes() as usize).sum(),
             column.iter().map(|(b, _)| b.len()).sum(),
         );
         let mut refetched = Vec::new();
-        let mut metrics = crate::metrics::MetricsRegistry::new();
         for (task, (mut bucket, flip)) in column.into_iter().enumerate() {
             if self.verify_checksums && bucket.verify().is_err() {
                 if let Some(off) = flip {
@@ -932,18 +869,9 @@ impl Engine {
                 })?;
                 refetched.push(task);
             }
-            if self.profiling && !bucket.is_empty() {
-                for wire in bucket.record_wire_sizes() {
-                    metrics.record(name::RECORD_SHUFFLE_BYTES, wire);
-                }
-                // Map-side sort work: entries per sorted run. A pure
-                // function of the input split (never of worker count or
-                // fault draws), like every other profiling histogram.
-                metrics.record(name::SORT_MAP_RUN_ENTRIES, bucket.len() as u64);
-            }
             part.absorb_sorted(&bucket);
         }
-        Ok((part, refetched, metrics))
+        Ok((part, refetched))
     }
 
     /// Reduce phase over pre-partitioned shuffle data: each partition
@@ -970,14 +898,8 @@ impl Engine {
         let shared_budget = budget;
         let partitions: Vec<Mutex<SpillArena>> = partitions.into_iter().map(Mutex::new).collect();
         let results = self.parallel_over(&partitions, |cell| {
-            let ctx = TaskContext::with_env(broadcast.to_vec()).profiled(self.profiling);
+            let ctx = TaskContext::with_env(broadcast.to_vec());
             let mut guard = cell.lock();
-            // Reduce-side ordering work, recorded before it happens:
-            // entries to order and sorted runs available to merge — both
-            // pure functions of the input split, never of worker count
-            // or fault draws.
-            ctx.record(crate::metrics::name::SORT_REDUCE_ENTRIES, guard.len() as u64);
-            ctx.record(crate::metrics::name::SORT_MERGE_RUNS, guard.sorted_run_count() as u64);
             // The map side already sorted each absorbed bucket: stream
             // the canonical order out of a k-way run merge instead of
             // paying a second full sort.
@@ -992,7 +914,6 @@ impl Engine {
             for group in part.group_ranges() {
                 values.clear();
                 values.extend(group.clone().map(|t| part.value(t)));
-                ctx.record(crate::metrics::name::REDUCE_GROUP_WIDTH, group.len() as u64);
                 reducer.run(&ctx, part.key(group.start), &values, &mut out)?;
                 groups += 1;
             }
@@ -1014,9 +935,9 @@ impl Engine {
     /// 300 twelve-byte triples stay one. A pure function of the record
     /// byte lengths, never of the worker count — splits are the engine's
     /// "tasks", and everything accounted per task (fault draws via
-    /// `map_tasks_scheduled`, task spans, duration histograms, per-task
-    /// memory high-water marks) must be identical whether 1 or 8 threads
-    /// drain the split queue.
+    /// `map_tasks_scheduled`, task spans, per-task memory high-water
+    /// marks) must be identical whether 1 or 8 threads drain the split
+    /// queue.
     fn chunk(records: &[Vec<u8>]) -> Vec<&[Vec<u8>]> {
         let total: usize = records.iter().map(Vec::len).sum();
         let target = (total / 32).max(SPLIT_FLOOR_BYTES);
@@ -1384,77 +1305,51 @@ mod tests {
     }
 
     #[test]
-    fn profiling_fills_histograms_and_memory_marks() {
-        use crate::metrics::name;
-        let engine = word_count_engine(&["a", "b", "a", "c", "a", "b"]).with_profiling(true);
+    fn every_job_records_memory_marks() {
+        let engine = word_count_engine(&["a", "b", "a", "c", "a", "b"]);
         let stats = engine.run_job(&word_count_spec()).unwrap();
-        // The group-width, partition-byte and record-size histograms agree
-        // with the counters they distribute.
         stats.check_invariants().unwrap();
-        let widths = stats.metrics.get(name::REDUCE_GROUP_WIDTH).expect("group widths");
-        assert_eq!(widths.max(), 3); // "a" appears three times
-        assert!(stats.metrics.get(name::SHUFFLE_PARTITION_BYTES).is_some());
-        assert!(stats.metrics.get(name::RECORD_SHUFFLE_BYTES).is_some());
-        let map_t = stats.metrics.get(name::TASK_MAP_MICROS).expect("map task durations");
-        assert_eq!(map_t.count(), stats.faults.map_tasks_scheduled);
-        let red_t = stats.metrics.get(name::TASK_REDUCE_MICROS).expect("reduce task durations");
-        assert_eq!(red_t.count(), stats.reduce_tasks);
-        // Memory high-water marks are recorded even without profiling.
         assert!(stats.peak_arena_bytes > 0);
         assert!(stats.peak_task_live_bytes > 0);
         assert!(stats.peak_spill_entries > 0);
-
-        let engine = word_count_engine(&["a", "b"]);
-        let plain = engine.run_job(&word_count_spec()).unwrap();
-        assert!(plain.metrics.is_empty(), "no histograms unless profiling");
-        assert!(plain.peak_arena_bytes > 0);
     }
 
     #[test]
-    fn profile_deterministic_across_worker_counts_and_faults() {
+    fn memory_marks_deterministic_across_worker_counts_and_faults() {
         // > 4096 records so the input splits into multiple chunks — the
         // regime where worker-dependent chunking would skew per-task
-        // histograms and live-byte marks.
+        // live-byte marks.
         let words: Vec<String> = (0..6000).map(|i| format!("word{}", i % 37)).collect();
         let refs: Vec<&str> = words.iter().map(String::as_str).collect();
         let run = |workers: usize, faults: FaultConfig| {
-            let engine = word_count_engine(&refs)
-                .with_workers(workers)
-                .with_profiling(true)
-                .with_faults(faults);
-            let stats = engine.run_job(&word_count_spec()).unwrap();
-            format!("{stats:?}")
+            let engine = word_count_engine(&refs).with_workers(workers).with_faults(faults);
+            engine.run_job(&word_count_spec()).unwrap()
         };
-        let baseline = run(1, FaultConfig::none());
+        let baseline = format!("{:?}", run(1, FaultConfig::none()));
         for workers in [4, 8] {
-            assert_eq!(run(workers, FaultConfig::none()), baseline, "workers={workers}");
+            assert_eq!(format!("{:?}", run(workers, FaultConfig::none())), baseline);
         }
-        // Histograms and memory marks must also agree across worker counts
-        // under fault injection (fault draws are schedule-independent).
+        // Memory marks must also agree across worker counts under fault
+        // injection (fault draws are schedule-independent).
         let faulty = FaultConfig { task_failure_probability: 0.2, seed: 7, ..FaultConfig::none() };
-        let fault_base = run(1, faulty.clone());
+        let fault_base = format!("{:?}", run(1, faulty.clone()));
         for workers in [4, 8] {
-            assert_eq!(run(workers, faulty.clone()), fault_base, "faulty workers={workers}");
+            assert_eq!(format!("{:?}", run(workers, faulty.clone())), fault_base);
         }
-        // The duration histograms themselves are fault-regime-invariant:
-        // fault losses are priced into retry_seconds, not phase seconds.
-        let clean_metrics = {
-            let engine = word_count_engine(&refs).with_profiling(true);
-            engine.run_job(&word_count_spec()).unwrap().metrics
-        };
-        let faulty_metrics = {
-            let engine = word_count_engine(&refs).with_profiling(true).with_faults(faulty);
-            engine.run_job(&word_count_spec()).unwrap().metrics
-        };
-        assert_eq!(clean_metrics, faulty_metrics);
+        // The marks themselves are fault-regime-invariant: a retried task
+        // holds the same bytes as the attempt that failed.
+        let marks =
+            |s: JobStats| (s.peak_arena_bytes, s.peak_task_live_bytes, s.peak_spill_entries);
+        let faulted = run(4, FaultConfig::with_probability(0.3, 7));
+        assert!(faulted.task_retries > 0, "the regime must inject");
+        assert_eq!(marks(faulted), marks(run(4, FaultConfig::none())));
     }
 
     #[test]
-    fn trace_carries_memory_and_histogram_summaries() {
+    fn trace_carries_memory_high_water() {
         use crate::trace::MemorySink;
         let sink = MemorySink::new();
-        let engine =
-            word_count_engine(&["a", "b", "a"]).with_profiling(true).with_trace(sink.clone());
+        let engine = word_count_engine(&["a", "b", "a"]).with_trace(sink.clone());
         let stats = engine.run_job(&word_count_spec()).unwrap();
         let events = sink.events();
         assert!(events.iter().any(|e| matches!(
@@ -1462,10 +1357,6 @@ mod tests {
             TraceEvent::MemoryHighWater { peak_arena_bytes, .. }
                 if *peak_arena_bytes == stats.peak_arena_bytes
         )));
-        let summaries =
-            events.iter().filter(|e| matches!(e, TraceEvent::HistogramSummary { .. })).count();
-        assert_eq!(summaries, stats.metrics.iter().count());
-        assert!(summaries >= 4, "map/reduce durations, partition bytes, record sizes");
     }
 
     #[test]
@@ -1693,7 +1584,7 @@ mod tests {
             );
         }
         // The same mismatch at the injected offset is a recovered refetch.
-        let (part, refetched, _) =
+        let (part, refetched) =
             engine.fetch_partition("forged", vec![(forged(), Some(1))]).unwrap();
         assert_eq!(refetched, vec![0]);
         assert_eq!(part.iter().collect::<Vec<_>>(), vec![(&b"key"[..], &b"value"[..])]);

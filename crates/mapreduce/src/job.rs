@@ -10,7 +10,6 @@
 use crate::counters::OpCounters;
 use crate::error::MrError;
 use crate::hdfs::DfsFile;
-use crate::metrics::MetricsRegistry;
 use std::any::Any;
 use std::cell::{Ref, RefCell};
 use std::sync::Arc;
@@ -30,8 +29,6 @@ use std::sync::Arc;
 #[derive(Default)]
 pub struct TaskContext {
     counters: RefCell<OpCounters>,
-    metrics: RefCell<MetricsRegistry>,
-    profiling: bool,
     broadcast: Vec<Arc<DfsFile>>,
     state: RefCell<Option<Box<dyn Any + Send>>>,
 }
@@ -40,7 +37,6 @@ impl std::fmt::Debug for TaskContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TaskContext")
             .field("counters", &self.counters)
-            .field("profiling", &self.profiling)
             .field("broadcast_files", &self.broadcast.len())
             .field("has_state", &self.state.borrow().is_some())
             .finish()
@@ -58,19 +54,9 @@ impl TaskContext {
     pub fn with_env(broadcast: Vec<Arc<DfsFile>>) -> Self {
         TaskContext {
             counters: RefCell::new(OpCounters::new()),
-            metrics: RefCell::new(MetricsRegistry::new()),
-            profiling: false,
             broadcast,
             state: RefCell::new(None),
         }
-    }
-
-    /// Enable distribution-metric recording for this task (the engine sets
-    /// this from its profiling flag). When off — the default —
-    /// [`TaskContext::record`] is a no-op, so un-profiled runs pay nothing.
-    pub fn profiled(mut self, on: bool) -> Self {
-        self.profiling = on;
-        self
     }
 
     /// Broadcast side file `idx` (the order of [`JobSpec::with_broadcast`]),
@@ -126,26 +112,10 @@ impl TaskContext {
         self.counters.take()
     }
 
-    /// Record one sample into the named distribution metric (a log2
-    /// [`crate::Histogram`]). No-op unless the engine enabled profiling
-    /// for this task via [`TaskContext::profiled`], so operators can call
-    /// it unconditionally on hot paths.
-    pub fn record(&self, name: &'static str, value: u64) {
-        if self.profiling {
-            self.metrics.borrow_mut().record(name, value);
-        }
-    }
-
-    /// Drain this task's recorded distribution metrics (the engine merges
-    /// them into [`crate::JobStats::metrics`]).
-    pub fn take_metrics(&self) -> MetricsRegistry {
-        self.metrics.take()
-    }
-
-    /// Close the task: drain its counters and metrics into the one
-    /// [`TaskReport`] the engine absorbs into the job.
+    /// Close the task: drain its counters into the one [`TaskReport`] the
+    /// engine absorbs into the job.
     pub(crate) fn report(&self, live_bytes: u64) -> TaskReport {
-        TaskReport { ops: self.take_counters(), metrics: self.take_metrics(), live_bytes }
+        TaskReport { ops: self.take_counters(), live_bytes }
     }
 }
 
@@ -153,8 +123,6 @@ impl TaskContext {
 pub(crate) struct TaskReport {
     /// Operator counters the task recorded.
     pub(crate) ops: OpCounters,
-    /// Distribution metrics the task recorded (empty unless profiling).
-    pub(crate) metrics: MetricsRegistry,
     /// Peak bytes the task held live (spill arenas or buffered output).
     pub(crate) live_bytes: u64,
 }
@@ -533,22 +501,5 @@ mod tests {
             out.emit_raw(vec![0], 1000).unwrap();
         }
         assert_eq!(out.emitted_text, 100_000);
-    }
-
-    #[test]
-    fn record_is_gated_on_profiling() {
-        let off = TaskContext::new();
-        off.record("reduce.group.width", 7);
-        assert!(off.take_metrics().is_empty());
-
-        let on = TaskContext::new().profiled(true);
-        on.record("reduce.group.width", 7);
-        on.record("reduce.group.width", 3);
-        let metrics = on.take_metrics();
-        let h = metrics.get("reduce.group.width").expect("recorded histogram");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 10);
-        // take_metrics drains.
-        assert!(on.take_metrics().is_empty());
     }
 }

@@ -75,7 +75,6 @@ pub mod error;
 pub mod faults;
 pub mod hdfs;
 pub mod job;
-pub mod metrics;
 pub mod spill;
 pub mod trace;
 pub mod workflow;
@@ -96,7 +95,6 @@ pub use job::{
     InputBinding, JobKind, JobSpec, MapEmitter, OutEmitter, RawMapOnlyOp, RawMapOp, RawReduceOp,
     TaskContext,
 };
-pub use metrics::{Histogram, MetricsRegistry};
 pub use spill::SpillArena;
 pub use trace::{
     ChromeTraceSink, JsonlSink, MemorySink, MultiSink, TaskPhase, TraceEvent, TraceSink,

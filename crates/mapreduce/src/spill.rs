@@ -188,13 +188,6 @@ impl SpillArena {
         self.bytes.len() as u64 + (self.entries.len() * std::mem::size_of::<IndexEntry>()) as u64
     }
 
-    /// Encoded wire size (key + value bytes) of each record, in current
-    /// index order — the per-record sizes behind the
-    /// `record.shuffle.bytes` histogram.
-    pub(crate) fn record_wire_sizes(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|e| u64::from(e.key_len) + u64::from(e.val_len))
-    }
-
     /// Append one record: copy the already-encoded key, then let
     /// `encode_val` append the value bytes directly into the arena.
     pub fn push(&mut self, key: &[u8], text_size: u64, encode_val: impl FnOnce(&mut Vec<u8>)) {
@@ -837,25 +830,20 @@ mod tests {
     }
 
     #[test]
-    fn footprint_and_record_sizes_track_contents() {
+    fn footprint_tracks_contents() {
         let mut a = SpillArena::default();
         assert_eq!(a.footprint_bytes(), 0);
         a.push_pair(b"key1", b"value1", 99);
         a.push_pair(b"k", b"", 99);
         let entry = std::mem::size_of::<IndexEntry>() as u64;
         assert_eq!(a.footprint_bytes(), 11 + 2 * entry);
-        assert_eq!(a.record_wire_sizes().collect::<Vec<_>>(), vec![10, 1]);
         let mut b = SpillArena::default();
         b.push_pair(b"xy", b"z", 1);
         a.absorb(&b);
         assert_eq!(a.footprint_bytes(), 14 + 3 * entry);
-        // Sorting moves no bytes: the footprint is unchanged, and the
-        // per-record sizes are a permutation of the pre-sort sizes.
+        // Sorting moves no bytes: the footprint is unchanged.
         a.sort_unstable();
         assert_eq!(a.footprint_bytes(), 14 + 3 * entry);
-        let mut sizes: Vec<u64> = a.record_wire_sizes().collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1, 3, 10]);
     }
 
     #[test]

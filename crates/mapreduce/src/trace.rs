@@ -225,26 +225,6 @@ pub enum TraceEvent {
         /// Largest spill-arena record-index length (entries).
         peak_spill_entries: u64,
     },
-    /// Summary of one profiling histogram recorded by a job (full bucket
-    /// detail lives in [`crate::JobStats::metrics`]).
-    HistogramSummary {
-        /// Job name.
-        job: String,
-        /// Metric name (see [`crate::metrics::name`]).
-        metric: String,
-        /// Number of recorded values.
-        count: u64,
-        /// Sum of recorded values.
-        sum: u64,
-        /// Median (bucket upper bound, clamped to max).
-        p50: u64,
-        /// 95th percentile.
-        p95: u64,
-        /// 99th percentile.
-        p99: u64,
-        /// Largest recorded value.
-        max: u64,
-    },
     /// The shuffle sort work of one map-reduce job: how many
     /// map-side-sorted runs reached the reduce side, and how many index
     /// entries the reducers brought into canonical order. Work counts,
@@ -344,7 +324,6 @@ impl TraceEvent {
             TraceEvent::CardinalityEstimate { .. } => "cardinality_estimate",
             TraceEvent::ShufflePartition { .. } => "shuffle_partition",
             TraceEvent::MemoryHighWater { .. } => "memory_high_water",
-            TraceEvent::HistogramSummary { .. } => "histogram_summary",
             TraceEvent::SortPlan { .. } => "sort_plan",
             TraceEvent::JobEnd { .. } => "job_end",
             TraceEvent::JobSpan { .. } => "job_span",
@@ -436,16 +415,6 @@ impl TraceEvent {
                 o.u64("peak_task_live_bytes", *peak_task_live_bytes);
                 o.u64("peak_spill_entries", *peak_spill_entries);
             }
-            TraceEvent::HistogramSummary { job, metric, count, sum, p50, p95, p99, max } => {
-                o.str("job", job);
-                o.str("metric", metric);
-                o.u64("count", *count);
-                o.u64("sum", *sum);
-                o.u64("p50", *p50);
-                o.u64("p95", *p95);
-                o.u64("p99", *p99);
-                o.u64("max", *max);
-            }
             TraceEvent::SortPlan { job, map_sorted_runs, merge_entries } => {
                 o.str("job", job);
                 o.u64("map_sorted_runs", *map_sorted_runs);
@@ -535,7 +504,7 @@ fn escape_json_into(s: &str, out: &mut String) {
 
 /// Minimal incremental JSON-object writer: ordered keys, correct escaping,
 /// `null` for non-finite floats. Every JSON document the workspace writes
-/// — trace sinks, counters, histograms, profiles, report rows — is built
+/// — trace sinks, counters, profiles, report rows — is built
 /// from it and [`JsonObject::array`].
 #[derive(Default)]
 pub struct JsonObject {
@@ -759,8 +728,13 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
         }
         *pos > s
     };
+    let int_start = *pos;
     if !digits(b, pos) {
         return Err(format!("bad number at byte {start}"));
+    }
+    // RFC 8259 §6: the integer part is `0` or starts with a nonzero digit.
+    if b[int_start] == b'0' && *pos - int_start > 1 {
+        return Err(format!("leading zero in number at byte {start}"));
     }
     if b.get(*pos) == Some(&b'.') {
         *pos += 1;
@@ -1055,9 +1029,8 @@ impl TraceSink for ChromeTraceSink {
             | TraceEvent::Broadcast { .. }
             | TraceEvent::CardinalityEstimate { .. }
             | TraceEvent::MemoryHighWater { .. }
-            | TraceEvent::HistogramSummary { .. }
             | TraceEvent::SortPlan { .. } => {
-                // Per-partition/broadcast/estimate/profile/sort detail lives
+                // Per-partition/broadcast/estimate/memory/sort detail lives
                 // in the JSONL log; the timeline view keeps only spans and
                 // retries.
             }
@@ -1187,16 +1160,6 @@ mod tests {
                 peak_task_live_bytes: 2048,
                 peak_spill_entries: 128,
             },
-            TraceEvent::HistogramSummary {
-                job: "j1".into(),
-                metric: "task.map.micros".into(),
-                count: 4,
-                sum: 1000,
-                p50: 255,
-                p95: 511,
-                p99: 511,
-                max: 400,
-            },
             TraceEvent::SortPlan { job: "j1".into(), map_sorted_runs: 16, merge_entries: 4096 },
             TraceEvent::Broadcast { job: "j1".into(), files: 1, bytes: 640, ship_bytes: 2560 },
             TraceEvent::CardinalityEstimate {
@@ -1266,15 +1229,30 @@ mod tests {
             "null",
             "true",
             "-1.5e-7",
+            "0",
+            "-0",
+            "0.5",
+            "10",
             r#"{"a":[1,2,{"b":"c"}],"d":null}"#,
             "  [1, 2]  ",
             r#""ÿ""#,
         ] {
             validate_json(good).unwrap_or_else(|e| panic!("{good}: {e}"));
         }
-        for bad in
-            ["", "{", "[1,]", "{\"a\"}", "tru", "1.2.3", "\"unterminated", "[1] trailing", "01x"]
-        {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\"}",
+            "tru",
+            "1.2.3",
+            "\"unterminated",
+            "[1] trailing",
+            "01x",
+            "01",
+            "-01",
+            "[00]",
+        ] {
             assert!(validate_json(bad).is_err(), "accepted: {bad}");
         }
     }

@@ -466,7 +466,7 @@ mod reference {
 // Harness
 // ---------------------------------------------------------------------------
 
-/// What a job leaves behind: its stats (profile included), the output
+/// What a job leaves behind: its stats (operator counters included), the output
 /// file's records in order and its text size — or the error it died of.
 type Outcome = Result<(String, Vec<Vec<u8>>, u64), String>;
 
@@ -477,7 +477,7 @@ fn outcome(engine: &Engine, spec: &JobSpec) -> Outcome {
 }
 
 fn engine() -> Engine {
-    Engine::unbounded().with_workers(2).with_profiling(true)
+    Engine::unbounded().with_workers(2)
 }
 
 /// Collect one record a map kernel ships.

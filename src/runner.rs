@@ -143,10 +143,6 @@ pub struct ClusterConfig {
     /// Optional trace sink attached to every engine this config builds;
     /// `None` keeps tracing disabled (and free).
     pub trace: Option<Arc<dyn TraceSink>>,
-    /// Fill per-job histogram metrics (task durations, partition bytes,
-    /// record sizes, group widths) on every engine this config builds.
-    /// Off by default: the map-emit hot path stays allocation-free.
-    pub profiling: bool,
 }
 
 impl std::fmt::Debug for ClusterConfig {
@@ -160,7 +156,6 @@ impl std::fmt::Debug for ClusterConfig {
             .field("recovery", &self.recovery)
             .field("workers", &self.workers)
             .field("trace", &self.trace.as_ref().map(|_| "<sink>"))
-            .field("profiling", &self.profiling)
             .finish()
     }
 }
@@ -176,7 +171,6 @@ impl Default for ClusterConfig {
             recovery: RecoveryPolicy::FailFast,
             workers: None,
             trace: None,
-            profiling: false,
         }
     }
 }
@@ -193,8 +187,7 @@ impl ClusterConfig {
         let mut engine = Engine::new(SimHdfs::new(capacity, self.replication))
             .with_cost(self.cost.clone())
             .with_faults(self.faults.clone())
-            .with_recovery(self.recovery)
-            .with_profiling(self.profiling);
+            .with_recovery(self.recovery);
         if let Some(workers) = self.workers {
             engine = engine.with_workers(workers);
         }
@@ -217,12 +210,6 @@ impl ClusterConfig {
     /// Attach a trace sink to every engine built from this config.
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace = Some(sink);
-        self
-    }
-
-    /// Enable histogram profiling on every engine built from this config.
-    pub fn with_profiling(mut self, on: bool) -> Self {
-        self.profiling = on;
         self
     }
 
