@@ -171,12 +171,11 @@ fn main() {
     );
 
     rows.extend(policy_rows);
-    opts.write_profile(
-        &opts.cluster(base.clone()),
-        &store,
-        &[(query.id.clone(), query.query.clone())],
-    );
-    opts.finish(&rows);
+    let queries = [(query.id.clone(), query.query.clone())];
+    opts.finish(&opts.cluster(base.clone()), &store, &queries, &rows).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
 }
 
 /// The recovery-policy exhibit: rows with query id `policy`.

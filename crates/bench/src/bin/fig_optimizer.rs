@@ -156,8 +156,10 @@ fn main() {
         cost: mrsim::CostModel::scaled_to(bsbm.text_bytes()),
         ..Default::default()
     });
-    opts.write_profile(&cluster, &bsbm, &queries);
-    opts.finish(&rows);
+    opts.finish(&cluster, &bsbm, &queries, &rows).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
 }
 
 /// Broadcast-join determinism: plan once with an unbounded broadcast

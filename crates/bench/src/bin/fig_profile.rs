@@ -103,6 +103,8 @@ fn main() {
         "the EXPLAIN ANALYZE trees show the optimizer's est-vs-actual per operator",
         &rows,
     );
-    opts.write_profile(&cluster, &store, &queries);
-    opts.finish(&rows);
+    opts.finish(&cluster, &store, &queries, &rows).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
 }

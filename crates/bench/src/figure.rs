@@ -57,8 +57,13 @@ pub fn main(figure: fn(Scale) -> Figure) -> ExitCode {
     let run = figure.run(&opts);
     run.print();
     let first = &figure.panels[0];
-    opts.write_profile(&opts.cluster(first.cluster.clone()), &first.store, &first.queries);
-    opts.finish(&run.panels.iter().flat_map(|(rows, _)| rows.clone()).collect::<Vec<_>>());
+    let rows: Vec<_> = run.panels.iter().flat_map(|(rows, _)| rows.clone()).collect();
+    if let Err(e) =
+        opts.finish(&opts.cluster(first.cluster.clone()), &first.store, &first.queries, &rows)
+    {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let failed = run.verdicts().filter(|v| !v.holds()).inspect(|v| eprintln!("{}: {v}", figure.id));
     if failed.count() == 0 {
         ExitCode::SUCCESS

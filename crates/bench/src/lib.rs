@@ -99,50 +99,54 @@ impl BenchOpts {
         cluster
     }
 
-    /// Write the `--json` rows file (if requested) and flush the trace
-    /// sinks. Call once, after the figure's tables are printed.
-    pub fn finish(&self, rows: &[report::Row]) {
-        if let Some(path) = &self.json {
-            let payload = report::rows_json(rows);
-            if let Err(e) = std::fs::write(path, payload) {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            println!("wrote {} report rows to {}", rows.len(), path.display());
-        }
+    /// Write the flags' outputs, then finish the trace sinks: first the
+    /// `--profile` EXPLAIN ANALYZE of `queries` (each optimized under
+    /// `cluster`'s cost model, executed on a fresh engine and joined
+    /// plan-vs-actual; the annotated trees go to stdout, the JSON array to
+    /// the path), then the `--json` rows. The sinks are finished on every
+    /// path, so a failed write still leaves a complete trace; the error is
+    /// returned for the caller to exit on. Call once, after the figure's
+    /// tables are printed.
+    pub fn finish(
+        &self,
+        cluster: &ntga::ClusterConfig,
+        store: &TripleStore,
+        queries: &[(String, Query)],
+        rows: &[report::Row],
+    ) -> Result<(), String> {
+        let written =
+            self.write_profile(cluster, store, queries).and_then(|()| self.write_rows(rows));
         if let (Some(sink), Some(trace)) = (&self.sink, &self.trace) {
             sink.finish();
             let (trace, log) = (trace.display(), trace.with_extension("jsonl"));
             println!("wrote Chrome trace to {trace} and event log to {}", log.display());
         }
+        written
     }
 
-    /// Run EXPLAIN ANALYZE for the figure's queries and write the
-    /// `--profile` JSON array (if requested). Each query is optimized under
-    /// the cluster's cost model, executed on a fresh engine, and joined
-    /// plan-vs-actual; the annotated trees go to stdout and the stable JSON
-    /// documents to the `--profile` path. No-op without the flag. Call
-    /// once, after the figure's tables are printed.
-    pub fn write_profile(
+    fn write_profile(
         &self,
         cluster: &ntga::ClusterConfig,
         store: &TripleStore,
         queries: &[(String, Query)],
-    ) {
-        let Some(path) = &self.profile else { return };
-        let profiles = profile_queries(cluster, store, queries).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
+    ) -> Result<(), String> {
+        let Some(path) = &self.profile else { return Ok(()) };
+        let profiles = profile_queries(cluster, store, queries)?;
         for profile in &profiles {
             print!("{}", profile.render());
         }
         let payload = JsonObject::array(profiles.iter().map(ntga_core::Profile::to_json));
-        if let Err(e) = std::fs::write(path, payload) {
-            eprintln!("error: writing {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        std::fs::write(path, payload).map_err(|e| format!("writing {}: {e}", path.display()))?;
         println!("wrote {} EXPLAIN ANALYZE profiles to {}", profiles.len(), path.display());
+        Ok(())
+    }
+
+    fn write_rows(&self, rows: &[report::Row]) -> Result<(), String> {
+        let Some(path) = &self.json else { return Ok(()) };
+        std::fs::write(path, report::rows_json(rows))
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        println!("wrote {} report rows to {}", rows.len(), path.display());
+        Ok(())
     }
 }
 
@@ -360,7 +364,8 @@ mod tests {
         // The traced cluster config carries the sink.
         let cluster = opts.cluster(ntga::ClusterConfig::default());
         assert!(cluster.trace.is_some());
-        opts.finish(&[]);
+        let store = TripleStore::default();
+        opts.finish(&cluster, &store, &[], &[]).unwrap();
         assert_eq!(std::fs::read_to_string(&json).unwrap(), "[]");
         for p in [&json, &trace, &trace.with_extension("jsonl")] {
             let _ = std::fs::remove_file(p);
@@ -369,6 +374,40 @@ mod tests {
         assert!(BenchOpts::parse(["--trace".to_string()]).is_err());
         assert!(BenchOpts::parse(["--profile".to_string()]).is_err());
         assert!(BenchOpts::parse(["--bogus".to_string()]).is_err());
+    }
+
+    #[test]
+    fn a_failed_json_write_still_finishes_the_trace() {
+        let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(20));
+        let q =
+            rdf_query::parse_query("SELECT * WHERE { ?p <rdfs:label> ?l . ?p ?u ?x . }").unwrap();
+        let dir = std::env::temp_dir();
+        let trace = dir.join(format!("bench-failed-{}.trace.json", std::process::id()));
+        let json = dir.join(format!("bench-no-such-dir-{}", std::process::id())).join("rows.json");
+        let opts = BenchOpts::parse(
+            ["--trace", trace.to_str().unwrap(), "--json", json.to_str().unwrap()]
+                .map(String::from),
+        )
+        .unwrap();
+        let cluster = opts.cluster(ntga::ClusterConfig::default());
+        let run = Runner::Ntga(Strategy::LazyFull).run(&cluster, &store, &q, "traced").unwrap();
+        assert!(run.succeeded());
+        let err = opts.finish(&cluster, &store, &[], &[]).unwrap_err();
+        assert!(err.contains("rows.json"), "{err}");
+
+        let log = std::fs::read_to_string(trace.with_extension("jsonl")).unwrap();
+        for line in log.lines() {
+            mrsim::trace::validate_json(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+        let last = log.lines().last().unwrap();
+        assert!(last.starts_with(r#"{"event":"workflow_end","#), "{last}");
+        assert!(last.contains(r#"/traced","#), "{last}");
+        let chrome = std::fs::read_to_string(&trace).unwrap();
+        mrsim::trace::validate_json(&chrome).unwrap_or_else(|e| panic!("{e}\n{chrome}"));
+        assert!(chrome.contains(r#"/traced","ts":0"#), "the workflow span is in the file");
+        for p in [&trace, &trace.with_extension("jsonl")] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 
     #[test]
@@ -384,7 +423,7 @@ mod tests {
             BenchOpts::parse(["--profile", path.to_str().unwrap()].map(String::from)).unwrap();
         assert_eq!(opts.profile.as_deref(), Some(path.as_path()));
         let cluster = ntga::ClusterConfig::default();
-        opts.write_profile(&cluster, &store, &queries);
+        opts.finish(&cluster, &store, &queries, &[]).unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         mrsim::trace::validate_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
@@ -392,9 +431,9 @@ mod tests {
         assert!(json.contains("TG_GroupFilter"), "{json}");
         assert!(json.contains("\"reconciliation\":"), "{json}");
 
-        // Without the flag, write_profile is a no-op.
+        // Without the flag, no profile is run or written.
         let opts = BenchOpts::parse(Vec::new()).unwrap();
-        opts.write_profile(&cluster, &store, &queries);
+        opts.finish(&cluster, &store, &queries, &[]).unwrap();
         assert!(!path.exists());
 
         // The library entry point returns the same profiles directly.

@@ -24,7 +24,7 @@
 //! An optimized plan carries [`PlanEstimates`]; the driver attaches them to
 //! its jobs ([`mrsim::JobSpec::with_estimated_output`]), so executed plans
 //! report per-job q-error through [`mrsim::JobStats::q_error`] and the
-//! trace's `cardinality_estimate` events — the feedback signal that tells
+//! `q_error` on the trace's `job_end` events — the feedback signal that tells
 //! you when the estimator, not the executor, is the problem.
 
 use crate::physical::{role_of, BuildSide, JoinRole, UnnestMode};

@@ -132,7 +132,7 @@ impl FaultStats {
 }
 
 /// Counters for one MapReduce job.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobStats {
     /// Job name (for reports).
     pub name: String,

@@ -352,6 +352,7 @@ impl Engine {
                     phase,
                     task: i as u64,
                     slowdown: f.straggler_slowdown,
+                    backup_won: backup.then_some(won),
                 });
                 if backup {
                     match phase {
@@ -361,12 +362,6 @@ impl Engine {
                     if won {
                         stats.faults.speculative_wins += 1;
                     }
-                    self.emit(|| TraceEvent::SpeculativeTask {
-                        job: job.clone(),
-                        phase,
-                        task: i as u64,
-                        backup_won: won,
-                    });
                 }
             }
         }
@@ -492,14 +487,6 @@ impl Engine {
         // node; the cost model is cluster-aggregate, so per-task is the
         // conservative charge). map_tasks is final once the phase ran.
         stats.broadcast_ship_bytes = stats.broadcast_bytes * stats.map_tasks;
-        if stats.broadcast_files > 0 {
-            self.emit(|| TraceEvent::Broadcast {
-                job: spec.name.clone(),
-                files: stats.broadcast_files,
-                bytes: stats.broadcast_bytes,
-                ship_bytes: stats.broadcast_ship_bytes,
-            });
-        }
 
         for output in &outputs {
             stats.output_records += output.records.len() as u64;
@@ -522,15 +509,6 @@ impl Engine {
         }
 
         stats.estimated_output_records = spec.estimated_output_records;
-        if let Some(est) = spec.estimated_output_records {
-            let q = stats.q_error().unwrap_or(1.0);
-            self.emit(|| TraceEvent::CardinalityEstimate {
-                job: spec.name.clone(),
-                estimated: est,
-                actual: stats.output_records,
-                q_error: q,
-            });
-        }
         stats.startup_seconds = self.cost.job_startup_s;
         stats.retry_seconds = self.cost.retry_seconds(&stats);
         stats.sim_seconds = self.cost.job_seconds(&stats);
@@ -540,9 +518,9 @@ impl Engine {
         Ok(stats)
     }
 
-    /// Emit the per-task spans, per-partition shuffle records, and closing
-    /// `JobEnd` for a completed job. Task spans are laid end-to-end inside
-    /// each phase (the cost model charges aggregate cluster bandwidth, so a
+    /// Emit the per-task spans and closing `JobEnd` for a completed job.
+    /// Task spans are laid end-to-end inside each phase (the cost model
+    /// charges aggregate cluster bandwidth, so a
     /// phase's tasks share one lane), each as long as its [`share_seconds`]
     /// of the phase.
     fn emit_job_trace(&self, stats: &JobStats, scratch: &TraceScratch) {
@@ -569,31 +547,7 @@ impl Engine {
             self.cost.reduce_phase_seconds(stats),
             stats.startup_seconds + map_seconds,
         );
-        for (p, &(records, bytes)) in scratch.reduce_tasks.iter().enumerate() {
-            self.emit(|| TraceEvent::ShufflePartition {
-                job: stats.name.clone(),
-                partition: p as u64,
-                records,
-                bytes,
-            });
-        }
-        self.emit(|| TraceEvent::MemoryHighWater {
-            job: stats.name.clone(),
-            peak_arena_bytes: stats.peak_arena_bytes,
-            peak_task_live_bytes: stats.peak_task_live_bytes,
-            peak_spill_entries: stats.peak_spill_entries,
-        });
-        self.emit(|| TraceEvent::JobEnd {
-            job: stats.name.clone(),
-            sim_seconds: stats.sim_seconds,
-            startup_seconds: stats.startup_seconds,
-            hdfs_read_bytes: stats.hdfs_read_bytes,
-            hdfs_write_bytes: stats.hdfs_write_bytes,
-            shuffle_bytes: stats.shuffle_bytes(),
-            task_retries: stats.task_retries,
-            retry_seconds: stats.retry_seconds,
-            ops: stats.ops.clone(),
-        });
+        self.emit(|| TraceEvent::JobEnd { stats: Box::new(stats.clone()) });
     }
 
     /// Read one input file and account its bytes/records.
@@ -625,13 +579,11 @@ impl Engine {
                 if bad.verify().is_err() {
                     stats.faults.corruptions_detected += 1;
                     stats.faults.dfs_refetches += 1;
-                    let job = stats.name.clone();
                     self.emit(|| TraceEvent::CorruptionDetected {
-                        job: job.clone(),
+                        job: stats.name.clone(),
                         site: "dfs",
                         task: 0,
                     });
-                    self.emit(|| TraceEvent::Refetch { job: job.clone(), site: "dfs", task: 0 });
                 }
             }
         }
@@ -823,7 +775,6 @@ impl Engine {
                     site: "shuffle",
                     task,
                 });
-                self.emit(|| TraceEvent::Refetch { job: job.clone(), site: "shuffle", task });
             }
         }
         // Arenas only grow, so the post-merge footprint of each reduce
@@ -1009,6 +960,20 @@ mod tests {
     fn word_count_spec() -> JobSpec {
         let words = InputBinding { file: "input".into(), mapper: Arc::new(WordOne) };
         JobSpec::map_reduce("wordcount", vec![words], Arc::new(CountReduce), 3, "out")
+    }
+
+    /// The stats carried by the one `JobEnd` a single traced job emits.
+    fn job_end_stats(sink: &crate::trace::MemorySink) -> JobStats {
+        let ends: Vec<JobStats> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::JobEnd { stats } => Some(*stats),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ends.len(), 1, "one job, one job_end");
+        ends.into_iter().next().unwrap()
     }
 
     #[test]
@@ -1265,12 +1230,8 @@ mod tests {
         // q-error: estimated 6 vs actual 3 -> 2.0.
         assert_eq!(stats.estimated_output_records, Some(6.0));
         assert!((stats.q_error().unwrap() - 2.0).abs() < 1e-9);
-        // Both facts are visible as trace events.
-        let events = sink.events();
-        assert!(events.iter().any(|e| matches!(e, TraceEvent::Broadcast { files: 1, .. })));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::CardinalityEstimate { actual: 3, .. })));
+        // Both facts reach the trace on the job's `JobEnd`.
+        assert_eq!(job_end_stats(&sink), stats);
     }
 
     #[test]
@@ -1346,17 +1307,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_carries_memory_high_water() {
+    fn job_end_carries_the_memory_marks() {
         use crate::trace::MemorySink;
         let sink = MemorySink::new();
         let engine = word_count_engine(&["a", "b", "a"]).with_trace(sink.clone());
         let stats = engine.run_job(&word_count_spec()).unwrap();
-        let events = sink.events();
-        assert!(events.iter().any(|e| matches!(
-            e,
-            TraceEvent::MemoryHighWater { peak_arena_bytes, .. }
-                if *peak_arena_bytes == stats.peak_arena_bytes
-        )));
+        let traced = job_end_stats(&sink);
+        assert!(traced.peak_arena_bytes > 0);
+        assert_eq!(traced, stats);
     }
 
     #[test]
@@ -1384,12 +1342,10 @@ mod tests {
             if stats.faults.corruptions_detected > 0 {
                 assert!(stats.retry_seconds > 0.0, "refetches must be priced");
                 let events = sink.events();
-                assert!(events
-                    .iter()
-                    .any(|e| matches!(e, TraceEvent::CorruptionDetected { site: "shuffle", .. })));
-                assert!(events
-                    .iter()
-                    .any(|e| matches!(e, TraceEvent::Refetch { site: "shuffle", .. })));
+                let detected = events.iter().filter(|e| {
+                    matches!(e, TraceEvent::CorruptionDetected { site: "shuffle", .. })
+                });
+                assert_eq!(detected.count() as u64, job_end_stats(&sink).faults.corrupt_refetches);
                 hit = Some(seed);
                 break;
             }
@@ -1455,10 +1411,10 @@ mod tests {
         out.sort_unstable();
         assert_eq!(out, vec!["a:2", "b:1", "c:1"]);
         let events = sink.events();
-        assert!(events
+        let detected = events
             .iter()
-            .any(|e| matches!(e, TraceEvent::CorruptionDetected { site: "dfs", .. })));
-        assert!(events.iter().any(|e| matches!(e, TraceEvent::Refetch { site: "dfs", .. })));
+            .filter(|e| matches!(e, TraceEvent::CorruptionDetected { site: "dfs", .. }));
+        assert_eq!(detected.count() as u64, job_end_stats(&sink).faults.dfs_refetches);
 
         // With verification off the corrupted block flows into the job.
         let engine =

@@ -3,7 +3,7 @@
 //!
 //! The paper's whole evaluation is an observability exercise — every figure
 //! is a function of MR cycles, HDFS/shuffle bytes, and where redundancy is
-//! paid. End-of-run aggregates ([`crate::JobStats`]/[`crate::WorkflowStats`])
+//! paid. End-of-run aggregates ([`JobStats`]/[`crate::WorkflowStats`])
 //! answer *how much*; tracing answers *where*: which job inflated the
 //! shuffle, how tasks were laid out on the cost model's timeline, which
 //! task attempts were wasted on injected faults.
@@ -13,15 +13,21 @@
 //! An [`Engine`](crate::Engine) with an attached [`TraceSink`] emits
 //! [`TraceEvent`]s as it executes:
 //!
-//! * per job: [`TraceEvent::JobStart`], per-task [`TraceEvent::TaskSpan`]s
+//! * per job: [`TraceEvent::JobStart`], the injected faults
+//!   ([`TraceEvent::TaskRetry`], [`TraceEvent::NodeLoss`],
+//!   [`TraceEvent::Straggler`], [`TraceEvent::CorruptionDetected`]), the
+//!   shuffle's [`TraceEvent::SortPlan`], per-task [`TraceEvent::TaskSpan`]s
 //!   (simulated start/duration derived from the cost model's phase times,
-//!   apportioned by per-task bytes), [`TraceEvent::TaskRetry`] for wasted
-//!   fault-injected attempts, [`TraceEvent::ShufflePartition`] records, and
-//!   a closing [`TraceEvent::JobEnd`] carrying the job's counters;
+//!   apportioned by per-task bytes; a reduce task's span carries its
+//!   partition's shuffle records and bytes), and a closing
+//!   [`TraceEvent::JobEnd`] carrying the job's [`JobStats`];
 //! * per workflow: [`TraceEvent::WorkflowStart`]/[`TraceEvent::WorkflowEnd`]
 //!   plus [`TraceEvent::StageStart`]/[`TraceEvent::JobSpan`]/
 //!   [`TraceEvent::StageEnd`] placing every job on the *absolute* simulated
 //!   timeline (task spans inside a job are relative to the job's start).
+//!
+//! Each event states only facts no other event states: a per-job counter
+//! appears once, as a [`JobStats`] field on `JobEnd`.
 //!
 //! Tracing is strictly opt-in: without a sink the engine emits nothing and
 //! constructs no events (the closure passed to the internal emit hook never
@@ -37,7 +43,7 @@
 //!   in simulated microseconds;
 //! * [`MultiSink`] fans out to several sinks.
 
-use crate::counters::OpCounters;
+use crate::counters::JobStats;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::File;
@@ -143,20 +149,14 @@ pub enum TraceEvent {
         task: u64,
         /// Injected slowdown factor.
         slowdown: f64,
-    },
-    /// A speculative backup attempt was launched for a straggler.
-    SpeculativeTask {
-        /// Job name.
-        job: String,
-        /// Map or reduce.
-        phase: TaskPhase,
-        /// Task index within the phase.
-        task: u64,
-        /// True if the backup finished before the original attempt.
-        backup_won: bool,
+        /// `None` when no speculative backup was launched; else whether
+        /// the backup finished before the original attempt.
+        backup_won: Option<bool>,
     },
     /// The verified data plane caught a checksum mismatch — a corrupt
-    /// shuffle bucket at reducer fetch, or a corrupt DFS block at read.
+    /// shuffle bucket at reducer fetch, or a corrupt DFS block at read —
+    /// and recovered the clean copy: the producing map task re-executed
+    /// (fetch-failure semantics) or the DFS block re-read from a replica.
     CorruptionDetected {
         /// Job name.
         job: String,
@@ -164,66 +164,6 @@ pub enum TraceEvent {
         site: &'static str,
         /// Producing map-task index (shuffle) or block index (dfs).
         task: u64,
-    },
-    /// Recovery from a detected corruption: the producing map task was
-    /// re-executed (fetch-failure semantics) or the DFS block re-read
-    /// from a replica. Always paired with a
-    /// [`TraceEvent::CorruptionDetected`].
-    Refetch {
-        /// Job name.
-        job: String,
-        /// Where the refetch happened (`"shuffle"` or `"dfs"`).
-        site: &'static str,
-        /// Producing map-task index (shuffle) or block index (dfs).
-        task: u64,
-    },
-    /// A job's broadcast side files were distributed to its map tasks
-    /// through the simulated distributed cache.
-    Broadcast {
-        /// Job name.
-        job: String,
-        /// Number of broadcast side files.
-        files: u64,
-        /// Total text bytes of the payload (one copy).
-        bytes: u64,
-        /// Bytes moved to distribute it (one copy per map task).
-        ship_bytes: u64,
-    },
-    /// The planner's estimated output cardinality for a job against what
-    /// the job actually produced — the per-job q-error feedback loop.
-    CardinalityEstimate {
-        /// Job name.
-        job: String,
-        /// Estimated output records.
-        estimated: f64,
-        /// Actual output records.
-        actual: u64,
-        /// `max(est/actual, actual/est)`, both clamped to ≥ 1.
-        q_error: f64,
-    },
-    /// Shuffle bytes/records routed to one reduce partition.
-    ShufflePartition {
-        /// Job name.
-        job: String,
-        /// Reduce partition index.
-        partition: u64,
-        /// Shuffle records routed to this partition.
-        records: u64,
-        /// Shuffle bytes routed to this partition.
-        bytes: u64,
-    },
-    /// A job's memory high-water marks (see the matching
-    /// [`crate::JobStats`] fields).
-    MemoryHighWater {
-        /// Job name.
-        job: String,
-        /// Largest merged reduce-partition spill-arena footprint in bytes.
-        peak_arena_bytes: u64,
-        /// Largest per-task live byte footprint (map emitter buffers or a
-        /// reduce partition).
-        peak_task_live_bytes: u64,
-        /// Largest spill-arena record-index length (entries).
-        peak_spill_entries: u64,
     },
     /// The shuffle sort work of one map-reduce job: how many
     /// map-side-sorted runs reached the reduce side, and how many index
@@ -238,27 +178,11 @@ pub enum TraceEvent {
         /// Index entries the reduce side merged into canonical order.
         merge_entries: u64,
     },
-    /// A job finished; carries its headline counters.
+    /// A job finished; carries its [`JobStats`], the one statement of
+    /// every per-job counter (memory marks, broadcast, planner estimate).
     JobEnd {
-        /// Job name.
-        job: String,
-        /// Simulated seconds for the job run in isolation (startup + work).
-        sim_seconds: f64,
-        /// Fixed startup portion of `sim_seconds`.
-        startup_seconds: f64,
-        /// HDFS bytes read.
-        hdfs_read_bytes: u64,
-        /// HDFS bytes written (× replication).
-        hdfs_write_bytes: u64,
-        /// Shuffle bytes (0 for map-only jobs).
-        shuffle_bytes: u64,
-        /// Wasted task attempts from injected faults.
-        task_retries: u64,
-        /// Simulated seconds lost to faults (wasted attempts, re-executed
-        /// maps, speculative duplicates); included in `sim_seconds`.
-        retry_seconds: f64,
-        /// Operator-level counters recorded by the job's operators.
-        ops: OpCounters,
+        /// The finished job's counters.
+        stats: Box<JobStats>,
     },
     /// A job's placement on the workflow's *absolute* simulated timeline:
     /// `sim_end − sim_start − startup_seconds` is the job's work time, and
@@ -317,13 +241,7 @@ impl TraceEvent {
             TraceEvent::TaskRetry { .. } => "task_retry",
             TraceEvent::NodeLoss { .. } => "node_loss",
             TraceEvent::Straggler { .. } => "straggler",
-            TraceEvent::SpeculativeTask { .. } => "speculative_task",
             TraceEvent::CorruptionDetected { .. } => "corruption_detected",
-            TraceEvent::Refetch { .. } => "refetch",
-            TraceEvent::Broadcast { .. } => "broadcast",
-            TraceEvent::CardinalityEstimate { .. } => "cardinality_estimate",
-            TraceEvent::ShufflePartition { .. } => "shuffle_partition",
-            TraceEvent::MemoryHighWater { .. } => "memory_high_water",
             TraceEvent::SortPlan { .. } => "sort_plan",
             TraceEvent::JobEnd { .. } => "job_end",
             TraceEvent::JobSpan { .. } => "job_span",
@@ -368,78 +286,45 @@ impl TraceEvent {
                 o.u64("node", *node);
                 o.u64("maps_lost", *maps_lost);
             }
-            TraceEvent::Straggler { job, phase, task, slowdown } => {
+            TraceEvent::Straggler { job, phase, task, slowdown, backup_won } => {
                 o.str("job", job);
                 o.str("phase", phase.as_str());
                 o.u64("task", *task);
                 o.f64("slowdown", *slowdown);
+                match backup_won {
+                    Some(won) => o.bool("backup_won", *won),
+                    None => o.raw("backup_won", "null"),
+                }
             }
-            TraceEvent::SpeculativeTask { job, phase, task, backup_won } => {
-                o.str("job", job);
-                o.str("phase", phase.as_str());
-                o.u64("task", *task);
-                o.bool("backup_won", *backup_won);
-            }
-            TraceEvent::CorruptionDetected { job, site, task }
-            | TraceEvent::Refetch { job, site, task } => {
+            TraceEvent::CorruptionDetected { job, site, task } => {
                 o.str("job", job);
                 o.str("site", site);
                 o.u64("task", *task);
-            }
-            TraceEvent::Broadcast { job, files, bytes, ship_bytes } => {
-                o.str("job", job);
-                o.u64("files", *files);
-                o.u64("bytes", *bytes);
-                o.u64("ship_bytes", *ship_bytes);
-            }
-            TraceEvent::CardinalityEstimate { job, estimated, actual, q_error } => {
-                o.str("job", job);
-                o.f64("estimated", *estimated);
-                o.u64("actual", *actual);
-                o.f64("q_error", *q_error);
-            }
-            TraceEvent::ShufflePartition { job, partition, records, bytes } => {
-                o.str("job", job);
-                o.u64("partition", *partition);
-                o.u64("records", *records);
-                o.u64("bytes", *bytes);
-            }
-            TraceEvent::MemoryHighWater {
-                job,
-                peak_arena_bytes,
-                peak_task_live_bytes,
-                peak_spill_entries,
-            } => {
-                o.str("job", job);
-                o.u64("peak_arena_bytes", *peak_arena_bytes);
-                o.u64("peak_task_live_bytes", *peak_task_live_bytes);
-                o.u64("peak_spill_entries", *peak_spill_entries);
             }
             TraceEvent::SortPlan { job, map_sorted_runs, merge_entries } => {
                 o.str("job", job);
                 o.u64("map_sorted_runs", *map_sorted_runs);
                 o.u64("merge_entries", *merge_entries);
             }
-            TraceEvent::JobEnd {
-                job,
-                sim_seconds,
-                startup_seconds,
-                hdfs_read_bytes,
-                hdfs_write_bytes,
-                shuffle_bytes,
-                task_retries,
-                retry_seconds,
-                ops,
-            } => {
-                o.str("job", job);
-                o.f64("sim_seconds", *sim_seconds);
-                o.f64("startup_seconds", *startup_seconds);
-                o.u64("hdfs_read_bytes", *hdfs_read_bytes);
-                o.u64("hdfs_write_bytes", *hdfs_write_bytes);
-                o.u64("shuffle_bytes", *shuffle_bytes);
-                o.u64("task_retries", *task_retries);
-                o.f64("retry_seconds", *retry_seconds);
-                o.raw("ops", &ops.to_json());
+            TraceEvent::JobEnd { stats } => {
+                o.str("job", &stats.name);
+                o.f64("sim_seconds", stats.sim_seconds);
+                o.f64("startup_seconds", stats.startup_seconds);
+                o.u64("hdfs_read_bytes", stats.hdfs_read_bytes);
+                o.u64("hdfs_write_bytes", stats.hdfs_write_bytes);
+                o.u64("shuffle_bytes", stats.shuffle_bytes());
+                o.u64("task_retries", stats.task_retries);
+                o.f64("retry_seconds", stats.retry_seconds);
+                o.u64("output_records", stats.output_records);
+                o.opt_f64("estimated_output_records", stats.estimated_output_records);
+                o.opt_f64("q_error", stats.q_error());
+                o.u64("broadcast_files", stats.broadcast_files);
+                o.u64("broadcast_bytes", stats.broadcast_bytes);
+                o.u64("broadcast_ship_bytes", stats.broadcast_ship_bytes);
+                o.u64("peak_arena_bytes", stats.peak_arena_bytes);
+                o.u64("peak_task_live_bytes", stats.peak_task_live_bytes);
+                o.u64("peak_spill_entries", stats.peak_spill_entries);
+                o.raw("ops", &stats.ops.to_json());
             }
             TraceEvent::JobSpan { job, stage, sim_start, sim_end, startup_seconds } => {
                 o.str("job", job);
@@ -827,9 +712,6 @@ struct ChromeState {
     next_pid: u64,
     /// Absolute simulated offset applied to job-relative task spans.
     base: f64,
-    /// True between `StageStart` and `StageEnd`: job bars then come from
-    /// `JobSpan` (absolute placement) rather than `JobEnd`.
-    stage_active: bool,
     /// Task lane (Chrome thread id) per job name.
     lanes: HashMap<String, u64>,
     next_tid: u64,
@@ -843,7 +725,6 @@ impl ChromeState {
             pid: 1,
             next_pid: 2,
             base: 0.0,
-            stage_active: false,
             lanes: HashMap::new(),
             next_tid: FIRST_TASK_LANE,
             wrote: false,
@@ -954,21 +835,14 @@ impl TraceSink for ChromeTraceSink {
                 state.pid = state.next_pid;
                 state.next_pid += 1;
                 state.base = 0.0;
-                state.stage_active = false;
                 state.lanes.clear();
                 state.next_tid = FIRST_TASK_LANE;
                 Self::meta(state, None, "process_name", label);
                 Self::meta(state, Some(WORKFLOW_LANE), "thread_name", "workflow");
                 Self::meta(state, Some(JOB_LANE), "thread_name", "jobs");
             }
-            TraceEvent::StageStart { sim_start, .. } => {
-                state.base = *sim_start;
-                state.stage_active = true;
-            }
-            TraceEvent::StageEnd { sim_end, .. } => {
-                state.base = *sim_end;
-                state.stage_active = false;
-            }
+            TraceEvent::StageStart { sim_start: base, .. }
+            | TraceEvent::StageEnd { sim_end: base, .. } => state.base = *base,
             TraceEvent::JobStart { job } => {
                 Self::task_lane(state, job);
             }
@@ -993,22 +867,17 @@ impl TraceSink for ChromeTraceSink {
                 args.u64("maps_lost", *maps_lost);
                 Self::instant(state, tid, &format!("node {node} lost"), args);
             }
-            TraceEvent::Straggler { job, phase, task, slowdown } => {
+            TraceEvent::Straggler { job, phase, task, slowdown, backup_won } => {
                 let tid = Self::task_lane(state, job);
                 let mut args = JsonObject::new();
                 args.f64("slowdown", *slowdown);
                 Self::instant(state, tid, &format!("straggler {} {}", phase.as_str(), task), args);
-            }
-            TraceEvent::SpeculativeTask { job, phase, task, backup_won } => {
-                let tid = Self::task_lane(state, job);
-                let mut args = JsonObject::new();
-                args.bool("backup_won", *backup_won);
-                Self::instant(
-                    state,
-                    tid,
-                    &format!("speculative {} {}", phase.as_str(), task),
-                    args,
-                );
+                if let Some(won) = backup_won {
+                    let mut args = JsonObject::new();
+                    args.bool("backup_won", *won);
+                    let name = format!("speculative {} {}", phase.as_str(), task);
+                    Self::instant(state, tid, &name, args);
+                }
             }
             TraceEvent::StageRetry { stage, attempt, backoff_seconds, error } => {
                 let mut args = JsonObject::new();
@@ -1020,32 +889,12 @@ impl TraceSink for ChromeTraceSink {
             TraceEvent::CorruptionDetected { job, site, task } => {
                 let tid = Self::task_lane(state, job);
                 Self::instant(state, tid, &format!("corrupt {site} {task}"), JsonObject::new());
-            }
-            TraceEvent::Refetch { job, site, task } => {
-                let tid = Self::task_lane(state, job);
                 Self::instant(state, tid, &format!("refetch {site} {task}"), JsonObject::new());
             }
-            TraceEvent::ShufflePartition { .. }
-            | TraceEvent::Broadcast { .. }
-            | TraceEvent::CardinalityEstimate { .. }
-            | TraceEvent::MemoryHighWater { .. }
-            | TraceEvent::SortPlan { .. } => {
-                // Per-partition/broadcast/estimate/memory/sort detail lives
-                // in the JSONL log; the timeline view keeps only spans and
-                // retries.
-            }
-            TraceEvent::JobEnd { job, sim_seconds, startup_seconds, task_retries, ops, .. } => {
-                if !state.stage_active {
-                    // Engine-only run (no workflow placing jobs): lay jobs
-                    // end-to-end on the job lane.
-                    let mut args = JsonObject::new();
-                    args.f64("startup_seconds", *startup_seconds);
-                    args.u64("task_retries", *task_retries);
-                    args.raw("ops", &ops.to_json());
-                    let base = state.base;
-                    Self::span(state, JOB_LANE, job, base, *sim_seconds, args);
-                    state.base += *sim_seconds;
-                }
+            TraceEvent::SortPlan { .. } | TraceEvent::JobEnd { .. } => {
+                // Sort work and job counters live in the JSONL log; the
+                // timeline view keeps spans and fault instants, and a job's
+                // bar comes from its `JobSpan`.
             }
             TraceEvent::JobSpan { job, sim_start, sim_end, startup_seconds, .. } => {
                 let mut args = JsonObject::new();
@@ -1109,10 +958,48 @@ impl TraceSink for MultiSink {
 mod tests {
     use super::*;
 
-    #[test]
-    fn events_serialize_to_valid_json() {
+    use crate::counters::OpCounters;
+
+    /// A finished job's counters, by hand: every field `job_end` renders
+    /// set to a distinct value.
+    fn job_stats(estimate: Option<f64>) -> Box<JobStats> {
         let mut ops = OpCounters::new();
         ops.add("tg.unnest.out", 12);
+        Box::new(JobStats {
+            name: "j1".into(),
+            hdfs_read_bytes: 1,
+            hdfs_write_bytes: 2,
+            map_output_bytes: 3,
+            reduce_tasks: 1,
+            task_retries: 2,
+            retry_seconds: 1.25,
+            sim_seconds: 40.0,
+            startup_seconds: 15.0,
+            output_records: 10,
+            estimated_output_records: estimate,
+            broadcast_files: 1,
+            broadcast_bytes: 640,
+            broadcast_ship_bytes: 2560,
+            peak_arena_bytes: 4096,
+            peak_task_live_bytes: 2048,
+            peak_spill_entries: 128,
+            ops,
+            ..JobStats::default()
+        })
+    }
+
+    fn straggler(backup_won: Option<bool>) -> TraceEvent {
+        TraceEvent::Straggler {
+            job: "j1".into(),
+            phase: TaskPhase::Map,
+            task: 1,
+            slowdown: 6.0,
+            backup_won,
+        }
+    }
+
+    #[test]
+    fn events_serialize_to_valid_json() {
         let events = vec![
             TraceEvent::WorkflowStart { label: "NTGA/\"C4\"\n".into() },
             TraceEvent::StageStart { stage: 0, sim_start: 0.0 },
@@ -1133,18 +1020,7 @@ mod tests {
                 wasted_attempts: 2,
             },
             TraceEvent::NodeLoss { job: "j1".into(), node: 2, maps_lost: 5 },
-            TraceEvent::Straggler {
-                job: "j1".into(),
-                phase: TaskPhase::Map,
-                task: 1,
-                slowdown: 6.0,
-            },
-            TraceEvent::SpeculativeTask {
-                job: "j1".into(),
-                phase: TaskPhase::Map,
-                task: 1,
-                backup_won: true,
-            },
+            straggler(Some(true)),
             TraceEvent::StageRetry {
                 stage: 0,
                 attempt: 1,
@@ -1152,33 +1028,8 @@ mod tests {
                 error: "disk \"full\"".into(),
             },
             TraceEvent::CorruptionDetected { job: "j1".into(), site: "shuffle", task: 4 },
-            TraceEvent::Refetch { job: "j1".into(), site: "dfs", task: 0 },
-            TraceEvent::ShufflePartition { job: "j1".into(), partition: 1, records: 7, bytes: 99 },
-            TraceEvent::MemoryHighWater {
-                job: "j1".into(),
-                peak_arena_bytes: 4096,
-                peak_task_live_bytes: 2048,
-                peak_spill_entries: 128,
-            },
             TraceEvent::SortPlan { job: "j1".into(), map_sorted_runs: 16, merge_entries: 4096 },
-            TraceEvent::Broadcast { job: "j1".into(), files: 1, bytes: 640, ship_bytes: 2560 },
-            TraceEvent::CardinalityEstimate {
-                job: "j1".into(),
-                estimated: 12.5,
-                actual: 10,
-                q_error: 1.25,
-            },
-            TraceEvent::JobEnd {
-                job: "j1".into(),
-                sim_seconds: 40.0,
-                startup_seconds: 15.0,
-                hdfs_read_bytes: 1,
-                hdfs_write_bytes: 2,
-                shuffle_bytes: 3,
-                task_retries: 2,
-                retry_seconds: 1.25,
-                ops,
-            },
+            TraceEvent::JobEnd { stats: job_stats(Some(12.5)) },
             TraceEvent::JobSpan {
                 job: "j1".into(),
                 stage: 0,
@@ -1194,6 +1045,34 @@ mod tests {
             validate_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
             assert!(json.contains(&format!("\"event\":\"{}\"", ev.kind())), "{json}");
         }
+    }
+
+    #[test]
+    fn job_end_renders_its_job_stats() {
+        let head = r#"{"event":"job_end","job":"j1","sim_seconds":40,"startup_seconds":15,"#
+            .to_owned()
+            + r#""hdfs_read_bytes":1,"hdfs_write_bytes":2,"shuffle_bytes":3,"task_retries":2,"#
+            + r#""retry_seconds":1.25,"output_records":10,"#;
+        let tail = r#""broadcast_files":1,"broadcast_bytes":640,"broadcast_ship_bytes":2560,"#
+            .to_owned()
+            + r#""peak_arena_bytes":4096,"peak_task_live_bytes":2048,"peak_spill_entries":128,"#
+            + r#""ops":{"tg.unnest.out":12}}"#;
+        assert_eq!(
+            TraceEvent::JobEnd { stats: job_stats(Some(12.5)) }.to_json(),
+            format!(r#"{head}"estimated_output_records":12.5,"q_error":1.25,{tail}"#)
+        );
+        assert_eq!(
+            TraceEvent::JobEnd { stats: job_stats(None) }.to_json(),
+            format!(r#"{head}"estimated_output_records":null,"q_error":null,{tail}"#)
+        );
+    }
+
+    #[test]
+    fn straggler_states_its_backup() {
+        let head = r#"{"event":"straggler","job":"j1","phase":"map","task":1,"slowdown":6,"#;
+        assert_eq!(straggler(Some(true)).to_json(), format!(r#"{head}"backup_won":true}}"#));
+        assert_eq!(straggler(Some(false)).to_json(), format!(r#"{head}"backup_won":false}}"#));
+        assert_eq!(straggler(None).to_json(), format!(r#"{head}"backup_won":null}}"#));
     }
 
     #[test]
@@ -1324,24 +1203,10 @@ mod tests {
             phase: TaskPhase::Map,
             task: 0,
             slowdown: 4.0,
+            backup_won: Some(false),
         });
-        sink.event(&TraceEvent::SpeculativeTask {
-            job: "j1".into(),
-            phase: TaskPhase::Map,
-            task: 0,
-            backup_won: false,
-        });
-        sink.event(&TraceEvent::JobEnd {
-            job: "j1".into(),
-            sim_seconds: 17.0,
-            startup_seconds: 15.0,
-            hdfs_read_bytes: 0,
-            hdfs_write_bytes: 0,
-            shuffle_bytes: 0,
-            task_retries: 1,
-            retry_seconds: 0.5,
-            ops: OpCounters::new(),
-        });
+        sink.event(&TraceEvent::CorruptionDetected { job: "j1".into(), site: "dfs", task: 0 });
+        sink.event(&TraceEvent::JobEnd { stats: job_stats(None) });
         sink.event(&TraceEvent::JobSpan {
             job: "j1".into(),
             stage: 0,
@@ -1363,6 +1228,10 @@ mod tests {
         assert!(text.contains("\"ph\":\"M\""));
         // Task span placed absolutely: stage base 0 + job-relative 15 s.
         assert!(text.contains("\"ts\":15000000"), "{text}");
+        // A straggler with a backup, and a corruption, each draw two instants.
+        for name in ["straggler map 0", "speculative map 0", "corrupt dfs 0", "refetch dfs 0"] {
+            assert!(text.contains(&format!("\"name\":\"{name}\"")), "{name}: {text}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

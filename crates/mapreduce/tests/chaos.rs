@@ -208,23 +208,21 @@ fn chaos_regimes_emit_their_trace_events() {
     };
     assert!(kinds(Regime::TaskFail).contains("task_retry"));
     assert!(kinds(Regime::NodeLoss).contains("node_loss"));
-    let straggler_kinds = kinds(Regime::Stragglers);
-    assert!(straggler_kinds.contains("straggler"));
-    assert!(straggler_kinds.contains("speculative_task"));
-    let corruption_kinds = kinds(Regime::Corruption);
-    assert!(corruption_kinds.contains("corruption_detected"));
-    assert!(corruption_kinds.contains("refetch"));
+    assert!(kinds(Regime::Stragglers).contains("straggler"));
+    assert!(kinds(Regime::Corruption).contains("corruption_detected"));
     assert!(!kinds(Regime::None).iter().any(|k| {
-        matches!(
-            *k,
-            "task_retry"
-                | "node_loss"
-                | "straggler"
-                | "speculative_task"
-                | "corruption_detected"
-                | "refetch"
-        )
+        matches!(*k, "task_retry" | "node_loss" | "straggler" | "corruption_detected")
     }));
+    // Under speculation every straggler states whether its backup won.
+    let (_, events, _) = run_chaos(Regime::Stragglers, seed, 4).unwrap();
+    let backups: Vec<Option<bool>> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Straggler { backup_won, .. } => Some(*backup_won),
+            _ => None,
+        })
+        .collect();
+    assert!(!backups.is_empty() && backups.iter().all(Option::is_some), "{backups:?}");
 }
 
 #[test]
@@ -391,7 +389,7 @@ fn faulted_run_is_slower_but_byte_identical() {
 
 /// What the shuffle fetch decides under a corruption regime: per job the
 /// detection counters and every shuffle-size counter, then the
-/// `corruption_detected`/`refetch` events in emission order.
+/// `corruption_detected` events in emission order.
 fn fetch_fingerprint(stats: &WorkflowStats, events: &[TraceEvent]) -> Vec<String> {
     let mut lines: Vec<String> = stats
         .jobs
@@ -411,10 +409,7 @@ fn fetch_fingerprint(stats: &WorkflowStats, events: &[TraceEvent]) -> Vec<String
         })
         .collect();
     lines.extend(
-        events
-            .iter()
-            .filter(|e| matches!(e.kind(), "corruption_detected" | "refetch"))
-            .map(TraceEvent::to_json),
+        events.iter().filter(|e| e.kind() == "corruption_detected").map(TraceEvent::to_json),
     );
     lines
 }
@@ -443,20 +438,14 @@ const PINNED_CORRUPTION: &[&str] = &[
     "j-b detected=0 refetches=0 arena=11703 out=800/5929/13929 parts=[1699, 2115, 2115]",
     "j-merge detected=4 refetches=2 arena=876 out=34/606/844 parts=[288, 318]",
     r#"{"event":"corruption_detected","job":"j-merge","site":"dfs","task":0}"#,
-    r#"{"event":"refetch","job":"j-merge","site":"dfs","task":0}"#,
     r#"{"event":"corruption_detected","job":"j-merge","site":"dfs","task":0}"#,
-    r#"{"event":"refetch","job":"j-merge","site":"dfs","task":0}"#,
     r#"{"event":"corruption_detected","job":"j-merge","site":"shuffle","task":0}"#,
-    r#"{"event":"refetch","job":"j-merge","site":"shuffle","task":0}"#,
     r#"{"event":"corruption_detected","job":"j-merge","site":"shuffle","task":1}"#,
-    r#"{"event":"refetch","job":"j-merge","site":"shuffle","task":1}"#,
 ];
 const PINNED_COMBINED: &[&str] = &[
     "j-a detected=0 refetches=0 arena=9770 out=800/5929/13929 parts=[1746, 1410, 1410, 1363]",
     "j-b detected=0 refetches=0 arena=11703 out=800/5929/13929 parts=[1699, 2115, 2115]",
     "j-merge detected=2 refetches=1 arena=876 out=34/606/844 parts=[288, 318]",
     r#"{"event":"corruption_detected","job":"j-merge","site":"dfs","task":0}"#,
-    r#"{"event":"refetch","job":"j-merge","site":"dfs","task":0}"#,
     r#"{"event":"corruption_detected","job":"j-merge","site":"shuffle","task":1}"#,
-    r#"{"event":"refetch","job":"j-merge","site":"shuffle","task":1}"#,
 ];

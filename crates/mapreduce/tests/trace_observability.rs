@@ -8,6 +8,8 @@
 //!   interleaving, enforced by a canonical sort;
 //! * timeline reconstruction — per stage, `max(startup) + Σ work` over the
 //!   `JobSpan` events reproduces `WorkflowStats::sim_seconds` to 1e-6;
+//! * per-partition facts — each job's reduce task spans state the shuffle
+//!   partitions of the `JobStats` its `JobEnd` carries;
 //! * file sinks — a traced workflow produces a parseable JSONL event log
 //!   and a parseable Chrome trace.
 
@@ -139,7 +141,7 @@ fn golden_trace_is_deterministic() {
         "stage_start",
         "job_start",
         "task_span",
-        "shuffle_partition",
+        "sort_plan",
         "job_end",
         "job_span",
         "stage_end",
@@ -197,8 +199,8 @@ fn job_spans_reconstruct_workflow_sim_seconds() {
 
     // Per job, the task spans partition the job's work time.
     for e in &events {
-        if let TraceEvent::JobEnd { job, sim_seconds, startup_seconds, .. } = e {
-            let work = sim_seconds - startup_seconds;
+        if let TraceEvent::JobEnd { stats } = e {
+            let (job, work) = (&stats.name, stats.sim_seconds - stats.startup_seconds);
             let span_sum: f64 = events
                 .iter()
                 .filter_map(|t| match t {
@@ -212,6 +214,40 @@ fn job_spans_reconstruct_workflow_sim_seconds() {
             );
         }
     }
+}
+
+#[test]
+fn reduce_task_spans_state_the_shuffle_partitions() {
+    // The per-partition shuffle facts live on the reduce task spans; per
+    // job they must agree with the `JobStats` its `JobEnd` carries.
+    let (stats, events) = run_traced_workflow(4);
+    let mut checked = 0;
+    for e in &events {
+        let TraceEvent::JobEnd { stats: job } = e else { continue };
+        let spans: Vec<(u64, u64, u64)> = events
+            .iter()
+            .filter_map(|t| match t {
+                TraceEvent::TaskSpan {
+                    job: j,
+                    phase: TaskPhase::Reduce,
+                    task,
+                    records,
+                    bytes,
+                    ..
+                } if *j == job.name => Some((*task, *records, *bytes)),
+                _ => None,
+            })
+            .collect();
+        let tasks: Vec<u64> = spans.iter().map(|s| s.0).collect();
+        assert_eq!(tasks, (0..job.reduce_tasks).collect::<Vec<_>>(), "{}", job.name);
+        for &(task, _, bytes) in &spans {
+            assert_eq!(bytes, job.shuffle_partition_bytes[task as usize], "{} r{task}", job.name);
+        }
+        let records: u64 = spans.iter().map(|s| s.1).sum();
+        assert_eq!(records, job.reduce_input_records, "{}", job.name);
+        checked += 1;
+    }
+    assert_eq!(checked, stats.jobs.len());
 }
 
 #[test]

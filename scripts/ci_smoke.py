@@ -7,9 +7,12 @@ usage: ci_smoke.py <check> <path>
   profiler   PROFILES   fig_profile --profile document
 
 `trace` parses every document and every JSONL line with Python's json
-module, a parser that is not the workspace's own. `profiler` checks, from
-the consumer's side, that each profile's operator rows sum to its
-`reconciliation` totals. Each check prints one `ok: ...` line; any failure
+module, a parser that is not the workspace's own, and checks each job of
+each JSONL log from the consumer's side: its reduce `task_span` bytes sum
+to its `job_end` shuffle_bytes, and `q_error` is null exactly when
+`estimated_output_records` is. `profiler` checks, from the consumer's
+side, that each profile's operator rows sum to its `reconciliation`
+totals. Each check prints one `ok: ...` line; any failure
 is an exception (exit code 1).
 """
 
@@ -19,18 +22,37 @@ import sys
 
 
 def trace(directory):
-    documents = lines = 0
+    documents = lines = jobs = 0
     for name in sorted(os.listdir(directory)):
         with open(os.path.join(directory, name)) as f:
             if name.endswith(".jsonl"):
+                # Reduce task-span bytes per running job; a job attempt
+                # that fails emits a job_start and nothing after it.
+                reduce_bytes = {}
                 for line in f:
-                    json.loads(line)
+                    ev = json.loads(line)
                     lines += 1
+                    kind = ev["event"]
+                    if kind == "job_start":
+                        reduce_bytes[ev["job"]] = 0
+                    elif kind == "task_span" and ev["phase"] == "reduce":
+                        reduce_bytes[ev["job"]] += ev["bytes"]
+                    elif kind == "job_end":
+                        where = f"{name}: job {ev['job']}"
+                        spans = reduce_bytes.pop(ev["job"])
+                        assert spans == ev["shuffle_bytes"], \
+                            f"{where}: reduce spans carry {spans} bytes, shuffle_bytes " \
+                            f"{ev['shuffle_bytes']}"
+                        assert (ev["q_error"] is None) == \
+                            (ev["estimated_output_records"] is None), \
+                            f"{where}: q_error without an estimate, or the reverse"
+                        jobs += 1
             elif name.endswith(".json"):
                 json.load(f)
                 documents += 1
-    assert documents and lines, f"no JSON documents or JSONL lines in {directory}"
-    print(f"ok: {documents} JSON documents and {lines} JSONL lines parse")
+    assert documents and lines and jobs, f"no JSON documents, JSONL lines or jobs in {directory}"
+    print(f"ok: {documents} JSON documents and {lines} JSONL lines parse; "
+          f"{jobs} jobs' reduce spans sum to their shuffle bytes")
 
 
 def profiler(profiles_path):
