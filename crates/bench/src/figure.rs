@@ -45,10 +45,6 @@ struct Panel {
     claims: Vec<Claim>,
 }
 
-/// The nine paper figures, in the paper's order.
-pub const FIGURES: [fn(Scale) -> Figure; 9] =
-    [fig3, fig9a, fig9b, fig9c, fig10, fig11, fig12, fig13, fig14];
-
 /// The `main` of a figure binary: build the figure at `NTGA_SCALE`, run
 /// and print it, write the flags' outputs, exit 1 if a claim fails.
 pub fn main(figure: fn(Scale) -> Figure) -> ExitCode {

@@ -3,9 +3,13 @@
 //! must be the one committed in `EXPERIMENTS.md`. The other tests run
 //! binaries: `fig_optimizer`'s in-process asserts and the shared flags.
 
-use ntga_bench::figure::FIGURES;
+use ntga_bench::figure::{fig10, fig11, fig12, fig13, fig14, fig3, fig9a, fig9b, fig9c, Figure};
 use ntga_bench::{BenchOpts, Scale};
 use std::process::Command;
+
+/// The nine paper figures, in the paper's order.
+const FIGURES: [fn(Scale) -> Figure; 9] =
+    [fig3, fig9a, fig9b, fig9c, fig10, fig11, fig12, fig13, fig14];
 
 fn run_fig(bin: &str) -> String {
     let out = Command::new(bin)

@@ -23,7 +23,6 @@
 //!   LazyUnnest-full / LazyUnnest-partial / Auto) as plan constructors, and
 //!   the one driver that runs any plan as an MR workflow;
 //! * [`mod@explain`] — EXPLAIN: the one renderer of a plan's cycles;
-//! * [`metrics`] — redundancy factors;
 //! * [`profile`] — EXPLAIN ANALYZE: join a priced plan against the measured
 //!   run into a per-operator estimated-vs-actual profile tree.
 //!
@@ -54,7 +53,6 @@
 pub mod aggregate;
 pub mod explain;
 pub mod logical;
-pub mod metrics;
 pub mod optimizer;
 pub mod physical;
 pub mod planner;

@@ -278,7 +278,7 @@ mod tests {
         assert_eq!(anns[0].ec, 3);
         assert!(anns[0].unbound.is_empty());
         // Projection: syn pairs are not kept for a bound-only star.
-        assert_eq!(anns[0].distinct_pairs().len(), 3);
+        assert_eq!(anns[0].bound.iter().map(|(_, objs)| objs.len()).sum::<usize>(), 3);
     }
 
     #[test]

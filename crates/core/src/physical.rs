@@ -1336,6 +1336,6 @@ mod tests {
         let err = engine
             .run_job(&tg_broadcast_join_job("bjoin", left, right, BuildSide::Right, "out"))
             .unwrap_err();
-        assert!(err.is_broadcast_too_large(), "unexpected error: {err:?}");
+        assert!(matches!(err, MrError::BroadcastTooLarge { .. }), "unexpected error: {err:?}");
     }
 }

@@ -53,16 +53,9 @@ impl AnnTg {
 
     /// The distinct `(property, object)` pairs stored (a triple playing
     /// multiple roles counts once — set semantics of triplegroups), in
-    /// sorted order.
-    pub fn distinct_pairs(&self) -> Vec<(&str, &str)> {
-        let mut pairs = Vec::new();
-        self.distinct_pairs_into(&mut pairs);
-        pairs
-    }
-
-    /// [`distinct_pairs`](Self::distinct_pairs) into a caller-owned
-    /// buffer (cleared first), so a hot caller sizing many triplegroups
-    /// allocates once: sort + dedup over borrowed tokens.
+    /// sorted order, into a caller-owned buffer (cleared first), so a hot
+    /// caller sizing many triplegroups allocates once: sort + dedup over
+    /// borrowed tokens.
     fn distinct_pairs_into<'a>(&'a self, pairs: &mut Vec<(&'a str, &'a str)>) {
         pairs.clear();
         for (p, objs) in &self.bound {
@@ -336,18 +329,18 @@ mod tests {
     #[test]
     fn distinct_pairs_dedup_multiple_roles() {
         // 3 bound pairs + 4 unbound candidates, but 3 candidates duplicate
-        // bound pairs -> 4 distinct.
-        assert_eq!(anntg().distinct_pairs().len(), 4);
+        // bound pairs -> 4 distinct, sorted.
+        let (tg, mut pairs) = (anntg(), Vec::new());
+        tg.distinct_pairs_into(&mut pairs);
+        let expected =
+            [("<label>", "\"a\""), ("<syn>", "\"s\""), ("<xGO>", "<go1>"), ("<xGO>", "<go2>")];
+        assert_eq!(pairs, expected);
     }
 
     #[test]
     fn text_size_counts_each_pair_once() {
-        let tg = anntg();
-        let expected: u64 = ("<g1>".len() as u64 + 1)
-            + tg.distinct_pairs()
-                .iter()
-                .map(|(p, o)| p.len() as u64 + o.len() as u64 + 2)
-                .sum::<u64>();
-        assert_eq!(tg.text_size(), expected);
+        // `<g1> ` then each distinct pair once with its two separators.
+        let expected = 5 + (7 + 3 + 2) + (5 + 3 + 2) + 2 * (5 + 5 + 2);
+        assert_eq!(anntg().text_size(), expected);
     }
 }

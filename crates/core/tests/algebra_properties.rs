@@ -5,14 +5,15 @@
 //! * rewrite sufficiency: σ^γ-enumeration ≡ σ^βγ-relaxation;
 //! * `μ^β_φ` then `μ^β` ≡ `μ^β` at every join position;
 //! * β-unnest output cardinality = candidate-list product;
-//! * text-size conservation: nested size ≤ flat size, with equality only
-//!   when nothing is implicit.
+//! * β-unnest never shrinks the nested text size.
 
+use mrsim::Rec;
 use ntga_core::logical::{
     beta_group_filter, beta_unnest, beta_unnest_at, group_by_subject, partial_beta_unnest,
 };
 use ntga_core::physical::{phi, JoinRole};
-use ntga_core::rewrite::{check_rewrites, lemma1_holds};
+use ntga_core::rewrite::check_rewrites;
+use ntga_core::tg::AnnTg;
 use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest};
 use proptest::strategy::{Just, Strategy};
 use rdf_model::{STriple, TripleStore};
@@ -55,15 +56,9 @@ fn arb_star() -> impl Strategy<Value = StarPattern> {
 
 proptest! {
     #[test]
-    fn lemma1_random(triples in arb_triples(), star in arb_star()) {
-        let store = TripleStore::from_triples(triples);
-        prop_assert!(lemma1_holds(&star, &store), "Lemma 1 violated for {star:?}");
-    }
-
-    #[test]
     fn rewrites_agree_random(triples in arb_triples(), star in arb_star()) {
         let store = TripleStore::from_triples(triples);
-        // check_rewrites verifies naive == relaxed == enumerated.
+        // check_rewrites verifies naive == relaxed (Lemma 1) == enumerated.
         check_rewrites(&star, &store).map_err(|e| {
             proptest::test_runner::TestCaseError::fail(format!("{e} for {star:?}"))
         })?;
@@ -116,21 +111,18 @@ proptest! {
     }
 
     #[test]
-    fn nested_never_larger_than_flat(triples in arb_triples(), star in arb_star()) {
-        use ntga_core::metrics::{flat_bytes_of, nested_bytes_of};
+    fn beta_unnest_never_shrinks_nested_bytes(triples in arb_triples(), star in arb_star()) {
         let store = TripleStore::from_triples(triples);
         let tgs = group_by_subject(store.triples());
         let anns = beta_group_filter(&tgs, &star, 0);
-        if !anns.is_empty() {
-            prop_assert!(nested_bytes_of(&anns) <= flat_bytes_of(&anns).max(nested_bytes_of(&anns)));
-            // Perfect triplegroups from β-unnest expand total bytes
-            // monotonically (redundant bound components materialize).
-            let unnested: Vec<_> = anns.iter().flat_map(beta_unnest).collect();
-            prop_assert!(
-                nested_bytes_of(&unnested) >= nested_bytes_of(&anns),
-                "unnesting shrank the representation"
-            );
-        }
+        // Perfect triplegroups from β-unnest expand total bytes
+        // monotonically (redundant bound components materialize).
+        let unnested: Vec<_> = anns.iter().flat_map(beta_unnest).collect();
+        let nested_bytes = |tgs: &[AnnTg]| tgs.iter().map(Rec::text_size).sum::<u64>();
+        prop_assert!(
+            nested_bytes(&unnested) >= nested_bytes(&anns),
+            "unnesting shrank the representation"
+        );
     }
 
     #[test]
@@ -177,7 +169,6 @@ fn regression_seed_empty_store_bound_p3_with_unbound() {
         ],
     );
     let empty = TripleStore::from_triples(vec![]);
-    assert!(lemma1_holds(&star, &empty));
     assert_eq!(check_rewrites(&star, &empty).unwrap().len(), 0);
 
     // The non-matching neighbourhood of the seed: subjects carry triples
@@ -188,7 +179,6 @@ fn regression_seed_empty_store_bound_p3_with_unbound() {
         STriple::new("<s1>", "<p2>", "\"lit1\""),
         STriple::new("<s2>", "<p4>", "<x9>"),
     ]);
-    assert!(lemma1_holds(&star, &non_matching));
     assert_eq!(check_rewrites(&star, &non_matching).unwrap().len(), 0);
     assert!(beta_group_filter(&group_by_subject(non_matching.triples()), &star, 0).is_empty());
 
@@ -202,7 +192,6 @@ fn regression_seed_empty_store_bound_p3_with_unbound() {
         STriple::new("<s2>", "<p2>", "\"lit2\""),
         STriple::new("<s3>", "<p4>", "<x9>"),
     ]);
-    assert!(lemma1_holds(&star, &mixed));
     // ?b0 ∈ {<o1>, <o2>} × (?u0, ?o0) over all 4 pairs of <s2>.
     assert_eq!(check_rewrites(&star, &mixed).unwrap().len(), 8);
 }
@@ -255,5 +244,5 @@ fn lemma1_on_generated_bio_data() {
             TriplePattern::unbound("g", "u", ObjPattern::Var("o".into())),
         ],
     );
-    assert!(lemma1_holds(&star, &store));
+    check_rewrites(&star, &store).unwrap();
 }

@@ -1241,7 +1241,7 @@ mod tests {
         let spec = JobSpec::map_only("big", vec!["input".into()], Arc::new(Identity), "out")
             .with_broadcast("side");
         let err = engine.run_job(&spec).unwrap_err();
-        assert!(err.is_broadcast_too_large(), "{err}");
+        assert!(matches!(err, MrError::BroadcastTooLarge { .. }), "{err}");
         assert!(!engine.hdfs().lock().exists("out"));
     }
 

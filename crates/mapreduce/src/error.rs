@@ -109,19 +109,6 @@ impl MrError {
     pub fn is_disk_full(&self) -> bool {
         matches!(self, MrError::DiskFull { .. })
     }
-
-    /// True if this error is a task exhausting its fault-injection attempt
-    /// budget — the failure mode [`crate::workflow::RecoveryPolicy`]
-    /// stage retries can recover from.
-    pub fn is_task_exhausted(&self) -> bool {
-        matches!(self, MrError::TaskExhausted { .. })
-    }
-
-    /// True if this error is a broadcast payload exceeding the engine's
-    /// task memory budget.
-    pub fn is_broadcast_too_large(&self) -> bool {
-        matches!(self, MrError::BroadcastTooLarge { .. })
-    }
 }
 
 #[cfg(test)]
@@ -142,14 +129,12 @@ mod tests {
     }
 
     #[test]
-    fn task_exhausted_display_and_predicate() {
+    fn task_exhausted_display() {
         let e = MrError::TaskExhausted { job: "j".into(), phase: "map", task: 3, attempts: 4 };
-        assert!(e.is_task_exhausted());
         assert!(!e.is_disk_full());
         let msg = e.to_string();
         assert!(msg.contains("consecutive attempts"), "{msg}");
         assert!(msg.contains("task 3 (map) of 'j'"), "{msg}");
-        assert!(!MrError::WorkflowDead.is_task_exhausted());
         assert!(MrError::WorkflowDead.to_string().contains("already failed"));
     }
 
@@ -161,7 +146,6 @@ mod tests {
             expected: 0xDEAD,
             actual: 0xBEEF,
         };
-        assert!(!e.is_task_exhausted());
         let msg = e.to_string();
         assert!(msg.contains("checksum mismatch in 'j' at shuffle"), "{msg}");
         assert!(msg.contains("0x000000000000dead"), "{msg}");

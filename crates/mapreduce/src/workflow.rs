@@ -427,7 +427,7 @@ mod tests {
         let engine = mk_engine();
         let mut wf = Workflow::new(&engine, "ff");
         let err = wf.run_job(identity_job("in", &out, false)).unwrap_err();
-        assert!(err.is_task_exhausted());
+        assert!(matches!(err, MrError::TaskExhausted { .. }), "{err}");
         let ff = wf.finish_failed(&err);
         assert!(!ff.succeeded);
 

@@ -23,7 +23,8 @@ mod common;
 use common::{CountReduce, KeyOnly, SelfPair, WordOne};
 use mrsim::trace::TraceEvent;
 use mrsim::{
-    Engine, FaultConfig, InputBinding, JobSpec, MemorySink, TraceSink, Workflow, WorkflowStats,
+    Engine, FaultConfig, InputBinding, JobSpec, MemorySink, MrError, TraceSink, Workflow,
+    WorkflowStats,
 };
 use std::sync::Arc;
 
@@ -268,7 +269,7 @@ fn exhausted_attempts_fail_the_workflow_not_the_process() {
         let err = wf
             .run_job(wc_job("doomed", "in", "out", 6))
             .expect_err("p=0.9 with 2 attempts must exhaust some task");
-        assert!(err.is_task_exhausted(), "{err}");
+        assert!(matches!(err, MrError::TaskExhausted { .. }), "{err}");
         let stats = wf.finish_failed(&err);
         assert!(!stats.succeeded);
         let failure = stats.failure.expect("failure must be populated");

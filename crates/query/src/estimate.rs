@@ -1,11 +1,9 @@
 //! Cardinality estimation from store statistics.
 //!
-//! The paper's Sel-SJ-first grouping evaluates "the most selective" star
-//! join first; real planners decide that from data statistics. This module
-//! provides the standard independence-assumption estimator over
-//! [`StoreStats`]: per-pattern match counts (property counts × filter
-//! selectivity), star match counts (intersecting subject sets), and a
-//! comparable selectivity score per star.
+//! The cost-based optimizer (`ntga_core::optimizer`) prices every plan
+//! with these estimates over [`StoreStats`]: per-pattern match counts
+//! (property counts × filter selectivity), per-star subject counts, and
+//! each star's flat-row (eager) and nested-pair (lazy) footprints.
 
 use crate::pattern::{ObjFilter, ObjPattern, PropPattern, TriplePattern};
 use crate::star::StarPattern;
@@ -144,15 +142,6 @@ pub fn star_pair_cardinality(star: &StarPattern, stats: &StoreStats) -> f64 {
     subjects * per_subject
 }
 
-/// Rank a query's stars from most to least selective (ascending estimated
-/// row cardinality) — the ordering Sel-SJ-first wants.
-pub fn rank_stars_by_selectivity(stars: &[StarPattern], stats: &StoreStats) -> Vec<(usize, f64)> {
-    let mut ranked: Vec<(usize, f64)> =
-        stars.iter().enumerate().map(|(i, s)| (i, star_row_cardinality(s, stats))).collect();
-    ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite estimates"));
-    ranked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn rare_star_ranks_more_selective() {
+    fn rare_star_estimates_fewer_rows() {
         let s = stats();
         let common = StarPattern::new(
             "g",
@@ -218,9 +207,8 @@ mod tests {
                 TriplePattern::bound("h", "<label>", ObjPattern::Var("l2".into())),
             ],
         );
-        let ranked = rank_stars_by_selectivity(&[common, rare], &s);
-        assert_eq!(ranked[0].0, 1, "the <rare> star must rank first: {ranked:?}");
-        assert!(ranked[0].1 <= ranked[1].1);
+        let (rare, common) = (star_row_cardinality(&rare, &s), star_row_cardinality(&common, &s));
+        assert!(rare < common, "the <rare> star must estimate fewer rows: {rare} vs {common}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`Atom`] — a cheap reference-counted string, the lexical (token)
 //!   representation of a term in typed values;
 //! * [`STriple`] — a triple of atoms (the workhorse record type);
-//! * [`ntriples`] — a streaming N-Triples parser and serializer;
+//! * [`ntriples`] — a streaming N-Triples parser;
 //! * [`TripleStore`] — an in-memory triple collection with property
 //!   statistics (multiplicity distributions drive the redundancy phenomenon
 //!   studied by the paper).
@@ -31,7 +31,7 @@ pub mod triple;
 
 pub use atom::Atom;
 pub use hash::{fnv1a, DetHashMap, FnvBuildHasher, FnvHasher, TokenBuildHasher, TokenHasher};
-pub use ntriples::{parse_line, parse_str, write_triple, NtParseError};
+pub use ntriples::{parse_line, parse_str, NtParseError};
 pub use store::{PropertyStats, StatsBuilder, StoreStats, TripleStore};
 pub use term::Term;
 pub use triple::STriple;

@@ -1,4 +1,5 @@
-//! Streaming N-Triples parser and serializer.
+//! Streaming N-Triples parser. Terms and triples serialize through their
+//! `Display`.
 //!
 //! Implements the subset of W3C N-Triples needed for the workloads in this
 //! workspace: IRIs, blank nodes, plain / typed / language-tagged literals
@@ -231,14 +232,17 @@ pub fn parse_str(doc: &str) -> Result<Vec<STriple>, NtParseError> {
     Ok(out)
 }
 
-/// Serialize one triple of terms as an N-Triples row (without newline).
-pub fn write_triple(s: &Term, p: &Term, o: &Term) -> String {
-    format!("{s} {p} {o} .")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn literal(lexical: &str, datatype: Option<&str>, language: Option<&str>) -> Term {
+        Term::Literal {
+            lexical: lexical.into(),
+            datatype: datatype.map(Into::into),
+            language: language.map(Into::into),
+        }
+    }
 
     #[test]
     fn parses_iri_triple() {
@@ -251,32 +255,32 @@ mod tests {
     #[test]
     fn parses_literal_objects() {
         let (_, _, o) = parse_line(r#"<a> <b> "hi there" ."#).unwrap().unwrap();
-        assert_eq!(o, Term::plain_literal("hi there"));
+        assert_eq!(o, literal("hi there", None, None));
         let (_, _, o) = parse_line(r#"<a> <b> "5"^^<http://www.w3.org/2001/XMLSchema#int> ."#)
             .unwrap()
             .unwrap();
-        assert_eq!(o, Term::typed_literal("5", "http://www.w3.org/2001/XMLSchema#int"));
+        assert_eq!(o, literal("5", Some("http://www.w3.org/2001/XMLSchema#int"), None));
         let (_, _, o) = parse_line(r#"<a> <b> "chat"@fr-BE ."#).unwrap().unwrap();
-        assert_eq!(o, Term::lang_literal("chat", "fr-BE"));
+        assert_eq!(o, literal("chat", None, Some("fr-BE")));
     }
 
     #[test]
     fn parses_bnodes() {
         let (s, _, o) = parse_line("_:x1 <p> _:y-2 .").unwrap().unwrap();
-        assert_eq!(s, Term::bnode("x1"));
-        assert_eq!(o, Term::bnode("y-2"));
+        assert_eq!(s, Term::BNode("x1".into()));
+        assert_eq!(o, Term::BNode("y-2".into()));
     }
 
     #[test]
     fn parses_escapes() {
         let (_, _, o) = parse_line(r#"<a> <b> "line1\nline2\t\"q\"" ."#).unwrap().unwrap();
-        assert_eq!(o, Term::plain_literal("line1\nline2\t\"q\""));
+        assert_eq!(o, literal("line1\nline2\t\"q\"", None, None));
     }
 
     #[test]
     fn parses_unicode_escapes() {
         let (_, _, o) = parse_line(r#"<a> <b> "A\U00000042" ."#).unwrap().unwrap();
-        assert_eq!(o, Term::plain_literal("AB"));
+        assert_eq!(o, literal("AB", None, None));
     }
 
     #[test]
@@ -309,7 +313,7 @@ mod tests {
         ];
         for case in cases {
             let (s, p, o) = parse_line(case).unwrap().unwrap();
-            let rendered = write_triple(&s, &p, &o);
+            let rendered = format!("{s} {p} {o} .");
             let (s2, p2, o2) = parse_line(&rendered).unwrap().unwrap();
             assert_eq!((s, p, o), (s2, p2, o2), "case {case}");
         }

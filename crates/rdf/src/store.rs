@@ -35,13 +35,6 @@ pub struct PropertyStats {
     pub mean_multiplicity: f64,
 }
 
-impl PropertyStats {
-    /// True if at least one subject carries this property more than once.
-    pub fn is_multi_valued(&self) -> bool {
-        self.max_multiplicity > 1
-    }
-}
-
 /// Whole-store statistics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreStats {
@@ -257,10 +250,8 @@ mod tests {
         assert_eq!(go.distinct_objects, 2);
         assert_eq!(go.max_multiplicity, 2);
         assert!((go.mean_multiplicity - 2.0).abs() < 1e-9);
-        assert!(go.is_multi_valued());
         let label = &s.per_property[&crate::atom::atom("<label>")];
         assert_eq!(label.max_multiplicity, 1);
-        assert!(!label.is_multi_valued());
     }
 
     #[test]

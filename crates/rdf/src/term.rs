@@ -10,7 +10,8 @@ use std::fmt;
 /// ```
 /// use rdf_model::Term;
 /// assert_eq!(Term::iri("http://ex.org/a").to_token(), "<http://ex.org/a>");
-/// assert_eq!(Term::plain_literal("hi").to_token(), "\"hi\"");
+/// let hi = Term::Literal { lexical: "hi".into(), datatype: None, language: Some("en".into()) };
+/// assert_eq!(hi.to_token(), "\"hi\"@en");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Term {
@@ -33,41 +34,6 @@ impl Term {
     /// Construct an IRI term.
     pub fn iri(i: impl Into<String>) -> Self {
         Term::Iri(i.into())
-    }
-
-    /// Construct a plain (untyped, untagged) literal.
-    pub fn plain_literal(lex: impl Into<String>) -> Self {
-        Term::Literal { lexical: lex.into(), datatype: None, language: None }
-    }
-
-    /// Construct a typed literal.
-    pub fn typed_literal(lex: impl Into<String>, dt: impl Into<String>) -> Self {
-        Term::Literal { lexical: lex.into(), datatype: Some(dt.into()), language: None }
-    }
-
-    /// Construct a language-tagged literal.
-    pub fn lang_literal(lex: impl Into<String>, lang: impl Into<String>) -> Self {
-        Term::Literal { lexical: lex.into(), datatype: None, language: Some(lang.into()) }
-    }
-
-    /// Construct a blank node.
-    pub fn bnode(label: impl Into<String>) -> Self {
-        Term::BNode(label.into())
-    }
-
-    /// True if this term is an IRI.
-    pub fn is_iri(&self) -> bool {
-        matches!(self, Term::Iri(_))
-    }
-
-    /// True if this term is a literal.
-    pub fn is_literal(&self) -> bool {
-        matches!(self, Term::Literal { .. })
-    }
-
-    /// True if this term is a blank node.
-    pub fn is_bnode(&self) -> bool {
-        matches!(self, Term::BNode(_))
     }
 
     /// Canonical N-Triples token for this term.
@@ -115,6 +81,14 @@ impl fmt::Display for Term {
 mod tests {
     use super::*;
 
+    fn literal(lexical: &str, datatype: Option<&str>, language: Option<&str>) -> Term {
+        Term::Literal {
+            lexical: lexical.into(),
+            datatype: datatype.map(Into::into),
+            language: language.map(Into::into),
+        }
+    }
+
     #[test]
     fn display_iri() {
         assert_eq!(Term::iri("http://a/b").to_token(), "<http://a/b>");
@@ -122,37 +96,29 @@ mod tests {
 
     #[test]
     fn display_bnode() {
-        assert_eq!(Term::bnode("x1").to_token(), "_:x1");
+        assert_eq!(Term::BNode("x1".into()).to_token(), "_:x1");
     }
 
     #[test]
     fn display_plain_literal() {
-        assert_eq!(Term::plain_literal("abc").to_token(), "\"abc\"");
+        assert_eq!(literal("abc", None, None).to_token(), "\"abc\"");
     }
 
     #[test]
     fn display_typed_literal() {
         assert_eq!(
-            Term::typed_literal("5", "http://www.w3.org/2001/XMLSchema#int").to_token(),
+            literal("5", Some("http://www.w3.org/2001/XMLSchema#int"), None).to_token(),
             "\"5\"^^<http://www.w3.org/2001/XMLSchema#int>"
         );
     }
 
     #[test]
     fn display_lang_literal() {
-        assert_eq!(Term::lang_literal("chat", "fr").to_token(), "\"chat\"@fr");
+        assert_eq!(literal("chat", None, Some("fr")).to_token(), "\"chat\"@fr");
     }
 
     #[test]
     fn escapes_special_chars() {
-        assert_eq!(Term::plain_literal("a\"b\\c\nd").to_token(), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn kind_predicates() {
-        assert!(Term::iri("x").is_iri());
-        assert!(Term::plain_literal("x").is_literal());
-        assert!(Term::bnode("x").is_bnode());
-        assert!(!Term::iri("x").is_literal());
+        assert_eq!(literal("a\"b\\c\nd", None, None).to_token(), "\"a\\\"b\\\\c\\nd\"");
     }
 }

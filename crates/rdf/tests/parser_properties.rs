@@ -4,14 +4,14 @@
 
 use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest};
 use proptest::strategy::Strategy;
-use rdf_model::{parse_line, write_triple, STriple, Term, TripleStore};
+use rdf_model::{parse_line, STriple, Term, TripleStore};
 
 fn arb_iri() -> impl Strategy<Value = Term> {
     "[a-zA-Z][a-zA-Z0-9:/#._-]{0,30}".prop_map(Term::iri)
 }
 
 fn arb_bnode() -> impl Strategy<Value = Term> {
-    "[a-zA-Z0-9][a-zA-Z0-9_-]{0,15}".prop_map(Term::bnode)
+    "[a-zA-Z0-9][a-zA-Z0-9_-]{0,15}".prop_map(Term::BNode)
 }
 
 fn arb_literal() -> impl Strategy<Value = Term> {
@@ -22,10 +22,10 @@ fn arb_literal() -> impl Strategy<Value = Term> {
     )
     .prop_map(|cs| cs.into_iter().collect::<String>());
     let kind = prop::sample::select(vec![0u8, 1, 2]);
-    (lex, kind, "[a-z][a-z0-9]{0,8}").prop_map(|(lex, kind, tag)| match kind {
-        0 => Term::plain_literal(lex),
-        1 => Term::typed_literal(lex, format!("http://dt/{tag}")),
-        _ => Term::lang_literal(lex, tag),
+    (lex, kind, "[a-z][a-z0-9]{0,8}").prop_map(|(lexical, kind, tag)| match kind {
+        0 => Term::Literal { lexical, datatype: None, language: None },
+        1 => Term::Literal { lexical, datatype: Some(format!("http://dt/{tag}")), language: None },
+        _ => Term::Literal { lexical, datatype: None, language: Some(tag) },
     })
 }
 
@@ -40,7 +40,7 @@ fn arb_object() -> impl Strategy<Value = Term> {
 proptest! {
     #[test]
     fn term_roundtrip(s in arb_subject(), p in arb_iri(), o in arb_object()) {
-        let line = write_triple(&s, &p, &o);
+        let line = format!("{s} {p} {o} .");
         let (s2, p2, o2) = parse_line(&line)
             .expect("serialized triple must parse")
             .expect("not a comment");
@@ -81,7 +81,7 @@ proptest! {
     ) {
         let doc: String = triples
             .iter()
-            .map(|(s, p, o)| format!("{}\n", write_triple(s, p, o)))
+            .map(|(s, p, o)| format!("{s} {p} {o} .\n"))
             .collect();
         let parsed = rdf_model::parse_str(&doc).expect("document must parse");
         prop_assert_eq!(parsed.len(), triples.len());

@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""List the `pub` items of the library crates that no non-test code names.
+
+  python3 scripts/census.py
+
+Declarations are the `pub` functions and methods, `struct`s, `enum`s,
+`trait`s, `const`s, `static`s, `type`s and `mod`s in the non-test code of
+the library crates (`src/` and `crates/*/src/`, binaries excluded). Callers
+are every line of non-test code in the workspace: the library sources, each
+`bin/` (the frozen `bin/perf` harness included), `src/bin`, `examples/` and
+`benches/`. Not callers: `tests/` directories, everything from a file's
+top-level `#[cfg(test)]` on, comment and doc lines, and `pub use`
+re-exports (a re-export declares a name again; it calls nothing).
+
+An item is reported when its name occurs in no caller line other than the
+declarations of that name; a module, when moreover no item in it is used
+or allowlisted. Matching is by name alone, so the census can
+miss dead code (a dead `len` hides behind every live one) but never flags
+live code: `JobSpec::with_extra_output`, called only by path, counts as used.
+
+Reported items in `ALLOWLIST` are test oracles kept on purpose and are
+printed on stdout. Any other reported item, and any allowlist entry that is
+no longer reported, goes to stderr and makes the exit status 1. The
+workspace scanned is the one this script sits in. Standard library only.
+"""
+
+import re
+import sys
+from collections import Counter
+from pathlib import Path
+
+# Each entry is kept as the oracle of the test named on its comment line.
+ALLOWLIST = {
+    # mrsim tests/trace_observability.rs::file_sinks_emit_parseable_json
+    "trace::validate_json",
+    # ntga-core tests/algebra_properties.rs::rewrites_agree_random (Lemma 1)
+    "rewrite::check_rewrites",
+    # mrsim spill.rs::sort_matches_owned_pair_reference
+    "SpillArena::push_pair",
+    # mrsim engine.rs::broadcast_reaches_every_task_and_is_charged
+    "CostModel::zero_overhead",
+    # ntga-core tests/algebra_properties.rs::partial_then_full_equals_full (Definition 3)
+    "logical::partial_beta_unnest",
+    # ntga tests/testbed_suite.rs::testbed_queries_roundtrip_through_text (the parser's inverse)
+    "Query::to_text",
+}
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ITEM = re.compile(
+    r"^\s*pub\s+(?:(?:const|unsafe)\s+)*(fn|struct|enum|trait|const|static|type|mod)\s+(\w+)"
+)
+IMPL = re.compile(r"^impl\b(?:\s*<[^{]*?>)?\s+(?:[\w:<>, ']+\s+for\s+)?(\w+)")
+INLINE_MOD = re.compile(r"^(?:pub\s+)?mod\s+(\w+)\s*\{")
+WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def non_test_lines(path):
+    """(line number, text) of the code before the top-level `#[cfg(test)]`,
+    without comment lines or `pub use` statements."""
+    in_reexport = False
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if line.startswith("#[cfg(test)]"):
+            return
+        stripped = line.strip()
+        if in_reexport or stripped.startswith("pub use "):
+            in_reexport = not stripped.endswith(";")
+            continue
+        if stripped.startswith(("//", "/*")):
+            continue
+        yield number, line
+
+
+def sources():
+    """Every non-test Rust file, and whether it is library code."""
+    for crate in [ROOT, *sorted(ROOT.glob("crates/*"))]:
+        for path in sorted(crate.glob("src/**/*.rs")):
+            yield path, "bin" not in path.relative_to(crate / "src").parts[:-1]
+        for extra in ("examples", "benches"):
+            for path in sorted(crate.glob(f"{extra}/**/*.rs")):
+                yield path, False
+
+
+def owner_of(path):
+    """The module a file's top-level items are named under."""
+    if path.stem in ("lib", "mod"):
+        parent = path.parent
+        return parent.parent.name if parent.name == "src" else parent.name
+    return path.stem
+
+
+def main():
+    declared = []  # (owner::name, name, kind, path, line number)
+    uses = Counter()
+    for path, library in sources():
+        owner = None
+        for number, line in non_test_lines(path):
+            uses.update(WORD.findall(line))
+            if not library:
+                continue
+            scope = IMPL.match(line) or INLINE_MOD.match(line)
+            if scope:
+                owner = scope.group(1)
+            item = ITEM.match(line)
+            if item:
+                kind, name = item.groups()
+                # An indented item belongs to the `impl` or inline `mod` above it.
+                key = f"{owner if line[0].isspace() else owner_of(path)}::{name}"
+                declared.append((key, name, kind, path, number))
+    declarations = Counter(name for _, name, *_ in declared)
+    unnamed = [d for d in declared if uses[d[1]] <= declarations[d[1]]]
+    # A module is used when its name is, or when an item declared in it is
+    # used or kept: `rewrite` holds the allowlisted `check_rewrites`.
+    live_files = {path for key, name, kind, path, _ in declared
+                  if kind != "mod" and (uses[name] > declarations[name] or key in ALLOWLIST)}
+
+    def holds_live_item(path, name):
+        here = path.parent if path.stem in ("lib", "mod") else path.with_suffix("")
+        return any(f == here / f"{name}.rs" or here / name in f.parents for f in live_files)
+
+    unused = [(key, f"{path.relative_to(ROOT)}:{number}")
+              for key, name, kind, path, number in unnamed
+              if kind != "mod" or not holds_live_item(path, name)]
+
+    bad = 0
+    for key, where in unused:
+        if key in ALLOWLIST:
+            print(f"{where}: {key} (test oracle)")
+        else:
+            print(f"{where}: {key} has no non-test caller", file=sys.stderr)
+            bad += 1
+    for key in sorted(ALLOWLIST - {key for key, _ in unused}):
+        print(f"allowlist entry {key} is no longer reported: remove it", file=sys.stderr)
+        bad += 1
+    print(f"{len(declared)} pub items, {len(unused)} without a non-test caller", file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -71,7 +71,8 @@ fn explain_b2_uses_full_unnest_b1_partial() {
 #[test]
 fn estimator_covers_catalog_without_panicking() {
     // The estimator must produce finite, non-negative estimates for every
-    // star of every catalog query against each matching dataset's stats.
+    // star of every catalog query against each matching dataset's stats,
+    // including the nested-pair estimate the optimizer prices lazy stars by.
     let stats = [
         datagen::bsbm::generate(&datagen::BsbmConfig::with_products(20)).stats(),
         datagen::bio2rdf::generate(&datagen::Bio2RdfConfig::with_genes(20)).stats(),
@@ -82,16 +83,16 @@ fn estimator_covers_catalog_without_panicking() {
             for star in &tq.query.stars {
                 let subj = rdf_query::estimate::star_subject_cardinality(star, s);
                 let rows = rdf_query::estimate::star_row_cardinality(star, s);
+                let pairs = rdf_query::estimate::star_pair_cardinality(star, s);
                 assert!(subj.is_finite() && subj >= 0.0, "{}: subj {subj}", tq.id);
                 assert!(rows.is_finite() && rows >= 0.0, "{}: rows {rows}", tq.id);
+                assert!(pairs.is_finite() && pairs >= 0.0, "{}: pairs {pairs}", tq.id);
                 assert!(
                     rows >= subj || rows == 0.0,
                     "{}: rows {rows} below subjects {subj}",
                     tq.id
                 );
             }
-            let ranked = rdf_query::estimate::rank_stars_by_selectivity(&tq.query.stars, s);
-            assert_eq!(ranked.len(), tq.query.stars.len());
         }
     }
 }
