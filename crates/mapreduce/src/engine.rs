@@ -18,13 +18,20 @@
 //! (FNV-1a on the key
 //! bytes — not Rust's randomly-seeded default hasher), sorts and seals
 //! each bucket, and every reduce partition then *fetches* its column of
-//! buckets as one unit of work on the worker pool: verify the seal,
-//! append the bucket as a sorted run (one byte memcpy plus an index
-//! rebase), free it. The driver copies no shuffle bytes; it only injects
-//! faults and does per-task bookkeeping, in task order. No owned
-//! per-record pairs are ever built: emissions encode straight into the
-//! arena, and sorting and reducing both operate on borrowed `&[u8]`
-//! slices of it.
+//! buckets as one unit of work on the worker pool: verify the seal, then
+//! take the bucket in as a sorted run whose buffer stays where the map
+//! task wrote it (the partition indexes it as one chunk; only the index
+//! entries are copied). No shuffle byte is copied after emission: the
+//! driver only injects faults and does per-task bookkeeping, in task
+//! order. No owned per-record pairs are ever built: emissions encode
+//! straight into the arena, and sorting and reducing both operate on
+//! borrowed `&[u8]` slices of it.
+//!
+//! Output is checksummed by its writer, as an HDFS client checksums the
+//! blocks it writes: each reduce or map-only task checksums its records
+//! per output file as it closes, on its own worker, and the committed
+//! [`DfsFile`] keeps one `(end record, checksum)` block per writing task.
+//! The driver's commit only checks capacity and stores the file.
 //!
 //! Determinism: the same job over the same inputs produces byte-identical
 //! output files and identical counters regardless of worker count. Map
@@ -139,18 +146,20 @@ fn share_seconds(tasks: &[(u64, u64)], phase_seconds: f64) -> impl Iterator<Item
     })
 }
 
-/// Fold the tasks' outputs, in task order, into the job's output files.
+/// Fold the tasks' outputs, in task order, into the job's output files,
+/// each task's records in an output file becoming one block under the
+/// checksum the task took as it closed ([`OutEmitter::block_checksums`]).
 /// A task bounds only its own output against the disk budget, so the
 /// aggregate is re-checked as each task is folded in: the job aborts at the
 /// first task that takes it over.
 fn collect_outputs(
-    tasks: impl Iterator<Item = OutEmitter>,
+    tasks: impl Iterator<Item = (OutEmitter, Vec<Option<u64>>)>,
     budget: Option<u64>,
     n_outputs: usize,
 ) -> Result<Vec<DfsFile>, MrError> {
     let mut files: Vec<DfsFile> = (0..n_outputs).map(|_| DfsFile::default()).collect();
     let mut total_text = 0u64;
-    for out in tasks {
+    for (out, sums) in tasks {
         total_text += out.emitted_text;
         if let Some(available) = budget.filter(|&b| total_text > b) {
             return Err(MrError::DiskFull {
@@ -162,6 +171,11 @@ fn collect_outputs(
         for (idx, rec, text) in out.records {
             files[idx].text_bytes += text;
             files[idx].records.push(rec);
+        }
+        for (file, sum) in files.iter_mut().zip(sums) {
+            if let Some(sum) = sum {
+                file.blocks.push((file.records.len(), sum));
+            }
         }
     }
     Ok(files)
@@ -574,8 +588,9 @@ impl Engine {
                 if !self.verify_checksums {
                     return Ok(Arc::new(bad));
                 }
-                // Single-bit flips never collide in the block checksum, so
-                // detection is certain; keep the error path honest anyway.
+                // A single-bit flip always changes its block's checksum
+                // (the argument is on `BlockChecksum`), so detection is
+                // certain; keep the error path honest anyway.
                 if bad.verify().is_err() {
                     stats.faults.corruptions_detected += 1;
                     stats.faults.dfs_refetches += 1;
@@ -624,11 +639,12 @@ impl Engine {
             }
             // Map-only tasks buffer their output records until commit.
             let live_bytes: u64 = out.records.iter().map(|(_, r, _)| r.len() as u64).sum();
-            Ok((out, ctx.report(live_bytes)))
+            let sums = out.block_checksums();
+            Ok((out, sums, ctx.report(live_bytes)))
         })?;
-        let outs = results.into_iter().map(|(out, report)| {
+        let outs = results.into_iter().map(|(out, sums, report)| {
             Self::absorb(report, stats);
-            out
+            (out, sums)
         });
         let files = collect_outputs(outs, budget, n_outputs)?;
         // `stats.map_output_*` double as "records produced by map" even for
@@ -789,9 +805,9 @@ impl Engine {
     /// One reducer's shuffle fetch, as in Hadoop: pull this partition's
     /// column of sealed map-output buckets in task order, verify each
     /// against its seal (Hadoop checksums every map output segment a
-    /// reducer fetches) and absorb it as one sorted run, dropping the
-    /// bucket as soon as its bytes are copied into the pre-sized
-    /// partition arena. A mismatch is a fetch failure: the producing map
+    /// reducer fetches) and absorb it as one sorted run — the bucket's
+    /// buffer becomes a chunk of the partition as it lies, so no shuffle
+    /// byte is copied. A mismatch is a fetch failure: the producing map
     /// is re-executed and its output fetched again — for an injected flip
     /// (the offset riding with the bucket) that undoes the flip — and the
     /// refetched copy must verify, so a bucket that mismatches for any
@@ -802,10 +818,7 @@ impl Engine {
         job: &str,
         column: Vec<(SpillArena, Option<usize>)>,
     ) -> Result<(SpillArena, Vec<usize>), MrError> {
-        let mut part = SpillArena::with_capacity(
-            column.iter().map(|(b, _)| b.encoded_bytes() as usize).sum(),
-            column.iter().map(|(b, _)| b.len()).sum(),
-        );
+        let mut part = SpillArena::default();
         let mut refetched = Vec::new();
         for (task, (mut bucket, flip)) in column.into_iter().enumerate() {
             if self.verify_checksums && bucket.verify().is_err() {
@@ -820,7 +833,7 @@ impl Engine {
                 })?;
                 refetched.push(task);
             }
-            part.absorb_sorted(&bucket);
+            part.absorb_sorted(bucket);
         }
         Ok((part, refetched))
     }
@@ -868,12 +881,13 @@ impl Engine {
                 reducer.run(&ctx, part.key(group.start), &values, &mut out)?;
                 groups += 1;
             }
-            Ok((out, groups, ctx.report(live_bytes)))
+            let sums = out.block_checksums();
+            Ok((out, sums, groups, ctx.report(live_bytes)))
         })?;
-        let outs = results.into_iter().map(|(out, groups, report)| {
+        let outs = results.into_iter().map(|(out, sums, groups, report)| {
             stats.reduce_groups += groups;
             Self::absorb(report, stats);
-            out
+            (out, sums)
         });
         collect_outputs(outs, budget, n_outputs)
     }
@@ -1547,6 +1561,43 @@ mod tests {
         // With verification off nothing is checked.
         let engine = engine.with_verification(false);
         assert!(engine.fetch_partition("forged", vec![(forged(), None)]).is_ok());
+    }
+
+    #[test]
+    fn every_writing_task_commits_its_own_checksummed_block() {
+        // One block per reduce task that wrote records, in task order,
+        // each under the checksum its task took as it closed.
+        let words: Vec<String> = (0..40).map(|i| format!("w{i}")).collect();
+        let refs: Vec<&str> = words.iter().map(String::as_str).collect();
+        let engine = word_count_engine(&refs);
+        let stats = engine.run_job(&word_count_spec()).unwrap();
+        assert_eq!(stats.reduce_tasks, 3);
+        let file = engine.hdfs().lock().get("out").unwrap();
+        assert_eq!(file.blocks.len(), 3, "three writing tasks, three blocks");
+        assert_eq!(file.blocks.last().map(|&(end, _)| end), Some(file.records.len()));
+        let mut start = 0;
+        for &(end, sum) in &file.blocks {
+            assert!(end > start);
+            assert_eq!(crate::hdfs::records_checksum(&file.records[start..end]), sum);
+            start = end;
+        }
+        // Any flipped payload byte fails verification; flipping it back
+        // restores the file.
+        let mut f = (*file).clone();
+        for off in 0..f.payload_bytes() {
+            f.flip_byte(off);
+            assert!(f.verify().is_err(), "flip at {off} undetected");
+            f.flip_byte(off);
+        }
+        assert_eq!(f.verify(), Ok(()));
+        // The input, built by the caller, was checksummed at commit.
+        let input = engine.hdfs().lock().get("input").unwrap();
+        assert_eq!((input.blocks.len(), input.verify()), (1, Ok(())));
+        // A map-only job's tasks write blocks the same way.
+        let spec = JobSpec::map_only("copy", vec!["input".into()], Arc::new(Identity), "copy");
+        engine.run_job(&spec).unwrap();
+        let copy = engine.hdfs().lock().get("copy").unwrap();
+        assert_eq!((copy.blocks.len(), copy.verify()), (1, Ok(())));
     }
 
     #[test]

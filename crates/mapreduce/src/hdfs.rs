@@ -17,6 +17,10 @@ use std::sync::Arc;
 /// Records are stored in their compact binary encoding (see
 /// [`crate::codec::Rec`]), but the *accounted* size is `text_bytes` — the
 /// size the file would have as Hadoop text rows.
+///
+/// Like an HDFS file, it is checksummed per block, by its writer: each
+/// task that writes records into the file checksums them as it closes,
+/// and [`SimHdfs::put`] checksums whatever records no writer covered.
 #[derive(Debug, Clone, Default)]
 pub struct DfsFile {
     /// Encoded records.
@@ -25,10 +29,23 @@ pub struct DfsFile {
     pub text_bytes: u64,
     /// Replication factor this file was written with.
     pub replication: u32,
-    /// Block checksum recorded at commit time ([`SimHdfs::put`] computes
-    /// it; whatever the caller set is overwritten). Readers verify reads
-    /// against it, HDFS-block-checksum style.
-    pub checksum: u64,
+    /// `(end record, checksum)` per writer block, in record order: block
+    /// `i` covers the records from block `i - 1`'s end up to its own, and
+    /// its checksum is [`records_checksum`] over them. Readers verify
+    /// reads against them block by block, HDFS-block-checksum style.
+    pub(crate) blocks: Vec<(usize, u64)>,
+}
+
+/// Checksum of one DFS block: each record folded as one framed block, so
+/// both record bytes and record boundaries are covered. A writing task
+/// folds its records into one [`BlockChecksum`](crate::hash::BlockChecksum)
+/// per output file the same way as it closes.
+pub(crate) fn records_checksum(records: &[Vec<u8>]) -> u64 {
+    let mut c = crate::hash::BlockChecksum::default();
+    for rec in records {
+        c.update(rec);
+    }
+    c.finish()
 }
 
 impl DfsFile {
@@ -53,29 +70,23 @@ impl DfsFile {
         self.records.iter().map(|r| r.len() as u64).sum()
     }
 
-    /// Checksum of the file's contents: each record is one framed block,
-    /// so both record bytes and record boundaries are covered.
-    pub fn compute_checksum(&self) -> u64 {
-        let mut c = crate::hash::BlockChecksum::default();
-        for rec in &self.records {
-            c.update(rec);
-        }
-        c.finish()
-    }
-
-    /// Recompute the checksum and compare against the one recorded at
-    /// commit. `Err((expected, actual))` on mismatch.
+    /// Recompute every block's checksum and compare it against the one its
+    /// writer recorded. `Err((expected, actual))` for the first block that
+    /// mismatches.
     pub fn verify(&self) -> Result<(), (u64, u64)> {
-        let actual = self.compute_checksum();
-        if actual == self.checksum {
-            Ok(())
-        } else {
-            Err((self.checksum, actual))
+        let mut start = 0;
+        for &(end, expected) in &self.blocks {
+            let actual = records_checksum(&self.records[start..end]);
+            if actual != expected {
+                return Err((expected, actual));
+            }
+            start = end;
         }
+        Ok(())
     }
 
     /// Flip one bit of payload byte `offset` (record-concatenation order)
-    /// without touching the committed checksum — the injector's model of
+    /// without touching the committed checksums — the injector's model of
     /// at-rest block corruption. Out-of-range offsets are a no-op.
     pub fn flip_byte(&mut self, offset: u64) {
         let mut remaining = offset;
@@ -160,10 +171,19 @@ impl SimHdfs {
         if needed > available {
             return Err(MrError::DiskFull { file: name.to_string(), needed, available });
         }
-        // Checksummed only once the write is admitted (a refused write
-        // pays no pass over data it discards), and always here, so callers
-        // cannot forge it.
-        file.checksum = file.compute_checksum();
+        // Records no writing task checksummed (a caller-built file) form
+        // one last block, checksummed only once the write is admitted: a
+        // refused write pays no pass over data it discards, and no file is
+        // committed unchecked.
+        let covered = file.blocks.last().map_or(0, |&(end, _)| end);
+        debug_assert!(
+            file.blocks.windows(2).all(|w| w[0].0 < w[1].0) && covered <= file.records.len(),
+            "writer blocks must tile a prefix of the records"
+        );
+        if covered < file.records.len() {
+            let sum = records_checksum(&file.records[covered..]);
+            file.blocks.push((file.records.len(), sum));
+        }
         self.files.insert(name.to_string(), Arc::new(file));
         self.peak_usage = self.peak_usage.max(self.usage());
         Ok(())
@@ -255,9 +275,10 @@ mod tests {
         assert!(fs.put_with_replication("b", file(60), 1).unwrap_err().is_disk_full());
         assert_eq!((fs.usage(), fs.peak_usage()), (usage, peak));
         assert!(!fs.exists("b"));
-        // An admitted write is still checksummed at commit.
-        fs.put_with_replication("b", DfsFile { checksum: 0xBAD, ..file(50) }, 1).unwrap();
-        assert_eq!(fs.get("b").unwrap().verify(), Ok(()));
+        // An admitted caller-built write is checksummed at commit.
+        fs.put_with_replication("b", file(50), 1).unwrap();
+        let b = fs.get("b").unwrap();
+        assert_eq!((b.blocks.len(), b.verify()), (1, Ok(())));
         assert_eq!(fs.peak_usage(), 250);
     }
 
@@ -281,32 +302,52 @@ mod tests {
         assert_eq!(fs.peak_usage(), 500);
     }
 
-    #[test]
-    fn commit_checksums_and_verify_catches_flips() {
-        let mut fs = SimHdfs::unbounded();
-        let stored = DfsFile {
-            records: vec![b"alpha".to_vec(), b"beta".to_vec()],
-            text_bytes: 9,
-            replication: 1,
-            checksum: 0xBAD, // caller-set garbage is overwritten at commit
-        };
-        fs.put("a", stored).unwrap();
-        let arc = fs.get("a").unwrap();
-        assert_eq!(arc.verify(), Ok(()));
-        assert_ne!(arc.checksum, 0xBAD);
-
-        // Flip every payload byte in turn: each flip is detected, and
-        // flipping back restores a verifying file.
-        let mut f = (*arc).clone();
-        assert_eq!(f.payload_bytes(), 9);
+    /// Every payload-byte flip of `file` fails `verify`, and flipping it
+    /// back restores a verifying file.
+    fn assert_every_flip_detected(file: &DfsFile) {
+        let mut f = file.clone();
+        assert_eq!(f.verify(), Ok(()));
         for off in 0..f.payload_bytes() {
             f.flip_byte(off);
             assert!(f.verify().is_err(), "flip at {off} undetected");
             f.flip_byte(off);
+            assert_eq!(f.verify(), Ok(()), "flip at {off} not restored");
         }
-        assert_eq!(f.verify(), Ok(()));
+    }
+
+    #[test]
+    fn commit_checksums_and_verify_catches_flips() {
+        let records = || vec![b"alpha".to_vec(), b"beta".to_vec(), b"gamma".to_vec()];
+        let mut fs = SimHdfs::unbounded();
+        // A caller-built file, as `load_store` builds one: no writer
+        // covered it, so commit checksums all of it as one block.
+        let built = DfsFile { records: records(), text_bytes: 14, ..DfsFile::default() };
+        fs.put("a", built).unwrap();
+        let a = fs.get("a").unwrap();
+        assert_eq!(a.blocks, vec![(3, records_checksum(&records()))]);
+        assert_eq!(a.payload_bytes(), 14);
+        assert_every_flip_detected(&a);
+
+        // Writer blocks are kept; commit only covers the uncovered tail.
+        let written = DfsFile {
+            records: records(),
+            text_bytes: 14,
+            blocks: vec![(1, records_checksum(&records()[..1]))],
+            ..DfsFile::default()
+        };
+        fs.put("b", written).unwrap();
+        let b = fs.get("b").unwrap();
+        assert_eq!(b.blocks.len(), 2);
+        assert_eq!(b.blocks[1], (3, records_checksum(&records()[1..])));
+        assert_every_flip_detected(&b);
+
+        // A block that does not match its records fails verification.
+        let forged = DfsFile { blocks: vec![(3, 0xBAD)], ..(*a).clone() };
+        assert_eq!(forged.verify(), Err((0xBAD, records_checksum(&records()))));
         // Record boundaries are framed: ["alpha","beta"] != ["alphabeta"].
-        let merged = DfsFile { records: vec![b"alphabeta".to_vec()], ..DfsFile::default() };
-        assert_ne!(merged.compute_checksum(), f.compute_checksum());
+        assert_ne!(
+            records_checksum(&[b"alphabeta".to_vec()]),
+            records_checksum(&[b"alpha".to_vec(), b"beta".to_vec()])
+        );
     }
 }

@@ -236,6 +236,18 @@ impl OutEmitter {
         self.records.push((idx, record, text_size));
         Ok(())
     }
+
+    /// Close the task's output as its DFS writer: one block checksum per
+    /// output file, over the records this task wrote to it (`None` where
+    /// it wrote none), folded as [`crate::hdfs::records_checksum`] folds
+    /// them. One pass over the task's records, on the task's worker.
+    pub(crate) fn block_checksums(&self) -> Vec<Option<u64>> {
+        let mut sums: Vec<Option<crate::hash::BlockChecksum>> = vec![None; self.n_outputs];
+        for (idx, rec, _) in &self.records {
+            sums[*idx].get_or_insert_with(Default::default).update(rec);
+        }
+        sums.into_iter().map(|s| s.map(|c| c.finish())).collect()
+    }
 }
 
 /// Byte-level map operator.

@@ -1,12 +1,13 @@
 //! Arena-backed shuffle spill storage.
 //!
-//! A [`SpillArena`] holds one map task's (or one reduce partition's)
-//! shuffle records as a single contiguous byte buffer plus one small
-//! index entry per record — `(offset, key_len, val_len)` with an
-//! 8-byte big-endian **key-prefix cache**. Emitting appends the encoded
-//! key and value straight into the buffer (no per-record `Vec`
-//! allocations), and the shuffle sort reorders the index entries, not the
-//! bytes.
+//! A [`SpillArena`] holds one map task's bucket (or one reduce
+//! partition's) shuffle records as byte *chunks* plus one small index
+//! entry per record — `(chunk, offset, key_len, val_len)` with an 8-byte
+//! big-endian **key-prefix cache**. A map-side bucket writes one chunk:
+//! emitting appends the encoded key and value straight into it (no
+//! per-record `Vec` allocations). A reduce partition is its column of
+//! sealed buckets, one chunk each, read where the map side wrote them.
+//! The shuffle sort reorders the index entries, never the bytes.
 //!
 //! ## Prefix cache
 //!
@@ -31,12 +32,15 @@
 //! whole-arena comparison sort — the pre-radix pipeline — survives only
 //! as the `#[cfg(test)]` reference the differential tests compare against.
 //!
-//! Sorting marks the arena as one **sorted run**. The shuffle driver
-//! absorbs map-side-sorted buckets with [`SpillArena::absorb_sorted`],
-//! which concatenates bytes as before but records each bucket as a run,
-//! and the reduce side calls [`SpillArena::merge_sorted_runs`] — a k-way
-//! index-entry merge over the runs (iterative pairwise ping-pong merge,
-//! no payload copies) — instead of paying a second full sort.
+//! Sorting marks the arena as one **sorted run**. A reduce partition's
+//! fetch absorbs map-side-sorted buckets with
+//! [`SpillArena::absorb_sorted`], which takes each bucket by value, keeps
+//! its buffer as one chunk (no byte is copied) and records the bucket as
+//! a run; the reduce side then calls [`SpillArena::merge_sorted_runs`] —
+//! a k-way index-entry merge over the runs (iterative pairwise ping-pong
+//! merge, no payload copies) — instead of paying a second full sort.
+//! Concatenating absorption survives only as the `#[cfg(test)]`
+//! reference the differential tests compare against.
 //!
 //! ## Short keys never memcmp
 //!
@@ -56,13 +60,15 @@
 //! ## Determinism
 //!
 //! Every sort and merge path realizes the same **canonical total order**:
-//! `(prefix, key bytes, value bytes, offset)`. Entries that compare equal
-//! under `(prefix, key, value)` are byte-identical records, so any permutation
-//! of them yields the same record stream — the trailing offset tie-break
-//! adds nothing observable, but it makes the order *total* (offsets are
-//! unique), so radix, comparison, and the k-way merge all produce the
-//! identical index array, bit for bit, checksums included. That is what
-//! the differential tests pin.
+//! `(prefix, key bytes, value bytes, (chunk, offset))`. Entries that
+//! compare equal under `(prefix, key, value)` are byte-identical records,
+//! so any permutation of them yields the same record stream — the
+//! trailing position tie-break adds nothing observable, but it makes the
+//! order *total* (positions are unique), so radix, comparison, and the
+//! k-way merge all produce the identical index array, bit for bit,
+//! checksums included. Chunks are absorbed in task order, so `(chunk,
+//! offset)` orders records exactly as their offsets in the concatenation
+//! of the chunks would. That is what the differential tests pin.
 
 /// One record's index entry: where its key/value bytes live in the arena,
 /// plus the sort-prefix cache.
@@ -70,12 +76,27 @@
 pub(crate) struct IndexEntry {
     /// First 8 key bytes, zero-padded, as a big-endian `u64`.
     prefix: u64,
-    /// Byte offset of the key in the arena (the value follows the key).
+    /// Byte offset of the key in its chunk (the value follows the key).
     off: u32,
     /// Encoded key length in bytes.
     key_len: u32,
     /// Encoded value length in bytes.
     val_len: u32,
+    /// Index of the chunk holding the record.
+    chunk: u32,
+}
+
+// `footprint_bytes` — and so the exact `peak_arena_bytes` counter —
+// charges this size per record: the chunk id lives in what was padding.
+const _: () = assert!(std::mem::size_of::<IndexEntry>() == 24);
+
+impl IndexEntry {
+    /// The record's `key ++ value` bytes.
+    #[inline]
+    fn record<'a>(&self, chunks: &'a [Vec<u8>]) -> &'a [u8] {
+        let start = self.off as usize;
+        &chunks[self.chunk as usize][start..start + self.key_len as usize + self.val_len as usize]
+    }
 }
 
 /// Compute the 8-byte big-endian, zero-padded prefix of `key`.
@@ -91,26 +112,28 @@ fn key_prefix(key: &[u8]) -> u64 {
 }
 
 /// The canonical total order over index entries: `(prefix, key bytes,
-/// value bytes, offset)` — with the short-key length fast path on prefix
-/// ties (see module docs). Total because offsets are unique within an
-/// arena; every sort/merge path realizes exactly this order.
+/// value bytes, (chunk, offset))` — with the short-key length fast path
+/// on prefix ties (see module docs). Total because positions are unique
+/// within an arena; every sort/merge path realizes exactly this order.
 #[inline]
-fn cmp_entries(bytes: &[u8], a: &IndexEntry, b: &IndexEntry) -> std::cmp::Ordering {
-    let slice = |off: u32, len: u32| &bytes[off as usize..off as usize + len as usize];
+fn cmp_entries(chunks: &[Vec<u8>], a: &IndexEntry, b: &IndexEntry) -> std::cmp::Ordering {
     a.prefix
         .cmp(&b.prefix)
         .then_with(|| {
+            let (ra, rb) = (a.record(chunks), b.record(chunks));
+            let (ka, va) = ra.split_at(a.key_len as usize);
+            let (kb, vb) = rb.split_at(b.key_len as usize);
             if a.key_len <= 8 && b.key_len <= 8 {
                 // Equal prefixes with both keys inside the cache: the
                 // longer key is the shorter plus zero bytes, so
                 // lexicographic order is length order.
                 a.key_len.cmp(&b.key_len)
             } else {
-                slice(a.off, a.key_len).cmp(slice(b.off, b.key_len))
+                ka.cmp(kb)
             }
+            .then_with(|| va.cmp(vb))
         })
-        .then_with(|| slice(a.off + a.key_len, a.val_len).cmp(slice(b.off + b.key_len, b.val_len)))
-        .then_with(|| a.off.cmp(&b.off))
+        .then_with(|| (a.chunk, a.off).cmp(&(b.chunk, b.off)))
 }
 
 /// Arenas below this size skip the radix passes: the histogram setup
@@ -121,8 +144,10 @@ const RADIX_FALLBACK: usize = 64;
 /// record index. See the module docs for layout and determinism notes.
 #[derive(Debug, Default, Clone)]
 pub struct SpillArena {
-    /// Concatenated `key ++ value` encodings of every record.
-    bytes: Vec<u8>,
+    /// `key ++ value` encodings of every record. Emission appends to the
+    /// last chunk; [`absorb_sorted`](Self::absorb_sorted) adds the
+    /// absorbed arena's chunks whole.
+    chunks: Vec<Vec<u8>>,
     /// One entry per record, in emission order until [`sort_unstable`]
     /// reorders them.
     ///
@@ -144,17 +169,6 @@ pub struct SpillArena {
 }
 
 impl SpillArena {
-    /// Empty arena with room for `bytes` payload bytes and `entries`
-    /// records — the reduce-side fetch knows both from the sealed buckets
-    /// it is about to absorb, so the partition arena never regrows.
-    pub(crate) fn with_capacity(bytes: usize, entries: usize) -> Self {
-        SpillArena {
-            bytes: Vec::with_capacity(bytes),
-            entries: Vec::with_capacity(entries),
-            ..SpillArena::default()
-        }
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -176,30 +190,36 @@ impl SpillArena {
     /// [`text_bytes`](Self::text_bytes) whenever the codec is not the
     /// text model (e.g. varint dictionary ids vs. lexical tokens).
     pub(crate) fn encoded_bytes(&self) -> u64 {
-        self.bytes.len() as u64
+        self.chunks.iter().map(|c| c.len() as u64).sum()
     }
 
-    /// In-memory footprint of the arena: the byte buffer plus one
+    /// In-memory footprint of the arena: the record bytes plus one
     /// [`IndexEntry`] per record. Arenas only ever grow (emission,
     /// `absorb`; sorting reorders entries in place), so the current
     /// footprint *is* the lifetime high-water mark — the engine's memory
     /// accounting reads it after each phase without per-push bookkeeping.
     pub(crate) fn footprint_bytes(&self) -> u64 {
-        self.bytes.len() as u64 + (self.entries.len() * std::mem::size_of::<IndexEntry>()) as u64
+        self.encoded_bytes() + (self.entries.len() * std::mem::size_of::<IndexEntry>()) as u64
     }
 
     /// Append one record: copy the already-encoded key, then let
     /// `encode_val` append the value bytes directly into the arena.
     pub fn push(&mut self, key: &[u8], text_size: u64, encode_val: impl FnOnce(&mut Vec<u8>)) {
-        let off = u32::try_from(self.bytes.len()).expect("spill arena exceeds 4 GiB");
-        self.bytes.extend_from_slice(key);
-        let val_start = self.bytes.len();
-        encode_val(&mut self.bytes);
+        if self.chunks.is_empty() {
+            self.chunks.push(Vec::new());
+        }
+        let chunk = self.chunks.len() - 1;
+        let bytes = &mut self.chunks[chunk];
+        let off = u32::try_from(bytes.len()).expect("spill chunk exceeds 4 GiB");
+        bytes.extend_from_slice(key);
+        let val_start = bytes.len();
+        encode_val(bytes);
         self.entries.push(IndexEntry {
             prefix: key_prefix(key),
             off,
             key_len: u32::try_from(key.len()).expect("key exceeds 4 GiB"),
-            val_len: u32::try_from(self.bytes.len() - val_start).expect("value exceeds 4 GiB"),
+            val_len: u32::try_from(bytes.len() - val_start).expect("value exceeds 4 GiB"),
+            chunk: u32::try_from(chunk).expect("spill arena exceeds 4 Gi chunks"),
         });
         self.text_bytes += text_size;
         self.sealed = None;
@@ -215,15 +235,14 @@ impl SpillArena {
     #[inline]
     pub fn key(&self, i: usize) -> &[u8] {
         let e = &self.entries[i];
-        &self.bytes[e.off as usize..e.off as usize + e.key_len as usize]
+        &e.record(&self.chunks)[..e.key_len as usize]
     }
 
     /// Value bytes of record `i` (current index order).
     #[inline]
     pub fn value(&self, i: usize) -> &[u8] {
         let e = &self.entries[i];
-        let start = e.off as usize + e.key_len as usize;
-        &self.bytes[start..start + e.val_len as usize]
+        &e.record(&self.chunks)[e.key_len as usize..]
     }
 
     /// True when records `i` and `j` have byte-identical keys.
@@ -254,45 +273,60 @@ impl SpillArena {
         GroupRanges { arena: self, start: 0 }
     }
 
-    /// Append every record of `other` without tracking runs — the
-    /// pre-radix shuffle transfer, whose reduce side paid a full sort.
+    /// Append every record of `other` by copying its bytes onto the end
+    /// of this arena's last chunk, without tracking runs — the
+    /// concatenating shuffle transfer, whose reduce side paid a full sort.
     /// Reference path for the differential tests.
     #[cfg(test)]
     fn absorb(&mut self, other: &SpillArena) {
         self.runs.clear();
-        self.absorb_bytes(other);
+        if self.chunks.is_empty() {
+            self.chunks.push(Vec::new());
+        }
+        let last = self.chunks.len() - 1;
+        let bytes = &mut self.chunks[last];
+        let mut bases = Vec::with_capacity(other.chunks.len());
+        for chunk in &other.chunks {
+            bases.push(u32::try_from(bytes.len()).expect("spill chunk exceeds 4 GiB"));
+            bytes.extend_from_slice(chunk);
+        }
+        self.entries.extend(other.entries.iter().map(|e| IndexEntry {
+            chunk: last as u32,
+            off: bases[e.chunk as usize] + e.off,
+            ..*e
+        }));
+        self.text_bytes += other.text_bytes;
+        self.sealed = None;
     }
 
-    /// Append every record of `other`, preserving its record order: a
-    /// byte memcpy plus an offset rebase per entry — the whole-bucket
-    /// concatenation the shuffle driver performs — and record the
-    /// incoming bucket as one sorted run so the reduce side can
-    /// [`merge_sorted_runs`](Self::merge_sorted_runs) instead of paying
-    /// a full re-sort. The caller guarantees `other` is sorted (the
-    /// driver only routes map-side-sorted, seal-verified buckets here).
-    pub fn absorb_sorted(&mut self, other: &SpillArena) {
+    /// Append every record of `other`, preserving its record order, and
+    /// record it as one sorted run so the reduce side can
+    /// [`merge_sorted_runs`](Self::merge_sorted_runs) instead of paying a
+    /// full re-sort. `other`'s chunks become chunks of this arena as they
+    /// are — no record byte is copied; only its index entries are, with
+    /// their chunk ids rebased. The caller guarantees `other` is sorted
+    /// (the reduce-side fetch only routes map-side-sorted, seal-verified
+    /// buckets here).
+    pub fn absorb_sorted(&mut self, other: SpillArena) {
         debug_assert_eq!(
             self.runs.last().map_or(0, |&e| e as usize),
             self.entries.len(),
             "absorb_sorted on an accumulator without run structure"
         );
-        let before = self.entries.len();
-        self.absorb_bytes(other);
-        let end = self.entries.len();
-        if end > before {
-            self.runs.push(u32::try_from(end).expect("spill arena exceeds 4 Gi records"));
-        }
-    }
-
-    fn absorb_bytes(&mut self, other: &SpillArena) {
-        let base = u32::try_from(self.bytes.len()).expect("spill arena exceeds 4 GiB");
-        self.bytes.extend_from_slice(&other.bytes);
-        self.entries.extend(other.entries.iter().map(|e| IndexEntry {
-            off: base.checked_add(e.off).expect("spill arena exceeds 4 GiB"),
-            ..*e
-        }));
-        self.text_bytes += other.text_bytes;
         self.sealed = None;
+        if other.entries.is_empty() {
+            return;
+        }
+        let base = self.chunks.len();
+        self.chunks.extend(other.chunks);
+        // Every chunk id, the rebased ones included, is below this bound.
+        assert!(self.chunks.len() <= u32::MAX as usize, "spill arena exceeds 4 Gi chunks");
+        self.entries.extend(
+            other.entries.iter().map(|e| IndexEntry { chunk: base as u32 + e.chunk, ..*e }),
+        );
+        self.text_bytes += other.text_bytes;
+        self.runs
+            .push(u32::try_from(self.entries.len()).expect("spill arena exceeds 4 Gi records"));
     }
 
     /// Number of tracked sorted runs, or 0 when the arena has no valid
@@ -305,30 +339,46 @@ impl SpillArena {
         }
     }
 
-    /// Compute the arena's integrity checksum: the byte buffer as one
-    /// framed block, then each index entry's `(off, key_len, val_len)` in
-    /// current index order — so both the bytes *and* the record layout
-    /// (including post-sort record order) are covered, CRC-framed-block
-    /// style.
+    /// Compute the arena's integrity checksum: the record bytes as one
+    /// framed block, then each index entry's position and lengths in
+    /// current index order, folded as two words — so both the bytes *and*
+    /// the record layout (including post-sort record order) are covered,
+    /// CRC-framed-block style. Positions are offsets into the
+    /// concatenation of the chunks, so the checksum is a function of the
+    /// records' layout, not of how they are chunked. Only map-side
+    /// buckets — one chunk each — are sealed; the copying branch serves
+    /// the tests that compare a partition against its concatenation.
     fn checksum(&self) -> u64 {
         let mut c = crate::hash::BlockChecksum::default();
-        c.update(&self.bytes);
+        let mut bases = Vec::with_capacity(self.chunks.len());
+        let mut total = 0u64;
+        for chunk in &self.chunks {
+            bases.push(total);
+            total += chunk.len() as u64;
+        }
+        match self.chunks.as_slice() {
+            [] => c.update(&[]),
+            [only] => c.update(only),
+            many => c.update(&many.concat()),
+        }
         for e in &self.entries {
-            let mut frame = [0u8; 12];
-            frame[..4].copy_from_slice(&e.off.to_le_bytes());
-            frame[4..8].copy_from_slice(&e.key_len.to_le_bytes());
-            frame[8..].copy_from_slice(&e.val_len.to_le_bytes());
-            c.update(&frame);
+            c.fold_word(bases[e.chunk as usize] + u64::from(e.off));
+            c.fold_word(u64::from(e.key_len) | u64::from(e.val_len) << 32);
         }
         c.finish()
     }
 
-    /// Seal the arena: record its checksum for later [`verify`]. The map
-    /// side calls this once a bucket's contents are final; any later
-    /// mutation through the normal API clears the seal.
+    /// Seal the arena: record its checksum for later [`verify`], and
+    /// release the growth slack of its buffers first, so a sealed bucket
+    /// travels to its reducer at its exact size. The map side calls this
+    /// once a bucket's contents are final; any later mutation through the
+    /// normal API clears the seal.
     ///
     /// [`verify`]: Self::verify
     pub(crate) fn seal(&mut self) {
+        for chunk in &mut self.chunks {
+            chunk.shrink_to_fit();
+        }
         self.sealed = Some(self.checksum());
     }
 
@@ -350,16 +400,24 @@ impl SpillArena {
         }
     }
 
-    /// Flip one bit of buffer byte `offset` **without clearing the
-    /// seal** — the fault injector's model of silent corruption in
-    /// transit or at rest. Flipping the same offset again restores the
-    /// original contents (the re-executed map's clean output).
-    pub(crate) fn flip_byte(&mut self, offset: usize) {
-        self.bytes[offset] ^= 0x01;
+    /// Flip one bit of byte `offset` of the concatenated chunks **without
+    /// clearing the seal** — the fault injector's model of silent
+    /// corruption in transit or at rest. Flipping the same offset again
+    /// restores the original contents (the re-executed map's clean
+    /// output).
+    pub(crate) fn flip_byte(&mut self, mut offset: usize) {
+        for chunk in &mut self.chunks {
+            if offset < chunk.len() {
+                chunk[offset] ^= 0x01;
+                return;
+            }
+            offset -= chunk.len();
+        }
+        panic!("flip offset beyond the arena's {} bytes", self.encoded_bytes());
     }
 
     /// Sort the record index into the canonical `(prefix, key bytes,
-    /// value bytes, offset)` order and mark the arena as a single sorted
+    /// value bytes, (chunk, offset))` order and mark the arena as a single sorted
     /// run. Unstable, but observationally deterministic (see module docs).
     pub fn sort_unstable(&mut self) {
         self.sort_radix();
@@ -384,8 +442,8 @@ impl SpillArena {
     }
 
     fn sort_comparison(&mut self) {
-        let SpillArena { bytes, entries, .. } = self;
-        entries.sort_unstable_by(|a, b| cmp_entries(bytes, a, b));
+        let SpillArena { chunks, entries, .. } = self;
+        entries.sort_unstable_by(|a, b| cmp_entries(chunks, a, b));
     }
 
     /// LSD radix sort over the cached prefixes: histogram all 8 prefix
@@ -429,7 +487,7 @@ impl SpillArena {
         self.entries = src;
         // Comparison fallback only *within* prefix-equal runs; the
         // cached-prefix order between runs is already final.
-        let SpillArena { bytes, entries, .. } = self;
+        let SpillArena { chunks, entries, .. } = self;
         let mut i = 0;
         while i < n {
             let p = entries[i].prefix;
@@ -438,7 +496,7 @@ impl SpillArena {
                 j += 1;
             }
             if j - i > 1 {
-                entries[i..j].sort_unstable_by(|a, b| cmp_entries(bytes, a, b));
+                entries[i..j].sort_unstable_by(|a, b| cmp_entries(chunks, a, b));
             }
             i = j;
         }
@@ -477,7 +535,7 @@ impl SpillArena {
         };
         let mut src = std::mem::take(&mut self.entries);
         let mut dst = vec![src[0]; n];
-        let bytes = &self.bytes;
+        let chunks = &self.chunks;
         while bounds.len() > 1 {
             let mut next_bounds = Vec::with_capacity(bounds.len().div_ceil(2));
             let mut pair = 0;
@@ -486,13 +544,13 @@ impl SpillArena {
                 let (b_start, b_end) = bounds[pair + 1];
                 let (mut a, mut b, mut out) = (a_start, b_start, a_start);
                 while a < a_end && b < b_end {
-                    // The offset tie-break makes the order total, so
+                    // The position tie-break makes the order total, so
                     // distinct entries never compare equal and either
                     // branch choice on a tie would be unreachable.
                     let take_a = {
                         let (ea, eb) = (&src[a], &src[b]);
                         ea.prefix < eb.prefix
-                            || (ea.prefix == eb.prefix && cmp_entries(bytes, ea, eb).is_lt())
+                            || (ea.prefix == eb.prefix && cmp_entries(chunks, ea, eb).is_lt())
                     };
                     if take_a {
                         dst[out] = src[a];
@@ -981,8 +1039,23 @@ mod tests {
         a
     }
 
-    fn index_snapshot(a: &SpillArena) -> Vec<(u64, u32, u32, u32)> {
-        a.entries.iter().map(|e| (e.prefix, e.off, e.key_len, e.val_len)).collect()
+    /// The index with each `(chunk, offset)` mapped to the record's offset
+    /// in the concatenation of the chunks — so a partition that keeps its
+    /// buckets as chunks compares equal to the concatenating reference.
+    fn index_snapshot(a: &SpillArena) -> Vec<(u64, u64, u32, u32)> {
+        let bases: Vec<u64> = a
+            .chunks
+            .iter()
+            .scan(0u64, |total, c| {
+                let base = *total;
+                *total += c.len() as u64;
+                Some(base)
+            })
+            .collect();
+        a.entries
+            .iter()
+            .map(|e| (e.prefix, bases[e.chunk as usize] + u64::from(e.off), e.key_len, e.val_len))
+            .collect()
     }
 
     #[test]
@@ -1020,9 +1093,10 @@ mod tests {
         for bucket in &buckets {
             let mut sorted = bucket.clone();
             sorted.sort_unstable();
-            merged.absorb_sorted(&sorted);
+            merged.absorb_sorted(sorted);
         }
         assert_eq!(merged.sorted_run_count(), 5);
+        assert_eq!(merged.chunks.len(), 5, "each bucket stays one chunk");
         merged.merge_sorted_runs();
         assert_eq!(merged.sorted_run_count(), 1);
 
@@ -1036,6 +1110,7 @@ mod tests {
         resorted.sort_reference();
         assert_eq!(index_snapshot(&merged), index_snapshot(&resorted));
         assert_eq!(merged.checksum(), resorted.checksum());
+        assert_eq!(collect(&merged), collect(&resorted));
         let groups: Vec<_> = merged.group_ranges().collect();
         assert_eq!(groups, resorted.group_ranges().collect::<Vec<_>>());
         assert_eq!(groups.iter().map(|r| r.len()).sum::<usize>(), merged.len());
@@ -1162,13 +1237,14 @@ mod tests {
                 for keys in &chunks {
                     let mut bucket = build(keys);
                     bucket.sort_unstable();
-                    merged.absorb_sorted(&bucket);
                     resorted.absorb(&bucket);
+                    merged.absorb_sorted(bucket);
                 }
                 merged.merge_sorted_runs();
                 resorted.sort_reference();
                 prop_assert_eq!(index_snapshot(&merged), index_snapshot(&resorted));
                 prop_assert_eq!(merged.checksum(), resorted.checksum());
+                prop_assert_eq!(collect(&merged), collect(&resorted));
             }
         }
     }
