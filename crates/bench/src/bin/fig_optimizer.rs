@@ -19,7 +19,7 @@
 //! hand-picked rows, which plan without estimates, carry none.
 
 use ntga_bench::{report, BenchOpts, Scale};
-use ntga_core::Strategy;
+use ntga_core::{execute_plan, Strategy};
 use rdf_model::TripleStore;
 use rdf_query::SolutionSet;
 
@@ -91,9 +91,12 @@ fn main() {
                 let extract = strategy == Strategy::Auto(1024);
                 let label = format!("{qid}-{}", strategy.label());
                 let input = mr_rdf::TRIPLES_FILE;
-                let mut run =
-                    ntga_core::execute(strategy, &engine, &tq.query, input, &label, extract)
-                        .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+                let (mut run, _) = strategy
+                    .plan(&tq.query)
+                    .and_then(|plan| {
+                        execute_plan(&plan, &engine, &tq.query, input, &label, extract)
+                    })
+                    .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
                 assert!(run.succeeded(), "{label}: hand-picked run failed");
                 assert!(run.stats.max_q_error().is_none(), "{label}: no estimates, no q-error");
                 if let Some(s) = run.solutions.take() {
@@ -109,15 +112,12 @@ fn main() {
 
             let engine = cluster.engine_with(store);
             let label = format!("{qid}-CostBased");
-            let run = ntga_core::execute_cost_based(
-                &engine,
-                &tq.query,
-                mr_rdf::TRIPLES_FILE,
-                &label,
-                true,
-                &stats,
-            )
-            .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+            let config = ntga_core::OptimizerConfig::for_engine(&engine);
+            let (run, _) = ntga_core::optimize(&tq.query, &stats, &engine.cost, &config)
+                .and_then(|plan| {
+                    execute_plan(&plan, &engine, &tq.query, mr_rdf::TRIPLES_FILE, &label, true)
+                })
+                .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
             assert!(run.succeeded(), "{label}: cost-based run failed");
             let q_error = run.stats.max_q_error();
             worst_q_error = worst_q_error.max(q_error.expect("CostBased rows carry max_q_error"));

@@ -49,9 +49,13 @@ fn main() {
         for strategy in HAND_PICKED {
             let engine = cluster.engine_with(&store);
             let label = format!("{qid}-{}", strategy.label());
-            let run =
-                ntga_core::execute(strategy, &engine, query, mr_rdf::TRIPLES_FILE, &label, false)
-                    .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+            let input = mr_rdf::TRIPLES_FILE;
+            let (run, _) = strategy
+                .plan(query)
+                .and_then(|plan| {
+                    ntga_core::execute_plan(&plan, &engine, query, input, &label, false)
+                })
+                .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
             assert!(run.succeeded(), "{label}: hand-picked run failed");
             let t = run.stats.sim_seconds;
             if cell.as_ref().is_none_or(|(b, _)| t < *b) {

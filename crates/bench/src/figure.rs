@@ -13,12 +13,12 @@ pub use claim::Verdict;
 use claim::*;
 
 use crate::report::{self, human_bytes, Row};
-use crate::{BenchOpts, Runner, Scale};
+use crate::{BenchOpts, Scale};
 use datagen::BsbmConfig;
-use ntga_core::Strategy;
+use mr_rdf::{PlanError, QueryRun};
+use ntga::Approach;
 use rdf_model::TripleStore;
 use rdf_query::Query;
-use relbase::Grouping;
 use std::process::ExitCode;
 
 const PIG: &str = "Pig";
@@ -41,7 +41,8 @@ struct Panel {
     cluster: ntga::ClusterConfig,
     store: TripleStore,
     queries: Vec<(String, Query)>,
-    runners: Vec<(String, Runner)>,
+    /// Each approach under the label its rows carry.
+    approaches: Vec<(&'static str, Approach)>,
     claims: Vec<Claim>,
 }
 
@@ -90,8 +91,9 @@ impl Figure {
             let cluster = opts.cluster(panel.cluster.clone());
             let (mut rows, mut verdicts) = (Vec::new(), Vec::new());
             for (qid, query) in &panel.queries {
-                for (label, runner) in &panel.runners {
-                    match runner.run(&cluster, &panel.store, query, &format!("{qid}-{label}")) {
+                for (label, approach) in &panel.approaches {
+                    let run_label = format!("{qid}-{label}");
+                    match run_cell(&cluster, &panel.store, query, *approach, &run_label) {
                         Ok(run) => rows.push(Row::from_run(qid, label, &run)),
                         Err(e) => verdicts.push(Verdict {
                             holds: false,
@@ -128,8 +130,13 @@ impl Panel {
             let total = (store.text_bytes() as f64 * factor) as u64;
             cluster.disk_per_node = (total / u64::from(nodes)).max(1);
         }
-        let runners = Runner::paper_panel(1024).into_iter().map(|r| (r.label(), r)).collect();
-        Panel { dataset, store, cluster, queries, runners, claims }
+        let approaches = vec![
+            (PIG, Approach::Pig),
+            (HIVE, Approach::Hive),
+            (EAGER, Approach::NtgaEager),
+            (LAZY, Approach::NtgaAuto(1024)),
+        ];
+        Panel { dataset, store, cluster, queries, approaches, claims }
     }
 
     /// The dataset and cluster line above the panel's table.
@@ -143,6 +150,29 @@ impl Panel {
         let cluster = format!("{} nodes, replication {}, {disk}", c.nodes, c.replication);
         format!("dataset: {}, {triples} triples ({bytes}); {cluster}", self.dataset)
     }
+}
+
+/// Run `query` under `approach` on a fresh engine built from `cluster`, as
+/// `label`. A disk too small for the input itself is a failed run with no
+/// jobs, like any other `DiskFull`; an unplannable query is an `Err`.
+pub(crate) fn run_cell(
+    cluster: &ntga::ClusterConfig,
+    store: &TripleStore,
+    query: &Query,
+    approach: Approach,
+    label: &str,
+) -> Result<QueryRun, PlanError> {
+    let engine = match cluster.try_engine_with(store) {
+        Ok(engine) => engine,
+        Err(e) => {
+            let (label, failure) = (label.to_string(), Some(e.to_string()));
+            let stats = mrsim::WorkflowStats { label, failure, ..Default::default() };
+            return Ok(QueryRun { stats, solutions: None });
+        }
+    };
+    let plan = approach.plan(query, &engine)?;
+    ntga_core::execute_plan(&plan, &engine, query, mr_rdf::TRIPLES_FILE, label, false)
+        .map(|(run, _)| run)
 }
 
 /// A figure's measured rows and its claims' verdicts, per panel.
@@ -214,9 +244,9 @@ fn each(qs: &[&'static str], approaches: &[&'static str], claim: fn(Cell) -> Cla
 
 /// Figure 3 — star-join groupings on the bound two-star case study.
 pub fn fig3(scale: Scale) -> Figure {
-    let (sj, sel) = (Grouping::SjPerCycle, Grouping::SelSjFirst);
+    // SJ-per-cycle (one star join per cycle, then the join) is Hive's plan.
+    let (sj, sel) = ("SJ-per-cycle", "Sel-SJ-first");
     let claims = ["Q1a", "Q1b", "Q2a", "Q2b", "Q3a", "Q3b"].into_iter().flat_map(|q| {
-        let (sj, sel) = (sj.label(), sel.label());
         // Object-object joins (Q3*) cost Sel-SJ-first a cycle and a scan.
         let (sel_mr, order) =
             if q.starts_with("Q3") { (3, [LAZY, sj, sel]) } else { (2, [LAZY, sel, sj]) };
@@ -231,8 +261,8 @@ pub fn fig3(scale: Scale) -> Figure {
     let store = datagen::bsbm::generate(&BsbmConfig::with_products(scale.entities(120)));
     let queries = queries(ntga::testbed::case_study(), &[]);
     let mut panel = Panel::new("BSBM-like", store, (60, 1, None), queries, claims.collect());
-    let runners = [Runner::Grouping(sj), Runner::Grouping(sel), Runner::Ntga(Strategy::Auto(1024))];
-    panel.runners = runners.into_iter().map(|r| (r.label(), r)).collect();
+    panel.approaches =
+        vec![(sj, Approach::Hive), (sel, Approach::SelSjFirst), (LAZY, Approach::NtgaAuto(1024))];
     Figure::new(
         "fig3",
         "Figure 3: groupings of star-joins (MR = cycles, FS = full scans)",
@@ -353,14 +383,12 @@ pub fn fig11(scale: Scale) -> Figure {
     });
     let mut panel =
         Panel::new("BSBM-2M analog", store, (60, 1, None), b_series(&["B1", "B2", "B3"]), claims);
-    panel.runners = [
-        (full, Strategy::LazyFull),
-        (phi16, Strategy::LazyPartial(16)),
-        ("LazyUnnest(phi_64)", Strategy::LazyPartial(64)),
-        ("LazyUnnest(phi_1K)", Strategy::LazyPartial(1024)),
-    ]
-    .map(|(label, strategy)| (label.to_string(), Runner::Ntga(strategy)))
-    .into();
+    panel.approaches = vec![
+        (full, Approach::NtgaLazyFull),
+        (phi16, Approach::NtgaLazyPartial(16)),
+        ("LazyUnnest(phi_64)", Approach::NtgaLazyPartial(64)),
+        ("LazyUnnest(phi_1K)", Approach::NtgaLazyPartial(1024)),
+    ];
     let figure = Figure::new(
         "fig11",
         "Figure 11: last MR cycle (join on unbound pattern), lazy full vs partial",
@@ -469,4 +497,62 @@ pub fn fig14(scale: Scale) -> Figure {
             Panel::new("BTC-09-like", btc_store, (40, 2, None), c_series(), btc),
         ],
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bsbm20() -> TripleStore {
+        datagen::bsbm::generate(&datagen::BsbmConfig::with_products(20))
+    }
+
+    #[test]
+    fn paper_panel_runs_and_reports() {
+        let store = bsbm20();
+        let q = rdf_query::parse_query(
+            "SELECT * WHERE { ?p <rdfs:label> ?l . ?p ?u ?x . ?x <rdfs:label> ?l2 . }",
+        )
+        .unwrap();
+        let panel = Panel::new("BSBM", store, (60, 1, None), vec![("B1ish".into(), q)], vec![]);
+        let rows: Vec<Row> = panel
+            .approaches
+            .iter()
+            .map(|(label, approach)| {
+                let run =
+                    run_cell(&panel.cluster, &panel.store, &panel.queries[0].1, *approach, "t");
+                Row::from_run("B1ish", label, &run.unwrap())
+            })
+            .collect();
+        let labels: Vec<&str> = rows.iter().map(|r| r.approach.as_str()).collect();
+        assert_eq!(labels, [PIG, HIVE, EAGER, LAZY]);
+        assert!(rows.iter().all(|r| r.ok()));
+        // NTGA rows should show fewer cycles than relational rows.
+        assert!(rows[3].stats.mr_cycles < rows[1].stats.mr_cycles);
+        // The NTGA rows carry operator counters; relational plans record
+        // none (their operators don't count yet).
+        for r in &rows[2..] {
+            assert!(r.ops().get(ntga_core::physical::op::GROUPS_IN) > 0, "{}", r.approach);
+        }
+        mrsim::trace::validate_json(&report::rows_json(&rows)).unwrap();
+    }
+
+    #[test]
+    fn a_query_the_approach_cannot_plan_is_an_error_not_a_panic() {
+        let q = rdf_query::parse_query("SELECT * WHERE { ?p <rdfs:label> ?l . }").unwrap();
+        let cluster = ntga::ClusterConfig::default();
+        let err = run_cell(&cluster, &bsbm20(), &q, Approach::SelSjFirst, "one-star").unwrap_err();
+        assert!(err.to_string().contains("Sel-SJ-first groups the star joins of two"), "{err}");
+    }
+
+    #[test]
+    fn input_larger_than_the_disk_is_a_failed_row_not_a_panic() {
+        let store = bsbm20();
+        let q = rdf_query::parse_query("SELECT * WHERE { ?p <rdfs:label> ?l . }").unwrap();
+        let cluster = ntga::ClusterConfig::default().tight_disk(&store, 0.5);
+        let run = run_cell(&cluster, &store, &q, Approach::NtgaLazyFull, "tiny").unwrap();
+        assert!(!run.succeeded());
+        assert!(run.stats.failure.as_deref().is_some_and(|f| f.contains("full")), "{run:?}");
+        assert!(run.stats.jobs.is_empty());
+    }
 }

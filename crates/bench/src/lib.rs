@@ -23,10 +23,8 @@
 pub mod figure;
 pub mod report;
 
-use mr_rdf::{PlanError, QueryRun};
 use mrsim::trace::JsonObject;
 use mrsim::{ChromeTraceSink, JsonlSink, MultiSink, TraceSink};
-use ntga_core::Strategy;
 use rdf_model::TripleStore;
 use rdf_query::Query;
 use std::path::{Path, PathBuf};
@@ -158,13 +156,12 @@ pub fn profile_queries(
     store: &TripleStore,
     queries: &[(String, Query)],
 ) -> Result<Vec<ntga_core::Profile>, String> {
-    let stats = store.stats();
     queries
         .iter()
         .map(|(qid, query)| {
             let engine = cluster.engine_with(store);
-            let config = ntga_core::OptimizerConfig::for_engine(&engine);
-            let plan = ntga_core::optimize(query, &stats, &engine.cost, &config)
+            let plan = ntga::Approach::NtgaAutoCost
+                .plan(query, &engine)
                 .map_err(|e| format!("{qid}: planning failed: {e}"))?;
             let (run, stars) =
                 ntga_core::execute_plan(&plan, &engine, query, mr_rdf::TRIPLES_FILE, qid, false)
@@ -218,132 +215,16 @@ impl Scale {
     }
 }
 
-/// An execution approach paired with its report label — thin wrapper so
-/// a figure can mix relational flavors, NTGA strategies and the Figure 3
-/// groupings in one panel.
-#[derive(Debug, Clone, Copy)]
-pub enum Runner {
-    /// Pig-like or Hive-like relational execution.
-    Relational(relbase::RelFlavor),
-    /// A Figure 3 grouping.
-    Grouping(relbase::Grouping),
-    /// An NTGA strategy.
-    Ntga(Strategy),
-}
-
-impl Runner {
-    /// Report label.
-    pub fn label(&self) -> String {
-        match self {
-            Runner::Relational(f) => f.label().to_string(),
-            Runner::Grouping(g) => g.label().to_string(),
-            Runner::Ntga(s) => s.label(),
-        }
-    }
-
-    /// The panel used by most figures: Pig, Hive, EagerUnnest, LazyUnnest.
-    pub fn paper_panel(phi: u64) -> Vec<Runner> {
-        vec![
-            Runner::Relational(relbase::RelFlavor::Pig),
-            Runner::Relational(relbase::RelFlavor::Hive),
-            Runner::Ntga(Strategy::Eager),
-            Runner::Ntga(Strategy::Auto(phi)),
-        ]
-    }
-
-    /// Execute one query on a fresh engine built from `cluster`. A disk too
-    /// small for the input itself is reported like any other `DiskFull`: a
-    /// failed run with no jobs. A query the approach cannot plan is the
-    /// planner's error.
-    pub fn run(
-        &self,
-        cluster: &ntga::ClusterConfig,
-        store: &TripleStore,
-        query: &Query,
-        label: &str,
-    ) -> Result<QueryRun, PlanError> {
-        let engine = match cluster.try_engine_with(store) {
-            Ok(engine) => engine,
-            Err(e) => {
-                let (label, failure) = (label.to_string(), Some(e.to_string()));
-                let stats = mrsim::WorkflowStats { label, failure, ..Default::default() };
-                return Ok(QueryRun { stats, solutions: None });
-            }
-        };
-        let input = mr_rdf::TRIPLES_FILE;
-        match *self {
-            Runner::Relational(f) => relbase::execute(f, &engine, query, input, label, false),
-            Runner::Grouping(g) => {
-                relbase::execute_grouping(g, &engine, query, input, label, false)
-            }
-            Runner::Ntga(s) => ntga_core::execute(s, &engine, query, input, label, false),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ntga::Approach;
 
     #[test]
     fn scale_entities() {
         assert_eq!(Scale::Small.entities(10), 10);
         assert_eq!(Scale::Medium.entities(10), 40);
         assert_eq!(Scale::Large.entities(10), 160);
-    }
-
-    #[test]
-    fn panel_runs_and_reports() {
-        let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(20));
-        let q = rdf_query::parse_query(
-            "SELECT * WHERE { ?p <rdfs:label> ?l . ?p ?u ?x . ?x <rdfs:label> ?l2 . }",
-        )
-        .unwrap();
-        let cluster = ntga::ClusterConfig::default();
-        let rows: Vec<report::Row> = Runner::paper_panel(64)
-            .iter()
-            .map(|r| {
-                report::Row::from_run(
-                    "B1ish",
-                    &r.label(),
-                    &r.run(&cluster, &store, &q, "t").unwrap(),
-                )
-            })
-            .collect();
-        let labels: Vec<&str> = rows.iter().map(|r| r.approach.as_str()).collect();
-        assert_eq!(labels, ["Pig", "Hive", "EagerUnnest", "LazyUnnest(auto,phi_64)"]);
-        assert!(rows.iter().all(|r| r.ok()));
-        // NTGA rows should show fewer cycles than relational rows.
-        assert!(rows[3].stats.mr_cycles < rows[1].stats.mr_cycles);
-        // The NTGA rows carry operator counters; relational plans record
-        // none (their operators don't count yet).
-        for r in &rows[2..] {
-            assert!(r.ops().get(ntga_core::physical::op::GROUPS_IN) > 0, "{}", r.approach);
-        }
-        let json = report::rows_json(&rows);
-        mrsim::trace::validate_json(&json).unwrap();
-    }
-
-    #[test]
-    fn a_query_the_approach_cannot_plan_is_an_error_not_a_panic() {
-        let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(20));
-        let q = rdf_query::parse_query("SELECT * WHERE { ?p <rdfs:label> ?l . }").unwrap();
-        let cluster = ntga::ClusterConfig::default();
-        let err = Runner::Grouping(relbase::Grouping::SjPerCycle)
-            .run(&cluster, &store, &q, "one-star")
-            .unwrap_err();
-        assert!(err.to_string().contains("groupings are defined for two-star queries"), "{err}");
-    }
-
-    #[test]
-    fn input_larger_than_the_disk_is_a_failed_row_not_a_panic() {
-        let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(20));
-        let q = rdf_query::parse_query("SELECT * WHERE { ?p <rdfs:label> ?l . }").unwrap();
-        let cluster = ntga::ClusterConfig::default().tight_disk(&store, 0.5);
-        let run = Runner::Ntga(Strategy::LazyFull).run(&cluster, &store, &q, "tiny").unwrap();
-        assert!(!run.succeeded());
-        assert!(run.stats.failure.as_deref().is_some_and(|f| f.contains("full")), "{run:?}");
-        assert!(run.stats.jobs.is_empty());
     }
 
     #[test]
@@ -390,7 +271,7 @@ mod tests {
         )
         .unwrap();
         let cluster = opts.cluster(ntga::ClusterConfig::default());
-        let run = Runner::Ntga(Strategy::LazyFull).run(&cluster, &store, &q, "traced").unwrap();
+        let run = figure::run_cell(&cluster, &store, &q, Approach::NtgaLazyFull, "traced").unwrap();
         assert!(run.succeeded());
         let err = opts.finish(&cluster, &store, &[], &[]).unwrap_err();
         assert!(err.contains("rows.json"), "{err}");

@@ -135,15 +135,14 @@ fn executed_plans_report_bounded_q_error() {
         };
         for tq in queries {
             let engine = cluster.engine_with(&store);
-            let run = ntga_core::execute_cost_based(
-                &engine,
-                &tq.query,
-                mr_rdf::TRIPLES_FILE,
-                &format!("qerr-{name}-{}", tq.id),
-                true,
-                &stats,
-            )
-            .unwrap_or_else(|e| panic!("{name}/{}: planning failed: {e}", tq.id));
+            let config = ntga_core::OptimizerConfig::for_engine(&engine);
+            let label = format!("qerr-{name}-{}", tq.id);
+            let (run, _) = ntga_core::optimize(&tq.query, &stats, &engine.cost, &config)
+                .and_then(|plan| {
+                    let input = mr_rdf::TRIPLES_FILE;
+                    ntga_core::execute_plan(&plan, &engine, &tq.query, input, &label, true)
+                })
+                .unwrap_or_else(|e| panic!("{name}/{}: planning failed: {e}", tq.id));
             assert!(run.succeeded(), "{name}/{}: run failed", tq.id);
             assert_eq!(
                 run.solutions.as_ref(),

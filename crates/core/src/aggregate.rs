@@ -47,7 +47,7 @@ pub fn group_count_by_subject(tuples: &[TgTuple], component: usize) -> BTreeMap<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{execute, Strategy};
+    use crate::planner::{execute_plan, Strategy};
     use mr_rdf::load_store;
     use mrsim::Engine;
     use rdf_model::{STriple, TripleStore};
@@ -79,7 +79,8 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &store()).unwrap();
         let query = parse_query(q).unwrap();
-        execute(Strategy::LazyFull, &engine, &query, "t", "agg", true).unwrap();
+        let plan = Strategy::LazyFull.plan(&query).unwrap();
+        execute_plan(&plan, &engine, &query, "t", "agg", true).unwrap();
         let tuples = final_tuples(&engine, "agg");
         let n = query.stars.len();
         (engine, tuples, query, n)

@@ -6,45 +6,47 @@
 //! (`TG_UnbJoin` vs `TG_OptUnbJoin` and the φ range, or an eager μ^β in
 //! Job 1), reducer counts, and the paper vocabulary for each step, so the
 //! rewrite from Figure 6 is visible. There is one renderer,
-//! [`explain_plan`]; [`explain`] is [`Strategy::plan`] fed into it, so a
-//! hand-picked strategy and a cost-based plan read the same way.
+//! [`explain_plan`], so a hand-picked strategy, a cost-based plan and a
+//! relational baseline read the same way.
 
-use crate::optimizer::{JoinAlgo, PhysicalPlan};
 use crate::physical::{BuildSide, JoinRole, UnnestMode};
-use crate::planner::Strategy;
-use mr_rdf::{check_query, PlanError};
+use crate::plan::{supported, Cycle, JoinAlgo, PhysicalPlan};
+use mr_rdf::PlanError;
 use rdf_query::{ObjPattern, PropPattern, Query, StarPattern};
 
 /// A rendered plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanText {
-    /// One entry per MR cycle.
+    /// One entry per MR cycle; the concurrent jobs of one stage share it.
     pub cycles: Vec<String>,
     /// The plan's label and one-line summary.
     pub strategy: String,
     /// Operator-counter namespaces this plan records at runtime (see
     /// [`crate::physical::op`]): which of `ntga.group.*`, `ntga.unnest.*`
     /// and `ntga.partial.*` will show up on the run's `JobStats::ops`.
+    /// Empty for a relational plan, whose operators count nothing.
     pub counters: Vec<&'static str>,
     /// Per-cycle estimated output cardinalities (records, rounded), when
     /// the plan came from the cost-based optimizer. Empty for hand-picked
-    /// strategies, which plan without statistics. Comparing these against
-    /// the executed run's `JobStats::output_records` is exactly the
-    /// per-job q-error the engine reports.
+    /// strategies and the baselines, which plan without statistics.
+    /// Comparing these against the executed run's `JobStats::output_records`
+    /// is exactly the per-job q-error the engine reports.
     pub estimates: Vec<u64>,
 }
 
 impl std::fmt::Display for PlanText {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "NTGA plan [{}]:", self.strategy)?;
+        writeln!(f, "plan [{}]:", self.strategy)?;
         for (i, c) in self.cycles.iter().enumerate() {
             match self.estimates.get(i) {
                 Some(est) => writeln!(f, "  MR{}: {} (~{est} records)", i + 1, c)?,
                 None => writeln!(f, "  MR{}: {}", i + 1, c)?,
             }
         }
-        writeln!(f, "  counters: {}", self.counters.join(", "))?;
-        Ok(())
+        match self.counters.is_empty() {
+            true => Ok(()),
+            false => writeln!(f, "  counters: {}", self.counters.join(", ")),
+        }
     }
 }
 
@@ -66,103 +68,127 @@ fn role_text(role: JoinRole, star: &StarPattern) -> String {
     }
 }
 
-/// Render the plan a hand-picked `strategy` compiles `query` to. Fails
-/// exactly when [`crate::execute`] would fail to plan.
-pub fn explain(strategy: Strategy, query: &Query) -> Result<PlanText, PlanError> {
-    explain_plan(&strategy.plan(query)?, query)
+/// The braces of a star: its bound properties and unbound-pattern count,
+/// e.g. `?g{<label>,1×unbound}`.
+fn star_text(s: &StarPattern) -> String {
+    let bound: Vec<String> = s.bound_properties().iter().map(|p| p.to_string()).collect();
+    let unb = s.unbound_patterns().len();
+    let unbound = if unb > 0 { format!(",{unb}×unbound") } else { String::new() };
+    format!("?{}{{{}{unbound}}}", s.subject_var, bound.join(","))
 }
 
-/// Render a [`PhysicalPlan`]: Job 1 with each star's equivalence class and
-/// unnest placement, then one line per join cycle with the chosen operator
-/// (reduce-side join with its φ and reducer count, or map-side
-/// `TG_BcastJoin` with the broadcast side), the join variable and how each
-/// side holds it. Optimized plans add the estimated output cardinality the
-/// executed job will be scored against (q-error).
+/// Render a [`PhysicalPlan`], one line per stage (Pig's concurrent star
+/// joins share one). Job 1 shows each star's equivalence class and unnest
+/// placement; a join cycle its operator (reduce-side join with its φ and
+/// reducer count, or map-side `TG_BcastJoin` with the broadcast side), the
+/// join variable and how each side holds it; optimized plans add the
+/// estimated output cardinality the job will be scored against (q-error).
 pub fn explain_plan(plan: &PhysicalPlan, query: &Query) -> Result<PlanText, PlanError> {
-    query.validate()?;
-    check_query(query)?;
-    let steps = plan.schedule_for(query)?;
+    supported(query)?;
+    let (tg_steps, row_steps) = plan.schedule_for(query)?;
+    let (mut tg_steps, mut row_steps) = (tg_steps.iter(), row_steps.iter());
+    let shape = || PlanError::Internal("plan shape does not match query".into());
+    let star = |i: usize| query.stars.get(i).ok_or_else(shape);
 
-    // Job 1.
-    let ec_desc: Vec<String> = query
-        .stars
-        .iter()
-        .zip(&plan.eager_stars)
-        .enumerate()
-        .map(|(i, (s, &eager))| {
-            let bound: Vec<String> = s.bound_properties().iter().map(|p| p.to_string()).collect();
-            let unb = s.unbound_patterns().len();
-            format!(
-                "EC{i}=?{}{{{}{}}} {}",
-                s.subject_var,
-                bound.join(","),
-                if unb > 0 { format!(",{unb}×unbound") } else { String::new() },
-                if eager { "eager μ^β" } else { "lazy" }
-            )
-        })
-        .collect();
-    let filter_op = if query.stars.iter().any(StarPattern::has_unbound) {
-        "TG_UnbGrpFilter (σ^βγ)"
-    } else {
-        "TG_GrpFilter (σ^γ)"
-    };
-    let mut cycles = vec![format!(
-        "TG_GroupByMap(T) + TG_GroupByReduce + {filter_op} -> {} (r={})   \
-         [1 full scan computes ALL star subpatterns; per-star unnest placement]",
-        ec_desc.join(", "),
-        plan.job1_reduce_tasks
-    )];
-
-    // Join cycles. Track which unnest flavors the run will record: an exact
-    // or broadcast cycle counts `ntga.unnest.*` for the unbound-object sides
-    // it expands (the probe side only, under broadcast), a φ-partial cycle
-    // counts `ntga.partial.*` for them.
-    let mut unnest = plan.eager_stars.iter().any(|&e| e);
+    // Track which unnest flavors the run will record: an eager star counts
+    // `ntga.unnest.*` in Job 1, an exact or broadcast cycle counts it for
+    // the unbound-object sides it expands (the probe side only, under
+    // broadcast), a φ-partial cycle counts `ntga.partial.*` for them.
+    let eager_stars = plan.eager_stars().unwrap_or_default();
+    let mut unnest = eager_stars.iter().any(|&e| e);
     let mut partial_unnest = false;
-    for (step, algo) in steps.iter().zip(&plan.cycles) {
-        let unbound_sides = step.unbound_sides(query);
-        let op = match *algo {
-            JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks } => {
-                unnest |= !unbound_sides.is_empty();
-                if unbound_sides.is_empty() {
-                    format!("TG_Join (r={reduce_tasks})")
-                } else if unbound_sides.iter().all(|&(star, _)| plan.eager_stars[star]) {
-                    format!("TG_Join (inputs already β-unnested eagerly, r={reduce_tasks})")
+    let mut text = |cycle: &Cycle| -> Result<String, PlanError> {
+        Ok(match cycle {
+            Cycle::GroupFilter { eager, reduce_tasks } => {
+                let ec_desc: Vec<String> = query
+                    .stars
+                    .iter()
+                    .zip(eager)
+                    .enumerate()
+                    .map(|(i, (s, &eager))| {
+                        let placement = if eager { "eager μ^β" } else { "lazy" };
+                        format!("EC{i}={} {placement}", star_text(s))
+                    })
+                    .collect();
+                let filter_op = if query.stars.iter().any(StarPattern::has_unbound) {
+                    "TG_UnbGrpFilter (σ^βγ)"
                 } else {
-                    format!(
-                        "TG_UnbJoin (lazy full unnest μ^β at this cycle's map, r={reduce_tasks})"
-                    )
-                }
-            }
-            JoinAlgo::Reduce { mode: UnnestMode::Partial(m), reduce_tasks } => {
-                partial_unnest |= !unbound_sides.is_empty();
-                format!("TG_OptUnbJoin (lazy partial unnest μ^β_φ, φ {m}, r={reduce_tasks})")
-            }
-            JoinAlgo::Broadcast { build } => {
-                let (side, probe_role) = match build {
-                    BuildSide::Left => ("left", step.rrole),
-                    BuildSide::Right => ("right", step.lrole),
+                    "TG_GrpFilter (σ^γ)"
                 };
-                unnest |= matches!(probe_role, JoinRole::UnboundObj(_));
-                format!("TG_BcastJoin (map-side, {side} side broadcast — reduce cycle collapsed)")
+                format!(
+                    "TG_GroupByMap(T) + TG_GroupByReduce + {filter_op} -> {} \
+                     (r={reduce_tasks})   [1 full scan computes ALL star subpatterns; \
+                     per-star unnest placement]",
+                    ec_desc.join(", "),
+                )
             }
-        };
-        cycles.push(format!(
-            "{op} on ?{}: left {} ⋈ right EC{} {}",
-            step.var,
-            role_text(step.lrole, &query.stars[step.l_star]),
-            step.other,
-            role_text(step.rrole, &query.stars[step.other]),
-        ));
+            Cycle::TgJoin(algo) => {
+                let step = tg_steps.next().ok_or_else(shape)?;
+                let unbound_sides = step.unbound_sides(query);
+                let op = match *algo {
+                    JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks } => {
+                        unnest |= !unbound_sides.is_empty();
+                        if unbound_sides.is_empty() {
+                            format!("TG_Join (r={reduce_tasks})")
+                        } else if unbound_sides.iter().all(|&(star, _)| eager_stars[star]) {
+                            format!("TG_Join (inputs already β-unnested eagerly, r={reduce_tasks})")
+                        } else {
+                            format!(
+                                "TG_UnbJoin (lazy full unnest μ^β at this cycle's map, \
+                                 r={reduce_tasks})"
+                            )
+                        }
+                    }
+                    JoinAlgo::Reduce { mode: UnnestMode::Partial(m), reduce_tasks } => {
+                        partial_unnest |= !unbound_sides.is_empty();
+                        format!(
+                            "TG_OptUnbJoin (lazy partial unnest μ^β_φ, φ {m}, r={reduce_tasks})"
+                        )
+                    }
+                    JoinAlgo::Broadcast { build } => {
+                        let (side, probe_role) = match build {
+                            BuildSide::Left => ("left", step.rrole),
+                            BuildSide::Right => ("right", step.lrole),
+                        };
+                        unnest |= matches!(probe_role, JoinRole::UnboundObj(_));
+                        format!("TG_BcastJoin (map-side, {side} side broadcast — reduce cycle collapsed)")
+                    }
+                };
+                format!(
+                    "{op} on ?{}: left {} ⋈ right EC{} {}",
+                    step.var,
+                    role_text(step.lrole, star(step.l_star)?),
+                    step.other,
+                    role_text(step.rrole, star(step.other)?),
+                )
+            }
+            Cycle::RowJoin => {
+                let step = row_steps.next().ok_or_else(shape)?;
+                format!("RowJoin on ?{}: rows ⋈ S{}", step.var, step.star)
+            }
+            Cycle::LoadCopy => "Load: map-only copy of T   [1 full scan]".into(),
+            // Star joins scan T per relation group under Pig (`per-load`)
+            // and once otherwise; attaches join into the running rows.
+            Cycle::StarJoin { star: i, .. }
+            | Cycle::StarAttach { star: i }
+            | Cycle::PatternAttach { star: i, .. } => {
+                format!("{}: S{i}={}   [full scan]", cycle.operator(), star_text(star(*i)?))
+            }
+        })
+    };
+    let mut cycles = Vec::new();
+    for stage in &plan.stages {
+        let texts: Result<Vec<String>, PlanError> = stage.iter().map(&mut text).collect();
+        cycles.push(texts?.join(" ‖ "));
     }
 
-    let mut counters = vec!["ntga.group.*"];
-    if unnest {
-        counters.push("ntga.unnest.*");
-    }
-    if partial_unnest {
-        counters.push("ntga.partial.*");
-    }
+    let namespaces = [
+        ("ntga.group.*", !eager_stars.is_empty()),
+        ("ntga.unnest.*", unnest),
+        ("ntga.partial.*", partial_unnest),
+    ];
+    let counters =
+        namespaces.into_iter().filter_map(|(ns, recorded)| recorded.then_some(ns)).collect();
     let estimates = plan.estimates.as_ref().map_or(Vec::new(), |est| {
         std::iter::once(est.job1_records)
             .chain(est.cycles.iter().map(|c| c.output_records))
@@ -180,7 +206,12 @@ pub fn explain_plan(plan: &PhysicalPlan, query: &Query) -> Result<PlanText, Plan
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::Strategy;
     use rdf_query::parse_query;
+
+    fn explain(strategy: Strategy, query: &Query) -> Result<PlanText, PlanError> {
+        explain_plan(&strategy.plan(query)?, query)
+    }
 
     fn q() -> Query {
         parse_query(
@@ -245,6 +276,25 @@ mod tests {
         let plan = explain(Strategy::LazyFull, &q).unwrap();
         assert!(plan.cycles[0].contains("TG_GrpFilter (σ^γ)"));
         assert!(plan.cycles[1].starts_with("TG_Join (r=8) on ?b"), "{}", plan.cycles[1]);
+    }
+
+    #[test]
+    fn baselines_render_one_line_per_cycle() {
+        let pig = explain_plan(&PhysicalPlan::pig(&q()).unwrap(), &q()).unwrap();
+        assert_eq!(pig.cycles.len(), 3);
+        assert!(pig.cycles[0].starts_with("Load: "), "{}", pig.cycles[0]);
+        let stars = "StarJoin(S0,per-load): S0=?g{<label>,1×unbound}   [full scan] ‖ StarJoin(S1,";
+        assert!(pig.cycles[1].starts_with(stars), "{}", pig.cycles[1]);
+        assert_eq!(pig.cycles[2], "RowJoin on ?go: rows ⋈ S1");
+        assert!(pig.counters.is_empty() && pig.estimates.is_empty());
+        let summary = "Load → StarJoin(S0,per-load)+StarJoin(S1,per-load) → RowJoin";
+        assert_eq!(pig.strategy, format!("Pig: {summary}"));
+        let text = pig.to_string();
+        assert!(text.starts_with("plan [Pig: ") && !text.contains("counters"), "{text}");
+        let hive = explain_plan(&PhysicalPlan::hive(&q()).unwrap(), &q()).unwrap();
+        assert_eq!(hive.cycles[1], "StarJoin(S1): S1=?go{<gl>}   [full scan]");
+        let sel = explain_plan(&PhysicalPlan::sel_sj_first(&q()).unwrap(), &q()).unwrap();
+        assert_eq!(sel.cycles[1], "StarAttach(S1): S1=?go{<gl>}   [full scan]");
     }
 
     #[test]

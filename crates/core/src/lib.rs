@@ -15,13 +15,16 @@
 //! * [`physical`] — the MapReduce operators of Section 4: `TG_GroupBy` +
 //!   `TG_UnbGrpFilter` (Algorithm 2), `TG_Join`, `TG_UnbJoin` (lazy full
 //!   β-unnest), `TG_OptUnbJoin` (lazy partial β-unnest, Algorithm 3);
-//! * [`optimizer`] — the [`PhysicalPlan`] IR and cost-based plan selection:
-//!   per-star unnest placement, per-cycle exact/partial/broadcast join
-//!   choice and reducer sizing from store statistics and the engine's cost
-//!   model;
+//! * [`plan`] — the [`PhysicalPlan`] IR of every approach: stages of typed
+//!   [`Cycle`]s, one stage per MR cycle;
+//! * [`optimizer`] — cost-based plan selection: per-star unnest placement,
+//!   per-cycle exact/partial/broadcast join choice and reducer sizing from
+//!   store statistics and the engine's cost model;
 //! * [`planner`] — the hand-picked [`Strategy`] policies (EagerUnnest /
 //!   LazyUnnest-full / LazyUnnest-partial / Auto) as plan constructors, and
-//!   the one driver that runs any plan as an MR workflow;
+//!   [`execute_plan`], the one driver that runs any plan as an MR workflow;
+//! * [`baseline`] — the relational baselines as plans: Pig, Hive and
+//!   Figure 3's Sel-SJ-first grouping, built from `relbase`'s jobs;
 //! * [`mod@explain`] — EXPLAIN: the one renderer of a plan's cycles;
 //! * [`profile`] — EXPLAIN ANALYZE: join a priced plan against the measured
 //!   run into a per-operator estimated-vs-actual profile tree.
@@ -29,7 +32,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use ntga_core::{execute, Strategy};
+//! use ntga_core::{execute_plan, Strategy};
 //! use mrsim::Engine;
 //!
 //! let engine = Engine::unbounded();
@@ -41,7 +44,8 @@
 //! let query = rdf_query::parse_query(
 //!     "SELECT * WHERE { ?g <label> ?l . ?g ?p ?go . ?go <gl> ?x . }",
 //! ).unwrap();
-//! let run = execute(Strategy::Auto(1024), &engine, &query, "triples", "demo", true).unwrap();
+//! let plan = Strategy::Auto(1024).plan(&query).unwrap();
+//! let (run, _) = execute_plan(&plan, &engine, &query, "triples", "demo", true).unwrap();
 //! assert!(run.succeeded());
 //! assert_eq!(run.stats.mr_cycles, 2); // all star joins in ONE grouping cycle
 //! assert_eq!(run.solutions.unwrap().len(), 1);
@@ -51,21 +55,22 @@
 #![warn(rust_2018_idioms)]
 
 pub mod aggregate;
+pub mod baseline;
 pub mod explain;
 pub mod logical;
 pub mod optimizer;
 pub mod physical;
+pub mod plan;
 pub mod planner;
 pub mod profile;
 pub mod rewrite;
 pub mod tg;
 pub mod unnest;
 
-pub use explain::{explain, explain_plan, PlanText};
-pub use optimizer::{
-    optimize, CycleEstimate, JoinAlgo, OptimizerConfig, PhysicalPlan, PlanEstimates,
-};
-pub use planner::{execute, execute_cost_based, execute_plan, Strategy};
+pub use explain::{explain_plan, PlanText};
+pub use optimizer::{optimize, OptimizerConfig};
+pub use plan::{Cycle, CycleEstimate, JoinAlgo, PhysicalPlan, PlanEstimates, Scan};
+pub use planner::{execute_plan, Strategy};
 pub use profile::{explain_analyze, OpProfile, Profile, StarProfile};
 pub use tg::{AnnTg, TgTuple};
 pub use unnest::FinalUnnest;

@@ -1,14 +1,7 @@
-//! The plan IR and cost-based plan selection: statistics → [`PhysicalPlan`].
-//!
-//! A [`PhysicalPlan`] is the one thing the NTGA side executes
-//! ([`crate::planner::execute_plan`]) and explains
-//! ([`crate::explain::explain_plan`]): per-star Job 1 unnest placement, a
-//! [`JoinAlgo`] per join cycle in the query's left-deep order, and reducer
-//! counts. It has two constructors. [`crate::Strategy::plan`] applies one of
-//! the paper's hand-picked policies uniformly and carries no estimates.
-//! [`optimize`] closes the loop the paper leaves to "the optimizer": it
-//! consumes [`rdf_query::estimate`] cardinalities (star subject/row/pair
-//! counts under the containment assumption) and prices candidate physical
+//! Cost-based plan selection: statistics → [`PhysicalPlan`]. [`optimize`]
+//! closes the loop the paper leaves to "the optimizer": it consumes
+//! [`rdf_query::estimate`] cardinalities (star subject/row/pair counts
+//! under the containment assumption) and prices candidate physical
 //! operators through [`mrsim::CostModel`], choosing
 //!
 //! * **per star** whether Job 1 β-unnests eagerly (perfect triplegroups,
@@ -22,19 +15,20 @@
 //! * **per job** a reduce-task count sized to the estimated shuffle bytes.
 //!
 //! An optimized plan carries [`PlanEstimates`]; the driver attaches them to
-//! its jobs ([`mrsim::JobSpec::with_estimated_output`]), so executed plans
+//! its jobs ([`mrsim::JobSpec::estimated_output_records`]), so executed plans
 //! report per-job q-error through [`mrsim::JobStats::q_error`] and the
 //! `q_error` on the trace's `job_end` events — the feedback signal that tells
 //! you when the estimator, not the executor, is the problem.
 
-use crate::physical::{role_of, BuildSide, JoinRole, UnnestMode};
-use mr_rdf::{check_query, PlanError, UnsupportedReason};
+use crate::physical::{BuildSide, JoinRole, UnnestMode};
+use crate::plan::{join_schedule, supported, CycleEstimate, JoinAlgo, PhysicalPlan, PlanEstimates};
+use mr_rdf::{PlanError, UnsupportedReason};
 use mrsim::{CostModel, Engine, JobStats, BLOCK_SIZE_BYTES, DEFAULT_BROADCAST_BUDGET_BYTES};
 use rdf_model::StoreStats;
 use rdf_query::estimate::{
     pattern_cardinality, star_pair_cardinality, star_row_cardinality, star_subject_cardinality,
 };
-use rdf_query::{ObjPattern, PropPattern, Query, StarPattern};
+use rdf_query::{PropPattern, Query, StarPattern};
 
 /// What a caller sets for plan search: the broadcast budget of the engine
 /// that will run the plan ([`OptimizerConfig::for_engine`]). Block size,
@@ -58,184 +52,6 @@ impl OptimizerConfig {
     pub fn for_engine(engine: &Engine) -> Self {
         OptimizerConfig { broadcast_budget_bytes: engine.broadcast_budget_bytes }
     }
-}
-
-/// The join algorithm chosen for one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinAlgo {
-    /// Reduce-side triplegroup join ([`crate::physical::tg_join_job`]).
-    Reduce {
-        /// Map-side unnest mode (exact or φ-partial).
-        mode: UnnestMode,
-        /// Reduce-task count sized to the estimated shuffle bytes.
-        reduce_tasks: usize,
-    },
-    /// Map-side broadcast join ([`crate::physical::tg_broadcast_join_job`]):
-    /// no shuffle, no reduce phase.
-    Broadcast {
-        /// Which side ships through the distributed cache.
-        build: BuildSide,
-    },
-}
-
-/// What the optimizer expects of one join cycle.
-#[derive(Debug, Clone)]
-pub struct CycleEstimate {
-    /// Estimated join output cardinality (records).
-    pub output_records: f64,
-    /// Estimated join output size in text bytes.
-    pub output_bytes: f64,
-    /// Estimated shuffle bytes (0 for broadcast cycles).
-    pub shuffle_bytes: u64,
-    /// Estimated cost of this cycle in simulated seconds.
-    pub seconds: f64,
-}
-
-/// What the optimizer expects of a whole plan — the estimated column that
-/// `explain_analyze` joins against the measured run.
-#[derive(Debug, Clone)]
-pub struct PlanEstimates {
-    /// Estimated total records Job 1 writes across all equivalence classes.
-    pub job1_records: f64,
-    /// Estimated total text bytes Job 1 writes across all equivalence classes.
-    pub job1_bytes: f64,
-    /// Estimated records per equivalence-class file (one entry per star,
-    /// under the chosen eager/lazy placement).
-    pub star_records: Vec<f64>,
-    /// Estimated cost of Job 1 in simulated seconds.
-    pub job1_seconds: f64,
-    /// One entry per join cycle, parallel to [`PhysicalPlan::cycles`].
-    pub cycles: Vec<CycleEstimate>,
-    /// Estimated total plan cost in simulated seconds.
-    pub seconds: f64,
-}
-
-/// A fully-decided physical plan for a query.
-#[derive(Debug, Clone)]
-pub struct PhysicalPlan {
-    /// Who decided: `CostBased` for [`optimize`], the strategy's label for
-    /// [`crate::Strategy::plan`]. Names the workflow (`NTGA-<label>/…`).
-    pub label: String,
-    /// Per-star Job 1 unnest placement (`true` = eager β-unnest in the
-    /// grouping reduce, `false` = stay nested).
-    pub eager_stars: Vec<bool>,
-    /// Reduce-task count for Job 1.
-    pub job1_reduce_tasks: usize,
-    /// The join algorithm of each cycle, in [`Query::left_deep_order`].
-    pub cycles: Vec<JoinAlgo>,
-    /// The optimizer's estimates; `None` for hand-picked plans, which are
-    /// chosen without statistics, attach no estimate to their jobs and
-    /// report no q-error.
-    pub estimates: Option<PlanEstimates>,
-}
-
-impl PhysicalPlan {
-    /// Number of reduce cycles the broadcast operator collapsed.
-    pub fn broadcast_cycles(&self) -> usize {
-        self.cycles.iter().filter(|c| matches!(c, JoinAlgo::Broadcast { .. })).count()
-    }
-
-    /// The query's join schedule, one step per entry of
-    /// [`PhysicalPlan::cycles`] — or an error when this plan was not built
-    /// for a query of that shape.
-    pub(crate) fn schedule_for(&self, query: &Query) -> Result<Vec<CycleStep>, PlanError> {
-        let steps = join_schedule(query)?;
-        if steps.len() != self.cycles.len()
-            || self.eager_stars.len() != query.stars.len()
-            || self.estimates.as_ref().is_some_and(|e| e.cycles.len() != self.cycles.len())
-        {
-            return Err(PlanError::Internal("plan shape does not match query".into()));
-        }
-        Ok(steps)
-    }
-
-    /// One-line human summary, e.g.
-    /// `stars=[lazy,eager] j1r=4 cycles=[bcast(R),reduce(exact,r=2)] est=12.3s`.
-    pub fn summary(&self) -> String {
-        let eager: Vec<&str> =
-            self.eager_stars.iter().map(|&e| if e { "eager" } else { "lazy" }).collect();
-        let cycles: Vec<String> = self
-            .cycles
-            .iter()
-            .map(|algo| match *algo {
-                JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks } => {
-                    format!("reduce(exact,r={reduce_tasks})")
-                }
-                JoinAlgo::Reduce { mode: UnnestMode::Partial(m), reduce_tasks } => {
-                    format!("reduce(phi_{m},r={reduce_tasks})")
-                }
-                JoinAlgo::Broadcast { build: BuildSide::Left } => "bcast(L)".into(),
-                JoinAlgo::Broadcast { build: BuildSide::Right } => "bcast(R)".into(),
-            })
-            .collect();
-        let est =
-            self.estimates.as_ref().map_or(String::new(), |e| format!(" est={:.1}s", e.seconds));
-        format!(
-            "stars=[{}] j1r={} cycles=[{}]{est}",
-            eager.join(","),
-            self.job1_reduce_tasks,
-            cycles.join(","),
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Left-deep join schedule (shared by both plan constructors, the driver and
-// the explainer)
-// ---------------------------------------------------------------------------
-
-/// One step of [`Query::left_deep_order`] with the NTGA join roles layered
-/// on: join star `other` into the accumulated left relation, whose
-/// component `lpos` (star `l_star`) carries the join variable `var` under
-/// `lrole`.
-#[derive(Debug, Clone)]
-pub(crate) struct CycleStep {
-    pub(crate) other: usize,
-    pub(crate) var: String,
-    pub(crate) lpos: usize,
-    pub(crate) l_star: usize,
-    pub(crate) lrole: JoinRole,
-    pub(crate) rrole: JoinRole,
-}
-
-impl CycleStep {
-    /// The sides of this join that hold the join variable as the object of
-    /// an unbound-property pattern — the sides a lazy plan must β-unnest
-    /// here — as `(star, is that pattern's object partially bound)`.
-    pub(crate) fn unbound_sides(&self, query: &Query) -> Vec<(usize, bool)> {
-        [(self.l_star, self.lrole), (self.other, self.rrole)]
-            .into_iter()
-            .filter_map(|(star, role)| match role {
-                JoinRole::UnboundObj(u) => {
-                    let pat = query.stars[star].unbound_patterns()[u];
-                    Some((star, matches!(pat.object, ObjPattern::Filtered(_, _))))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-}
-
-/// The query's left-deep join order as NTGA join cycles, so plan decisions
-/// line up one-to-one with the jobs that will run.
-pub(crate) fn join_schedule(query: &Query) -> Result<Vec<CycleStep>, PlanError> {
-    let mut components: Vec<usize> = vec![0];
-    query
-        .left_deep_order()?
-        .into_iter()
-        .map(|step| {
-            let (lpos, lrole) = components
-                .iter()
-                .enumerate()
-                .find_map(|(pos, &star)| role_of(&query.stars[star], &step.var).map(|r| (pos, r)))
-                .ok_or_else(|| PlanError::Internal("join var missing on left".into()))?;
-            let rrole = role_of(&query.stars[step.star], &step.var)
-                .ok_or_else(|| PlanError::Internal("join var missing on right".into()))?;
-            let l_star = components[lpos];
-            components.push(step.star);
-            Ok(CycleStep { other: step.star, var: step.var, lpos, l_star, lrole, rrole })
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -498,13 +314,10 @@ pub fn optimize(
     cost: &CostModel,
     config: &OptimizerConfig,
 ) -> Result<PhysicalPlan, PlanError> {
-    query.validate()?;
-    check_query(query)?;
+    let n = supported(query)?;
     let steps = join_schedule(query)?;
     let bpp = bytes_per_pair(stats);
     let star_ests: Vec<StarEst> = query.stars.iter().map(|s| star_estimates(s, stats)).collect();
-
-    let n = query.stars.len();
     if n > MAX_STARS {
         return Err(UnsupportedReason::TooManyStars { stars: n, limit: MAX_STARS }.into());
     }
@@ -588,20 +401,22 @@ pub fn optimize(
 
         let best_seconds = best.as_ref().and_then(|b| b.estimates.as_ref()).map(|e| e.seconds);
         if best_seconds.is_none_or(|b| total < b) {
-            best = Some(PhysicalPlan {
-                label: "CostBased".into(),
+            let estimates = PlanEstimates {
+                job1_records,
+                job1_bytes: ecs.iter().map(|e| e.bytes).sum(),
+                star_records: ecs.iter().map(|e| e.records).collect(),
+                job1_seconds,
+                cycles: cycle_estimates,
+                seconds: total,
+            };
+            let label = "CostBased".to_string();
+            best = Some(PhysicalPlan::ntga(
+                label,
                 eager_stars,
                 job1_reduce_tasks,
                 cycles,
-                estimates: Some(PlanEstimates {
-                    job1_records,
-                    job1_bytes: ecs.iter().map(|e| e.bytes).sum(),
-                    star_records: ecs.iter().map(|e| e.records).collect(),
-                    job1_seconds,
-                    cycles: cycle_estimates,
-                    seconds: total,
-                }),
-            });
+                Some(estimates),
+            ));
         }
     }
     Ok(best.expect("at least one placement enumerated"))
@@ -610,7 +425,8 @@ pub fn optimize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{execute, execute_cost_based, execute_plan, Strategy};
+    use crate::plan::Cycle;
+    use crate::planner::{execute_plan, Strategy};
     use mr_rdf::{load_store, QueryRun};
     use rdf_model::{STriple, TripleStore};
     use rdf_query::parse_query;
@@ -650,7 +466,9 @@ mod tests {
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let gold = rdf_query::naive::evaluate(&query, &s);
         assert!(!gold.is_empty());
-        let run = execute_cost_based(&engine, &query, "t", "q", true, &s.stats()).unwrap();
+        let config = OptimizerConfig::for_engine(&engine);
+        let plan = optimize(&query, &s.stats(), &engine.cost, &config).unwrap();
+        let run = run_plan(&plan, &engine, &query, true);
         assert!(run.succeeded());
         assert_eq!(run.solutions.unwrap(), gold);
         // Every job carried an estimate, so the run reports a q-error.
@@ -667,7 +485,7 @@ mod tests {
         };
         let s = store();
         let plan = |q: &Query| optimize(q, &s.stats(), &CostModel::default(), &Default::default());
-        assert_eq!(plan(&chain(MAX_STARS)).unwrap().eager_stars.len(), MAX_STARS);
+        assert_eq!(plan(&chain(MAX_STARS)).unwrap().eager_stars().unwrap().len(), MAX_STARS);
         assert_eq!(
             plan(&chain(MAX_STARS + 1)).unwrap_err(),
             PlanError::Unsupported(UnsupportedReason::TooManyStars {
@@ -681,7 +499,7 @@ mod tests {
     fn small_build_side_gets_broadcast() {
         // The <gl> star is tiny; shipping it beats shuffling everything.
         let plan = plan_for(UNBOUND_2STAR, &store());
-        assert_eq!(plan.cycles.len(), 1);
+        assert_eq!(plan.stages.len(), 2);
         assert!(plan.broadcast_cycles() == 1, "expected a broadcast cycle in {}", plan.summary());
         assert_eq!(plan.estimates.unwrap().cycles[0].shuffle_bytes, 0);
     }
@@ -694,9 +512,9 @@ mod tests {
         let plan =
             optimize(&query, &s.stats(), &CostModel::scaled_to(s.text_bytes()), &config).unwrap();
         assert_eq!(plan.broadcast_cycles(), 0, "{}", plan.summary());
-        match plan.cycles[0] {
-            JoinAlgo::Reduce { reduce_tasks, .. } => assert!(reduce_tasks >= 1),
-            JoinAlgo::Broadcast { .. } => panic!("broadcast chosen with zero budget"),
+        match plan.stages[1][..] {
+            [Cycle::TgJoin(JoinAlgo::Reduce { reduce_tasks, .. })] => assert!(reduce_tasks >= 1),
+            ref other => panic!("broadcast chosen with zero budget: {other:?}"),
         }
     }
 
@@ -711,7 +529,7 @@ mod tests {
         let run_with = |strategy| {
             let engine = Engine::unbounded().with_cost(cost.clone());
             load_store(&engine, "t", &s).unwrap();
-            let r = execute(strategy, &engine, &query, "t", "q", false).unwrap();
+            let r = run_plan(&Strategy::plan(strategy, &query).unwrap(), &engine, &query, false);
             assert!(r.succeeded());
             r.stats.sim_seconds
         };
@@ -766,7 +584,7 @@ mod tests {
     fn single_star_plan_has_no_cycles() {
         let s = store();
         let plan = plan_for("SELECT * WHERE { ?g <label> ?l . ?g ?p ?o . }", &s);
-        assert!(plan.cycles.is_empty());
+        assert_eq!(plan.stages.len(), 1);
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = parse_query("SELECT * WHERE { ?g <label> ?l . ?g ?p ?o . }").unwrap();
@@ -788,6 +606,6 @@ mod tests {
         triples.push(STriple::new("<g1>", "<label>", "\"a\""));
         let s = TripleStore::from_triples(triples);
         let plan = plan_for(UNBOUND_2STAR, &s);
-        assert!(!plan.eager_stars[0], "expansive star went eager: {}", plan.summary());
+        assert!(!plan.eager_stars().unwrap()[0], "expansive star went eager: {}", plan.summary());
     }
 }

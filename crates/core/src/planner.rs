@@ -1,5 +1,6 @@
 //! The NTGA planner: hand-picked [`Strategy`] → [`PhysicalPlan`], and the
-//! one driver that runs any [`PhysicalPlan`] as a MapReduce workflow.
+//! one driver that runs any [`PhysicalPlan`] — NTGA or relational — as a
+//! MapReduce workflow.
 //!
 //! The paper's evaluation strategies (§4) differ only in *where* μ^β sits
 //! inside one fixed workflow — a `TG_GroupBy` cycle followed by left-deep
@@ -8,18 +9,19 @@
 //! unnest-mode rule for every join cycle, the default reduce parallelism
 //! everywhere, and no estimates. The statistics-driven constructor is
 //! [`crate::optimizer::optimize`], which makes those choices *per star* and
-//! *per cycle* (`ntga-cli --approach auto-cost`). Whatever built the plan,
-//! [`execute_plan`] runs it.
+//! *per cycle* (`ntga-cli --approach auto-cost`); the relational baselines
+//! are [`crate::baseline`]'s. Whatever built the plan, [`execute_plan`]
+//! runs it.
 
-use crate::optimizer::{join_schedule, optimize, JoinAlgo, OptimizerConfig, PhysicalPlan};
 use crate::physical::{
     group_filter_job, tg_broadcast_join_job, tg_join_job, BuildSide, JoinSide, UnnestMode, REDUCERS,
 };
+use crate::plan::{join_schedule, supported, Cycle, JoinAlgo, PhysicalPlan, Scan};
 use crate::FinalUnnest;
-use mr_rdf::{check_query, run_query_workflow, PlanError, QueryRun};
-use mrsim::Engine;
-use rdf_model::StoreStats;
+use mr_rdf::{run_query_workflow, PlanError, QueryRun, RowSchema};
+use mrsim::{Engine, JobSpec};
 use rdf_query::{Query, SolutionRows};
+use relbase::{load_copy_job, pattern_attach_job, row_join_job, star_attach_job, star_join_job};
 
 /// When and how β-unnesting happens (Section 4).
 ///
@@ -60,8 +62,7 @@ impl Strategy {
     /// every cycle a reduce-side join at the default parallelism whose
     /// unnest mode follows the policy, no estimates.
     pub fn plan(self, query: &Query) -> Result<PhysicalPlan, PlanError> {
-        query.validate()?;
-        check_query(query)?;
+        supported(query)?;
         let cycles = join_schedule(query)?
             .iter()
             .map(|step| {
@@ -69,13 +70,8 @@ impl Strategy {
                 JoinAlgo::Reduce { mode, reduce_tasks: REDUCERS }
             })
             .collect();
-        Ok(PhysicalPlan {
-            label: self.label(),
-            eager_stars: vec![self == Strategy::Eager; query.stars.len()],
-            job1_reduce_tasks: REDUCERS,
-            cycles,
-            estimates: None,
-        })
+        let eager = vec![self == Strategy::Eager; query.stars.len()];
+        Ok(PhysicalPlan::ntga(self.label(), eager, REDUCERS, cycles, None))
     }
 }
 
@@ -107,21 +103,19 @@ fn mode_for(strategy: Strategy, unbound_sides: &[(usize, bool)]) -> UnnestMode {
 }
 
 /// Execute `plan` for `query` over the triple relation in DFS file `input`:
-/// the one NTGA workflow driver.
+/// the one driver, for every approach. Each stage runs as one stage of the
+/// workflow `NTGA-<plan label>/{label}` (an NTGA plan) or `<plan
+/// label>/{label}`, its jobs named by [`PhysicalPlan::job_names`]. A plan
+/// with estimates tags every job with its estimated output cardinality, so
+/// the run reports q-error. A broadcast cycle whose *actual* build file
+/// exceeds the engine's broadcast budget (an estimation miss) falls back to
+/// the reduce-side exact join.
 ///
-/// Job 1 (`{label}.group`) computes every star's equivalence class under
-/// the plan's per-star unnest placement; one `{label}.tgjoin{i}` cycle per
-/// [`JoinAlgo`] follows in the query's left-deep order. A plan with
-/// estimates tags every job with its estimated output cardinality, so the
-/// run reports q-error. A broadcast cycle whose *actual* build file exceeds
-/// the engine's broadcast budget (an estimation miss) falls back to the
-/// reduce-side exact join.
-///
-/// Same contract as `relbase::execute`: planning problems are `Err`,
-/// runtime failures (DiskFull) come back inside the [`QueryRun`]. The second
-/// value is the record count of each `{label}.ec{i}` file, read before
-/// cleanup deletes them, for [`crate::profile::explain_analyze`]; it is
-/// empty when Job 1 itself failed.
+/// Planning problems are `Err`; runtime failures (DiskFull) come back
+/// inside the [`QueryRun`]. The second value is the record count of each
+/// `{label}.ec{i}` file Job 1 wrote, read before cleanup deletes them, for
+/// [`crate::profile::explain_analyze`]; it is empty for a relational plan
+/// and when Job 1 itself failed.
 pub fn execute_plan(
     plan: &PhysicalPlan,
     engine: &Engine,
@@ -131,101 +125,183 @@ pub fn execute_plan(
     extract_solutions: bool,
 ) -> Result<(QueryRun, Vec<u64>), PlanError> {
     let mut star_records = Vec::new();
-    let name = format!("NTGA-{}/{label}", plan.label);
+    let ntga = if plan.eager_stars().is_some() { "NTGA-" } else { "" };
+    let name = format!("{ntga}{}/{label}", plan.label);
     let run = run_query_workflow(engine, name, query, extract_solutions, |wf| {
-        let steps = plan.schedule_for(query)?;
-        let estimates = plan.estimates.as_ref();
-
-        // Job 1: one grouping cycle computes every star subpattern.
+        let (tg_steps, row_steps) = plan.schedule_for(query)?;
+        let (mut tg_steps, mut row_steps) = (tg_steps.into_iter(), row_steps.into_iter());
+        let mut names = plan.job_names(label).into_iter();
+        // The optimizer's output records for Job 1, then each join cycle.
+        let mut estimates = plan.estimates.iter().flat_map(|e| {
+            std::iter::once(e.job1_records).chain(e.cycles.iter().map(|c| c.output_records))
+        });
         let ec_files: Vec<String> =
             (0..query.stars.len()).map(|i| format!("{label}.ec{i}")).collect();
-        let group = format!("{label}.group");
-        let eager = plan.eager_stars.clone();
-        let mut job1 = group_filter_job(group, query, input, ec_files.clone(), eager)?
-            .with_reducers(plan.job1_reduce_tasks);
-        if let Some(est) = estimates {
-            job1 = job1.with_estimated_output(est.job1_records);
-        }
-        wf.run_job(job1)?;
-        star_records = {
-            let hdfs = engine.hdfs().lock();
-            ec_files.iter().map(|f| hdfs.get(f).map_or(0, |d| d.len() as u64)).collect()
-        };
-
-        // Join cycles, left-deep over the join graph.
-        let mut components: Vec<usize> = vec![0];
-        let mut current_file = ec_files[0].clone();
-        for (join_no, (step, algo)) in steps.iter().zip(&plan.cycles).enumerate() {
-            let left =
-                JoinSide { file: current_file.clone(), component: step.lpos, role: step.lrole };
-            let right =
-                JoinSide { file: ec_files[step.other].clone(), component: 0, role: step.rrole };
-            let out = format!("{label}.tgjoin{join_no}");
-            let name = out.clone();
-            let mut job = match *algo {
-                JoinAlgo::Reduce { mode, reduce_tasks } => {
-                    tg_join_job(name, left, right, mode, &out).with_reducers(reduce_tasks)
-                }
-                JoinAlgo::Broadcast { build } => {
-                    let build_file = match build {
-                        BuildSide::Left => &left.file,
-                        BuildSide::Right => &right.file,
-                    };
-                    let actual = engine
-                        .hdfs()
-                        .lock()
-                        .get(build_file)
-                        .map_err(|e| PlanError::Internal(format!("broadcast input: {e}")))?
-                        .text_bytes;
-                    if actual <= engine.broadcast_budget_bytes {
-                        tg_broadcast_join_job(name, left, right, build, &out)
-                    } else {
-                        // Estimation miss: repair to the reduce-side join
-                        // rather than letting the engine refuse the job.
-                        tg_join_job(name, left, right, UnnestMode::Exact, &out)
+        let star = |i: usize| query.stars.get(i).ok_or_else(|| shape("star index"));
+        // What the cycles so far computed: the file star joins and attaches
+        // read (the input, or Pig's copy), each star's rows, the pattern an
+        // attach took out of its star, and the running relation.
+        let mut base = input.to_string();
+        let mut stars: Vec<Option<(String, RowSchema)>> = vec![None; query.stars.len()];
+        let mut attached = None;
+        let mut current = None;
+        for stage in &plan.stages {
+            let mut jobs = Vec::with_capacity(stage.len());
+            for (cycle, name) in stage.iter().zip(names.by_ref()) {
+                let mut job = match cycle {
+                    Cycle::GroupFilter { eager, reduce_tasks } => {
+                        let (file, components) = (ec_files[0].clone(), vec![0]);
+                        current = Some(Relation::Tg { file, components });
+                        group_filter_job(name, query, &base, ec_files.clone(), eager.clone())?
+                            .with_reducers(*reduce_tasks)
                     }
+                    Cycle::TgJoin(algo) => {
+                        let step = tg_steps.next().ok_or_else(|| shape("join cycles"))?;
+                        let Some(Relation::Tg { file, components }) = &mut current else {
+                            return Err(shape("a triplegroup join needs Job 1").into());
+                        };
+                        let file = std::mem::replace(file, name.clone());
+                        components.push(step.other);
+                        let left = JoinSide { file, component: step.lpos, role: step.lrole };
+                        let right = ec_files[step.other].clone();
+                        let right = JoinSide { file: right, component: 0, role: step.rrole };
+                        tg_join(engine, *algo, left, right, &name)?
+                    }
+                    Cycle::LoadCopy => {
+                        let copy = format!("{label}.copy");
+                        load_copy_job(name, &std::mem::replace(&mut base, copy.clone()), &copy)
+                    }
+                    Cycle::StarJoin { star: i, scan } => {
+                        let per_load = *scan == Scan::PerLoad;
+                        let (job, schema) = star_join_job(&name, star(*i)?, &base, &name, per_load);
+                        let first =
+                            || Relation::Rows { file: name.clone(), schema: schema.clone() };
+                        current.get_or_insert_with(first);
+                        stars[*i] = Some((name, schema));
+                        job
+                    }
+                    Cycle::RowJoin => {
+                        let step = row_steps.next().ok_or_else(|| shape("row joins"))?;
+                        let right = stars[step.star].as_ref().ok_or_else(|| shape("star order"))?;
+                        let (file, schema) = rows(&mut current)?;
+                        let right = (right.0.as_str(), &right.1);
+                        let (job, joined) =
+                            row_join_job(&name, (file, schema), right, &step.var, &name)?;
+                        (*file, *schema) = (name, joined);
+                        job
+                    }
+                    Cycle::PatternAttach { star: i, pattern } => {
+                        let pat =
+                            star(*i)?.patterns.get(*pattern).ok_or_else(|| shape("pattern"))?;
+                        let var = pat.object.var().ok_or_else(|| shape("attach by a constant"))?;
+                        let (file, schema) = rows(&mut current)?;
+                        let (job, joined) =
+                            pattern_attach_job(&name, (file, schema), var, pat, &base, &name)?;
+                        (*file, *schema) = (name, joined);
+                        attached = Some((*i, *pattern));
+                        job
+                    }
+                    Cycle::StarAttach { star: i } => {
+                        let mut rest = star(*i)?.clone();
+                        if let Some((_, pattern)) = attached.filter(|&(s, _)| s == *i) {
+                            rest.patterns.remove(pattern);
+                        }
+                        if rest.patterns.is_empty() {
+                            return Err(shape("nothing left to attach").into());
+                        }
+                        let (file, schema) = rows(&mut current)?;
+                        let key = &rest.subject_var;
+                        let (job, joined) =
+                            star_attach_job(&name, (file, schema), key, &rest, &base, &name)?;
+                        (*file, *schema) = (name, joined);
+                        job
+                    }
+                };
+                if matches!(cycle, Cycle::GroupFilter { .. } | Cycle::TgJoin(_)) {
+                    job.estimated_output_records = estimates.next();
                 }
-            };
-            if let Some(est) = estimates {
-                job = job.with_estimated_output(est.cycles[join_no].output_records);
+                jobs.push(job);
             }
-            wf.run_job(job)?;
-            components.push(step.other);
-            current_file = out;
+            wf.run_stage(jobs)?;
+            if let [Cycle::GroupFilter { .. }] = stage[..] {
+                let hdfs = engine.hdfs().lock();
+                let records = |f: &String| hdfs.get(f).map_or(0, |d| d.len() as u64);
+                star_records = ec_files.iter().map(records).collect();
+            }
         }
-        // `components` maps each tuple position to its star.
-        let mut unnest = FinalUnnest::new(query, &components, &query.solution_vars())?;
-        Ok((current_file, move |rec: &[u8], out: &mut SolutionRows| unnest.add_rows(rec, out)))
+        // The final β-unnest of the running relation.
+        let vars = query.solution_vars();
+        let final_rows: (String, RowsOf) = match current {
+            Some(Relation::Tg { file, components }) => {
+                let mut unnest = FinalUnnest::new(query, &components, &vars)?;
+                (
+                    file,
+                    Box::new(move |rec: &[u8], out: &mut SolutionRows| unnest.add_rows(rec, out)),
+                )
+            }
+            Some(Relation::Rows { file, schema }) => (file, Box::new(schema.extractor(&vars)?)),
+            None => return Err(shape("no cycle computes a relation").into()),
+        };
+        Ok(final_rows)
     })?;
     Ok((run, star_records))
 }
 
-/// Execute `query` under a hand-picked `strategy`:
-/// [`Strategy::plan`], then [`execute_plan`].
-pub fn execute(
-    strategy: Strategy,
-    engine: &Engine,
-    query: &Query,
-    input: &str,
-    label: &str,
-    extract_solutions: bool,
-) -> Result<QueryRun, PlanError> {
-    let plan = strategy.plan(query)?;
-    execute_plan(&plan, engine, query, input, label, extract_solutions).map(|(run, _)| run)
+/// A relation a plan's cycles computed, in the DFS file `file`.
+enum Relation {
+    /// Triplegroup tuples; `components` maps each tuple position to its star.
+    Tg { file: String, components: Vec<usize> },
+    /// Flat rows.
+    Rows { file: String, schema: RowSchema },
 }
 
-/// [`optimize`] under the engine's own cost model and physical limits, then
-/// [`execute_plan`] — the `--approach auto-cost` entry point.
-pub fn execute_cost_based(
+/// The kernel that appends one final record's solution rows.
+type RowsOf = Box<dyn FnMut(&[u8], &mut SolutionRows) -> Result<(), PlanError>>;
+
+fn shape(what: &str) -> PlanError {
+    PlanError::Internal(format!("plan shape does not match query: {what}"))
+}
+
+/// The running row relation.
+fn rows(current: &mut Option<Relation>) -> Result<(&mut String, &mut RowSchema), PlanError> {
+    match current {
+        Some(Relation::Rows { file, schema }) => Ok((file, schema)),
+        _ => Err(shape("a row cycle needs a star join first")),
+    }
+}
+
+/// The job of a triplegroup join cycle writing `name`.
+fn tg_join(
     engine: &Engine,
-    query: &Query,
-    input: &str,
-    label: &str,
-    extract_solutions: bool,
-    stats: &StoreStats,
-) -> Result<QueryRun, PlanError> {
-    let plan = optimize(query, stats, &engine.cost, &OptimizerConfig::for_engine(engine))?;
-    execute_plan(&plan, engine, query, input, label, extract_solutions).map(|(run, _)| run)
+    algo: JoinAlgo,
+    left: JoinSide,
+    right: JoinSide,
+    name: &str,
+) -> Result<JobSpec, PlanError> {
+    Ok(match algo {
+        JoinAlgo::Reduce { mode, reduce_tasks } => {
+            tg_join_job(name, left, right, mode, name).with_reducers(reduce_tasks)
+        }
+        JoinAlgo::Broadcast { build } => {
+            let build_file = match build {
+                BuildSide::Left => &left.file,
+                BuildSide::Right => &right.file,
+            };
+            let actual = engine
+                .hdfs()
+                .lock()
+                .get(build_file)
+                .map_err(|e| PlanError::Internal(format!("broadcast input: {e}")))?
+                .text_bytes;
+            if actual <= engine.broadcast_budget_bytes {
+                tg_broadcast_join_job(name, left, right, build, name)
+            } else {
+                // Estimation miss: repair to the reduce-side join rather
+                // than letting the engine refuse the job.
+                tg_join_job(name, left, right, UnnestMode::Exact, name)
+            }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -246,6 +322,17 @@ mod tests {
             STriple::new("<go1>", "<gl>", "\"nucleus\""),
             STriple::new("<go2>", "<gl>", "\"membrane\""),
         ])
+    }
+
+    fn execute(
+        strategy: Strategy,
+        engine: &Engine,
+        query: &Query,
+        input: &str,
+        label: &str,
+        extract: bool,
+    ) -> Result<QueryRun, PlanError> {
+        execute_plan(&strategy.plan(query)?, engine, query, input, label, extract).map(|(r, _)| r)
     }
 
     fn run(strategy: Strategy, q: &str) -> QueryRun {
@@ -362,7 +449,8 @@ mod tests {
         load_store(&engine, "t", &store()).unwrap();
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let mut plan = Strategy::LazyFull.plan(&query).unwrap();
-        plan.eager_stars.pop();
+        let Cycle::GroupFilter { eager, .. } = &mut plan.stages[0][0] else { unreachable!() };
+        eager.pop();
         let run = execute_plan(&plan, &engine, &query, "t", "q", false);
         assert!(matches!(run, Err(PlanError::Internal(_))));
     }
@@ -372,14 +460,17 @@ mod tests {
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let eager = Strategy::Eager.plan(&query).unwrap();
         assert_eq!(eager.label, "EagerUnnest");
-        assert_eq!(eager.eager_stars, vec![true, true]);
-        assert_eq!(eager.job1_reduce_tasks, REDUCERS);
+        let job1 = |eager: Vec<bool>| vec![Cycle::GroupFilter { eager, reduce_tasks: REDUCERS }];
+        assert_eq!(eager.stages[0], job1(vec![true, true]));
         assert!(eager.estimates.is_none());
         let partial = Strategy::LazyPartial(4).plan(&query).unwrap();
-        assert_eq!(partial.eager_stars, vec![false, false]);
+        assert_eq!(partial.stages[0], job1(vec![false, false]));
         assert_eq!(
-            partial.cycles,
-            vec![JoinAlgo::Reduce { mode: UnnestMode::Partial(4), reduce_tasks: REDUCERS }]
+            partial.stages[1],
+            [Cycle::TgJoin(JoinAlgo::Reduce {
+                mode: UnnestMode::Partial(4),
+                reduce_tasks: REDUCERS
+            })]
         );
         // A plan built for another query shape is refused, not mis-run.
         let single = parse_query("SELECT * WHERE { ?g <label> ?l . }").unwrap();

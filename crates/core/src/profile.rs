@@ -20,8 +20,7 @@
 //!   re-sum the rows and verify the document is internally consistent to
 //!   float precision.
 
-use crate::optimizer::{CycleEstimate, JoinAlgo, PhysicalPlan};
-use crate::physical::{BuildSide, UnnestMode};
+use crate::plan::{Cycle, CycleEstimate, JoinAlgo, PhysicalPlan};
 use mr_rdf::PlanError;
 use mrsim::trace::JsonObject;
 use mrsim::{JobStats, WorkflowStats};
@@ -77,25 +76,6 @@ pub struct Profile {
     pub stats: WorkflowStats,
 }
 
-fn job1_operator(plan: &PhysicalPlan) -> String {
-    let stars: Vec<&str> =
-        plan.eager_stars.iter().map(|&e| if e { "eager" } else { "lazy" }).collect();
-    format!("TG_GroupFilter[{}]", stars.join(","))
-}
-
-fn cycle_operator(algo: &JoinAlgo) -> String {
-    match algo {
-        JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks } => {
-            format!("TG_Join(exact,r={reduce_tasks})")
-        }
-        JoinAlgo::Reduce { mode: UnnestMode::Partial(m), reduce_tasks } => {
-            format!("TG_OptUnbJoin(phi_{m},r={reduce_tasks})")
-        }
-        JoinAlgo::Broadcast { build: BuildSide::Left } => "TG_BcastJoin(build=L)".into(),
-        JoinAlgo::Broadcast { build: BuildSide::Right } => "TG_BcastJoin(build=R)".into(),
-    }
-}
-
 /// Join `plan` against the stats of the run that executed it.
 ///
 /// `star_actual_records` carries the per-star Job 1 output cardinalities
@@ -114,10 +94,14 @@ pub fn explain_analyze(
         .estimates
         .as_ref()
         .ok_or_else(|| PlanError::Internal("EXPLAIN ANALYZE needs a plan with estimates".into()))?;
-    if stats.jobs.len() != plan.cycles.len() + 1 || est.cycles.len() != plan.cycles.len() {
+    let (job1, eager) = match plan.cycles().next() {
+        Some(job1 @ Cycle::GroupFilter { eager, .. }) => (job1, eager),
+        _ => return Err(PlanError::Internal("EXPLAIN ANALYZE needs an NTGA plan".into())),
+    };
+    let joins = plan.cycles().count() - 1;
+    if stats.jobs.len() != joins + 1 || est.cycles.len() != joins {
         return Err(PlanError::Internal(format!(
-            "profile shape mismatch: plan has 1 + {} jobs, stats has {}",
-            plan.cycles.len(),
+            "profile shape mismatch: plan has 1 + {joins} jobs, stats has {}",
             stats.jobs.len()
         )));
     }
@@ -131,7 +115,7 @@ pub fn explain_analyze(
 
     let mut operators = Vec::with_capacity(stats.jobs.len());
     operators.push(OpProfile {
-        operator: job1_operator(plan),
+        operator: job1.operator(),
         estimate: CycleEstimate {
             output_records: est.job1_records,
             output_bytes: est.job1_bytes,
@@ -143,13 +127,13 @@ pub fn explain_analyze(
         },
         broadcast_repaired: false,
     });
-    for ((algo, cycle), job) in plan.cycles.iter().zip(&est.cycles).zip(&stats.jobs[1..]) {
+    for ((join, cycle), job) in plan.cycles().skip(1).zip(&est.cycles).zip(&stats.jobs[1..]) {
         operators.push(OpProfile {
-            operator: cycle_operator(algo),
+            operator: join.operator(),
             estimate: cycle.clone(),
             // A planned broadcast that ran with zero broadcast files was
             // repaired to the reduce-side join by execute_plan.
-            broadcast_repaired: matches!(algo, JoinAlgo::Broadcast { .. })
+            broadcast_repaired: matches!(join, Cycle::TgJoin(JoinAlgo::Broadcast { .. }))
                 && job.broadcast_files == 0,
         });
     }
@@ -159,7 +143,7 @@ pub fn explain_analyze(
         .enumerate()
         .map(|(i, &actual)| StarProfile {
             star: i,
-            eager: plan.eager_stars[i],
+            eager: eager[i],
             estimated_records: est.star_records[i],
             actual_records: actual,
         })
@@ -366,7 +350,7 @@ mod tests {
     #[test]
     fn profile_joins_plan_to_stats() {
         let (plan, profile) = analyzed_run();
-        assert_eq!(profile.operators.len(), plan.cycles.len() + 1);
+        assert_eq!(profile.operators.len(), plan.stages.len());
         assert_eq!(profile.stars.len(), 2);
         // Every job carried an estimate to compare against.
         assert!(profile.rows().all(|(_, job)| job.q_error().is_some()));

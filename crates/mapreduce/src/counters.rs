@@ -197,7 +197,7 @@ pub struct JobStats {
     /// task, priced by the cost model at HDFS read bandwidth.
     pub broadcast_ship_bytes: u64,
     /// The planner's estimated output cardinality, when an optimizer
-    /// supplied one via [`crate::JobSpec::with_estimated_output`];
+    /// supplied one in [`crate::JobSpec::estimated_output_records`];
     /// compared against `output_records` by [`JobStats::q_error`].
     pub estimated_output_records: Option<f64>,
     /// Simulated wall-clock seconds for this job (from the cost model).

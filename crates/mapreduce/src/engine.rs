@@ -1223,9 +1223,9 @@ mod tests {
                 out.emit_raw(row.to_bytes(), row.text_size())
             }
         }
-        let spec = JobSpec::map_only("bjoin", vec!["input".into()], Arc::new(SideCount), "out")
-            .with_broadcast("side")
-            .with_estimated_output(6.0);
+        let mut spec = JobSpec::map_only("bjoin", vec!["input".into()], Arc::new(SideCount), "out")
+            .with_broadcast("side");
+        spec.estimated_output_records = Some(6.0);
         let stats = engine.run_job(&spec).unwrap();
         let out: Vec<String> = engine.read_records("out").unwrap();
         assert_eq!(out, vec!["a:4", "b:4", "c:4"]);

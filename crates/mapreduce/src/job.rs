@@ -395,13 +395,6 @@ impl JobSpec {
         self
     }
 
-    /// Record the planner's estimated output cardinality, surfaced by the
-    /// engine as the job's q-error.
-    pub fn with_estimated_output(mut self, records: f64) -> Self {
-        self.estimated_output_records = Some(records);
-        self
-    }
-
     /// Override the reduce-task count — how a cost-based planner sizes the
     /// reduce phase to estimated shuffle bytes instead of a fixed default.
     ///

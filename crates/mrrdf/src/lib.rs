@@ -11,9 +11,10 @@
 //!   pattern, exactly the redundant representation the paper measures);
 //! * [`load_store`] — put a [`rdf_model::TripleStore`] into the simulated
 //!   DFS; [`analyze`] — its [`rdf_model::StoreStats`], read in place;
-//! * [`run_query_workflow`] — the one driver every planner runs a query's
-//!   jobs through (validation, failure → failed [`QueryRun`], cleanup,
-//!   solution extraction through [`read_solutions`]).
+//! * [`run_query_workflow`] — the frame the one plan driver
+//!   (`ntga_core::execute_plan`) runs every approach's jobs in (validation,
+//!   failure → failed [`QueryRun`], cleanup, solution extraction through
+//!   [`read_solutions`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

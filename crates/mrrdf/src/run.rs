@@ -1,6 +1,6 @@
-//! Shared planner error and run-result types, and the one query-workflow
-//! driver every planner (NTGA, Pig/Hive, the Figure 3 groupings) runs its
-//! jobs through.
+//! Shared planner error and run-result types, and the query-workflow frame
+//! the one plan driver (`ntga_core::execute_plan`) runs every approach's
+//! jobs in.
 
 use crate::support::{check_query, UnsupportedReason};
 use mrsim::{Engine, MrError, Workflow, WorkflowStats};
@@ -145,7 +145,7 @@ pub fn read_solutions(
 
 /// Run one query as one workflow named `name`.
 ///
-/// The part every planner shares: validate the query and check planner
+/// The part every plan shares: validate the query and check planner
 /// support, open the [`Workflow`], let `body` run its jobs (`wf.run_job(job)?`
 /// — the first failing job ends the run as a failed [`QueryRun`]), clean up
 /// every intermediate except the final relation, and, when

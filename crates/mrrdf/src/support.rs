@@ -46,6 +46,11 @@ pub enum UnsupportedReason {
         /// Most stars the plan search accepts.
         limit: usize,
     },
+    /// Figure 3's Sel-SJ-first grouping is defined for two-star queries.
+    NotTwoStars {
+        /// Stars in the query.
+        stars: usize,
+    },
 }
 
 impl fmt::Display for UnsupportedReason {
@@ -62,6 +67,9 @@ impl fmt::Display for UnsupportedReason {
             }
             UnsupportedReason::TooManyStars { stars, limit } => {
                 write!(f, "{stars} stars; the cost-based plan search takes at most {limit}")
+            }
+            UnsupportedReason::NotTwoStars { stars } => {
+                write!(f, "{stars} stars; Sel-SJ-first groups the star joins of two")
             }
         }
     }

@@ -13,7 +13,7 @@ use proptest::test_runner::TestRng;
 use rdf_model::atom::{atom, Atom};
 use rdf_query::{ObjPattern, StarPattern, TriplePattern};
 use relbase::attach::{AttachMap, StarAttachReduce};
-use relbase::planner::LoadCopy;
+use relbase::load::LoadCopy;
 use relbase::row_join::{RowJoinReduce, SideMap};
 use relbase::star_join::{PatternSet, StarMap, StarReduce};
 

@@ -27,7 +27,7 @@ use rdf_model::atom::{atom, Atom};
 use rdf_model::{STriple, TripleStore};
 use rdf_query::{ObjFilter, ObjPattern, PropPattern, StarPattern, SubjPattern, TriplePattern};
 use relbase::attach::{pattern_attach_job, star_attach_job, AttachMap, StarAttachReduce};
-use relbase::planner::LoadCopy;
+use relbase::load::LoadCopy;
 use relbase::row_join::{RowJoinReduce, SideMap};
 use relbase::star_join::{PatternSet, StarMap, StarReduce, REDUCERS};
 use relbase::{row_join_job, star_join_job};

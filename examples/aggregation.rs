@@ -33,7 +33,8 @@ fn main() {
     .unwrap();
 
     let engine = ClusterConfig::default().engine_with(&store);
-    ntga_core::execute(Strategy::LazyFull, &engine, &query, TRIPLES_FILE, "agg", false)
+    let plan = Strategy::LazyFull.plan(&query).expect("plannable query");
+    ntga_core::execute_plan(&plan, &engine, &query, TRIPLES_FILE, "agg", false)
         .expect("plannable query");
 
     // The final output file is the last tgjoin the planner wrote.

@@ -21,7 +21,8 @@ fn join_cycle_profile(
     label: &str,
 ) -> (u64, f64) {
     let engine = cluster.engine_with(store);
-    let run = ntga_core::execute(strategy, &engine, query, TRIPLES_FILE, label, false)
+    let plan = strategy.plan(query).expect("plannable");
+    let (run, _) = ntga_core::execute_plan(&plan, &engine, query, TRIPLES_FILE, label, false)
         .expect("plannable");
     let last = run.stats.jobs.last().expect("join cycle");
     (last.shuffle_bytes(), last.sim_seconds)

@@ -203,20 +203,16 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
     let query = load_query(opts)?;
     let approach = approach_of(opts)?;
-    let plan = match (approach.strategy(), approach) {
-        (Some(strategy), _) => strategy.plan(&query),
-        (None, Approach::NtgaAutoCost) => {
-            // The cost-based plan depends on the data: derive statistics
-            // and optimize under the same scaled cost model `query` would
-            // use.
-            let store = load_data(opts)
-                .map_err(|e| format!("--approach auto-cost needs --data to plan from: {e}"))?;
-            let cost = CostModel::scaled_to(store.text_bytes());
-            ntga_core::optimize(&query, &store.stats(), &cost, &Default::default())
-        }
-        (None, _) => return Err("explain currently covers the NTGA strategies".into()),
-    }
-    .map_err(|e| e.to_string())?;
+    // Only the cost-based plan depends on the data: it plans from the
+    // engine `query` would run on. Every other plan needs no data.
+    let engine = if approach == Approach::NtgaAutoCost {
+        let store = load_data(opts)
+            .map_err(|e| format!("--approach auto-cost needs --data to plan from: {e}"))?;
+        engine_for(&cluster_for(opts, &store)?, &store)?
+    } else {
+        Engine::unbounded()
+    };
+    let plan = approach.plan(&query, &engine).map_err(|e| e.to_string())?;
     let text = ntga_core::explain_plan(&plan, &query).map_err(|e| e.to_string())?;
     print!("{text}");
     Ok(())

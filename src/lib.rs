@@ -8,14 +8,17 @@
 //!   HDFS, replication, bounded disk, byte-accurate counters);
 //! * [`rdf_query`] — graph-pattern queries with unbound-property triple
 //!   patterns, SPARQL-subset parser, naive reference evaluator;
-//! * [`relbase`] — Pig-like and Hive-like relational baselines;
+//! * [`relbase`] — the operators and jobs of the Pig-like and Hive-like
+//!   relational baselines;
 //! * [`ntga_core`] — the paper's TripleGroup algebra with
-//!   eager / lazy-full / lazy-partial β-unnesting;
+//!   eager / lazy-full / lazy-partial β-unnesting, the plan IR every
+//!   approach compiles to, and the one driver that runs it;
 //! * [`datagen`] — structurally-faithful BSBM / Bio2RDF / DBpedia-like
 //!   generators;
 //! * [`testbed`] — the paper's query catalog (Q1a–Q3b, B0–B6,
 //!   B1-3bnd…6bnd, A1–A6, C1–C4);
-//! * [`runner`] — one entry point over every approach.
+//! * [`runner`] — one entry point over every approach: [`Approach::plan`],
+//!   then the driver.
 //!
 //! ```
 //! use ntga::prelude::*;
@@ -45,5 +48,4 @@ pub mod prelude {
     pub use ntga_core::Strategy;
     pub use rdf_model::{STriple, TripleStore};
     pub use rdf_query::{parse_query, Query, SolutionSet};
-    pub use relbase::RelFlavor;
 }

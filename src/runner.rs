@@ -1,11 +1,12 @@
-//! Uniform runner over every execution approach the paper compares.
+//! Uniform runner over every execution approach the paper compares: each
+//! [`Approach`] becomes a [`PhysicalPlan`] ([`Approach::plan`]) that the one
+//! driver, [`ntga_core::execute_plan`], runs.
 
 use mr_rdf::{load_store, PlanError, QueryRun, TRIPLES_FILE};
 use mrsim::{CostModel, Engine, FaultConfig, MrError, RecoveryPolicy, SimHdfs, TraceSink};
-use ntga_core::Strategy;
+use ntga_core::{execute_plan, OptimizerConfig, PhysicalPlan, Strategy};
 use rdf_model::TripleStore;
 use rdf_query::Query;
-use relbase::RelFlavor;
 use std::sync::Arc;
 
 /// An execution approach from the paper's evaluation.
@@ -13,8 +14,10 @@ use std::sync::Arc;
 pub enum Approach {
     /// Apache-Pig-like relational plan.
     Pig,
-    /// Apache-Hive-like relational plan.
+    /// Apache-Hive-like relational plan (Figure 3's SJ-per-cycle grouping).
     Hive,
+    /// Figure 3's Sel-SJ-first grouping of a two-star query.
+    SelSjFirst,
     /// NTGA with eager β-unnesting.
     NtgaEager,
     /// NTGA with lazy full β-unnesting (`TG_UnbJoin`).
@@ -36,6 +39,7 @@ impl Approach {
         match self {
             Approach::Pig => "Pig".into(),
             Approach::Hive => "Hive".into(),
+            Approach::SelSjFirst => "Sel-SJ-first".into(),
             Approach::NtgaEager => "EagerUnnest".into(),
             Approach::NtgaLazyFull => "LazyUnnest-full".into(),
             Approach::NtgaLazyPartial(m) => format!("LazyUnnest-phi{m}"),
@@ -47,18 +51,28 @@ impl Approach {
     /// What [`Approach::from_str`](std::str::FromStr::from_str) accepts —
     /// the grammar of `ntga-cli --approach`. `M` is the φ range and
     /// defaults to 1024.
-    pub const GRAMMAR: &'static str = "pig | hive | eager | lazy | lazyfull | lazy-full | \
-        partial[:M] | lazy-partial[:M] | auto[:M] | auto-cost | cost";
+    pub const GRAMMAR: &'static str = "pig | hive | sel-sj-first | eager | lazy | lazyfull | \
+        lazy-full | partial[:M] | lazy-partial[:M] | auto[:M] | auto-cost | cost";
 
-    /// The hand-picked NTGA strategy this approach runs; `None` for the
-    /// relational baselines and the cost-based optimizer.
-    pub fn strategy(self) -> Option<Strategy> {
+    /// The plan this approach runs `query` with on `engine`: the one place
+    /// an approach becomes a plan. Only the cost-based approach reads
+    /// `engine`: it optimizes under the engine's cost model and broadcast
+    /// budget for the statistics of the relation at [`TRIPLES_FILE`].
+    pub fn plan(self, query: &Query, engine: &Engine) -> Result<PhysicalPlan, PlanError> {
         match self {
-            Approach::NtgaEager => Some(Strategy::Eager),
-            Approach::NtgaLazyFull => Some(Strategy::LazyFull),
-            Approach::NtgaLazyPartial(m) => Some(Strategy::LazyPartial(m)),
-            Approach::NtgaAuto(m) => Some(Strategy::Auto(m)),
-            Approach::Pig | Approach::Hive | Approach::NtgaAutoCost => None,
+            Approach::Pig => PhysicalPlan::pig(query),
+            Approach::Hive => PhysicalPlan::hive(query),
+            Approach::SelSjFirst => PhysicalPlan::sel_sj_first(query),
+            Approach::NtgaEager => Strategy::Eager.plan(query),
+            Approach::NtgaLazyFull => Strategy::LazyFull.plan(query),
+            Approach::NtgaLazyPartial(m) => Strategy::LazyPartial(m).plan(query),
+            Approach::NtgaAuto(m) => Strategy::Auto(m).plan(query),
+            Approach::NtgaAutoCost => {
+                let stats = mr_rdf::analyze(engine, TRIPLES_FILE)
+                    .map_err(|e| PlanError::Internal(format!("reading {TRIPLES_FILE}: {e}")))?;
+                let config = OptimizerConfig::for_engine(engine);
+                ntga_core::optimize(query, &stats, &engine.cost, &config)
+            }
         }
     }
 }
@@ -75,6 +89,7 @@ impl std::str::FromStr for Approach {
         match name {
             "pig" => Ok(Approach::Pig),
             "hive" => Ok(Approach::Hive),
+            "sel-sj-first" => Ok(Approach::SelSjFirst),
             "eager" => Ok(Approach::NtgaEager),
             "lazy" | "lazyfull" | "lazy-full" => Ok(Approach::NtgaLazyFull),
             "partial" | "lazy-partial" => Ok(Approach::NtgaLazyPartial(m()?)),
@@ -94,30 +109,9 @@ pub fn run_query(
     label: &str,
     extract_solutions: bool,
 ) -> Result<QueryRun, PlanError> {
+    let plan = approach.plan(query, engine)?;
     let label = format!("{}-{label}", approach.label());
-    let relational =
-        |flavor| relbase::execute(flavor, engine, query, TRIPLES_FILE, &label, extract_solutions);
-    match (approach.strategy(), approach) {
-        (Some(strategy), _) => {
-            ntga_core::execute(strategy, engine, query, TRIPLES_FILE, &label, extract_solutions)
-        }
-        (None, Approach::Pig) => relational(RelFlavor::Pig),
-        (None, Approach::Hive) => relational(RelFlavor::Hive),
-        (None, _) => {
-            // ANALYZE step: derive statistics from the relation the engine
-            // actually holds, read where it lies, then plan against them.
-            let stats = mr_rdf::analyze(engine, TRIPLES_FILE)
-                .map_err(|e| PlanError::Internal(format!("reading {TRIPLES_FILE}: {e}")))?;
-            ntga_core::execute_cost_based(
-                engine,
-                query,
-                TRIPLES_FILE,
-                &label,
-                extract_solutions,
-                &stats,
-            )
-        }
-    }
+    execute_plan(&plan, engine, query, TRIPLES_FILE, &label, extract_solutions).map(|(run, _)| run)
 }
 
 /// Describes the simulated cluster for an experiment.
@@ -267,6 +261,7 @@ mod tests {
         for approach in [
             Approach::Pig,
             Approach::Hive,
+            Approach::SelSjFirst,
             Approach::NtgaEager,
             Approach::NtgaLazyFull,
             Approach::NtgaLazyPartial(16),
@@ -332,6 +327,7 @@ mod tests {
         for (spelling, approach) in [
             ("pig", Approach::Pig),
             ("hive", Approach::Hive),
+            ("sel-sj-first", Approach::SelSjFirst),
             ("eager", Approach::NtgaEager),
             ("lazy", Approach::NtgaLazyFull),
             ("lazyfull", Approach::NtgaLazyFull),
@@ -358,6 +354,7 @@ mod tests {
         let mut labels: Vec<String> = [
             Approach::Pig,
             Approach::Hive,
+            Approach::SelSjFirst,
             Approach::NtgaEager,
             Approach::NtgaLazyFull,
             Approach::NtgaLazyPartial(2),
@@ -369,6 +366,6 @@ mod tests {
         .collect();
         labels.sort();
         labels.dedup();
-        assert_eq!(labels.len(), 7);
+        assert_eq!(labels.len(), 8);
     }
 }

@@ -205,6 +205,42 @@ fn more_stars_than_the_cost_search_takes_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn explain_and_query_report_the_same_planner_error_for_every_approach() {
+    let queries = [
+        // Two stars that share two variables.
+        "SELECT * WHERE { ?a <bsbm:producer> ?b . ?a <rdfs:label> ?c . ?b <rdfs:comment> ?c . }",
+        // A variable in two positions of one pattern.
+        "SELECT * WHERE { ?a <bsbm:producer> ?a . }",
+    ];
+    let grammar = ntga::Approach::GRAMMAR;
+    let spellings: Vec<&str> =
+        grammar.split('|').map(|s| s.trim().trim_end_matches("[:M]")).collect();
+    assert!(spellings.contains(&"sel-sj-first"), "{grammar}");
+    for (i, text) in queries.into_iter().enumerate() {
+        let (dir, data, query) = bsbm_fixture(&format!("planerror{i}"), "5", text);
+        for approach in &spellings {
+            let error_line = |command: &str| {
+                let out = cli()
+                    .args([command, "--data", &data, "--query", &query, "--approach", approach])
+                    .output()
+                    .expect("spawn");
+                let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+                assert_eq!(out.status.code(), Some(1), "{command} {approach}: {stderr}");
+                assert!(!stderr.contains("panicked at"), "{command} {approach}: {stderr}");
+                stderr
+            };
+            let (explain, query) = (error_line("explain"), error_line("query"));
+            assert!(
+                explain.starts_with("error: unsupported by MR planners: "),
+                "{approach}: {explain}"
+            );
+            assert_eq!(explain, query, "{approach}: explain and query disagree");
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+#[test]
 fn bad_usage_fails_cleanly() {
     let out = cli().args(["query", "--data"]).output().expect("spawn");
     assert!(!out.status.success());

@@ -1,6 +1,7 @@
-//! EXPLAIN over the whole testbed catalog: every query must produce a
-//! plan whose cycle count matches what execution actually performs, and
-//! the Auto strategy's unnest decisions must be visible in the plan text.
+//! EXPLAIN over the whole testbed catalog: under every approach, every
+//! query's plan must describe what execution actually performs — its
+//! cycles and its jobs, in order — and the Auto strategy's unnest decisions
+//! must be visible in the plan text.
 
 use ntga::prelude::*;
 
@@ -12,34 +13,66 @@ fn all_queries() -> Vec<ntga::testbed::TestQuery> {
     all
 }
 
+/// The Auto(64) plan of `query`, rendered.
+fn explain_auto(query: &Query) -> ntga_core::PlanText {
+    ntga_core::explain_plan(&Strategy::Auto(64).plan(query).unwrap(), query).unwrap()
+}
+
 #[test]
 fn explain_cycle_counts_match_execution() {
     let store = datagen::bsbm::generate(&datagen::BsbmConfig::with_products(15));
+    let approaches = [
+        Approach::Pig,
+        Approach::Hive,
+        Approach::SelSjFirst,
+        Approach::NtgaEager,
+        Approach::NtgaLazyFull,
+        Approach::NtgaLazyPartial(64),
+        Approach::NtgaAuto(64),
+        Approach::NtgaAutoCost,
+    ];
     for tq in all_queries() {
-        let plan = ntga_core::explain(Strategy::Auto(64), &tq.query)
-            .unwrap_or_else(|e| panic!("{}: {e}", tq.id));
-        // Plans for BSBM queries can actually be executed against BSBM
-        // data; A/C queries still plan (the cycle structure is
-        // data-independent), so compare for everything.
-        let engine = ClusterConfig::default().engine_with(&store);
-        let run = run_query(Approach::NtgaAuto(64), &engine, &tq.query, &tq.id, false)
-            .unwrap_or_else(|e| panic!("{}: {e}", tq.id));
-        assert_eq!(
-            plan.cycles.len() as u64,
-            run.stats.mr_cycles,
-            "{}: EXPLAIN promises {} cycles, execution did {}",
-            tq.id,
-            plan.cycles.len(),
-            run.stats.mr_cycles
-        );
+        for approach in approaches {
+            // Plans for BSBM queries can actually be executed against BSBM
+            // data; A/C queries still plan (the cycle structure is
+            // data-independent), so compare for everything.
+            let engine = ClusterConfig::default().engine_with(&store);
+            let cell = format!("{}/{}", tq.id, approach.label());
+            let plan = match approach.plan(&tq.query, &engine) {
+                Ok(plan) => plan,
+                Err(e) => {
+                    // Only Sel-SJ-first declines, and only queries that do
+                    // not have two stars; `run_query` says the same.
+                    assert_eq!(approach, Approach::SelSjFirst, "{cell}: {e}");
+                    assert_ne!(tq.query.stars.len(), 2, "{cell}: {e}");
+                    let run = run_query(approach, &engine, &tq.query, &tq.id, false);
+                    assert_eq!(run.unwrap_err(), e, "{cell}");
+                    continue;
+                }
+            };
+            let text =
+                ntga_core::explain_plan(&plan, &tq.query).unwrap_or_else(|e| panic!("{cell}: {e}"));
+            let run = run_query(approach, &engine, &tq.query, &tq.id, false)
+                .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            assert!(run.succeeded(), "{cell}: {:?}", run.stats.failure);
+            assert_eq!(
+                text.cycles.len() as u64,
+                run.stats.mr_cycles,
+                "{cell}: EXPLAIN promises {} cycles, execution did {}\n{text}",
+                text.cycles.len(),
+                run.stats.mr_cycles
+            );
+            let ran: Vec<&str> = run.stats.jobs.iter().map(|j| j.name.as_str()).collect();
+            let label = format!("{}-{}", approach.label(), tq.id);
+            assert_eq!(plan.job_names(&label), ran, "{cell}: the plan's jobs are the run's");
+        }
     }
 }
 
 #[test]
 fn explain_marks_unnest_decisions() {
     for tq in all_queries() {
-        let plan = ntga_core::explain(Strategy::Auto(64), &tq.query).unwrap();
-        let text = plan.to_string();
+        let text = explain_auto(&tq.query).to_string();
         let has_unbound = tq.query.unbound_pattern_count() > 0;
         assert_eq!(
             text.contains("σ^βγ"),
@@ -62,8 +95,8 @@ fn explain_b2_uses_full_unnest_b1_partial() {
     // The Auto policy's signature decision, visible in the plan text.
     let b1 = ntga::testbed::b_series().remove(1);
     let b2 = ntga::testbed::b_series().remove(2);
-    let p1 = ntga_core::explain(Strategy::Auto(64), &b1.query).unwrap().to_string();
-    let p2 = ntga_core::explain(Strategy::Auto(64), &b2.query).unwrap().to_string();
+    let p1 = explain_auto(&b1.query).to_string();
+    let p2 = explain_auto(&b2.query).to_string();
     assert!(p1.contains("partial unnest"), "B1 should plan TG_OptUnbJoin:\n{p1}");
     assert!(p2.contains("full unnest"), "B2 should plan TG_UnbJoin:\n{p2}");
 }

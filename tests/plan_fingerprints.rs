@@ -7,8 +7,11 @@
 //! Fault and corruption draws are salted by workflow, job and file names,
 //! and the wall-clock ledger maps job-name suffixes to layers, so a driver
 //! refactor that renames or reorders anything shows up here first. The
-//! fixture was recorded before the four executors were collapsed into one;
-//! on mismatch the test prints the freshly computed table.
+//! fixture was recorded before the four NTGA executors were collapsed into
+//! one, and held byte-identical when Pig and Hive became `PhysicalPlan`s run
+//! by that same driver; on mismatch the test prints the freshly computed
+//! table. Sel-SJ-first, which plans two-star queries only, is not in the
+//! table; `tests/explain_catalog.rs` checks its jobs against its plans.
 
 mod common;
 
