@@ -121,6 +121,22 @@ fn bench_relational_reduce(c: &mut Criterion) {
     });
 }
 
+/// The solutions of DFS file `file`, each record's rows appended by
+/// `add_rows`, as the plan driver reads a final relation.
+fn extract(
+    engine: &mrsim::Engine,
+    file: &str,
+    vars: &[String],
+    mut add_rows: impl FnMut(&[u8], &mut rdf_query::SolutionRows) -> Result<(), mr_rdf::PlanError>,
+) -> rdf_query::SolutionSet {
+    let file = engine.hdfs().lock().get(file).unwrap();
+    let mut rows = rdf_query::SolutionRows::new(vars.to_vec());
+    for record in &file.records {
+        add_rows(record, &mut rows).unwrap();
+    }
+    rows.finish()
+}
+
 /// The epilogue kernels on what A2 leaves behind on 750 genes: the final
 /// β-unnest of NTGA's nested tuples (750 → 13 k rows) and of Hive's flat
 /// rows, each with the one sort + dedup; and ANALYZE of the 17 k-triple
@@ -142,17 +158,13 @@ fn bench_extract(c: &mut Criterion) {
     c.bench_function("extract/tg_tuples", |b| {
         b.iter(|| {
             let mut unnest = ntga_core::FinalUnnest::new(&query, &[0], &vars).unwrap();
-            mr_rdf::read_solutions(&engine, &file, vars.clone(), |r, out| unnest.add_rows(r, out))
-                .unwrap()
+            extract(&engine, &file, &vars, |r, out| unnest.add_rows(r, out))
         })
     });
     let (engine, file) = run(Approach::Hive);
     let schema = relbase::star_join::star_join_job("s", &query.stars[0], "in", "out", false).1;
     c.bench_function("extract/rows", |b| {
-        b.iter(|| {
-            let add_rows = schema.extractor(&vars).unwrap();
-            mr_rdf::read_solutions(&engine, &file, vars.clone(), add_rows).unwrap()
-        })
+        b.iter(|| extract(&engine, &file, &vars, schema.extractor(&vars).unwrap()))
     });
     c.bench_function("analyze/17k_triples", |b| {
         b.iter(|| mr_rdf::analyze(black_box(&engine), mr_rdf::TRIPLES_FILE).unwrap())

@@ -91,11 +91,9 @@ fn main() {
                 let extract = strategy == Strategy::Auto(1024);
                 let label = format!("{qid}-{}", strategy.label());
                 let input = mr_rdf::TRIPLES_FILE;
-                let (mut run, _) = strategy
+                let mut run = strategy
                     .plan(&tq.query)
-                    .and_then(|plan| {
-                        execute_plan(&plan, &engine, &tq.query, input, &label, extract)
-                    })
+                    .and_then(|plan| execute_plan(&plan, &engine, input, &label, extract))
                     .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
                 assert!(run.succeeded(), "{label}: hand-picked run failed");
                 assert!(run.stats.max_q_error().is_none(), "{label}: no estimates, no q-error");
@@ -113,10 +111,8 @@ fn main() {
             let engine = cluster.engine_with(store);
             let label = format!("{qid}-CostBased");
             let config = ntga_core::OptimizerConfig::for_engine(&engine);
-            let (run, _) = ntga_core::optimize(&tq.query, &stats, &engine.cost, &config)
-                .and_then(|plan| {
-                    execute_plan(&plan, &engine, &tq.query, mr_rdf::TRIPLES_FILE, &label, true)
-                })
+            let run = ntga_core::optimize(&tq.query, &stats, &engine.cost, &config)
+                .and_then(|plan| execute_plan(&plan, &engine, mr_rdf::TRIPLES_FILE, &label, true))
                 .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
             assert!(run.succeeded(), "{label}: cost-based run failed");
             let q_error = run.stats.max_q_error();
@@ -187,9 +183,8 @@ fn broadcast_identity(opts: &BenchOpts, store: &TripleStore) -> Vec<report::Row>
         let engine =
             cluster.with_workers(workers).engine_with(store).with_broadcast_budget(u64::MAX);
         let label = format!("bcast-w{workers}");
-        let (run, _) =
-            ntga_core::execute_plan(&plan, &engine, &tq.query, mr_rdf::TRIPLES_FILE, &label, false)
-                .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
+        let run = ntga_core::execute_plan(&plan, &engine, mr_rdf::TRIPLES_FILE, &label, false)
+            .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
         assert!(run.succeeded(), "{label}: broadcast run failed");
         assert!(
             run.stats.jobs.iter().any(|j| j.reduce_tasks == 0),

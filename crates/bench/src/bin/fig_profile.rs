@@ -50,11 +50,9 @@ fn main() {
             let engine = cluster.engine_with(&store);
             let label = format!("{qid}-{}", strategy.label());
             let input = mr_rdf::TRIPLES_FILE;
-            let (run, _) = strategy
+            let run = strategy
                 .plan(query)
-                .and_then(|plan| {
-                    ntga_core::execute_plan(&plan, &engine, query, input, &label, false)
-                })
+                .and_then(|plan| ntga_core::execute_plan(&plan, &engine, input, &label, false))
                 .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));
             assert!(run.succeeded(), "{label}: hand-picked run failed");
             let t = run.stats.sim_seconds;

@@ -171,8 +171,7 @@ pub(crate) fn run_cell(
         }
     };
     let plan = approach.plan(query, &engine)?;
-    ntga_core::execute_plan(&plan, &engine, query, mr_rdf::TRIPLES_FILE, label, false)
-        .map(|(run, _)| run)
+    ntga_core::execute_plan(&plan, &engine, mr_rdf::TRIPLES_FILE, label, false)
 }
 
 /// A figure's measured rows and its claims' verdicts, per panel.

@@ -163,16 +163,15 @@ pub fn profile_queries(
             let plan = ntga::Approach::NtgaAutoCost
                 .plan(query, &engine)
                 .map_err(|e| format!("{qid}: planning failed: {e}"))?;
-            let (run, stars) =
-                ntga_core::execute_plan(&plan, &engine, query, mr_rdf::TRIPLES_FILE, qid, false)
-                    .map_err(|e| format!("{qid}: execution failed: {e}"))?;
+            let run = ntga_core::execute_plan(&plan, &engine, mr_rdf::TRIPLES_FILE, qid, false)
+                .map_err(|e| format!("{qid}: execution failed: {e}"))?;
             if !run.succeeded() {
                 return Err(format!(
                     "{qid}: analyzed run failed: {}",
                     run.stats.failure.as_deref().unwrap_or("unknown")
                 ));
             }
-            ntga_core::explain_analyze(&plan, &run.stats, &stars)
+            ntga_core::explain_analyze(&plan, &run.stats)
                 .map_err(|e| format!("{qid}: profile join failed: {e}"))
         })
         .collect()

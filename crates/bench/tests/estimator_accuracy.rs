@@ -137,10 +137,9 @@ fn executed_plans_report_bounded_q_error() {
             let engine = cluster.engine_with(&store);
             let config = ntga_core::OptimizerConfig::for_engine(&engine);
             let label = format!("qerr-{name}-{}", tq.id);
-            let (run, _) = ntga_core::optimize(&tq.query, &stats, &engine.cost, &config)
+            let run = ntga_core::optimize(&tq.query, &stats, &engine.cost, &config)
                 .and_then(|plan| {
-                    let input = mr_rdf::TRIPLES_FILE;
-                    ntga_core::execute_plan(&plan, &engine, &tq.query, input, &label, true)
+                    ntga_core::execute_plan(&plan, &engine, mr_rdf::TRIPLES_FILE, &label, true)
                 })
                 .unwrap_or_else(|e| panic!("{name}/{}: planning failed: {e}", tq.id));
             assert!(run.succeeded(), "{name}/{}: run failed", tq.id);

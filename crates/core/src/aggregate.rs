@@ -80,7 +80,7 @@ mod tests {
         load_store(&engine, "t", &store()).unwrap();
         let query = parse_query(q).unwrap();
         let plan = Strategy::LazyFull.plan(&query).unwrap();
-        execute_plan(&plan, &engine, &query, "t", "agg", true).unwrap();
+        execute_plan(&plan, &engine, "t", "agg", true).unwrap();
         let tuples = final_tuples(&engine, "agg");
         let n = query.stars.len();
         (engine, tuples, query, n)

@@ -20,12 +20,8 @@ fn relational(
     query: &Query,
     star_stages: impl Iterator<Item = Vec<Cycle>>,
 ) -> Result<PhysicalPlan, PlanError> {
-    let joins = query.left_deep_order()?.into_iter().map(|_| vec![Cycle::RowJoin]);
-    Ok(PhysicalPlan {
-        label: label.into(),
-        stages: star_stages.chain(joins).collect(),
-        estimates: None,
-    })
+    let joins = query.left_deep_order()?.into_iter().map(|step| vec![Cycle::RowJoin(step)]);
+    Ok(PhysicalPlan::unestimated(query, label, star_stages.chain(joins)))
 }
 
 impl PhysicalPlan {
@@ -78,7 +74,7 @@ impl PhysicalPlan {
                 [first(edge.left), attach].into_iter().chain(rest).collect()
             }
         };
-        Ok(PhysicalPlan { label: "Sel-SJ-first".into(), stages, estimates: None })
+        Ok(PhysicalPlan::unestimated(query, "Sel-SJ-first", stages))
     }
 }
 
@@ -121,9 +117,8 @@ mod tests {
     const SEL: Constructor = PhysicalPlan::sel_sj_first;
 
     fn run_on(engine: &Engine, plan: Constructor, q: &str) -> QueryRun {
-        let query = parse_query(q).unwrap();
-        let plan = plan(&query).unwrap();
-        execute_plan(&plan, engine, &query, "t", "q", true).unwrap().0
+        let plan = plan(&parse_query(q).unwrap()).unwrap();
+        execute_plan(&plan, engine, "t", "q", true).unwrap()
     }
 
     /// `q` under `plan` on an unbounded engine, checked against the naive

@@ -15,8 +15,9 @@
 //! * [`physical`] — the MapReduce operators of Section 4: `TG_GroupBy` +
 //!   `TG_UnbGrpFilter` (Algorithm 2), `TG_Join`, `TG_UnbJoin` (lazy full
 //!   β-unnest), `TG_OptUnbJoin` (lazy partial β-unnest, Algorithm 3);
-//! * [`plan`] — the [`PhysicalPlan`] IR of every approach: stages of typed
-//!   [`Cycle`]s, one stage per MR cycle;
+//! * [`plan`] — the [`PhysicalPlan`] IR of every approach: a checked query
+//!   and stages of jobs, one stage per MR cycle, each job a typed [`Cycle`]
+//!   with its own arguments and estimate;
 //! * [`optimizer`] — cost-based plan selection: per-star unnest placement,
 //!   per-cycle exact/partial/broadcast join choice and reducer sizing from
 //!   store statistics and the engine's cost model;
@@ -45,7 +46,7 @@
 //!     "SELECT * WHERE { ?g <label> ?l . ?g ?p ?go . ?go <gl> ?x . }",
 //! ).unwrap();
 //! let plan = Strategy::Auto(1024).plan(&query).unwrap();
-//! let (run, _) = execute_plan(&plan, &engine, &query, "triples", "demo", true).unwrap();
+//! let run = execute_plan(&plan, &engine, "triples", "demo", true).unwrap();
 //! assert!(run.succeeded());
 //! assert_eq!(run.stats.mr_cycles, 2); // all star joins in ONE grouping cycle
 //! assert_eq!(run.solutions.unwrap().len(), 1);
@@ -69,7 +70,7 @@ pub mod unnest;
 
 pub use explain::{explain_plan, PlanText};
 pub use optimizer::{optimize, OptimizerConfig};
-pub use plan::{Cycle, CycleEstimate, JoinAlgo, PhysicalPlan, PlanEstimates, Scan};
+pub use plan::{Cycle, CycleEstimate, JoinAlgo, PhysicalPlan, PlanJob, Scan};
 pub use planner::{execute_plan, Strategy};
 pub use profile::{explain_analyze, OpProfile, Profile, StarProfile};
 pub use tg::{AnnTg, TgTuple};

@@ -14,14 +14,16 @@
 //!   entire reduce cycle** when the estimate clears the broadcast budget;
 //! * **per job** a reduce-task count sized to the estimated shuffle bytes.
 //!
-//! An optimized plan carries [`PlanEstimates`]; the driver attaches them to
-//! its jobs ([`mrsim::JobSpec::estimated_output_records`]), so executed plans
-//! report per-job q-error through [`mrsim::JobStats::q_error`] and the
+//! Every job of an optimized plan carries its [`CycleEstimate`]; the driver
+//! attaches it to the job ([`mrsim::JobSpec::estimated_output_records`]), so
+//! executed plans report per-job q-error through [`mrsim::JobStats::q_error`] and the
 //! `q_error` on the trace's `job_end` events — the feedback signal that tells
 //! you when the estimator, not the executor, is the problem.
 
 use crate::physical::{BuildSide, JoinRole, UnnestMode};
-use crate::plan::{join_schedule, supported, CycleEstimate, JoinAlgo, PhysicalPlan, PlanEstimates};
+use crate::plan::{
+    join_schedule, supported, Cycle, CycleEstimate, JoinAlgo, PhysicalPlan, PlanJob,
+};
 use mr_rdf::{PlanError, UnsupportedReason};
 use mrsim::{CostModel, Engine, JobStats, BLOCK_SIZE_BYTES, DEFAULT_BROADCAST_BUDGET_BYTES};
 use rdf_model::StoreStats;
@@ -321,7 +323,12 @@ pub fn optimize(
     if n > MAX_STARS {
         return Err(UnsupportedReason::TooManyStars { stars: n, limit: MAX_STARS }.into());
     }
-    let mut best: Option<PhysicalPlan> = None;
+    // The cheapest placement so far: its eager flags, its equivalence
+    // classes, Job 1's (seconds, reducers, records), each join's algorithm
+    // and estimate, and the total.
+    type Placement =
+        (Vec<bool>, Vec<RelEst>, (f64, usize, f64), Vec<(JoinAlgo, CycleEstimate)>, f64);
+    let mut best: Option<Placement> = None;
     for mask in 0u32..(1u32 << n) {
         let eager_stars: Vec<bool> = (0..n).map(|i| mask & (1 << i) != 0).collect();
         let ecs: Vec<RelEst> = star_ests
@@ -334,8 +341,7 @@ pub fn optimize(
 
         let mut total = job1_seconds;
         let mut cur = ecs[0];
-        let mut cycles = Vec::with_capacity(steps.len());
-        let mut cycle_estimates = Vec::with_capacity(steps.len());
+        let mut joins = Vec::with_capacity(steps.len());
         for step in &steps {
             let lexp = side_expansion(
                 &query.stars[step.l_star],
@@ -389,43 +395,46 @@ pub fn optimize(
 
             let (algo, shuffle_bytes, seconds) = best_cycle;
             total += seconds;
-            cycles.push(algo);
-            cycle_estimates.push(CycleEstimate {
-                output_records: out.records,
-                output_bytes: out.bytes,
-                shuffle_bytes,
-                seconds,
-            });
+            joins.push((
+                algo,
+                CycleEstimate {
+                    output_records: out.records,
+                    file_records: Vec::new(),
+                    output_bytes: out.bytes,
+                    shuffle_bytes: Some(shuffle_bytes),
+                    seconds,
+                },
+            ));
             cur = out;
         }
 
-        let best_seconds = best.as_ref().and_then(|b| b.estimates.as_ref()).map(|e| e.seconds);
-        if best_seconds.is_none_or(|b| total < b) {
-            let estimates = PlanEstimates {
-                job1_records,
-                job1_bytes: ecs.iter().map(|e| e.bytes).sum(),
-                star_records: ecs.iter().map(|e| e.records).collect(),
-                job1_seconds,
-                cycles: cycle_estimates,
-                seconds: total,
-            };
-            let label = "CostBased".to_string();
-            best = Some(PhysicalPlan::ntga(
-                label,
-                eager_stars,
-                job1_reduce_tasks,
-                cycles,
-                Some(estimates),
-            ));
+        if best.as_ref().is_none_or(|&(.., best_total)| total < best_total) {
+            let job1 = (job1_seconds, job1_reduce_tasks, job1_records);
+            best = Some((eager_stars, ecs, job1, joins, total));
         }
     }
-    Ok(best.expect("at least one placement enumerated"))
+    let (eager, ecs, (seconds, reduce_tasks, output_records), joins, _) =
+        best.ok_or_else(|| PlanError::Internal("no unnest placement enumerated".into()))?;
+    let job1 = PlanJob {
+        cycle: Cycle::GroupFilter { eager, reduce_tasks },
+        estimate: Some(CycleEstimate {
+            output_records,
+            file_records: ecs.iter().map(|e| e.records).collect(),
+            output_bytes: ecs.iter().map(|e| e.bytes).sum(),
+            shuffle_bytes: None,
+            seconds,
+        }),
+    };
+    let joins = joins.into_iter().zip(steps).map(|((algo, estimate), step)| PlanJob {
+        cycle: Cycle::TgJoin(algo, step),
+        estimate: Some(estimate),
+    });
+    Ok(PhysicalPlan::new(query, "CostBased", std::iter::once(job1).chain(joins).map(|j| vec![j])))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Cycle;
     use crate::planner::{execute_plan, Strategy};
     use mr_rdf::{load_store, QueryRun};
     use rdf_model::{STriple, TripleStore};
@@ -448,8 +457,8 @@ mod tests {
 
     const UNBOUND_2STAR: &str = "SELECT * WHERE { ?g <label> ?l . ?g ?p ?go . ?go <gl> ?x . }";
 
-    fn run_plan(plan: &PhysicalPlan, engine: &Engine, query: &Query, extract: bool) -> QueryRun {
-        execute_plan(plan, engine, query, "t", "q", extract).unwrap().0
+    fn run_plan(plan: &PhysicalPlan, engine: &Engine, extract: bool) -> QueryRun {
+        execute_plan(plan, engine, "t", "q", extract).unwrap()
     }
 
     fn plan_for(q: &str, s: &TripleStore) -> PhysicalPlan {
@@ -468,7 +477,7 @@ mod tests {
         assert!(!gold.is_empty());
         let config = OptimizerConfig::for_engine(&engine);
         let plan = optimize(&query, &s.stats(), &engine.cost, &config).unwrap();
-        let run = run_plan(&plan, &engine, &query, true);
+        let run = run_plan(&plan, &engine, true);
         assert!(run.succeeded());
         assert_eq!(run.solutions.unwrap(), gold);
         // Every job carried an estimate, so the run reports a q-error.
@@ -499,9 +508,10 @@ mod tests {
     fn small_build_side_gets_broadcast() {
         // The <gl> star is tiny; shipping it beats shuffling everything.
         let plan = plan_for(UNBOUND_2STAR, &store());
-        assert_eq!(plan.stages.len(), 2);
+        assert_eq!(plan.stages().len(), 2);
         assert!(plan.broadcast_cycles() == 1, "expected a broadcast cycle in {}", plan.summary());
-        assert_eq!(plan.estimates.unwrap().cycles[0].shuffle_bytes, 0);
+        let join = plan.stages()[1][0].estimate.as_ref().unwrap();
+        assert_eq!(join.shuffle_bytes, Some(0));
     }
 
     #[test]
@@ -512,8 +522,8 @@ mod tests {
         let plan =
             optimize(&query, &s.stats(), &CostModel::scaled_to(s.text_bytes()), &config).unwrap();
         assert_eq!(plan.broadcast_cycles(), 0, "{}", plan.summary());
-        match plan.stages[1][..] {
-            [Cycle::TgJoin(JoinAlgo::Reduce { reduce_tasks, .. })] => assert!(reduce_tasks >= 1),
+        match plan.stages()[1][0].cycle {
+            Cycle::TgJoin(JoinAlgo::Reduce { reduce_tasks, .. }, _) => assert!(reduce_tasks >= 1),
             ref other => panic!("broadcast chosen with zero budget: {other:?}"),
         }
     }
@@ -529,7 +539,7 @@ mod tests {
         let run_with = |strategy| {
             let engine = Engine::unbounded().with_cost(cost.clone());
             load_store(&engine, "t", &s).unwrap();
-            let r = run_plan(&Strategy::plan(strategy, &query).unwrap(), &engine, &query, false);
+            let r = run_plan(&Strategy::plan(strategy, &query).unwrap(), &engine, false);
             assert!(r.succeeded());
             r.stats.sim_seconds
         };
@@ -545,7 +555,7 @@ mod tests {
 
         let engine = Engine::unbounded().with_cost(cost.clone());
         load_store(&engine, "t", &s).unwrap();
-        let run = run_plan(&plan, &engine, &query, false);
+        let run = run_plan(&plan, &engine, false);
         assert!(run.succeeded());
         assert!(
             run.stats.sim_seconds <= best_hand + 1e-9,
@@ -574,7 +584,7 @@ mod tests {
         assert!(plan.broadcast_cycles() > 0);
         let engine = Engine::unbounded().with_broadcast_budget(1);
         load_store(&engine, "t", &s).unwrap();
-        let run = run_plan(&plan, &engine, &query, true);
+        let run = run_plan(&plan, &engine, true);
         assert!(run.succeeded());
         assert_eq!(run.solutions.unwrap(), gold);
         assert_eq!(run.stats.jobs.last().unwrap().broadcast_files, 0);
@@ -584,12 +594,12 @@ mod tests {
     fn single_star_plan_has_no_cycles() {
         let s = store();
         let plan = plan_for("SELECT * WHERE { ?g <label> ?l . ?g ?p ?o . }", &s);
-        assert_eq!(plan.stages.len(), 1);
+        assert_eq!(plan.stages().len(), 1);
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = parse_query("SELECT * WHERE { ?g <label> ?l . ?g ?p ?o . }").unwrap();
         let gold = rdf_query::naive::evaluate(&query, &s);
-        let run = run_plan(&plan, &engine, &query, true);
+        let run = run_plan(&plan, &engine, true);
         assert_eq!(run.stats.mr_cycles, 1);
         assert_eq!(run.solutions.unwrap(), gold);
     }

@@ -1059,7 +1059,11 @@ mod tests {
     fn solutions(engine: &Engine, query: &Query) -> rdf_query::SolutionSet {
         let vars = query.solution_vars();
         let mut unnest = crate::FinalUnnest::new(query, &[0, 1], &vars).unwrap();
-        mr_rdf::read_solutions(engine, "out", vars, |rec, rows| unnest.add_rows(rec, rows)).unwrap()
+        let mut rows = rdf_query::SolutionRows::new(vars);
+        for record in &engine.hdfs().lock().get("out").unwrap().records {
+            unnest.add_rows(record, &mut rows).unwrap();
+        }
+        rows.finish()
     }
 
     #[test]

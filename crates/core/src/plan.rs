@@ -1,16 +1,19 @@
 //! The plan IR: one [`PhysicalPlan`] type for every approach.
 //!
-//! A plan is stages of typed [`Cycle`]s, one stage per MR cycle as the
-//! paper counts them: Pig's concurrent star joins are one stage of several
-//! jobs, every other stage holds one. The NTGA plans are a
-//! [`Cycle::GroupFilter`] stage (Job 1: every star subpattern in one
-//! grouping cycle) followed by one [`Cycle::TgJoin`] stage per join in the
-//! query's left-deep order; [`crate::Strategy::plan`] builds them with the
-//! paper's hand-picked policies and [`crate::optimize`] from statistics.
-//! The relational baselines ([`PhysicalPlan::pig`], [`PhysicalPlan::hive`],
-//! [`PhysicalPlan::sel_sj_first`]) are star-join, row-join and attach
-//! cycles. [`crate::execute_plan`] runs any plan, [`crate::explain_plan`]
-//! renders it, and both name its jobs through [`PhysicalPlan::job_names`].
+//! A plan is its query and stages of [`PlanJob`]s, one stage per MR cycle
+//! as the paper counts them: Pig's concurrent star joins are one stage of
+//! several jobs, every other stage holds one. Each job names its operator,
+//! a typed [`Cycle`] that carries its own arguments (a join cycle its step
+//! of the query's left-deep order), and what the plan expects of it. The
+//! NTGA plans are a [`Cycle::GroupFilter`] stage (Job 1: every star
+//! subpattern in one grouping cycle) followed by one [`Cycle::TgJoin`]
+//! stage per join; [`crate::Strategy::plan`] builds them with the paper's
+//! hand-picked policies and [`crate::optimize`] from statistics, with an
+//! estimate on every job. The relational baselines ([`PhysicalPlan::pig`],
+//! [`PhysicalPlan::hive`], [`PhysicalPlan::sel_sj_first`]) are star-join,
+//! row-join and attach cycles. [`crate::execute_plan`] runs any plan,
+//! [`crate::explain_plan`] renders it and [`crate::explain_analyze`] joins
+//! it against its run; all three only read it.
 
 use crate::physical::{role_of, BuildSide, JoinRole, UnnestMode};
 use mr_rdf::{check_query, PlanError};
@@ -44,7 +47,7 @@ pub enum Scan {
     PerLoad,
 }
 
-/// One MR job of a plan.
+/// The operator of one MR job of a plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Cycle {
     /// NTGA Job 1: `TG_GroupBy` + `TG_(Unb)GrpFilter` writes every star's
@@ -56,8 +59,8 @@ pub enum Cycle {
         /// Reduce-task count.
         reduce_tasks: usize,
     },
-    /// A triplegroup join: the next step of the query's left-deep order.
-    TgJoin(JoinAlgo),
+    /// A triplegroup join: one step of the query's left-deep order.
+    TgJoin(JoinAlgo, CycleStep),
     /// Pig's map-only job that passes the input through before the star
     /// joins of a multi-star query.
     LoadCopy,
@@ -68,8 +71,8 @@ pub enum Cycle {
         /// How the job reads the input.
         scan: Scan,
     },
-    /// A row join: the next step of the query's left-deep order.
-    RowJoin,
+    /// A row join: one step of the query's left-deep order.
+    RowJoin(JoinStep),
     /// Join the running relation with star `star`'s matches, computed from
     /// the input in the same cycle and keyed by its subject; the patterns a
     /// [`Cycle::PatternAttach`] already attached are left out.
@@ -87,76 +90,97 @@ pub enum Cycle {
     },
 }
 
-/// What the optimizer expects of one join cycle.
+/// What a plan expects of one job.
 #[derive(Debug, Clone)]
 pub struct CycleEstimate {
-    /// Estimated join output cardinality (records).
+    /// Estimated output cardinality (records).
     pub output_records: f64,
-    /// Estimated join output size in text bytes.
+    /// Estimated records of each output file, in the job's output order
+    /// (Job 1: one per star); empty when only the total is estimated.
+    pub file_records: Vec<f64>,
+    /// Estimated output size in text bytes.
     pub output_bytes: f64,
-    /// Estimated shuffle bytes (0 for broadcast cycles).
-    pub shuffle_bytes: u64,
-    /// Estimated cost of this cycle in simulated seconds.
+    /// Estimated shuffle bytes (0 for broadcast cycles); `None` when the
+    /// shuffle is priced inside `seconds` alone (Job 1), so that EXPLAIN
+    /// ANALYZE shows the measured bytes in its place.
+    pub shuffle_bytes: Option<u64>,
+    /// Estimated cost of this job in simulated seconds.
     pub seconds: f64,
 }
 
-/// What the optimizer expects of a whole plan — the estimated column that
-/// `explain_analyze` joins against the measured run.
+/// One MR job of a plan: its operator and what the plan expects of it.
 #[derive(Debug, Clone)]
-pub struct PlanEstimates {
-    /// Estimated total records Job 1 writes across all equivalence classes.
-    pub job1_records: f64,
-    /// Estimated total text bytes Job 1 writes across all equivalence classes.
-    pub job1_bytes: f64,
-    /// Estimated records per equivalence-class file (one entry per star,
-    /// under the chosen eager/lazy placement).
-    pub star_records: Vec<f64>,
-    /// Estimated cost of Job 1 in simulated seconds.
-    pub job1_seconds: f64,
-    /// One entry per [`Cycle::TgJoin`], in plan order.
-    pub cycles: Vec<CycleEstimate>,
-    /// Estimated total plan cost in simulated seconds.
-    pub seconds: f64,
-}
-
-/// A fully-decided physical plan for a query.
-#[derive(Debug, Clone)]
-pub struct PhysicalPlan {
-    /// Who decided: the approach's or strategy's label, `CostBased` for
-    /// [`crate::optimize`]. Names the workflow (`NTGA-<label>/…` for NTGA
-    /// plans, `<label>/…` for the baselines).
-    pub label: String,
-    /// The MR cycles in execution order; the jobs of one stage run
-    /// concurrently.
-    pub stages: Vec<Vec<Cycle>>,
-    /// The optimizer's estimates; `None` for hand-picked and baseline
+pub struct PlanJob {
+    /// The operator.
+    pub cycle: Cycle,
+    /// The optimizer's estimate; `None` for hand-picked and baseline
     /// plans, which are chosen without statistics, attach no estimate to
     /// their jobs and report no q-error.
-    pub estimates: Option<PlanEstimates>,
+    pub estimate: Option<CycleEstimate>,
+}
+
+/// A fully-decided physical plan for a query: everything a run of it
+/// needs. Only the constructors build one, from a query they have checked,
+/// and it is read-only after.
+#[derive(Debug, Clone)]
+pub struct PhysicalPlan {
+    query: Query,
+    label: String,
+    stages: Vec<Vec<PlanJob>>,
 }
 
 impl PhysicalPlan {
-    /// An NTGA plan: Job 1, then one stage per join cycle.
-    pub(crate) fn ntga(
-        label: String,
-        eager: Vec<bool>,
-        reduce_tasks: usize,
-        joins: Vec<JoinAlgo>,
-        estimates: Option<PlanEstimates>,
+    /// The plan of `stages` for `query`, which the caller has checked with
+    /// [`supported`].
+    pub(crate) fn new(
+        query: &Query,
+        label: impl Into<String>,
+        stages: impl IntoIterator<Item = Vec<PlanJob>>,
     ) -> PhysicalPlan {
-        let job1 = Cycle::GroupFilter { eager, reduce_tasks };
-        let stages = std::iter::once(job1).chain(joins.into_iter().map(Cycle::TgJoin));
-        PhysicalPlan { label, stages: stages.map(|c| vec![c]).collect(), estimates }
+        PhysicalPlan {
+            query: query.clone(),
+            label: label.into(),
+            stages: stages.into_iter().collect(),
+        }
     }
 
-    /// Every cycle, in execution order.
-    pub(crate) fn cycles(&self) -> impl Iterator<Item = &Cycle> {
+    /// The plan of `stages`' cycles for `query`, without estimates.
+    pub(crate) fn unestimated(
+        query: &Query,
+        label: impl Into<String>,
+        stages: impl IntoIterator<Item = Vec<Cycle>>,
+    ) -> PhysicalPlan {
+        let job = |cycle| PlanJob { cycle, estimate: None };
+        let stages = stages.into_iter().map(|stage| stage.into_iter().map(job).collect());
+        PhysicalPlan::new(query, label, stages)
+    }
+
+    /// The query this plan answers.
+    pub fn query(&self) -> &Query {
+        &self.query
+    }
+
+    /// Who decided: the approach's or strategy's label, `CostBased` for
+    /// [`crate::optimize`]. Names the workflow (`NTGA-<label>/…` for NTGA
+    /// plans, `<label>/…` for the baselines).
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// The MR cycles in execution order; the jobs of one stage run
+    /// concurrently.
+    pub fn stages(&self) -> &[Vec<PlanJob>] {
+        &self.stages
+    }
+
+    /// Every job, in execution order.
+    pub(crate) fn jobs(&self) -> impl Iterator<Item = &PlanJob> {
         self.stages.iter().flatten()
     }
 
     /// Job 1's per-star unnest placement; `None` for a relational plan.
     pub(crate) fn eager_stars(&self) -> Option<&[bool]> {
-        self.cycles().find_map(|cycle| match cycle {
+        self.jobs().find_map(|job| match &job.cycle {
             Cycle::GroupFilter { eager, .. } => Some(&eager[..]),
             _ => None,
         })
@@ -164,7 +188,15 @@ impl PhysicalPlan {
 
     /// Number of reduce cycles the broadcast operator collapsed.
     pub fn broadcast_cycles(&self) -> usize {
-        self.cycles().filter(|c| matches!(c, Cycle::TgJoin(JoinAlgo::Broadcast { .. }))).count()
+        let broadcast =
+            |job: &&PlanJob| matches!(job.cycle, Cycle::TgJoin(JoinAlgo::Broadcast { .. }, _));
+        self.jobs().filter(broadcast).count()
+    }
+
+    /// The plan's estimated cost in simulated seconds: its jobs' estimates
+    /// summed in job order; `None` unless every job carries one.
+    pub(crate) fn estimated_seconds(&self) -> Option<f64> {
+        self.jobs().map(|job| job.estimate.as_ref().map(|e| e.seconds)).sum()
     }
 
     /// The name of every job a run of this plan under `label` runs, in
@@ -172,12 +204,12 @@ impl PhysicalPlan {
     /// `{label}.ec{star}` file per star) and the load (`{label}.copy`).
     pub fn job_names(&self, label: &str) -> Vec<String> {
         let (mut tg_joins, mut row_joins, mut pattern_attached) = (0usize.., 0usize.., false);
-        let name = |cycle: &Cycle| match cycle {
+        let name = |job: &PlanJob| match job.cycle {
             Cycle::GroupFilter { .. } => format!("{label}.group"),
-            Cycle::TgJoin(_) => format!("{label}.tgjoin{}", tg_joins.next().unwrap_or_default()),
+            Cycle::TgJoin(..) => format!("{label}.tgjoin{}", tg_joins.next().unwrap_or_default()),
             Cycle::LoadCopy => format!("{label}.load"),
             Cycle::StarJoin { star, .. } => format!("{label}.star{star}"),
-            Cycle::RowJoin => format!("{label}.join{}", row_joins.next().unwrap_or_default()),
+            Cycle::RowJoin(_) => format!("{label}.join{}", row_joins.next().unwrap_or_default()),
             Cycle::PatternAttach { .. } => {
                 pattern_attached = true;
                 format!("{label}.pattach")
@@ -185,40 +217,18 @@ impl PhysicalPlan {
             Cycle::StarAttach { .. } if pattern_attached => format!("{label}.sattach"),
             Cycle::StarAttach { .. } => format!("{label}.attach"),
         };
-        self.cycles().map(name).collect()
-    }
-
-    /// The query's join steps for this plan's join cycles: one
-    /// [`CycleStep`] per [`Cycle::TgJoin`] and one [`JoinStep`] per
-    /// [`Cycle::RowJoin`], both in the query's left-deep order — or an error
-    /// when this plan was not built for a query of that shape.
-    pub(crate) fn schedule_for(
-        &self,
-        query: &Query,
-    ) -> Result<(Vec<CycleStep>, Vec<JoinStep>), PlanError> {
-        let tg_joins = self.cycles().filter(|c| matches!(c, Cycle::TgJoin(_))).count();
-        let row_joins = self.cycles().filter(|c| **c == Cycle::RowJoin).count();
-        let eager_stars = self.eager_stars();
-        let tg_steps = if eager_stars.is_some() { join_schedule(query)? } else { Vec::new() };
-        let row_steps = if row_joins > 0 { query.left_deep_order()? } else { Vec::new() };
-        if tg_steps.len() != tg_joins
-            || row_steps.len() != row_joins
-            || eager_stars.is_some_and(|eager| eager.len() != query.stars.len())
-            || self.estimates.as_ref().is_some_and(|e| e.cycles.len() != tg_joins)
-        {
-            return Err(PlanError::Internal("plan shape does not match query".into()));
-        }
-        Ok((tg_steps, row_steps))
+        self.jobs().map(name).collect()
     }
 
     /// One-line human summary: the stages' operators, e.g.
     /// `TG_GroupFilter[lazy,eager] → TG_BcastJoin(build=R) est=12.3s` or
     /// `Load → StarJoin(S0,per-load)+StarJoin(S1,per-load) → RowJoin`.
     pub fn summary(&self) -> String {
-        let stage = |s: &Vec<Cycle>| s.iter().map(Cycle::operator).collect::<Vec<_>>().join("+");
+        let stage = |s: &Vec<PlanJob>| {
+            s.iter().map(|job| job.cycle.operator()).collect::<Vec<_>>().join("+")
+        };
         let stages: Vec<String> = self.stages.iter().map(stage).collect();
-        let est =
-            self.estimates.as_ref().map_or(String::new(), |e| format!(" est={:.1}s", e.seconds));
+        let est = self.estimated_seconds().map_or(String::new(), |s| format!(" est={s:.1}s"));
         format!("{}{est}", stages.join(" → "))
     }
 }
@@ -233,19 +243,19 @@ impl Cycle {
                     eager.iter().map(|&e| if e { "eager" } else { "lazy" }).collect();
                 format!("TG_GroupFilter[{}]", stars.join(","))
             }
-            Cycle::TgJoin(JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks }) => {
+            Cycle::TgJoin(JoinAlgo::Reduce { mode: UnnestMode::Exact, reduce_tasks }, _) => {
                 format!("TG_Join(exact,r={reduce_tasks})")
             }
-            Cycle::TgJoin(JoinAlgo::Reduce { mode: UnnestMode::Partial(m), reduce_tasks }) => {
+            Cycle::TgJoin(JoinAlgo::Reduce { mode: UnnestMode::Partial(m), reduce_tasks }, _) => {
                 format!("TG_OptUnbJoin(phi_{m},r={reduce_tasks})")
             }
-            Cycle::TgJoin(JoinAlgo::Broadcast { build }) => {
+            Cycle::TgJoin(JoinAlgo::Broadcast { build }, _) => {
                 format!("TG_BcastJoin(build={})", if *build == BuildSide::Left { "L" } else { "R" })
             }
             Cycle::LoadCopy => "Load".into(),
             Cycle::StarJoin { star, scan: Scan::Shared } => format!("StarJoin(S{star})"),
             Cycle::StarJoin { star, scan: Scan::PerLoad } => format!("StarJoin(S{star},per-load)"),
-            Cycle::RowJoin => "RowJoin".into(),
+            Cycle::RowJoin(_) => "RowJoin".into(),
             Cycle::PatternAttach { star, pattern } => format!("PatternAttach(S{star}#{pattern})"),
             Cycle::StarAttach { star } => format!("StarAttach(S{star})"),
         }
@@ -264,8 +274,8 @@ pub(crate) fn supported(query: &Query) -> Result<usize, PlanError> {
 /// on: join star `other` into the accumulated left relation, whose
 /// component `lpos` (star `l_star`) carries the join variable `var` under
 /// `lrole`.
-#[derive(Debug, Clone)]
-pub(crate) struct CycleStep {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CycleStep {
     pub(crate) other: usize,
     pub(crate) var: String,
     pub(crate) lpos: usize,

@@ -18,8 +18,8 @@ use crate::physical::{
 };
 use crate::plan::{join_schedule, supported, Cycle, JoinAlgo, PhysicalPlan, Scan};
 use crate::FinalUnnest;
-use mr_rdf::{run_query_workflow, PlanError, QueryRun, RowSchema};
-use mrsim::{Engine, JobSpec};
+use mr_rdf::{PlanError, QueryRun, RowSchema};
+use mrsim::{Engine, JobSpec, Workflow};
 use rdf_query::{Query, SolutionRows};
 use relbase::{load_copy_job, pattern_attach_job, row_join_job, star_attach_job, star_join_job};
 
@@ -62,16 +62,17 @@ impl Strategy {
     /// every cycle a reduce-side join at the default parallelism whose
     /// unnest mode follows the policy, no estimates.
     pub fn plan(self, query: &Query) -> Result<PhysicalPlan, PlanError> {
-        supported(query)?;
-        let cycles = join_schedule(query)?
-            .iter()
-            .map(|step| {
-                let mode = mode_for(self, &step.unbound_sides(query));
-                JoinAlgo::Reduce { mode, reduce_tasks: REDUCERS }
-            })
-            .collect();
-        let eager = vec![self == Strategy::Eager; query.stars.len()];
-        Ok(PhysicalPlan::ntga(self.label(), eager, REDUCERS, cycles, None))
+        let stars = supported(query)?;
+        let job1 = Cycle::GroupFilter {
+            eager: vec![self == Strategy::Eager; stars],
+            reduce_tasks: REDUCERS,
+        };
+        let joins = join_schedule(query)?.into_iter().map(|step| {
+            let mode = mode_for(self, &step.unbound_sides(query));
+            Cycle::TgJoin(JoinAlgo::Reduce { mode, reduce_tasks: REDUCERS }, step)
+        });
+        let stages = std::iter::once(job1).chain(joins).map(|cycle| vec![cycle]);
+        Ok(PhysicalPlan::unestimated(query, self.label(), stages))
     }
 }
 
@@ -102,149 +103,134 @@ fn mode_for(strategy: Strategy, unbound_sides: &[(usize, bool)]) -> UnnestMode {
     }
 }
 
-/// Execute `plan` for `query` over the triple relation in DFS file `input`:
-/// the one driver, for every approach. Each stage runs as one stage of the
-/// workflow `NTGA-<plan label>/{label}` (an NTGA plan) or `<plan
-/// label>/{label}`, its jobs named by [`PhysicalPlan::job_names`]. A plan
-/// with estimates tags every job with its estimated output cardinality, so
-/// the run reports q-error. A broadcast cycle whose *actual* build file
-/// exceeds the engine's broadcast budget (an estimation miss) falls back to
-/// the reduce-side exact join.
+/// Execute `plan` over the triple relation in DFS file `input`: the one
+/// driver, for every approach. Each stage runs as one stage of the workflow
+/// `NTGA-<plan label>/{label}` (an NTGA plan) or `<plan label>/{label}`, its
+/// jobs named by [`PhysicalPlan::job_names`] and tagged with their
+/// estimated output cardinality where the plan carries one, so the run
+/// reports q-error. A broadcast cycle whose *actual* build file exceeds the
+/// engine's broadcast budget (an estimation miss) falls back to the
+/// reduce-side exact join. When `extract_solutions` is set, the final
+/// relation is read back into the [`rdf_query::SolutionSet`] over
+/// [`Query::solution_vars`]; every other file the run wrote is deleted.
 ///
-/// Planning problems are `Err`; runtime failures (DiskFull) come back
-/// inside the [`QueryRun`]. The second value is the record count of each
-/// `{label}.ec{i}` file Job 1 wrote, read before cleanup deletes them, for
-/// [`crate::profile::explain_analyze`]; it is empty for a relational plan
-/// and when Job 1 itself failed.
+/// Planning problems are `Err`; runtime failures (DiskFull) come back as a
+/// failed [`QueryRun`] — the paper's "X" bars are data points, not errors.
 pub fn execute_plan(
     plan: &PhysicalPlan,
     engine: &Engine,
-    query: &Query,
     input: &str,
     label: &str,
     extract_solutions: bool,
-) -> Result<(QueryRun, Vec<u64>), PlanError> {
-    let mut star_records = Vec::new();
+) -> Result<QueryRun, PlanError> {
+    let query = plan.query();
     let ntga = if plan.eager_stars().is_some() { "NTGA-" } else { "" };
-    let name = format!("{ntga}{}/{label}", plan.label);
-    let run = run_query_workflow(engine, name, query, extract_solutions, |wf| {
-        let (tg_steps, row_steps) = plan.schedule_for(query)?;
-        let (mut tg_steps, mut row_steps) = (tg_steps.into_iter(), row_steps.into_iter());
-        let mut names = plan.job_names(label).into_iter();
-        // The optimizer's output records for Job 1, then each join cycle.
-        let mut estimates = plan.estimates.iter().flat_map(|e| {
-            std::iter::once(e.job1_records).chain(e.cycles.iter().map(|c| c.output_records))
-        });
-        let ec_files: Vec<String> =
-            (0..query.stars.len()).map(|i| format!("{label}.ec{i}")).collect();
-        let star = |i: usize| query.stars.get(i).ok_or_else(|| shape("star index"));
-        // What the cycles so far computed: the file star joins and attaches
-        // read (the input, or Pig's copy), each star's rows, the pattern an
-        // attach took out of its star, and the running relation.
-        let mut base = input.to_string();
-        let mut stars: Vec<Option<(String, RowSchema)>> = vec![None; query.stars.len()];
-        let mut attached = None;
-        let mut current = None;
-        for stage in &plan.stages {
-            let mut jobs = Vec::with_capacity(stage.len());
-            for (cycle, name) in stage.iter().zip(names.by_ref()) {
-                let mut job = match cycle {
-                    Cycle::GroupFilter { eager, reduce_tasks } => {
-                        let (file, components) = (ec_files[0].clone(), vec![0]);
-                        current = Some(Relation::Tg { file, components });
-                        group_filter_job(name, query, &base, ec_files.clone(), eager.clone())?
-                            .with_reducers(*reduce_tasks)
-                    }
-                    Cycle::TgJoin(algo) => {
-                        let step = tg_steps.next().ok_or_else(|| shape("join cycles"))?;
-                        let Some(Relation::Tg { file, components }) = &mut current else {
-                            return Err(shape("a triplegroup join needs Job 1").into());
-                        };
-                        let file = std::mem::replace(file, name.clone());
-                        components.push(step.other);
-                        let left = JoinSide { file, component: step.lpos, role: step.lrole };
-                        let right = ec_files[step.other].clone();
-                        let right = JoinSide { file: right, component: 0, role: step.rrole };
-                        tg_join(engine, *algo, left, right, &name)?
-                    }
-                    Cycle::LoadCopy => {
-                        let copy = format!("{label}.copy");
-                        load_copy_job(name, &std::mem::replace(&mut base, copy.clone()), &copy)
-                    }
-                    Cycle::StarJoin { star: i, scan } => {
-                        let per_load = *scan == Scan::PerLoad;
-                        let (job, schema) = star_join_job(&name, star(*i)?, &base, &name, per_load);
-                        let first =
-                            || Relation::Rows { file: name.clone(), schema: schema.clone() };
-                        current.get_or_insert_with(first);
-                        stars[*i] = Some((name, schema));
-                        job
-                    }
-                    Cycle::RowJoin => {
-                        let step = row_steps.next().ok_or_else(|| shape("row joins"))?;
-                        let right = stars[step.star].as_ref().ok_or_else(|| shape("star order"))?;
-                        let (file, schema) = rows(&mut current)?;
-                        let right = (right.0.as_str(), &right.1);
-                        let (job, joined) =
-                            row_join_job(&name, (file, schema), right, &step.var, &name)?;
-                        (*file, *schema) = (name, joined);
-                        job
-                    }
-                    Cycle::PatternAttach { star: i, pattern } => {
-                        let pat =
-                            star(*i)?.patterns.get(*pattern).ok_or_else(|| shape("pattern"))?;
-                        let var = pat.object.var().ok_or_else(|| shape("attach by a constant"))?;
-                        let (file, schema) = rows(&mut current)?;
-                        let (job, joined) =
-                            pattern_attach_job(&name, (file, schema), var, pat, &base, &name)?;
-                        (*file, *schema) = (name, joined);
-                        attached = Some((*i, *pattern));
-                        job
-                    }
-                    Cycle::StarAttach { star: i } => {
-                        let mut rest = star(*i)?.clone();
-                        if let Some((_, pattern)) = attached.filter(|&(s, _)| s == *i) {
-                            rest.patterns.remove(pattern);
-                        }
-                        if rest.patterns.is_empty() {
-                            return Err(shape("nothing left to attach").into());
-                        }
-                        let (file, schema) = rows(&mut current)?;
-                        let key = &rest.subject_var;
-                        let (job, joined) =
-                            star_attach_job(&name, (file, schema), key, &rest, &base, &name)?;
-                        (*file, *schema) = (name, joined);
-                        job
-                    }
-                };
-                if matches!(cycle, Cycle::GroupFilter { .. } | Cycle::TgJoin(_)) {
-                    job.estimated_output_records = estimates.next();
+    let mut wf = Workflow::new(engine, format!("{ntga}{}/{label}", plan.label()));
+    let mut names = plan.job_names(label).into_iter();
+    let ec_files: Vec<String> = (0..query.stars.len()).map(|i| format!("{label}.ec{i}")).collect();
+    let star = |i: usize| query.stars.get(i).ok_or_else(|| shape("star index"));
+    // What the cycles so far computed: the file star joins and attaches
+    // read (the input, or Pig's copy), each star's rows, the pattern an
+    // attach took out of its star, and the running relation.
+    let mut base = input.to_string();
+    let mut stars: Vec<Option<(String, RowSchema)>> = vec![None; query.stars.len()];
+    let mut attached = None;
+    let mut current = None;
+    for stage in plan.stages() {
+        let mut jobs = Vec::with_capacity(stage.len());
+        for (planned, name) in stage.iter().zip(names.by_ref()) {
+            let mut job = match &planned.cycle {
+                Cycle::GroupFilter { eager, reduce_tasks } => {
+                    let (file, components) = (ec_files[0].clone(), vec![0]);
+                    current = Some(Relation::Tg { file, components });
+                    group_filter_job(name, query, &base, ec_files.clone(), eager.clone())?
+                        .with_reducers(*reduce_tasks)
                 }
-                jobs.push(job);
-            }
-            wf.run_stage(jobs)?;
-            if let [Cycle::GroupFilter { .. }] = stage[..] {
-                let hdfs = engine.hdfs().lock();
-                let records = |f: &String| hdfs.get(f).map_or(0, |d| d.len() as u64);
-                star_records = ec_files.iter().map(records).collect();
-            }
+                Cycle::TgJoin(algo, step) => {
+                    let Some(Relation::Tg { file, components }) = &mut current else {
+                        return Err(shape("a triplegroup join needs Job 1"));
+                    };
+                    let file = std::mem::replace(file, name.clone());
+                    components.push(step.other);
+                    let left = JoinSide { file, component: step.lpos, role: step.lrole };
+                    let right = ec_files[step.other].clone();
+                    let right = JoinSide { file: right, component: 0, role: step.rrole };
+                    tg_join(engine, *algo, left, right, &name)?
+                }
+                Cycle::LoadCopy => {
+                    let copy = format!("{label}.copy");
+                    load_copy_job(name, &std::mem::replace(&mut base, copy.clone()), &copy)
+                }
+                Cycle::StarJoin { star: i, scan } => {
+                    let per_load = *scan == Scan::PerLoad;
+                    let (job, schema) = star_join_job(&name, star(*i)?, &base, &name, per_load);
+                    let first = || Relation::Rows { file: name.clone(), schema: schema.clone() };
+                    current.get_or_insert_with(first);
+                    stars[*i] = Some((name, schema));
+                    job
+                }
+                Cycle::RowJoin(step) => {
+                    let right = stars[step.star].as_ref().ok_or_else(|| shape("star order"))?;
+                    let (file, schema) = rows(&mut current)?;
+                    let right = (right.0.as_str(), &right.1);
+                    let (job, joined) =
+                        row_join_job(&name, (file, schema), right, &step.var, &name)?;
+                    (*file, *schema) = (name, joined);
+                    job
+                }
+                Cycle::PatternAttach { star: i, pattern } => {
+                    let pat = star(*i)?.patterns.get(*pattern).ok_or_else(|| shape("pattern"))?;
+                    let var = pat.object.var().ok_or_else(|| shape("attach by a constant"))?;
+                    let (file, schema) = rows(&mut current)?;
+                    let (job, joined) =
+                        pattern_attach_job(&name, (file, schema), var, pat, &base, &name)?;
+                    (*file, *schema) = (name, joined);
+                    attached = Some((*i, *pattern));
+                    job
+                }
+                Cycle::StarAttach { star: i } => {
+                    let mut rest = star(*i)?.clone();
+                    if let Some((_, pattern)) = attached.filter(|&(s, _)| s == *i) {
+                        rest.patterns.remove(pattern);
+                    }
+                    if rest.patterns.is_empty() {
+                        return Err(shape("nothing left to attach"));
+                    }
+                    let (file, schema) = rows(&mut current)?;
+                    let key = &rest.subject_var;
+                    let (job, joined) =
+                        star_attach_job(&name, (file, schema), key, &rest, &base, &name)?;
+                    (*file, *schema) = (name, joined);
+                    job
+                }
+            };
+            job.estimated_output_records = planned.estimate.as_ref().map(|e| e.output_records);
+            jobs.push(job);
         }
-        // The final β-unnest of the running relation.
-        let vars = query.solution_vars();
-        let final_rows: (String, RowsOf) = match current {
-            Some(Relation::Tg { file, components }) => {
-                let mut unnest = FinalUnnest::new(query, &components, &vars)?;
-                (
-                    file,
-                    Box::new(move |rec: &[u8], out: &mut SolutionRows| unnest.add_rows(rec, out)),
-                )
-            }
-            Some(Relation::Rows { file, schema }) => (file, Box::new(schema.extractor(&vars)?)),
-            None => return Err(shape("no cycle computes a relation").into()),
-        };
-        Ok(final_rows)
-    })?;
-    Ok((run, star_records))
+        if let Err(e) = wf.run_stage(jobs) {
+            return Ok(QueryRun { stats: wf.finish_failed(&e), solutions: None });
+        }
+    }
+    // The final β-unnest of the running relation.
+    let vars = query.solution_vars();
+    let (file, mut add_rows): (String, RowsOf) = match current {
+        Some(Relation::Tg { file, components }) => {
+            let mut unnest = FinalUnnest::new(query, &components, &vars)?;
+            (file, Box::new(move |rec: &[u8], out: &mut SolutionRows| unnest.add_rows(rec, out)))
+        }
+        Some(Relation::Rows { file, schema }) => (file, Box::new(schema.extractor(&vars)?)),
+        None => return Err(shape("no cycle computes a relation")),
+    };
+    let stats = wf.finish(&[&file]);
+    if !extract_solutions {
+        return Ok(QueryRun { stats, solutions: None });
+    }
+    let file = engine.hdfs().lock().get(&file).map_err(PlanError::final_output)?;
+    let mut rows = SolutionRows::new(vars);
+    for record in &file.records {
+        add_rows(record, &mut rows)?;
+    }
+    Ok(QueryRun { stats, solutions: Some(rows.finish()) })
 }
 
 /// A relation a plan's cycles computed, in the DFS file `file`.
@@ -259,7 +245,7 @@ enum Relation {
 type RowsOf = Box<dyn FnMut(&[u8], &mut SolutionRows) -> Result<(), PlanError>>;
 
 fn shape(what: &str) -> PlanError {
-    PlanError::Internal(format!("plan shape does not match query: {what}"))
+    PlanError::Internal(format!("malformed plan: {what}"))
 }
 
 /// The running row relation.
@@ -310,7 +296,7 @@ mod tests {
     use mr_rdf::load_store;
     use mrsim::SimHdfs;
     use rdf_model::{STriple, TripleStore};
-    use rdf_query::parse_query;
+    use rdf_query::{parse_query, ObjPattern};
 
     fn store() -> TripleStore {
         TripleStore::from_triples(vec![
@@ -324,22 +310,14 @@ mod tests {
         ])
     }
 
-    fn execute(
-        strategy: Strategy,
-        engine: &Engine,
-        query: &Query,
-        input: &str,
-        label: &str,
-        extract: bool,
-    ) -> Result<QueryRun, PlanError> {
-        execute_plan(&strategy.plan(query)?, engine, query, input, label, extract).map(|(r, _)| r)
+    fn execute(strategy: Strategy, engine: &Engine, query: &Query) -> QueryRun {
+        execute_plan(&strategy.plan(query).unwrap(), engine, "t", "q", true).unwrap()
     }
 
     fn run(strategy: Strategy, q: &str) -> QueryRun {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &store()).unwrap();
-        let query = parse_query(q).unwrap();
-        execute(strategy, &engine, &query, "t", "q", true).unwrap()
+        execute(strategy, &engine, &parse_query(q).unwrap())
     }
 
     const ALL: [Strategy; 5] = [
@@ -438,48 +416,52 @@ mod tests {
         let engine = Engine::new(SimHdfs::new(s.text_bytes() + 40, 1));
         load_store(&engine, "t", &s).unwrap();
         let query = parse_query(UNBOUND_2STAR).unwrap();
-        let r = execute(Strategy::Eager, &engine, &query, "t", "q", true).unwrap();
+        let r = execute(Strategy::Eager, &engine, &query);
         assert!(!r.succeeded());
         assert!(r.solutions.is_none());
     }
 
     #[test]
-    fn plan_with_too_few_unnest_placements_is_an_error_not_a_panic() {
-        let engine = Engine::unbounded();
-        load_store(&engine, "t", &store()).unwrap();
+    fn strategies_construct_uniform_plans_without_estimates() {
         let query = parse_query(UNBOUND_2STAR).unwrap();
-        let mut plan = Strategy::LazyFull.plan(&query).unwrap();
-        let Cycle::GroupFilter { eager, .. } = &mut plan.stages[0][0] else { unreachable!() };
-        eager.pop();
-        let run = execute_plan(&plan, &engine, &query, "t", "q", false);
-        assert!(matches!(run, Err(PlanError::Internal(_))));
+        let cycles = |plan: &PhysicalPlan| -> Vec<Cycle> {
+            assert!(plan.jobs().all(|job| job.estimate.is_none()));
+            plan.jobs().map(|job| job.cycle.clone()).collect()
+        };
+        let job1 = |eager: Vec<bool>| Cycle::GroupFilter { eager, reduce_tasks: REDUCERS };
+        let eager = Strategy::Eager.plan(&query).unwrap();
+        assert_eq!(eager.label(), "EagerUnnest");
+        assert_eq!(cycles(&eager)[0], job1(vec![true, true]));
+        let partial = Strategy::LazyPartial(4).plan(&query).unwrap();
+        let [group, Cycle::TgJoin(algo, step)] = &cycles(&partial)[..] else {
+            panic!("{}", partial.summary())
+        };
+        assert_eq!(*group, job1(vec![false, false]));
+        let mode = UnnestMode::Partial(4);
+        assert_eq!(*algo, JoinAlgo::Reduce { mode, reduce_tasks: REDUCERS });
+        // The join cycle carries its step of the left-deep order.
+        assert_eq!((step.other, step.var.as_str(), step.l_star), (1, "go", 0));
     }
 
     #[test]
-    fn strategies_construct_uniform_plans_without_estimates() {
-        let query = parse_query(UNBOUND_2STAR).unwrap();
-        let eager = Strategy::Eager.plan(&query).unwrap();
-        assert_eq!(eager.label, "EagerUnnest");
-        let job1 = |eager: Vec<bool>| vec![Cycle::GroupFilter { eager, reduce_tasks: REDUCERS }];
-        assert_eq!(eager.stages[0], job1(vec![true, true]));
-        assert!(eager.estimates.is_none());
-        let partial = Strategy::LazyPartial(4).plan(&query).unwrap();
-        assert_eq!(partial.stages[0], job1(vec![false, false]));
-        assert_eq!(
-            partial.stages[1],
-            [Cycle::TgJoin(JoinAlgo::Reduce {
-                mode: UnnestMode::Partial(4),
-                reduce_tasks: REDUCERS
-            })]
-        );
-        // A plan built for another query shape is refused, not mis-run.
-        let single = parse_query("SELECT * WHERE { ?g <label> ?l . }").unwrap();
-        let engine = Engine::unbounded();
-        load_store(&engine, "t", &store()).unwrap();
-        assert!(matches!(
-            execute_plan(&partial, &engine, &single, "t", "q", false),
-            Err(PlanError::Internal(_))
-        ));
+    fn every_constructor_rejects_an_invalid_query() {
+        // A plan owns a checked query: what the driver and EXPLAIN would
+        // have refused is refused when the plan is built.
+        let mut disconnected = parse_query("SELECT * WHERE { ?a <p> ?b . }").unwrap();
+        let pattern = rdf_query::TriplePattern::bound("z", "<q>", ObjPattern::Var("w".into()));
+        disconnected.stars.push(rdf_query::StarPattern::new("z", vec![pattern]));
+        let stats = store().stats();
+        let optimized =
+            crate::optimize(&disconnected, &stats, &Default::default(), &Default::default());
+        for plan in [
+            Strategy::LazyFull.plan(&disconnected),
+            PhysicalPlan::pig(&disconnected),
+            PhysicalPlan::hive(&disconnected),
+            PhysicalPlan::sel_sj_first(&disconnected),
+            optimized,
+        ] {
+            assert_eq!(plan.unwrap_err(), PlanError::Query(rdf_query::QueryError::Disconnected));
+        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! EXPLAIN ANALYZE: join the optimizer's priced [`PhysicalPlan`] against the
-//! measured [`WorkflowStats`] of the run that executed it.
+//! EXPLAIN ANALYZE: join a priced [`PhysicalPlan`] against the measured
+//! [`WorkflowStats`] of the run that executed it.
 //!
-//! [`crate::planner::execute_plan`] names its jobs deterministically —
-//! `{label}.group` for Job 1, then `{label}.tgjoin{i}` for cycle `i` — so the
-//! plan's operators and the run's [`mrsim::JobStats`] line up positionally:
-//! `stats.jobs[0]` is Job 1 and `stats.jobs[i + 1]` is cycle `i`. This module
-//! performs that join and reports, per operator, estimated vs. actual
-//! cardinality, bytes, shuffle volume and simulated seconds, the resulting
-//! q-error, reduce skew, and the memory high-water marks the engine records.
+//! [`crate::planner::execute_plan`] runs a plan's jobs in order, so the
+//! plan's jobs and the run's [`mrsim::JobStats`] line up one to one. This
+//! module performs that join and reports, per job, the estimate the plan
+//! carries against the actual cardinality, bytes, shuffle volume and
+//! simulated seconds, the resulting q-error, reduce skew, the memory
+//! high-water marks the engine records, and Job 1's per-star breakdown.
 //!
 //! Three consumers:
 //!
@@ -20,7 +19,7 @@
 //!   re-sum the rows and verify the document is internally consistent to
 //!   float precision.
 
-use crate::plan::{Cycle, CycleEstimate, JoinAlgo, PhysicalPlan};
+use crate::plan::{Cycle, CycleEstimate, JoinAlgo, PhysicalPlan, PlanJob};
 use mr_rdf::PlanError;
 use mrsim::trace::JsonObject;
 use mrsim::{JobStats, WorkflowStats};
@@ -37,6 +36,9 @@ pub struct OpProfile {
     /// True when the plan chose a broadcast join but the run repaired it to
     /// a reduce-side join because the actual build file busted the budget.
     pub broadcast_repaired: bool,
+    /// Job 1's per-star breakdown, one entry per equivalence-class file;
+    /// empty for every other operator.
+    pub stars: Vec<StarProfile>,
 }
 
 /// Estimated vs. actual cardinality of one star's equivalence class, as
@@ -63,11 +65,8 @@ impl StarProfile {
 /// The joined plan-vs-actual profile of one executed plan.
 #[derive(Debug, Clone)]
 pub struct Profile {
-    /// One entry per job of `stats.jobs`, in execution order (Job 1 first,
-    /// then cycles).
+    /// One entry per job of `stats.jobs`, in execution order.
     pub operators: Vec<OpProfile>,
-    /// Per-star breakdown of Job 1 (empty when no star actuals were given).
-    pub stars: Vec<StarProfile>,
     /// The plan's total priced cost in simulated seconds.
     pub estimated_total_seconds: f64,
     /// The measured run the plan was joined against: label, total seconds,
@@ -78,78 +77,56 @@ pub struct Profile {
 
 /// Join `plan` against the stats of the run that executed it.
 ///
-/// `star_actual_records` carries the per-star Job 1 output cardinalities
-/// (one entry per star, as returned by
-/// [`crate::planner::execute_plan`]); pass an empty slice to skip the
-/// per-star breakdown. Fails when the plan carries no estimates (a
-/// hand-picked strategy has nothing to compare the run against) or the
-/// stats do not have the plan's shape — one job for Job 1 plus one per
-/// cycle.
-pub fn explain_analyze(
-    plan: &PhysicalPlan,
-    stats: &WorkflowStats,
-    star_actual_records: &[u64],
-) -> Result<Profile, PlanError> {
-    let est = plan
-        .estimates
-        .as_ref()
-        .ok_or_else(|| PlanError::Internal("EXPLAIN ANALYZE needs a plan with estimates".into()))?;
-    let (job1, eager) = match plan.cycles().next() {
-        Some(job1 @ Cycle::GroupFilter { eager, .. }) => (job1, eager),
-        _ => return Err(PlanError::Internal("EXPLAIN ANALYZE needs an NTGA plan".into())),
-    };
-    let joins = plan.cycles().count() - 1;
-    if stats.jobs.len() != joins + 1 || est.cycles.len() != joins {
+/// Fails when a job of the plan carries no estimate (a hand-picked
+/// strategy has nothing to compare the run against) or the stats do not
+/// have the plan's shape: one job per plan job, and one record count per
+/// star for Job 1.
+pub fn explain_analyze(plan: &PhysicalPlan, stats: &WorkflowStats) -> Result<Profile, PlanError> {
+    let no_estimate = || PlanError::Internal("EXPLAIN ANALYZE needs a plan with estimates".into());
+    let estimated_total_seconds = plan.estimated_seconds().ok_or_else(no_estimate)?;
+    let planned = plan.jobs().count();
+    if stats.jobs.len() != planned {
         return Err(PlanError::Internal(format!(
-            "profile shape mismatch: plan has 1 + {joins} jobs, stats has {}",
+            "profile shape mismatch: plan has {planned} jobs, stats has {}",
             stats.jobs.len()
         )));
     }
-    if !star_actual_records.is_empty() && star_actual_records.len() != est.star_records.len() {
-        return Err(PlanError::Internal(format!(
-            "profile star mismatch: plan has {} stars, {} actuals given",
-            est.star_records.len(),
-            star_actual_records.len()
-        )));
-    }
-
-    let mut operators = Vec::with_capacity(stats.jobs.len());
-    operators.push(OpProfile {
-        operator: job1.operator(),
-        estimate: CycleEstimate {
-            output_records: est.job1_records,
-            output_bytes: est.job1_bytes,
-            // Job 1 always shuffles; the plan prices it inside job1 seconds
-            // but does not expose the byte figure, so report the measured
-            // value as its own estimate-free column.
-            shuffle_bytes: stats.jobs[0].shuffle_bytes(),
-            seconds: est.job1_seconds,
-        },
-        broadcast_repaired: false,
-    });
-    for ((join, cycle), job) in plan.cycles().skip(1).zip(&est.cycles).zip(&stats.jobs[1..]) {
-        operators.push(OpProfile {
-            operator: join.operator(),
-            estimate: cycle.clone(),
+    let operator = |(planned, job): (&PlanJob, &JobStats)| {
+        let estimate = planned.estimate.clone().ok_or_else(no_estimate)?;
+        let stars = match &planned.cycle {
+            Cycle::GroupFilter { eager, .. } => {
+                let actual = &job.output_file_records;
+                if actual.len() != eager.len() {
+                    return Err(PlanError::Internal(format!(
+                        "profile star mismatch: plan has {} stars, Job 1 wrote {} files",
+                        eager.len(),
+                        actual.len()
+                    )));
+                }
+                let star = |(star, ((&eager, &estimated_records), &actual_records))| StarProfile {
+                    star,
+                    eager,
+                    estimated_records,
+                    actual_records,
+                };
+                eager.iter().zip(&estimate.file_records).zip(actual).enumerate().map(star).collect()
+            }
+            _ => Vec::new(),
+        };
+        Ok(OpProfile {
+            operator: planned.cycle.operator(),
             // A planned broadcast that ran with zero broadcast files was
             // repaired to the reduce-side join by execute_plan.
-            broadcast_repaired: matches!(join, Cycle::TgJoin(JoinAlgo::Broadcast { .. }))
-                && job.broadcast_files == 0,
-        });
-    }
-
-    let stars = star_actual_records
-        .iter()
-        .enumerate()
-        .map(|(i, &actual)| StarProfile {
-            star: i,
-            eager: eager[i],
-            estimated_records: est.star_records[i],
-            actual_records: actual,
+            broadcast_repaired: matches!(
+                planned.cycle,
+                Cycle::TgJoin(JoinAlgo::Broadcast { .. }, _)
+            ) && job.broadcast_files == 0,
+            estimate,
+            stars,
         })
-        .collect();
-
-    Ok(Profile { operators, stars, estimated_total_seconds: est.seconds, stats: stats.clone() })
+    };
+    let operators = plan.jobs().zip(&stats.jobs).map(operator).collect::<Result<_, _>>()?;
+    Ok(Profile { operators, estimated_total_seconds, stats: stats.clone() })
 }
 
 fn fmt_est(v: f64) -> String {
@@ -164,6 +141,14 @@ fn fmt_q(q: Option<f64>) -> String {
     match q {
         Some(q) => format!("{q:.2}"),
         None => "-".into(),
+    }
+}
+
+impl OpProfile {
+    /// The estimated shuffle bytes, or `job`'s measured ones where the plan
+    /// priced the shuffle inside the seconds alone.
+    fn estimated_shuffle_bytes(&self, job: &JobStats) -> u64 {
+        self.estimate.shuffle_bytes.unwrap_or_else(|| job.shuffle_bytes())
     }
 }
 
@@ -211,7 +196,7 @@ impl Profile {
             ));
             out.push_str(&format!(
                 "{cont}   shuffle est {} actual {} B (skew {:.2}, max part {} B) · est {:.3}s actual {:.3}s\n",
-                op.estimate.shuffle_bytes,
+                op.estimated_shuffle_bytes(job),
                 job.shuffle_bytes(),
                 job.reduce_skew(),
                 job.max_partition_shuffle_bytes(),
@@ -222,19 +207,16 @@ impl Profile {
                 "{cont}   memory: arena {} B, task live {} B\n",
                 job.peak_arena_bytes, job.peak_task_live_bytes
             ));
-            if i == 0 {
-                let ns = self.stars.len();
-                for (j, star) in self.stars.iter().enumerate() {
-                    let sh = if j + 1 == ns { "└─" } else { "├─" };
-                    out.push_str(&format!(
-                        "{cont}   {sh} star {} [{}]  est {} actual {} (q {})\n",
-                        star.star,
-                        if star.eager { "eager" } else { "lazy" },
-                        fmt_est(star.estimated_records),
-                        star.actual_records,
-                        fmt_q(Some(star.q_error()))
-                    ));
-                }
+            for (j, star) in op.stars.iter().enumerate() {
+                let sh = if j + 1 == op.stars.len() { "└─" } else { "├─" };
+                out.push_str(&format!(
+                    "{cont}   {sh} star {} [{}]  est {} actual {} (q {})\n",
+                    star.star,
+                    if star.eager { "eager" } else { "lazy" },
+                    fmt_est(star.estimated_records),
+                    star.actual_records,
+                    fmt_q(Some(star.q_error()))
+                ));
             }
         }
         out.push_str(&format!(
@@ -262,7 +244,7 @@ impl Profile {
             o.u64("actual_records", job.output_records);
             o.f64("estimated_bytes", op.estimate.output_bytes);
             o.u64("actual_bytes", job.output_text_bytes);
-            o.u64("estimated_shuffle_bytes", op.estimate.shuffle_bytes);
+            o.u64("estimated_shuffle_bytes", op.estimated_shuffle_bytes(job));
             o.u64("actual_shuffle_bytes", job.shuffle_bytes());
             o.f64("estimated_seconds", op.estimate.seconds);
             o.f64("actual_seconds", job.sim_seconds);
@@ -274,7 +256,7 @@ impl Profile {
             o.bool("broadcast_repaired", op.broadcast_repaired);
             o.finish()
         });
-        let stars = self.stars.iter().map(|s| {
+        let stars = self.operators.iter().flat_map(|op| &op.stars).map(|s| {
             let mut o = JsonObject::new();
             o.u64("star", s.star as u64);
             o.bool("eager", s.eager);
@@ -340,22 +322,22 @@ mod tests {
         let plan = optimize(&query, &s.stats(), &cost, &OptimizerConfig::default()).unwrap();
         let engine = mrsim::Engine::unbounded().with_cost(cost);
         load_store(&engine, "t", &s).unwrap();
-        let (run, stars) = execute_plan(&plan, &engine, &query, "t", "q", false).unwrap();
+        let run = execute_plan(&plan, &engine, "t", "q", false).unwrap();
         assert!(run.succeeded());
-        assert_eq!(stars.len(), query.stars.len());
-        let profile = explain_analyze(&plan, &run.stats, &stars).unwrap();
+        let profile = explain_analyze(&plan, &run.stats).unwrap();
         (plan, profile)
     }
 
     #[test]
     fn profile_joins_plan_to_stats() {
         let (plan, profile) = analyzed_run();
-        assert_eq!(profile.operators.len(), plan.stages.len());
-        assert_eq!(profile.stars.len(), 2);
+        assert_eq!(profile.operators.len(), plan.stages().len());
+        let star_counts: Vec<usize> = profile.operators.iter().map(|op| op.stars.len()).collect();
+        assert_eq!(star_counts, [2, 0]);
         // Every job carried an estimate to compare against.
         assert!(profile.rows().all(|(_, job)| job.q_error().is_some()));
         // Actual star records sum to Job 1's actual output.
-        let star_sum: u64 = profile.stars.iter().map(|s| s.actual_records).sum();
+        let star_sum: u64 = profile.operators[0].stars.iter().map(|s| s.actual_records).sum();
         assert_eq!(star_sum, profile.stats.jobs[0].output_records);
         // Memory marks flowed through.
         assert!(profile.stats.peak_arena_bytes() > 0);
@@ -389,18 +371,15 @@ mod tests {
 
     #[test]
     fn shape_mismatch_is_reported() {
-        let (plan, _) = analyzed_run();
+        let (plan, profile) = analyzed_run();
         let stats = WorkflowStats { label: "x".into(), ..Default::default() };
-        assert!(explain_analyze(&plan, &stats, &[]).is_err());
-        // Wrong star-actual arity is also an error.
-        let s = store();
-        let query = parse_query(UNBOUND_2STAR).unwrap();
-        let engine = mrsim::Engine::unbounded();
-        load_store(&engine, "t", &s).unwrap();
-        let (run, _) = execute_plan(&plan, &engine, &query, "t", "q", false).unwrap();
-        assert!(explain_analyze(&plan, &run.stats, &[1]).is_err());
+        assert!(explain_analyze(&plan, &stats).is_err());
+        // Job 1 stats without one record count per star are an error too.
+        let mut stats = profile.stats.clone();
+        stats.jobs[0].output_file_records.pop();
+        assert!(explain_analyze(&plan, &stats).is_err());
         // A hand-picked plan has no estimated column to join against.
-        let hand = Strategy::LazyFull.plan(&query).unwrap();
-        assert!(explain_analyze(&hand, &run.stats, &[]).is_err());
+        let hand = Strategy::LazyFull.plan(&parse_query(UNBOUND_2STAR).unwrap()).unwrap();
+        assert!(explain_analyze(&hand, &profile.stats).is_err());
     }
 }

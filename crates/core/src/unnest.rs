@@ -4,10 +4,10 @@
 //! The paper's argument is that μ^β should run as late as possible; this is
 //! the latest it can: after the last MR cycle, over the workflow's final
 //! relation, straight into the [`SolutionRows`] table — projected before
-//! anything is expanded. [`crate::planner::execute_plan`] hands
-//! [`FinalUnnest::add_rows`] to `mr_rdf::run_query_workflow` as its
-//! extraction kernel; [`crate::rewrite`] evaluates the logical algebra
-//! through it too, so there is one cross product in the crate.
+//! anything is expanded. [`crate::planner::execute_plan`] reads the final
+//! relation through [`FinalUnnest::add_rows`]; [`crate::rewrite`] evaluates
+//! the logical algebra through it too, so there is one cross product in the
+//! crate.
 
 use crate::tg::{ListRef, PairRef, TgCursor};
 use mr_rdf::{binder_slots, next_combination, PlanError};

@@ -161,8 +161,11 @@ pub struct JobStats {
     pub reduce_groups: u64,
     /// Records delivered to reducers (equals map output records).
     pub reduce_input_records: u64,
-    /// Records written to the output file.
+    /// Records written to the output files.
     pub output_records: u64,
+    /// Records written to each output file, in [`crate::JobSpec`] output
+    /// order. Sums to `output_records`.
+    pub output_file_records: Vec<u64>,
     /// Text bytes written to the output file (before replication).
     pub output_text_bytes: u64,
     /// Bytes charged to DFS for the output (text bytes × replication).
@@ -323,6 +326,10 @@ impl JobStats {
             (
                 self.hdfs_write_bytes == self.output_text_bytes * u64::from(self.replication),
                 "hdfs_write_bytes == output_text_bytes * replication",
+            ),
+            (
+                self.output_file_records.iter().sum::<u64>() == self.output_records,
+                "output file records sum to output_records",
             ),
         ];
         first_broken("job", &self.name, &laws)
@@ -639,6 +646,8 @@ mod tests {
             reduce_tasks: 2,
             reduce_input_records: 4,
             reduce_groups: 3,
+            output_records: 5,
+            output_file_records: vec![2, 3],
             output_text_bytes: 12,
             replication: 2,
             hdfs_write_bytes: 24,
@@ -650,7 +659,7 @@ mod tests {
     fn each_broken_job_law_is_named() {
         type Break = (fn(&mut JobStats), &'static str);
         let map_only = || JobStats { name: "j".into(), ..JobStats::default() };
-        let with_reduce: [Break; 9] = [
+        let with_reduce: [Break; 10] = [
             (|j| j.shuffle_partition_bytes.push(0), "one shuffle partition per reduce task"),
             (|j| j.shuffle_partition_bytes[0] += 1, "shuffle partitions sum to map_output_bytes"),
             (|j| j.reduce_input_records += 1, "reduce_input_records == map_output_records"),
@@ -663,6 +672,7 @@ mod tests {
             ),
             (|j| j.retry_seconds = 1.0, "sim_seconds >= startup_seconds + retry_seconds"),
             (|j| j.replication = 3, "hdfs_write_bytes == output_text_bytes * replication"),
+            (|j| j.output_file_records[1] += 1, "output file records sum to output_records"),
         ];
         let without: [Break; 3] = [
             (|j| j.shuffle_partition_bytes.push(0), "map-only: no shuffle partitions"),

@@ -503,6 +503,7 @@ impl Engine {
         stats.broadcast_ship_bytes = stats.broadcast_bytes * stats.map_tasks;
 
         for output in &outputs {
+            stats.output_file_records.push(output.records.len() as u64);
             stats.output_records += output.records.len() as u64;
             stats.output_text_bytes += output.text_bytes;
             stats.hdfs_write_bytes += output.text_bytes * u64::from(replication);

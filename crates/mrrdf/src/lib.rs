@@ -11,10 +11,8 @@
 //!   pattern, exactly the redundant representation the paper measures);
 //! * [`load_store`] — put a [`rdf_model::TripleStore`] into the simulated
 //!   DFS; [`analyze`] — its [`rdf_model::StoreStats`], read in place;
-//! * [`run_query_workflow`] — the frame the one plan driver
-//!   (`ntga_core::execute_plan`) runs every approach's jobs in (validation,
-//!   failure → failed [`QueryRun`], cleanup, solution extraction through
-//!   [`read_solutions`]).
+//! * [`PlanError`] / [`QueryRun`] — what the one plan driver
+//!   (`ntga_core::execute_plan`) returns for every approach.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -25,8 +23,6 @@ pub mod support;
 pub mod triple_rec;
 
 pub use row::{next_combination, Row, RowSchema, RowView};
-pub use run::{
-    binder_slots, read_solutions, run_query_workflow, PlanError, QueryRun, WorkflowAbort,
-};
+pub use run::{binder_slots, PlanError, QueryRun};
 pub use support::{check_query, check_star, UnsupportedReason};
 pub use triple_rec::{analyze, load_store, read_store, TripleRec, TripleView, TRIPLES_FILE};

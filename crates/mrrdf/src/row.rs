@@ -114,7 +114,8 @@ impl RowSchema {
     }
 
     /// The solution-extraction kernel of a relational workflow whose final
-    /// relation has this schema (see [`crate::run_query_workflow`]): append
+    /// relation has this schema (`ntga_core::execute_plan` reads it back
+    /// through this): append
     /// one encoded [`Row`]'s solution over the header `vars` (sorted) to
     /// the table, in one walk of its bytes. Slots are [`binder_slots`]'; a
     /// slot keeps its last atom, which the next row shares if it repeats

@@ -1,10 +1,9 @@
-//! Shared planner error and run-result types, and the query-workflow frame
-//! the one plan driver (`ntga_core::execute_plan`) runs every approach's
-//! jobs in.
+//! Shared planner error and run-result types: what the one plan driver
+//! (`ntga_core::execute_plan`) returns for every approach.
 
-use crate::support::{check_query, UnsupportedReason};
-use mrsim::{Engine, MrError, Workflow, WorkflowStats};
-use rdf_query::{Query, QueryError, SolutionRows, SolutionSet};
+use crate::support::UnsupportedReason;
+use mrsim::{MrError, WorkflowStats};
+use rdf_query::{QueryError, SolutionSet};
 use std::fmt;
 
 /// Errors raised while *planning* a query (before any job runs).
@@ -71,32 +70,6 @@ impl QueryRun {
     }
 }
 
-/// Why a workflow body stopped before producing its final relation.
-///
-/// Both kinds convert with `?`: a [`PlanError`] is the planner's own
-/// problem and becomes the `Err` of [`run_query_workflow`]; an [`MrError`]
-/// is a runtime failure (typically `DiskFull`) and becomes a failed
-/// [`QueryRun`] — the paper's "X" bars are data points, not errors.
-#[derive(Debug)]
-pub enum WorkflowAbort {
-    /// Planning problem discovered while assembling jobs.
-    Plan(PlanError),
-    /// A job failed and the recovery policy gave up.
-    Run(MrError),
-}
-
-impl From<PlanError> for WorkflowAbort {
-    fn from(e: PlanError) -> Self {
-        WorkflowAbort::Plan(e)
-    }
-}
-
-impl From<MrError> for WorkflowAbort {
-    fn from(e: MrError) -> Self {
-        WorkflowAbort::Run(e)
-    }
-}
-
 /// The slot each binding position of a final relation's records writes;
 /// `positions` names the variable, if any, each one binds, in record order.
 /// The header's variables (`vars`, sorted) take slots `0..vars.len()` — a
@@ -123,63 +96,6 @@ pub fn binder_slots(
     };
     let slots = positions.iter().map(|p| p.and_then(&mut slot)).collect();
     Ok((slots, names.len()))
-}
-
-/// The final β-unnest of a relation: walk the encoded records of DFS file
-/// `file` in place and hand each to `add_rows`, which appends the rows it
-/// stands for — values in the order of `vars`, already projected — then
-/// sort and deduplicate once.
-pub fn read_solutions(
-    engine: &Engine,
-    file: &str,
-    vars: Vec<String>,
-    mut add_rows: impl FnMut(&[u8], &mut SolutionRows) -> Result<(), PlanError>,
-) -> Result<SolutionSet, PlanError> {
-    let file = engine.hdfs().lock().get(file).map_err(PlanError::final_output)?;
-    let mut rows = SolutionRows::new(vars);
-    for record in &file.records {
-        add_rows(record, &mut rows)?;
-    }
-    Ok(rows.finish())
-}
-
-/// Run one query as one workflow named `name`.
-///
-/// The part every plan shares: validate the query and check planner
-/// support, open the [`Workflow`], let `body` run its jobs (`wf.run_job(job)?`
-/// — the first failing job ends the run as a failed [`QueryRun`]), clean up
-/// every intermediate except the final relation, and, when
-/// `extract_solutions` is set, turn that relation into the [`SolutionSet`]
-/// over [`Query::solution_vars`] through [`read_solutions`].
-///
-/// `body` returns the DFS file holding the final relation together with
-/// the kernel that appends one encoded record's rows.
-pub fn run_query_workflow<X>(
-    engine: &Engine,
-    name: String,
-    query: &Query,
-    extract_solutions: bool,
-    body: impl FnOnce(&mut Workflow<'_>) -> Result<(String, X), WorkflowAbort>,
-) -> Result<QueryRun, PlanError>
-where
-    X: FnMut(&[u8], &mut SolutionRows) -> Result<(), PlanError>,
-{
-    query.validate()?;
-    check_query(query)?;
-
-    let mut wf = Workflow::new(engine, name);
-    let (final_file, add_rows) = match body(&mut wf) {
-        Ok(done) => done,
-        Err(WorkflowAbort::Plan(e)) => return Err(e),
-        Err(WorkflowAbort::Run(e)) => {
-            return Ok(QueryRun { stats: wf.finish_failed(&e), solutions: None })
-        }
-    };
-    let stats = wf.finish(&[&final_file]);
-    let solutions = extract_solutions
-        .then(|| read_solutions(engine, &final_file, query.solution_vars(), add_rows))
-        .transpose()?;
-    Ok(QueryRun { stats, solutions })
 }
 
 #[cfg(test)]

@@ -34,8 +34,7 @@ fn main() {
 
     let engine = ClusterConfig::default().engine_with(&store);
     let plan = Strategy::LazyFull.plan(&query).expect("plannable query");
-    ntga_core::execute_plan(&plan, &engine, &query, TRIPLES_FILE, "agg", false)
-        .expect("plannable query");
+    ntga_core::execute_plan(&plan, &engine, TRIPLES_FILE, "agg", false).expect("plannable query");
 
     // The final output file is the last tgjoin the planner wrote.
     let final_file = engine

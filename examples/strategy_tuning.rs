@@ -22,8 +22,8 @@ fn join_cycle_profile(
 ) -> (u64, f64) {
     let engine = cluster.engine_with(store);
     let plan = strategy.plan(query).expect("plannable");
-    let (run, _) = ntga_core::execute_plan(&plan, &engine, query, TRIPLES_FILE, label, false)
-        .expect("plannable");
+    let run =
+        ntga_core::execute_plan(&plan, &engine, TRIPLES_FILE, label, false).expect("plannable");
     let last = run.stats.jobs.last().expect("join cycle");
     (last.shuffle_bytes(), last.sim_seconds)
 }

@@ -213,8 +213,7 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
         Engine::unbounded()
     };
     let plan = approach.plan(&query, &engine).map_err(|e| e.to_string())?;
-    let text = ntga_core::explain_plan(&plan, &query).map_err(|e| e.to_string())?;
-    print!("{text}");
+    print!("{}", ntga_core::explain_plan(&plan));
     Ok(())
 }
 

@@ -85,7 +85,10 @@ impl std::str::FromStr for Approach {
             Some((n, p)) => (n, Some(p)),
             None => (spec, None),
         };
-        let m = || param.unwrap_or("1024").parse().map_err(|_| format!("bad φ range in '{spec}'"));
+        let m = || match param.unwrap_or("1024").parse() {
+            Ok(m) if m > 0 => Ok(m),
+            _ => Err(format!("bad φ range in '{spec}'")),
+        };
         match name {
             "pig" => Ok(Approach::Pig),
             "hive" => Ok(Approach::Hive),
@@ -111,7 +114,7 @@ pub fn run_query(
 ) -> Result<QueryRun, PlanError> {
     let plan = approach.plan(query, engine)?;
     let label = format!("{}-{label}", approach.label());
-    execute_plan(&plan, engine, query, TRIPLES_FILE, &label, extract_solutions).map(|(run, _)| run)
+    execute_plan(&plan, engine, TRIPLES_FILE, &label, extract_solutions)
 }
 
 /// Describes the simulated cluster for an experiment.
@@ -346,7 +349,10 @@ mod tests {
         }
         let err = "bogus".parse::<Approach>().unwrap_err();
         assert!(err.contains("unknown approach") && err.contains(Approach::GRAMMAR), "{err}");
-        assert!("partial:x".parse::<Approach>().is_err());
+        for spelling in ["partial:x", "partial:0", "lazy-partial:0", "auto:0"] {
+            let err = spelling.parse::<Approach>().unwrap_err();
+            assert_eq!(err, format!("bad φ range in '{spelling}'"));
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn all_queries() -> Vec<ntga::testbed::TestQuery> {
 
 /// The Auto(64) plan of `query`, rendered.
 fn explain_auto(query: &Query) -> ntga_core::PlanText {
-    ntga_core::explain_plan(&Strategy::Auto(64).plan(query).unwrap(), query).unwrap()
+    ntga_core::explain_plan(&Strategy::Auto(64).plan(query).unwrap())
 }
 
 #[test]
@@ -50,8 +50,7 @@ fn explain_cycle_counts_match_execution() {
                     continue;
                 }
             };
-            let text =
-                ntga_core::explain_plan(&plan, &tq.query).unwrap_or_else(|e| panic!("{cell}: {e}"));
+            let text = ntga_core::explain_plan(&plan);
             let run = run_query(approach, &engine, &tq.query, &tq.id, false)
                 .unwrap_or_else(|e| panic!("{cell}: {e}"));
             assert!(run.succeeded(), "{cell}: {:?}", run.stats.failure);
@@ -65,6 +64,30 @@ fn explain_cycle_counts_match_execution() {
             let ran: Vec<&str> = run.stats.jobs.iter().map(|j| j.name.as_str()).collect();
             let label = format!("{}-{}", approach.label(), tq.id);
             assert_eq!(plan.job_names(&label), ran, "{cell}: the plan's jobs are the run's");
+            // Every job carries the estimate its plan job carries: each job
+            // of a cost-based plan one, no job of the other approaches any.
+            let planned: Vec<Option<f64>> = plan
+                .stages()
+                .iter()
+                .flatten()
+                .map(|job| job.estimate.as_ref().map(|e| e.output_records))
+                .collect();
+            let tagged: Vec<Option<f64>> =
+                run.stats.jobs.iter().map(|j| j.estimated_output_records).collect();
+            assert_eq!(tagged, planned, "{cell}: jobs carry their plan job's estimate");
+            let estimated = approach == Approach::NtgaAutoCost;
+            assert!(tagged.iter().all(|e| e.is_some() == estimated), "{cell}: {tagged:?}");
+            // EXPLAIN prints the same numbers, rounded, one per cycle (a
+            // cost-based plan runs one job per cycle).
+            let rounded: Vec<Option<u64>> =
+                tagged.iter().map(|e| e.map(|records| records.round() as u64)).collect();
+            let printed = if estimated { rounded } else { vec![None; text.cycles.len()] };
+            assert_eq!(text.estimates, printed, "{cell}\n{text}");
+            for (line, est) in text.to_string().lines().skip(1).zip(&printed) {
+                let column = est.map(|n| format!(" (~{n} records)"));
+                assert_eq!(line.ends_with(" records)"), est.is_some(), "{cell}: {line}");
+                assert!(column.is_none_or(|c| line.ends_with(&c)), "{cell}: {line}");
+            }
         }
     }
 }
