@@ -131,7 +131,7 @@ fn extract(
 ) -> rdf_query::SolutionSet {
     let file = engine.hdfs().lock().get(file).unwrap();
     let mut rows = rdf_query::SolutionRows::new(vars.to_vec());
-    for record in &file.records {
+    for record in file.iter() {
         add_rows(record, &mut rows).unwrap();
     }
     rows.finish()

@@ -861,7 +861,10 @@ impl BroadcastJoin {
     /// The build side's hash table, from the broadcast file's encoded
     /// [`TgTuple`] records: each one's full unnest of the join position,
     /// by join key.
-    pub fn build_table(&self, records: &[Vec<u8>]) -> Result<BuildTable<Box<str>>, MrError> {
+    pub fn build_table<'a>(
+        &self,
+        records: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Result<BuildTable<Box<str>>, MrError> {
         let mut table = BuildTable::default();
         let mut view = JoinView::default();
         for rec in records {
@@ -905,7 +908,7 @@ impl BroadcastJoin {
 
 impl RawMapOnlyOp for BroadcastJoin {
     fn run(&self, ctx: &TaskContext, record: &[u8], out: &mut OutEmitter) -> Result<(), MrError> {
-        let table = ctx.task_state(|| self.build_table(&ctx.broadcast(0)?.records))?;
+        let table = ctx.task_state(|| self.build_table(ctx.broadcast(0)?.iter()))?;
         self.probe(ctx, &table, record, |record, text| out.emit_raw(record, text))
     }
 }
@@ -1060,7 +1063,7 @@ mod tests {
         let vars = query.solution_vars();
         let mut unnest = crate::FinalUnnest::new(query, &[0, 1], &vars).unwrap();
         let mut rows = rdf_query::SolutionRows::new(vars);
-        for record in &engine.hdfs().lock().get("out").unwrap().records {
+        for record in engine.hdfs().lock().get("out").unwrap().iter() {
             unnest.add_rows(record, &mut rows).unwrap();
         }
         rows.finish()
@@ -1286,7 +1289,8 @@ mod tests {
                 let mut got: Vec<TgTuple> = engine.read_records("out").unwrap();
                 got.sort_by_cached_key(Rec::to_bytes);
                 assert_eq!(got, gold, "build {build:?} workers {workers}");
-                raw_outputs.push(engine.hdfs().lock().get("out").unwrap().records.clone());
+                let out = engine.hdfs().lock().get("out").unwrap();
+                raw_outputs.push(out.iter().map(<[u8]>::to_vec).collect::<Vec<_>>());
             }
             // Unsorted too: map-only output is concatenated in input order,
             // so the file is byte-identical across worker counts.

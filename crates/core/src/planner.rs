@@ -227,7 +227,7 @@ pub fn execute_plan(
     }
     let file = engine.hdfs().lock().get(&file).map_err(PlanError::final_output)?;
     let mut rows = SolutionRows::new(vars);
-    for record in &file.records {
+    for record in file.iter() {
         add_rows(record, &mut rows)?;
     }
     Ok(QueryRun { stats, solutions: Some(rows.finish()) })

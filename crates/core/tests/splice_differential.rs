@@ -470,7 +470,7 @@ proptest! {
                     let join = BroadcastJoin { side, build: build.clone(), probe: probe.clone() };
                     let what = format!("{side:?} {lspec:?} {rspec:?}");
                     let file: Vec<Vec<u8>> = built.iter().map(Rec::to_bytes).collect();
-                    let table = join.build_table(&file).unwrap();
+                    let table = join.build_table(file.iter().map(Vec::as_slice)).unwrap();
                     for tuple in probing {
                         let ctx = TaskContext::new();
                         let want = reference::broadcast(&ctx, &join, built, tuple);

@@ -56,6 +56,7 @@ use crate::trace::{TaskPhase, TraceEvent, TraceSink};
 use crate::workflow::RecoveryPolicy;
 use parking_lot::Mutex;
 use rdf_model::hash::fnv1a;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Partition a reduce key to one of `n` reducers (Hadoop's
@@ -146,6 +147,10 @@ fn share_seconds(tasks: &[(u64, u64)], phase_seconds: f64) -> impl Iterator<Item
     })
 }
 
+/// One job output file as its tasks are folded in: its records, text
+/// bytes and `(end record, checksum)` writer blocks.
+type Written = (Vec<Vec<u8>>, u64, Vec<(usize, u64)>);
+
 /// Fold the tasks' outputs, in task order, into the job's output files,
 /// each task's records in an output file becoming one block under the
 /// checksum the task took as it closed ([`OutEmitter::block_checksums`]).
@@ -157,7 +162,7 @@ fn collect_outputs(
     budget: Option<u64>,
     n_outputs: usize,
 ) -> Result<Vec<DfsFile>, MrError> {
-    let mut files: Vec<DfsFile> = (0..n_outputs).map(|_| DfsFile::default()).collect();
+    let mut files: Vec<Written> = (0..n_outputs).map(|_| Written::default()).collect();
     let mut total_text = 0u64;
     for (out, sums) in tasks {
         total_text += out.emitted_text;
@@ -169,16 +174,20 @@ fn collect_outputs(
             });
         }
         for (idx, rec, text) in out.records {
-            files[idx].text_bytes += text;
-            files[idx].records.push(rec);
+            let (records, text_bytes, _) = &mut files[idx];
+            records.push(rec);
+            *text_bytes += text;
         }
-        for (file, sum) in files.iter_mut().zip(sums) {
+        for ((records, _, blocks), sum) in files.iter_mut().zip(sums) {
             if let Some(sum) = sum {
-                file.blocks.push((file.records.len(), sum));
+                blocks.push((records.len(), sum));
             }
         }
     }
-    Ok(files)
+    Ok(files
+        .into_iter()
+        .map(|(records, text, blocks)| DfsFile::written(records, text, blocks))
+        .collect())
 }
 
 impl Engine {
@@ -387,7 +396,10 @@ impl Engine {
         &self.hdfs
     }
 
-    /// Helper: store a collection of typed records as a DFS input file.
+    /// Helper: store a collection of typed records as a DFS input file —
+    /// a caller-built file, so one packed buffer checksummed in one pass
+    /// at commit (see [`DfsFile`]). Knowing no lengths in advance, the
+    /// buffer grows as records are encoded.
     pub fn put_records<T: crate::codec::Rec>(
         &self,
         name: &str,
@@ -395,8 +407,7 @@ impl Engine {
     ) -> Result<(), MrError> {
         let mut file = DfsFile::default();
         for r in records {
-            file.text_bytes += r.text_size();
-            file.records.push(r.to_bytes());
+            file.push_record(r.text_size(), |buf| r.encode_into(buf))?;
         }
         self.hdfs.lock().put(name, file)
     }
@@ -406,7 +417,7 @@ impl Engine {
     /// reports; operators read records in place.
     pub fn read_records<T: crate::codec::Rec>(&self, name: &str) -> Result<Vec<T>, MrError> {
         let file = self.hdfs.lock().get(name)?;
-        file.records.iter().map(|r| T::from_bytes(r)).collect()
+        file.iter().map(T::from_bytes).collect()
     }
 
     /// Execute one job to completion.
@@ -503,8 +514,8 @@ impl Engine {
         stats.broadcast_ship_bytes = stats.broadcast_bytes * stats.map_tasks;
 
         for output in &outputs {
-            stats.output_file_records.push(output.records.len() as u64);
-            stats.output_records += output.records.len() as u64;
+            stats.output_file_records.push(output.len() as u64);
+            stats.output_records += output.len() as u64;
             stats.output_text_bytes += output.text_bytes;
             stats.hdfs_write_bytes += output.text_bytes * u64::from(replication);
         }
@@ -577,7 +588,7 @@ impl Engine {
     /// off, the corrupted copy flows into the job.
     fn load_input(&self, name: &str, stats: &mut JobStats) -> Result<Arc<DfsFile>, MrError> {
         let file = self.hdfs.lock().get(name)?;
-        stats.input_records += file.records.len() as u64;
+        stats.input_records += file.len() as u64;
         stats.hdfs_read_bytes += file.text_bytes;
         stats.map_tasks += file.text_bytes.div_ceil(BLOCK_SIZE_BYTES).max(1);
         let salt = fnv1a(name.as_bytes());
@@ -590,8 +601,9 @@ impl Engine {
                     return Ok(Arc::new(bad));
                 }
                 // A single-bit flip always changes its block's checksum
-                // (the argument is on `BlockChecksum`), so detection is
-                // certain; keep the error path honest anyway.
+                // (the arguments are on `BlockChecksum` and, for a packed
+                // file, `DfsFile`), so detection is certain; keep the error
+                // path honest anyway.
                 if bad.verify().is_err() {
                     stats.faults.corruptions_detected += 1;
                     stats.faults.dfs_refetches += 1;
@@ -624,18 +636,18 @@ impl Engine {
         }
         // Map-only output order must be deterministic: process chunks in
         // parallel but concatenate in input order.
-        let chunks: Vec<&[Vec<u8>]> = inputs.iter().flat_map(|f| Self::chunk(&f.records)).collect();
+        let chunks: Vec<(&DfsFile, Range<usize>)> = inputs
+            .iter()
+            .flat_map(|f| Self::chunk(f).into_iter().map(move |range| (f.as_ref(), range)))
+            .collect();
         if self.trace.is_some() {
-            for chunk in &chunks {
-                let bytes: u64 = chunk.iter().map(|r| r.len() as u64).sum();
-                scratch.map_tasks.push((chunk.len() as u64, bytes));
-            }
+            scratch.map_tasks.extend(chunks.iter().map(|(f, range)| Self::split_size(f, range)));
         }
         self.resolve_faults(epoch, TaskPhase::Map, chunks.len(), false, stats)?;
-        let results = self.parallel_over(&chunks, |chunk| {
+        let results = self.parallel_over(&chunks, |(file, range)| {
             let ctx = TaskContext::with_env(broadcast.to_vec());
             let mut out = OutEmitter::with_outputs(budget, n_outputs);
-            for rec in *chunk {
+            for rec in file.range(range.clone()) {
                 mapper.run(&ctx, rec, &mut out)?;
             }
             // Map-only tasks buffer their output records until commit.
@@ -650,7 +662,7 @@ impl Engine {
         let files = collect_outputs(outs, budget, n_outputs)?;
         // `stats.map_output_*` double as "records produced by map" even for
         // map-only jobs, but they are NOT shuffle bytes (reduce_tasks == 0).
-        stats.map_output_records = files.iter().map(|f| f.records.len() as u64).sum();
+        stats.map_output_records = files.iter().map(|f| f.len() as u64).sum();
         stats.map_output_bytes = files.iter().map(|f| f.text_bytes).sum();
         Ok(files)
     }
@@ -678,31 +690,27 @@ impl Engine {
         stats: &mut JobStats,
         scratch: &mut TraceScratch,
     ) -> Result<Vec<SpillArena>, MrError> {
-        // (mapper, chunk) work items, order-preserving.
-        let mut work: Vec<(&dyn RawMapOp, &[Vec<u8>])> = Vec::new();
+        // (mapper, file, split) work items, order-preserving.
         let mut files = Vec::new();
         for binding in inputs {
             let file = self.load_input(&binding.file, stats)?;
             files.push((binding.mapper.clone(), file));
         }
+        let mut work: Vec<(&dyn RawMapOp, &DfsFile, Range<usize>)> = Vec::new();
         for (mapper, file) in &files {
-            // Safety note: `files` outlives `work` within this function.
-            for chunk in Self::chunk(&file.records) {
-                work.push((mapper.as_ref(), chunk));
+            for range in Self::chunk(file) {
+                work.push((mapper.as_ref(), file, range));
             }
         }
         if self.trace.is_some() {
-            for (_, chunk) in &work {
-                let bytes: u64 = chunk.iter().map(|r| r.len() as u64).sum();
-                scratch.map_tasks.push((chunk.len() as u64, bytes));
-            }
+            scratch.map_tasks.extend(work.iter().map(|(_, f, range)| Self::split_size(f, range)));
         }
         self.resolve_faults(epoch, TaskPhase::Map, work.len(), true, stats)?;
         let job = stats.name.clone();
-        let mut results = self.parallel_over(&work, |(mapper, chunk)| {
+        let mut results = self.parallel_over(&work, |(mapper, file, range)| {
             let ctx = TaskContext::with_env(broadcast.to_vec());
             let mut out = MapEmitter::partitioned(reduce_tasks);
-            for rec in *chunk {
+            for rec in file.range(range.clone()) {
                 mapper.run(&ctx, rec, &mut out)?;
             }
             let live_bytes: u64 = out.buckets.iter().map(SpillArena::footprint_bytes).sum();
@@ -903,23 +911,30 @@ impl Engine {
     /// "tasks", and everything accounted per task (fault draws via
     /// `map_tasks_scheduled`, task spans, per-task memory high-water
     /// marks) must be identical whether 1 or 8 threads drain the split
-    /// queue.
-    fn chunk(records: &[Vec<u8>]) -> Vec<&[Vec<u8>]> {
-        let total: usize = records.iter().map(Vec::len).sum();
+    /// queue, and whichever layout the file stores its records in.
+    /// Returns each split's range of record indexes.
+    fn chunk(file: &DfsFile) -> Vec<Range<usize>> {
+        let total = file.payload_bytes() as usize;
         let target = (total / 32).max(SPLIT_FLOOR_BYTES);
         let mut splits = Vec::new();
         let (mut start, mut bytes) = (0, 0);
-        for (i, rec) in records.iter().enumerate() {
+        for (i, rec) in file.iter().enumerate() {
             bytes += rec.len();
             if bytes >= target {
-                splits.push(&records[start..=i]);
+                splits.push(start..i + 1);
                 (start, bytes) = (i + 1, 0);
             }
         }
-        if start < records.len() {
-            splits.push(&records[start..]);
+        if start < file.len() {
+            splits.push(start..file.len());
         }
         splits
+    }
+
+    /// `(records, encoded bytes)` of one split, for its task span.
+    fn split_size(file: &DfsFile, range: &Range<usize>) -> (u64, u64) {
+        let bytes = file.range(range.clone()).map(|r| r.len() as u64).sum();
+        (range.len() as u64, bytes)
     }
 
     /// Run `f` over every item of `work` on the worker pool, preserving
@@ -1219,7 +1234,7 @@ mod tests {
                 rec: &[u8],
                 out: &mut OutEmitter,
             ) -> Result<(), MrError> {
-                let n = ctx.task_state(|| Ok(ctx.broadcast(0)?.records.len()))?;
+                let n = ctx.task_state(|| Ok(ctx.broadcast(0)?.len()))?;
                 let row = format!("{}:{}", String::from_bytes(rec)?, *n);
                 out.emit_raw(row.to_bytes(), row.text_size())
             }
@@ -1453,8 +1468,11 @@ mod tests {
         for workers in [1, 4] {
             for spec in [word_count_spec(), copy()] {
                 let engine = Engine::unbounded().with_workers(workers);
-                let file =
-                    DfsFile { text_bytes: 13, records: records.clone(), ..DfsFile::default() };
+                let mut file = DfsFile::default();
+                for rec in &records {
+                    file.push_record(0, |buf| buf.extend_from_slice(rec)).unwrap();
+                }
+                file.text_bytes = 13;
                 engine.hdfs().lock().put("input", file).unwrap();
                 let err = engine.run_job(&spec).unwrap_err();
                 assert!(
@@ -1471,41 +1489,54 @@ mod tests {
         use super::*;
         use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest};
 
+        /// Records of these byte lengths, in both layouts: built by a
+        /// caller (packed) and as a job writes them (one buffer each).
+        fn layouts(lens: &[usize], byte: u8) -> [DfsFile; 2] {
+            let mut packed = DfsFile::default();
+            for &n in lens {
+                packed.push_record(0, |buf| buf.resize(buf.len() + n, byte)).unwrap();
+            }
+            let records = lens.iter().map(|&n| vec![byte; n]).collect();
+            [packed, DfsFile::written(records, 0, Vec::new())]
+        }
+
         proptest! {
             #[test]
             fn splits_tile_the_input_by_bytes(
                 lens in prop::collection::vec(0usize..8000, 0..400),
             ) {
-                let records: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0xAB; n]).collect();
-                let splits = Engine::chunk(&records);
+                let [packed, written] = layouts(&lens, 0xAB);
+                let splits = Engine::chunk(&packed);
+                // Both layouts split alike.
+                prop_assert_eq!(&Engine::chunk(&written), &splits);
                 // In-order tiling: concatenating the splits is the input.
-                let tiled: Vec<&Vec<u8>> = splits.iter().flat_map(|s| s.iter()).collect();
-                prop_assert_eq!(tiled.len(), records.len());
-                prop_assert!(tiled.iter().zip(&records).all(|(a, b)| std::ptr::eq(*a, b)));
+                let tiled: Vec<usize> = splits.iter().flat_map(Range::clone).collect();
+                prop_assert_eq!(tiled, (0..lens.len()).collect::<Vec<_>>());
                 prop_assert!(splits.iter().all(|s| !s.is_empty()));
                 // Every split but the last reaches the target, which is at
                 // least the floor and at least 1/32 of the file: ≤ 33 splits.
                 let total: usize = lens.iter().sum();
                 let target = (total / 32).max(SPLIT_FLOOR_BYTES);
-                let bytes = |s: &[Vec<u8>]| s.iter().map(Vec::len).sum::<usize>();
+                let bytes = |s: Range<usize>| lens[s].iter().sum::<usize>();
                 for split in splits.iter().rev().skip(1) {
-                    prop_assert!(bytes(split) >= target);
+                    prop_assert!(bytes(split.clone()) >= target);
                     // ...and no earlier: dropping its last record falls short.
-                    prop_assert!(bytes(&split[..split.len() - 1]) < target);
+                    prop_assert!(bytes(split.start..split.end - 1) < target);
                 }
                 prop_assert!(splits.len() <= 33, "{} splits", splits.len());
                 // A function of the record byte lengths alone.
-                let other: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0x11; n]).collect();
-                let shape = |s: Vec<&[Vec<u8>]>| s.iter().map(|c| c.len()).collect::<Vec<_>>();
-                prop_assert_eq!(shape(Engine::chunk(&other)), shape(splits));
+                prop_assert_eq!(Engine::chunk(&layouts(&lens, 0x11)[0]), splits);
             }
         }
 
         #[test]
         fn empty_and_tiny_inputs() {
-            assert!(Engine::chunk(&[]).is_empty());
-            assert_eq!(Engine::chunk(&[Vec::new(), Vec::new()]).len(), 1);
-            assert_eq!(Engine::chunk(&[vec![0; SPLIT_FLOOR_BYTES], vec![0]]).len(), 2);
+            for [packed, written] in [layouts(&[], 0), layouts(&[0, 0], 0)] {
+                assert_eq!(Engine::chunk(&packed), Engine::chunk(&written));
+            }
+            assert!(Engine::chunk(&DfsFile::default()).is_empty());
+            assert_eq!(Engine::chunk(&layouts(&[0, 0], 0)[0]), vec![0..2]);
+            assert_eq!(Engine::chunk(&layouts(&[SPLIT_FLOOR_BYTES, 1], 0)[1]), vec![0..1, 1..2]);
         }
     }
 
@@ -1519,7 +1550,8 @@ mod tests {
             let engine = Engine::unbounded().with_workers(workers);
             engine.put_records("input", lines.clone()).unwrap();
             let stats = engine.run_job(&word_count_spec()).unwrap();
-            let out = engine.hdfs().lock().get("out").unwrap().records.clone();
+            let out: Vec<Vec<u8>> =
+                engine.hdfs().lock().get("out").unwrap().iter().map(<[u8]>::to_vec).collect();
             (stats, out)
         };
         let (stats, out) = run(1);
@@ -1575,11 +1607,11 @@ mod tests {
         assert_eq!(stats.reduce_tasks, 3);
         let file = engine.hdfs().lock().get("out").unwrap();
         assert_eq!(file.blocks.len(), 3, "three writing tasks, three blocks");
-        assert_eq!(file.blocks.last().map(|&(end, _)| end), Some(file.records.len()));
+        assert_eq!(file.blocks.last().map(|&(end, _)| end), Some(file.len()));
         let mut start = 0;
         for &(end, sum) in &file.blocks {
             assert!(end > start);
-            assert_eq!(crate::hdfs::records_checksum(&file.records[start..end]), sum);
+            assert_eq!(crate::hdfs::records_checksum(file.range(start..end)), sum);
             start = end;
         }
         // Any flipped payload byte fails verification; flipping it back

@@ -70,6 +70,12 @@ pub enum MrError {
     /// A stage was submitted to a workflow that already failed. The
     /// workflow records its first failure and refuses further stages.
     WorkflowDead,
+    /// A caller-built DFS file outgrew the `u32` end offsets that index
+    /// its one packed buffer.
+    FileTooLarge {
+        /// Payload bytes the file would have held.
+        bytes: u64,
+    },
     /// Catch-all for operator-level failures.
     Op(String),
 }
@@ -97,6 +103,10 @@ impl fmt::Display for MrError {
                 "checksum mismatch in '{job}' at {site}: expected {expected:#018x}, got {actual:#018x}"
             ),
             MrError::WorkflowDead => write!(f, "workflow already failed; stage refused"),
+            MrError::FileTooLarge { bytes } => write!(
+                f,
+                "caller-built DFS file of {bytes} B outgrows its u32 record offsets"
+            ),
             MrError::Op(m) => write!(f, "operator error: {m}"),
         }
     }

@@ -338,21 +338,8 @@ mod tests {
     #[test]
     fn failure_marks_workflow() {
         let engine = Engine::new(SimHdfs::new(10, 1));
-        // Input barely fits; job output won't.
-        {
-            let mut fs = engine.hdfs().lock();
-            fs.put(
-                "in",
-                crate::hdfs::DfsFile {
-                    records: vec!["aaaa".to_string().to_bytes()],
-                    text_bytes: 5,
-                    replication: 1,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-        }
-        use crate::codec::Rec;
+        // Input barely fits (the row `aaaa`, 5 bytes); job output won't.
+        engine.put_records("in", ["aaaa".to_string()]).unwrap();
         let mut wf = Workflow::new(&engine, "fail");
         // The count row `aaaa:1` (7 bytes) won't fit in the remaining 5.
         let words = InputBinding { file: "in".into(), mapper: Arc::new(WordOne) };
@@ -440,14 +427,17 @@ mod tests {
         assert!(stats.succeeded);
         assert!(stats.stage_retries >= 1);
         assert!(stats.backoff_seconds > 0.0);
-        let got = engine.hdfs().lock().get(&out).unwrap().records.clone();
+        let records = |e: &Engine| -> Vec<Vec<u8>> {
+            e.hdfs().lock().get(&out).unwrap().iter().map(<[u8]>::to_vec).collect()
+        };
+        let got = records(&engine);
 
         let clean = Engine::unbounded().with_workers(2);
         clean.put_records("in", (0..200).map(|i| format!("w{i}"))).unwrap();
         let mut wf = Workflow::new(&clean, "clean");
         wf.run_job(identity_job("in", &out, false)).unwrap();
         wf.finish(&[&out]);
-        assert_eq!(got, clean.hdfs().lock().get(&out).unwrap().records);
+        assert_eq!(got, records(&clean));
     }
 
     #[test]
@@ -531,7 +521,11 @@ mod tests {
         let engine = Engine::unbounded()
             .with_recovery(RecoveryPolicy::RetryStage { max_retries: 2, backoff_s: 1.0 });
         let records = vec!["a".to_string().to_bytes(), vec![2, 0, 0, 0, 0xff, 0xfe]];
-        let file = crate::hdfs::DfsFile { records, text_bytes: 5, ..Default::default() };
+        let mut file = crate::hdfs::DfsFile::default();
+        for rec in &records {
+            file.push_record(0, |buf| buf.extend_from_slice(rec)).unwrap();
+        }
+        file.text_bytes = 5;
         engine.hdfs().lock().put("in", file).unwrap();
         let mut wf = Workflow::new(&engine, "poison");
         let err = wf.run_job(identity_job("in", "out", false)).unwrap_err();

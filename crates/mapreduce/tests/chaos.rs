@@ -98,7 +98,7 @@ fn run_chaos(regime: Regime, seed: u64, workers: usize) -> Result<ChaosRun, mrsi
     };
     wf.run_job(merge)?;
     let stats = wf.finish(&["c"]);
-    let out = engine.hdfs().lock().get("c").unwrap().records.clone();
+    let out = engine.hdfs().lock().get("c").unwrap().iter().map(<[u8]>::to_vec).collect();
     Ok((stats, sink.take(), out))
 }
 

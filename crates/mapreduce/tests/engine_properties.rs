@@ -112,7 +112,8 @@ proptest! {
             engine.put_records("in", words.iter().map(|w| w.to_string())).unwrap();
             let stats = engine.run_job(&word_count("det", 3)).unwrap();
             let file = engine.hdfs().lock().get("out").unwrap();
-            (format!("{stats:?}"), file.records.clone(), file.text_bytes)
+            let records: Vec<Vec<u8>> = file.iter().map(<[u8]>::to_vec).collect();
+            (format!("{stats:?}"), records, file.text_bytes)
         };
         let baseline = run(1);
         for workers in [4usize, 8] {
@@ -196,6 +197,93 @@ mod fault_injection {
         };
         for seed in 0..8 {
             assert_eq!(run(seed), run(seed), "seed {seed}");
+        }
+    }
+}
+
+/// The two DFS file layouts read alike: records a caller stores (one packed
+/// buffer) and the same records written by a job (one buffer each) split
+/// into the same map tasks, with the same bytes, and feed a downstream job
+/// to the same counters and output.
+mod file_layouts {
+    use super::*;
+    use common::Identity;
+    use mrsim::trace::{MemorySink, TaskPhase, TraceEvent};
+    use proptest::prelude::ProptestConfig;
+
+    /// The engine's smallest map split (`SPLIT_FLOOR_BYTES`), in encoded bytes.
+    const SPLIT_FLOOR: usize = 32 * 1024;
+
+    /// What a word count over the DFS file `in` sees and leaves: the
+    /// file's records, each map task's `(records, bytes)`, the job's stats,
+    /// and its output records.
+    type Seen = (Vec<Vec<u8>>, Vec<(u64, u64)>, String, Vec<Vec<u8>>);
+
+    /// [`Seen`] with `records` in `in`, stored by the caller or, if
+    /// `job_written`, copied there by an identity map-only job.
+    fn downstream(records: &[String], workers: usize, job_written: bool) -> Seen {
+        let sink = MemorySink::new();
+        let engine = Engine::unbounded().with_workers(workers).with_trace(sink.clone());
+        if job_written {
+            engine.put_records("raw", records.iter().cloned()).unwrap();
+            let copy = JobSpec::map_only("copy", vec!["raw".into()], Arc::new(Identity), "in");
+            engine.run_job(&copy).unwrap();
+        } else {
+            engine.put_records("in", records.iter().cloned()).unwrap();
+        }
+        sink.take();
+        let stats = engine.run_job(&word_count("down", 3)).unwrap();
+        let splits = sink
+            .take()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::TaskSpan { phase: TaskPhase::Map, records, bytes, .. } => {
+                    Some((records, bytes))
+                }
+                _ => None,
+            })
+            .collect();
+        let fs = engine.hdfs().lock();
+        let read = |name: &str| fs.get(name).unwrap().iter().map(<[u8]>::to_vec).collect();
+        (read("in"), splits, format!("{stats:?}"), read("out"))
+    }
+
+    fn assert_layouts_agree(records: &[String]) {
+        let want: Vec<Vec<u8>> = records.iter().map(Rec::to_bytes).collect();
+        for workers in [1, 4] {
+            let packed = downstream(records, workers, false);
+            assert_eq!(packed.0, want, "workers={workers}");
+            assert_eq!(downstream(records, workers, true), packed, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn edge_shapes_agree() {
+        assert_layouts_agree(&[]);
+        assert_layouts_agree(&["one".to_string()]);
+        // Records of 1 020 bytes encode to 1 024 (a four-byte length
+        // prefix): 32 of them end a split exactly on the floor, and the
+        // next record starts a new one.
+        let kib: Vec<String> = (0..33).map(|i| format!("{i:04}").repeat(255)).collect();
+        assert_eq!(kib.iter().take(32).map(|r| r.to_bytes().len()).sum::<usize>(), SPLIT_FLOOR);
+        assert_layouts_agree(&kib);
+        let (_, splits, _, _) = downstream(&kib, 1, false);
+        assert_eq!(splits, vec![(32, SPLIT_FLOOR as u64), (1, 1024)]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        #[test]
+        fn random_files_agree(
+            lens in prop::collection::vec(0usize..3000, 0..60),
+        ) {
+            let records: Vec<String> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| char::from(b'a' + (i % 7) as u8).to_string().repeat(n))
+                .collect();
+            assert_layouts_agree(&records);
         }
     }
 }
@@ -284,8 +372,8 @@ mod arena_shuffle {
             "out",
         );
         engine.run_job(&spec).unwrap();
-        let records = engine.hdfs().lock().get("out").unwrap().records.clone();
-        records
+        let file = engine.hdfs().lock().get("out").unwrap();
+        file.iter().map(<[u8]>::to_vec).collect()
     }
 
     /// Vocabulary rich in >8-byte shared prefixes so the prefix-cache

@@ -66,18 +66,19 @@ impl<'a> TripleView<'a> {
     }
 }
 
-/// Load a triple store into the engine's DFS under `name`.
+/// Load a triple store into the engine's DFS under `name`, as one packed
+/// file (see [`DfsFile`]) whose buffer is reserved once, at its exact
+/// length.
 pub fn load_store(engine: &Engine, name: &str, store: &TripleStore) -> Result<(), MrError> {
-    let mut file = DfsFile::default();
-    file.records.reserve(store.len());
+    let encoded = |t: &STriple| token_len(&t.s) + token_len(&t.p) + token_len(&t.o);
+    let mut file = DfsFile::with_capacity(store.iter().map(encoded).sum(), store.len());
     for t in store.iter() {
-        // A `TripleRec`'s bytes, written once at their exact length.
-        let mut rec = Vec::with_capacity(token_len(&t.s) + token_len(&t.p) + token_len(&t.o));
-        for token in [&t.s, &t.p, &t.o] {
-            put_token(&mut rec, token);
-        }
-        file.text_bytes += t.text_size();
-        file.records.push(rec);
+        // A `TripleRec`'s bytes.
+        file.push_record(t.text_size(), |buf| {
+            for token in [&t.s, &t.p, &t.o] {
+                put_token(buf, token);
+            }
+        })?;
     }
     engine.hdfs().lock().put(name, file)
 }
@@ -90,7 +91,7 @@ pub fn load_store(engine: &Engine, name: &str, store: &TripleStore) -> Result<()
 pub fn analyze(engine: &Engine, name: &str) -> Result<StoreStats, MrError> {
     let file = engine.hdfs().lock().get(name)?;
     let mut stats = StatsBuilder::default();
-    for raw in &file.records {
+    for raw in file.iter() {
         let t = TripleView::from_bytes(raw)?;
         stats.add(t.s, t.p, t.o);
     }
@@ -101,8 +102,8 @@ pub fn analyze(engine: &Engine, name: &str) -> Result<StoreStats, MrError> {
 /// [`load_store`].
 pub fn read_store(engine: &Engine, name: &str) -> Result<TripleStore, MrError> {
     let file = engine.hdfs().lock().get(name)?;
-    let mut triples = Vec::with_capacity(file.records.len());
-    for raw in &file.records {
+    let mut triples = Vec::with_capacity(file.len());
+    for raw in file.iter() {
         triples.push(TripleRec::from_bytes(raw)?.0);
     }
     Ok(TripleStore::from_triples(triples))
@@ -111,6 +112,46 @@ pub fn read_store(engine: &Engine, name: &str) -> Result<TripleStore, MrError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// The system allocator, watching one thread while [`WATCH`] holds
+    /// `(size, seen, reallocated)`: `seen` turns true when a block of
+    /// exactly `size` bytes is allocated, `reallocated` when any block is
+    /// grown or shrunk.
+    struct Watching;
+
+    thread_local! {
+        static WATCH: Cell<Option<(usize, bool, bool)>> = const { Cell::new(None) };
+    }
+
+    fn watched(alloc_size: Option<usize>, realloc: bool) {
+        let _ = WATCH.try_with(|w| {
+            if let Some((size, seen, reallocated)) = w.get() {
+                w.set(Some((size, seen || alloc_size == Some(size), reallocated || realloc)));
+            }
+        });
+    }
+
+    // SAFETY: every call forwards to `System` unchanged.
+    unsafe impl GlobalAlloc for Watching {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            watched(Some(layout.size()), false);
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            watched(None, true);
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Watching = Watching;
 
     #[test]
     fn roundtrip() {
@@ -154,13 +195,19 @@ mod tests {
             STriple::new("<a>", "<q>", "\"x\""),
             STriple::new("", "<caf\u{e9}>", "\"a much longer literal than sixteen bytes\""),
         ]);
+        let want: Vec<Vec<u8>> = store.iter().map(|t| TripleRec(t.clone()).to_bytes()).collect();
+        let payload = want.iter().map(Vec::len).sum::<usize>();
+        WATCH.set(Some((payload, false, false)));
         load_store(&engine, TRIPLES_FILE, &store).unwrap();
+        let watch = WATCH.take();
         let file = engine.hdfs().lock().get(TRIPLES_FILE).unwrap();
         assert_eq!(file.text_bytes, store.text_bytes());
-        // Record for record what the codec writes, each allocated once.
-        let want: Vec<Vec<u8>> = store.iter().map(|t| TripleRec(t.clone()).to_bytes()).collect();
-        assert_eq!(file.records, want);
-        assert!(file.records.iter().all(|rec| rec.capacity() == rec.len()));
+        // Record for record what the codec writes.
+        assert_eq!(file.iter().collect::<Vec<_>>(), want);
+        // One buffer, allocated once at its exact length (its capacity is
+        // its length) and never grown; the last record ends at its end.
+        assert_eq!(watch, Some((payload, true, false)));
+        assert_eq!(file.payload_bytes(), payload as u64);
     }
 
     #[test]

@@ -260,7 +260,7 @@ mod tests {
         let vars = q.solution_vars();
         let mut add_rows = s2.extractor(&vars).unwrap();
         let mut got = rdf_query::SolutionRows::new(vars);
-        for record in &engine.hdfs().lock().get("out").unwrap().records {
+        for record in engine.hdfs().lock().get("out").unwrap().iter() {
             add_rows(record, &mut got).unwrap();
         }
         assert_eq!(got.finish(), gold);

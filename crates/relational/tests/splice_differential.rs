@@ -473,7 +473,7 @@ type Outcome = Result<(String, Vec<Vec<u8>>, u64), String>;
 fn outcome(engine: &Engine, spec: &JobSpec) -> Outcome {
     let stats = engine.run_job(spec).map_err(|e| e.to_string())?;
     let file = engine.hdfs().lock().get(&spec.outputs[0]).unwrap();
-    Ok((format!("{stats:?}"), file.records.clone(), file.text_bytes))
+    Ok((format!("{stats:?}"), file.iter().map(<[u8]>::to_vec).collect(), file.text_bytes))
 }
 
 fn engine() -> Engine {
