@@ -23,19 +23,22 @@
 pub mod figure;
 pub mod report;
 
-use mrsim::trace::JsonObject;
-use mrsim::{ChromeTraceSink, JsonlSink, MultiSink, TraceSink};
+use mrsim::trace::{render_chrome, render_jsonl, JsonObject};
+use mrsim::{MemorySink, TraceEvent};
 use rdf_model::TripleStore;
 use rdf_query::Query;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Shared command-line options of every figure binary:
 ///
-/// * `--trace <path>` — write a Chrome trace-event file (loadable in
-///   `chrome://tracing` / Perfetto) at `<path>` plus a JSONL event log at
-///   `<path>` with the extension replaced by `.jsonl`, both on the
-///   simulated timeline;
+/// * `--trace <path>` — record every engine event of the run and render it
+///   twice: a Chrome trace-event file (loadable in `chrome://tracing` /
+///   Perfetto) at `<path>` and a JSONL event log at `<path>` with the
+///   extension replaced by `.jsonl`, both on the simulated timeline. Both
+///   files are created when the flags are parsed, so a path that cannot be
+///   written is refused before anything runs;
 /// * `--json <path>` — write the report rows as a JSON array;
 /// * `--profile <path>` — run EXPLAIN ANALYZE for the figure's queries
 ///   (cost-based plan executed on a fresh engine, its `JobStats` joined
@@ -52,7 +55,11 @@ pub struct BenchOpts {
     pub json: Option<PathBuf>,
     /// EXPLAIN ANALYZE JSON output path (`--profile`).
     pub profile: Option<PathBuf>,
-    sink: Option<Arc<dyn TraceSink>>,
+    /// The one recording behind both trace files, with `--trace`.
+    sink: Option<Arc<MemorySink>>,
+    /// Set once the trace files are written; until then, dropping the
+    /// options writes them.
+    traced: AtomicBool,
 }
 
 impl BenchOpts {
@@ -75,7 +82,8 @@ impl BenchOpts {
             *slot = Some(it.next().map(PathBuf::from).ok_or(format!("{arg} requires a path"))?);
         }
         if let Some(path) = &opts.trace {
-            opts.sink = Some(build_trace_sink(path)?);
+            write_trace_files(path, &[])?;
+            opts.sink = Some(MemorySink::new());
         }
         Ok(opts)
     }
@@ -97,14 +105,13 @@ impl BenchOpts {
         cluster
     }
 
-    /// Write the flags' outputs, then finish the trace sinks: first the
-    /// `--profile` EXPLAIN ANALYZE of `queries` (each optimized under
-    /// `cluster`'s cost model, executed on a fresh engine and joined
-    /// plan-vs-actual; the annotated trees go to stdout, the JSON array to
-    /// the path), then the `--json` rows. The sinks are finished on every
-    /// path, so a failed write still leaves a complete trace; the error is
-    /// returned for the caller to exit on. Call once, after the figure's
-    /// tables are printed.
+    /// Write the flags' outputs: first the `--profile` EXPLAIN ANALYZE of
+    /// `queries` (each optimized under `cluster`'s cost model, executed on
+    /// a fresh engine and joined plan-vs-actual; the annotated trees go to
+    /// stdout, the JSON array to the path), then the `--json` rows, then
+    /// the two trace files. Each output is written even when an earlier
+    /// one failed; every error is returned, joined, for the caller to exit
+    /// on. Call once, after the figure's tables are printed.
     pub fn finish(
         &self,
         cluster: &ntga::ClusterConfig,
@@ -112,14 +119,23 @@ impl BenchOpts {
         queries: &[(String, Query)],
         rows: &[report::Row],
     ) -> Result<(), String> {
-        let written =
-            self.write_profile(cluster, store, queries).and_then(|()| self.write_rows(rows));
-        if let (Some(sink), Some(trace)) = (&self.sink, &self.trace) {
-            sink.finish();
-            let (trace, log) = (trace.display(), trace.with_extension("jsonl"));
-            println!("wrote Chrome trace to {trace} and event log to {}", log.display());
+        all_ok([
+            self.write_profile(cluster, store, queries),
+            self.write_rows(rows),
+            self.write_trace(),
+        ])
+    }
+
+    /// Render the recording into both trace files, once.
+    fn write_trace(&self) -> Result<(), String> {
+        let (Some(sink), Some(path)) = (&self.sink, &self.trace) else { return Ok(()) };
+        if self.traced.swap(true, Ordering::SeqCst) {
+            return Ok(());
         }
-        written
+        write_trace_files(path, &sink.take())?;
+        let log = path.with_extension("jsonl");
+        println!("wrote Chrome trace to {} and event log to {}", path.display(), log.display());
+        Ok(())
     }
 
     fn write_profile(
@@ -177,10 +193,34 @@ pub fn profile_queries(
         .collect()
 }
 
-fn build_trace_sink(path: &Path) -> Result<Arc<dyn TraceSink>, String> {
-    let jsonl = JsonlSink::create(path.with_extension("jsonl"))
-        .map_err(|e| format!("cannot create JSONL event log: {e}"))?;
-    Ok(Arc::new(MultiSink::new(vec![Arc::new(jsonl), Arc::new(ChromeTraceSink::create(path))])))
+/// A figure that ends without [`BenchOpts::finish`] (a panic unwinding
+/// through `main`) still leaves both trace files, holding what was recorded.
+impl Drop for BenchOpts {
+    fn drop(&mut self) {
+        if let Err(e) = self.write_trace() {
+            eprintln!("error: {e}");
+        }
+    }
+}
+
+/// Write the Chrome rendering of `events` at `path` and the JSONL rendering
+/// beside it, both attempted; each error names the file it could not write.
+fn write_trace_files(path: &Path, events: &[TraceEvent]) -> Result<(), String> {
+    let log = path.with_extension("jsonl");
+    all_ok([(path, render_chrome(events)), (&log, render_jsonl(events))].map(|(file, text)| {
+        std::fs::write(file, text)
+            .map_err(|e| format!("writing trace file {}: {e}", file.display()))
+    }))
+}
+
+/// `Ok` when every result is; else every error, joined.
+fn all_ok(results: impl IntoIterator<Item = Result<(), String>>) -> Result<(), String> {
+    let errors: Vec<String> = results.into_iter().filter_map(Result::err).collect();
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors.join("; "))
+    }
 }
 
 /// Benchmark scale, from `NTGA_SCALE`.
@@ -288,6 +328,65 @@ mod tests {
         for p in [&trace, &trace.with_extension("jsonl")] {
             let _ = std::fs::remove_file(p);
         }
+    }
+
+    #[test]
+    fn an_unwritable_trace_path_is_refused_by_parse() {
+        let dir = std::env::temp_dir().join(format!("bench-trace-dir-{}.json", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = BenchOpts::parse(["--trace", dir.to_str().unwrap()].map(String::from))
+            .err()
+            .expect("a directory is not a trace file");
+        let _ = std::fs::remove_file(dir.with_extension("jsonl"));
+        let _ = std::fs::remove_dir(&dir);
+        assert!(err.contains(dir.to_str().unwrap()), "{err}");
+    }
+
+    #[test]
+    fn a_failed_trace_write_still_writes_every_other_output() {
+        let dir = std::env::temp_dir();
+        let trace = dir.join(format!("bench-trace-gone-{}.trace.json", std::process::id()));
+        let json = dir.join(format!("bench-trace-gone-{}.rows.json", std::process::id()));
+        let opts = BenchOpts::parse(
+            ["--trace", trace.to_str().unwrap(), "--json", json.to_str().unwrap()]
+                .map(String::from),
+        )
+        .unwrap();
+        // The Chrome file's place is taken after parse created it.
+        std::fs::remove_file(&trace).unwrap();
+        std::fs::create_dir(&trace).unwrap();
+        let cluster = opts.cluster(ntga::ClusterConfig::default());
+        cluster.trace.as_ref().unwrap().event(&TraceEvent::JobStart { job: "j".into() });
+        let err = opts.finish(&cluster, &TripleStore::default(), &[], &[]).unwrap_err();
+        let rows = std::fs::read_to_string(&json);
+        let log = std::fs::read_to_string(trace.with_extension("jsonl"));
+        for p in [&json, &trace.with_extension("jsonl")] {
+            let _ = std::fs::remove_file(p);
+        }
+        let _ = std::fs::remove_dir(&trace);
+        assert!(err.contains(trace.to_str().unwrap()), "{err}");
+        assert_eq!(rows.unwrap(), "[]");
+        assert_eq!(log.unwrap(), "{\"event\":\"job_start\",\"job\":\"j\"}\n");
+    }
+
+    #[test]
+    fn dropping_unfinished_options_writes_the_trace() {
+        let trace = std::env::temp_dir()
+            .join(format!("bench-trace-drop-{}.trace.json", std::process::id()));
+        {
+            let opts =
+                BenchOpts::parse(["--trace", trace.to_str().unwrap()].map(String::from)).unwrap();
+            let sink = opts.cluster(ntga::ClusterConfig::default()).trace.unwrap();
+            sink.event(&TraceEvent::JobStart { job: "j".into() });
+        }
+        let chrome = std::fs::read_to_string(&trace).unwrap();
+        let log = std::fs::read_to_string(trace.with_extension("jsonl")).unwrap();
+        for p in [&trace, &trace.with_extension("jsonl")] {
+            let _ = std::fs::remove_file(p);
+        }
+        mrsim::trace::validate_json(&chrome).unwrap_or_else(|e| panic!("{e}\n{chrome}"));
+        assert!(chrome.contains(r#""args":{"name":"tasks:j"}"#), "{chrome}");
+        assert_eq!(log, "{\"event\":\"job_start\",\"job\":\"j\"}\n");
     }
 
     #[test]

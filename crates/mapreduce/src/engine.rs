@@ -338,17 +338,7 @@ impl Engine {
         }
 
         if holds_map_outputs && f.node_loss_probability > 0.0 {
-            for node in 0..f.nodes {
-                if !f.node_lost(base, node) {
-                    continue;
-                }
-                // Tasks are spread over the configured simulated node
-                // count (not the worker-thread count) round-robin.
-                let lost = (n_tasks as u64 + u64::from(f.nodes) - 1 - u64::from(node))
-                    / u64::from(f.nodes);
-                if lost == 0 {
-                    continue;
-                }
+            for (node, lost) in f.lost_nodes(base, n_tasks as u64) {
                 stats.faults.node_losses += 1;
                 stats.faults.maps_reexecuted += lost;
                 self.emit(|| TraceEvent::NodeLoss {

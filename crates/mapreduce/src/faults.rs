@@ -24,9 +24,9 @@
 //! `(seed, stream, task, attempt)` via a splitmix64-style hash, so runs
 //! are reproducible and results must be bit-identical with and without
 //! injected failures — which the chaos tests assert. Node-to-task
-//! assignment uses the configured [`FaultConfig::nodes`] count (not the
-//! engine's worker-thread count), so fault statistics are independent of
-//! the host's parallelism.
+//! assignment uses a fixed count of simulated nodes (not the engine's
+//! worker-thread count), so fault statistics are independent of the host's
+//! parallelism.
 
 /// Hash-stream tag for task-attempt failures (implicit: stream 0 keeps
 /// the original attempt-failure hash stable).
@@ -36,6 +36,11 @@ const STREAM_STRAGGLER: u64 = 0x534C_4F57; // "SLOW"
 /// Hash-stream tag for data corruption (bit flips in map output and
 /// at-rest DFS blocks).
 const STREAM_CORRUPTION: u64 = 0x4352_5054; // "CRPT"
+
+/// Number of simulated nodes map tasks are spread over (`task % NODES`)
+/// for node loss. Fixed, and decoupled from the engine's worker-thread
+/// count, so fault statistics do not depend on host parallelism.
+const NODES: u32 = 8;
 
 /// Failure-injection configuration.
 #[derive(Debug, Clone)]
@@ -49,10 +54,6 @@ pub struct FaultConfig {
     /// Probability in `[0, 1)` that any given simulated node dies during a
     /// job's map→reduce handoff, losing its completed map outputs.
     pub node_loss_probability: f64,
-    /// Number of simulated nodes map tasks are spread over (`task % nodes`).
-    /// Deliberately decoupled from the engine's worker-thread count so
-    /// fault statistics do not depend on host parallelism.
-    pub nodes: u32,
     /// Probability in `[0, 1)` that any given task is a straggler.
     pub straggler_probability: f64,
     /// Slowdown factor a straggler runs at (≥ 1; e.g. 6.0 = six times the
@@ -75,7 +76,6 @@ impl Default for FaultConfig {
             max_attempts: 4,
             seed: 0,
             node_loss_probability: 0.0,
-            nodes: 8,
             straggler_probability: 0.0,
             straggler_slowdown: 6.0,
             speculative_multiple: 0.0,
@@ -182,9 +182,25 @@ impl FaultConfig {
         (1..=self.max_attempts).find(|&attempt| !self.attempt_fails(task_id, attempt))
     }
 
+    /// The simulated nodes that die during the job identified by
+    /// `job_salt` (the engine's per-job/phase hash base) while they hold
+    /// the completed outputs of `map_tasks` map tasks, spread over the
+    /// nodes round-robin: each lost node with the count of outputs it held.
+    /// A lost node that held none is skipped.
+    pub(crate) fn lost_nodes(
+        &self,
+        job_salt: u64,
+        map_tasks: u64,
+    ) -> impl Iterator<Item = (u32, u64)> + '_ {
+        (0..NODES).filter(move |&node| self.node_lost(job_salt, node)).filter_map(move |node| {
+            let held = (map_tasks + u64::from(NODES) - 1 - u64::from(node)) / u64::from(NODES);
+            (held > 0).then_some((node, held))
+        })
+    }
+
     /// True if simulated node `node` dies during the job identified by
-    /// `job_salt` (the engine's per-job/phase hash base).
-    pub fn node_lost(&self, job_salt: u64, node: u32) -> bool {
+    /// `job_salt`.
+    fn node_lost(&self, job_salt: u64, node: u32) -> bool {
         if self.node_loss_probability <= 0.0 {
             return false;
         }
@@ -322,6 +338,17 @@ mod tests {
         // The node-loss stream is independent of the attempt-failure
         // stream: with only node loss configured, attempts never fail.
         assert_eq!(f.attempts_needed(9), Some(1));
+    }
+
+    #[test]
+    fn lost_nodes_held_their_round_robin_share() {
+        let f = FaultConfig::none().with_node_loss(0.999);
+        let salt = (0..100u64).find(|&s| f.lost_nodes(s, 8).count() == 8).unwrap();
+        let held: Vec<(u32, u64)> = f.lost_nodes(salt, 10).collect();
+        assert_eq!(held, [(0, 2), (1, 2), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]);
+        // A node that held no output lost nothing and is not reported.
+        assert_eq!(f.lost_nodes(salt, 3).collect::<Vec<_>>(), [(0, 1), (1, 1), (2, 1)]);
+        assert_eq!(FaultConfig::none().lost_nodes(salt, 10).count(), 0);
     }
 
     #[test]

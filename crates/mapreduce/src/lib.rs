@@ -96,9 +96,7 @@ pub use job::{
     TaskContext,
 };
 pub use spill::SpillArena;
-pub use trace::{
-    ChromeTraceSink, JsonlSink, MemorySink, MultiSink, TaskPhase, TraceEvent, TraceSink,
-};
+pub use trace::{MemorySink, TaskPhase, TraceEvent, TraceSink};
 pub use workflow::{RecoveryPolicy, Workflow};
 
 // The unit tests run the integration tests' operators, which name the

@@ -1,5 +1,6 @@
-//! Structured execution tracing: typed events, pluggable sinks, and a
-//! Chrome trace-event exporter on the *simulated* timeline.
+//! Structured execution tracing: typed events, one recording sink, and two
+//! renderings of the recording — a JSONL event log and a Chrome trace-event
+//! document on the *simulated* timeline.
 //!
 //! The paper's whole evaluation is an observability exercise — every figure
 //! is a function of MR cycles, HDFS/shuffle bytes, and where redundancy is
@@ -35,20 +36,19 @@
 //!
 //! ## Sinks
 //!
-//! * [`MemorySink`] buffers events in memory (tests, programmatic access);
-//! * [`JsonlSink`] appends one JSON object per event to a file;
-//! * [`ChromeTraceSink`] writes the Chrome trace-event format: open the
-//!   file in [Perfetto](https://ui.perfetto.dev) (or `chrome://tracing`)
-//!   to see workflows as processes and job/task lanes as threads, laid out
-//!   in simulated microseconds;
-//! * [`MultiSink`] fans out to several sinks.
+//! A [`TraceSink`] receives events and nothing else. [`MemorySink`] is the
+//! one recording sink: it keeps every event in emission order. A file is a
+//! pure rendering of that list, written by whoever owns the recording:
+//!
+//! * [`render_jsonl`] — one JSON object per event per line;
+//! * [`render_chrome`] — the Chrome trace-event format: open the file in
+//!   [Perfetto](https://ui.perfetto.dev) (or `chrome://tracing`) to see
+//!   workflows as processes and job/task lanes as threads, laid out in
+//!   simulated microseconds.
 
 use crate::counters::JobStats;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Which phase of a job a task belongs to.
@@ -251,7 +251,7 @@ impl TraceEvent {
         }
     }
 
-    /// Render as one JSON object (the [`JsonlSink`] line format).
+    /// Render as one JSON object (the [`render_jsonl`] line format).
     pub fn to_json(&self) -> String {
         let mut o = JsonObject::new();
         o.str("event", self.kind());
@@ -359,10 +359,6 @@ impl TraceEvent {
 pub trait TraceSink: Send + Sync {
     /// Receive one event. Called in emission order per engine.
     fn event(&self, ev: &TraceEvent);
-
-    /// Flush/complete any buffered output (file sinks write their trailer
-    /// here). Safe to call more than once.
-    fn finish(&self) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -389,7 +385,7 @@ fn escape_json_into(s: &str, out: &mut String) {
 
 /// Minimal incremental JSON-object writer: ordered keys, correct escaping,
 /// `null` for non-finite floats. Every JSON document the workspace writes
-/// — trace sinks, counters, profiles, report rows — is built
+/// — trace renderings, counters, profiles, report rows — is built
 /// from it and [`JsonObject::array`].
 #[derive(Default)]
 pub struct JsonObject {
@@ -475,7 +471,7 @@ impl JsonObject {
 
 /// Validate that `s` is one complete JSON value (with optional surrounding
 /// whitespace). A tiny recursive-descent checker — the workspace has no
-/// JSON dependency, and the sinks hand-write their output, so tests and
+/// JSON dependency, and the renderings hand-write their output, so tests and
 /// smoke checks use this to prove the emitted bytes actually parse.
 pub fn validate_json(s: &str) -> Result<(), String> {
     let bytes = s.as_bytes();
@@ -640,11 +636,12 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// Sinks
+// The recording sink and its two renderings
 // ---------------------------------------------------------------------------
 
-/// In-memory sink: buffers every event for programmatic inspection
-/// (tests, golden-trace comparisons).
+/// In-memory sink: records every event, in emission order, for the
+/// renderings ([`render_jsonl`], [`render_chrome`]) and for programmatic
+/// inspection (tests, golden-trace comparisons).
 #[derive(Default)]
 pub struct MemorySink {
     events: Mutex<Vec<TraceEvent>>,
@@ -673,63 +670,9 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// File sink writing one JSON object per line (JSON Lines). Write errors
-/// after creation are swallowed — tracing is telemetry and must never fail
-/// the simulated computation.
-pub struct JsonlSink {
-    out: Mutex<BufWriter<File>>,
-}
-
-impl JsonlSink {
-    /// Create (truncate) the file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(JsonlSink { out: Mutex::new(BufWriter::new(File::create(path)?)) })
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn event(&self, ev: &TraceEvent) {
-        let mut out = self.out.lock();
-        let _ = writeln!(out, "{}", ev.to_json());
-    }
-
-    fn finish(&self) {
-        let _ = self.out.lock().flush();
-    }
-}
-
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-struct ChromeState {
-    /// Serialized trace-event objects, in emission order.
-    events: Vec<String>,
-    /// Current workflow's process id; workflows map to Chrome processes.
-    pid: u64,
-    next_pid: u64,
-    /// Absolute simulated offset applied to job-relative task spans.
-    base: f64,
-    /// Task lane (Chrome thread id) per job name.
-    lanes: HashMap<String, u64>,
-    next_tid: u64,
-    wrote: bool,
-}
-
-impl ChromeState {
-    fn new() -> Self {
-        ChromeState {
-            events: Vec::new(),
-            pid: 1,
-            next_pid: 2,
-            base: 0.0,
-            lanes: HashMap::new(),
-            next_tid: FIRST_TASK_LANE,
-            wrote: false,
-        }
-    }
+/// The JSON Lines event log: one [`TraceEvent::to_json`] line per event.
+pub fn render_jsonl(events: &[TraceEvent]) -> String {
+    events.iter().map(|ev| ev.to_json() + "\n").collect()
 }
 
 /// Chrome thread-id of the workflow-summary lane.
@@ -739,144 +682,98 @@ const JOB_LANE: u64 = 1;
 /// First thread-id handed out to per-job task lanes.
 const FIRST_TASK_LANE: u64 = 8;
 
-/// Sink producing a Chrome trace-event file (open in
+/// The Chrome trace-event document of `events` (open it in
 /// [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`).
 ///
 /// Layout: each workflow is a Chrome *process* (pid); within it, lane 0
 /// holds the whole-workflow span, lane 1 the per-job bars on the absolute
 /// simulated timeline, and each job gets its own task lane with the map
-/// and reduce task spans laid end-to-end. Retries appear as instant
-/// events on the job's task lane. Timestamps are simulated microseconds.
-///
-/// The file is written by [`TraceSink::finish`] (also on drop).
-pub struct ChromeTraceSink {
-    path: PathBuf,
-    state: Mutex<ChromeState>,
+/// and reduce task spans laid end-to-end. Faults appear as instant events
+/// on the job's task lane, stage retries on the job lane. Timestamps are
+/// simulated microseconds. Sort work and job counters are the JSONL log's
+/// alone: `SortPlan` and `JobEnd` draw nothing.
+pub fn render_chrome(events: &[TraceEvent]) -> String {
+    let mut chrome = Chrome {
+        out: Vec::new(),
+        pid: 1,
+        next_pid: 2,
+        base: 0.0,
+        lanes: HashMap::new(),
+        next_tid: FIRST_TASK_LANE,
+    };
+    for ev in events {
+        chrome.event(ev);
+    }
+    let mut doc = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    if !chrome.out.is_empty() {
+        doc += &chrome.out.join(",\n");
+        doc.push('\n');
+    }
+    doc + "]}\n"
 }
 
-impl ChromeTraceSink {
-    /// Sink that will write `path` when finished.
-    pub fn create(path: impl Into<PathBuf>) -> Self {
-        ChromeTraceSink { path: path.into(), state: Mutex::new(ChromeState::new()) }
-    }
-
-    fn meta(state: &mut ChromeState, tid: Option<u64>, what: &str, name: &str) {
-        let mut o = JsonObject::new();
-        o.str("ph", "M");
-        o.u64("pid", state.pid);
-        if let Some(tid) = tid {
-            o.u64("tid", tid);
-        }
-        o.str("name", what);
-        let mut args = JsonObject::new();
-        args.str("name", name);
-        o.raw("args", &args.finish());
-        state.events.push(o.finish());
-    }
-
-    fn span(state: &mut ChromeState, tid: u64, name: &str, ts: f64, dur: f64, args: JsonObject) {
-        let mut o = JsonObject::new();
-        o.str("ph", "X");
-        o.u64("pid", state.pid);
-        o.u64("tid", tid);
-        o.str("name", name);
-        o.f64("ts", ts * 1e6);
-        o.f64("dur", dur * 1e6);
-        o.raw("args", &args.finish());
-        state.events.push(o.finish());
-    }
-
-    fn instant(state: &mut ChromeState, tid: u64, name: &str, args: JsonObject) {
-        let mut o = JsonObject::new();
-        o.str("ph", "i");
-        o.u64("pid", state.pid);
-        o.u64("tid", tid);
-        o.str("name", name);
-        o.f64("ts", state.base * 1e6);
-        o.str("s", "t");
-        o.raw("args", &args.finish());
-        state.events.push(o.finish());
-    }
-
-    fn task_lane(state: &mut ChromeState, job: &str) -> u64 {
-        if let Some(&tid) = state.lanes.get(job) {
-            return tid;
-        }
-        let tid = state.next_tid;
-        state.next_tid += 1;
-        state.lanes.insert(job.to_string(), tid);
-        Self::meta(state, Some(tid), "thread_name", &format!("tasks:{job}"));
-        tid
-    }
-
-    fn write_out(&self, state: &mut ChromeState) {
-        state.wrote = true;
-        let file = match File::create(&self.path) {
-            Ok(f) => f,
-            Err(_) => return,
-        };
-        let mut w = BufWriter::new(file);
-        let _ = w.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        for (i, ev) in state.events.iter().enumerate() {
-            let sep = if i + 1 == state.events.len() { "\n" } else { ",\n" };
-            let _ = w.write_all(ev.as_bytes());
-            let _ = w.write_all(sep.as_bytes());
-        }
-        let _ = w.write_all(b"]}\n");
-        let _ = w.flush();
-    }
+/// [`render_chrome`]'s state over one pass: the current workflow's pid, the
+/// stage offset task spans are placed at, and the task lane of each job.
+struct Chrome<'a> {
+    /// Rendered trace-event objects, in emission order.
+    out: Vec<String>,
+    /// Current workflow's process id; workflows map to Chrome processes.
+    pid: u64,
+    next_pid: u64,
+    /// Absolute simulated offset applied to job-relative task spans.
+    base: f64,
+    /// Task lane (Chrome thread id) per job name.
+    lanes: HashMap<&'a str, u64>,
+    next_tid: u64,
 }
 
-impl TraceSink for ChromeTraceSink {
-    fn event(&self, ev: &TraceEvent) {
-        let state = &mut *self.state.lock();
+impl<'a> Chrome<'a> {
+    fn event(&mut self, ev: &'a TraceEvent) {
         match ev {
             TraceEvent::WorkflowStart { label } => {
-                state.pid = state.next_pid;
-                state.next_pid += 1;
-                state.base = 0.0;
-                state.lanes.clear();
-                state.next_tid = FIRST_TASK_LANE;
-                Self::meta(state, None, "process_name", label);
-                Self::meta(state, Some(WORKFLOW_LANE), "thread_name", "workflow");
-                Self::meta(state, Some(JOB_LANE), "thread_name", "jobs");
+                self.pid = self.next_pid;
+                self.next_pid += 1;
+                self.base = 0.0;
+                self.lanes.clear();
+                self.next_tid = FIRST_TASK_LANE;
+                self.meta(None, "process_name", label);
+                self.meta(Some(WORKFLOW_LANE), "thread_name", "workflow");
+                self.meta(Some(JOB_LANE), "thread_name", "jobs");
             }
             TraceEvent::StageStart { sim_start: base, .. }
-            | TraceEvent::StageEnd { sim_end: base, .. } => state.base = *base,
+            | TraceEvent::StageEnd { sim_end: base, .. } => self.base = *base,
             TraceEvent::JobStart { job } => {
-                Self::task_lane(state, job);
+                self.task_lane(job);
             }
             TraceEvent::TaskSpan { job, phase, task, records, bytes, start, dur } => {
-                let tid = Self::task_lane(state, job);
+                let tid = self.task_lane(job);
                 let mut args = JsonObject::new();
                 args.u64("records", *records);
                 args.u64("bytes", *bytes);
                 let name = format!("{} {}", phase.as_str(), task);
-                let ts = state.base + *start;
-                Self::span(state, tid, &name, ts, *dur, args);
+                self.span(tid, &name, self.base + *start, *dur, args);
             }
             TraceEvent::TaskRetry { job, phase, task, wasted_attempts } => {
-                let tid = Self::task_lane(state, job);
+                let tid = self.task_lane(job);
                 let mut args = JsonObject::new();
                 args.u64("wasted_attempts", *wasted_attempts);
-                Self::instant(state, tid, &format!("retry {} {}", phase.as_str(), task), args);
+                self.instant(tid, &format!("retry {} {}", phase.as_str(), task), args);
             }
             TraceEvent::NodeLoss { job, node, maps_lost } => {
-                let tid = Self::task_lane(state, job);
+                let tid = self.task_lane(job);
                 let mut args = JsonObject::new();
                 args.u64("maps_lost", *maps_lost);
-                Self::instant(state, tid, &format!("node {node} lost"), args);
+                self.instant(tid, &format!("node {node} lost"), args);
             }
             TraceEvent::Straggler { job, phase, task, slowdown, backup_won } => {
-                let tid = Self::task_lane(state, job);
+                let tid = self.task_lane(job);
                 let mut args = JsonObject::new();
                 args.f64("slowdown", *slowdown);
-                Self::instant(state, tid, &format!("straggler {} {}", phase.as_str(), task), args);
+                self.instant(tid, &format!("straggler {} {}", phase.as_str(), task), args);
                 if let Some(won) = backup_won {
                     let mut args = JsonObject::new();
                     args.bool("backup_won", *won);
-                    let name = format!("speculative {} {}", phase.as_str(), task);
-                    Self::instant(state, tid, &name, args);
+                    self.instant(tid, &format!("speculative {} {}", phase.as_str(), task), args);
                 }
             }
             TraceEvent::StageRetry { stage, attempt, backoff_seconds, error } => {
@@ -884,73 +781,74 @@ impl TraceSink for ChromeTraceSink {
                 args.u64("attempt", u64::from(*attempt));
                 args.f64("backoff_seconds", *backoff_seconds);
                 args.str("error", error);
-                Self::instant(state, JOB_LANE, &format!("stage {stage} retry"), args);
+                self.instant(JOB_LANE, &format!("stage {stage} retry"), args);
             }
             TraceEvent::CorruptionDetected { job, site, task } => {
-                let tid = Self::task_lane(state, job);
-                Self::instant(state, tid, &format!("corrupt {site} {task}"), JsonObject::new());
-                Self::instant(state, tid, &format!("refetch {site} {task}"), JsonObject::new());
+                let tid = self.task_lane(job);
+                self.instant(tid, &format!("corrupt {site} {task}"), JsonObject::new());
+                self.instant(tid, &format!("refetch {site} {task}"), JsonObject::new());
             }
-            TraceEvent::SortPlan { .. } | TraceEvent::JobEnd { .. } => {
-                // Sort work and job counters live in the JSONL log; the
-                // timeline view keeps spans and fault instants, and a job's
-                // bar comes from its `JobSpan`.
-            }
+            TraceEvent::SortPlan { .. } | TraceEvent::JobEnd { .. } => {}
             TraceEvent::JobSpan { job, sim_start, sim_end, startup_seconds, .. } => {
                 let mut args = JsonObject::new();
                 args.f64("startup_seconds", *startup_seconds);
-                Self::span(state, JOB_LANE, job, *sim_start, *sim_end - *sim_start, args);
+                self.span(JOB_LANE, job, *sim_start, *sim_end - *sim_start, args);
             }
             TraceEvent::WorkflowEnd { label, sim_seconds, succeeded } => {
                 let mut args = JsonObject::new();
                 args.bool("succeeded", *succeeded);
-                Self::span(state, WORKFLOW_LANE, label, 0.0, *sim_seconds, args);
+                self.span(WORKFLOW_LANE, label, 0.0, *sim_seconds, args);
             }
         }
     }
 
-    fn finish(&self) {
-        let state = &mut *self.state.lock();
-        self.write_out(state);
-    }
-}
-
-impl Drop for ChromeTraceSink {
-    fn drop(&mut self) {
-        let mut taken = {
-            let mut state = self.state.lock();
-            if state.wrote {
-                return;
-            }
-            std::mem::replace(&mut *state, ChromeState::new())
-        };
-        self.write_out(&mut taken);
-    }
-}
-
-/// Fan-out sink: forwards every event (and `finish`) to each child sink.
-pub struct MultiSink {
-    sinks: Vec<Arc<dyn TraceSink>>,
-}
-
-impl MultiSink {
-    /// Sink forwarding to all of `sinks`.
-    pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> Self {
-        MultiSink { sinks }
-    }
-}
-
-impl TraceSink for MultiSink {
-    fn event(&self, ev: &TraceEvent) {
-        for s in &self.sinks {
-            s.event(ev);
+    fn meta(&mut self, tid: Option<u64>, what: &str, name: &str) {
+        let mut o = JsonObject::new();
+        o.str("ph", "M");
+        o.u64("pid", self.pid);
+        if let Some(tid) = tid {
+            o.u64("tid", tid);
         }
+        o.str("name", what);
+        let mut args = JsonObject::new();
+        args.str("name", name);
+        o.raw("args", &args.finish());
+        self.out.push(o.finish());
     }
 
-    fn finish(&self) {
-        for s in &self.sinks {
-            s.finish();
+    fn span(&mut self, tid: u64, name: &str, ts: f64, dur: f64, args: JsonObject) {
+        let mut o = JsonObject::new();
+        o.str("ph", "X");
+        o.u64("pid", self.pid);
+        o.u64("tid", tid);
+        o.str("name", name);
+        o.f64("ts", ts * 1e6);
+        o.f64("dur", dur * 1e6);
+        o.raw("args", &args.finish());
+        self.out.push(o.finish());
+    }
+
+    fn instant(&mut self, tid: u64, name: &str, args: JsonObject) {
+        let mut o = JsonObject::new();
+        o.str("ph", "i");
+        o.u64("pid", self.pid);
+        o.u64("tid", tid);
+        o.str("name", name);
+        o.f64("ts", self.base * 1e6);
+        o.str("s", "t");
+        o.raw("args", &args.finish());
+        self.out.push(o.finish());
+    }
+
+    fn task_lane(&mut self, job: &'a str) -> u64 {
+        if let Some(&tid) = self.lanes.get(job) {
+            return tid;
         }
+        let tid = self.next_tid;
+        self.next_tid += 1;
+        self.lanes.insert(job, tid);
+        self.meta(Some(tid), "thread_name", &format!("tasks:{job}"));
+        tid
     }
 }
 
@@ -1148,103 +1046,141 @@ mod tests {
         assert!(sink.events().is_empty());
     }
 
+    /// Every event variant over two workflows, with a job before either
+    /// (drawn in pid 1) and one job name reused across the workflows (its
+    /// task lane resets with the pid).
+    fn two_workflows() -> Vec<TraceEvent> {
+        let span = |job: &str, phase, records, start, dur| TraceEvent::TaskSpan {
+            job: job.into(),
+            phase,
+            task: 0,
+            records,
+            bytes: records * 10,
+            start,
+            dur,
+        };
+        let job_span = |job: &str, stage, sim_start, sim_end| TraceEvent::JobSpan {
+            job: job.into(),
+            stage,
+            sim_start,
+            sim_end,
+            startup_seconds: 15.0,
+        };
+        vec![
+            TraceEvent::JobStart { job: "loose".into() },
+            TraceEvent::WorkflowStart { label: "wf/\"1\"".into() },
+            TraceEvent::StageStart { stage: 0, sim_start: 0.0 },
+            TraceEvent::JobStart { job: "j1".into() },
+            span("j1", TaskPhase::Map, 5, 15.0, 2.0),
+            span("j1", TaskPhase::Reduce, 3, 17.0, 1.0),
+            TraceEvent::TaskRetry {
+                job: "j1".into(),
+                phase: TaskPhase::Map,
+                task: 0,
+                wasted_attempts: 1,
+            },
+            TraceEvent::NodeLoss { job: "j1".into(), node: 3, maps_lost: 1 },
+            straggler(Some(false)),
+            straggler(None),
+            TraceEvent::CorruptionDetected { job: "j1".into(), site: "dfs", task: 0 },
+            TraceEvent::SortPlan { job: "j1".into(), map_sorted_runs: 2, merge_entries: 8 },
+            TraceEvent::JobEnd { stats: job_stats(None) },
+            job_span("j1", 0, 0.0, 18.0),
+            TraceEvent::StageRetry {
+                stage: 0,
+                attempt: 1,
+                backoff_seconds: 30.0,
+                error: "disk \"full\"".into(),
+            },
+            TraceEvent::StageEnd { stage: 0, sim_end: 18.0 },
+            TraceEvent::StageStart { stage: 1, sim_start: 18.0 },
+            TraceEvent::JobStart { job: "j2".into() },
+            span("j2", TaskPhase::Map, 4, 15.0, 0.5),
+            TraceEvent::TaskRetry {
+                job: "j2".into(),
+                phase: TaskPhase::Reduce,
+                task: 2,
+                wasted_attempts: 3,
+            },
+            job_span("j2", 1, 18.0, 33.5),
+            TraceEvent::StageEnd { stage: 1, sim_end: 33.5 },
+            TraceEvent::WorkflowEnd {
+                label: "wf/\"1\"".into(),
+                sim_seconds: 33.5,
+                succeeded: true,
+            },
+            TraceEvent::WorkflowStart { label: "wf2".into() },
+            TraceEvent::StageStart { stage: 0, sim_start: 0.0 },
+            TraceEvent::JobStart { job: "j1".into() },
+            span("j1", TaskPhase::Map, 1, 15.0, 0.25),
+            job_span("j1", 0, 0.0, 15.25),
+            TraceEvent::StageEnd { stage: 0, sim_end: 15.25 },
+            TraceEvent::WorkflowEnd { label: "wf2".into(), sim_seconds: 15.25, succeeded: false },
+        ]
+    }
+
+    /// The Chrome document of [`two_workflows`], byte for byte: pids count
+    /// from 2 per workflow (pid 1 holds what ran outside any), task lanes
+    /// from 8 per workflow in order of first mention, task spans and fault
+    /// instants sit at the current stage's base, and `SortPlan`/`JobEnd`
+    /// draw nothing.
+    const TWO_WORKFLOWS_CHROME: &str = r#"{"displayTimeUnit":"ms","traceEvents":[
+{"ph":"M","pid":1,"tid":8,"name":"thread_name","args":{"name":"tasks:loose"}},
+{"ph":"M","pid":2,"name":"process_name","args":{"name":"wf/\"1\""}},
+{"ph":"M","pid":2,"tid":0,"name":"thread_name","args":{"name":"workflow"}},
+{"ph":"M","pid":2,"tid":1,"name":"thread_name","args":{"name":"jobs"}},
+{"ph":"M","pid":2,"tid":8,"name":"thread_name","args":{"name":"tasks:j1"}},
+{"ph":"X","pid":2,"tid":8,"name":"map 0","ts":15000000,"dur":2000000,"args":{"records":5,"bytes":50}},
+{"ph":"X","pid":2,"tid":8,"name":"reduce 0","ts":17000000,"dur":1000000,"args":{"records":3,"bytes":30}},
+{"ph":"i","pid":2,"tid":8,"name":"retry map 0","ts":0,"s":"t","args":{"wasted_attempts":1}},
+{"ph":"i","pid":2,"tid":8,"name":"node 3 lost","ts":0,"s":"t","args":{"maps_lost":1}},
+{"ph":"i","pid":2,"tid":8,"name":"straggler map 1","ts":0,"s":"t","args":{"slowdown":6}},
+{"ph":"i","pid":2,"tid":8,"name":"speculative map 1","ts":0,"s":"t","args":{"backup_won":false}},
+{"ph":"i","pid":2,"tid":8,"name":"straggler map 1","ts":0,"s":"t","args":{"slowdown":6}},
+{"ph":"i","pid":2,"tid":8,"name":"corrupt dfs 0","ts":0,"s":"t","args":{}},
+{"ph":"i","pid":2,"tid":8,"name":"refetch dfs 0","ts":0,"s":"t","args":{}},
+{"ph":"X","pid":2,"tid":1,"name":"j1","ts":0,"dur":18000000,"args":{"startup_seconds":15}},
+{"ph":"i","pid":2,"tid":1,"name":"stage 0 retry","ts":0,"s":"t","args":{"attempt":1,"backoff_seconds":30,"error":"disk \"full\""}},
+{"ph":"M","pid":2,"tid":9,"name":"thread_name","args":{"name":"tasks:j2"}},
+{"ph":"X","pid":2,"tid":9,"name":"map 0","ts":33000000,"dur":500000,"args":{"records":4,"bytes":40}},
+{"ph":"i","pid":2,"tid":9,"name":"retry reduce 2","ts":18000000,"s":"t","args":{"wasted_attempts":3}},
+{"ph":"X","pid":2,"tid":1,"name":"j2","ts":18000000,"dur":15500000,"args":{"startup_seconds":15}},
+{"ph":"X","pid":2,"tid":0,"name":"wf/\"1\"","ts":0,"dur":33500000,"args":{"succeeded":true}},
+{"ph":"M","pid":3,"name":"process_name","args":{"name":"wf2"}},
+{"ph":"M","pid":3,"tid":0,"name":"thread_name","args":{"name":"workflow"}},
+{"ph":"M","pid":3,"tid":1,"name":"thread_name","args":{"name":"jobs"}},
+{"ph":"M","pid":3,"tid":8,"name":"thread_name","args":{"name":"tasks:j1"}},
+{"ph":"X","pid":3,"tid":8,"name":"map 0","ts":15000000,"dur":250000,"args":{"records":1,"bytes":10}},
+{"ph":"X","pid":3,"tid":1,"name":"j1","ts":0,"dur":15250000,"args":{"startup_seconds":15}},
+{"ph":"X","pid":3,"tid":0,"name":"wf2","ts":0,"dur":15250000,"args":{"succeeded":false}}
+]}
+"#;
+
     #[test]
-    fn multi_sink_fans_out() {
-        let a = MemorySink::new();
-        let b = MemorySink::new();
-        let multi = MultiSink::new(vec![a.clone() as Arc<dyn TraceSink>, b.clone() as _]);
-        multi.event(&TraceEvent::JobStart { job: "x".into() });
-        multi.finish();
-        assert_eq!(a.events().len(), 1);
-        assert_eq!(b.events().len(), 1);
+    fn chrome_rendering_is_golden() {
+        let chrome = render_chrome(&two_workflows());
+        assert_eq!(chrome, TWO_WORKFLOWS_CHROME);
+        validate_json(&chrome).unwrap();
     }
 
     #[test]
-    fn jsonl_sink_writes_parseable_lines() {
-        let path = std::env::temp_dir().join(format!("mrsim-jsonl-{}.jsonl", std::process::id()));
-        let sink = JsonlSink::create(&path).unwrap();
-        sink.event(&TraceEvent::JobStart { job: "j\"1".into() });
-        sink.event(&TraceEvent::StageEnd { stage: 1, sim_end: 2.5 });
-        sink.finish();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
+    fn chrome_rendering_of_no_events_is_a_valid_document() {
+        let chrome = render_chrome(&[]);
+        assert_eq!(chrome, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n");
+        validate_json(&chrome).unwrap();
+    }
+
+    #[test]
+    fn jsonl_rendering_is_one_parseable_line_per_event() {
+        let events = two_workflows();
+        let jsonl = render_jsonl(&events);
+        assert!(jsonl.ends_with('\n'));
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), events.len());
+        for (line, ev) in lines.iter().zip(&events) {
+            assert_eq!(*line, ev.to_json());
             validate_json(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn chrome_sink_writes_valid_trace() {
-        let path = std::env::temp_dir().join(format!("mrsim-chrome-{}.json", std::process::id()));
-        let sink = ChromeTraceSink::create(&path);
-        sink.event(&TraceEvent::WorkflowStart { label: "wf".into() });
-        sink.event(&TraceEvent::StageStart { stage: 0, sim_start: 0.0 });
-        sink.event(&TraceEvent::JobStart { job: "j1".into() });
-        sink.event(&TraceEvent::TaskSpan {
-            job: "j1".into(),
-            phase: TaskPhase::Map,
-            task: 0,
-            records: 5,
-            bytes: 50,
-            start: 15.0,
-            dur: 2.0,
-        });
-        sink.event(&TraceEvent::TaskRetry {
-            job: "j1".into(),
-            phase: TaskPhase::Map,
-            task: 0,
-            wasted_attempts: 1,
-        });
-        sink.event(&TraceEvent::NodeLoss { job: "j1".into(), node: 0, maps_lost: 1 });
-        sink.event(&TraceEvent::Straggler {
-            job: "j1".into(),
-            phase: TaskPhase::Map,
-            task: 0,
-            slowdown: 4.0,
-            backup_won: Some(false),
-        });
-        sink.event(&TraceEvent::CorruptionDetected { job: "j1".into(), site: "dfs", task: 0 });
-        sink.event(&TraceEvent::JobEnd { stats: job_stats(None) });
-        sink.event(&TraceEvent::JobSpan {
-            job: "j1".into(),
-            stage: 0,
-            sim_start: 0.0,
-            sim_end: 17.0,
-            startup_seconds: 15.0,
-        });
-        sink.event(&TraceEvent::StageEnd { stage: 0, sim_end: 17.0 });
-        sink.event(&TraceEvent::WorkflowEnd {
-            label: "wf".into(),
-            sim_seconds: 17.0,
-            succeeded: true,
-        });
-        sink.finish();
-        let text = std::fs::read_to_string(&path).unwrap();
-        validate_json(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
-        assert!(text.contains("\"traceEvents\""));
-        assert!(text.contains("\"ph\":\"X\""));
-        assert!(text.contains("\"ph\":\"M\""));
-        // Task span placed absolutely: stage base 0 + job-relative 15 s.
-        assert!(text.contains("\"ts\":15000000"), "{text}");
-        // A straggler with a backup, and a corruption, each draw two instants.
-        for name in ["straggler map 0", "speculative map 0", "corrupt dfs 0", "refetch dfs 0"] {
-            assert!(text.contains(&format!("\"name\":\"{name}\"")), "{name}: {text}");
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn chrome_sink_writes_on_drop() {
-        let path =
-            std::env::temp_dir().join(format!("mrsim-chrome-drop-{}.json", std::process::id()));
-        {
-            let sink = ChromeTraceSink::create(&path);
-            sink.event(&TraceEvent::JobStart { job: "j".into() });
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        validate_json(&text).unwrap();
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(render_jsonl(&[]), "");
     }
 }

@@ -10,13 +10,13 @@
 //!   `JobSpan` events reproduces `WorkflowStats::sim_seconds` to 1e-6;
 //! * per-partition facts — each job's reduce task spans state the shuffle
 //!   partitions of the `JobStats` its `JobEnd` carries;
-//! * file sinks — a traced workflow produces a parseable JSONL event log
-//!   and a parseable Chrome trace.
+//! * renderings — one recording of a traced workflow renders a parseable
+//!   JSONL event log and a parseable Chrome trace that agree on its jobs.
 
 mod common;
 
 use common::{CountReduce, KeyOnly, SelfPair, WordOne};
-use mrsim::trace::validate_json;
+use mrsim::trace::{render_chrome, render_jsonl, validate_json};
 use mrsim::{
     Engine, FaultConfig, InputBinding, JobSpec, MemorySink, TaskPhase, TraceEvent, TraceSink,
     Workflow,
@@ -251,25 +251,17 @@ fn reduce_task_spans_state_the_shuffle_partitions() {
 }
 
 #[test]
-fn file_sinks_emit_parseable_json() {
-    let dir = std::env::temp_dir();
-    let chrome_path = dir.join(format!("mrsim-e2e-{}.trace.json", std::process::id()));
-    let jsonl_path = dir.join(format!("mrsim-e2e-{}.trace.jsonl", std::process::id()));
-    {
-        let sink: Arc<dyn TraceSink> = Arc::new(mrsim::MultiSink::new(vec![
-            Arc::new(mrsim::JsonlSink::create(&jsonl_path).unwrap()),
-            Arc::new(mrsim::ChromeTraceSink::create(&chrome_path)),
-        ]));
-        let engine = Engine::unbounded().with_workers(2).with_trace(sink.clone());
-        put_input(&engine, "in", 300);
-        let mut wf = Workflow::new(&engine, "e2e");
-        wf.run_job(wc_job("j1", "in", "mid", 3)).unwrap();
-        wf.run_job(wc_job("j2", "mid", "out", 2)).unwrap();
-        wf.finish(&["out"]);
-        sink.finish();
-    }
+fn one_recording_renders_both_files() {
+    let sink = MemorySink::new();
+    let engine = Engine::unbounded().with_workers(2).with_trace(sink.clone() as Arc<dyn TraceSink>);
+    put_input(&engine, "in", 300);
+    let mut wf = Workflow::new(&engine, "e2e");
+    wf.run_job(wc_job("j1", "in", "mid", 3)).unwrap();
+    wf.run_job(wc_job("j2", "mid", "out", 2)).unwrap();
+    wf.finish(&["out"]);
+    let events = sink.take();
 
-    let jsonl = std::fs::read_to_string(&jsonl_path).unwrap();
+    let jsonl = render_jsonl(&events);
     let lines: Vec<&str> = jsonl.lines().collect();
     assert!(lines.len() > 10, "expected a rich event log, got {} lines", lines.len());
     for line in &lines {
@@ -277,11 +269,11 @@ fn file_sinks_emit_parseable_json() {
     }
     assert!(jsonl.contains("\"event\":\"workflow_end\""));
 
-    let chrome = std::fs::read_to_string(&chrome_path).unwrap();
+    let chrome = render_chrome(&events);
     validate_json(&chrome).unwrap_or_else(|e| panic!("chrome trace invalid: {e}"));
     assert!(chrome.contains("\"traceEvents\""));
-    assert!(chrome.contains("\"ph\":\"X\""));
-
-    let _ = std::fs::remove_file(&jsonl_path);
-    let _ = std::fs::remove_file(&chrome_path);
+    // The two files tell one story: a bar on the job lane per job span.
+    let bars = chrome.matches("\"ph\":\"X\",\"pid\":2,\"tid\":1,").count();
+    assert_eq!(bars, jsonl.matches("\"event\":\"job_span\"").count());
+    assert_eq!(bars, 2);
 }

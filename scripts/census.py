@@ -31,7 +31,7 @@ from pathlib import Path
 
 # Each entry is kept as the oracle of the test named on its comment line.
 ALLOWLIST = {
-    # mrsim tests/trace_observability.rs::file_sinks_emit_parseable_json
+    # mrsim tests/trace_observability.rs::one_recording_renders_both_files
     "trace::validate_json",
     # ntga-core tests/algebra_properties.rs::rewrites_agree_random (Lemma 1)
     "rewrite::check_rewrites",

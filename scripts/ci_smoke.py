@@ -10,7 +10,10 @@ usage: ci_smoke.py <check> <path>
 module, a parser that is not the workspace's own, and checks each job of
 each JSONL log from the consumer's side: its reduce `task_span` bytes sum
 to its `job_end` shuffle_bytes, and `q_error` is null exactly when
-`estimated_output_records` is. `profiler` checks, from the consumer's
+`estimated_output_records` is. Both trace files render one recording, so
+each `<fig>.trace.jsonl` must have its `<fig>.trace.json` beside it (and
+the reverse), with one Chrome `"ph":"X"` bar on the job lane (tid 1) per
+`job_span` line and one on a task lane (tid 8 and up) per `task_span` line. `profiler` checks, from the consumer's
 side, that each profile's operator rows sum to its `reconciliation`
 totals. Each check prints one `ok: ...` line; any failure
 is an exception (exit code 1).
@@ -22,17 +25,21 @@ import sys
 
 
 def trace(directory):
-    documents = lines = jobs = 0
-    for name in sorted(os.listdir(directory)):
+    documents = lines = jobs = pairs = 0
+    names = set(os.listdir(directory))
+    for name in sorted(names):
         with open(os.path.join(directory, name)) as f:
             if name.endswith(".jsonl"):
                 # Reduce task-span bytes per running job; a job attempt
                 # that fails emits a job_start and nothing after it.
                 reduce_bytes = {}
+                kinds = {"job_span": 0, "task_span": 0}
                 for line in f:
                     ev = json.loads(line)
                     lines += 1
                     kind = ev["event"]
+                    if kind in kinds:
+                        kinds[kind] += 1
                     if kind == "job_start":
                         reduce_bytes[ev["job"]] = 0
                     elif kind == "task_span" and ev["phase"] == "reduce":
@@ -47,12 +54,26 @@ def trace(directory):
                             (ev["estimated_output_records"] is None), \
                             f"{where}: q_error without an estimate, or the reverse"
                         jobs += 1
+                if name.endswith(".trace.jsonl"):
+                    chrome = name[:-1]
+                    assert chrome in names, f"{name}: no {chrome} beside it"
+                    with open(os.path.join(directory, chrome)) as c:
+                        bars = [e for e in json.load(c)["traceEvents"] if e["ph"] == "X"]
+                    drawn = {"job_span": sum(e["tid"] == 1 for e in bars),
+                             "task_span": sum(e["tid"] >= 8 for e in bars)}
+                    assert drawn == kinds, \
+                        f"{chrome} draws {drawn} bars, {name} logs {kinds}"
+                    pairs += 1
             elif name.endswith(".json"):
+                if name.endswith(".trace.json"):
+                    assert name + "l" in names, f"{name}: no {name}l beside it"
                 json.load(f)
                 documents += 1
-    assert documents and lines and jobs, f"no JSON documents, JSONL lines or jobs in {directory}"
+    assert documents and lines and jobs and pairs, \
+        f"no JSON documents, JSONL lines, jobs or trace pairs in {directory}"
     print(f"ok: {documents} JSON documents and {lines} JSONL lines parse; "
-          f"{jobs} jobs' reduce spans sum to their shuffle bytes")
+          f"{jobs} jobs' reduce spans sum to their shuffle bytes; "
+          f"{pairs} Chrome traces draw their logs' job and task spans")
 
 
 def profiler(profiles_path):
