@@ -180,6 +180,26 @@ fn bench_codecs(c: &mut Criterion) {
         b.iter(|| ntga_core::TgTuple::from_bytes(black_box(&bytes)).unwrap())
     });
     c.bench_function("codec/anntg_text_size", |b| b.iter(|| black_box(&tuple).text_size()));
+
+    // One 12-column row per case: 20-byte ASCII tokens, then the same row
+    // with its third column a 200-byte literal (a length byte ≥ 0x80) or
+    // a literal with multi-byte characters. No ledger workload has the
+    // last two.
+    let ascii: Vec<String> = (0..12).map(|i| format!("<http://ex.org/r{i:03}>")).collect();
+    let long = format!("\"{}\"", "x".repeat(198));
+    let non_ascii = "\"caf\u{e9} cr\u{e8}me \u{4e2d}\u{6587} na\u{ef}ve\"".to_string();
+    for (name, third) in
+        [("short_ascii", None), ("long_literal", Some(long)), ("non_ascii", Some(non_ascii))]
+    {
+        let mut row = ascii.clone();
+        if let Some(third) = third {
+            row[2] = third;
+        }
+        let rec = row.to_bytes();
+        c.bench_function(&format!("codec/row_view_{name}"), |b| {
+            b.iter(|| mr_rdf::RowView::from_bytes(black_box(&rec), Some(0)).unwrap())
+        });
+    }
 }
 
 fn bench_parser(c: &mut Criterion) {

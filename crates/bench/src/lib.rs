@@ -63,8 +63,9 @@ pub struct BenchOpts {
 }
 
 impl BenchOpts {
-    /// Parse from an argument list (program name already stripped).
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, String> {
+    /// Read the flags from an argument list (program name already
+    /// stripped), touching no file.
+    fn flags(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, String> {
         let mut opts = BenchOpts::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -81,20 +82,31 @@ impl BenchOpts {
             };
             *slot = Some(it.next().map(PathBuf::from).ok_or(format!("{arg} requires a path"))?);
         }
-        if let Some(path) = &opts.trace {
-            write_trace_files(path, &[])?;
-            opts.sink = Some(MemorySink::new());
-        }
         Ok(opts)
     }
 
-    /// Parse the process arguments; print usage and exit on error.
+    /// With `--trace`, create both trace files and start recording.
+    fn open_trace(&mut self) -> Result<(), String> {
+        if let Some(path) = &self.trace {
+            write_trace_files(path, &[])?;
+            self.sink = Some(MemorySink::new());
+        }
+        Ok(())
+    }
+
+    /// Parse the process arguments; on an error, print it and exit 2, with
+    /// the usage line when the flags themselves are wrong.
     pub fn from_env() -> BenchOpts {
-        BenchOpts::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        let exit = |e: String, usage: bool| -> ! {
             eprintln!("error: {e}");
-            eprintln!("usage: fig<N> [--trace <path>] [--json <path>] [--profile <path>]");
-            std::process::exit(2);
-        })
+            if usage {
+                eprintln!("usage: fig<N> [--trace <path>] [--json <path>] [--profile <path>]");
+            }
+            std::process::exit(2)
+        };
+        let mut opts = BenchOpts::flags(std::env::args().skip(1)).unwrap_or_else(|e| exit(e, true));
+        opts.open_trace().unwrap_or_else(|e| exit(e, false));
+        opts
     }
 
     /// Attach the trace sink (if any) to a cluster config.
@@ -259,6 +271,13 @@ mod tests {
     use super::*;
     use ntga::Approach;
 
+    /// What `from_env` makes of an argument list, errors returned.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, String> {
+        let mut opts = BenchOpts::flags(args)?;
+        opts.open_trace()?;
+        Ok(opts)
+    }
+
     #[test]
     fn scale_entities() {
         assert_eq!(Scale::Small.entities(10), 10);
@@ -268,13 +287,13 @@ mod tests {
 
     #[test]
     fn bench_opts_parse() {
-        let opts = BenchOpts::parse(Vec::new()).unwrap();
+        let opts = parse(Vec::new()).unwrap();
         assert!(opts.trace.is_none() && opts.json.is_none() && opts.sink.is_none());
 
         let dir = std::env::temp_dir();
         let trace = dir.join(format!("bench-opts-{}.trace.json", std::process::id()));
         let json = dir.join(format!("bench-opts-{}.rows.json", std::process::id()));
-        let opts = BenchOpts::parse(
+        let opts = parse(
             ["--trace", trace.to_str().unwrap(), "--json", json.to_str().unwrap()]
                 .map(String::from),
         )
@@ -291,9 +310,9 @@ mod tests {
             let _ = std::fs::remove_file(p);
         }
 
-        assert!(BenchOpts::parse(["--trace".to_string()]).is_err());
-        assert!(BenchOpts::parse(["--profile".to_string()]).is_err());
-        assert!(BenchOpts::parse(["--bogus".to_string()]).is_err());
+        assert!(parse(["--trace".to_string()]).is_err());
+        assert!(parse(["--profile".to_string()]).is_err());
+        assert!(parse(["--bogus".to_string()]).is_err());
     }
 
     #[test]
@@ -304,7 +323,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let trace = dir.join(format!("bench-failed-{}.trace.json", std::process::id()));
         let json = dir.join(format!("bench-no-such-dir-{}", std::process::id())).join("rows.json");
-        let opts = BenchOpts::parse(
+        let opts = parse(
             ["--trace", trace.to_str().unwrap(), "--json", json.to_str().unwrap()]
                 .map(String::from),
         )
@@ -334,7 +353,7 @@ mod tests {
     fn an_unwritable_trace_path_is_refused_by_parse() {
         let dir = std::env::temp_dir().join(format!("bench-trace-dir-{}.json", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let err = BenchOpts::parse(["--trace", dir.to_str().unwrap()].map(String::from))
+        let err = parse(["--trace", dir.to_str().unwrap()].map(String::from))
             .err()
             .expect("a directory is not a trace file");
         let _ = std::fs::remove_file(dir.with_extension("jsonl"));
@@ -347,7 +366,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let trace = dir.join(format!("bench-trace-gone-{}.trace.json", std::process::id()));
         let json = dir.join(format!("bench-trace-gone-{}.rows.json", std::process::id()));
-        let opts = BenchOpts::parse(
+        let opts = parse(
             ["--trace", trace.to_str().unwrap(), "--json", json.to_str().unwrap()]
                 .map(String::from),
         )
@@ -374,8 +393,7 @@ mod tests {
         let trace = std::env::temp_dir()
             .join(format!("bench-trace-drop-{}.trace.json", std::process::id()));
         {
-            let opts =
-                BenchOpts::parse(["--trace", trace.to_str().unwrap()].map(String::from)).unwrap();
+            let opts = parse(["--trace", trace.to_str().unwrap()].map(String::from)).unwrap();
             let sink = opts.cluster(ntga::ClusterConfig::default()).trace.unwrap();
             sink.event(&TraceEvent::JobStart { job: "j".into() });
         }
@@ -398,8 +416,7 @@ mod tests {
         .unwrap();
         let queries = vec![("B1ish".to_string(), q)];
         let path = std::env::temp_dir().join(format!("bench-profile-{}.json", std::process::id()));
-        let opts =
-            BenchOpts::parse(["--profile", path.to_str().unwrap()].map(String::from)).unwrap();
+        let opts = parse(["--profile", path.to_str().unwrap()].map(String::from)).unwrap();
         assert_eq!(opts.profile.as_deref(), Some(path.as_path()));
         let cluster = ntga::ClusterConfig::default();
         opts.finish(&cluster, &store, &queries, &[]).unwrap();
@@ -411,7 +428,7 @@ mod tests {
         assert!(json.contains("\"reconciliation\":"), "{json}");
 
         // Without the flag, no profile is run or written.
-        let opts = BenchOpts::parse(Vec::new()).unwrap();
+        let opts = parse(Vec::new()).unwrap();
         opts.finish(&cluster, &store, &queries, &[]).unwrap();
         assert!(!path.exists());
 

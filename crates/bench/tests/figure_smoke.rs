@@ -118,3 +118,28 @@ fn fig_binaries_reject_unknown_flags() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
 }
+
+#[test]
+fn fig_binaries_print_usage_only_for_flag_errors() {
+    let dir = std::env::temp_dir().join(format!("fig3-trace-dir-{}.json", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig3"))
+            .env("NTGA_SCALE", "small")
+            .args(args)
+            .output()
+            .expect("spawn fig3");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let (unwritable, bogus) = (run(&["--trace", dir.to_str().unwrap()]), run(&["--bogus"]));
+    let _ = std::fs::remove_file(dir.with_extension("jsonl"));
+    let _ = std::fs::remove_dir(&dir);
+
+    let (code, stderr) = unwritable;
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: writing trace file"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "an I/O error is not a flag error: {stderr}");
+    let (code, stderr) = bogus;
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown argument `--bogus`") && stderr.contains("usage: fig<N>"));
+}

@@ -33,6 +33,10 @@
 //! [`split_tag`] and [`token_key`] to take apart, [`token_len`],
 //! [`token_key_text`] and [`counted_len`] to measure. They read through
 //! [`SliceReader`] and take offsets from it, never from a literal width.
+//!
+//! [`SliceReader::read_str`] checks a record's UTF-8 about once per byte,
+//! not per token, and hands tokens out as slices of that text (DESIGN.md,
+//! "Text is checked once"); strings and errors are `from_utf8`'s per token.
 
 use crate::error::MrError;
 use rdf_model::atom::Atom;
@@ -41,12 +45,16 @@ use std::io::Write;
 /// A readable slice with position tracking for decoding.
 pub struct SliceReader<'a> {
     buf: &'a [u8],
+    /// A stretch of the input known to be UTF-8, which tokens are read from.
+    text: &'a str,
+    /// `remaining()` where `text` begins: at first the start, where no token does.
+    text_rem: usize,
 }
 
 impl<'a> SliceReader<'a> {
     /// Wrap a byte slice.
     pub fn new(buf: &'a [u8]) -> Self {
-        SliceReader { buf }
+        SliceReader { buf, text: "", text_rem: buf.len() }
     }
 
     /// Bytes not yet consumed.
@@ -99,11 +107,34 @@ impl<'a> SliceReader<'a> {
         Ok(head)
     }
 
-    /// Read a length-prefixed UTF-8 string.
+    /// Read a length-prefixed UTF-8 string: a slice of the checked
+    /// stretch, which restarts at the token if it does not hold it.
     pub fn read_str(&mut self) -> Result<&'a str, MrError> {
         let len = self.read_u32()? as usize;
+        let from = self.buf;
         let raw = self.read_bytes(len)?;
-        std::str::from_utf8(raw).map_err(|e| MrError::Codec(format!("invalid utf-8: {e}")))
+        if let Some(token) = self.checked(from.len(), len) {
+            return Ok(token);
+        }
+        #[cfg(test)]
+        tests::SCANS.with(|n| n.set(n.get() + 1));
+        // Restart up to the first non-text byte (safe code re-checks that prefix to
+        // make it a `str`); a token still not held is not UTF-8 on its own.
+        self.text = std::str::from_utf8(from)
+            .or_else(|e| std::str::from_utf8(&from[..e.valid_up_to()]))
+            .unwrap_or_default();
+        self.text_rem = from.len();
+        self.checked(from.len(), len).map_or_else(
+            || std::str::from_utf8(raw).map_err(|e| MrError::Codec(format!("invalid utf-8: {e}"))),
+            Ok,
+        )
+    }
+
+    /// The `len`-byte token that began at `remaining() == rem`, if the
+    /// stretch holds it on char boundaries (`at + len` ≤ twice the input).
+    fn checked(&self, rem: usize, len: usize) -> Option<&'a str> {
+        let at = self.text_rem.checked_sub(rem)?;
+        self.text.get(at..at + len)
     }
 
     /// Read a length-prefixed UTF-8 token as an [`Atom`] of its own.
@@ -417,6 +448,36 @@ impl Rec for VarId {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Times `read_str` checked bytes as UTF-8 on this thread instead
+        /// of slicing the checked stretch.
+        pub(super) static SCANS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Scans a row decode takes.
+    fn scans(row: &[&str]) -> usize {
+        let rec = row.iter().map(|t| String::from(*t)).collect::<Vec<_>>().to_bytes();
+        let before = SCANS.with(std::cell::Cell::get);
+        let decoded = Vec::<String>::from_bytes(&rec).unwrap();
+        assert_eq!(decoded, row);
+        SCANS.with(std::cell::Cell::get) - before
+    }
+
+    #[test]
+    fn an_all_text_row_is_scanned_once() {
+        assert_eq!(scans(&["<s1>", "<p>", "\"caf\u{e9}\"", "", "\u{4e2d}", "<o>"]), 1);
+        assert_eq!(scans(&[]), 0);
+    }
+
+    #[test]
+    fn a_long_token_restarts_the_stretch_once() {
+        let long = "x".repeat(199) + "\u{e9}";
+        // The stretch from `<s1>` ends at the long token's length byte,
+        // 0xC9; the one from the long token covers the rest.
+        assert_eq!(scans(&["<s1>", "<p>", &long, "<o>", "<q>", "\"b\"", "<o2>"]), 2);
+        assert_eq!(scans(&[&long, "<o>", "<q>", "<o2>"]), 1);
+    }
 
     fn roundtrip<T: Rec + PartialEq + std::fmt::Debug>(v: T) {
         let enc = v.to_bytes();

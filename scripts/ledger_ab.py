@@ -6,10 +6,12 @@
                [--seeds 1,2,3] [--seconds 20] [--trace 0] [--out-dir DIR]
 
 Build each commit's `perf` once into its own target directory, then hand
-both binaries here. For every workload the script runs N pairs, the base
-first on odd pairs and the change first on even ones, each run appending
-its result line (`perf --out`) to `DIR/base.jsonl` or `DIR/change.jsonl`;
-pair i uses seed `seeds[i % len(seeds)]` on both sides. It then
+both binaries here; the script refuses (exit 2) two paths to one file or
+two byte-identical files, which would read as "no change". For every
+workload the script runs N pairs, the base first on odd pairs and the
+change first on even ones, each run appending its result line
+(`perf --out`) to `DIR/base.jsonl` or `DIR/change.jsonl`; pair i uses
+seed `seeds[i % len(seeds)]` on both sides. It then
 
   * calls `<change> --check DIR/base.jsonl DIR/change.jsonl` (bounds and
     exact-metric agreement, read from ./BENCHMARK.json — run this from
@@ -34,6 +36,7 @@ this is a tool for a quiet box, not a CI gate. Standard library only.
 """
 
 import argparse
+import filecmp
 import json
 import os
 import statistics
@@ -100,6 +103,13 @@ def main():
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    for binary in (args.base, args.change):
+        if not os.path.isfile(binary):
+            ap.error(f"{binary}: no such file")
+    if os.path.samefile(args.base, args.change) or filecmp.cmp(args.base, args.change, shallow=False):
+        print(f"ledger_ab.py: --base {args.base} and --change {args.change} are the same binary; "
+              "build each commit into its own target directory", file=sys.stderr)
+        sys.exit(2)
     seeds = [int(s) for s in args.seeds.split(",")]
 
     os.makedirs(args.out_dir, exist_ok=True)
