@@ -15,7 +15,8 @@
 //! claims state, and `EXPERIMENTS.md` is rendered from them.
 //!
 //! Scale is controlled by the `NTGA_SCALE` environment variable:
-//! `small` (default; seconds per figure), `medium`, or `large`.
+//! `small` (default; seconds per figure), `medium`, or `large`; any other
+//! value exits 2.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -247,12 +248,23 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from the environment (default `small`).
+    /// Read the scale from `NTGA_SCALE` (default `small`). Any other value
+    /// exits 2 and names the accepted ones, as a bad flag does.
     pub fn from_env() -> Scale {
-        match std::env::var("NTGA_SCALE").as_deref() {
-            Ok("medium") => Scale::Medium,
-            Ok("large") => Scale::Large,
-            _ => Scale::Small,
+        let value = std::env::var_os("NTGA_SCALE").map(|v| v.to_string_lossy().into_owned());
+        Scale::parse(value.as_deref()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// The scale an `NTGA_SCALE` value names; `None` is unset.
+    fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("small") => Ok(Scale::Small),
+            Some("medium") => Ok(Scale::Medium),
+            Some("large") => Ok(Scale::Large),
+            Some(other) => Err(format!("NTGA_SCALE={other:?}: expected small, medium or large")),
         }
     }
 
@@ -276,6 +288,19 @@ mod tests {
         let mut opts = BenchOpts::flags(args)?;
         opts.open_trace()?;
         Ok(opts)
+    }
+
+    #[test]
+    fn scale_parses_three_names_and_refuses_the_rest() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Small));
+        assert_eq!(Scale::parse(Some("small")), Ok(Scale::Small));
+        assert_eq!(Scale::parse(Some("medium")), Ok(Scale::Medium));
+        assert_eq!(Scale::parse(Some("large")), Ok(Scale::Large));
+        for typo in ["Large", "larg", "", " small", "\u{fffd}"] {
+            let err = Scale::parse(Some(typo)).unwrap_err();
+            assert!(err.contains(&format!("{typo:?}")), "{err}");
+            assert!(err.contains("expected small, medium or large"), "{err}");
+        }
     }
 
     #[test]

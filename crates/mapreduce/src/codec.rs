@@ -14,9 +14,7 @@
 //!   text bytes, because that is what the paper measures — Pig and Hive
 //!   move text through HDFS. The wire form is this repository's own and is
 //!   the larger of the two today (on the `ntga_multicycle` ledger workload
-//!   25.4 MB of wire bytes against 20.9 MB of modelled text). The varint
-//!   record [`VarId`] is the one type whose simulated size *is* its wire
-//!   size; no operator ships it.
+//!   25.4 MB of wire bytes against 20.9 MB of modelled text).
 //!
 //! Keys are compared as raw encoded bytes during the shuffle sort, so an
 //! implementation must be *canonical*: equal values encode to equal bytes.
@@ -88,15 +86,6 @@ impl<'a> SliceReader<'a> {
         Ok(u64::from_le_bytes(*head))
     }
 
-    /// Read a single byte.
-    pub fn read_u8(&mut self) -> Result<u8, MrError> {
-        let Some((&head, tail)) = self.buf.split_first() else {
-            return Err(MrError::Codec("unexpected end of buffer (u8)".into()));
-        };
-        self.buf = tail;
-        Ok(head)
-    }
-
     /// Read `n` raw bytes.
     pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], MrError> {
         if self.buf.len() < n {
@@ -140,55 +129,6 @@ impl<'a> SliceReader<'a> {
     /// Read a length-prefixed UTF-8 token as an [`Atom`] of its own.
     pub fn read_atom(&mut self) -> Result<Atom, MrError> {
         self.read_str().map(Atom::from)
-    }
-
-    /// Read a canonical LEB128 varint `u32` (see [`write_uvarint`]).
-    ///
-    /// Rejects encodings longer than 5 bytes, payloads overflowing `u32`,
-    /// and non-canonical forms whose final group is zero (`0x80 0x00` for
-    /// 0): the shuffle groups records by raw key bytes, so one id must
-    /// have exactly one encoding.
-    pub fn read_uvarint(&mut self) -> Result<u32, MrError> {
-        let mut v: u32 = 0;
-        for shift in [0u32, 7, 14, 21, 28] {
-            let b = self.read_u8()?;
-            let payload = u32::from(b & 0x7f);
-            if shift == 28 && payload > 0x0f {
-                return Err(MrError::Codec("varint overflows u32".into()));
-            }
-            v |= payload << shift;
-            if b & 0x80 == 0 {
-                if shift > 0 && b == 0 {
-                    return Err(MrError::Codec("non-canonical varint (zero final group)".into()));
-                }
-                return Ok(v);
-            }
-        }
-        Err(MrError::Codec("varint exceeds 5 bytes".into()))
-    }
-}
-
-/// Append the canonical LEB128 encoding of `v`: little-endian base-128
-/// groups, high bit set on every byte but the last (1–5 bytes for a
-/// `u32`). The encoding is canonical — one value, one byte sequence — so
-/// varint-keyed shuffle grouping over raw bytes equals id equality.
-pub fn write_uvarint(buf: &mut Vec<u8>, mut v: u32) {
-    while v >= 0x80 {
-        buf.push((v as u8 & 0x7f) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-/// Encoded LEB128 length of `v` in bytes (1–5; boundaries at powers of
-/// 2^7).
-pub fn uvarint_len(v: u32) -> u64 {
-    match v {
-        0..=0x7f => 1,
-        0x80..=0x3fff => 2,
-        0x4000..=0x1f_ffff => 3,
-        0x20_0000..=0xfff_ffff => 4,
-        _ => 5,
     }
 }
 
@@ -408,43 +348,6 @@ impl Rec for () {
     }
 }
 
-/// A dictionary id on the wire: the ID-native shuffle codec.
-///
-/// Encodes as a canonical LEB128 varint (1–5 bytes; see
-/// [`write_uvarint`]), replacing the lexical token codec for jobs whose
-/// data plane moves dictionary ids. Two properties make it shuffle-safe:
-///
-/// * **Canonical** — one id, one byte sequence, so raw-byte key grouping
-///   equals id equality (and, through an injective dictionary, token
-///   equality).
-/// * **Prefix-complete** — every encoding fits the spill arenas' 8-byte
-///   key-prefix cache, and distinct canonical varints never collide in
-///   the zero-padded prefix (a longer encoding extending a shorter one
-///   would need a continuation bit on the shorter's final byte, which
-///   canonical LEB128 forbids). Sorting and grouping varint keys is
-///   therefore pure integer compares — no memcmp fallback ever runs.
-///
-/// `text_size` is the encoded varint length: an ID-native record's
-/// simulated on-disk form *is* its binary wire form (a Hadoop sequence
-/// file of ids, not a text row), which is what makes the shuffle-byte
-/// savings visible to the byte counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VarId(pub u32);
-
-impl Rec for VarId {
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        write_uvarint(buf, self.0);
-    }
-
-    fn decode(r: &mut SliceReader<'_>) -> Result<Self, MrError> {
-        r.read_uvarint().map(VarId)
-    }
-
-    fn text_size(&self) -> u64 {
-        uvarint_len(self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,81 +471,5 @@ mod tests {
         assert_eq!(decimal_digits(9), 1);
         assert_eq!(decimal_digits(10), 2);
         assert_eq!(decimal_digits(u64::MAX), 20);
-    }
-
-    /// Ids straddling every LEB128 length boundary (2^7, 2^14, 2^21,
-    /// 2^28), plus the extremes.
-    fn boundary_ids() -> Vec<u32> {
-        vec![
-            0,
-            1,
-            (1 << 7) - 1,
-            1 << 7,
-            (1 << 14) - 1,
-            1 << 14,
-            (1 << 21) - 1,
-            1 << 21,
-            (1 << 28) - 1,
-            1 << 28,
-            u32::MAX,
-        ]
-    }
-
-    #[test]
-    fn varint_roundtrip_at_length_boundaries() {
-        for id in boundary_ids() {
-            let v = VarId(id);
-            roundtrip(v);
-            let enc = v.to_bytes();
-            assert_eq!(enc.len() as u64, uvarint_len(id), "length of {id}");
-            assert_eq!(v.text_size(), uvarint_len(id));
-        }
-    }
-
-    #[test]
-    fn varint_golden_bytes() {
-        let cases: &[(u32, &[u8])] = &[
-            (0, &[0x00]),
-            (1, &[0x01]),
-            (127, &[0x7f]),
-            (128, &[0x80, 0x01]),
-            (16_383, &[0xff, 0x7f]),
-            (16_384, &[0x80, 0x80, 0x01]),
-            (2_097_151, &[0xff, 0xff, 0x7f]),
-            (2_097_152, &[0x80, 0x80, 0x80, 0x01]),
-            (268_435_455, &[0xff, 0xff, 0xff, 0x7f]),
-            (268_435_456, &[0x80, 0x80, 0x80, 0x80, 0x01]),
-            (u32::MAX, &[0xff, 0xff, 0xff, 0xff, 0x0f]),
-        ];
-        for (id, bytes) in cases {
-            assert_eq!(VarId(*id).to_bytes(), *bytes, "encoding of {id}");
-        }
-    }
-
-    #[test]
-    fn varint_rejects_overflow_and_overlength() {
-        // Payload past u32::MAX in the 5th group.
-        assert!(VarId::from_bytes(&[0xff, 0xff, 0xff, 0xff, 0x1f]).is_err());
-        // Continuation bit on the 5th byte (6-byte encoding).
-        assert!(VarId::from_bytes(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01]).is_err());
-        // Truncated mid-varint.
-        assert!(VarId::from_bytes(&[0x80]).is_err());
-        assert!(VarId::from_bytes(&[]).is_err());
-    }
-
-    #[test]
-    fn varint_rejects_non_canonical_encodings() {
-        // 0x80 0x00 decodes to 0 but is not the canonical [0x00]: grouping
-        // by raw key bytes requires exactly one encoding per id.
-        assert!(VarId::from_bytes(&[0x80, 0x00]).is_err());
-        assert!(VarId::from_bytes(&[0xff, 0x80, 0x00]).is_err());
-        assert!(VarId::from_bytes(&[0x00]).is_ok());
-    }
-
-    #[test]
-    fn varint_composite_records() {
-        // VarId composes with tuples and vecs like any other Rec.
-        roundtrip((VarId(5), VarId(1 << 20)));
-        roundtrip(vec![VarId(0), VarId(u32::MAX)]);
     }
 }

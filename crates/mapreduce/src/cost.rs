@@ -114,20 +114,20 @@ impl CostModel {
     /// Seconds of *work* (everything except startup) implied by a job's
     /// counters: exactly [`CostModel::map_phase_seconds`] +
     /// [`CostModel::reduce_phase_seconds`], which trace task spans rely on.
-    pub fn work_seconds(&self, s: &JobStats) -> f64 {
+    fn work_seconds(&self, s: &JobStats) -> f64 {
         self.map_phase_seconds(s) + self.reduce_phase_seconds(s)
     }
 
     /// Average map-task time implied by a job's counters: the map phase's
     /// work divided by the scheduled map-task count (falls back to the
     /// whole phase when no per-task schedule was recorded).
-    pub fn avg_map_task_seconds(&self, s: &JobStats) -> f64 {
+    fn avg_map_task_seconds(&self, s: &JobStats) -> f64 {
         self.map_phase_seconds(s) / (s.faults.map_tasks_scheduled.max(1) as f64)
     }
 
     /// Average reduce-task time implied by a job's counters (0 for
     /// map-only jobs).
-    pub fn avg_reduce_task_seconds(&self, s: &JobStats) -> f64 {
+    fn avg_reduce_task_seconds(&self, s: &JobStats) -> f64 {
         if s.reduce_tasks == 0 {
             return 0.0;
         }
@@ -157,14 +157,14 @@ impl CostModel {
     /// Extra critical-path seconds from stragglers: each straggler's
     /// effective completion overshoot (in average-task units, recorded by
     /// the engine per phase) priced at the phase's average task time.
-    pub fn straggler_tail_seconds(&self, s: &JobStats) -> f64 {
+    fn straggler_tail_seconds(&self, s: &JobStats) -> f64 {
         s.faults.map_straggler_units * self.avg_map_task_seconds(s)
             + s.faults.reduce_straggler_units * self.avg_reduce_task_seconds(s)
     }
 
     /// Total simulated seconds the job loses to faults:
     /// [`CostModel::retry_seconds`] + [`CostModel::straggler_tail_seconds`].
-    pub fn fault_seconds(&self, s: &JobStats) -> f64 {
+    fn fault_seconds(&self, s: &JobStats) -> f64 {
         self.retry_seconds(s) + self.straggler_tail_seconds(s)
     }
 

@@ -37,8 +37,8 @@
 //! output files and identical counters regardless of worker count. Map
 //! output is fetched in input (task) order, and each reduce partition's
 //! record *index* is brought into the canonical `(key bytes, value bytes)`
-//! order before grouping: each map task radix-sorts its buckets over the
-//! cached key prefixes and the reduce side k-way merges the absorbed
+//! order before grouping: each map task sorts its buckets on the cached
+//! key prefixes and the reduce side k-way merges the absorbed
 //! sorted runs. This is observationally deterministic because entries
 //! comparing equal are byte-identical records (see the `spill` module
 //! docs).
@@ -1083,12 +1083,26 @@ mod tests {
 
     #[test]
     fn wire_bytes_are_counted_apart_from_the_text_model() {
-        use crate::codec::{uvarint_len, VarId};
-        // A job of varint records: the post-encoding counter must report
-        // exactly the bytes that cross the wire — not the text-row model's
-        // figure.
+        use crate::codec::{decimal_digits, SliceReader};
+        /// An id as one 4-byte word on the wire, and as its decimal digits
+        /// in a text row.
+        #[derive(Clone)]
+        struct Id(u32);
+        impl Rec for Id {
+            fn encode_into(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.0.to_le_bytes());
+            }
+            fn decode(r: &mut SliceReader<'_>) -> Result<Self, MrError> {
+                r.read_u32().map(Id)
+            }
+            fn text_size(&self) -> u64 {
+                decimal_digits(u64::from(self.0)) + 1
+            }
+        }
+        // The post-encoding counter must report exactly the bytes that
+        // cross the wire — not the text-row model's figure.
         let engine = Engine::unbounded().with_workers(4);
-        engine.put_records("ids", (0..500u32).map(VarId)).unwrap();
+        engine.put_records("ids", (0..500u32).map(Id)).unwrap();
         /// Each id under its residue mod 7.
         struct Mod7;
         impl RawMapOp for Mod7 {
@@ -1098,8 +1112,8 @@ mod tests {
                 rec: &[u8],
                 out: &mut MapEmitter,
             ) -> Result<(), MrError> {
-                let id = VarId::from_bytes(rec)?;
-                let key = VarId(id.0 % 7);
+                let id = Id::from_bytes(rec)?;
+                let key = Id(id.0 % 7);
                 out.emit_raw(&key.to_bytes(), rec, key.text_size() + id.text_size() - 1);
                 Ok(())
             }
@@ -1121,15 +1135,15 @@ mod tests {
         let ids = InputBinding { file: "ids".into(), mapper: Arc::new(Mod7) };
         let spec = JobSpec::map_reduce("idjob", vec![ids], Arc::new(Width), 3, "out");
         let stats = engine.run_job(&spec).unwrap();
-        let expected_wire: u64 = (0..500u32).map(|i| uvarint_len(i % 7) + uvarint_len(i)).sum();
-        assert_eq!(stats.map_output_encoded_bytes, expected_wire);
-        assert_eq!(stats.shuffle_wire_bytes(), expected_wire);
-        // The text model charges one shared row separator per pair, so the
-        // two counters must diverge on varint records.
-        assert_eq!(stats.map_output_bytes, expected_wire - 500);
-        assert_ne!(stats.shuffle_bytes(), stats.shuffle_wire_bytes());
+        assert_eq!(stats.map_output_encoded_bytes, 500 * 8);
+        assert_eq!(stats.shuffle_wire_bytes(), 500 * 8);
+        // The text model charges each pair's digits, one separator and
+        // one newline.
+        let expected_text: u64 = (0..500u64).map(|i| decimal_digits(i) + 2).sum();
+        assert_eq!(stats.map_output_bytes, expected_text);
+        assert_eq!(stats.shuffle_bytes(), expected_text);
 
-        // Token records — what every operator ships — diverge the other
+        // Token records — what every operator ships — diverge the same
         // way: length-prefix framing makes the wire bigger than the text
         // rows.
         let engine = word_count_engine(&["alpha", "beta", "alpha"]);

@@ -169,7 +169,7 @@ impl FaultConfig {
     ///
     /// Deterministic splitmix64-style hash of `(seed, task, attempt)`
     /// mapped to `[0, 1)` and compared against the probability.
-    pub fn attempt_fails(&self, task_id: u64, attempt: u32) -> bool {
+    fn attempt_fails(&self, task_id: u64, attempt: u32) -> bool {
         if self.task_failure_probability <= 0.0 {
             return false;
         }

@@ -84,7 +84,7 @@ pub mod workflow;
 /// [`hash::DetHashMap`] deterministic hash-map type for join build sides.
 pub use rdf_model::hash;
 
-pub use codec::{uvarint_len, write_uvarint, Rec, SliceReader, VarId};
+pub use codec::{Rec, SliceReader};
 pub use cost::CostModel;
 pub use counters::{q_error, FaultStats, JobStats, OpCounters, WorkflowStats};
 pub use engine::{default_partition, Engine, BLOCK_SIZE_BYTES, DEFAULT_BROADCAST_BUDGET_BYTES};

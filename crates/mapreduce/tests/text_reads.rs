@@ -98,7 +98,7 @@ fn agree(input: &[u8], ops: &[Op]) -> Result<(), TestCaseError> {
                 }
                 prop_assert_eq!(got, want, "read {} of {:?}", i, ops);
             }
-            Op::U8 => prop_assert_eq!(r.read_u8(), reference.take(1, "u8").map(|b| b[0])),
+            Op::U8 => prop_assert_eq!(r.read_bytes(1), reference.take(1, "bytes")),
             Op::U32 => prop_assert_eq!(r.read_u32(), reference.read_u32()),
             Op::U64 => prop_assert_eq!(
                 r.read_u64(),

@@ -14,7 +14,9 @@ re-exports (a re-export declares a name again; it calls nothing).
 
 An item is reported when its name occurs in no caller line other than the
 declarations of that name; a module, when moreover no item in it is used
-or allowlisted. Matching is by name alone, so the census can
+or allowlisted. A name inside its own type's top-level `impl` blocks is no
+use of it: a method called only by its siblings, or a type named only by
+`impl Trait for Type`, is reported. Matching is by name alone, so the census can
 miss dead code (a dead `len` hides behind every live one) but never flags
 live code: `JobSpec::with_extra_output`, called only by path, counts as used.
 
@@ -43,6 +45,10 @@ ALLOWLIST = {
     "logical::partial_beta_unnest",
     # ntga tests/testbed_suite.rs::testbed_queries_roundtrip_through_text (the parser's inverse)
     "Query::to_text",
+    # ntga-core tests/splice_differential.rs::reduce_side_join_matches_typed_reference
+    "TaskContext::take_counters",
+    # ntga-core tests/splice_differential.rs::broadcast_join_matches_typed_reference
+    "BroadcastJoin::build_table",
 }
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +59,8 @@ ITEM = re.compile(
 IMPL = re.compile(r"^impl\b(?:\s*<[^{]*?>)?\s+(?:[\w:<>, ']+\s+for\s+)?(\w+)")
 INLINE_MOD = re.compile(r"^(?:pub\s+)?mod\s+(\w+)\s*\{")
 WORD = re.compile(r"[A-Za-z_]\w*")
+# Kinds of item whose `impl` blocks are their own: a name there is no use.
+TYPES = ("struct", "enum", "trait", "type")
 
 
 def non_test_lines(path):
@@ -90,12 +98,21 @@ def owner_of(path):
 
 
 def main():
-    declared = []  # (owner::name, name, kind, path, line number)
+    declared = []  # (owner::name, name, kind, path, line number, own type)
     uses = Counter()
+    own_uses = Counter()  # (type, name) inside that type's `impl` blocks
+    own_declarations = Counter()  # likewise, for declaration lines
     for path, library in sources():
         owner = None
+        impl = None  # the type whose top-level `impl` block this line is in
         for number, line in non_test_lines(path):
-            uses.update(WORD.findall(line))
+            if line[:1].strip() and line.strip() not in ("where", "{"):
+                header = IMPL.match(line)
+                impl = header.group(1) if header else None
+            words = WORD.findall(line)
+            uses.update(words)
+            if impl:
+                own_uses.update((impl, word) for word in words)
             if not library:
                 continue
             scope = IMPL.match(line) or INLINE_MOD.match(line)
@@ -105,21 +122,32 @@ def main():
             if item:
                 kind, name = item.groups()
                 # An indented item belongs to the `impl` or inline `mod` above it.
-                key = f"{owner if line[0].isspace() else owner_of(path)}::{name}"
-                declared.append((key, name, kind, path, number))
+                indented = line[0].isspace()
+                key = f"{owner if indented else owner_of(path)}::{name}"
+                own = impl if indented else name if kind in TYPES else None
+                declared.append((key, name, kind, path, number, own))
+                if impl:
+                    own_declarations[impl, name] += 1
     declarations = Counter(name for _, name, *_ in declared)
-    unnamed = [d for d in declared if uses[d[1]] <= declarations[d[1]]]
+
+    def named(name, own):
+        """Whether a caller line other than a declaration names `name`,
+        outside the `impl` blocks of `own`."""
+        outside = uses[name] - own_uses[own, name]
+        return outside > declarations[name] - own_declarations[own, name]
+
+    unnamed = [d for d in declared if not named(d[1], d[5])]
     # A module is used when its name is, or when an item declared in it is
     # used or kept: `rewrite` holds the allowlisted `check_rewrites`.
-    live_files = {path for key, name, kind, path, _ in declared
-                  if kind != "mod" and (uses[name] > declarations[name] or key in ALLOWLIST)}
+    live_files = {path for key, name, kind, path, _, own in declared
+                  if kind != "mod" and (named(name, own) or key in ALLOWLIST)}
 
     def holds_live_item(path, name):
         here = path.parent if path.stem in ("lib", "mod") else path.with_suffix("")
         return any(f == here / f"{name}.rs" or here / name in f.parents for f in live_files)
 
     unused = [(key, f"{path.relative_to(ROOT)}:{number}")
-              for key, name, kind, path, number in unnamed
+              for key, name, kind, path, number, _ in unnamed
               if kind != "mod" or not holds_live_item(path, name)]
 
     bad = 0

@@ -4,7 +4,7 @@
 //! ```text
 //! ntga-cli generate --dataset bsbm --scale 100 --out data.nt [--seed 42]
 //! ntga-cli stats    --data data.nt
-//! ntga-cli explain  --query q.rq [--approach auto:1024]
+//! ntga-cli explain  --query q.rq [--approach auto:1024] [--data data.nt]
 //! ntga-cli query    --data data.nt --query q.rq [--approach auto:1024]
 //!                   [--replication 2] [--disk-factor 6.5] [--limit 20] [--no-solutions]
 //! ntga-cli compare  --data data.nt --query q.rq [--replication 2] [--disk-factor F]
@@ -41,32 +41,48 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let opts = match parse_flags(rest) {
+    let Some(&(_, reads, run)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        eprintln!("error: unknown command '{command}'");
+        return ExitCode::FAILURE;
+    };
+    let opts = match parse_flags(command, rest, reads) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&opts),
-        "stats" => cmd_stats(&opts),
-        "explain" => cmd_explain(&opts),
-        "query" => cmd_query(&opts),
-        "compare" => cmd_compare(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
-        other => Err(format!("unknown command '{other}'")),
-    };
-    match result {
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+type Run = fn(&HashMap<String, String>) -> Result<(), String>;
+
+/// Each command, the flags it reads, and what runs it. A flag a command
+/// does not read is an error, not silently dropped.
+const COMMANDS: &[(&str, &[&str], Run)] = &[
+    ("generate", &["dataset", "scale", "out", "seed"], cmd_generate),
+    ("stats", &["data"], cmd_stats),
+    ("explain", &["query", "approach", "data", "replication", "disk-factor"], cmd_explain),
+    (
+        "query",
+        &["data", "query", "approach", "replication", "disk-factor", "limit", "no-solutions"],
+        cmd_query,
+    ),
+    ("compare", &["data", "query", "replication", "disk-factor"], cmd_compare),
+    ("help", &[], cmd_help),
+    ("--help", &[], cmd_help),
+    ("-h", &[], cmd_help),
+];
+
+fn cmd_help(_: &HashMap<String, String>) -> Result<(), String> {
+    println!("{}", usage());
+    Ok(())
 }
 
 fn usage() -> String {
@@ -76,7 +92,8 @@ fn usage() -> String {
 USAGE:
   ntga-cli generate --dataset bsbm|bio2rdf|dbpedia|btc --scale N --out FILE [--seed S]
   ntga-cli stats    --data FILE
-  ntga-cli explain  --query FILE [--approach APPROACH] [--data FILE]
+  ntga-cli explain  --query FILE [--approach APPROACH]
+                    [--data FILE] [--replication N] [--disk-factor F]
   ntga-cli query    --data FILE --query FILE [--approach APPROACH]
                     [--replication N] [--disk-factor F] [--limit N] [--no-solutions]
   ntga-cli compare  --data FILE --query FILE [--replication N] [--disk-factor F]
@@ -87,7 +104,12 @@ APPROACH: {}
     )
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// `args` as `--flag value` pairs, each flag one `command` reads.
+fn parse_flags(
+    command: &str,
+    args: &[String],
+    reads: &[&str],
+) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -96,6 +118,9 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
             return Err(format!("expected a --flag, found '{flag}'"));
         }
         let key = flag.trim_start_matches("--").to_string();
+        if !reads.contains(&key.as_str()) {
+            return Err(format!("{command} does not take {flag}"));
+        }
         if key == "no-solutions" {
             out.insert(key, "true".to_string());
             i += 1;

@@ -89,15 +89,20 @@ impl std::str::FromStr for Approach {
             Ok(m) if m > 0 => Ok(m),
             _ => Err(format!("bad φ range in '{spec}'")),
         };
+        // An approach without a φ range refuses one rather than drop it.
+        let fixed = |approach| match param {
+            None => Ok(approach),
+            Some(_) => Err(format!("'{name}' takes no φ range, in '{spec}'")),
+        };
         match name {
-            "pig" => Ok(Approach::Pig),
-            "hive" => Ok(Approach::Hive),
-            "sel-sj-first" => Ok(Approach::SelSjFirst),
-            "eager" => Ok(Approach::NtgaEager),
-            "lazy" | "lazyfull" | "lazy-full" => Ok(Approach::NtgaLazyFull),
+            "pig" => fixed(Approach::Pig),
+            "hive" => fixed(Approach::Hive),
+            "sel-sj-first" => fixed(Approach::SelSjFirst),
+            "eager" => fixed(Approach::NtgaEager),
+            "lazy" | "lazyfull" | "lazy-full" => fixed(Approach::NtgaLazyFull),
             "partial" | "lazy-partial" => Ok(Approach::NtgaLazyPartial(m()?)),
             "auto" => Ok(Approach::NtgaAuto(m()?)),
-            "auto-cost" | "cost" => Ok(Approach::NtgaAutoCost),
+            "auto-cost" | "cost" => fixed(Approach::NtgaAutoCost),
             other => Err(format!("unknown approach '{other}' (expected {})", Approach::GRAMMAR)),
         }
     }
@@ -352,6 +357,11 @@ mod tests {
         for spelling in ["partial:x", "partial:0", "lazy-partial:0", "auto:0"] {
             let err = spelling.parse::<Approach>().unwrap_err();
             assert_eq!(err, format!("bad φ range in '{spelling}'"));
+        }
+        for spelling in ["eager:16", "pig:8", "lazy-full:2", "auto-cost:4", "hive:"] {
+            let err = spelling.parse::<Approach>().unwrap_err();
+            let name = spelling.split(':').next().unwrap();
+            assert_eq!(err, format!("'{name}' takes no φ range, in '{spelling}'"));
         }
     }
 

@@ -252,6 +252,38 @@ fn bad_usage_fails_cleanly() {
     let out = cli().output().expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
+
+    // A flag the command does not read is refused by name, never dropped.
+    let (dir, data, query) =
+        bsbm_fixture("badusage", "5", "SELECT * WHERE { ?s <rdfs:label> ?l . }");
+    for (args, want) in [
+        (
+            &["query", "--data", &data, "--query", &query, "--aproach", "pig"][..],
+            "query does not take --aproach",
+        ),
+        (
+            &["compare", "--data", &data, "--query", &query, "--approach", "pig"],
+            "compare does not take --approach",
+        ),
+        (
+            &["compare", "--data", &data, "--query", &query, "--limit", "3"],
+            "compare does not take --limit",
+        ),
+        (&["stats", "--data", &data, "--no-solutions"], "stats does not take --no-solutions"),
+    ] {
+        let out = cli().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(want) && stderr.contains("USAGE"), "{args:?}: {stderr}");
+    }
+    // A φ range on an approach that has none is refused, not dropped.
+    let out = cli()
+        .args(["query", "--data", &data, "--query", &query, "--approach", "eager:16"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("'eager' takes no φ range"));
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
