@@ -104,8 +104,9 @@ fn add_solutions(
                 b.get(var).or_else(by_substitution)
             };
             if substituted.iter().all(|&(var, prop)| value(var) == Some(prop)) {
-                let row: Vec<Atom> = out.vars().iter().filter_map(|v| value(v).cloned()).collect();
-                out.push(row);
+                let row: Vec<&Atom> = out.vars().iter().filter_map(|v| value(v)).collect();
+                let ids: Vec<u32> = row.iter().map(|v| out.intern(v)).collect();
+                out.push(ids);
             }
         }
     }

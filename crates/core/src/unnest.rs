@@ -11,11 +11,10 @@
 
 use crate::tg::{ListRef, PairRef, TgCursor};
 use mr_rdf::{binder_slots, next_combination, PlanError};
-use rdf_model::atom::Atom;
 use rdf_query::{PropPattern, Query, SolutionRows};
 
 /// One wheel of the odometer: a component's subject (one entry) or a list
-/// some slot reads. Entry `i`'s atoms lie from `first + i × (slots read)`,
+/// some slot reads. Entry `i`'s ids lie from `first + i × (slots read)`,
 /// property before object.
 struct Dim {
     p: Option<usize>,
@@ -25,10 +24,11 @@ struct Dim {
 }
 
 /// The kernel: one encoded [`crate::TgTuple`] to its solution rows. A
-/// [`TgCursor`] walk checks the whole record, each token a slot reads
-/// becomes an [`Atom`] once, and an odometer writes one row per combination
-/// whose repeated variables agree — nothing but the rows outlives the
-/// record. A list no slot reads must be non-empty and is otherwise skipped.
+/// [`TgCursor`] walk checks the whole record, each token a slot reads is
+/// interned into the table once, and an odometer writes one row of ids per
+/// combination whose repeated variables agree — nothing but the rows and
+/// the table's dictionary outlives the record. A list no slot reads must
+/// be non-empty and is otherwise skipped.
 pub struct FinalUnnest {
     /// Header width: slots below it are a row's cells.
     arity: usize,
@@ -46,10 +46,12 @@ pub struct FinalUnnest {
 #[derive(Default)]
 struct Scratch {
     lists: Vec<ListRef>,
-    atoms: Vec<Atom>,
+    /// The id of each token a slot reads, in [`Dim`] order.
+    ids: Vec<u32>,
     dims: Vec<Dim>,
     cursor: Vec<usize>,
-    row: Vec<usize>,
+    /// Per slot, the id bound so far in this combination.
+    row: Vec<Option<u32>>,
 }
 
 impl FinalUnnest {
@@ -84,18 +86,18 @@ impl FinalUnnest {
     /// mismatch", said once the whole record has been read.
     pub fn add_rows(&mut self, rec: &[u8], out: &mut SolutionRows) -> Result<(), PlanError> {
         let FinalUnnest { arity, slots, comps, binders, scratch } = self;
-        let Scratch { lists, atoms, dims, cursor, row } = scratch;
-        atoms.clear();
+        let Scratch { lists, ids, dims, cursor, row } = scratch;
+        ids.clear();
         dims.clear();
         let mut binders = binders.iter().copied();
         let (mut shaped, mut empty) = (true, false);
         let mut wheel = |p: Option<usize>, o: Option<usize>, entries: &[PairRef<'_>]| {
             empty |= entries.is_empty();
             if p.or(o).is_some() {
-                dims.push(Dim { p, o, len: entries.len(), first: atoms.len() });
+                dims.push(Dim { p, o, len: entries.len(), first: ids.len() });
                 for e in entries {
-                    atoms.extend(p.map(|_| Atom::from(e.p)));
-                    atoms.extend(o.map(|_| Atom::from(e.o)));
+                    ids.extend(p.map(|_| out.intern(e.p)));
+                    ids.extend(o.map(|_| out.intern(e.o)));
                 }
             }
         };
@@ -131,19 +133,19 @@ impl FinalUnnest {
             // One combination: the first binder of a slot sets it, every
             // later one must agree with it.
             row.clear();
-            row.resize(*slots, usize::MAX);
+            row.resize(*slots, None);
             let mut agree = true;
             for (dim, &at) in dims.iter().zip(cursor.iter()) {
                 let read = [dim.p, dim.o].into_iter().flatten();
-                for (atom, slot) in (dim.first + at * read.clone().count()..).zip(read) {
+                for (id, slot) in ids[dim.first + at * read.clone().count()..].iter().zip(read) {
                     match row[slot] {
-                        usize::MAX => row[slot] = atom,
-                        first => agree &= atoms[first] == atoms[atom],
+                        None => row[slot] = Some(*id),
+                        Some(first) => agree &= first == *id,
                     }
                 }
             }
             if agree {
-                out.push(row[..*arity].iter().map(|&a| atoms[a].clone()));
+                out.push(row[..*arity].iter().map(|id| id.expect("a header slot bound")));
             }
             if !next_combination(cursor, |pos| dims[pos].len) {
                 return Ok(());

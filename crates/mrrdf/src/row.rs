@@ -118,8 +118,9 @@ impl RowSchema {
     /// through this): append
     /// one encoded [`Row`]'s solution over the header `vars` (sorted) to
     /// the table, in one walk of its bytes. Slots are [`binder_slots`]'; a
-    /// slot keeps its last atom, which the next row shares if it repeats
-    /// the value — relations come out of a reduce grouped, so most do.
+    /// slot keeps its last id, and a token equal to that id's value is not
+    /// interned again — relations come out of a reduce grouped, so most
+    /// are not. The ids are `out`'s: one extractor writes into one table.
     ///
     /// A row whose arity is not the schema's, or two of whose columns bind
     /// one variable and disagree, is an "inconsistent output row" (a
@@ -135,7 +136,7 @@ impl RowSchema {
         let first = |i: usize| !cols[..i].contains(&cols[i]);
         let plan: Vec<Option<(usize, bool)>> =
             slots.iter().enumerate().map(|(i, slot)| slot.map(|s| (s, first(i)))).collect();
-        let mut row: Vec<Option<Atom>> = vec![None; count];
+        let mut row: Vec<Option<u32>> = vec![None; count];
         let arity = vars.len();
         Ok(move |rec: &[u8], out: &mut SolutionRows| {
             let mut r = SliceReader::new(rec);
@@ -144,9 +145,9 @@ impl RowSchema {
             for i in 0..width {
                 let token = r.read_str().map_err(PlanError::final_output)?;
                 let Some(&Some((slot, first))) = plan.get(i) else { continue };
-                match &row[slot] {
-                    Some(last) if **last == *token => {}
-                    _ if first => row[slot] = Some(Atom::from(token)),
+                match row[slot] {
+                    Some(last) if out.value(last) == token => {}
+                    _ if first => row[slot] = Some(out.intern(token)),
                     _ => consistent = false,
                 }
             }
@@ -154,7 +155,7 @@ impl RowSchema {
             if !consistent {
                 return Err(PlanError::Internal("inconsistent output row".into()));
             }
-            out.push(row[..arity].iter().map(|cell| cell.clone().expect("a header column read")));
+            out.push(row[..arity].iter().map(|cell| cell.expect("a header column read")));
             Ok(())
         })
     }

@@ -5,7 +5,7 @@
 //! subpatterns grouping patterns by subject variable ([`StarPattern`]),
 //! whole queries with inter-star join analysis ([`Query`]), a SPARQL-subset
 //! parser ([`parse_query`]), canonical solution sets ([`SolutionSet`]: one
-//! sorted, deduplicated table of rows over the header
+//! sorted, deduplicated, dictionary-coded table of rows over the header
 //! [`Query::solution_vars`], filled through [`SolutionRows`] and read row
 //! by row as [`Binding`]s), and a naive reference evaluator
 //! ([`naive::evaluate`]) that serves as the gold standard for every

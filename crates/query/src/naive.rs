@@ -80,7 +80,8 @@ fn backtrack(
         // Every variable occurs in some pattern, and every pattern matched.
         let value = |var| binding.values[binding.vars.iter().position(|v| v == var)?].clone();
         let row: Vec<Atom> = out.vars().iter().filter_map(value).collect();
-        out.push(row);
+        let ids: Vec<u32> = row.iter().map(|v| out.intern(v)).collect();
+        out.push(ids);
         return;
     }
     let (pat, subj_filter) = patterns[i];

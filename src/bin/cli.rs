@@ -4,7 +4,9 @@
 //! ```text
 //! ntga-cli generate --dataset bsbm --scale 100 --out data.nt [--seed 42]
 //! ntga-cli stats    --data data.nt
-//! ntga-cli explain  --query q.rq [--approach auto:1024] [--data data.nt]
+//! ntga-cli explain  --query q.rq [--approach auto:1024]
+//! ntga-cli explain  --query q.rq --approach auto-cost --data data.nt
+//!                   [--replication 2] [--disk-factor 6.5]
 //! ntga-cli query    --data data.nt --query q.rq [--approach auto:1024]
 //!                   [--replication 2] [--disk-factor 6.5] [--limit 20] [--no-solutions]
 //! ntga-cli compare  --data data.nt --query q.rq [--replication 2] [--disk-factor F]
@@ -14,9 +16,11 @@
 //! `partial:M`, `auto:M`, `auto-cost`, …). `auto-cost` plans with the
 //! statistics-driven optimizer (per-star unnest placement, broadcast joins,
 //! reducer sizing) and needs `--data` even for `explain`, since the plan
-//! depends on the store's statistics. `--disk-factor F` bounds the cluster's disk to
-//! `F ×` the replicated input (reproducing the paper's constrained
-//! clusters); without it the disk is unbounded.
+//! depends on the store's statistics; `explain` takes `--data`,
+//! `--replication` and `--disk-factor` with no other approach.
+//! `--disk-factor F` bounds the cluster's disk to `F ×` the replicated
+//! input (reproducing the paper's constrained clusters); without it the
+//! disk is unbounded.
 
 use ntga::prelude::*;
 use std::collections::HashMap;
@@ -45,7 +49,8 @@ fn main() -> ExitCode {
         eprintln!("error: unknown command '{command}'");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_flags(command, rest, reads) {
+    let opts = match parse_flags(command, rest, reads).and_then(|o| check_combinations(command, o))
+    {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", usage());
@@ -93,7 +98,8 @@ USAGE:
   ntga-cli generate --dataset bsbm|bio2rdf|dbpedia|btc --scale N --out FILE [--seed S]
   ntga-cli stats    --data FILE
   ntga-cli explain  --query FILE [--approach APPROACH]
-                    [--data FILE] [--replication N] [--disk-factor F]
+  ntga-cli explain  --query FILE --approach auto-cost --data FILE
+                    [--replication N] [--disk-factor F]
   ntga-cli query    --data FILE --query FILE [--approach APPROACH]
                     [--replication N] [--disk-factor F] [--limit N] [--no-solutions]
   ntga-cli compare  --data FILE --query FILE [--replication N] [--disk-factor F]
@@ -131,6 +137,31 @@ fn parse_flags(
         i += 2;
     }
     Ok(out)
+}
+
+/// A flag a command reads only together with another is refused outside
+/// that combination, like a flag it never reads; `query --limit` is parsed
+/// here, so a bad one is refused before anything runs.
+fn check_combinations(
+    command: &str,
+    opts: HashMap<String, String>,
+) -> Result<HashMap<String, String>, String> {
+    match command {
+        "explain" if approach_of(&opts).is_ok_and(|a| a != Approach::NtgaAutoCost) => {
+            let data_flags = ["data", "replication", "disk-factor"];
+            if let Some(flag) = data_flags.iter().find(|f| opts.contains_key(**f)) {
+                return Err(format!("explain takes --{flag} only with --approach auto-cost"));
+            }
+        }
+        "query" => {
+            parsed::<usize>(&opts, "limit")?;
+            if opts.contains_key("limit") && opts.contains_key("no-solutions") {
+                return Err("query does not take --limit with --no-solutions".into());
+            }
+        }
+        _ => {}
+    }
+    Ok(opts)
 }
 
 fn required<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {

@@ -220,10 +220,13 @@ fn explain_and_query_report_the_same_planner_error_for_every_approach() {
         let (dir, data, query) = bsbm_fixture(&format!("planerror{i}"), "5", text);
         for approach in &spellings {
             let error_line = |command: &str| {
-                let out = cli()
-                    .args([command, "--data", &data, "--query", &query, "--approach", approach])
-                    .output()
-                    .expect("spawn");
+                let mut cmd = cli();
+                cmd.args([command, "--query", &query, "--approach", approach]);
+                // `explain` reads the data only to plan auto-cost.
+                if command == "query" || approach.parse() == Ok(ntga::Approach::NtgaAutoCost) {
+                    cmd.args(["--data", &data]);
+                }
+                let out = cmd.output().expect("spawn");
                 let stderr = String::from_utf8_lossy(&out.stderr).to_string();
                 assert_eq!(out.status.code(), Some(1), "{command} {approach}: {stderr}");
                 assert!(!stderr.contains("panicked at"), "{command} {approach}: {stderr}");
@@ -270,6 +273,33 @@ fn bad_usage_fails_cleanly() {
             "compare does not take --limit",
         ),
         (&["stats", "--data", &data, "--no-solutions"], "stats does not take --no-solutions"),
+        // Flags a command reads only in some combinations.
+        (
+            &["explain", "--query", &query, "--approach", "pig", "--data", "/nonexistent.nt"],
+            "explain takes --data only with --approach auto-cost",
+        ),
+        (
+            &["explain", "--query", &query, "--disk-factor", "0.001"],
+            "explain takes --disk-factor only with --approach auto-cost",
+        ),
+        (
+            &["explain", "--query", &query, "--approach", "hive", "--replication", "2"],
+            "explain takes --replication only with --approach auto-cost",
+        ),
+        (
+            &["query", "--data", &data, "--query", &query, "--no-solutions", "--limit", "3"],
+            "query does not take --limit with --no-solutions",
+        ),
+        // `--limit` is parsed before the query runs, solutions or none.
+        (&["query", "--data", &data, "--query", &query, "--limit", "abc"], "bad --limit"),
+        (
+            &["query", "--data", &data, "--query", &query, "--no-solutions", "--limit", "abc"],
+            "bad --limit",
+        ),
+        (
+            &["query", "--data", &data, "--query", &query, "--approach", "hive", "--limit", "-1"],
+            "bad --limit",
+        ),
     ] {
         let out = cli().args(args).output().expect("spawn");
         assert_eq!(out.status.code(), Some(1), "{args:?}");
