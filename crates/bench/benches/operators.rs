@@ -228,7 +228,7 @@ mod common;
 fn bench_engine_wordcount(c: &mut Criterion) {
     use std::sync::Arc;
     const PARTITIONS: usize = 8;
-    let engine = mrsim::Engine::unbounded().with_workers(8);
+    let engine = mrsim::Engine::new(mrsim::ClusterConfig::default().with_workers(8)).unwrap();
     engine
         .put_records("bench-shuffle-in", (0..40_000).map(|i| format!("<subject{}>", i % 4096)))
         .unwrap();

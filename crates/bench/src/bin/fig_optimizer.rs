@@ -178,10 +178,12 @@ fn broadcast_identity(opts: &BenchOpts, store: &TripleStore) -> Vec<report::Row>
     let mut rows = Vec::new();
     let mut baseline: Option<(u64, u64)> = None;
     for workers in [1usize, 4, 8] {
-        let cluster =
-            opts.cluster(ntga::ClusterConfig { cost: cost.clone(), ..Default::default() });
-        let engine =
-            cluster.with_workers(workers).engine_with(store).with_broadcast_budget(u64::MAX);
+        let cluster = opts.cluster(ntga::ClusterConfig {
+            cost: cost.clone(),
+            broadcast_budget_bytes: u64::MAX,
+            ..Default::default()
+        });
+        let engine = cluster.with_workers(workers).engine_with(store);
         let label = format!("bcast-w{workers}");
         let run = ntga_core::execute_plan(&plan, &engine, mr_rdf::TRIPLES_FILE, &label, false)
             .unwrap_or_else(|e| panic!("{label}: planning failed: {e}"));

@@ -83,7 +83,7 @@ mod tests {
     use super::*;
     use crate::execute_plan;
     use mr_rdf::{load_store, QueryRun};
-    use mrsim::{Engine, SimHdfs};
+    use mrsim::{ClusterConfig, Engine};
     use rdf_model::{STriple, TripleStore};
     use rdf_query::parse_query;
 
@@ -205,7 +205,12 @@ mod tests {
     fn disk_full_reported_not_panicked() {
         // Tiny DFS: input fits, star-join output does not.
         let store = store();
-        let engine = Engine::new(SimHdfs::new(store.text_bytes() + 60, 1));
+        let engine = Engine::new(ClusterConfig {
+            nodes: 1,
+            disk_per_node: store.text_bytes() + 60,
+            ..Default::default()
+        })
+        .unwrap();
         load_store(&engine, "t", &store).unwrap();
         let run = run_on(&engine, HIVE, UNBOUND);
         assert!(!run.succeeded());

@@ -52,7 +52,7 @@ impl Default for OptimizerConfig {
 impl OptimizerConfig {
     /// A config whose broadcast budget is `engine`'s.
     pub fn for_engine(engine: &Engine) -> Self {
-        OptimizerConfig { broadcast_budget_bytes: engine.broadcast_budget_bytes }
+        OptimizerConfig { broadcast_budget_bytes: engine.broadcast_budget_bytes() }
     }
 }
 
@@ -437,6 +437,7 @@ mod tests {
     use super::*;
     use crate::planner::{execute_plan, Strategy};
     use mr_rdf::{load_store, QueryRun};
+    use mrsim::ClusterConfig;
     use rdf_model::{STriple, TripleStore};
     use rdf_query::parse_query;
 
@@ -470,7 +471,11 @@ mod tests {
     #[test]
     fn optimized_plan_matches_naive() {
         let s = store();
-        let engine = Engine::unbounded().with_cost(CostModel::scaled_to(s.text_bytes()));
+        let engine = Engine::new(ClusterConfig {
+            cost: CostModel::scaled_to(s.text_bytes()),
+            ..Default::default()
+        })
+        .unwrap();
         load_store(&engine, "t", &s).unwrap();
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let gold = rdf_query::naive::evaluate(&query, &s);
@@ -537,7 +542,8 @@ mod tests {
         let plan = optimize(&query, &s.stats(), &cost, &config).unwrap();
 
         let run_with = |strategy| {
-            let engine = Engine::unbounded().with_cost(cost.clone());
+            let engine =
+                Engine::new(ClusterConfig { cost: cost.clone(), ..Default::default() }).unwrap();
             load_store(&engine, "t", &s).unwrap();
             let r = run_plan(&Strategy::plan(strategy, &query).unwrap(), &engine, false);
             assert!(r.succeeded());
@@ -553,7 +559,8 @@ mod tests {
         .map(run_with)
         .fold(f64::INFINITY, f64::min);
 
-        let engine = Engine::unbounded().with_cost(cost.clone());
+        let engine =
+            Engine::new(ClusterConfig { cost: cost.clone(), ..Default::default() }).unwrap();
         load_store(&engine, "t", &s).unwrap();
         let run = run_plan(&plan, &engine, false);
         assert!(run.succeeded());
@@ -582,7 +589,8 @@ mod tests {
         )
         .unwrap();
         assert!(plan.broadcast_cycles() > 0);
-        let engine = Engine::unbounded().with_broadcast_budget(1);
+        let engine =
+            Engine::new(ClusterConfig { broadcast_budget_bytes: 1, ..Default::default() }).unwrap();
         load_store(&engine, "t", &s).unwrap();
         let run = run_plan(&plan, &engine, true);
         assert!(run.succeeded());

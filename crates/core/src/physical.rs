@@ -958,7 +958,7 @@ mod tests {
     use crate::logical::beta_unnest_at;
     use crate::tg::TgTuple;
     use mr_rdf::load_store;
-    use mrsim::{Engine, Rec};
+    use mrsim::{ClusterConfig, Engine, Rec};
     use rdf_model::{STriple, TripleStore};
 
     fn store() -> TripleStore {
@@ -979,7 +979,11 @@ mod tests {
     }
 
     fn run_job1(eager: bool) -> (Engine, Query) {
-        let engine = Engine::unbounded();
+        run_job1_on(Engine::unbounded(), eager)
+    }
+
+    /// Job 1 of [`unbound_query`] over [`store`] on `engine`.
+    fn run_job1_on(engine: Engine, eager: bool) -> (Engine, Query) {
         load_store(&engine, "t", &store()).unwrap();
         let query = unbound_query();
         let job =
@@ -1260,7 +1264,7 @@ mod tests {
         for build in [BuildSide::Left, BuildSide::Right] {
             let mut raw_outputs: Vec<Vec<Vec<u8>>> = Vec::new();
             for workers in [1usize, 4, 8] {
-                let engine = Engine::unbounded().with_workers(workers);
+                let engine = Engine::new(ClusterConfig::default().with_workers(workers)).unwrap();
                 load_store(&engine, "t", &store()).unwrap();
                 let q = unbound_query();
                 let j1 = group_filter_job(
@@ -1309,9 +1313,12 @@ mod tests {
         let mut gold: Vec<TgTuple> = engine.read_records("out").unwrap();
         gold.sort_by_cached_key(Rec::to_bytes);
 
-        let engine = Engine::unbounded()
-            .with_workers(4)
-            .with_faults(mrsim::FaultConfig::with_probability(0.3, 42));
+        let engine = Engine::new(
+            ClusterConfig::default()
+                .with_workers(4)
+                .with_faults(mrsim::FaultConfig::with_probability(0.3, 42)),
+        )
+        .unwrap();
         load_store(&engine, "t", &store()).unwrap();
         let q = unbound_query();
         let j1 = group_filter_job("j1", &q, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2]);
@@ -1338,9 +1345,9 @@ mod tests {
 
     #[test]
     fn broadcast_join_over_budget_is_refused() {
-        let (engine, _) = run_job1(false);
+        let config = ClusterConfig { broadcast_budget_bytes: 4, ..Default::default() };
+        let (engine, _) = run_job1_on(Engine::new(config).unwrap(), false);
         let (left, right) = ec_sides();
-        let engine = engine.with_broadcast_budget(4);
         let err = engine
             .run_job(&tg_broadcast_join_job("bjoin", left, right, BuildSide::Right, "out"))
             .unwrap_err();

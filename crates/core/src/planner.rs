@@ -279,7 +279,7 @@ fn tg_join(
                 .get(build_file)
                 .map_err(|e| PlanError::Internal(format!("broadcast input: {e}")))?
                 .text_bytes;
-            if actual <= engine.broadcast_budget_bytes {
+            if actual <= engine.broadcast_budget_bytes() {
                 tg_broadcast_join_job(name, left, right, build, name)
             } else {
                 // Estimation miss: repair to the reduce-side join rather
@@ -294,7 +294,7 @@ fn tg_join(
 mod tests {
     use super::*;
     use mr_rdf::load_store;
-    use mrsim::SimHdfs;
+    use mrsim::ClusterConfig;
     use rdf_model::{STriple, TripleStore};
     use rdf_query::{parse_query, ObjPattern};
 
@@ -413,7 +413,12 @@ mod tests {
     #[test]
     fn disk_full_reported() {
         let s = store();
-        let engine = Engine::new(SimHdfs::new(s.text_bytes() + 40, 1));
+        let engine = Engine::new(ClusterConfig {
+            nodes: 1,
+            disk_per_node: s.text_bytes() + 40,
+            ..Default::default()
+        })
+        .unwrap();
         load_store(&engine, "t", &s).unwrap();
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let r = execute(Strategy::Eager, &engine, &query);

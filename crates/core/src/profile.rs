@@ -295,7 +295,7 @@ mod tests {
     use crate::optimizer::{optimize, OptimizerConfig};
     use crate::planner::{execute_plan, Strategy};
     use mr_rdf::load_store;
-    use mrsim::CostModel;
+    use mrsim::{ClusterConfig, CostModel};
     use rdf_model::{STriple, TripleStore};
     use rdf_query::parse_query;
 
@@ -320,7 +320,7 @@ mod tests {
         let query = parse_query(UNBOUND_2STAR).unwrap();
         let cost = CostModel::scaled_to(s.text_bytes());
         let plan = optimize(&query, &s.stats(), &cost, &OptimizerConfig::default()).unwrap();
-        let engine = mrsim::Engine::unbounded().with_cost(cost);
+        let engine = mrsim::Engine::new(ClusterConfig { cost, ..Default::default() }).unwrap();
         load_store(&engine, "t", &s).unwrap();
         let run = execute_plan(&plan, &engine, "t", "q", false).unwrap();
         assert!(run.succeeded());

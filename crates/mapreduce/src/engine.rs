@@ -43,6 +43,7 @@
 //! comparing equal are byte-identical records (see the `spill` module
 //! docs).
 
+use crate::config::ClusterConfig;
 use crate::cost::CostModel;
 use crate::counters::JobStats;
 use crate::error::MrError;
@@ -81,31 +82,28 @@ const SPLIT_FLOOR_BYTES: usize = 32 * 1024;
 /// prices one broadcast copy per block of the probe side.
 pub const BLOCK_SIZE_BYTES: u64 = 256 * 1024 * 1024;
 
-/// Default [`Engine::broadcast_budget_bytes`], about a task heap's worth;
+/// Default [`ClusterConfig::broadcast_budget_bytes`], about a task heap's worth;
 /// the optimizer's default broadcast-join threshold is the same constant.
 pub const DEFAULT_BROADCAST_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
 
-/// The engine: a simulated cluster (DFS + workers + cost model).
+/// The engine: a simulated cluster (DFS + workers + cost model), built by
+/// [`Engine::new`]; of its settings only the cost model can change after.
 pub struct Engine {
     hdfs: Arc<Mutex<SimHdfs>>,
     /// Cost model used to fill `JobStats::sim_seconds`.
     pub cost: CostModel,
     /// Number of OS worker threads for map/reduce task execution.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Task-failure injection (default: no failures).
-    pub faults: FaultConfig,
+    pub(crate) faults: FaultConfig,
     /// Recovery policy inherited by workflows started on this engine
     /// (default: [`RecoveryPolicy::FailFast`]).
-    pub recovery: RecoveryPolicy,
+    pub(crate) recovery: RecoveryPolicy,
     /// Optional trace sink receiving [`TraceEvent`]s. `None` (the default)
     /// disables tracing entirely: no events are constructed.
-    pub trace: Option<Arc<dyn TraceSink>>,
-    /// Memory budget (bytes) for a job's broadcast side files — the
-    /// simulated distributed cache a task must hold in memory. A job whose
-    /// declared broadcast payload exceeds this fails with
-    /// [`MrError::BroadcastTooLarge`]; the optimizer uses the same bound
-    /// as its broadcast-join threshold.
-    pub broadcast_budget_bytes: u64,
+    pub(crate) trace: Option<Arc<dyn TraceSink>>,
+    /// See [`ClusterConfig::broadcast_budget_bytes`].
+    broadcast_budget_bytes: u64,
     /// When true (the default, matching Hadoop's always-on block
     /// checksums), map output is sealed with a checksum per spill bucket
     /// and verified when the shuffle absorbs it, and DFS reads are
@@ -191,61 +189,49 @@ fn collect_outputs(
 }
 
 impl Engine {
-    /// Create an engine over the given DFS with default cost model and one
-    /// worker per available core.
-    pub fn new(hdfs: SimHdfs) -> Self {
-        let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    /// Build an engine for `config`, the one place a cluster setting is
+    /// checked: [`MrError::Op`] naming the field for no nodes, a
+    /// replication factor of 0, `workers: Some(0)` or a fault setting
+    /// out of range (see [`FaultConfig`]).
+    pub fn new(config: ClusterConfig) -> Result<Engine, MrError> {
+        let zero = [
+            ("nodes", config.nodes == 0),
+            ("replication factor", config.replication == 0),
+            ("workers", config.workers == Some(0)),
+        ];
+        if let Some((name, _)) = zero.into_iter().find(|&(_, zero)| zero) {
+            return Err(MrError::Op(format!("cluster {name} must be >= 1")));
+        }
+        config.faults.check()?;
+        Ok(Engine::checked(config))
+    }
+
+    /// Engine over an unbounded DFS: the default [`ClusterConfig`].
+    pub fn unbounded() -> Self {
+        Engine::checked(ClusterConfig::default())
+    }
+
+    /// The engine for a `config` whose settings are in range.
+    fn checked(config: ClusterConfig) -> Self {
+        let capacity = u64::from(config.nodes).saturating_mul(config.disk_per_node);
+        let workers = config
+            .workers
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
         Engine {
-            hdfs: Arc::new(Mutex::new(hdfs)),
-            cost: CostModel::default(),
+            hdfs: Arc::new(Mutex::new(SimHdfs::new(capacity, config.replication))),
+            cost: config.cost,
             workers,
-            faults: FaultConfig::none(),
-            recovery: RecoveryPolicy::FailFast,
-            trace: None,
-            broadcast_budget_bytes: DEFAULT_BROADCAST_BUDGET_BYTES,
+            faults: config.faults,
+            recovery: config.recovery,
+            trace: config.trace,
+            broadcast_budget_bytes: config.broadcast_budget_bytes,
             verify_checksums: true,
         }
     }
 
-    /// Engine over an unbounded DFS (convenient in tests).
-    pub fn unbounded() -> Self {
-        Engine::new(SimHdfs::unbounded())
-    }
-
-    /// Set the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Set the worker-thread count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Enable deterministic task-failure injection.
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Set the recovery policy that [`crate::Workflow::new`] inherits.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Attach a trace sink receiving structured execution events.
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
-
-    /// Set the broadcast (distributed-cache) memory budget in bytes.
-    pub fn with_broadcast_budget(mut self, bytes: u64) -> Self {
-        self.broadcast_budget_bytes = bytes;
-        self
+    /// The broadcast (distributed-cache) memory budget in bytes.
+    pub fn broadcast_budget_bytes(&self) -> u64 {
+        self.broadcast_budget_bytes
     }
 
     /// Switch data-plane checksum verification off (or back on).
@@ -971,8 +957,14 @@ mod tests {
     use crate::common::{CountReduce, Identity, WordOne};
     use crate::job::{InputBinding, RawReduceOp};
 
+    /// A four-worker engine holding `words` as the file `input`.
     fn word_count_engine(words: &[&str]) -> Engine {
-        let engine = Engine::unbounded().with_workers(4);
+        word_count_engine_on(ClusterConfig::default().with_workers(4), words)
+    }
+
+    /// An engine for `config` holding `words` as the file `input`.
+    fn word_count_engine_on(config: ClusterConfig, words: &[&str]) -> Engine {
+        let engine = Engine::new(config).unwrap();
         engine.put_records("input", words.iter().map(|w| w.to_string())).unwrap();
         engine
     }
@@ -1020,8 +1012,8 @@ mod tests {
     fn deterministic_across_worker_counts() {
         // Byte-identical outputs AND counters for every worker count.
         let run = |workers: usize| {
-            let engine =
-                word_count_engine(&["x", "y", "x", "z", "w", "w", "w"]).with_workers(workers);
+            let config = ClusterConfig::default().with_workers(workers);
+            let engine = word_count_engine_on(config, &["x", "y", "x", "z", "w", "w", "w"]);
             let stats = engine.run_job(&word_count_spec()).unwrap();
             let out: Vec<String> = engine.read_records("out").unwrap();
             (format!("{stats:?}"), out)
@@ -1101,7 +1093,7 @@ mod tests {
         }
         // The post-encoding counter must report exactly the bytes that
         // cross the wire — not the text-row model's figure.
-        let engine = Engine::unbounded().with_workers(4);
+        let engine = Engine::new(ClusterConfig::default().with_workers(4)).unwrap();
         engine.put_records("ids", (0..500u32).map(Id)).unwrap();
         /// Each id under its residue mod 7.
         struct Mod7;
@@ -1177,7 +1169,10 @@ mod tests {
     #[test]
     fn disk_full_during_output() {
         // Input (60 B) fits; job output (~60 B more) exceeds the 80 B budget.
-        let engine = Engine::new(SimHdfs::new(80, 1)).with_workers(2);
+        let engine = Engine::new(
+            ClusterConfig { nodes: 1, disk_per_node: 80, ..Default::default() }.with_workers(2),
+        )
+        .unwrap();
         engine.put_records("input", (0..10).map(|i| format!("word{i}"))).unwrap();
         let err = engine.run_job(&word_count_spec()).unwrap_err();
         assert!(err.is_disk_full(), "{err:?}");
@@ -1187,7 +1182,13 @@ mod tests {
 
     #[test]
     fn replication_charged_on_write() {
-        let engine = Engine::new(SimHdfs::new(u64::MAX / 4, 3));
+        let engine = Engine::new(ClusterConfig {
+            nodes: 1,
+            disk_per_node: u64::MAX / 4,
+            replication: 3,
+            ..Default::default()
+        })
+        .unwrap();
         engine.put_records("input", ["a".to_string()]).unwrap();
         let stats = engine.run_job(&word_count_spec()).unwrap();
         assert_eq!(stats.hdfs_write_bytes, stats.output_text_bytes * 3);
@@ -1226,10 +1227,10 @@ mod tests {
         use crate::trace::MemorySink;
         // Map-only "join": each input word is annotated with the size of
         // the broadcast side file, read per task via the distributed cache.
-        let engine = word_count_engine(&["a", "b", "c"]);
-        engine.put_records("side", (0..4u64).collect::<Vec<_>>()).unwrap();
         let sink = MemorySink::new();
-        let engine = engine.with_trace(sink.clone());
+        let config = ClusterConfig::default().with_workers(4).with_trace(sink.clone());
+        let engine = word_count_engine_on(config, &["a", "b", "c"]);
+        engine.put_records("side", (0..4u64).collect::<Vec<_>>()).unwrap();
         struct SideCount;
         impl RawMapOnlyOp for SideCount {
             fn run(
@@ -1270,7 +1271,8 @@ mod tests {
 
     #[test]
     fn broadcast_over_budget_is_refused() {
-        let engine = word_count_engine(&["a"]).with_broadcast_budget(4);
+        let config = ClusterConfig { broadcast_budget_bytes: 4, ..Default::default() };
+        let engine = word_count_engine_on(config.with_workers(4), &["a"]);
         engine.put_records("side", ["0123456789".to_string()]).unwrap();
         let spec = JobSpec::map_only("big", vec!["input".into()], Arc::new(Identity), "out")
             .with_broadcast("side");
@@ -1317,7 +1319,8 @@ mod tests {
         let words: Vec<String> = (0..6000).map(|i| format!("word{}", i % 37)).collect();
         let refs: Vec<&str> = words.iter().map(String::as_str).collect();
         let run = |workers: usize, faults: FaultConfig| {
-            let engine = word_count_engine(&refs).with_workers(workers).with_faults(faults);
+            let config = ClusterConfig::default().with_workers(workers).with_faults(faults);
+            let engine = word_count_engine_on(config, &refs);
             engine.run_job(&word_count_spec()).unwrap()
         };
         let baseline = format!("{:?}", run(1, FaultConfig::none()));
@@ -1344,7 +1347,8 @@ mod tests {
     fn job_end_carries_the_memory_marks() {
         use crate::trace::MemorySink;
         let sink = MemorySink::new();
-        let engine = word_count_engine(&["a", "b", "a"]).with_trace(sink.clone());
+        let config = ClusterConfig::default().with_workers(4).with_trace(sink.clone());
+        let engine = word_count_engine_on(config, &["a", "b", "a"]);
         let stats = engine.run_job(&word_count_spec()).unwrap();
         let traced = job_end_stats(&sink);
         assert!(traced.peak_arena_bytes > 0);
@@ -1362,13 +1366,14 @@ mod tests {
             engine.read_records("out").unwrap()
         };
         // Find a seed whose draws corrupt at least one map task.
-        let faults =
-            |seed| FaultConfig { corruption_probability: 0.5, seed, ..FaultConfig::none() };
+        let faults = |workers, seed| {
+            let faults = FaultConfig { corruption_probability: 0.5, seed, ..FaultConfig::none() };
+            ClusterConfig::default().with_workers(workers).with_faults(faults)
+        };
         let mut hit = None;
         for seed in 0..32 {
             let sink = MemorySink::new();
-            let engine =
-                word_count_engine(&refs).with_faults(faults(seed)).with_trace(sink.clone());
+            let engine = word_count_engine_on(faults(4, seed).with_trace(sink.clone()), &refs);
             let stats = engine.run_job(&word_count_spec()).unwrap();
             assert_eq!(stats.faults.corrupt_refetches, stats.faults.corruptions_detected);
             let out: Vec<String> = engine.read_records("out").unwrap();
@@ -1387,7 +1392,7 @@ mod tests {
         let seed = hit.expect("some seed in 0..32 must corrupt a map task");
         // Counters and outputs are worker-count-invariant under corruption.
         let run = |workers: usize| {
-            let engine = word_count_engine(&refs).with_workers(workers).with_faults(faults(seed));
+            let engine = word_count_engine_on(faults(workers, seed), &refs);
             let stats = engine.run_job(&word_count_spec()).unwrap();
             let out: Vec<String> = engine.read_records("out").unwrap();
             (format!("{stats:?}"), out)
@@ -1409,15 +1414,17 @@ mod tests {
             engine.run_job(&word_count_spec()).unwrap();
             engine.read_records("out").unwrap()
         };
-        let faults =
-            |seed| FaultConfig { corruption_probability: 0.5, seed, ..FaultConfig::none() };
+        let faults = |seed| {
+            let faults = FaultConfig { corruption_probability: 0.5, seed, ..FaultConfig::none() };
+            ClusterConfig::default().with_workers(4).with_faults(faults)
+        };
         let seed = (0..32)
             .find(|&seed| {
-                let engine = word_count_engine(&refs).with_faults(faults(seed));
+                let engine = word_count_engine_on(faults(seed), &refs);
                 engine.run_job(&word_count_spec()).unwrap().faults.corruptions_detected > 0
             })
             .expect("some seed in 0..32 must corrupt a map task");
-        let engine = word_count_engine(&refs).with_faults(faults(seed)).with_verification(false);
+        let engine = word_count_engine_on(faults(seed), &refs).with_verification(false);
         match engine.run_job(&word_count_spec()) {
             // Undetected, the flipped byte either silently changes the
             // output or breaks a record's framing mid-shuffle.
@@ -1433,11 +1440,12 @@ mod tests {
     #[test]
     fn dfs_corruption_detected_and_reread_from_replica() {
         use crate::trace::MemorySink;
-        let faults = FaultConfig { corruption_probability: 1.0, seed: 9, ..FaultConfig::none() };
+        // Every data unit but a rare draw is corrupted.
+        let faults = FaultConfig { corruption_probability: 0.999, seed: 9, ..FaultConfig::none() };
+        let config = ClusterConfig::default().with_workers(4).with_faults(faults);
         let sink = MemorySink::new();
-        let engine = word_count_engine(&["a", "b", "a", "c"])
-            .with_faults(faults.clone())
-            .with_trace(sink.clone());
+        let engine =
+            word_count_engine_on(config.clone().with_trace(sink.clone()), &["a", "b", "a", "c"]);
         let stats = engine.run_job(&word_count_spec()).unwrap();
         assert_eq!(stats.faults.dfs_refetches, 1, "one input file, one replica re-read");
         assert!(stats.faults.corruptions_detected >= 1);
@@ -1451,8 +1459,7 @@ mod tests {
         assert_eq!(detected.count() as u64, job_end_stats(&sink).faults.dfs_refetches);
 
         // With verification off the corrupted block flows into the job.
-        let engine =
-            word_count_engine(&["a", "b", "a", "c"]).with_faults(faults).with_verification(false);
+        let engine = word_count_engine_on(config, &["a", "b", "a", "c"]).with_verification(false);
         match engine.run_job(&word_count_spec()) {
             Ok(stats) => {
                 assert_eq!(stats.faults.dfs_refetches, 0);
@@ -1471,7 +1478,7 @@ mod tests {
         let copy = || JobSpec::map_only("copy", vec!["input".into()], Arc::new(Identity), "out");
         for workers in [1, 4] {
             for spec in [word_count_spec(), copy()] {
-                let engine = Engine::unbounded().with_workers(workers);
+                let engine = Engine::new(ClusterConfig::default().with_workers(workers)).unwrap();
                 let mut file = DfsFile::default();
                 for rec in &records {
                     file.push_record(0, |buf| buf.extend_from_slice(rec)).unwrap();
@@ -1551,7 +1558,7 @@ mod tests {
         let lines: Vec<String> =
             (0..300).map(|i| format!("k{}:{}", i % 7, "x".repeat(1000))).collect();
         let run = |workers: usize| {
-            let engine = Engine::unbounded().with_workers(workers);
+            let engine = Engine::new(ClusterConfig::default().with_workers(workers)).unwrap();
             engine.put_records("input", lines.clone()).unwrap();
             let stats = engine.run_job(&word_count_spec()).unwrap();
             let out: Vec<Vec<u8>> =

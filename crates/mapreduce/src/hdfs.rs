@@ -10,7 +10,7 @@
 //!
 //! How a [`DfsFile`] lays out its records is private to this module and
 //! depends on who wrote it. A file a *caller* builds
-//! ([`DfsFile::push_record`], as `mr_rdf::load_store` and
+//! ([`DfsFile::push_record`], as [`load_store`](crate::triples::load_store) and
 //! [`Engine::put_records`](crate::Engine::put_records) build one) is one
 //! byte buffer holding every record back to back plus an index of record
 //! end offsets — the paper's N-Triples input is a byte range HDFS cuts into
@@ -294,14 +294,9 @@ pub struct SimHdfs {
 }
 
 impl SimHdfs {
-    /// An unbounded DFS with replication factor 1 (unit-test friendly).
-    pub fn unbounded() -> Self {
-        SimHdfs::new(u64::MAX, 1)
-    }
-
-    /// Create a DFS with the given total capacity and default replication.
-    pub fn new(capacity: u64, default_replication: u32) -> Self {
-        assert!(default_replication >= 1, "replication must be >= 1");
+    /// A DFS with the given total capacity and default replication, which
+    /// [`Engine::new`](crate::Engine::new) has checked to be at least 1.
+    pub(crate) fn new(capacity: u64, default_replication: u32) -> Self {
         SimHdfs { files: BTreeMap::new(), capacity, default_replication, peak_usage: 0 }
     }
 
@@ -416,7 +411,7 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip() {
-        let mut fs = SimHdfs::unbounded();
+        let mut fs = SimHdfs::new(u64::MAX, 1);
         fs.put("a", file(100)).unwrap();
         assert_eq!(fs.get("a").unwrap().text_bytes, 100);
         assert!(fs.exists("a"));
@@ -425,7 +420,7 @@ mod tests {
 
     #[test]
     fn refuses_overwrite() {
-        let mut fs = SimHdfs::unbounded();
+        let mut fs = SimHdfs::new(u64::MAX, 1);
         fs.put("a", file(1)).unwrap();
         assert!(matches!(fs.put("a", file(1)), Err(MrError::OutputExists(_))));
     }
@@ -523,7 +518,7 @@ mod tests {
 
     #[test]
     fn commit_checksums_and_verify_catches_flips() {
-        let mut fs = SimHdfs::unbounded();
+        let mut fs = SimHdfs::new(u64::MAX, 1);
         // A caller-built file: no writer covered it, so commit checksums
         // all of it as one block, in one pass.
         fs.put("a", packed(&RECORDS, 17)).unwrap();
@@ -555,7 +550,7 @@ mod tests {
 
     #[test]
     fn a_forged_end_offset_fails_verify() {
-        let mut fs = SimHdfs::unbounded();
+        let mut fs = SimHdfs::new(u64::MAX, 1);
         fs.put("a", packed(&RECORDS, 17)).unwrap();
         let a = fs.get("a").unwrap();
         for i in 0..a.len() {
@@ -576,7 +571,7 @@ mod tests {
         // A caller appends to a copy of a committed file of each layout: a
         // packed file is re-sealed whole as one block, a job-written one
         // gains a block for the appended records.
-        let mut fs = SimHdfs::unbounded();
+        let mut fs = SimHdfs::new(u64::MAX, 1);
         fs.put("packed", packed(&RECORDS[..1], 0)).unwrap();
         fs.put("written", DfsFile::written(per_record()[..1].to_vec(), 0, vec![])).unwrap();
         for (name, blocks) in [("packed", 1), ("written", 2)] {

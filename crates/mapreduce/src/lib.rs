@@ -17,6 +17,9 @@
 //! benchmark harnesses can report execution-time *shapes* comparable to the
 //! paper's cluster measurements.
 //!
+//! A [`ClusterConfig`] describes a simulated cluster, [`Engine::new`]
+//! checks it once, and [`triples`] is the base relation it loads.
+//!
 //! ## Quick tour
 //!
 //! An operator reads the engine's encoded records in place and writes
@@ -68,6 +71,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod codec;
+pub mod config;
 pub mod cost;
 pub mod counters;
 pub mod engine;
@@ -77,6 +81,7 @@ pub mod hdfs;
 pub mod job;
 pub mod spill;
 pub mod trace;
+pub mod triples;
 pub mod workflow;
 
 /// Shared deterministic hashing (re-exported from `rdf-model`): the
@@ -85,6 +90,7 @@ pub mod workflow;
 pub use rdf_model::hash;
 
 pub use codec::{Rec, SliceReader};
+pub use config::ClusterConfig;
 pub use cost::CostModel;
 pub use counters::{q_error, FaultStats, JobStats, OpCounters, WorkflowStats};
 pub use engine::{default_partition, Engine, BLOCK_SIZE_BYTES, DEFAULT_BROADCAST_BUDGET_BYTES};

@@ -361,6 +361,12 @@ pub trait TraceSink: Send + Sync {
     fn event(&self, ev: &TraceEvent);
 }
 
+impl std::fmt::Debug for dyn TraceSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("<sink>")
+    }
+}
+
 // ---------------------------------------------------------------------------
 // JSON plumbing: the workspace's one JSON writer, and the validator that
 // checks what it wrote.

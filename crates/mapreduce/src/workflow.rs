@@ -66,7 +66,7 @@ pub struct Workflow<'e> {
 
 impl<'e> Workflow<'e> {
     /// Start a workflow with the given report label. The recovery policy
-    /// is the engine's (see [`Engine::with_recovery`]).
+    /// is the engine's (see [`ClusterConfig::recovery`](crate::ClusterConfig::recovery)).
     pub fn new(engine: &'e Engine, label: impl Into<String>) -> Self {
         let label = label.into();
         engine.emit(|| TraceEvent::WorkflowStart { label: label.clone() });
@@ -264,8 +264,8 @@ impl<'e> Workflow<'e> {
 mod tests {
     use super::*;
     use crate::common::{CountReduce, KeyOnly, SelfPair, WordOne};
+    use crate::config::ClusterConfig;
     use crate::faults::FaultConfig;
-    use crate::hdfs::SimHdfs;
     use crate::job::InputBinding;
     use std::sync::Arc;
 
@@ -337,7 +337,9 @@ mod tests {
 
     #[test]
     fn failure_marks_workflow() {
-        let engine = Engine::new(SimHdfs::new(10, 1));
+        let engine =
+            Engine::new(ClusterConfig { nodes: 1, disk_per_node: 10, ..Default::default() })
+                .unwrap();
         // Input barely fits (the row `aaaa`, 5 bytes); job output won't.
         engine.put_records("in", ["aaaa".to_string()]).unwrap();
         let mut wf = Workflow::new(&engine, "fail");
@@ -354,7 +356,9 @@ mod tests {
 
     #[test]
     fn dead_workflow_refuses_stages() {
-        let engine = Engine::new(SimHdfs::new(1, 1));
+        let engine =
+            Engine::new(ClusterConfig { nodes: 1, disk_per_node: 1, ..Default::default() })
+                .unwrap();
         let mut wf = Workflow::new(&engine, "dead");
         assert!(wf.run_job(identity_job("missing", "x", false)).is_err());
         // The refusal is the typed WorkflowDead, not a stringly error.
@@ -392,13 +396,14 @@ mod tests {
         // failure; the epoch bump on retry re-draws the fault and (with a
         // low probability) the re-run succeeds.
         let faults = FaultConfig::with_probability(0.05, 7).with_max_attempts(1);
-        let mk_engine = || {
-            let engine = Engine::unbounded().with_workers(2).with_faults(faults.clone());
+        let mk_engine = |recovery| {
+            let config = ClusterConfig { recovery, ..Default::default() };
+            let engine = Engine::new(config.with_workers(2).with_faults(faults.clone())).unwrap();
             engine.put_records("in", (0..200).map(|i| format!("w{i}"))).unwrap();
             engine
         };
         // Find a seed-independent victim: scan outputs until FailFast dies.
-        let engine = mk_engine();
+        let engine = mk_engine(RecoveryPolicy::FailFast);
         let mut failing: Option<String> = None;
         for i in 0..64 {
             let out = format!("out{i}");
@@ -411,7 +416,7 @@ mod tests {
         let out = failing.expect("some job name should draw a failure at p=0.05 over 64 tries");
 
         // FailFast: dead workflow.
-        let engine = mk_engine();
+        let engine = mk_engine(RecoveryPolicy::FailFast);
         let mut wf = Workflow::new(&engine, "ff");
         let err = wf.run_job(identity_job("in", &out, false)).unwrap_err();
         assert!(matches!(err, MrError::TaskExhausted { .. }), "{err}");
@@ -419,8 +424,7 @@ mod tests {
         assert!(!ff.succeeded);
 
         // RetryStage: recovers, output identical to a fault-free run.
-        let engine = mk_engine()
-            .with_recovery(RecoveryPolicy::RetryStage { max_retries: 3, backoff_s: 5.0 });
+        let engine = mk_engine(RecoveryPolicy::RetryStage { max_retries: 3, backoff_s: 5.0 });
         let mut wf = Workflow::new(&engine, "retry");
         wf.run_job(identity_job("in", &out, false)).unwrap();
         let stats = wf.finish(&[&out]);
@@ -432,7 +436,7 @@ mod tests {
         };
         let got = records(&engine);
 
-        let clean = Engine::unbounded().with_workers(2);
+        let clean = Engine::new(ClusterConfig::default().with_workers(2)).unwrap();
         clean.put_records("in", (0..200).map(|i| format!("w{i}"))).unwrap();
         let mut wf = Workflow::new(&clean, "clean");
         wf.run_job(identity_job("in", &out, false)).unwrap();
@@ -451,7 +455,14 @@ mod tests {
         let capacity = 2 * in_text + out_text + out_text / 2;
 
         let mk = |policy: RecoveryPolicy| {
-            let engine = Engine::new(SimHdfs::new(capacity, 2)).with_recovery(policy);
+            let engine = Engine::new(ClusterConfig {
+                nodes: 1,
+                disk_per_node: capacity,
+                replication: 2,
+                recovery: policy,
+                ..Default::default()
+            })
+            .unwrap();
             engine.put_records("in", (0..40).map(|i| format!("word{i}"))).unwrap();
             let mut wf = Workflow::new(&engine, "deg");
             let res = wf.run_job(identity_job("in", "out", false));
@@ -478,8 +489,13 @@ mod tests {
         let in_text = probe.hdfs().lock().usage(); // unbounded => replication 1
         let out_text = probe.run_job(&identity_job("in", "out", false)).unwrap().output_text_bytes;
 
-        let engine = Engine::new(SimHdfs::new(in_text + out_text / 2, 1))
-            .with_recovery(RecoveryPolicy::DegradeOnDiskFull);
+        let engine = Engine::new(ClusterConfig {
+            nodes: 1,
+            disk_per_node: in_text + out_text / 2,
+            recovery: RecoveryPolicy::DegradeOnDiskFull,
+            ..Default::default()
+        })
+        .unwrap();
         engine.put_records("in", (0..40).map(|i| format!("word{i}"))).unwrap();
         let mut wf = Workflow::new(&engine, "deg1");
         let err = wf.run_job(identity_job("in", "out", false)).unwrap_err();
@@ -491,8 +507,14 @@ mod tests {
 
         // An explicit per-spec replication of 1 is equally non-degradable,
         // even when the DFS default is higher.
-        let engine = Engine::new(SimHdfs::new(2 * in_text + out_text / 2, 2))
-            .with_recovery(RecoveryPolicy::DegradeOnDiskFull);
+        let engine = Engine::new(ClusterConfig {
+            nodes: 1,
+            disk_per_node: 2 * in_text + out_text / 2,
+            replication: 2,
+            recovery: RecoveryPolicy::DegradeOnDiskFull,
+            ..Default::default()
+        })
+        .unwrap();
         engine.put_records("in", (0..40).map(|i| format!("word{i}"))).unwrap();
         let mut wf = Workflow::new(&engine, "deg2");
         let mut spec = identity_job("in", "out", false);
@@ -518,8 +540,11 @@ mod tests {
     #[test]
     fn poisoned_input_exhausts_stage_retries_with_the_codec_error() {
         use crate::codec::Rec;
-        let engine = Engine::unbounded()
-            .with_recovery(RecoveryPolicy::RetryStage { max_retries: 2, backoff_s: 1.0 });
+        let engine = Engine::new(
+            ClusterConfig::default()
+                .with_recovery(RecoveryPolicy::RetryStage { max_retries: 2, backoff_s: 1.0 }),
+        )
+        .unwrap();
         let records = vec!["a".to_string().to_bytes(), vec![2, 0, 0, 0, 0xff, 0xfe]];
         let mut file = crate::hdfs::DfsFile::default();
         for rec in &records {

@@ -23,8 +23,8 @@ mod common;
 use common::{CountReduce, KeyOnly, SelfPair, WordOne};
 use mrsim::trace::TraceEvent;
 use mrsim::{
-    Engine, FaultConfig, InputBinding, JobSpec, MemorySink, MrError, TraceSink, Workflow,
-    WorkflowStats,
+    ClusterConfig, Engine, FaultConfig, InputBinding, JobSpec, MemorySink, MrError, TraceSink,
+    Workflow, WorkflowStats,
 };
 use std::sync::Arc;
 
@@ -85,10 +85,13 @@ type ChaosRun = (WorkflowStats, Vec<TraceEvent>, Vec<Vec<u8>>);
 /// a merge of both outputs) under one regime.
 fn run_chaos(regime: Regime, seed: u64, workers: usize) -> Result<ChaosRun, mrsim::MrError> {
     let sink = MemorySink::new();
-    let engine = Engine::unbounded()
-        .with_workers(workers)
-        .with_faults(faults_for(regime, seed))
-        .with_trace(sink.clone() as Arc<dyn TraceSink>);
+    let engine = Engine::new(
+        ClusterConfig::default()
+            .with_workers(workers)
+            .with_faults(faults_for(regime, seed))
+            .with_trace(sink.clone() as Arc<dyn TraceSink>),
+    )
+    .unwrap();
     engine.put_records("in", (0..800).map(|i| format!("word{}", i % 17))).unwrap();
     let mut wf = Workflow::new(&engine, format!("chaos-{regime:?}"));
     wf.run_stage(vec![wc_job("j-a", "in", "a", 4), wc_job("j-b", "in", "b", 3)])?;
@@ -236,7 +239,8 @@ fn speculation_caps_the_straggler_tail() {
         if speculation {
             faults = faults.with_speculation(1.5);
         }
-        let engine = Engine::unbounded().with_workers(2).with_faults(faults);
+        let engine =
+            Engine::new(ClusterConfig::default().with_workers(2).with_faults(faults)).unwrap();
         engine.put_records("in", (0..600).map(|i| format!("word{}", i % 13))).unwrap();
         engine.run_job(&wc_job("spec", "in", "out", 8)).unwrap()
     };
@@ -260,10 +264,13 @@ fn exhausted_attempts_fail_the_workflow_not_the_process() {
     let mut failures: Vec<String> = Vec::new();
     for workers in [1usize, 4, 8] {
         let sink = MemorySink::new();
-        let engine = Engine::unbounded()
-            .with_workers(workers)
-            .with_faults(FaultConfig::with_probability(0.9, 5).with_max_attempts(2))
-            .with_trace(sink.clone() as Arc<dyn TraceSink>);
+        let engine = Engine::new(
+            ClusterConfig::default()
+                .with_workers(workers)
+                .with_faults(FaultConfig::with_probability(0.9, 5).with_max_attempts(2))
+                .with_trace(sink.clone() as Arc<dyn TraceSink>),
+        )
+        .unwrap();
         engine.put_records("in", (0..400).map(|i| format!("word{}", i % 11))).unwrap();
         let mut wf = Workflow::new(&engine, "exhaust");
         let err = wf
@@ -293,7 +300,10 @@ fn exhausted_attempts_fail_the_workflow_not_the_process() {
 /// into multiple chunks — the regime where worker-dependent chunking would
 /// skew per-task memory marks.
 fn run_split(regime: Regime, seed: u64, workers: usize) -> WorkflowStats {
-    let engine = Engine::unbounded().with_workers(workers).with_faults(faults_for(regime, seed));
+    let engine = Engine::new(
+        ClusterConfig::default().with_workers(workers).with_faults(faults_for(regime, seed)),
+    )
+    .unwrap();
     engine.put_records("in", (0..6000).map(|i| format!("word{}", i % 37))).unwrap();
     let mut wf = Workflow::new(&engine, format!("split-{regime:?}"));
     wf.run_stage(vec![wc_job("p-a", "in", "a", 4), wc_job("p-b", "in", "b", 3)]).unwrap();

@@ -5,7 +5,7 @@
 mod common;
 
 use common::{CountReduce, WordOne};
-use mrsim::{Engine, InputBinding, JobSpec, Rec};
+use mrsim::{ClusterConfig, Engine, InputBinding, JobSpec, Rec};
 use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest};
 use proptest::strategy::Strategy;
 use std::sync::Arc;
@@ -77,7 +77,7 @@ proptest! {
             *expected.entry(w.to_string()).or_insert(0) += 1;
         }
 
-        let engine = Engine::unbounded().with_workers(workers);
+        let engine = Engine::new(ClusterConfig::default().with_workers(workers)).unwrap();
         engine.put_records("in", words.iter().map(|w| w.to_string())).unwrap();
         let stats = engine.run_job(&word_count("wc", reducers)).unwrap();
         let mut got: Vec<String> = engine.read_records("out").unwrap();
@@ -105,10 +105,11 @@ proptest! {
         // every worker count — with and without fault injection (retries
         // must not perturb results).
         let run = |workers: usize| {
-            let mut engine = Engine::unbounded().with_workers(workers);
+            let mut config = ClusterConfig::default().with_workers(workers);
             if with_faults == 1 {
-                engine = engine.with_faults(mrsim::FaultConfig::with_probability(0.3, 7));
+                config = config.with_faults(mrsim::FaultConfig::with_probability(0.3, 7));
             }
+            let engine = Engine::new(config).unwrap();
             engine.put_records("in", words.iter().map(|w| w.to_string())).unwrap();
             let stats = engine.run_job(&word_count("det", 3)).unwrap();
             let file = engine.hdfs().lock().get("out").unwrap();
@@ -144,7 +145,13 @@ proptest! {
 
     #[test]
     fn replication_scales_write_accounting(repl in 1u32..5) {
-        let engine = Engine::new(mrsim::SimHdfs::new(u64::MAX / 8, repl));
+        let config = ClusterConfig {
+            nodes: 1,
+            disk_per_node: u64::MAX / 8,
+            replication: repl,
+            ..Default::default()
+        };
+        let engine = Engine::new(config).unwrap();
         engine.put_records("in", ["x".to_string(), "y".to_string()]).unwrap();
         let stats = engine.run_job(&word_count("j", 1)).unwrap();
         prop_assert_eq!(stats.hdfs_write_bytes, stats.output_text_bytes * u64::from(repl));
@@ -169,7 +176,10 @@ mod fault_injection {
         let (clean_stats, clean_rows) = wordcount(&clean).unwrap();
         assert_eq!(clean_stats.task_retries, 0);
 
-        let faulty = Engine::unbounded().with_faults(FaultConfig::with_probability(0.4, 11));
+        let faulty = Engine::new(
+            ClusterConfig::default().with_faults(FaultConfig::with_probability(0.4, 11)),
+        )
+        .unwrap();
         let (faulty_stats, faulty_rows) = wordcount(&faulty).unwrap();
         assert!(faulty_stats.task_retries > 0, "p=0.4 should force retries");
         assert_eq!(clean_rows, faulty_rows, "retried tasks must reproduce output");
@@ -178,8 +188,11 @@ mod fault_injection {
 
     #[test]
     fn exhausted_attempts_fail_the_job() {
-        let engine = Engine::unbounded()
-            .with_faults(FaultConfig::with_probability(0.99, 3).with_max_attempts(2));
+        let engine = Engine::new(
+            ClusterConfig::default()
+                .with_faults(FaultConfig::with_probability(0.99, 3).with_max_attempts(2)),
+        )
+        .unwrap();
         let err = wordcount(&engine).unwrap_err();
         assert!(err.to_string().contains("consecutive attempts"), "{err}");
     }
@@ -189,7 +202,10 @@ mod fault_injection {
         // Determinism must hold whether a given seed completes or exhausts
         // its attempts, so compare the full outcome.
         let run = |seed| {
-            let engine = Engine::unbounded().with_faults(FaultConfig::with_probability(0.3, seed));
+            let engine = Engine::new(
+                ClusterConfig::default().with_faults(FaultConfig::with_probability(0.3, seed)),
+            )
+            .unwrap();
             match wordcount(&engine) {
                 Ok((stats, rows)) => format!("ok retries={} rows={rows:?}", stats.task_retries),
                 Err(e) => format!("err {e}"),
@@ -223,7 +239,9 @@ mod file_layouts {
     /// `job_written`, copied there by an identity map-only job.
     fn downstream(records: &[String], workers: usize, job_written: bool) -> Seen {
         let sink = MemorySink::new();
-        let engine = Engine::unbounded().with_workers(workers).with_trace(sink.clone());
+        let engine =
+            Engine::new(ClusterConfig::default().with_workers(workers).with_trace(sink.clone()))
+                .unwrap();
         if job_written {
             engine.put_records("raw", records.iter().cloned()).unwrap();
             let copy = JobSpec::map_only("copy", vec!["raw".into()], Arc::new(Identity), "in");
@@ -361,7 +379,7 @@ mod arena_shuffle {
     /// pair, so the output file *is* the sorted per-partition shuffle
     /// stream, verbatim.
     fn engine_shuffle(words: &[String], workers: usize, reducers: usize) -> Vec<Vec<u8>> {
-        let engine = Engine::unbounded().with_workers(workers);
+        let engine = Engine::new(ClusterConfig::default().with_workers(workers)).unwrap();
         engine.put_records("in", words.to_vec()).unwrap();
         let words = InputBinding { file: "in".into(), mapper: Arc::new(Fanout) };
         let spec = JobSpec::map_reduce(

@@ -18,8 +18,8 @@ mod common;
 use common::{CountReduce, KeyOnly, SelfPair, WordOne};
 use mrsim::trace::{render_chrome, render_jsonl, validate_json};
 use mrsim::{
-    Engine, FaultConfig, InputBinding, JobSpec, MemorySink, TaskPhase, TraceEvent, TraceSink,
-    Workflow,
+    ClusterConfig, Engine, FaultConfig, InputBinding, JobSpec, MemorySink, TaskPhase, TraceEvent,
+    TraceSink, Workflow,
 };
 use std::sync::Arc;
 
@@ -44,10 +44,13 @@ fn canonical(events: &[TraceEvent]) -> Vec<String> {
 
 fn run_faulted(workers: usize, seed: u64) -> Option<(mrsim::JobStats, Vec<TraceEvent>)> {
     let sink = MemorySink::new();
-    let engine = Engine::unbounded()
-        .with_workers(workers)
-        .with_faults(FaultConfig::with_probability(0.4, seed))
-        .with_trace(sink.clone() as Arc<dyn TraceSink>);
+    let engine = Engine::new(
+        ClusterConfig::default()
+            .with_workers(workers)
+            .with_faults(FaultConfig::with_probability(0.4, seed))
+            .with_trace(sink.clone() as Arc<dyn TraceSink>),
+    )
+    .unwrap();
     put_input(&engine, "in", 600);
     // With p=0.4 a task can exhaust its 4 attempts and fail the job; the
     // caller skips such seeds.
@@ -100,8 +103,12 @@ fn fault_retries_appear_in_stats_and_trace_across_worker_counts() {
 /// input, then a join-shaped second stage reading both outputs.
 fn run_traced_workflow(workers: usize) -> (mrsim::WorkflowStats, Vec<TraceEvent>) {
     let sink = MemorySink::new();
-    let engine =
-        Engine::unbounded().with_workers(workers).with_trace(sink.clone() as Arc<dyn TraceSink>);
+    let engine = Engine::new(
+        ClusterConfig::default()
+            .with_workers(workers)
+            .with_trace(sink.clone() as Arc<dyn TraceSink>),
+    )
+    .unwrap();
     put_input(&engine, "in", 800);
     let mut wf = Workflow::new(&engine, "golden");
     wf.run_stage(vec![wc_job("j-a", "in", "a", 4), wc_job("j-b", "in", "b", 3)]).unwrap();
@@ -253,7 +260,10 @@ fn reduce_task_spans_state_the_shuffle_partitions() {
 #[test]
 fn one_recording_renders_both_files() {
     let sink = MemorySink::new();
-    let engine = Engine::unbounded().with_workers(2).with_trace(sink.clone() as Arc<dyn TraceSink>);
+    let engine = Engine::new(
+        ClusterConfig::default().with_workers(2).with_trace(sink.clone() as Arc<dyn TraceSink>),
+    )
+    .unwrap();
     put_input(&engine, "in", 300);
     let mut wf = Workflow::new(&engine, "e2e");
     wf.run_job(wc_job("j1", "in", "mid", 3)).unwrap();

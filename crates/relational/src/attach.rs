@@ -16,10 +16,9 @@
 //! `1 + i` a match of pattern `i` — `(property, object)` in a star attach,
 //! the triple in a pattern attach, whose tag 1 makes it [`RowJoinReduce`]'s.
 
-use mr_rdf::{next_combination, PlanError, RowSchema, RowView, TripleView};
+use mr_rdf::{PlanError, RowSchema, RowView, TripleView};
 use mrsim::codec::{
-    counted_len, decimal_digits, put_count, put_tag, split_tag, token_key, token_key_text,
-    token_len,
+    decimal_digits, put_count, put_tag, split_tag, token_key, token_key_text, token_len,
 };
 use mrsim::{
     InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOp, RawReduceOp, TaskContext,
@@ -28,7 +27,7 @@ use rdf_query::{StarPattern, SubjPattern, TriplePattern};
 use std::sync::Arc;
 
 use crate::row_join::{RowJoinReduce, SideMap};
-use crate::star_join::{star_schema, REDUCERS};
+use crate::star_join::{emit_star_rows, star_schema, REDUCERS};
 
 /// Triple side of both attach jobs: ships each triple once per pattern of
 /// `star` it matches, tagged `1 + i`.
@@ -93,7 +92,8 @@ impl StarAttachReduce {
     /// per combination of one match per pattern (the last pattern's varying
     /// fastest), within it per row in value order; nothing if there is no
     /// row or some pattern has no match. A record is the count, the row's
-    /// tokens, then per pattern the key's bytes and the match's.
+    /// tokens, then per pattern the key's bytes and the match's
+    /// (`emit_star_rows`, which the star join shares).
     ///
     /// Every value is walked before anything is emitted, and a broken one's
     /// [`MrError::Codec`] is reported before a tag past the star or a match
@@ -102,7 +102,7 @@ impl StarAttachReduce {
         &self,
         key: &[u8],
         values: &[&[u8]],
-        mut emit: impl FnMut(Vec<u8>, u64) -> Result<(), MrError>,
+        emit: impl FnMut(Vec<u8>, u64) -> Result<(), MrError>,
     ) -> Result<(), MrError> {
         let s_text = token_key(key)?.len() as u64 + 1;
         let (mut rows, mut matches) = (Vec::new(), vec![Vec::new(); self.patterns]);
@@ -112,37 +112,16 @@ impl StarAttachReduce {
             let row = RowView::from_bytes(row, None)?;
             match tag.checked_sub(1).map(usize::try_from) {
                 None => rows.push(row),
-                Some(Ok(i)) if i < self.patterns && row.arity == 2 => matches[i].push(row),
+                Some(Ok(i)) if i < self.patterns && row.arity == 2 => {
+                    matches[i].push((row.tokens, row.token_text))
+                }
                 Some(_) => malformed = true,
             }
         }
         if malformed {
             return Err(MrError::Op("malformed attach value".into()));
         }
-        if rows.is_empty() || matches.iter().any(Vec::is_empty) {
-            return Ok(());
-        }
-        let mut cursor = vec![0usize; self.patterns];
-        loop {
-            let picked = || cursor.iter().zip(&matches).map(|(&c, bucket)| bucket[c]);
-            let star_len: usize = picked().map(|po| key.len() + po.tokens.len()).sum();
-            let star_text: u64 = picked().map(|po| s_text + po.token_text).sum();
-            for row in &rows {
-                let arity = u32::try_from(u64::from(row.arity) + 3 * self.patterns as u64)
-                    .map_err(|_| MrError::Op("joined row arity exceeds u32".into()))?;
-                let mut rec = Vec::with_capacity(counted_len(row.tokens.len() + star_len));
-                put_count(&mut rec, arity);
-                rec.extend_from_slice(row.tokens);
-                for po in picked() {
-                    rec.extend_from_slice(key);
-                    rec.extend_from_slice(po.tokens);
-                }
-                emit(rec, (row.token_text + star_text).max(1))?;
-            }
-            if !next_combination(&mut cursor, |i| matches[i].len()) {
-                return Ok(());
-            }
-        }
+        emit_star_rows(key, s_text, &rows, &matches, emit)
     }
 }
 

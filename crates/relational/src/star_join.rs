@@ -9,7 +9,7 @@
 //! representation whose cost the paper quantifies. Both phases read their
 //! records in place and splice the triples' own encoded tokens.
 
-use mr_rdf::{next_combination, RowSchema, TripleView};
+use mr_rdf::{next_combination, RowSchema, RowView, TripleView};
 use mrsim::codec::{counted_len, decimal_digits, put_count, put_tag, split_tag, token_key};
 use mrsim::{
     InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOp, RawReduceOp, SliceReader,
@@ -97,7 +97,8 @@ impl StarReduce {
     /// values: `emit(record, text)` once per combination of one match per
     /// pattern, the last pattern's match varying fastest; nothing if some
     /// pattern has no match. A row is the count `3k` and then, per pattern,
-    /// the key's bytes and the match's.
+    /// the key's bytes and the match's: the attach's rows
+    /// (`emit_star_rows`) with one empty row.
     ///
     /// Every value is walked before anything is emitted, so a broken value
     /// fails the task, and such a [`MrError::Codec`] is reported before an
@@ -106,13 +107,11 @@ impl StarReduce {
         &self,
         key: &[u8],
         values: &[&[u8]],
-        mut emit: impl FnMut(Vec<u8>, u64) -> Result<(), MrError>,
+        emit: impl FnMut(Vec<u8>, u64) -> Result<(), MrError>,
     ) -> Result<(), MrError> {
-        let k = self.patterns;
-        let arity = u32::try_from(3 * k).map_err(|_| MrError::Op("star row too wide".into()))?;
         let s_text = token_key(key)?.len() as u64 + 1;
         // Per pattern, each match's encoded `(p, o)` and its `p \t o \t`.
-        let mut matches: Vec<Vec<(&[u8], u64)>> = vec![Vec::new(); k];
+        let mut matches: Vec<Vec<(&[u8], u64)>> = vec![Vec::new(); self.patterns];
         let mut bad_idx = None;
         for value in values {
             let (idx, po) = split_tag(value)?;
@@ -127,26 +126,45 @@ impl StarReduce {
         if let Some(idx) = bad_idx {
             return Err(MrError::Op(format!("pattern index {idx} out of range")));
         }
-        if matches.iter().any(Vec::is_empty) {
-            return Ok(()); // star structure violated for this subject
-        }
-        // Odometer cross product; emission is budget-checked so an
-        // explosion aborts the job like a disk-full Hadoop task.
-        let mut cursor = vec![0usize; k];
-        loop {
-            let picked = || cursor.iter().zip(&matches).map(|(&c, bucket)| bucket[c]);
-            let len = counted_len(picked().map(|(po, _)| key.len() + po.len()).sum());
-            let (mut rec, mut text) = (Vec::with_capacity(len), 0);
+        let empty = RowView { arity: 0, token_text: 0, tokens: &[], column: None };
+        emit_star_rows(key, s_text, &[empty], &matches, emit)
+    }
+}
+
+/// One subject's star rows joined to `rows`: per combination of one match
+/// per pattern (the last pattern's varying fastest), per row in order, the
+/// record `count · row tokens · (key · match)ᵏ` and its text (at least 1).
+/// A match is its encoded `(property, object)` and its `p \t o \t` text.
+/// Nothing is emitted without a row or with a pattern unmatched.
+pub(crate) fn emit_star_rows(
+    key: &[u8],
+    s_text: u64,
+    rows: &[RowView<'_>],
+    matches: &[Vec<(&[u8], u64)>],
+    mut emit: impl FnMut(Vec<u8>, u64) -> Result<(), MrError>,
+) -> Result<(), MrError> {
+    if rows.is_empty() || matches.iter().any(Vec::is_empty) {
+        return Ok(()); // star structure violated for this subject
+    }
+    let mut cursor = vec![0usize; matches.len()];
+    loop {
+        let picked = || cursor.iter().zip(matches).map(|(&c, bucket)| bucket[c]);
+        let star_len: usize = picked().map(|(po, _)| key.len() + po.len()).sum();
+        let star_text: u64 = picked().map(|(_, po_text)| s_text + po_text).sum();
+        for row in rows {
+            let arity = u32::try_from(u64::from(row.arity) + 3 * matches.len() as u64)
+                .map_err(|_| MrError::Op("joined row arity exceeds u32".into()))?;
+            let mut rec = Vec::with_capacity(counted_len(row.tokens.len() + star_len));
             put_count(&mut rec, arity);
-            for (po, po_text) in picked() {
+            rec.extend_from_slice(row.tokens);
+            for (po, _) in picked() {
                 rec.extend_from_slice(key);
                 rec.extend_from_slice(po);
-                text += s_text + po_text;
             }
-            emit(rec, text.max(1))?;
-            if !next_combination(&mut cursor, |pos| matches[pos].len()) {
-                return Ok(());
-            }
+            emit(rec, (row.token_text + star_text).max(1))?;
+        }
+        if !next_combination(&mut cursor, |i| matches[i].len()) {
+            return Ok(());
         }
     }
 }

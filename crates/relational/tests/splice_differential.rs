@@ -17,8 +17,8 @@
 
 use mr_rdf::{load_store, Row, RowSchema, TripleRec};
 use mrsim::{
-    Engine, InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOnlyOp, RawMapOp,
-    RawReduceOp, Rec, TaskContext,
+    ClusterConfig, Engine, InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOnlyOp,
+    RawMapOp, RawReduceOp, Rec, TaskContext,
 };
 use proptest::prelude::{prop, prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use proptest::strategy::{Just, Strategy};
@@ -477,7 +477,7 @@ fn outcome(engine: &Engine, spec: &JobSpec) -> Outcome {
 }
 
 fn engine() -> Engine {
-    Engine::unbounded().with_workers(2)
+    Engine::new(ClusterConfig::default().with_workers(2)).unwrap()
 }
 
 /// Collect one record a map kernel ships.

@@ -37,14 +37,15 @@
 pub mod runner;
 pub mod testbed;
 
-pub use runner::{run_query, Approach, ClusterConfig};
+pub use mrsim::ClusterConfig;
+pub use runner::{run_query, Approach};
 
 /// Convenient single import for examples and tests.
 pub mod prelude {
-    pub use crate::runner::{run_query, Approach, ClusterConfig};
+    pub use crate::runner::{run_query, Approach};
     pub use crate::testbed::{self, TestQuery};
     pub use mr_rdf::{load_store, QueryRun, TRIPLES_FILE};
-    pub use mrsim::{CostModel, Engine, SimHdfs, WorkflowStats};
+    pub use mrsim::{ClusterConfig, CostModel, Engine, SimHdfs, WorkflowStats};
     pub use ntga_core::Strategy;
     pub use rdf_model::{STriple, TripleStore};
     pub use rdf_query::{parse_query, Query, SolutionSet};

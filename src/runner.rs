@@ -2,12 +2,10 @@
 //! [`Approach`] becomes a [`PhysicalPlan`] ([`Approach::plan`]) that the one
 //! driver, [`ntga_core::execute_plan`], runs.
 
-use mr_rdf::{load_store, PlanError, QueryRun, TRIPLES_FILE};
-use mrsim::{CostModel, Engine, FaultConfig, MrError, RecoveryPolicy, SimHdfs, TraceSink};
+use mr_rdf::{PlanError, QueryRun, TRIPLES_FILE};
+use mrsim::Engine;
 use ntga_core::{execute_plan, OptimizerConfig, PhysicalPlan, Strategy};
-use rdf_model::TripleStore;
 use rdf_query::Query;
-use std::sync::Arc;
 
 /// An execution approach from the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,134 +120,11 @@ pub fn run_query(
     execute_plan(&plan, engine, TRIPLES_FILE, &label, extract_solutions)
 }
 
-/// Describes the simulated cluster for an experiment.
-#[derive(Clone)]
-pub struct ClusterConfig {
-    /// Number of nodes (the paper uses 5–80).
-    pub nodes: u32,
-    /// Disk bytes per node (the paper's VCL nodes had only 20 GB);
-    /// `u64::MAX`, the default, is an unbounded disk at any node count.
-    pub disk_per_node: u64,
-    /// HDFS replication factor (`dfs.replication`; 1 or 2 in the paper).
-    pub replication: u32,
-    /// Cost model.
-    pub cost: CostModel,
-    /// Deterministic fault injection applied to every engine this config
-    /// builds (default: no faults).
-    pub faults: FaultConfig,
-    /// Recovery policy workflows inherit (default: fail fast, the paper's
-    /// behavior).
-    pub recovery: RecoveryPolicy,
-    /// Worker-thread override; `None` uses one worker per core.
-    pub workers: Option<usize>,
-    /// Optional trace sink attached to every engine this config builds;
-    /// `None` keeps tracing disabled (and free).
-    pub trace: Option<Arc<dyn TraceSink>>,
-}
-
-impl std::fmt::Debug for ClusterConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterConfig")
-            .field("nodes", &self.nodes)
-            .field("disk_per_node", &self.disk_per_node)
-            .field("replication", &self.replication)
-            .field("cost", &self.cost)
-            .field("faults", &self.faults)
-            .field("recovery", &self.recovery)
-            .field("workers", &self.workers)
-            .field("trace", &self.trace.as_ref().map(|_| "<sink>"))
-            .finish()
-    }
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            nodes: 60,
-            disk_per_node: u64::MAX,
-            replication: 1,
-            cost: CostModel::default(),
-            faults: FaultConfig::none(),
-            recovery: RecoveryPolicy::FailFast,
-            workers: None,
-            trace: None,
-        }
-    }
-}
-
-impl ClusterConfig {
-    /// Build a fresh engine with the triple store loaded at
-    /// [`TRIPLES_FILE`]; `DiskFull` when the input alone does not fit the
-    /// configured disk, [`MrError::Op`] for a replication factor of 0.
-    pub fn try_engine_with(&self, store: &TripleStore) -> Result<Engine, MrError> {
-        if self.replication == 0 {
-            return Err(MrError::Op("cluster replication factor must be >= 1".into()));
-        }
-        let capacity = u64::from(self.nodes).saturating_mul(self.disk_per_node);
-        let mut engine = Engine::new(SimHdfs::new(capacity, self.replication))
-            .with_cost(self.cost.clone())
-            .with_faults(self.faults.clone())
-            .with_recovery(self.recovery);
-        if let Some(workers) = self.workers {
-            engine = engine.with_workers(workers);
-        }
-        if let Some(sink) = &self.trace {
-            engine = engine.with_trace(sink.clone());
-        }
-        load_store(&engine, TRIPLES_FILE, store)?;
-        Ok(engine)
-    }
-
-    /// [`try_engine_with`](Self::try_engine_with) for configurations known
-    /// to hold their input.
-    ///
-    /// # Panics
-    /// Panics when the input does not fit the configured disk.
-    pub fn engine_with(&self, store: &TripleStore) -> Engine {
-        self.try_engine_with(store).expect("input must fit in the cluster")
-    }
-
-    /// Attach a trace sink to every engine built from this config.
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
-
-    /// Enable deterministic fault injection on every engine built from
-    /// this config.
-    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Set the recovery policy workflows inherit.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Pin the worker-thread count (simulated runs are deterministic
-    /// either way; this exercises scheduling variety in tests).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
-    /// Constrain the disk to `factor ×` the input's replicated size — the
-    /// way the paper's 20 GB-per-node clusters were tight relative to
-    /// their datasets.
-    pub fn tight_disk(mut self, store: &TripleStore, factor: f64) -> Self {
-        let input = store.text_bytes() * u64::from(self.replication);
-        let total = (input as f64 * factor) as u64;
-        self.disk_per_node = (total / u64::from(self.nodes.max(1))).max(1);
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_model::STriple;
+    use crate::ClusterConfig;
+    use rdf_model::{STriple, TripleStore};
 
     fn store() -> TripleStore {
         TripleStore::from_triples(vec![
@@ -294,40 +169,6 @@ mod tests {
         let engine = cfg.engine_with(&store);
         let pig = run_query(Approach::Pig, &engine, &q, "t", false).unwrap();
         assert!(!pig.succeeded());
-    }
-
-    #[test]
-    fn default_disk_is_unbounded_at_any_node_count() {
-        // Regression: "unbounded" used to be recognised by comparing
-        // `disk_per_node` with `u64::MAX / nodes`, so overriding `nodes`
-        // alone overflowed `nodes * disk_per_node` (debug: panic; release:
-        // a silently wrapped, bounded cluster).
-        let store = store();
-        for nodes in [1, 5, 60, 80, u32::MAX] {
-            let engine = ClusterConfig { nodes, ..Default::default() }.engine_with(&store);
-            assert_eq!(engine.hdfs().lock().capacity(), u64::MAX, "{nodes} nodes");
-        }
-        // A bounded disk stays the product, whichever way `nodes` moves.
-        for nodes in [5, 80] {
-            let cfg = ClusterConfig { nodes, disk_per_node: 1 << 20, ..Default::default() };
-            let capacity = cfg.engine_with(&store).hdfs().lock().capacity();
-            assert_eq!(capacity, u64::from(nodes) << 20);
-        }
-    }
-
-    #[test]
-    fn input_that_does_not_fit_is_a_typed_error() {
-        let store = store();
-        let cfg = ClusterConfig { nodes: 1, ..Default::default() }.tight_disk(&store, 0.5);
-        let err = cfg.try_engine_with(&store).err().expect("half the input cannot fit");
-        assert!(err.is_disk_full(), "{err}");
-    }
-
-    #[test]
-    fn zero_replication_is_a_typed_error() {
-        let cfg = ClusterConfig { replication: 0, ..Default::default() };
-        let err = cfg.try_engine_with(&store()).err().expect("no copy of any block");
-        assert!(matches!(&err, MrError::Op(m) if m.contains("replication")), "{err}");
     }
 
     #[test]

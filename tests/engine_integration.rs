@@ -52,8 +52,8 @@ fn query_results_survive_task_failures() {
     assert_eq!(clean_retries, 0);
 
     let faulty_engine = ClusterConfig::default()
-        .engine_with(&store)
-        .with_faults(mrsim::FaultConfig::with_probability(0.4, 21));
+        .with_faults(mrsim::FaultConfig::with_probability(0.4, 21))
+        .engine_with(&store);
     let faulty = run_query(Approach::NtgaAuto(64), &faulty_engine, &a6.query, "f", true).unwrap();
     assert!(faulty.succeeded(), "{:?}", faulty.stats.failure);
     let retries: u64 = faulty.stats.jobs.iter().map(|j| j.task_retries).sum();

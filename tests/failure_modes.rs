@@ -105,7 +105,7 @@ fn map_only_jobs_respect_the_aggregate_disk_budget() {
     // (as the reduce phase does), otherwise N tasks can each stay under
     // budget while together exceeding it.
     use mrsim::codec::token_key;
-    use mrsim::{Engine, JobSpec, MrError, OutEmitter, RawMapOnlyOp, SimHdfs, TaskContext};
+    use mrsim::{Engine, JobSpec, MrError, OutEmitter, RawMapOnlyOp, TaskContext};
     use std::sync::Arc;
 
     /// Each `String` row copied as it stands.
@@ -122,7 +122,7 @@ fn map_only_jobs_respect_the_aggregate_disk_budget() {
     // task emits 745 × 41 = 30 545 B of text.
     let rows = || (0..3000).map(|_| "w".repeat(40));
     let spec = || JobSpec::map_only("identity", vec!["input".into()], Arc::new(Identity), "out");
-    let unbounded = Engine::unbounded().with_workers(4);
+    let unbounded = Engine::new(ClusterConfig::default().with_workers(4)).unwrap();
     unbounded.put_records("input", rows()).unwrap();
     assert_eq!(unbounded.run_job(&spec()).unwrap().faults.map_tasks_scheduled, 5);
 
@@ -130,7 +130,13 @@ fn map_only_jobs_respect_the_aggregate_disk_budget() {
     // the second one takes the aggregate over it. `needed` is the two
     // tasks' 61 090 B, not the 123 000 B the final write would ask for, so
     // it is the aggregate early-abort that failed this job.
-    let engine = Engine::new(SimHdfs::new(183_000, 1)).with_workers(4);
+    let engine = Engine::new(ClusterConfig {
+        nodes: 1,
+        disk_per_node: 183_000,
+        workers: Some(4),
+        ..Default::default()
+    })
+    .unwrap();
     engine.put_records("input", rows()).unwrap();
     let err = engine.run_job(&spec()).unwrap_err();
     assert!(matches!(err, MrError::DiskFull { needed: 61_090, available: 60_000, .. }), "{err:?}");
