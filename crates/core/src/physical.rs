@@ -46,9 +46,6 @@ use std::hash::Hash;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Default reducer count for NTGA jobs.
-pub const REDUCERS: usize = 8;
-
 /// Operator-counter names recorded by the NTGA physical operators.
 ///
 /// Counters are recorded through [`mrsim::TaskContext::count`] and surface
@@ -319,6 +316,7 @@ pub fn group_filter_job(
     input: &str,
     outputs: Vec<String>,
     eager: Vec<bool>,
+    reduce_tasks: usize,
 ) -> Result<JobSpec, PlanError> {
     let stars = query.stars.len();
     if outputs.len() != stars || eager.len() != stars {
@@ -334,7 +332,7 @@ pub fn group_filter_job(
     let first =
         outs.next().ok_or_else(|| PlanError::Internal("Job 1 of a query without stars".into()))?;
     let inputs = vec![InputBinding { file: input.to_string(), mapper }];
-    let spec = JobSpec::map_reduce(name, inputs, reducer, REDUCERS, first).with_full_scan();
+    let spec = JobSpec::map_reduce(name, inputs, reducer, reduce_tasks, first).with_full_scan();
     Ok(outs.fold(spec, JobSpec::with_extra_output))
 }
 
@@ -823,6 +821,7 @@ pub fn tg_join_job(
     left: JoinSide,
     right: JoinSide,
     mode: UnnestMode,
+    reduce_tasks: usize,
     output: impl Into<String>,
 ) -> JobSpec {
     let input = |side, spec: &JoinSide| InputBinding {
@@ -830,7 +829,8 @@ pub fn tg_join_job(
         mapper: Arc::new(JoinMap { side, spec: spec.clone(), mode }),
     };
     let inputs = vec![input(0, &left), input(1, &right)];
-    JobSpec::map_reduce(name, inputs, Arc::new(JoinReduce { mode, left, right }), REDUCERS, output)
+    let reducer = Arc::new(JoinReduce { mode, left, right });
+    JobSpec::map_reduce(name, inputs, reducer, reduce_tasks, output)
 }
 
 // ---------------------------------------------------------------------------
@@ -957,7 +957,7 @@ mod tests {
     use super::*;
     use crate::logical::beta_unnest_at;
     use crate::tg::TgTuple;
-    use mr_rdf::load_store;
+    use mr_rdf::{load_store, REDUCERS};
     use mrsim::{ClusterConfig, Engine, Rec};
     use rdf_model::{STriple, TripleStore};
 
@@ -983,12 +983,17 @@ mod tests {
     }
 
     /// Job 1 of [`unbound_query`] over [`store`] on `engine`.
+    /// Job 1 of a two-star `query` over `t`, writing `outs`, at the default
+    /// parallelism.
+    fn job1(query: &Query, outs: [&str; 2], eager: bool) -> JobSpec {
+        let outs = outs.map(String::from).to_vec();
+        group_filter_job("j1", query, "t", outs, vec![eager; 2], REDUCERS).unwrap()
+    }
+
     fn run_job1_on(engine: Engine, eager: bool) -> (Engine, Query) {
         load_store(&engine, "t", &store()).unwrap();
         let query = unbound_query();
-        let job =
-            group_filter_job("job1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![eager; 2])
-                .unwrap();
+        let job = job1(&query, ["ec0", "ec1"], eager);
         engine.run_job(&job).unwrap();
         (engine, query)
     }
@@ -1024,7 +1029,8 @@ mod tests {
         let starless = Query::new(Vec::new());
         let outs = |n: usize| (0..n).map(|i| format!("ec{i}")).collect::<Vec<_>>();
         for (query, outputs, eager) in [(&query, 1, 2), (&query, 2, 1), (&starless, 0, 0)] {
-            let job = group_filter_job("job1", query, "t", outs(outputs), vec![false; eager]);
+            let job =
+                group_filter_job("job1", query, "t", outs(outputs), vec![false; eager], REDUCERS);
             assert!(matches!(job, Err(PlanError::Internal(_))), "{outputs} outputs, {eager} eager");
         }
     }
@@ -1055,6 +1061,7 @@ mod tests {
             JoinSide { file: "ec0".into(), component: 0, role: JoinRole::UnboundObj(0) },
             JoinSide { file: "ec1".into(), component: 0, role: JoinRole::Subject },
             mode,
+            REDUCERS,
             "out",
         );
         engine.run_job(&job).unwrap();
@@ -1100,9 +1107,7 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
-        let job1 =
-            group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2])
-                .unwrap();
+        let job1 = job1(&query, ["ec0", "ec1"], false);
         engine.run_job(&job1).unwrap();
         let mk_join = |mode, out: &str| {
             tg_join_job(
@@ -1110,6 +1115,7 @@ mod tests {
                 JoinSide { file: "ec0".into(), component: 0, role: JoinRole::UnboundObj(0) },
                 JoinSide { file: "ec1".into(), component: 0, role: JoinRole::Subject },
                 mode,
+                REDUCERS,
                 out,
             )
         };
@@ -1133,9 +1139,7 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
-        let job =
-            group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], vec![true; 2])
-                .unwrap();
+        let job = job1(&query, ["e0", "e1"], true);
         let ops = engine.run_job(&job).unwrap().ops;
         assert_eq!(ops.get(op::GROUPS_IN), 5); // g1 g2 go1 go2 x1
         assert_eq!(ops.get(op::PAIRS_IN), 8);
@@ -1148,9 +1152,7 @@ mod tests {
         // Lazy run admits the same groups but never unnests.
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
-        let job =
-            group_filter_job("j1", &query, "t", vec!["e0".into(), "e1".into()], vec![false; 2])
-                .unwrap();
+        let job = job1(&query, ["e0", "e1"], false);
         let ops = engine.run_job(&job).unwrap().ops;
         assert_eq!(ops.get(op::ADMITTED), 4);
         assert_eq!(ops.get(op::UNNEST_IN), 0);
@@ -1167,9 +1169,7 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
-        let job1 =
-            group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2])
-                .unwrap();
+        let job1 = job1(&query, ["ec0", "ec1"], false);
         engine.run_job(&job1).unwrap();
         let mk_join = |mode, out: &str| {
             tg_join_job(
@@ -1177,6 +1177,7 @@ mod tests {
                 JoinSide { file: "ec0".into(), component: 0, role: JoinRole::UnboundObj(0) },
                 JoinSide { file: "ec1".into(), component: 0, role: JoinRole::Subject },
                 mode,
+                REDUCERS,
                 out,
             )
         };
@@ -1214,9 +1215,7 @@ mod tests {
         let engine = Engine::unbounded();
         load_store(&engine, "t", &s).unwrap();
         let query = unbound_query();
-        let job1 =
-            group_filter_job("j1", &query, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2])
-                .unwrap();
+        let job1 = job1(&query, ["ec0", "ec1"], false);
         engine.run_job(&job1).unwrap();
         let (left, _) = ec_sides();
         let map = JoinMap { side: 0, spec: left, mode: UnnestMode::Partial(2) };
@@ -1255,7 +1254,8 @@ mod tests {
         // Reference: the reduce-side exact join, decoded and sorted.
         let (engine, _) = run_job1(false);
         let (left, right) = ec_sides();
-        let job = tg_join_job("join", left.clone(), right.clone(), UnnestMode::Exact, "out");
+        let job =
+            tg_join_job("join", left.clone(), right.clone(), UnnestMode::Exact, REDUCERS, "out");
         engine.run_job(&job).unwrap();
         let mut gold: Vec<TgTuple> = engine.read_records("out").unwrap();
         gold.sort_by_cached_key(Rec::to_bytes);
@@ -1267,14 +1267,7 @@ mod tests {
                 let engine = Engine::new(ClusterConfig::default().with_workers(workers)).unwrap();
                 load_store(&engine, "t", &store()).unwrap();
                 let q = unbound_query();
-                let j1 = group_filter_job(
-                    "j1",
-                    &q,
-                    "t",
-                    vec!["ec0".into(), "ec1".into()],
-                    vec![false; 2],
-                )
-                .unwrap();
+                let j1 = job1(&q, ["ec0", "ec1"], false);
                 engine.run_job(&j1).unwrap();
                 let bj = tg_broadcast_join_job("bjoin", left.clone(), right.clone(), build, "out");
                 let stats = engine.run_job(&bj).unwrap();
@@ -1308,7 +1301,14 @@ mod tests {
         let (engine, _) = run_job1(false);
         let (left, right) = ec_sides();
         engine
-            .run_job(&tg_join_job("join", left.clone(), right.clone(), UnnestMode::Exact, "out"))
+            .run_job(&tg_join_job(
+                "join",
+                left.clone(),
+                right.clone(),
+                UnnestMode::Exact,
+                REDUCERS,
+                "out",
+            ))
             .unwrap();
         let mut gold: Vec<TgTuple> = engine.read_records("out").unwrap();
         gold.sort_by_cached_key(Rec::to_bytes);
@@ -1321,8 +1321,7 @@ mod tests {
         .unwrap();
         load_store(&engine, "t", &store()).unwrap();
         let q = unbound_query();
-        let j1 = group_filter_job("j1", &q, "t", vec!["ec0".into(), "ec1".into()], vec![false; 2]);
-        engine.run_job(&j1.unwrap()).unwrap();
+        engine.run_job(&job1(&q, ["ec0", "ec1"], false)).unwrap();
         let stats = engine
             .run_job(&tg_broadcast_join_job("bjoin", left, right, BuildSide::Right, "out"))
             .unwrap();

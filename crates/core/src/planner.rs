@@ -14,11 +14,11 @@
 //! runs it.
 
 use crate::physical::{
-    group_filter_job, tg_broadcast_join_job, tg_join_job, BuildSide, JoinSide, UnnestMode, REDUCERS,
+    group_filter_job, tg_broadcast_join_job, tg_join_job, BuildSide, JoinSide, UnnestMode,
 };
 use crate::plan::{join_schedule, supported, Cycle, JoinAlgo, PhysicalPlan, Scan};
 use crate::FinalUnnest;
-use mr_rdf::{PlanError, QueryRun, RowSchema};
+use mr_rdf::{PlanError, QueryRun, RowSchema, REDUCERS};
 use mrsim::{Engine, JobSpec, Workflow};
 use rdf_query::{Query, SolutionRows};
 use relbase::{load_copy_job, pattern_attach_job, row_join_job, star_attach_job, star_join_job};
@@ -143,8 +143,8 @@ pub fn execute_plan(
                 Cycle::GroupFilter { eager, reduce_tasks } => {
                     let (file, components) = (ec_files[0].clone(), vec![0]);
                     current = Some(Relation::Tg { file, components });
-                    group_filter_job(name, query, &base, ec_files.clone(), eager.clone())?
-                        .with_reducers(*reduce_tasks)
+                    let (outputs, eager) = (ec_files.clone(), eager.clone());
+                    group_filter_job(name, query, &base, outputs, eager, *reduce_tasks)?
                 }
                 Cycle::TgJoin(algo, step) => {
                     let Some(Relation::Tg { file, components }) = &mut current else {
@@ -266,7 +266,7 @@ fn tg_join(
 ) -> Result<JobSpec, PlanError> {
     Ok(match algo {
         JoinAlgo::Reduce { mode, reduce_tasks } => {
-            tg_join_job(name, left, right, mode, name).with_reducers(reduce_tasks)
+            tg_join_job(name, left, right, mode, reduce_tasks, name)
         }
         JoinAlgo::Broadcast { build } => {
             let build_file = match build {
@@ -284,7 +284,7 @@ fn tg_join(
             } else {
                 // Estimation miss: repair to the reduce-side join rather
                 // than letting the engine refuse the job.
-                tg_join_job(name, left, right, UnnestMode::Exact, name)
+                tg_join_job(name, left, right, UnnestMode::Exact, REDUCERS, name)
             }
         }
     })

@@ -22,13 +22,18 @@
 //! relational star join `T_P1 ⋈ … ⋈ T_Pn ⋈ T` is content-equivalent to
 //! `μ^β(σ^βγ(γ(T)))`, and so is the naive rewrite. Both rewrites are built from
 //! [`crate::logical`] and expanded to solutions by [`solutions`], its final
-//! `μ^β`. No kernel runs here, so Lemma 1 checks the algebra itself
-//! against the naive evaluator.
+//! `μ^β`; the relational side is [`evaluate_relational`], built from the
+//! relational specification `relbase::logical`. No kernel runs here, so
+//! Lemma 1 compares the two specifications with each other and with the
+//! naive evaluator, the third and independent oracle.
 
 use crate::logical::{beta_group_filter, beta_unnest, group_by_subject, solutions};
-use mr_rdf::next_combination;
+use mr_rdf::RowSchema;
 use rdf_model::{Atom, STriple, TripleStore};
-use rdf_query::{PropPattern, Query, SolutionRows, SolutionSet, StarPattern, TriplePattern};
+use rdf_query::{PropPattern, Query, SolutionRows, SolutionSet, StarPattern};
+use relbase::logical::{row_join, star_join};
+use relbase::star_schema;
+use std::collections::BTreeMap;
 
 /// Enumerate the concrete pattern combinations of the naive rewrite: for
 /// each unbound pattern, substitute every property of the database.
@@ -36,39 +41,18 @@ use rdf_query::{PropPattern, Query, SolutionRows, SolutionSet, StarPattern, Trip
 /// With `u` unbound patterns and `|P|` database properties this yields
 /// `|P|^u` fully-bound stars — the blow-up that motivates `σ^βγ`.
 pub fn enumerate_combinations(star: &StarPattern, properties: &[Atom]) -> Vec<StarPattern> {
-    let unbound_idx: Vec<usize> = star
-        .patterns
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.is_unbound_property())
-        .map(|(i, _)| i)
-        .collect();
-    if unbound_idx.is_empty() {
-        return vec![star.clone()];
-    }
-    if properties.is_empty() {
-        // No properties in the database: an unbound pattern cannot match
-        // anything, so the disjunction is empty.
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut cursor = vec![0usize; unbound_idx.len()];
-    loop {
-        let mut patterns = star.patterns.clone();
-        for (slot, &pat_i) in unbound_idx.iter().enumerate() {
-            patterns[pat_i] = TriplePattern {
-                subject: patterns[pat_i].subject.clone(),
-                property: PropPattern::Bound(properties[cursor[slot]].clone()),
-                object: patterns[pat_i].object.clone(),
-            };
-        }
-        let mut concrete = StarPattern::new(star.subject_var.clone(), patterns);
-        concrete.subject_filter = star.subject_filter.clone();
-        out.push(concrete);
-        if !next_combination(&mut cursor, |_| properties.len()) {
-            return out;
-        }
-    }
+    // One unbound pattern at a time, each star so far crossed with every
+    // property, so the last unbound pattern's property varies fastest. No
+    // property in the database leaves an unbound star no combination.
+    let unbound = star.patterns.iter().enumerate().filter(|(_, p)| p.is_unbound_property());
+    unbound.fold(vec![star.clone()], |stars, (i, _)| {
+        let bind = |s: &StarPattern, p: &Atom| {
+            let mut concrete = s.clone();
+            concrete.patterns[i].property = PropPattern::Bound(p.clone());
+            concrete
+        };
+        stars.iter().flat_map(|s| properties.iter().map(move |p| bind(s, p))).collect()
+    })
 }
 
 /// Add the solutions of `star` over `triples` to `out`: `μ^β(σ^βγ(γ(T)))`,
@@ -130,12 +114,49 @@ pub fn evaluate_relaxed(star: &StarPattern, store: &TripleStore) -> SolutionSet 
     out.finish()
 }
 
+/// The relational interpretation of `query`, from `relbase::logical`:
+/// each star's star join, joined in [`Query::left_deep_order`] by row joins
+/// on the step's variable, each row projected to the solution variables.
+/// A row two of whose columns bind one variable to different tokens is no
+/// solution: the selection a natural join makes on the variables the row
+/// joins did not key on. An error names a query no left-deep order covers.
+pub fn evaluate_relational(query: &Query, store: &TripleStore) -> Result<SolutionSet, String> {
+    let relation = |i: usize| {
+        let star = query.stars.get(i).ok_or("a query without stars")?;
+        Ok::<_, String>((star_schema(star), star_join(star, store.triples())))
+    };
+    let (mut schema, mut rows) = relation(0)?;
+    for step in query.left_deep_order().map_err(|e| e.to_string())? {
+        let (right_schema, right) = relation(step.star)?;
+        let key = |s: &RowSchema| s.index_of(&step.var).ok_or("no column binds a join variable");
+        rows = row_join(&rows, key(&schema)?, &right, key(&right_schema)?);
+        schema = schema.concat(&right_schema);
+    }
+    let mut out = SolutionRows::new(query.solution_vars());
+    for row in &rows {
+        let mut binding: BTreeMap<&str, &Atom> = BTreeMap::new();
+        let mut columns = schema.cols.iter().zip(row).filter_map(|(v, x)| Some((v.as_deref()?, x)));
+        if columns.all(|(var, value)| *binding.entry(var).or_insert(value) == value) {
+            let values: Vec<&Atom> =
+                out.vars().iter().filter_map(|v| binding.get(&**v).copied()).collect();
+            let ids: Vec<u32> = values.into_iter().map(|v| out.intern(v)).collect();
+            out.push(ids);
+        }
+    }
+    Ok(out.finish())
+}
+
 /// Executable Lemma 1, the oracle of the property tests: the relational
-/// star join (here: the naive evaluator over a single-star query), the
-/// relaxed rewrite `μ^β(σ^βγ(γ(T)))` and the naive rewrite agree. Returns
-/// the common solution set, or which interpretation disagreed.
+/// star join ([`evaluate_relational`] over a single-star query), the
+/// relaxed rewrite `μ^β(σ^βγ(γ(T)))`, the naive rewrite and the naive
+/// evaluator agree. Returns the common solution set, or which
+/// interpretation disagreed.
 pub fn check_rewrites(star: &StarPattern, store: &TripleStore) -> Result<SolutionSet, String> {
-    let relational = rdf_query::naive::evaluate(&Query::new(vec![star.clone()]), store);
+    let query = Query::new(vec![star.clone()]);
+    let relational = evaluate_relational(&query, store)?;
+    if relational != rdf_query::naive::evaluate(&query, store) {
+        return Err("the relational star join disagrees with the naive evaluator".into());
+    }
     let relaxed = evaluate_relaxed(star, store);
     if relaxed != relational {
         return Err("σ^βγ/μ^β disagrees with the relational interpretation".into());
@@ -150,7 +171,7 @@ pub fn check_rewrites(star: &StarPattern, store: &TripleStore) -> Result<Solutio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_query::{ObjFilter, ObjPattern};
+    use rdf_query::{ObjFilter, ObjPattern, TriplePattern};
 
     fn store() -> TripleStore {
         TripleStore::from_triples(vec![
@@ -245,6 +266,25 @@ mod tests {
         let sols = check_rewrites(&star, &store()).unwrap();
         // g1: 4×4; g2: 2×2.
         assert_eq!(sols.len(), 20);
+    }
+
+    #[test]
+    fn relational_side_selects_on_variables_no_row_join_keys_on() {
+        // The stars share ?o, the join key, and ?l, which no row join keys
+        // on: a row binding ?l to two tokens is no solution.
+        let q =
+            rdf_query::parse_query("SELECT * WHERE { ?g <xGO> ?o . ?g <label> ?l . ?o <gl> ?l . }")
+                .unwrap();
+        let store = TripleStore::from_triples(vec![
+            STriple::new("<g1>", "<label>", "\"a\""),
+            STriple::new("<g1>", "<xGO>", "<go1>"),
+            STriple::new("<g2>", "<label>", "\"b\""),
+            STriple::new("<g2>", "<xGO>", "<go1>"),
+            STriple::new("<go1>", "<gl>", "\"a\""),
+        ]);
+        let sols = evaluate_relational(&q, &store).unwrap();
+        assert_eq!(sols, rdf_query::naive::evaluate(&q, &store));
+        assert_eq!(sols.len(), 1);
     }
 
     #[test]

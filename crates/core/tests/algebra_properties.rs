@@ -1,7 +1,8 @@
 //! Property-based tests of the NTGA algebra — the paper's formal claims
 //! over randomized inputs:
 //!
-//! * **Lemma 1**: relational star join ≅ `μ^β(σ^βγ(γ(T)))`;
+//! * **Lemma 1**, three ways: the relational star join of
+//!   `relbase::logical` ≅ `μ^β(σ^βγ(γ(T)))` ≅ the naive evaluator;
 //! * rewrite sufficiency: σ^γ-enumeration ≡ σ^βγ-relaxation;
 //! * `μ^β_φ` then `μ^β` ≡ `μ^β` at every join position;
 //! * β-unnest output cardinality = candidate-list product;
@@ -58,7 +59,8 @@ proptest! {
     #[test]
     fn rewrites_agree_random(triples in arb_triples(), star in arb_star()) {
         let store = TripleStore::from_triples(triples);
-        // check_rewrites verifies naive == relaxed (Lemma 1) == enumerated.
+        // check_rewrites verifies relational == naive == relaxed (Lemma 1)
+        // == enumerated.
         check_rewrites(&star, &store).map_err(|e| {
             proptest::test_runner::TestCaseError::fail(format!("{e} for {star:?}"))
         })?;

@@ -142,6 +142,26 @@ mod tests {
             ("speculative_multiple", faulty(none().with_speculation(-0.1))),
             ("speculative_multiple", faulty(none().with_speculation(f64::NAN))),
         ];
+        let cost = |cost| ClusterConfig { cost, ..Default::default() };
+        let model = CostModel::default;
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            rows.extend([
+                ("hdfs_read_bps", cost(CostModel { hdfs_read_bps: bad, ..model() })),
+                ("hdfs_write_bps", cost(CostModel { hdfs_write_bps: bad, ..model() })),
+                ("shuffle_bps", cost(CostModel { shuffle_bps: bad, ..model() })),
+            ]);
+        }
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            rows.extend([
+                ("job_startup_s", cost(CostModel { job_startup_s: bad, ..model() })),
+                ("sort_s_per_byte_log", cost(CostModel { sort_s_per_byte_log: bad, ..model() })),
+                ("map_cpu_s_per_record", cost(CostModel { map_cpu_s_per_record: bad, ..model() })),
+                (
+                    "reduce_cpu_s_per_record",
+                    cost(CostModel { reduce_cpu_s_per_record: bad, ..model() }),
+                ),
+            ]);
+        }
         for p in [1.0, -0.1, f64::NAN] {
             rows.extend([
                 ("task_failure_probability", faulty(FaultConfig::with_probability(p, 0))),
@@ -167,8 +187,12 @@ mod tests {
         let engine =
             Engine::new(ClusterConfig { nodes: 1, ..Default::default() }.with_faults(edge));
         assert_eq!(engine.unwrap().faults.straggler_outcome(), (1.0, false, false));
-        // `Engine::unbounded` builds the default, which is in range.
+        // `Engine::unbounded` builds the default, which is in range, and so
+        // are the scaled and unit-test cost models, zero costs included.
         assert!(Engine::new(ClusterConfig::default().with_workers(1)).is_ok());
+        for model in [CostModel::scaled_to(0), CostModel::zero_overhead()] {
+            assert!(Engine::new(cost(model)).is_ok());
+        }
     }
 
     #[test]

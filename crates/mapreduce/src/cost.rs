@@ -11,6 +11,7 @@
 //! 1 GbE) at cluster aggregate level.
 
 use crate::counters::JobStats;
+use crate::MrError;
 
 /// Cost-model parameters. All rates are cluster-aggregate.
 #[derive(Debug, Clone)]
@@ -82,6 +83,27 @@ impl CostModel {
             map_cpu_s_per_record: 0.0,
             reduce_cpu_s_per_record: 0.0,
         }
+    }
+
+    /// [`MrError::Op`] naming the first field out of range (NaN is in
+    /// none): every field finite and `>= 0`, the three bandwidths `> 0`, so
+    /// that no job costs NaN or infinite seconds. `Engine::new` calls it.
+    pub(crate) fn check(&self) -> Result<(), MrError> {
+        let rate = |name, x: f64| (name, x, "finite and > 0", x.is_finite() && x > 0.0);
+        let cost = |name, x: f64| (name, x, "finite and >= 0", x.is_finite() && x >= 0.0);
+        let fields = [
+            cost("job_startup_s", self.job_startup_s),
+            rate("hdfs_read_bps", self.hdfs_read_bps),
+            rate("hdfs_write_bps", self.hdfs_write_bps),
+            rate("shuffle_bps", self.shuffle_bps),
+            cost("sort_s_per_byte_log", self.sort_s_per_byte_log),
+            cost("map_cpu_s_per_record", self.map_cpu_s_per_record),
+            cost("reduce_cpu_s_per_record", self.reduce_cpu_s_per_record),
+        ];
+        let Some((name, got, range, _)) = fields.into_iter().find(|&(.., ok)| !ok) else {
+            return Ok(());
+        };
+        Err(MrError::Op(format!("cost {name} must be {range}, got {got}")))
     }
 
     /// Seconds the map phase works: input read + broadcast distribution

@@ -191,8 +191,8 @@ fn collect_outputs(
 impl Engine {
     /// Build an engine for `config`, the one place a cluster setting is
     /// checked: [`MrError::Op`] naming the field for no nodes, a
-    /// replication factor of 0, `workers: Some(0)` or a fault setting
-    /// out of range (see [`FaultConfig`]).
+    /// replication factor of 0, `workers: Some(0)`, or a cost or fault
+    /// setting out of range (see [`CostModel`] and [`FaultConfig`]).
     pub fn new(config: ClusterConfig) -> Result<Engine, MrError> {
         let zero = [
             ("nodes", config.nodes == 0),
@@ -202,6 +202,7 @@ impl Engine {
         if let Some((name, _)) = zero.into_iter().find(|&(_, zero)| zero) {
             return Err(MrError::Op(format!("cluster {name} must be >= 1")));
         }
+        config.cost.check()?;
         config.faults.check()?;
         Ok(Engine::checked(config))
     }
@@ -410,7 +411,7 @@ impl Engine {
             if fs.capacity() == u64::MAX {
                 None
             } else {
-                Some(fs.available() / u64::from(replication.max(1)))
+                Some(fs.available() / u64::from(replication))
             }
         };
 
@@ -1052,7 +1053,9 @@ mod tests {
     #[test]
     fn zero_reduce_tasks_error_not_panic() {
         let engine = word_count_engine(&["a"]);
-        let err = engine.run_job(&word_count_spec().with_reducers(0)).unwrap_err();
+        let words = InputBinding { file: "input".into(), mapper: Arc::new(WordOne) };
+        let spec = JobSpec::map_reduce("wordcount", vec![words], Arc::new(CountReduce), 0, "out");
+        let err = engine.run_job(&spec).unwrap_err();
         assert!(err.to_string().contains("reduce tasks"), "{err}");
     }
 

@@ -330,7 +330,8 @@ impl SimHdfs {
         self.put_with_replication(name, file, self.default_replication)
     }
 
-    /// Store a file with an explicit replication factor.
+    /// Store a file with an explicit replication factor, at least 1: the
+    /// engine's callers pass the checked default or a job's checked override.
     pub fn put_with_replication(
         &mut self,
         name: &str,
@@ -340,7 +341,7 @@ impl SimHdfs {
         if self.files.contains_key(name) {
             return Err(MrError::OutputExists(name.to_string()));
         }
-        file.replication = replication.max(1);
+        file.replication = replication;
         let needed = file.disk_bytes();
         let available = self.available();
         if needed > available {

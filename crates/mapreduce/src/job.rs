@@ -395,19 +395,6 @@ impl JobSpec {
         self
     }
 
-    /// Override the reduce-task count — how a cost-based planner sizes the
-    /// reduce phase to estimated shuffle bytes instead of a fixed default.
-    ///
-    /// # Panics
-    /// Panics when called on a map-only job.
-    pub fn with_reducers(mut self, reduce_tasks: usize) -> Self {
-        match &mut self.kind {
-            JobKind::MapReduce { reduce_tasks: r, .. } => *r = reduce_tasks,
-            JobKind::MapOnly { .. } => panic!("map-only jobs have no reduce tasks"),
-        }
-        self
-    }
-
     /// Add a further named output (Hadoop `MultipleOutputs`). Reducers
     /// reach it via [`OutEmitter::emit_raw_to`] with the output's index.
     pub fn with_extra_output(mut self, name: impl Into<String>) -> Self {
@@ -422,9 +409,10 @@ impl JobSpec {
     }
 
     /// Check cross-field invariants before execution: the one place a job
-    /// with no reduce task or no output file is refused, as the
-    /// [`MrError::Op`] [`crate::Engine::run_job`] returns before any task
-    /// runs — not a panic deep inside the shuffle (`key % 0`).
+    /// with no reduce task, a replication of 0 or no output file is
+    /// refused, as the [`MrError::Op`] [`crate::Engine::run_job`] returns
+    /// before any task runs — not a panic deep inside the shuffle
+    /// (`key % 0`), nor an output stored at one replica and charged at none.
     pub fn validate(&self) -> Result<(), MrError> {
         if let JobKind::MapReduce { reduce_tasks, .. } = &self.kind {
             if *reduce_tasks == 0 {
@@ -433,6 +421,12 @@ impl JobSpec {
                     self.name
                 )));
             }
+        }
+        if self.replication == Some(0) {
+            return Err(MrError::Op(format!(
+                "job '{}' declares replication 0; its outputs need at least 1",
+                self.name
+            )));
         }
         if self.outputs.is_empty() {
             return Err(MrError::Op(format!("job '{}' declares no output files", self.name)));
@@ -475,13 +469,15 @@ mod tests {
         assert!(spec.validate().is_ok());
         spec.outputs.clear();
         assert!(spec.validate().is_err());
-        // Zero reduce tasks, from the builder or from `with_reducers`, is the
-        // typed error `run_job` returns, and nothing is committed.
+        // Zero reduce tasks and a replication of 0 are the typed errors
+        // `run_job` returns, naming the job, and nothing is committed.
         let engine = crate::Engine::unbounded();
         engine.put_records("in", ["a".to_string()]).unwrap();
-        for spec in [job(0), job(2).with_reducers(0)] {
+        let unreplicated = JobSpec { replication: Some(0), ..job(2) };
+        for (spec, refusal) in [(job(0), "0 reduce tasks"), (unreplicated, "replication 0")] {
             let err = engine.run_job(&spec).unwrap_err();
-            assert!(matches!(&err, MrError::Op(m) if m.contains("0 reduce tasks")), "{err:?}");
+            let named = |m: &str| m.contains(refusal) && m.contains("job 'j'");
+            assert!(matches!(&err, MrError::Op(m) if named(m)), "{err:?}");
             assert!(!engine.hdfs().lock().exists("out"));
         }
     }

@@ -26,3 +26,7 @@ pub use mrsim::triples::{analyze, load_store, read_store, TripleRec, TripleView,
 pub use row::{next_combination, Row, RowSchema, RowView};
 pub use run::{binder_slots, PlanError, QueryRun};
 pub use support::{check_query, check_star, UnsupportedReason};
+
+/// Reduce tasks of a planned map-reduce job, relational or NTGA, unless its
+/// plan sizes the cycle itself.
+pub const REDUCERS: usize = 8;

@@ -16,7 +16,7 @@
 //! `1 + i` a match of pattern `i` — `(property, object)` in a star attach,
 //! the triple in a pattern attach, whose tag 1 makes it [`RowJoinReduce`]'s.
 
-use mr_rdf::{PlanError, RowSchema, RowView, TripleView};
+use mr_rdf::{PlanError, RowSchema, RowView, TripleView, REDUCERS};
 use mrsim::codec::{
     decimal_digits, put_count, put_tag, split_tag, token_key, token_key_text, token_len,
 };
@@ -27,7 +27,7 @@ use rdf_query::{StarPattern, SubjPattern, TriplePattern};
 use std::sync::Arc;
 
 use crate::row_join::{RowJoinReduce, SideMap};
-use crate::star_join::{emit_star_rows, star_schema, REDUCERS};
+use crate::star_join::{emit_star_rows, star_schema};
 
 /// Triple side of both attach jobs: ships each triple once per pattern of
 /// `star` it matches, tagged `1 + i`.

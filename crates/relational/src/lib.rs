@@ -17,6 +17,7 @@
 
 pub mod attach;
 pub mod load;
+pub mod logical;
 pub mod row_join;
 pub mod star_join;
 

@@ -3,7 +3,7 @@
 //! place and spliced: the shuffle key is the key column's own bytes, a
 //! joined row is a new count before the two sides' token bytes.
 
-use mr_rdf::{PlanError, RowSchema, RowView};
+use mr_rdf::{PlanError, RowSchema, RowView, REDUCERS};
 use mrsim::codec::{
     counted_len, decimal_digits, put_count, put_tag, split_tag, token_key, token_key_text,
 };
@@ -11,8 +11,6 @@ use mrsim::{
     InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOp, RawReduceOp, TaskContext,
 };
 use std::sync::Arc;
-
-use crate::star_join::REDUCERS;
 
 /// Map side of [`row_join_job`] for one input: ships each row under its
 /// join column, tagged with its side.

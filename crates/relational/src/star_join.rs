@@ -9,7 +9,7 @@
 //! representation whose cost the paper quantifies. Both phases read their
 //! records in place and splice the triples' own encoded tokens.
 
-use mr_rdf::{next_combination, RowSchema, RowView, TripleView};
+use mr_rdf::{next_combination, RowSchema, RowView, TripleView, REDUCERS};
 use mrsim::codec::{counted_len, decimal_digits, put_count, put_tag, split_tag, token_key};
 use mrsim::{
     InputBinding, JobSpec, MapEmitter, MrError, OutEmitter, RawMapOp, RawReduceOp, SliceReader,
@@ -17,9 +17,6 @@ use mrsim::{
 };
 use rdf_query::{ObjPattern, PropPattern, StarPattern, SubjPattern};
 use std::sync::Arc;
-
-/// Default reducer count for relational jobs.
-pub const REDUCERS: usize = 8;
 
 /// Which pattern subset a mapper handles — Pig issues one LOAD per
 /// relation group (bound VP relations in one pass, the unbound union in
